@@ -63,13 +63,11 @@ from .bench import (
     BenchConfig,
     NoDataError,
     SweepRecord,
-    TrialResult,
     estimate_theta,
     misaligned_half_tangent,
     rng_stream,
     run_bench_state,
     run_trials,
-    sample_counts,
     source_state,
     systematic_shift_t,
     waveplate_generator,

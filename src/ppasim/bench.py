@@ -14,9 +14,11 @@ Systematic knobs:
 * ``epsilon``: waveplate axis misalignment; the generator becomes
   cos(2 eps) sigma_x/2 + sin(2 eps) sigma_z/2.
 
-Randomness is drawn from numpy streams keyed by (seed, trial index, stage),
-so results are reproducible and independent of execution order or worker
-count.
+Randomness is drawn from numpy streams keyed by (seed, grid indices, stage):
+the sweep derives each grid point's seed from the run seed and the point's
+grid indices, and a bench run draws all of its trials from one stream of
+that seed.  A grid point replays alone and independently of execution order
+or worker count; a single trial cannot be replayed without its grid point.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "NoDataError",
     "STAGE_COUNTS",
     "BenchConfig",
-    "TrialResult",
     "SweepRecord",
     "SWEEP_CSV_COLUMNS",
     "fmt_sig",
@@ -52,7 +53,6 @@ __all__ = [
     "source_state",
     "waveplate_generator",
     "run_bench_state",
-    "sample_counts",
     "estimate_theta",
     "run_trials",
     "systematic_shift_t",
@@ -111,15 +111,17 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta_true):
-            raise ValueError("theta_true must be finite")
+        # |theta_true| < pi is the range of amplified_angle, which the
+        # estimator's branch choice needs.
+        if not abs(self.theta_true) < math.pi:
+            raise ValueError("theta_true must lie in (-pi, pi)")
         t = complex(self.t_set)
         if abs(t) > 1.0 + 1e-12:
             raise ValueError("|t_set| must not exceed 1")
         assumed = abs(t) + self.delta_t
-        if not 0.0 <= assumed <= 1.0 + 1e-12:
+        if not 0.0 < assumed <= 1.0 + 1e-12:
             raise ValueError(
-                f"assumed amplitude |t_set| + delta_t = {assumed:.6g} outside [0, 1]"
+                f"assumed amplitude |t_set| + delta_t = {assumed:.6g} outside (0, 1]"
             )
         if abs(self.epsilon) >= math.pi / 4:
             raise ValueError("|epsilon| must be below pi/4")
@@ -129,48 +131,10 @@ class BenchConfig:
             raise ValueError("photon_budget must be a non-negative integer")
         if self.sampling_mode not in ("fixed", "poisson"):
             raise ValueError("sampling_mode must be 'fixed' or 'poisson'")
-        if self.n_trials < 1 or self.n_trials != int(self.n_trials):
-            raise ValueError("n_trials must be a positive integer")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def to_json_dict(self) -> dict:
-        t = complex(self.t_set)
-        return {
-            "theta_true": self.theta_true,
-            "t_set": t.real if t.imag == 0.0 else [t.real, t.imag],
-            "delta_t": self.delta_t,
-            "epsilon": self.epsilon,
-            "visibility": self.visibility,
-            "photon_budget": int(self.photon_budget),
-            "sampling_mode": self.sampling_mode,
-            "n_trials": int(self.n_trials),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BenchConfig":
-        data = dict(data)
-        t = data.get("t_set", 1.0)
-        if isinstance(t, (list, tuple)):
-            data["t_set"] = complex(t[0], t[1])
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial: detected counts split over the two outcomes, and the estimate."""
-
-    theta_estimate: float
-    n_detected: int
-    counts_plus: int
-    counts_minus: int
-
-    def __post_init__(self) -> None:
-        if min(self.n_detected, self.counts_plus, self.counts_minus) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.counts_plus + self.counts_minus != self.n_detected:
-            raise ValueError("counts_plus + counts_minus must equal n_detected")
+        if self.n_trials < 2 or self.n_trials != int(self.n_trials):
+            raise ValueError("n_trials must be an integer of at least 2")
+        if int(self.seed) < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -241,42 +205,6 @@ def run_bench_state(cfg: BenchConfig) -> tuple[DensityMatrix, float]:
     return postselect(rho, kraus.k_plus)
 
 
-def sample_counts(
-    rho_ps: DensityMatrix,
-    p_ps: float,
-    direction: MeasurementDirection,
-    budget: int,
-    mode: str,
-    rng: np.random.Generator,
-) -> TrialResult:
-    """Draw one trial's detected counts.
-
-    ``mode='fixed'`` sends exactly ``budget`` photons into the filter and
-    detects Binomial(budget, p_ps) of them; ``'poisson'`` models a coherent
-    source with Poisson(budget * p_ps) survivors.  Detected photons split
-    binomially along the measurement direction.
-    """
-    if budget < 0:
-        raise ValueError("photon budget must be non-negative")
-    if not 0.0 <= p_ps <= 1.0 + 1e-12:
-        raise ValueError("survival probability must lie in [0, 1]")
-    if mode == "fixed":
-        n_det = int(rng.binomial(int(budget), min(p_ps, 1.0))) if budget else 0
-    elif mode == "poisson":
-        n_det = int(rng.poisson(budget * p_ps))
-    else:
-        raise ValueError("mode must be 'fixed' or 'poisson'")
-    q = float(np.trace(rho_ps.mat @ direction.projector()).real)
-    q = min(max(q, 0.0), 1.0)
-    plus = int(rng.binomial(n_det, q)) if n_det else 0
-    return TrialResult(
-        theta_estimate=math.nan,
-        n_detected=n_det,
-        counts_plus=plus,
-        counts_minus=n_det - plus,
-    )
-
-
 def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
     # q(Theta) = (1 + C sin Theta + D cos Theta)/2 for the real-amplitude
     # family measured along `direction`; written as (R, psi) of the fringe
@@ -287,52 +215,56 @@ def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
 
 
 def _invert_frequency(
-    f: float,
+    f,
     direction: MeasurementDirection,
     t_assumed: float,
     theta_prior: float,
-) -> tuple[float, bool]:
-    """Closed-form ML inversion of the fringe; returns (estimate, clamped)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ML inversion of fringe frequencies; returns (estimates, clamped).
+
+    ``clamped`` marks the frequencies outside the fringe's achievable range.
+    """
     r, psi = _fringe_params(direction)
     if r < 1e-12:
         raise ValueError("measurement direction carries no fringe contrast")
-    u = (2.0 * f - 1.0) / r
-    clamped = abs(u) > 1.0
-    u = min(max(u, -1.0), 1.0)
-    b = math.acos(u)
+    u = (2.0 * np.asarray(f, dtype=float) - 1.0) / r
+    clamped = np.abs(u) > 1.0
+    b = np.arccos(np.clip(u, -1.0, 1.0))
+    # The six arccos branches psi +- b + 2 pi k; argmin keeps the first of
+    # equally near candidates, so ties resolve in this order.
+    cands = np.stack(
+        [base + 2.0 * math.pi * k for base in (psi + b, psi - b) for k in (-1, 0, 1)]
+    )
     prior_big = amplified_angle(theta_prior, t_assumed)
-    best = None
-    for base in (psi + b, psi - b):
-        for k in (-1, 0, 1):
-            cand = base + 2.0 * math.pi * k
-            if best is None or abs(cand - prior_big) < abs(best - prior_big):
-                best = cand
-    theta_e = 2.0 * math.atan(t_assumed * math.tan(best / 2.0))
-    return theta_e, clamped
+    nearest = np.abs(cands - prior_big).argmin(axis=0)
+    best = np.take_along_axis(cands, nearest[np.newaxis], axis=0)[0]
+    return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
 def estimate_theta(
-    counts: TrialResult,
+    counts_plus,
+    n_detected,
     t_assumed: float,
     direction: MeasurementDirection,
     theta_prior: float,
-) -> float:
-    """Invert one trial's fringe frequency into a phase estimate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert trials' fringe frequencies into phase estimates.
 
-    The empirical frequency is clamped to half a count away from 0 and 1,
+    ``counts_plus`` and ``n_detected`` are per-trial counts of equal shape.
+    Each empirical frequency is clamped to half a count away from 0 and 1,
     and to the fringe's achievable range; the arccos branch nearest the
     amplified prior is taken and mapped back through the assumed amplitude.
-    Raises :class:`NoDataError` when nothing was detected.
+    Returns ``(estimates, clamped)``, where ``clamped`` marks the trials
+    whose frequency fell outside the fringe's range.  Raises
+    :class:`NoDataError` when any trial detected nothing.
     """
-    if counts.n_detected == 0:
-        raise NoDataError("no detected photons in this trial")
+    n = np.asarray(n_detected, dtype=float)
+    if np.any(n == 0):
+        raise NoDataError("no detected photons in a trial")
     if not 0.0 < t_assumed <= 1.0 + 1e-12:
         raise ValueError("t_assumed must lie in (0, 1]")
-    n = counts.n_detected
-    f = counts.counts_plus / n
-    f = min(max(f, 0.5 / n), 1.0 - 0.5 / n)
-    theta_e, _ = _invert_frequency(f, direction, t_assumed, theta_prior)
-    return theta_e
+    f = np.clip(np.asarray(counts_plus) / n, 0.5 / n, 1.0 - 0.5 / n)
+    return _invert_frequency(f, direction, t_assumed, theta_prior)
 
 
 def _estimator_direction(
@@ -352,51 +284,52 @@ def _estimator_direction(
 def run_trials(cfg: BenchConfig) -> SweepRecord:
     """Run the configured number of trials and aggregate the statistics.
 
-    The measurement direction is the information-optimal one for the
-    *assumed* amplitude |t_set| + delta_t at the true phase, mirroring a
-    calibrated-but-miscalibrated experiment.  Trials are independent and
-    keyed by (seed, trial index), so the record is reproducible.
+    ``sampling_mode='fixed'`` sends exactly ``photon_budget`` photons per
+    trial into the filter and detects Binomial(budget, p_ps) of them;
+    ``'poisson'`` models a coherent source with Poisson(budget * p_ps)
+    survivors.  Detected photons split binomially along the measurement
+    direction, which is the information-optimal one for the *assumed*
+    amplitude |t_set| + delta_t at the true phase, mirroring a
+    calibrated-but-miscalibrated experiment.
+
+    All trials draw from one stream keyed by ``cfg.seed`` (the sweep derives
+    it from the run seed and the grid indices): first every trial's detected
+    count, then every trial's plus count.  The record is reproducible per
+    grid point; single trials are not replayable on their own.
     """
-    if cfg.n_trials < 2:
-        raise ValueError("need at least 2 trials for a variance")
     t = complex(cfg.t_set)
     t_assumed = abs(t) + cfg.delta_t
-    if t_assumed <= 0.0:
-        raise ValueError("assumed amplitude must be positive to estimate")
     phase = cmath.phase(t) if t != 0 else 0.0
     direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
-    model_direction = _estimator_direction(direction, phase)
-
     rho_ps, p_ps = run_bench_state(cfg)
+    q = float(np.trace(rho_ps.mat @ direction.projector()).real)
+    q = min(max(q, 0.0), 1.0)
 
-    estimates: list[float] = []
-    clamped = 0
-    detected: list[int] = []
-    for j in range(cfg.n_trials):
-        rng = rng_stream(cfg.seed, j, STAGE_COUNTS)
-        counts = sample_counts(
-            rho_ps, p_ps, direction, cfg.photon_budget, cfg.sampling_mode, rng
+    rng = rng_stream(cfg.seed, STAGE_COUNTS)
+    if cfg.sampling_mode == "fixed":
+        detected = rng.binomial(
+            int(cfg.photon_budget), min(p_ps, 1.0), size=cfg.n_trials
         )
-        detected.append(counts.n_detected)
-        if counts.n_detected == 0:
-            continue
-        n = counts.n_detected
-        f = counts.counts_plus / n
-        f = min(max(f, 0.5 / n), 1.0 - 0.5 / n)
-        theta_e, was_clamped = _invert_frequency(
-            f, model_direction, t_assumed, cfg.theta_true
-        )
-        estimates.append(theta_e)
-        clamped += was_clamped
+    else:
+        detected = rng.poisson(cfg.photon_budget * p_ps, size=cfg.n_trials)
+    plus = rng.binomial(detected, q)
+    hit = detected > 0
+    est, est_clamped = estimate_theta(
+        plus[hit],
+        detected[hit],
+        t_assumed,
+        _estimator_direction(direction, phase),
+        cfg.theta_true,
+    )
+    clamped = int(est_clamped.sum())
 
-    mean_detected = float(np.mean(detected))
+    mean_detected = float(detected.mean())
     flags: list[str] = []
-    if not estimates:
+    if not len(est):
         flags.append("no-data")
         nan = math.nan
         mean_est = variance = mse = stderr = precision = accuracy = nan
     else:
-        est = np.asarray(estimates)
         mean_est = float(est.mean())
         variance = float(est.var(ddof=1)) if len(est) > 1 else math.nan
         mse = float(np.mean((est - cfg.theta_true) ** 2))

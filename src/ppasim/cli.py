@@ -2,8 +2,8 @@
 
 All numeric output is written with 12 significant digits and fixed row
 order, and every random draw comes from a stream keyed by (seed, grid
-indices, trial, stage), so output files are byte-identical for any
-``--workers`` value.  ``PPASIM_OUT_DIR`` supplies the default directory for
+indices, stage), so output files are byte-identical for any ``--workers``
+value.  ``PPASIM_OUT_DIR`` supplies the default directory for
 relative output paths.
 """
 
@@ -37,7 +37,15 @@ from .tomography import (
 )
 from .verify import run_all
 
-__all__ = ["SweepSpec", "cmd_sweep", "cmd_kd", "cmd_fig4", "cmd_verify", "main"]
+__all__ = [
+    "SweepSpec",
+    "sweep_configs",
+    "cmd_sweep",
+    "cmd_kd",
+    "cmd_fig4",
+    "cmd_verify",
+    "main",
+]
 
 OUT_DIR_ENV = "PPASIM_OUT_DIR"
 
@@ -89,10 +97,6 @@ class SweepSpec:
         object.__setattr__(self, "theta_list", tuple(float(x) for x in self.theta_list))
         object.__setattr__(self, "t_list", tuple(float(x) for x in self.t_list))
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SweepSpec":
-        return cls(**data)
-
 
 def _resolve_out(path: str, default_name: str) -> str:
     """Resolve an output path against PPASIM_OUT_DIR for bare filenames."""
@@ -108,41 +112,54 @@ def _grid_seed(seed: int, i: int, j: int) -> int:
     return int(np.random.SeedSequence((seed, i, j)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_point(args: tuple) -> str:
-    spec_dict, i, j = args
-    spec = SweepSpec(**spec_dict)
-    cfg = BenchConfig(
-        theta_true=spec.theta_list[i],
-        t_set=spec.t_list[j],
-        delta_t=spec.delta_t,
-        epsilon=spec.epsilon,
-        visibility=spec.visibility,
-        photon_budget=spec.photon_budget,
-        sampling_mode=spec.sampling_mode,
-        n_trials=spec.n_trials,
-        seed=_grid_seed(spec.seed, i, j),
-    )
-    return run_trials(cfg).to_csv_row()
+def _point_seed(seed: int, i: int, j: int) -> int:
+    """Bench seed of sweep grid point (i, j): the run seed and the indices side by side.
 
-
-def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
-    """Run the bench over the (theta, t) grid and write the sweep CSV.
-
-    Rows appear in row-major grid order regardless of worker count; each
-    grid point draws from its own seed stream, so the bytes written are a
-    pure function of the sweep parameters and seed.
+    rng_stream hashes it, so each point's stream is keyed by (seed, i, j).
+    Unlike ``_grid_seed`` it needs no numpy.random, which a sweep's parent
+    process would otherwise load only to hand points to its workers.
     """
-    tasks = [
-        (spec.__dict__ | {}, i, j)
-        for i in range(len(spec.theta_list))
-        for j in range(len(spec.t_list))
+    return (int(seed) << 64) | (i << 32) | j
+
+
+def sweep_configs(spec: SweepSpec) -> list[BenchConfig]:
+    """Checked bench input of every grid point, in row-major grid order.
+
+    Raises ValueError naming the offending field before any trial runs.
+    """
+    return [
+        BenchConfig(
+            theta_true=theta,
+            t_set=t,
+            delta_t=spec.delta_t,
+            epsilon=spec.epsilon,
+            visibility=spec.visibility,
+            photon_budget=spec.photon_budget,
+            sampling_mode=spec.sampling_mode,
+            n_trials=spec.n_trials,
+            seed=_point_seed(spec.seed, i, j),
+        )
+        for i, theta in enumerate(spec.theta_list)
+        for j, t in enumerate(spec.t_list)
     ]
+
+
+def cmd_sweep(
+    configs: list[BenchConfig], output_path: str = "", workers: int = 1
+) -> str:
+    """Run the bench at every grid point's config and write the sweep CSV.
+
+    Rows follow the order of ``configs`` regardless of worker count; each
+    config carries its grid point's seed, so the bytes written are a pure
+    function of the configs.
+    """
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=1))
+            records = list(pool.map(run_trials, configs, chunksize=1))
     else:
-        rows = [_sweep_point(t) for t in tasks]
-    out = _resolve_out(spec.output_path, "sweep.csv")
+        records = [run_trials(cfg) for cfg in configs]
+    rows = [rec.to_csv_row() for rec in records]
+    out = _resolve_out(output_path, "sweep.csv")
     _write_text(out, ",".join(SWEEP_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out
 
@@ -295,7 +312,7 @@ def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepS
         val = getattr(args, attr, None)
         if val is not None:
             data[key] = val
-    return SweepSpec.from_json_dict(data)
+    return SweepSpec(**data)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -347,7 +364,12 @@ def main(argv=None) -> int:
         return cmd_verify(args.seed, args.n_instances)
     if args.command == "sweep":
         spec = _load_spec(args)
-        out = cmd_sweep(spec, workers=max(args.workers, 1))
+        try:
+            configs = sweep_configs(spec)
+        except ValueError as exc:
+            print(f"ppasim sweep: error: {exc}", file=sys.stderr)
+            return 2
+        out = cmd_sweep(configs, spec.output_path, workers=max(args.workers, 1))
     elif args.command == "kd":
         spec = _load_spec(args)
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)

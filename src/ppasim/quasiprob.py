@@ -15,7 +15,6 @@ to the postselected quantum Fisher information.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,7 +32,7 @@ from .states import (
     plus_minus_states,
     psd_sqrt,
 )
-from .fisher import PurityError, qfi_postselected_pure
+from .fisher import PurityError, qfi_postselected_pure, survival_probability
 
 __all__ = [
     "PreconditionError",
@@ -299,7 +298,7 @@ def kd_table_closed_form(theta: float, t_mag: float) -> np.ndarray:
     """
     if not 0.0 <= t_mag <= 1.0 + 1e-12:
         raise ValueError("t_mag must lie in [0, 1]")
-    p = t_mag**2 * math.cos(theta / 2.0) ** 2 + math.sin(theta / 2.0) ** 2
+    p = survival_probability(theta, t_mag)
     if p <= 1e-15:
         raise ZeroProbabilityError(
             "conditional table undefined: postselection probability is zero"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ppasim import cli
 from ppasim.bench import SWEEP_CSV_COLUMNS
 from ppasim.cli import (
     DEFAULT_T_LIST,
@@ -128,6 +129,36 @@ def test_sweep_systematic_flags_propagate(tmp_path, capsys):
     assert float(row["mean_estimate"]) > 0.1
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--trials", "1"], "n_trials"),
+        (["--t", "0,0.5"], "t_set"),
+        (["--theta", "3.3"], "theta_true"),
+        (["--budget", "-5"], "photon_budget"),
+    ],
+)
+def test_sweep_rejects_invalid_input_before_any_work(
+    tmp_path, capsys, monkeypatch, flags, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "run_trials", no_work)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--theta", "0.1", "--t", "0.5", "--budget", "100",
+            "--trials", "2", "--workers", "2", "--out", str(out)]
+    code = main(argv + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("ppasim sweep: error: ")
+    assert field in line
+    assert not out.exists()
+
+
 def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PPASIM_OUT_DIR", str(tmp_path))
     code, printed = run(
@@ -237,11 +268,11 @@ def test_verify_exits_clean(capsys):
 
 def test_spec_from_json_rejects_unknown_keys():
     with pytest.raises(TypeError):
-        SweepSpec.from_json_dict({"theta_list": [0.1], "t_list": [0.5], "bogus": 1})
+        SweepSpec(**{"theta_list": [0.1], "t_list": [0.5], "bogus": 1})
 
 
 def test_spec_defaults_match_documented_grid():
-    spec = SweepSpec.from_json_dict({})
+    spec = SweepSpec()
     assert spec.theta_list == DEFAULT_THETA_LIST
     assert spec.t_list == DEFAULT_T_LIST
     assert spec.photon_budget == 10**6
