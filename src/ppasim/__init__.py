@@ -76,7 +76,6 @@ from .tomography import (
     TomographyResult,
     UndefinedAngleError,
     amplified_angle_from_state,
-    empirical_qfi,
     kd_from_tomography,
     rho_derivative,
     simulate_tomography,

@@ -26,7 +26,7 @@ from .bench import (
     rng_stream,
     run_trials,
 )
-from .fisher import PPAFamily, qfi_ppa_theory, sld
+from .fisher import PPAFamily, qfi_ppa_theory, sld, survival_probability
 from .quasiprob import condition, kd_distribution, nonclassicality_gap, ppa_povm_sequence
 from .states import phase_unitary, ppa_generator, pure_state
 from .tomography import (
@@ -41,6 +41,7 @@ __all__ = [
     "SweepSpec",
     "sweep_configs",
     "cmd_sweep",
+    "check_kd_grid",
     "cmd_kd",
     "cmd_fig4",
     "cmd_verify",
@@ -172,6 +173,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def check_kd_grid(theta_list, t_list) -> None:
+    """Raise ValueError naming the field and the first (theta, t) kd cannot evaluate."""
+    for theta in theta_list:
+        for t in t_list:
+            if not abs(t) <= 1.0 + 1e-12:
+                raise ValueError(f"t_list: t = {t:g} must satisfy |t| <= 1")
+            if not math.isfinite(theta):
+                raise ValueError(f"theta_list: theta = {theta} is not finite")
+            if not survival_probability(theta, abs(t)) > 1e-14:
+                raise ValueError(
+                    f"theta_list, t_list: survival probability at (theta = {theta:g}, "
+                    f"t = {t:g}) is not above the 1e-14 that conditioning needs"
+                )
+
+
 def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     """Write the conditional quasiprobability tables and gaps as JSON."""
     gen = ppa_generator()
@@ -224,7 +240,7 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
                 (theta + dtheta, _STAGE_TOMO_PLUS),
             )
         ]
-        drho = rho_derivative(tomo[0], tomo[1], tomo[2], dtheta)
+        drho = rho_derivative(tomo[0], tomo[2], dtheta)
         qfi_reps.append(sld(tomo[1], drho).qfi)
         unf = simulate_tomography(
             rho_unfiltered_exact,
@@ -372,6 +388,11 @@ def main(argv=None) -> int:
         out = cmd_sweep(configs, spec.output_path, workers=max(args.workers, 1))
     elif args.command == "kd":
         spec = _load_spec(args)
+        try:
+            check_kd_grid(spec.theta_list, spec.t_list)
+        except ValueError as exc:
+            print(f"ppasim kd: error: {exc}", file=sys.stderr)
+            return 2
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
     elif args.command == "fig4":
         # An imperfect source keeps tomographic estimates full-rank, which the

@@ -1,10 +1,9 @@
 """Quantum and classical Fisher information for postselected phase estimation.
 
-The symmetric logarithmic derivative (SLD) is obtained by vectorizing the
-Sylvester equation (rho L + L rho)/2 = drho row-major and applying a
-Moore-Penrose pseudoinverse, which handles rank-deficient (pure or filtered)
-states; the identity vec(X Y Z) = (X kron Z^T) vec(Y) underpinning this is
-itself unit-tested.
+The symmetric logarithmic derivative (SLD) solves the Sylvester equation
+(rho L + L rho)/2 = drho in the eigenbasis of rho, where it is diagonal; the
+minimum-norm solution it gives handles rank-deficient (pure or filtered)
+states without a special case.
 """
 
 from __future__ import annotations
@@ -99,17 +98,18 @@ def survival_probability(
     return v * p_pure + (1.0 - v) * (1.0 + t_mag**2) / 2.0
 
 
-def sld(rho: DensityMatrix, drho, rcond: float = 1e-12) -> SLDResult:
+def sld(rho: DensityMatrix, drho) -> SLDResult:
     """Solve (rho L + L rho)/2 = drho for the SLD L and report QFI = Tr(drho L).
 
-    ``drho`` must be Hermitian with |trace| <= 1e-9.  On rank-deficient
-    states the pseudoinverse returns the minimum-norm solution; any component
-    of ``drho`` in the kernel-kernel block (unreachable by the Sylvester map)
-    beyond 1e-6 raises :class:`InconsistentDerivativeError`.  ``residual``
-    is the Frobenius norm of the defect projected onto the support of rho.
+    ``drho`` must be Hermitian with |trace| <= 1e-9.  With rho = V diag(lambda)
+    V^dag, L = V (2 (V^dag drho V)_ij / (lambda_i + lambda_j)) V^dag on the
+    pairs where either eigenvalue exceeds 1e-12 lambda_max, and 0 on the
+    kernel-kernel block; a kernel block of drho with norm beyond 1e-6 is
+    unreachable and raises :class:`InconsistentDerivativeError`.
+    ``residual`` is the Frobenius norm of the defect projected onto the
+    support of rho.
     """
     m = rho.mat
-    d = rho.dim
     dm = _as_complex_matrix(drho, "drho")
     if dm.shape != m.shape:
         raise ValueError("drho dimension does not match rho")
@@ -118,26 +118,23 @@ def sld(rho: DensityMatrix, drho, rcond: float = 1e-12) -> SLDResult:
     if abs(np.trace(dm)) > 1e-9:
         raise ValueError("drho must be traceless (trace-preserving family)")
 
-    eye = np.eye(d)
-    sylv = (np.kron(m, eye) + np.kron(eye, m.T)) / 2.0
-    lam = np.linalg.pinv(sylv, rcond=rcond, hermitian=True) @ dm.reshape(-1)
-    lam = hermitian_part(lam.reshape(d, d))
+    w, vecs = np.linalg.eigh(hermitian_part(m))
+    on = w > 1e-12 * max(w.max(), 1e-300)
+    d_eig = vecs.conj().T @ dm @ vecs
+    if not on.all():
+        kernel_norm = float(np.linalg.norm(d_eig[np.ix_(~on, ~on)]))
+        if kernel_norm > 1e-6:
+            raise InconsistentDerivativeError(
+                f"drho has weight {kernel_norm:.3e} outside the support of rho"
+            )
+    pairs = on[:, None] | on[None, :]
+    denom = np.where(pairs, w[:, None] + w[None, :], 1.0)
+    lam_eig = np.where(pairs, 2.0 * d_eig / denom, 0.0)
+    lam = hermitian_part(vecs @ lam_eig @ vecs.conj().T)
 
     defect = (m @ lam + lam @ m) / 2.0 - dm
-    w, vecs = np.linalg.eigh(hermitian_part(m))
-    cutoff = 1e-12 * max(w.max(), 1e-300)
-    on = vecs[:, w > cutoff]
-    off = vecs[:, w <= cutoff]
-    if off.shape[1]:
-        kernel_block = off.conj().T @ dm @ off
-        if np.linalg.norm(kernel_block) > 1e-6:
-            raise InconsistentDerivativeError(
-                "drho has weight {:.3e} outside the support of rho".format(
-                    float(np.linalg.norm(kernel_block))
-                )
-            )
-    support_defect = on.conj().T @ defect @ on
-    residual = float(np.linalg.norm(support_defect))
+    support = vecs[:, on]
+    residual = float(np.linalg.norm(support.conj().T @ defect @ support))
     qfi = float(np.trace(dm @ lam).real)
     return SLDResult(lam=lam, qfi=max(qfi, 0.0), residual=residual)
 

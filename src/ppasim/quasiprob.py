@@ -15,7 +15,7 @@ to the postselected quantum Fisher information.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,9 +28,9 @@ from .states import (
     ZeroProbabilityError,
     _as_complex_matrix,
     _freeze,
+    hermitian_part,
     make_filter,
     plus_minus_states,
-    psd_sqrt,
 )
 from .fisher import PurityError, qfi_postselected_pure, survival_probability
 
@@ -70,33 +70,35 @@ class ZeroNormalizerError(ValueError):
 
 @dataclass(frozen=True)
 class POVM:
-    """Labelled POVM: PSD elements summing to the identity."""
+    """Labelled POVM: PSD elements summing to the identity, kept as one
+    read-only (n, d, d) ``stack`` of which ``elements`` are views."""
 
     labels: tuple[str, ...]
     elements: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.elements) or not self.labels:
             raise ValueError("labels and elements must align and be non-empty")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("POVM outcome labels must be unique")
-        mats = tuple(_as_complex_matrix(e, "POVM element") for e in self.elements)
+        mats = [_as_complex_matrix(e, "POVM element") for e in self.elements]
         d = mats[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in mats:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share a dimension")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -ATOL_STRUCT:
-                raise ValueError("POVM element is not PSD within 1e-10")
-            total = total + e
-        if np.abs(total - np.eye(d)).max() > ATOL_STRUCT:
+        if any(e.shape != (d, d) for e in mats):
+            raise ValueError("POVM elements must share a dimension")
+        stack = np.stack(mats)
+        if np.linalg.eigvalsh(hermitian_part(stack)).min() < -ATOL_STRUCT:
+            raise ValueError("POVM element is not PSD within 1e-10")
+        if np.abs(stack.sum(0) - np.eye(d)).max() > ATOL_STRUCT:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
+        stack.flags.writeable = False
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "elements", tuple(_freeze(e) for e in mats))
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -224,23 +226,17 @@ class GapEqualityResult(NamedTuple):
     residual: float
 
 
-def kd_distribution(rho: DensityMatrix, seq) -> KDDistribution:
+def kd_distribution(rho: DensityMatrix, seq: POVMSequence) -> KDDistribution:
     """Joint quasidistribution Tr(M^(k) ... M^(1) rho) of a POVM sequence."""
-    if isinstance(seq, POVMSequence):
-        povms = seq.povms
-    else:
-        povms = tuple(seq)
-        POVMSequence(povms=povms)  # share the dimension checks
-    if povms[0].dim != rho.dim:
+    povms = seq.povms
+    if seq.dim != rho.dim:
         raise ValueError("POVM dimension does not match the state")
-    dims = tuple(len(p) for p in povms)
-    values = np.empty(dims, dtype=complex)
-    for idx in np.ndindex(*dims):
-        op = rho.mat
-        # first measurement multiplies rho first, later ones stack on the left
-        for povm, i in zip(povms, idx):
-            op = povm.elements[i] @ op
-        values[idx] = np.trace(op)
+    # the first measurement multiplies rho first; each later one adds an
+    # outcome axis, so op[m_1, ..., m_k] = M^(k)_{m_k} ... M^(1)_{m_1} rho
+    op = rho.mat
+    for povm in povms:
+        op = povm.stack @ op[..., None, :, :]
+    values = np.trace(op, axis1=-2, axis2=-1)
     dist = KDDistribution(labels=tuple(p.labels for p in povms), values=values)
     if abs(dist.total() - 1.0) > ATOL_STRUCT:
         raise ValueError("quasidistribution does not sum to 1 within 1e-10")
@@ -326,9 +322,7 @@ def _supported_eigenspaces(rho: DensityMatrix, a: Generator) -> list[int]:
     return [i for i, w in enumerate(weights) if w > 1e-12]
 
 
-def verify_gap_equality(
-    rho: DensityMatrix, a: Generator, k_plus, enforce: bool = True
-) -> GapEqualityResult:
+def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEqualityResult:
     """Check postselected QFI = 4 * (eigenvalue spread)^2 * quasiprobability gap.
 
     lhs is :func:`qfi_postselected_pure`; rhs conditions the (A, filter, A)
@@ -336,8 +330,7 @@ def verify_gap_equality(
     eigenspaces that carry the state, and takes 4 (a_hi - a_lo)^2 times the
     spread of |p|^2 over those four outcomes.  The identity requires a pure
     state supported on exactly two eigenspaces and a filter whose pass POVM
-    element is balanced between them (checked to 1e-9).  ``enforce=False``
-    skips the balance check and reports both sides regardless.
+    element is balanced between them (checked to 1e-9).
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
@@ -358,7 +351,7 @@ def verify_gap_equality(
     p_lo, p_hi = a.projectors[i_lo], a.projectors[i_hi]
     w_lo = np.trace(p_lo @ rho.mat @ p_lo @ m).real
     w_hi = np.trace(p_hi @ rho.mat @ p_hi @ m).real
-    if enforce and abs(w_lo - w_hi) > 1e-9:
+    if abs(w_lo - w_hi) > 1e-9:
         raise ConditionNotMetError(
             "filter is unbalanced across the supported eigenspaces "
             f"({w_lo:.3e} vs {w_hi:.3e})"
@@ -366,11 +359,10 @@ def verify_gap_equality(
 
     lhs = qfi_postselected_pure(rho, a, k)
 
-    km = psd_sqrt(np.eye(rho.dim) - m)
-    kraus = KrausPair(k_plus=k, k_minus=km)
-    labels = tuple(f"a={a.eigenvalues[i]:g}" for i in range(len(a.projectors)))
-    proj_povm = POVM(labels=labels, elements=a.projectors)
-    seq = POVMSequence(povms=(proj_povm, filter_povm(kraus), proj_povm))
+    # the POVM's PSD check on 1 - M rejects a filter that is not a contraction
+    filt = POVM(labels=("+", "-"), elements=(m, np.eye(rho.dim) - m))
+    proj_povm = generator_povm(a)
+    seq = POVMSequence(povms=(proj_povm, filt, proj_povm))
     kd = kd_distribution(rho, seq)
     cond = condition(kd, 1, "+")
     sub = cond.values[np.ix_(supported, supported)]

@@ -19,6 +19,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,15 +91,15 @@ def _as_complex_matrix(mat, name: str = "matrix") -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2."""
+    """(M + M^dag)/2, for one matrix or a stack of them."""
     m = np.asarray(mat, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -177,7 +178,7 @@ class Generator:
     projectors: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_matrix(cls, mat, degeneracy_tol: float = 1e-10) -> "Generator":
+    def from_matrix(cls, mat) -> "Generator":
         m = _as_complex_matrix(mat, "generator")
         if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
             raise InvalidGeneratorError("generator must be Hermitian within 1e-10")
@@ -187,7 +188,7 @@ class Generator:
         i = 0
         while i < len(w):
             j = i
-            while j + 1 < len(w) and w[j + 1] - w[i] <= degeneracy_tol:
+            while j + 1 < len(w) and w[j + 1] - w[i] <= ATOL_STRUCT:
                 j += 1
             block = v[:, i : j + 1]
             values.append(float(np.mean(w[i : j + 1])))
@@ -224,8 +225,9 @@ def plus_minus_states() -> tuple[np.ndarray, np.ndarray]:
     return np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)
 
 
+@functools.cache
 def ppa_generator() -> Generator:
-    """The qubit phase generator sigma_x / 2 (eigenvalue spread 1)."""
+    """The qubit phase generator sigma_x / 2 (eigenvalue spread 1), built once."""
     return Generator.from_matrix(SIGMA_X / 2)
 
 

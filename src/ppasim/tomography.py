@@ -4,8 +4,8 @@ Tomography samples the three Pauli expectations with a finite shot budget,
 linearly inverts them (unbiased in the expectations), and projects the result
 back to the physical set by clipping negative eigenvalues and renormalizing.
 Downstream helpers turn tomographic estimates into amplification angles,
-numerical theta-derivatives, Fisher information, and conditional
-quasiprobability tables.
+numerical theta-derivatives (whose Fisher information :func:`ppasim.fisher.sld`
+gives), and conditional quasiprobability tables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .states import (
     bloch_vector,
     hermitian_part,
 )
-from .fisher import sld
 from .quasiprob import condition, kd_distribution, ppa_povm_sequence
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "simulate_tomography",
     "amplified_angle_from_state",
     "rho_derivative",
-    "empirical_qfi",
     "kd_from_tomography",
 ]
 
@@ -109,27 +107,18 @@ def amplified_angle_from_state(rho_ps: DensityMatrix) -> float:
 
 
 def rho_derivative(
-    rho_minus: DensityMatrix,
-    rho_0: DensityMatrix,
-    rho_plus: DensityMatrix,
-    dtheta: float = DEFAULT_DTHETA,
+    rho_minus: DensityMatrix, rho_plus: DensityMatrix, dtheta: float = DEFAULT_DTHETA
 ) -> np.ndarray:
     """Central-difference derivative (rho_plus - rho_minus) / (2 dtheta).
 
-    ``rho_0`` is accepted for symmetry with the three-point measurement
-    protocol; the symmetric slope does not use it.  The result is Hermitian
-    and exactly traceless, with O(dtheta^2) discretization error.
+    The result is Hermitian and exactly traceless, with O(dtheta^2)
+    discretization error.
     """
     if dtheta <= 0:
         raise ValueError("dtheta must be positive")
-    if rho_minus.dim != rho_plus.dim or rho_minus.dim != rho_0.dim:
-        raise ValueError("the three states must share a dimension")
+    if rho_minus.dim != rho_plus.dim:
+        raise ValueError("the two states must share a dimension")
     return hermitian_part((rho_plus.mat - rho_minus.mat) / (2.0 * dtheta))
-
-
-def empirical_qfi(rho_est: DensityMatrix, drho_est) -> float:
-    """QFI of a tomographically estimated family via the SLD solve."""
-    return sld(rho_est, drho_est).qfi
 
 
 def kd_from_tomography(rho_unpostselected_est: DensityMatrix, t: complex) -> np.ndarray:

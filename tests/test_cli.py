@@ -201,6 +201,33 @@ def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
     assert len(records) == len(DEFAULT_THETA_LIST) * len(DEFAULT_T_LIST)
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--t", "0", "--theta", "0"], "theta_list, t_list"),
+        (["--t", "0.5,1.5"], "t_list"),
+        (["--t", "-2"], "t_list"),
+        (["--theta", "0.2,nan"], "theta_list"),
+    ],
+)
+def test_kd_rejects_invalid_grid_before_any_work(
+    tmp_path, capsys, monkeypatch, flags, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "kd_distribution", no_work)
+    out = tmp_path / "kd.json"
+    code = main(["kd", "--theta", "0.2", "--t", "0.5", "--out", str(out)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("ppasim kd: error: ")
+    assert field in line
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- fig4
 
 

@@ -46,19 +46,49 @@ def random_density(rng, d):
     return DensityMatrix((q * probs) @ q.conj().T)
 
 
-# ------------------------------------------------------------ vectorization
+# ---------------------------------------------------------- sld reference
 
 
-def test_row_major_vec_identity():
-    # vec(X Y Z) = (X kron Z^T) vec(Y) with row-major vec; the SLD solve
-    # rests entirely on this identity
-    for _ in range(10):
-        x, y, z = (
-            RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)) for _ in range(3)
-        )
-        lhs = (x @ y @ z).reshape(-1)
-        rhs = np.kron(x, z.T) @ y.reshape(-1)
-        assert np.abs(lhs - rhs).max() < 1e-12
+def kron_pinv_sld(rho, drho):
+    """Reference SLD: the Sylvester map vectorized row-major, vec(X Y Z) =
+    (X kron Z^T) vec(Y), solved with a Moore-Penrose pseudoinverse."""
+    m = rho.mat
+    d = m.shape[0]
+    eye = np.eye(d)
+    sylv = (np.kron(m, eye) + np.kron(eye, m.T)) / 2.0
+    lam = np.linalg.pinv(sylv, rcond=1e-12, hermitian=True) @ drho.reshape(-1)
+    lam = lam.reshape(d, d)
+    lam = (lam + lam.conj().T) / 2.0
+    return lam, max(float(np.trace(drho @ lam).real), 0.0)
+
+
+def assert_matches_reference(rho, drho):
+    # both routes give the minimum-norm SLD, so the whole matrix must agree,
+    # including the support-kernel block of rank-deficient states
+    res = sld(rho, drho)
+    lam, qfi = kron_pinv_sld(rho, drho)
+    assert np.abs(res.lam - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
+    assert abs(res.qfi - qfi) <= 1e-12 * max(1.0, qfi)
+
+
+def test_sld_matches_kronecker_pinv_reference():
+    for v in (1.0, 0.98):
+        for theta in THETA_GRID:
+            for t in T_GRID:
+                fam = PPAFamily(t=t, v=v)
+                assert_matches_reference(fam.state(theta), fam.derivative(theta))
+    rng = np.random.default_rng(2009)
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        rho = random_density(rng, d)
+        h = random_hermitian(rng, d)
+        assert_matches_reference(rho, 1j * (h @ rho.mat - rho.mat @ h))
+    # rank 2 of 4: a Hamiltonian family leaves the kernel block of drho empty
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(z)
+    rho = DensityMatrix((q * [0.7, 0.3, 0.0, 0.0]) @ q.conj().T)
+    h = random_hermitian(rng, 4)
+    assert_matches_reference(rho, 1j * (h @ rho.mat - rho.mat @ h))
 
 
 # ----------------------------------------------------------------------- sld

@@ -85,6 +85,16 @@ def test_generator_groups_degenerate_eigenvalues():
     assert gen.spread == 3.0
 
 
+def test_ppa_generator_is_one_read_only_instance():
+    gen = ppa_generator()
+    assert ppa_generator() is gen
+    assert np.array_equal(gen.mat, SIGMA_X / 2)
+    for arr in (gen.mat, gen.eigenvalues) + gen.projectors:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ------------------------------------------------------------- phase_unitary
 
 
