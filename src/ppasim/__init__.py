@@ -11,7 +11,6 @@ enhancement, and a Monte Carlo bench with realistic systematics.
 from .states import (
     DensityMatrix,
     Generator,
-    KrausPair,
     InvalidGeneratorError,
     UndefinedAmplificationError,
     ZeroProbabilityError,
@@ -19,7 +18,6 @@ from .states import (
     bloch_vector,
     density_from_bloch,
     direction_to_bloch,
-    evolve,
     make_filter,
     phase_unitary,
     postselect,

@@ -201,8 +201,7 @@ def run_bench_state(cfg: BenchConfig) -> tuple[DensityMatrix, float]:
     gen = waveplate_generator(cfg.epsilon)
     u = phase_unitary(gen, cfg.theta_true - math.pi)
     rho = DensityMatrix(u @ rho.mat @ u.conj().T)
-    kraus = make_filter(cfg.t_set)
-    return postselect(rho, kraus.k_plus)
+    return postselect(rho, make_filter(cfg.t_set))
 
 
 def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:

@@ -43,6 +43,7 @@ __all__ = [
     "cmd_sweep",
     "check_kd_grid",
     "cmd_kd",
+    "check_fig4_spec",
     "cmd_fig4",
     "cmd_verify",
     "main",
@@ -207,6 +208,20 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     out = _resolve_out(output_path, "kd.json")
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
+
+
+def check_fig4_spec(spec: SweepSpec) -> None:
+    """Raise ValueError naming the first field fig4 cannot evaluate."""
+    check_kd_grid(spec.theta_list, spec.t_list)
+    for t in spec.t_list:
+        if not t > 0.0:
+            raise ValueError(f"t_list: t = {t:g} must be positive")
+    if not 0.0 < spec.visibility <= 1.0:
+        raise ValueError(f"visibility: v = {spec.visibility:g} must lie in (0, 1]")
+    if not spec.shots_per_basis >= 1:
+        raise ValueError(
+            f"shots_per_basis: {spec.shots_per_basis} must be at least 1"
+        )
 
 
 def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
@@ -378,30 +393,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.seed, args.n_instances)
-    if args.command == "sweep":
-        spec = _load_spec(args)
-        try:
+    # An imperfect source keeps most tomographic estimates full-rank, which
+    # the SLD solve of noisy derivatives needs; points with theta >= 1 and
+    # t <= 0.15 still raise at 0.98.
+    defaults = {"visibility": 0.98} if args.command == "fig4" else None
+    spec = _load_spec(args, defaults)
+    try:
+        if args.command == "sweep":
             configs = sweep_configs(spec)
-        except ValueError as exc:
-            print(f"ppasim sweep: error: {exc}", file=sys.stderr)
-            return 2
+        elif args.command == "kd":
+            check_kd_grid(spec.theta_list, spec.t_list)
+        else:
+            check_fig4_spec(spec)
+    except ValueError as exc:
+        print(f"ppasim {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "sweep":
         out = cmd_sweep(configs, spec.output_path, workers=max(args.workers, 1))
     elif args.command == "kd":
-        spec = _load_spec(args)
-        try:
-            check_kd_grid(spec.theta_list, spec.t_list)
-        except ValueError as exc:
-            print(f"ppasim kd: error: {exc}", file=sys.stderr)
-            return 2
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
-    elif args.command == "fig4":
-        # An imperfect source keeps tomographic estimates full-rank, which the
-        # SLD solve needs for noisy derivatives; 1.0 would project ~half of
-        # all pure-state estimates onto the Bloch sphere's boundary.
-        spec = _load_spec(args, defaults={"visibility": 0.98})
+    else:
         out = cmd_fig4(spec)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(2)
     print(out)
     return 0
 

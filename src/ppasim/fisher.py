@@ -20,7 +20,6 @@ from .states import (
     SIGMA_Z,
     DensityMatrix,
     Generator,
-    KrausPair,
     ZeroProbabilityError,
     _as_complex_matrix,
     direction_projector,
@@ -85,15 +84,13 @@ class MeasurementDirection:
         return direction_projector(self.theta_opt, self.phi_opt)
 
 
-def survival_probability(
-    theta: float, t_mag: float, delta: float = 1.0, v: float = 1.0
-) -> float:
-    """Postselection probability |t|^2 cos^2(delta*theta/2) + sin^2(delta*theta/2).
+def survival_probability(theta: float, t_mag: float, v: float = 1.0) -> float:
+    """Postselection probability |t|^2 cos^2(theta/2) + sin^2(theta/2).
 
     The optional visibility mixes in the filter's response to the maximally
     mixed state, (1 + |t|^2)/2.
     """
-    c = math.cos(delta * theta / 2.0) ** 2
+    c = math.cos(theta / 2.0) ** 2
     p_pure = t_mag**2 * c + (1.0 - c)
     return v * p_pure + (1.0 - v) * (1.0 + t_mag**2) / 2.0
 
@@ -158,9 +155,7 @@ class PPAFamily:
             raise ValueError("PPAFamily requires 0 < |t| <= 1")
         if not 0.0 < self.v <= 1.0:
             raise ValueError("visibility must lie in (0, 1]")
-        object.__setattr__(
-            self, "_kraus", make_filter(self.t)
-        )
+        object.__setattr__(self, "_k", make_filter(self.t))
         object.__setattr__(self, "_gen", ppa_generator())
         rho0 = self.v * np.diag([1.0, 0.0]).astype(complex) + (1.0 - self.v) * ID2 / 2
         object.__setattr__(self, "_rho0", rho0)
@@ -174,16 +169,16 @@ class PPAFamily:
         return DensityMatrix(self._unfiltered(theta))
 
     def prob(self, theta: float) -> float:
-        k = self._kraus.k_plus
+        k = self._k
         return float(np.trace(k @ self._unfiltered(theta) @ k.conj().T).real)
 
     def state(self, theta: float) -> DensityMatrix:
-        k = self._kraus.k_plus
+        k = self._k
         num = k @ self._unfiltered(theta) @ k.conj().T
         return DensityMatrix(num / np.trace(num).real)
 
     def derivative(self, theta: float) -> np.ndarray:
-        k = self._kraus.k_plus
+        k = self._k
         rho = self._unfiltered(theta)
         a = self._gen.mat
         drho = 1j * (a @ rho - rho @ a)
@@ -193,18 +188,15 @@ class PPAFamily:
         dp = np.trace(dnum).real
         return hermitian_part(dnum / p - num * (dp / p**2))
 
-    def __call__(self, theta: float) -> DensityMatrix:
-        return self.state(theta)
 
-
-def qfi_ppa_theory(theta: float, t_mag: float, delta: float = 1.0) -> float:
-    """Ideal postselected QFI (delta |t| / p_ps)^2 for the pure family."""
+def qfi_ppa_theory(theta: float, t_mag: float) -> float:
+    """Ideal postselected QFI (|t| / p_ps)^2 for the pure family."""
     if not 0.0 < t_mag <= 1.0 + 1e-12:
         raise ValueError("qfi_ppa_theory requires 0 < t_mag <= 1")
-    p = survival_probability(theta, t_mag, delta)
+    p = survival_probability(theta, t_mag)
     if p <= 0.0:
         raise ValueError("survival probability vanished")
-    return (delta * t_mag / p) ** 2
+    return (t_mag / p) ** 2
 
 
 def qfi_postselected_pure(rho_theta: DensityMatrix, a, k_plus) -> float:
@@ -220,7 +212,7 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a, k_plus) -> float:
             f"state purity {rho_theta.purity():.10f}; formula requires a pure state"
         )
     amat = a.mat if isinstance(a, Generator) else _as_complex_matrix(a, "generator")
-    k = k_plus.k_plus if isinstance(k_plus, KrausPair) else _as_complex_matrix(k_plus)
+    k = _as_complex_matrix(k_plus, "K+")
     m = k.conj().T @ k
     rho = rho_theta.mat
     p = float(np.trace(rho @ m).real)
@@ -251,31 +243,19 @@ def optimal_measurement(theta_prior: float, t: complex) -> MeasurementDirection:
     return MeasurementDirection(theta_opt=polar, phi_opt=azimuth)
 
 
-def cfi(
-    direction: MeasurementDirection,
-    family,
-    theta: float,
-    dtheta: float = 1e-5,
-) -> float:
+def cfi(direction: MeasurementDirection, family: PPAFamily, theta: float) -> float:
     """Classical Fisher information q'^2 / (q (1 - q)) of a projective qubit test.
 
-    ``family`` maps theta to a DensityMatrix; if it exposes an analytic
-    ``derivative`` (e.g. :class:`PPAFamily`) that is used for q', otherwise a
-    central difference with step ``dtheta``.  Outcomes with q in {0, 1}
-    (within 1e-12) raise :class:`DegenerateMeasurementError`.
+    q' comes from the family's exact analytic ``derivative``.  Outcomes with
+    q in {0, 1} (within 1e-12) raise :class:`DegenerateMeasurementError`.
     """
     proj = direction.projector()
-    q = float(np.trace(family(theta).mat @ proj).real)
+    q = float(np.trace(family.state(theta).mat @ proj).real)
     if q < 1e-12 or q > 1.0 - 1e-12:
         raise DegenerateMeasurementError(
             f"outcome probability {q:.3e} carries no information"
         )
-    if hasattr(family, "derivative"):
-        dq = float(np.trace(family.derivative(theta) @ proj).real)
-    else:
-        qp = float(np.trace(family(theta + dtheta).mat @ proj).real)
-        qm = float(np.trace(family(theta - dtheta).mat @ proj).real)
-        dq = (qp - qm) / (2.0 * dtheta)
+    dq = float(np.trace(family.derivative(theta) @ proj).real)
     return dq**2 / (q * (1.0 - q))
 
 
@@ -297,7 +277,7 @@ def sld_closed_form(theta: float, t: complex, v: float) -> np.ndarray:
         raise ValueError("sld_closed_form requires 0 < |t| <= 1")
     if not 0.0 < v <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    p = survival_probability(theta, mag, 1.0, v)
+    p = survival_probability(theta, mag, v=v)
     sig_x_a = -SIGMA_Y
     sig_y_a = SIGMA_X
     bracket = (

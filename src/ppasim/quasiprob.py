@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .states import (
     ATOL_STRUCT,
     DensityMatrix,
     Generator,
-    KrausPair,
     ZeroProbabilityError,
     _as_complex_matrix,
     _freeze,
@@ -32,7 +31,7 @@ from .states import (
     make_filter,
     plus_minus_states,
 )
-from .fisher import PurityError, qfi_postselected_pure, survival_probability
+from .fisher import qfi_postselected_pure, survival_probability
 
 __all__ = [
     "PreconditionError",
@@ -135,11 +134,14 @@ def projective_povm(vectors, labels) -> POVM:
     return POVM(labels=tuple(labels), elements=tuple(elems))
 
 
-def filter_povm(kraus: KrausPair, labels: tuple[str, str] = ("+", "-")) -> POVM:
-    """Two-outcome POVM {K+^dag K+, K-^dag K-} of a filter."""
-    mp = kraus.k_plus.conj().T @ kraus.k_plus
-    mm = kraus.k_minus.conj().T @ kraus.k_minus
-    return POVM(labels=tuple(labels), elements=(mp, mm))
+def filter_povm(k_plus) -> POVM:
+    """Pass/fail POVM {M, 1 - M}, M = K+^dag K+, of a filter, labelled "+", "-".
+
+    The PSD check on 1 - M rejects a K+ that is not a contraction.
+    """
+    k = _as_complex_matrix(k_plus, "K+")
+    m = k.conj().T @ k
+    return POVM(labels=("+", "-"), elements=(m, np.eye(k.shape[0]) - m))
 
 
 def generator_povm(gen: Generator, prefix: str = "a") -> POVM:
@@ -152,7 +154,7 @@ def ppa_povm_sequence(t: complex) -> POVMSequence:
     """(A-basis, filter, A-basis) sequence for the amplification scheme.
 
     Index 0 and 2 project onto |a+>, |a-> (labels "a+", "a-", in that
-    order); index 1 is the filter pair labelled "+", "-".
+    order); index 1 is :func:`filter_povm` of ``make_filter(t)``.
     """
     a_plus, a_minus = plus_minus_states()
     proj = projective_povm((a_plus, a_minus), ("a+", "a-"))
@@ -190,10 +192,6 @@ class KDDistribution:
     def outcomes(self):
         """Outcome tuples in row-major order, matching ``values.ravel()``."""
         return tuple(itertools.product(*self.labels))
-
-    def value(self, outcome: Sequence[str]) -> complex:
-        idx = tuple(self.labels[i].index(o) for i, o in enumerate(outcome))
-        return complex(self.values[idx])
 
     def total(self) -> complex:
         return complex(self.values.sum())
@@ -329,24 +327,23 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     quasidistribution on the pass outcome, restricts to the two generator
     eigenspaces that carry the state, and takes 4 (a_hi - a_lo)^2 times the
     spread of |p|^2 over those four outcomes.  The identity requires a pure
-    state supported on exactly two eigenspaces and a filter whose pass POVM
-    element is balanced between them (checked to 1e-9).
+    state supported on exactly two eigenspaces (a mixed state raises
+    :class:`PurityError`) and a contracting K+ whose pass element is
+    balanced between them (checked to 1e-9).
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
-    k = k_plus.k_plus if isinstance(k_plus, KrausPair) else _as_complex_matrix(k_plus)
-    if k.shape != rho.mat.shape or a.dim != rho.dim:
+    filt = filter_povm(k_plus)
+    if filt.dim != rho.dim or a.dim != rho.dim:
         raise ValueError("rho, generator, and filter dimensions must agree")
     supported = _supported_eigenspaces(rho, a)
     if len(supported) != 2:
         raise PreconditionError(
             f"state is supported on {len(supported)} generator eigenspaces, need 2"
         )
-    if abs(rho.purity() - 1.0) > 1e-8:
-        raise PurityError(
-            f"state purity {rho.purity():.10f}; the identity needs a pure state"
-        )
-    m = k.conj().T @ k
+    lhs = qfi_postselected_pure(rho, a, k_plus)
+
+    m = filt.stack[0]
     i_lo, i_hi = supported
     p_lo, p_hi = a.projectors[i_lo], a.projectors[i_hi]
     w_lo = np.trace(p_lo @ rho.mat @ p_lo @ m).real
@@ -357,10 +354,6 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
             f"({w_lo:.3e} vs {w_hi:.3e})"
         )
 
-    lhs = qfi_postselected_pure(rho, a, k)
-
-    # the POVM's PSD check on 1 - M rejects a filter that is not a contraction
-    filt = POVM(labels=("+", "-"), elements=(m, np.eye(rho.dim) - m))
     proj_povm = generator_povm(a)
     seq = POVMSequence(povms=(proj_povm, filt, proj_povm))
     kd = kd_distribution(rho, seq)

@@ -1,4 +1,4 @@
-"""Core quantum objects: states, phase generators, Kraus filters, postselection.
+"""Core quantum objects: states, phase generators, the filter, postselection.
 
 Everything in this package is small dense complex linear algebra (dimension
 <= 8), so matrix functions go through Hermitian eigendecompositions and every
@@ -37,12 +37,10 @@ __all__ = [
     "UndefinedAmplificationError",
     "DensityMatrix",
     "Generator",
-    "KrausPair",
     "pure_state",
     "plus_minus_states",
     "ppa_generator",
     "phase_unitary",
-    "evolve",
     "make_filter",
     "postselect",
     "amplified_angle",
@@ -231,87 +229,30 @@ def ppa_generator() -> Generator:
     return Generator.from_matrix(SIGMA_X / 2)
 
 
-def phase_unitary(a, theta: float) -> np.ndarray:
-    """exp(+i * theta * A) for a Hermitian generator A.
-
-    ``a`` may be a :class:`Generator` or a raw Hermitian matrix; non-Hermitian
-    input raises :class:`InvalidGeneratorError`.
-    """
-    gen = a if isinstance(a, Generator) else Generator.from_matrix(a)
+def phase_unitary(gen: Generator, theta: float) -> np.ndarray:
+    """exp(+i * theta * A) for a phase generator A."""
     u = np.zeros_like(gen.mat)
     for val, proj in zip(gen.eigenvalues, gen.projectors):
         u = u + np.exp(1j * theta * val) * proj
     return u
 
 
-def evolve(rho: DensityMatrix, u) -> DensityMatrix:
-    """U rho U^dag, rejecting non-unitary U."""
-    u = _as_complex_matrix(u, "unitary")
-    d = u.shape[0]
-    if u.shape != rho.mat.shape:
-        raise ValueError("unitary dimension does not match the state")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > ATOL_STRUCT:
-        raise ValueError("evolution operator is not unitary within 1e-10")
-    return DensityMatrix(u @ rho.mat @ u.conj().T)
+def make_filter(t: complex) -> np.ndarray:
+    """Pass Kraus operator K+ = t |0><0| + |1><1| of the partial polarizer, read-only.
 
-
-@dataclass(frozen=True)
-class KrausPair:
-    """Two-outcome filter {K_plus, K_minus} with K+^dag K+ + K-^dag K- = 1."""
-
-    k_plus: np.ndarray
-    k_minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        kp = _as_complex_matrix(self.k_plus, "k_plus")
-        km = _as_complex_matrix(self.k_minus, "k_minus")
-        if kp.shape != km.shape:
-            raise ValueError("Kraus operators must share a dimension")
-        total = kp.conj().T @ kp + km.conj().T @ km
-        if np.abs(total - np.eye(kp.shape[0])).max() > ATOL_STRUCT:
-            raise ValueError("Kraus pair is not complete within 1e-10")
-        object.__setattr__(self, "k_plus", _freeze(kp))
-        object.__setattr__(self, "k_minus", _freeze(km))
-
-    @property
-    def dim(self) -> int:
-        return self.k_plus.shape[0]
-
-
-def make_filter(t: complex, basis=None) -> KrausPair:
-    """Partially transmitting filter K+ = t |b0><b0| + |b1><b1|.
-
-    ``t`` is the (possibly complex) transmission amplitude for the first
-    basis vector, |t| <= 1; the second basis vector passes untouched.  The
-    rejected branch is K- = sqrt(1 - K+^dag K+).  Default basis is {|0>, |1>}.
+    ``t`` is the (possibly complex) transmission amplitude of |0>, |t| <= 1;
+    |1> passes untouched.  Rejected photons are discarded, so every result
+    depends on K+ alone; :func:`ppasim.quasiprob.filter_povm` forms the
+    two-outcome POVM {K+^dag K+, 1 - K+^dag K+}.
     """
     t = complex(t)
     if abs(t) > 1.0 + 1e-12:
         raise ValueError(f"|t| = {abs(t):.6g} exceeds 1; the filter must contract")
-    if basis is None:
-        b0 = np.array([1.0, 0.0], dtype=complex)
-        b1 = np.array([0.0, 1.0], dtype=complex)
-    else:
-        b0 = np.asarray(basis[0], dtype=complex).reshape(-1)
-        b1 = np.asarray(basis[1], dtype=complex).reshape(-1)
-        if b0.shape != b1.shape:
-            raise ValueError("basis vectors must share a dimension")
-        gram = np.array(
-            [
-                [np.vdot(b0, b0), np.vdot(b0, b1)],
-                [np.vdot(b1, b0), np.vdot(b1, b1)],
-            ]
-        )
-        if np.abs(gram - np.eye(2)).max() > 1e-9:
-            raise ValueError("basis vectors must be orthonormal")
-    k_plus = t * np.outer(b0, b0.conj()) + np.outer(b1, b1.conj())
-    dim = b0.shape[0]
-    k_minus = psd_sqrt(np.eye(dim) - k_plus.conj().T @ k_plus)
-    return KrausPair(k_plus=k_plus, k_minus=k_minus)
+    return _freeze(np.diag([t, 1.0 + 0j]))
 
 
 def postselect(rho: DensityMatrix, k) -> tuple[DensityMatrix, float]:
-    """Apply one Kraus branch and renormalize.
+    """Apply a Kraus operator, e.g. the filter's K+, and renormalize.
 
     Returns ``(K rho K^dag / p, p)`` with ``p = Tr(K rho K^dag)``; outcomes
     with p < 1e-15 raise :class:`ZeroProbabilityError`.
@@ -328,27 +269,25 @@ def postselect(rho: DensityMatrix, k) -> tuple[DensityMatrix, float]:
     return DensityMatrix(num / p), p
 
 
-def amplified_angle(theta: float, t_mag: float, delta: float = 1.0) -> float:
-    """Phase-to-polar-angle map of the filter: tan(delta*Theta/2) = tan(delta*theta/2)/t.
+def amplified_angle(theta: float, t_mag: float) -> float:
+    """Phase-to-polar-angle map of the filter: tan(Theta/2) = tan(theta/2)/t.
 
-    Monotone in theta on |delta*theta| < pi.  For t_mag = 0 the map saturates
-    at sign(theta) * pi/delta for any theta != 0; theta = 0 there is the
-    undefined 0/0 limit and raises.
+    Monotone in theta on |theta| < pi.  For t_mag = 0 the map saturates at
+    sign(theta) * pi for any theta != 0; theta = 0 there is the undefined
+    0/0 limit and raises.
     """
     if not 0.0 <= t_mag <= 1.0 + 1e-12:
         raise ValueError("t_mag must lie in [0, 1]")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    half = delta * theta / 2.0
+    half = theta / 2.0
     if abs(half) >= math.pi / 2.0:
-        raise ValueError("amplified_angle requires |delta*theta| < pi")
+        raise ValueError("amplified_angle requires |theta| < pi")
     if t_mag == 0.0:
         if theta == 0.0:
             raise UndefinedAmplificationError(
                 "amplification of theta = 0 at t = 0 is undefined"
             )
-        return math.copysign(math.pi / delta, theta)
-    return (2.0 / delta) * math.atan2(math.tan(half), t_mag)
+        return math.copysign(math.pi, theta)
+    return 2.0 * math.atan2(math.tan(half), t_mag)
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:

@@ -118,8 +118,7 @@ def random_qubit_instance(rng: np.random.Generator):
     gen = ppa_generator()
     u = phase_unitary(gen, theta)
     rho = pure_state(u @ np.array([1.0, 0.0], dtype=complex))
-    k_plus = make_filter(t).k_plus
-    return rho, gen, k_plus
+    return rho, gen, make_filter(t)
 
 
 def random_qudit_instance(rng: np.random.Generator):
@@ -235,11 +234,10 @@ def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
     )
 
 
-def cfi_qfi_suite(seed: int = 0, n_instances: int = 0) -> SuiteResult:
+def cfi_qfi_suite() -> SuiteResult:
     """Closed-form direction attains the QFI; SLD axis matches it at v < 1.
 
-    Deterministic over the acceptance grid; the arguments are accepted for
-    interface uniformity.
+    Deterministic over the acceptance grid.
     """
     worst = 0.0
     count = 0
@@ -249,14 +247,12 @@ def cfi_qfi_suite(seed: int = 0, n_instances: int = 0) -> SuiteResult:
                 family = PPAFamily(t=t, v=v)
                 direction = optimal_measurement(theta, t)
                 rho = family.state(theta)
-                drho = family.derivative(theta)
-                qfi = sld(rho, drho).qfi
+                res = sld(rho, family.derivative(theta))
                 classical = cfi(direction, family, theta)
-                worst = max(worst, abs(classical - qfi) / qfi)
+                worst = max(worst, abs(classical - res.qfi) / res.qfi)
                 if v < 1.0:
-                    lam = sld(rho, drho).lam
                     ang = axis_angle(
-                        sld_axis(lam),
+                        sld_axis(res.lam),
                         direction_to_bloch(direction.theta_opt, direction.phi_opt),
                     )
                     worst = max(worst, ang)
@@ -307,6 +303,6 @@ def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
     return [
         gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
         marginalization_suite(seed, n_instances=n_marg),
-        cfi_qfi_suite(seed),
+        cfi_qfi_suite(),
         sylvester_suite(seed, n_instances=n_sylv),
     ]

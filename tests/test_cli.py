@@ -257,6 +257,34 @@ def test_fig4_pipeline_tracks_theory(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--t", "1.5"], "t_list"),
+        (["--t", "0"], "t_list"),
+        (["--t", "-0.5"], "t_list"),
+        (["--visibility", "0"], "visibility"),
+        (["--shots", "0"], "shots_per_basis"),
+        (["--theta", "nan"], "theta_list"),
+    ],
+)
+def test_fig4_rejects_invalid_input_before_any_work(
+    tmp_path, capsys, monkeypatch, flags, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "_fig4_point", no_work)
+    out = tmp_path / "f.csv"
+    code = main(["fig4", "--theta", "0.2", "--t", "0.5", "--out", str(out)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"ppasim fig4: error: {field}: ")
+    assert not out.exists()
+
+
 def test_fig4_is_deterministic(tmp_path, capsys):
     argv = ["fig4", "--theta", "0.1", "--t", "0.5", "--shots", "2000", "--seed", "4"]
     a = tmp_path / "a.csv"

@@ -25,7 +25,6 @@ from ppasim.quasiprob import (
 from ppasim.states import (
     DensityMatrix,
     Generator,
-    KrausPair,
     ZeroProbabilityError,
     make_filter,
     phase_unitary,
@@ -304,7 +303,7 @@ def test_commuting_filter_keeps_table_classical():
     # a filter diagonal in the measured eigenbasis commutes with the
     # projectors; the conditional quasiprobabilities stay real non-negative
     a_plus, a_minus = plus_minus_states()
-    k = make_filter(0.4, basis=(a_plus, a_minus))
+    k = 0.4 * np.outer(a_plus, a_plus.conj()) + np.outer(a_minus, a_minus.conj())
     seq = POVMSequence(
         povms=(
             projective_povm((a_plus, a_minus), ("a+", "a-")),
@@ -373,7 +372,7 @@ def test_gap_equality_rejects_single_eigenspace_support():
 def test_gap_equality_rejects_unbalanced_filter():
     gen = ppa_generator()
     a_plus, a_minus = plus_minus_states()
-    lopsided = make_filter(0.4, basis=(a_plus, a_minus))
+    lopsided = 0.4 * np.outer(a_plus, a_plus.conj()) + np.outer(a_minus, a_minus.conj())
     with pytest.raises(ConditionNotMetError):
         verify_gap_equality(imprinted_state(0.2), gen, lopsided)
 
@@ -404,6 +403,9 @@ def test_generator_povm_labels():
     assert povm.labels == ("a=-1", "a=0", "a=2")
 
 
-def test_kraus_pair_validates_completeness():
-    with pytest.raises(ValueError):
-        KrausPair(k_plus=np.eye(2), k_minus=np.eye(2))
+def test_non_contracting_filter_is_rejected():
+    k = np.diag([1.2, 1.0]).astype(complex)
+    with pytest.raises(ValueError, match="not PSD"):
+        filter_povm(k)
+    with pytest.raises(ValueError, match="not PSD"):
+        verify_gap_equality(imprinted_state(0.2), ppa_generator(), k)
