@@ -41,17 +41,13 @@ from .fisher import (
 )
 from .quasiprob import (
     ConditionNotMetError,
-    KDDistribution,
-    NonclassicalityGap,
     POVM,
-    POVMSequence,
     PreconditionError,
     ZeroNormalizerError,
     condition,
     filter_povm,
     kd_distribution,
     kd_table_closed_form,
-    marginalize,
     nonclassicality_gap,
     ppa_povm_sequence,
     projective_povm,

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +55,9 @@ OUT_DIR_ENV = "PPASIM_OUT_DIR"
 DEFAULT_THETA_LIST = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
 DEFAULT_T_LIST = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
 
+# Row-major (a, a') outcomes of the pass-conditioned table that kd writes.
+KD_TABLE_LABELS = ("a+,a+", "a+,a-", "a-,a+", "a-,a-")
+
 FIG4_CSV_COLUMNS = (
     "theta_true",
     "t_mag",
@@ -77,6 +81,10 @@ _STAGE_TOMO_PLUS = 12
 _STAGE_TOMO_UNFILTERED = 13
 
 
+# What a SweepSpec field accepts, keyed by the type of its default.
+_FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, str: str}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description shared by the sweep and fig4 commands."""
@@ -94,10 +102,22 @@ class SweepSpec:
     output_path: str = ""
 
     def __post_init__(self) -> None:
-        if not self.theta_list or not self.t_list:
-            raise ValueError("theta_list and t_list must be non-empty")
-        object.__setattr__(self, "theta_list", tuple(float(x) for x in self.theta_list))
-        object.__setattr__(self, "t_list", tuple(float(x) for x in self.t_list))
+        """Reject a field whose type differs from its default's; grids become tuples."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):  # a grid
+                if not (
+                    isinstance(value, (list, tuple))
+                    and value
+                    and all(isinstance(x, numbers.Real) for x in value)
+                ):
+                    raise ValueError(
+                        f"{f.name}: expected a non-empty list of numbers, got {value!r}"
+                    )
+                object.__setattr__(self, f.name, tuple(float(x) for x in value))
+            elif not isinstance(value, _FIELD_KINDS[type(f.default)]):
+                kind = type(f.default).__name__
+                raise ValueError(f"{f.name}: expected {kind}, got {value!r}")
 
 
 def _resolve_out(path: str, default_name: str) -> str:
@@ -197,14 +217,17 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
         u = phase_unitary(gen, theta)
         rho = pure_state(u @ np.array([1.0, 0.0], dtype=complex))
         for t in t_list:
-            kd = kd_distribution(rho, ppa_povm_sequence(t))
-            cond = condition(kd, 1, "+")
+            cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
             gap = nonclassicality_gap(cond)
-            rec = {"theta": float(theta), "t": float(t)}
-            rec.update(cond.to_json_dict())
-            rec["gap"] = gap.gap
-            rec["gap_times_4delta_sq"] = 4.0 * gap.gap  # eigenvalue spread is 1
-            records.append(rec)
+            records.append({
+                "theta": float(theta),
+                "t": float(t),
+                "labels": list(KD_TABLE_LABELS),
+                "re": cond.real.ravel().tolist(),
+                "im": cond.imag.ravel().tolist(),
+                "gap": gap,
+                "gap_times_4delta_sq": 4.0 * gap,  # eigenvalue spread is 1
+            })
     out = _resolve_out(output_path, "kd.json")
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
@@ -222,6 +245,8 @@ def check_fig4_spec(spec: SweepSpec) -> None:
         raise ValueError(
             f"shots_per_basis: {spec.shots_per_basis} must be at least 1"
         )
+    if not spec.seed >= 0:
+        raise ValueError(f"seed: {spec.seed} must be non-negative")
 
 
 def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
@@ -235,9 +260,7 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
     rho_exact = family.state(theta)
     qfi_family = sld(rho_exact, family.derivative(theta)).qfi
     rho_unfiltered_exact = family.unfiltered_state(theta)
-    table = kd_from_tomography(rho_unfiltered_exact, t)
-    sq = np.abs(table) ** 2
-    gap4_family = 4.0 * float(sq.max() - sq.min())
+    gap4_family = 4.0 * nonclassicality_gap(kd_from_tomography(rho_unfiltered_exact, t))
     p_ps = family.prob(theta)
 
     qfi_reps: list[float] = []
@@ -262,9 +285,7 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
             spec.shots_per_basis,
             rng_stream(point_seed, rep, _STAGE_TOMO_UNFILTERED),
         ).rho_est
-        tab = kd_from_tomography(unf, t)
-        sq = np.abs(tab) ** 2
-        gap_reps.append(4.0 * float(sq.max() - sq.min()))
+        gap_reps.append(4.0 * nonclassicality_gap(kd_from_tomography(unf, t)))
 
     qfi_mean = float(np.mean(qfi_reps))
     qfi_se = float(np.std(qfi_reps, ddof=1) / math.sqrt(len(qfi_reps)))
@@ -316,19 +337,43 @@ def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ValueError(f"{name}: {text!r} is not a list of numbers") from None
+
+
+def _read_config(path: str) -> dict:
+    """SweepSpec fields from a JSON file; ValueError naming the problem otherwise."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or text
+        raise ValueError(f"config: {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"config: {path} must hold a JSON object of SweepSpec fields")
+    known = {f.name for f in fields(SweepSpec)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{key}: not a SweepSpec field (config {path})")
+    return data
 
 
 def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepSpec:
+    """Spec from defaults, then the config file, then flags.
+
+    Raises ValueError naming the field on any unreadable or invalid input.
+    """
     data: dict = dict(defaults or {})
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data.update(json.load(fh))
-    if getattr(args, "theta", None):
-        data["theta_list"] = _parse_float_list(args.theta)
-    if getattr(args, "t", None):
-        data["t_list"] = _parse_float_list(args.t)
+        data.update(_read_config(args.config))
+    if getattr(args, "theta", None) is not None:
+        data["theta_list"] = _parse_float_list("theta_list", args.theta)
+    if getattr(args, "t", None) is not None:
+        data["t_list"] = _parse_float_list("t_list", args.t)
     for attr, key in (
         ("budget", "photon_budget"),
         ("trials", "n_trials"),
@@ -397,8 +442,8 @@ def main(argv=None) -> int:
     # the SLD solve of noisy derivatives needs; points with theta >= 1 and
     # t <= 0.15 still raise at 0.98.
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
-    spec = _load_spec(args, defaults)
     try:
+        spec = _load_spec(args, defaults)
         if args.command == "sweep":
             configs = sweep_configs(spec)
         elif args.command == "kd":

@@ -199,7 +199,7 @@ def qfi_ppa_theory(theta: float, t_mag: float) -> float:
     return (t_mag / p) ** 2
 
 
-def qfi_postselected_pure(rho_theta: DensityMatrix, a, k_plus) -> float:
+def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus) -> float:
     """Postselected QFI 4/p Tr(A rho A M) - 4/p^2 |Tr(A rho M)|^2, M = K+^dag K+.
 
     ``rho_theta`` is the imprinted state *before* the filter acts (the
@@ -211,15 +211,14 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a, k_plus) -> float:
         raise PurityError(
             f"state purity {rho_theta.purity():.10f}; formula requires a pure state"
         )
-    amat = a.mat if isinstance(a, Generator) else _as_complex_matrix(a, "generator")
     k = _as_complex_matrix(k_plus, "K+")
     m = k.conj().T @ k
     rho = rho_theta.mat
     p = float(np.trace(rho @ m).real)
     if p <= 1e-15:
         raise ZeroProbabilityError("postselection probability vanished")
-    term1 = np.trace(amat @ rho @ amat @ m).real
-    term2 = abs(np.trace(amat @ rho @ m)) ** 2
+    term1 = np.trace(a.mat @ rho @ a.mat @ m).real
+    term2 = abs(np.trace(a.mat @ rho @ m)) ** 2
     qfi = 4.0 * term1 / p - 4.0 * term2 / p**2
     return float(max(qfi, 0.0))
 

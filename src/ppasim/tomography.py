@@ -125,16 +125,14 @@ def kd_from_tomography(rho_unpostselected_est: DensityMatrix, t: complex) -> np.
     """Conditional quasiprobability table from an estimate of the unfiltered state.
 
     Builds the (A-basis, filter(t), A-basis) quasidistribution of the
-    estimated state, conditions on the filter passing, and returns the 2x2
-    complex table over (a, a').  Requires the estimated survival probability
-    to exceed 1e-12.
+    estimated state, conditions on the filter passing, and returns the
+    read-only 2x2 complex table over (a, a').  Requires the estimated
+    survival probability to exceed 1e-12.
     """
-    seq = ppa_povm_sequence(t)
-    kd = kd_distribution(rho_unpostselected_est, seq)
-    p_pass = kd.values.sum(axis=(0, 2))[0]
+    kd = kd_distribution(rho_unpostselected_est, ppa_povm_sequence(t))
+    p_pass = kd.sum(axis=(0, 2))[0]
     if p_pass.real < 1e-12:
         raise ZeroProbabilityError(
             f"estimated survival probability {p_pass.real:.3e} too small"
         )
-    cond = condition(kd, 1, "+")
-    return np.array(cond.values, copy=True)
+    return condition(kd, 1, 0)

@@ -39,13 +39,7 @@ from .fisher import (
     optimal_measurement,
     sld,
 )
-from .quasiprob import (
-    POVM,
-    POVMSequence,
-    kd_distribution,
-    marginalize,
-    verify_gap_equality,
-)
+from .quasiprob import POVM, kd_distribution, verify_gap_equality
 
 __all__ = [
     "SuiteResult",
@@ -199,7 +193,7 @@ def _random_povm(rng: np.random.Generator, d: int, n_out: int) -> POVM:
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     elems = tuple(inv_sqrt @ g @ inv_sqrt for g in raw)
-    return POVM(labels=tuple(f"e{i}" for i in range(n_out)), elements=elems)
+    return POVM(elems)
 
 
 def _random_density(rng: np.random.Generator, d: int) -> DensityMatrix:
@@ -218,13 +212,10 @@ def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
         povms = tuple(
             _random_povm(rng, d, int(rng.integers(2, 4))) for _ in range(3)
         )
-        seq = POVMSequence(povms=povms)
-        kd = kd_distribution(rho, seq)
+        kd = kd_distribution(rho, povms)
         for idx in range(3):
-            direct = kd_distribution(
-                rho, POVMSequence(povms=povms[:idx] + povms[idx + 1 :])
-            )
-            diff = np.abs(marginalize(kd, idx).values - direct.values).max()
+            direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
+            diff = np.abs(kd.sum(axis=idx) - direct).max()
             worst = max(worst, float(diff))
     return SuiteResult(
         name="marginalization",

@@ -134,10 +134,10 @@ def test_criterion_4_conditional_tables(capsys):
         for t in T_GRID:
             rho = PPAFamily(t=t).unfiltered_state(theta)
             kd = kd_distribution(rho, ppa_povm_sequence(t))
-            worst_sum = max(worst_sum, abs(kd.total() - 1.0))
-            cond = condition(kd, 1, "+")
+            worst_sum = max(worst_sum, abs(kd.sum() - 1.0))
+            cond = condition(kd, 1, 0)
             ref = kd_table_closed_form(theta, t)
-            scaled = np.abs(cond.values - ref) / np.maximum(1.0, np.abs(ref))
+            scaled = np.abs(cond - ref) / np.maximum(1.0, np.abs(ref))
             worst_table = max(worst_table, float(scaled.max()))
     marg = marginalization_suite(seed=0, n_instances=200)
     ok = worst_table <= 1e-12 and worst_sum <= 1e-10 and marg.max_residual <= 1e-12
@@ -267,9 +267,9 @@ def test_criterion_8_negativity_milestone(capsys):
                 n_high += 1
                 rho = PPAFamily(t=t).unfiltered_state(theta)
                 cond = condition(
-                    kd_distribution(rho, ppa_povm_sequence(t)), 1, "+"
+                    kd_distribution(rho, ppa_povm_sequence(t)), 1, 0
                 )
-                if 4.0 * nonclassicality_gap(cond).gap <= 200.0:
+                if 4.0 * nonclassicality_gap(cond) <= 200.0:
                     gap_ok = False
     ok = most_negative < -70.0 and gap_ok and n_high > 0
     report(

@@ -266,6 +266,7 @@ def test_fig4_pipeline_tracks_theory(tmp_path, capsys):
         (["--visibility", "0"], "visibility"),
         (["--shots", "0"], "shots_per_basis"),
         (["--theta", "nan"], "theta_list"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_fig4_rejects_invalid_input_before_any_work(
@@ -333,3 +334,45 @@ def test_spec_defaults_match_documented_grid():
     assert spec.photon_budget == 10**6
     assert spec.n_trials == 32
     assert math.isclose(spec.visibility, 1.0)
+
+
+@pytest.mark.parametrize("command", ["sweep", "kd", "fig4"])
+@pytest.mark.parametrize(
+    "flags, config_text, field",
+    [
+        (["--config", "{cfg}"], '{"theta_list": [0.1], "bogus": 1}', "bogus"),
+        (["--theta", "abc"], None, "theta_list"),
+        (["--t", "0.5,x"], None, "t_list"),
+        (["--config", "{cfg}"], '{"theta_list": [0.1', "config"),
+        (["--config", "{missing}"], None, "config"),
+        (["--theta", ","], None, "theta_list"),
+        (["--config", "{cfg}"], '{"theta_list": 5}', "theta_list"),
+        (["--config", "{cfg}"], "[0.1, 0.2]", "config"),
+        (["--config", "{cfg}"], '{"visibility": "high"}', "visibility"),
+        (["--config", "{cfg}"], '{"seed": 1.5}', "seed"),
+    ],
+    ids=[
+        "unknown-key", "theta-not-numeric", "t-not-numeric", "malformed-json",
+        "missing-config", "empty-grid", "grid-not-a-list", "config-not-an-object",
+        "visibility-not-a-number", "seed-not-an-integer",
+    ],
+)
+def test_spec_load_errors_exit_2_naming_the_field(
+    tmp_path, capsys, monkeypatch, command, flags, config_text, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    for name in ("run_trials", "ProcessPoolExecutor", "kd_distribution", "_fig4_point"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = tmp_path / "spec.json"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    flags = [f.format(cfg=cfg, missing=tmp_path / "missing.json") for f in flags]
+    code = main([command, "--out", str(tmp_path / "out.txt")] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"ppasim {command}: error: {field}: ")
+    assert {p.name for p in tmp_path.iterdir()} <= {"spec.json"}
