@@ -16,11 +16,9 @@ from .states import (
     ZeroProbabilityError,
     amplified_angle,
     bloch_vector,
-    density_from_bloch,
     direction_to_bloch,
     make_filter,
     phase_unitary,
-    postselect,
     ppa_generator,
     pure_state,
 )
@@ -59,17 +57,13 @@ from .bench import (
     SweepRecord,
     estimate_theta,
     misaligned_half_tangent,
+    postselected_bloch,
     rng_stream,
-    run_bench_state,
     run_trials,
-    source_state,
     systematic_shift_t,
-    waveplate_generator,
 )
 from .tomography import (
     TomographyResult,
-    UndefinedAngleError,
-    amplified_angle_from_state,
     kd_from_tomography,
     rho_derivative,
     simulate_tomography,

@@ -1,10 +1,14 @@
 """Monte Carlo model of a postselected polarimetry bench.
 
 The simulated apparatus prepares a (possibly depolarized) vertical input,
-imprints a phase theta - pi with a slightly misalignable waveplate generator,
-applies the partially transmitting filter, and measures the survivors along a
-projective direction.  Phase estimates invert the measured fringe in closed
-form.
+imprints a phase theta - pi with a slightly misalignable waveplate, applies
+the partially transmitting filter, and measures the survivors along a
+projective direction.  Every step acts on one polarization qubit, so the
+noiseless pipeline is a closed map on Bloch vectors: the source
+r0 = (0, 0, -v), a rotation by pi - theta about the waveplate axis, and the
+filter map of K+ = diag(t, 1), which also gives the survival probability
+(see :func:`postselected_bloch`).  Phase estimates invert the measured
+fringe in closed form.
 
 Systematic knobs:
 
@@ -12,7 +16,8 @@ Systematic knobs:
   The filter physically runs at ``|t_set|`` while the estimator (and the
   chosen measurement direction) use ``|t_set| + delta_t``.
 * ``epsilon``: waveplate axis misalignment; the generator becomes
-  cos(2 eps) sigma_x/2 + sin(2 eps) sigma_z/2.
+  cos(2 eps) sigma_x/2 + sin(2 eps) sigma_z/2, a rotation about
+  (cos 2 eps, 0, sin 2 eps) by the same angle.
 
 Randomness is drawn from numpy streams keyed by (seed, grid indices, stage):
 the sweep derives each grid point's seed from the run seed and the point's
@@ -29,17 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    Generator,
-    amplified_angle,
-    make_filter,
-    phase_unitary,
-    postselect,
-    ID2,
-    SIGMA_X,
-    SIGMA_Z,
-)
+from .states import amplified_angle, direction_to_bloch
 from .fisher import MeasurementDirection, optimal_measurement, qfi_ppa_theory
 
 __all__ = [
@@ -50,9 +45,7 @@ __all__ = [
     "SWEEP_CSV_COLUMNS",
     "fmt_sig",
     "rng_stream",
-    "source_state",
-    "waveplate_generator",
-    "run_bench_state",
+    "postselected_bloch",
     "estimate_theta",
     "run_trials",
     "systematic_shift_t",
@@ -111,30 +104,37 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Reject a point the bench cannot run, naming the spec field and value."""
         # |theta_true| < pi is the range of amplified_angle, which the
         # estimator's branch choice needs.
         if not abs(self.theta_true) < math.pi:
-            raise ValueError("theta_true must lie in (-pi, pi)")
+            raise ValueError(
+                f"theta_list: theta = {self.theta_true:g} must lie in (-pi, pi)"
+            )
         t = complex(self.t_set)
         if abs(t) > 1.0 + 1e-12:
-            raise ValueError("|t_set| must not exceed 1")
+            raise ValueError(f"t_list: |t| = {abs(t):g} exceeds 1")
         assumed = abs(t) + self.delta_t
         if not 0.0 < assumed <= 1.0 + 1e-12:
+            field = "t_list, delta_t" if self.delta_t else "t_list"
             raise ValueError(
-                f"assumed amplitude |t_set| + delta_t = {assumed:.6g} outside (0, 1]"
+                f"{field}: t = {self.t_set:g} with delta_t = {self.delta_t:g} gives "
+                f"the assumed amplitude |t| + delta_t = {assumed:g}, outside (0, 1]"
             )
         if abs(self.epsilon) >= math.pi / 4:
-            raise ValueError("|epsilon| must be below pi/4")
+            raise ValueError(f"epsilon: {self.epsilon:g} must satisfy |epsilon| < pi/4")
         if not 0.0 < self.visibility <= 1.0:
-            raise ValueError("visibility must lie in (0, 1]")
+            raise ValueError(f"visibility: v = {self.visibility:g} outside (0, 1]")
         if self.photon_budget < 0 or self.photon_budget != int(self.photon_budget):
-            raise ValueError("photon_budget must be a non-negative integer")
+            raise ValueError(f"photon_budget: {self.photon_budget} is not a count >= 0")
         if self.sampling_mode not in ("fixed", "poisson"):
-            raise ValueError("sampling_mode must be 'fixed' or 'poisson'")
+            raise ValueError(
+                f"sampling_mode: {self.sampling_mode!r} must be 'fixed' or 'poisson'"
+            )
         if self.n_trials < 2 or self.n_trials != int(self.n_trials):
-            raise ValueError("n_trials must be an integer of at least 2")
+            raise ValueError(f"n_trials: {self.n_trials} is not an integer >= 2")
         if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise ValueError(f"seed: {self.seed} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -154,54 +154,38 @@ class SweepRecord:
     flags: str = ""
 
     def to_csv_row(self) -> str:
-        vals = [
-            self.theta_true,
-            self.t_mag,
-            self.mean_estimate,
-            self.variance,
-            self.mse,
-            self.mean_detected,
-            self.precision_per_photon,
-            self.accuracy_per_photon,
-            self.qfi_theory,
-            self.stderr_variance,
-        ]
+        """The numeric columns of SWEEP_CSV_COLUMNS with 12 digits, then ``flags``."""
+        vals = (getattr(self, name) for name in SWEEP_CSV_COLUMNS[:-1])
         return ",".join(fmt_sig(v) for v in vals) + f",{self.flags}"
 
 
-def source_state(v: float) -> DensityMatrix:
-    """Depolarized vertical input v |1><1| + (1 - v) 1/2, v in [0, 1]."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    mat = v * np.diag([0.0, 1.0]).astype(complex) + (1.0 - v) * ID2 / 2
-    return DensityMatrix(mat)
+def postselected_bloch(cfg: BenchConfig) -> tuple[np.ndarray, float]:
+    """Noiseless pipeline source -> U(theta - pi) -> filter on Bloch vectors.
 
-
-def waveplate_generator(epsilon: float) -> Generator:
-    """Phase generator of a waveplate misaligned by epsilon.
-
-    cos(2 eps) sigma_x / 2 + sin(2 eps) sigma_z / 2; the eigenvalue spread
-    stays exactly 1 for every epsilon, so misalignment tilts the rotation
-    axis without rescaling the phase.
+    Returns ``(r_ps, p_ps)``: the standard Bloch vector of the normalized
+    postselected state and the survival probability.  The source
+    r0 = (0, 0, -v) turns by pi - theta about n = (cos 2 eps, 0, sin 2 eps)
+    (Rodrigues' formula); K+ = diag(t, 1) then maps r1 = (x, y, z) to
+    p = (|t|^2 (1 + z) + 1 - z)/2 and r_ps = (Re w, -Im w,
+    (|t|^2 (1 + z) - (1 - z))/2) / p with w = t (x - i y).  The filter runs
+    at the physical amplitude t_set; ``delta_t`` only affects estimation.
+    A point that no photon survives (p = 0) returns r_ps = 0 and p_ps = 0.
     """
-    if abs(epsilon) >= math.pi / 4:
-        raise ValueError("|epsilon| must be below pi/4")
-    mat = math.cos(2 * epsilon) * SIGMA_X / 2 + math.sin(2 * epsilon) * SIGMA_Z / 2
-    return Generator.from_matrix(mat)
-
-
-def run_bench_state(cfg: BenchConfig) -> tuple[DensityMatrix, float]:
-    """Noiseless state pipeline: source -> U(theta - pi) -> filter -> postselect.
-
-    Returns the normalized postselected state and the survival probability.
-    The filter runs at the physical amplitude t_set; ``delta_t`` only affects
-    estimation (see the module docstring).
-    """
-    rho = source_state(cfg.visibility)
-    gen = waveplate_generator(cfg.epsilon)
-    u = phase_unitary(gen, cfg.theta_true - math.pi)
-    rho = DensityMatrix(u @ rho.mat @ u.conj().T)
-    return postselect(rho, make_filter(cfg.t_set))
+    v = cfg.visibility
+    c2, s2 = math.cos(2.0 * cfg.epsilon), math.sin(2.0 * cfg.epsilon)
+    alpha = math.pi - cfg.theta_true
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    # n x r0 = (0, v c2, 0) and n . r0 = -v s2
+    along = -v * s2 * (1.0 - ca)
+    x = c2 * along
+    y = v * c2 * sa
+    z = -v * ca + s2 * along
+    t = complex(cfg.t_set)
+    t2 = abs(t) ** 2
+    w = t * complex(x, -y)
+    p = (t2 * (1.0 + z) + 1.0 - z) / 2.0
+    r = np.array([w.real, -w.imag, (t2 * (1.0 + z) - (1.0 - z)) / 2.0])
+    return (r / p if p > 0.0 else np.zeros(3)), p
 
 
 def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
@@ -300,9 +284,9 @@ def run_trials(cfg: BenchConfig) -> SweepRecord:
     t_assumed = abs(t) + cfg.delta_t
     phase = cmath.phase(t) if t != 0 else 0.0
     direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
-    rho_ps, p_ps = run_bench_state(cfg)
-    q = float(np.trace(rho_ps.mat @ direction.projector()).real)
-    q = min(max(q, 0.0), 1.0)
+    r_ps, p_ps = postselected_bloch(cfg)
+    n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
+    q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
 
     rng = rng_stream(cfg.seed, STAGE_COUNTS)
     if cfg.sampling_mode == "fixed":

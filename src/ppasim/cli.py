@@ -46,6 +46,7 @@ __all__ = [
     "cmd_kd",
     "check_fig4_spec",
     "cmd_fig4",
+    "check_verify_args",
     "cmd_verify",
     "main",
 ]
@@ -141,6 +142,8 @@ def _point_seed(seed: int, i: int, j: int) -> int:
     Unlike ``_grid_seed`` it needs no numpy.random, which a sweep's parent
     process would otherwise load only to hand points to its workers.
     """
+    if seed < 0:
+        raise ValueError(f"seed: {seed} must be non-negative")
     return (int(seed) << 64) | (i << 32) | j
 
 
@@ -329,6 +332,14 @@ def cmd_fig4(spec: SweepSpec) -> str:
     return out
 
 
+def check_verify_args(seed: int, n_instances: int | None) -> None:
+    """Raise ValueError naming the first verify argument that cannot run."""
+    if seed < 0:
+        raise ValueError(f"seed: {seed} must be non-negative")
+    if n_instances is not None and n_instances < 1:
+        raise ValueError(f"n_instances: {n_instances} must be at least 1")
+
+
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     """Run the self-verification suites; exit code 0 iff all pass."""
     results = run_all(seed, n_instances)
@@ -436,25 +447,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.seed, args.n_instances)
     # An imperfect source keeps most tomographic estimates full-rank, which
     # the SLD solve of noisy derivatives needs; points with theta >= 1 and
     # t <= 0.15 still raise at 0.98.
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
     try:
-        spec = _load_spec(args, defaults)
-        if args.command == "sweep":
-            configs = sweep_configs(spec)
-        elif args.command == "kd":
-            check_kd_grid(spec.theta_list, spec.t_list)
+        if args.command == "verify":
+            check_verify_args(args.seed, args.n_instances)
         else:
-            check_fig4_spec(spec)
+            spec = _load_spec(args, defaults)
+            if args.command == "sweep":
+                if args.workers < 1:
+                    raise ValueError(f"workers: {args.workers} must be at least 1")
+                configs = sweep_configs(spec)
+            elif args.command == "kd":
+                check_kd_grid(spec.theta_list, spec.t_list)
+            else:
+                check_fig4_spec(spec)
     except ValueError as exc:
         print(f"ppasim {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "verify":
+        return cmd_verify(args.seed, args.n_instances)
     if args.command == "sweep":
-        out = cmd_sweep(configs, spec.output_path, workers=max(args.workers, 1))
+        out = cmd_sweep(configs, spec.output_path, workers=args.workers)
     elif args.command == "kd":
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
     else:

@@ -1,4 +1,4 @@
-"""Core quantum objects: states, phase generators, the filter, postselection.
+"""Core quantum objects: states, phase generators, the filter, Bloch geometry.
 
 Everything in this package is small dense complex linear algebra (dimension
 <= 8), so matrix functions go through Hermitian eigendecompositions and every
@@ -42,13 +42,10 @@ __all__ = [
     "ppa_generator",
     "phase_unitary",
     "make_filter",
-    "postselect",
     "amplified_angle",
     "bloch_vector",
-    "density_from_bloch",
     "direction_to_bloch",
     "analysis_to_standard",
-    "standard_to_analysis",
     "direction_projector",
     "hermitian_part",
     "psd_sqrt",
@@ -251,24 +248,6 @@ def make_filter(t: complex) -> np.ndarray:
     return _freeze(np.diag([t, 1.0 + 0j]))
 
 
-def postselect(rho: DensityMatrix, k) -> tuple[DensityMatrix, float]:
-    """Apply a Kraus operator, e.g. the filter's K+, and renormalize.
-
-    Returns ``(K rho K^dag / p, p)`` with ``p = Tr(K rho K^dag)``; outcomes
-    with p < 1e-15 raise :class:`ZeroProbabilityError`.
-    """
-    k = _as_complex_matrix(k, "Kraus operator")
-    if k.shape != rho.mat.shape:
-        raise ValueError("Kraus operator dimension does not match the state")
-    num = k @ rho.mat @ k.conj().T
-    p = float(np.trace(num).real)
-    if p < 1e-15:
-        raise ZeroProbabilityError(
-            f"postselection outcome has probability {p:.3e}"
-        )
-    return DensityMatrix(num / p), p
-
-
 def amplified_angle(theta: float, t_mag: float) -> float:
     """Phase-to-polar-angle map of the filter: tan(Theta/2) = tan(theta/2)/t.
 
@@ -297,25 +276,9 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])
 
 
-def density_from_bloch(vec) -> DensityMatrix:
-    """(1 + r . sigma)/2 from a Bloch vector with |r| <= 1."""
-    r = np.asarray(vec, dtype=float).reshape(-1)
-    if r.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if np.linalg.norm(r) > 1.0 + ATOL_STRUCT:
-        raise ValueError(f"Bloch vector length {np.linalg.norm(r):.6g} exceeds 1")
-    m = (ID2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
-    return DensityMatrix(m)
-
-
 def analysis_to_standard(vec) -> np.ndarray:
     """Rotate a vector from analysis-frame to standard Bloch coordinates."""
     return _ANALYSIS_FRAME @ np.asarray(vec, dtype=float).reshape(3)
-
-
-def standard_to_analysis(vec) -> np.ndarray:
-    """Inverse of :func:`analysis_to_standard`."""
-    return _ANALYSIS_FRAME.T @ np.asarray(vec, dtype=float).reshape(3)
 
 
 def direction_to_bloch(polar: float, azimuth: float) -> np.ndarray:

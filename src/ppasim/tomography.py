@@ -3,14 +3,13 @@
 Tomography samples the three Pauli expectations with a finite shot budget,
 linearly inverts them (unbiased in the expectations), and projects the result
 back to the physical set by clipping negative eigenvalues and renormalizing.
-Downstream helpers turn tomographic estimates into amplification angles,
-numerical theta-derivatives (whose Fisher information :func:`ppasim.fisher.sld`
-gives), and conditional quasiprobability tables.
+Downstream helpers turn tomographic estimates into numerical
+theta-derivatives (whose Fisher information :func:`ppasim.fisher.sld` gives)
+and conditional quasiprobability tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +24,13 @@ from .states import (
 from .quasiprob import condition, kd_distribution, ppa_povm_sequence
 
 __all__ = [
-    "UndefinedAngleError",
     "TomographyResult",
     "simulate_tomography",
-    "amplified_angle_from_state",
     "rho_derivative",
     "kd_from_tomography",
 ]
 
 DEFAULT_DTHETA = 0.035
-
-
-class UndefinedAngleError(ValueError):
-    """The Bloch vector is too short to define a polar angle."""
 
 
 @dataclass(frozen=True)
@@ -88,22 +81,6 @@ def simulate_tomography(
     return TomographyResult(
         rho_est=rho_est, expectations=expectations, counts_per_basis=counts
     )
-
-
-def amplified_angle_from_state(rho_ps: DensityMatrix) -> float:
-    """Polar Bloch angle of a postselected state, measured from +z.
-
-    For the amplification family this equals the amplified angle Theta
-    regardless of visibility, since depolarization shortens the Bloch vector
-    without tilting it.  Raises :class:`UndefinedAngleError` when the Bloch
-    vector length is <= 1e-9.
-    """
-    r = bloch_vector(rho_ps)
-    plane = math.hypot(r[0], r[1])
-    length = math.hypot(plane, r[2])
-    if length <= 1e-9:
-        raise UndefinedAngleError("Bloch vector too short to define an angle")
-    return math.atan2(plane, r[2])
 
 
 def rho_derivative(

@@ -13,87 +13,151 @@ from ppasim.bench import (
     estimate_theta,
     fmt_sig,
     misaligned_half_tangent,
+    postselected_bloch,
     rng_stream,
-    run_bench_state,
     run_trials,
-    source_state,
     systematic_shift_t,
-    waveplate_generator,
 )
 from ppasim.fisher import MeasurementDirection, PPAFamily, optimal_measurement, qfi_ppa_theory
-from ppasim.states import amplified_angle, bloch_vector
+from ppasim.states import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Z,
+    DensityMatrix,
+    Generator,
+    amplified_angle,
+    bloch_vector,
+    make_filter,
+    phase_unitary,
+)
+
+
+def matrix_pipeline(cfg):
+    """Reference for postselected_bloch: the bench as 2x2 density matrices.
+
+    Source v|1><1| + (1 - v) 1/2, conjugation by exp(i (theta - pi) G) with
+    the misaligned waveplate generator G = cos(2 eps) sigma_x/2 +
+    sin(2 eps) sigma_z/2, then K+ rho K+^dag renormalized by its trace.
+    """
+    rho = cfg.visibility * np.diag([0.0, 1.0]) + (1.0 - cfg.visibility) * ID2 / 2
+    gen = Generator.from_matrix(
+        math.cos(2 * cfg.epsilon) * SIGMA_X / 2 + math.sin(2 * cfg.epsilon) * SIGMA_Z / 2
+    )
+    u = phase_unitary(gen, cfg.theta_true - math.pi)
+    k = make_filter(cfg.t_set)
+    num = k @ u @ rho @ u.conj().T @ k.conj().T
+    p = float(np.trace(num).real)
+    return DensityMatrix(num / p), p
+
+
+def polar_angle(r):
+    return math.atan2(math.hypot(r[0], r[1]), r[2])
 
 
 # ------------------------------------------------------------------- sources
 
 
 def test_source_state_pure_limit():
-    assert np.allclose(bloch_vector(source_state(1.0)), [0, 0, -1])
+    # an open filter at theta = 0 turns the vertical source by pi onto +z
+    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=1.0))
+    assert np.allclose(r, [0, 0, 1], atol=1e-15)
+    assert p == pytest.approx(1.0, abs=1e-15)
 
 
 def test_source_state_fully_mixed():
-    assert np.allclose(source_state(0.0).mat, np.eye(2) / 2)
+    # the unpolarized limit passes (1 + |t|^2)/2 and leaves along z
+    r, p = postselected_bloch(BenchConfig(theta_true=0.7, t_set=0.5, visibility=1e-12))
+    assert p == pytest.approx((1 + 0.25) / 2, abs=1e-11)
+    assert np.allclose(r, [0, 0, (0.25 - 1) / (0.25 + 1)], atol=1e-11)
 
 
 def test_source_state_partial_visibility():
-    r = bloch_vector(source_state(0.98))
-    assert np.allclose(r, [0, 0, -0.98])
+    r, _ = postselected_bloch(BenchConfig(theta_true=0.0, t_set=1.0, visibility=0.98))
+    assert np.allclose(r, [0, 0, 0.98], atol=1e-15)
 
 
 def test_source_state_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        source_state(1.2)
+    with pytest.raises(ValueError, match="^visibility: "):
+        BenchConfig(theta_true=0.1, t_set=0.5, visibility=1.2)
 
 
 def test_waveplate_generator_aligned():
-    gen = waveplate_generator(0.0)
-    assert np.allclose(gen.mat, np.array([[0, 0.5], [0.5, 0]]))
-    assert gen.spread == pytest.approx(1.0)
+    # at eps = 0 the plate turns about x: the state stays in the y-z plane
+    for theta in (0.05, 0.4, 1.3):
+        r, _ = postselected_bloch(BenchConfig(theta_true=theta, t_set=1.0))
+        assert abs(r[0]) < 1e-15
+        assert r[1] == pytest.approx(math.sin(theta), abs=1e-15)
 
 
 def test_waveplate_generator_spread_is_tilt_independent():
+    # the misaligned generator keeps eigenvalue spread 1: tilting the axis
+    # keeps the rotation angle at pi - theta
+    theta = 0.3
     for eps in (0.0, 0.01, 0.1, -0.05):
-        assert waveplate_generator(eps).spread == pytest.approx(1.0)
+        n = np.array([math.cos(2 * eps), 0.0, math.sin(2 * eps)])
+        r, _ = postselected_bloch(BenchConfig(theta_true=theta, t_set=1.0, epsilon=eps))
+        r0 = np.array([0.0, 0.0, -1.0])
+        a, b = r0 - n * (n @ r0), r - n * (n @ r)
+        cos_turn = (a @ b) / (a @ a)
+        assert r @ n == pytest.approx(r0 @ n, abs=1e-15)
+        assert cos_turn == pytest.approx(math.cos(math.pi - theta), abs=1e-14)
 
 
 # --------------------------------------------------------------------- state
 
 
-def test_run_bench_state_zero_phase_ideal():
-    cfg = BenchConfig(theta_true=0.0, t_set=0.5)
-    rho, p = run_bench_state(cfg)
+def test_postselected_bloch_matches_matrix_pipeline():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        t = rng.uniform(0.01, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        cfg = BenchConfig(
+            theta_true=float(rng.uniform(-3.1, 3.1)),
+            t_set=complex(t),
+            epsilon=float(rng.uniform(-0.7, 0.7)),
+            visibility=float(rng.uniform(0.01, 1.0)),
+        )
+        r, p = postselected_bloch(cfg)
+        rho_ref, p_ref = matrix_pipeline(cfg)
+        assert np.abs(r - bloch_vector(rho_ref)).max() <= 1e-12
+        assert abs(p - p_ref) <= 1e-12
+
+
+def test_postselected_bloch_zero_phase_ideal():
+    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=0.5))
     assert p == pytest.approx(0.25)
-    assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
+    assert np.allclose(r, [0.0, 0.0, 1.0])
 
 
-def test_run_bench_state_survival_probability_frozen():
-    cfg = BenchConfig(theta_true=0.040, t_set=0.044)
-    _, p = run_bench_state(cfg)
+def test_postselected_bloch_survival_probability_frozen():
+    _, p = postselected_bloch(BenchConfig(theta_true=0.040, t_set=0.044))
     assert p == pytest.approx(0.0023351723727588563, abs=1e-15)
 
 
-def test_run_bench_state_open_filter_passes_everything():
-    cfg = BenchConfig(theta_true=0.3, t_set=1.0)
-    _, p = run_bench_state(cfg)
+def test_postselected_bloch_open_filter_passes_everything():
+    _, p = postselected_bloch(BenchConfig(theta_true=0.3, t_set=1.0))
     assert p == pytest.approx(1.0)
 
 
-def test_run_bench_state_matches_family():
+def test_postselected_bloch_matches_family():
     for theta in (0.05, 0.3, 1.1):
         for t in (0.2, 0.7):
             cfg = BenchConfig(theta_true=theta, t_set=t, visibility=0.97)
-            rho, p = run_bench_state(cfg)
+            r, p = postselected_bloch(cfg)
             fam = PPAFamily(t=t, v=0.97)
             assert p == pytest.approx(fam.prob(theta), abs=1e-12)
-            assert np.abs(rho.mat - fam.state(theta).mat).max() < 1e-12
+            assert np.abs(r - bloch_vector(fam.state(theta))).max() < 1e-12
 
 
-def test_run_bench_state_amplifies_the_polar_angle():
-    cfg = BenchConfig(theta_true=0.1, t_set=0.2)
-    rho, _ = run_bench_state(cfg)
-    x, y, z = bloch_vector(rho)
-    polar = math.atan2(math.hypot(x, y), z)
-    assert polar == pytest.approx(amplified_angle(0.1, 0.2), abs=1e-12)
+def test_postselected_bloch_amplifies_the_polar_angle():
+    r, _ = postselected_bloch(BenchConfig(theta_true=0.1, t_set=0.2))
+    assert polar_angle(r) == pytest.approx(amplified_angle(0.1, 0.2), abs=1e-12)
+
+
+def test_postselected_bloch_zero_survival_stays_finite():
+    # t = 0 at theta = 0 blocks the whole imprinted state
+    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=0.0, delta_t=0.2))
+    assert p < 1e-30
+    assert np.all(np.isfinite(r))
 
 
 # ---------------------------------------------------------------- estimation
@@ -289,11 +353,25 @@ def test_sample_counts_zero_budget():
         assert "no-data" in rec.flags
 
 
+def test_run_trials_zero_survival_flags_no_data():
+    # (theta, t) = (0, 0) passes nothing; with delta_t > 0 the config is
+    # valid and the point must become a flagged row, not an error
+    for mode in ("fixed", "poisson"):
+        cfg = BenchConfig(
+            theta_true=0.0, t_set=0.0, delta_t=0.2, sampling_mode=mode,
+            n_trials=4, seed=5,
+        )
+        rec = run_trials(cfg)
+        assert rec.flags == "no-data"
+        assert rec.mean_detected == 0.0
+        assert math.isnan(rec.mean_estimate)
+
+
 def test_run_trials_detection_rate_tracks_survival():
     cfg = BenchConfig(
         theta_true=0.3, t_set=0.5, photon_budget=200_000, n_trials=8, seed=7
     )
-    _, p = run_bench_state(cfg)
+    _, p = postselected_bloch(cfg)
     rec = run_trials(cfg)
     sigma = math.sqrt(cfg.photon_budget * p * (1 - p) / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
@@ -308,7 +386,7 @@ def test_run_trials_poisson_mode_tracks_survival():
         n_trials=8,
         seed=3,
     )
-    _, p = run_bench_state(cfg)
+    _, p = postselected_bloch(cfg)
     rec = run_trials(cfg)
     sigma = math.sqrt(cfg.photon_budget * p / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -133,9 +134,15 @@ def test_sweep_systematic_flags_propagate(tmp_path, capsys):
     "flags, field",
     [
         (["--trials", "1"], "n_trials"),
-        (["--t", "0,0.5"], "t_set"),
-        (["--theta", "3.3"], "theta_true"),
+        (["--t", "0.5,0"], "t_list"),
+        (["--theta", "0.1,3.3"], "theta_list"),
         (["--budget", "-5"], "photon_budget"),
+        (["--t", "0.5,1.5"], "t_list"),
+        (["--delta-t", "0.6"], "t_list, delta_t"),
+        (["--epsilon", "0.8"], "epsilon"),
+        (["--visibility", "0"], "visibility"),
+        (["--seed", "-1"], "seed"),
+        (["--workers", "0"], "workers"),
     ],
 )
 def test_sweep_rejects_invalid_input_before_any_work(
@@ -154,9 +161,27 @@ def test_sweep_rejects_invalid_input_before_any_work(
     assert code == 2
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("ppasim sweep: error: ")
-    assert field in line
+    assert line.startswith(f"ppasim sweep: error: {field}: ")
+    # the message quotes the offending value, here always the flag's last entry
+    value = flags[1].split(",")[-1]
+    assert re.search(rf"(?<![\w.-]){re.escape(value)}(?![\w.])", line)
     assert not out.exists()
+
+
+def test_sweep_zero_survival_point_flags_no_data(tmp_path, capsys):
+    # (theta, t) = (0, 0) passes no photon; delta_t > 0 makes the grid valid
+    out = tmp_path / "s.csv"
+    code, _ = run(
+        ["sweep", "--theta", "0,0.1", "--t", "0,0.5", "--delta-t", "0.2",
+         "--trials", "4", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == 4
+    assert rows[0]["flags"] == "no-data"
+    assert rows[0]["mean_detected"] == "0"
+    assert all(r["flags"] == "" for r in rows[1:])
 
 
 def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
@@ -317,6 +342,29 @@ def test_verify_exits_clean(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--n", "0"], "n_instances"),
+        (["--n", "-3"], "n_instances"),
+    ],
+)
+def test_verify_rejects_invalid_input_before_any_work(
+    capsys, monkeypatch, flags, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    code = main(["verify"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"ppasim verify: error: {field}: ")
 
 
 # ---------------------------------------------------------------------- spec

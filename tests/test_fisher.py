@@ -19,9 +19,10 @@ from ppasim.fisher import (
 )
 from ppasim.states import (
     DensityMatrix,
+    ID2,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
-    density_from_bloch,
     direction_to_bloch,
     make_filter,
     ppa_generator,
@@ -134,7 +135,7 @@ def test_sld_mixed_qubit_matches_bloch_formula():
         r = RNG.normal(size=3)
         r *= RNG.uniform(0.1, 0.95) / np.linalg.norm(r)
         dr = RNG.normal(size=3)
-        rho = density_from_bloch(r)
+        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         drho = (dr[0] * SIGMA_X + dr[1] * SIGMA_Y + dr[2] * np.diag([1.0, -1.0])) / 2
         expected = dr @ dr + (r @ dr) ** 2 / (1.0 - r @ r)
         res = sld(rho, np.asarray(drho, dtype=complex))
@@ -297,9 +298,10 @@ def test_cfi_poor_direction_loses_information():
     # measuring along the state's own Bloch axis is nearly blind
     fam = PPAFamily(t=0.5, v=0.98)
     theta = 0.2
-    from ppasim.states import amplified_angle, standard_to_analysis, bloch_vector
+    from ppasim.states import bloch_vector
 
-    r = standard_to_analysis(bloch_vector(fam.state(theta)))
+    x, y, z = bloch_vector(fam.state(theta))
+    r = (-y, x, z)  # analysis frame: x_a = -y, y_a = +x, z_a = z
     polar = math.atan2(math.hypot(r[0], r[1]), r[2])
     azim = math.atan2(r[1], r[0])
     if azim >= math.pi:  # [-pi, pi) convention

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ppasim.bench import BenchConfig, postselected_bloch
+from ppasim.fisher import qfi_postselected_pure
 from ppasim.quasiprob import filter_povm
 from ppasim.states import (
     DensityMatrix,
@@ -14,15 +16,13 @@ from ppasim.states import (
     amplified_angle,
     analysis_to_standard,
     bloch_vector,
-    density_from_bloch,
     direction_to_bloch,
     make_filter,
     phase_unitary,
-    postselect,
     ppa_generator,
     pure_state,
-    standard_to_analysis,
     ID2,
+    PAULIS,
     SIGMA_X,
     SIGMA_Z,
 )
@@ -198,17 +198,22 @@ def test_make_filter_rejects_amplifying_t():
 # ---------------------------------------------------------------- postselect
 
 
+def postselected(theta, t):
+    """Postselected Bloch vector and survival of the ideal bench at (theta, t)."""
+    return postselected_bloch(BenchConfig(theta_true=theta, t_set=t))
+
+
 def test_postselect_survival_probability_closed_form():
     # p = t^2 cos^2(theta/2) + sin^2(theta/2) for the imprinted pure state
     for theta in (0.01, 0.04, 0.2, 1.0, 2.5):
         for t in (0.044, 0.3, 0.9):
-            _, p = postselect(imprinted(theta), make_filter(t))
+            _, p = postselected(theta, t)
             expected = t**2 * math.cos(theta / 2) ** 2 + math.sin(theta / 2) ** 2
             assert abs(p - expected) < 1e-12
 
 
 def test_postselect_frozen_value():
-    _, p = postselect(imprinted(0.040), make_filter(0.044))
+    _, p = postselected(0.040, 0.044)
     assert abs(p - 0.0023351723727588563) < 1e-15
     assert abs(p - 2.3352e-3) < 1e-7
 
@@ -217,31 +222,29 @@ def test_postselect_branch_probabilities_sum_to_one():
     for _ in range(10):
         t = RNG.uniform(0, 1) * np.exp(1j * RNG.uniform(0, 2 * math.pi))
         rho = pure_state(RNG.normal(size=2) + 1j * RNG.normal(size=2))
-        try:
-            _, p_plus = postselect(rho, make_filter(t))
-        except ZeroProbabilityError:
-            p_plus = 0.0
+        k = make_filter(t)
+        p_plus = np.trace(k @ rho.mat @ k.conj().T).real
         p_minus = np.trace(fail_element(t) @ rho.mat).real
         assert abs(p_plus + p_minus - 1.0) < 1e-10
 
 
 def test_postselect_zero_probability_raises():
-    # fully blocking filter on a state entirely in the blocked mode
+    # fully blocking filter on a state entirely in the blocked mode: the
+    # postselected QFI has nothing to condition on
     with pytest.raises(ZeroProbabilityError):
-        postselect(pure_state(E0), make_filter(0.0))
+        qfi_postselected_pure(pure_state(E0), ppa_generator(), make_filter(0.0))
 
 
 def test_postselected_state_matches_amplified_superposition():
     # surviving state should be cos(Theta/2)|0> + i sin(Theta/2)|1>
     for theta in (0.02, 0.1, 0.4, 1.2):
         for t in (0.1, 0.5, 0.9):
-            out, _ = postselect(imprinted(theta), make_filter(t))
+            r, _ = postselected(theta, t)
             big = amplified_angle(theta, t)
             target = pure_state(
                 np.array([math.cos(big / 2), 1j * math.sin(big / 2)])
             )
-            fidelity = np.trace(out.mat @ target.mat).real
-            assert fidelity > 1.0 - 1e-10
+            assert np.abs(r - bloch_vector(target)).max() < 1e-12
 
 
 # ----------------------------------------------------------- amplified_angle
@@ -290,7 +293,7 @@ def test_bloch_round_trip():
     for _ in range(25):
         r = RNG.normal(size=3)
         r *= RNG.uniform(0, 1) / np.linalg.norm(r)
-        rho = density_from_bloch(r)
+        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         assert np.abs(bloch_vector(rho) - r).max() < 1e-12
 
 
@@ -309,8 +312,10 @@ def test_bloch_rejects_qutrit():
 
 
 def test_bloch_rejects_long_vector():
+    # |r| > 1 gives (1 + r . sigma)/2 a negative eigenvalue
+    r = np.array([0.8, 0.8, 0.8])
     with pytest.raises(ValueError):
-        density_from_bloch([0.8, 0.8, 0.8])
+        DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
 
 
 # ------------------------------------------------------------ analysis frame
@@ -323,9 +328,11 @@ def test_analysis_frame_axes():
 
 
 def test_analysis_frame_round_trip():
+    # the frame is a rotation, so its transpose takes standard coordinates back
+    frame = np.column_stack([analysis_to_standard(e) for e in np.eye(3)])
     for _ in range(10):
         v = RNG.normal(size=3)
-        assert np.abs(standard_to_analysis(analysis_to_standard(v)) - v).max() < 1e-14
+        assert np.abs(frame.T @ analysis_to_standard(v) - v).max() < 1e-14
 
 
 def test_direction_to_bloch_is_unit():
@@ -337,8 +344,8 @@ def test_direction_to_bloch_is_unit():
 def test_amplified_states_lie_in_analysis_xz_plane():
     # the postselected family must have zero analysis-y component for real t
     for theta in (0.05, 0.3, 1.1):
-        out, _ = postselect(imprinted(theta), make_filter(0.3))
-        r_analysis = standard_to_analysis(bloch_vector(out))
+        (x, y, z), _ = postselected(theta, 0.3)
+        r_analysis = np.array([-y, x, z])  # x_a = -y, y_a = +x, z_a = z
         assert abs(r_analysis[1]) < 1e-12
         # and the polar angle is the amplified angle
         big = amplified_angle(theta, 0.3)

@@ -6,17 +6,16 @@ import pytest
 from ppasim.fisher import PPAFamily, qfi_ppa_theory, sld
 from ppasim.quasiprob import kd_table_closed_form
 from ppasim.states import (
+    ID2,
+    PAULIS,
     DensityMatrix,
     ZeroProbabilityError,
     amplified_angle,
     bloch_vector,
-    density_from_bloch,
     pure_state,
 )
 from ppasim.tomography import (
     DEFAULT_DTHETA,
-    UndefinedAngleError,
-    amplified_angle_from_state,
     kd_from_tomography,
     rho_derivative,
     simulate_tomography,
@@ -90,18 +89,24 @@ def test_finite_shots_require_rng():
 # ------------------------------------------------------------ angle read-out
 
 
+def polar_angle(rho):
+    """Polar Bloch angle of a qubit state, measured from +z."""
+    x, y, z = bloch_vector(rho)
+    return math.atan2(math.hypot(x, y), z)
+
+
 def test_amplified_angle_from_state_matches_theory():
     for theta in (0.05, 0.3, 1.0):
         for t in (0.1, 0.5, 0.9):
             rho = PPAFamily(t=t).state(theta)
-            assert amplified_angle_from_state(rho) == pytest.approx(
+            assert polar_angle(rho) == pytest.approx(
                 amplified_angle(theta, t), abs=1e-12
             )
 
 
 def test_amplified_angle_from_state_frozen():
     rho = PPAFamily(t=0.044).state(0.040)
-    assert amplified_angle_from_state(rho) == pytest.approx(
+    assert polar_angle(rho) == pytest.approx(
         0.8533554566561224, abs=1e-12
     )
 
@@ -109,7 +114,7 @@ def test_amplified_angle_from_state_frozen():
 def test_amplified_angle_from_state_balanced_point():
     # tan(theta/2) = t puts the postselected state on the equator
     rho = PPAFamily(t=math.tan(0.2)).state(0.4)
-    assert amplified_angle_from_state(rho) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert polar_angle(rho) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_amplified_angle_from_state_is_length_invariant():
@@ -117,9 +122,10 @@ def test_amplified_angle_from_state_is_length_invariant():
     # (pure dephasing/depolarization after postselection) leaves it fixed
     rho = PPAFamily(t=0.3).state(0.2)
     r = bloch_vector(rho)
-    shrunk = density_from_bloch(0.55 * np.asarray(r))
-    assert amplified_angle_from_state(shrunk) == pytest.approx(
-        amplified_angle_from_state(rho), abs=1e-12
+    shrunk = DensityMatrix((ID2 + np.tensordot(0.55 * r, PAULIS, 1)) / 2)
+    assert np.abs(bloch_vector(shrunk) - 0.55 * r).max() < 1e-15
+    assert polar_angle(shrunk) == pytest.approx(
+        polar_angle(rho), abs=1e-12
     )
 
 
@@ -127,14 +133,9 @@ def test_amplified_angle_from_state_mixing_biases_toward_equator():
     # the depolarized component is itself reshaped by the filter, so the
     # family's v < 1 states sit at a *different* polar angle than the pure
     # ones -- pin the direction of that motion
-    a = amplified_angle_from_state(PPAFamily(t=0.3).state(0.2))
-    b = amplified_angle_from_state(PPAFamily(t=0.3, v=0.9).state(0.2))
+    a = polar_angle(PPAFamily(t=0.3).state(0.2))
+    b = polar_angle(PPAFamily(t=0.3, v=0.9).state(0.2))
     assert b > a
-
-
-def test_amplified_angle_undefined_at_center():
-    with pytest.raises(UndefinedAngleError):
-        amplified_angle_from_state(DensityMatrix(np.eye(2) / 2))
 
 
 # ----------------------------------------------------------------- derivative
@@ -270,5 +271,5 @@ def test_noisy_qfi_pipeline_is_consistent():
 
 def test_density_from_bloch_round_trip_guard():
     # helper used throughout the suite; pin the orientation convention here
-    rho = density_from_bloch([0.0, 0.0, -1.0])
+    rho = DensityMatrix((ID2 + np.tensordot([0.0, 0.0, -1.0], PAULIS, 1)) / 2)
     assert np.allclose(rho.mat, np.diag([0.0, 1.0]))
