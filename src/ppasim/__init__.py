@@ -31,6 +31,7 @@ from .fisher import (
     SLDResult,
     cfi,
     optimal_measurement,
+    qfi_bloch,
     qfi_postselected_pure,
     qfi_ppa_theory,
     sld,
@@ -62,11 +63,6 @@ from .bench import (
     run_trials,
     systematic_shift_t,
 )
-from .tomography import (
-    TomographyResult,
-    kd_from_tomography,
-    rho_derivative,
-    simulate_tomography,
-)
+from .tomography import simulate_tomography
 
 __version__ = "0.1.0"

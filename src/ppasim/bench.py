@@ -52,7 +52,7 @@ __all__ = [
     "misaligned_half_tangent",
 ]
 
-# Stage tags for RNG substreams; tomography stages live in tomography/cli.
+# Stage tags for RNG substreams; fig4's tomography stages live in cli.
 STAGE_COUNTS = 0
 
 SWEEP_CSV_COLUMNS = (
@@ -159,7 +159,9 @@ class SweepRecord:
         return ",".join(fmt_sig(v) for v in vals) + f",{self.flags}"
 
 
-def postselected_bloch(cfg: BenchConfig) -> tuple[np.ndarray, float]:
+def postselected_bloch(
+    theta: float, t: complex, epsilon: float, visibility: float
+) -> tuple[np.ndarray, float]:
     """Noiseless pipeline source -> U(theta - pi) -> filter on Bloch vectors.
 
     Returns ``(r_ps, p_ps)``: the standard Bloch vector of the normalized
@@ -167,20 +169,21 @@ def postselected_bloch(cfg: BenchConfig) -> tuple[np.ndarray, float]:
     r0 = (0, 0, -v) turns by pi - theta about n = (cos 2 eps, 0, sin 2 eps)
     (Rodrigues' formula); K+ = diag(t, 1) then maps r1 = (x, y, z) to
     p = (|t|^2 (1 + z) + 1 - z)/2 and r_ps = (Re w, -Im w,
-    (|t|^2 (1 + z) - (1 - z))/2) / p with w = t (x - i y).  The filter runs
-    at the physical amplitude t_set; ``delta_t`` only affects estimation.
-    A point that no photon survives (p = 0) returns r_ps = 0 and p_ps = 0.
+    (|t|^2 (1 + z) - (1 - z))/2) / p with w = t (x - i y).  At t = 1 the
+    filter passes everything and r_ps is the imprinted vector; for
+    eps = 0 it is v (0, sin theta, cos theta).  A point that no photon
+    survives (p = 0) returns r_ps = 0 and p_ps = 0.
     """
-    v = cfg.visibility
-    c2, s2 = math.cos(2.0 * cfg.epsilon), math.sin(2.0 * cfg.epsilon)
-    alpha = math.pi - cfg.theta_true
+    v = visibility
+    c2, s2 = math.cos(2.0 * epsilon), math.sin(2.0 * epsilon)
+    alpha = math.pi - theta
     ca, sa = math.cos(alpha), math.sin(alpha)
     # n x r0 = (0, v c2, 0) and n . r0 = -v s2
     along = -v * s2 * (1.0 - ca)
     x = c2 * along
     y = v * c2 * sa
     z = -v * ca + s2 * along
-    t = complex(cfg.t_set)
+    t = complex(t)
     t2 = abs(t) ** 2
     w = t * complex(x, -y)
     p = (t2 * (1.0 + z) + 1.0 - z) / 2.0
@@ -284,7 +287,9 @@ def run_trials(cfg: BenchConfig) -> SweepRecord:
     t_assumed = abs(t) + cfg.delta_t
     phase = cmath.phase(t) if t != 0 else 0.0
     direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
-    r_ps, p_ps = postselected_bloch(cfg)
+    # The filter runs at the physical amplitude t_set; delta_t only enters
+    # the estimator.
+    r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
     n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
     q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
 
@@ -364,7 +369,13 @@ def misaligned_half_tangent(epsilon: float, theta: float) -> float:
     """Half-angle tangent actually imprinted by a misaligned waveplate.
 
     sqrt( (sin^2(2 eps) + tan^2(theta/2)) / cos^2(2 eps) ); reduces to
-    tan(theta/2) at eps = 0 and floors at |tan(2 eps)| as theta -> 0.
+    tan(theta/2) at eps = 0 and floors at |tan(2 eps)| as theta -> 0.  It is
+    sqrt((1 - z)/(1 + z)), the tangent of half the polar angle, of the
+    imprinted vector ``postselected_bloch(theta, 1, eps, 1)``.
+
+    The sweep's fringe estimator does not read this angle: the tilt moves
+    the imprinted vector toward x, off the y-z plane the fringe is written
+    for, so a sweep row's ``--epsilon`` bias is not 2 atan of this value.
     """
     s = math.sin(2.0 * epsilon) ** 2
     c = math.cos(2.0 * epsilon) ** 2

@@ -24,18 +24,20 @@ from .bench import (
     SWEEP_CSV_COLUMNS,
     BenchConfig,
     fmt_sig,
+    postselected_bloch,
     rng_stream,
     run_trials,
 )
-from .fisher import PPAFamily, qfi_ppa_theory, sld, survival_probability
-from .quasiprob import condition, kd_distribution, nonclassicality_gap, ppa_povm_sequence
-from .states import phase_unitary, ppa_generator, pure_state
-from .tomography import (
-    DEFAULT_DTHETA,
-    kd_from_tomography,
-    rho_derivative,
-    simulate_tomography,
+from .fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld, survival_probability
+from .quasiprob import (
+    condition,
+    kd_distribution,
+    kd_table_closed_form,
+    nonclassicality_gap,
+    ppa_povm_sequence,
 )
+from .states import phase_unitary, ppa_generator, pure_state
+from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import run_all
 
 __all__ = [
@@ -76,9 +78,7 @@ FIG4_CSV_COLUMNS = (
 )
 
 # RNG stage tags for the tomography pipeline (bench trials use stage 0).
-_STAGE_TOMO_MINUS = 10
-_STAGE_TOMO_CENTER = 11
-_STAGE_TOMO_PLUS = 12
+_STAGES_TOMO_PHASES = (10, 11, 12)  # theta - dtheta, theta, theta + dtheta
 _STAGE_TOMO_UNFILTERED = 13
 
 
@@ -252,50 +252,49 @@ def check_fig4_spec(spec: SweepSpec) -> None:
         raise ValueError(f"seed: {spec.seed} must be non-negative")
 
 
-def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
+def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple[float, ...]:
+    """The FIG4_CSV_COLUMNS values of grid point (i, j)."""
     theta = spec.theta_list[i]
     t = spec.t_list[j]
+    vis = spec.visibility
     dtheta = DEFAULT_DTHETA
     point_seed = _grid_seed(spec.seed, i, j)
 
-    # Same-visibility exact references (the closed-form theory is the v=1 ideal).
-    family = PPAFamily(t=t, v=spec.visibility)
-    rho_exact = family.state(theta)
-    qfi_family = sld(rho_exact, family.derivative(theta)).qfi
-    rho_unfiltered_exact = family.unfiltered_state(theta)
-    gap4_family = 4.0 * nonclassicality_gap(kd_from_tomography(rho_unfiltered_exact, t))
-    p_ps = family.prob(theta)
+    # Same-visibility exact references (the closed-form theory is the v=1
+    # ideal); qfi_family is the independent matrix-route SLD.
+    family = PPAFamily(t=t, v=vis)
+    qfi_family = sld(family.state(theta), family.derivative(theta)).qfi
+    exact = [
+        postselected_bloch(th, t, 0.0, vis)
+        for th in (theta - dtheta, theta, theta + dtheta)
+    ]
+    p_ps = exact[1][1]
+    r_unfiltered, _ = postselected_bloch(theta, 1.0, 0.0, vis)
+    gap4_family = 4.0 * nonclassicality_gap(kd_table_closed_form(r_unfiltered, t))
 
     qfi_reps: list[float] = []
     gap_reps: list[float] = []
     for rep in range(4):
-        tomo = [
+        minus, center, plus = (
             simulate_tomography(
-                family.state(th),
-                spec.shots_per_basis,
-                rng_stream(point_seed, rep, stage),
-            ).rho_est
-            for th, stage in (
-                (theta - dtheta, _STAGE_TOMO_MINUS),
-                (theta, _STAGE_TOMO_CENTER),
-                (theta + dtheta, _STAGE_TOMO_PLUS),
+                r, spec.shots_per_basis, rng_stream(point_seed, rep, stage)
             )
-        ]
-        drho = rho_derivative(tomo[0], tomo[2], dtheta)
-        qfi_reps.append(sld(tomo[1], drho).qfi)
+            for (r, _), stage in zip(exact, _STAGES_TOMO_PHASES)
+        )
+        qfi_reps.append(qfi_bloch(center, (plus - minus) / (2.0 * dtheta)))
         unf = simulate_tomography(
-            rho_unfiltered_exact,
+            r_unfiltered,
             spec.shots_per_basis,
             rng_stream(point_seed, rep, _STAGE_TOMO_UNFILTERED),
-        ).rho_est
-        gap_reps.append(4.0 * nonclassicality_gap(kd_from_tomography(unf, t)))
+        )
+        gap_reps.append(4.0 * nonclassicality_gap(kd_table_closed_form(unf, t)))
 
     qfi_mean = float(np.mean(qfi_reps))
     qfi_se = float(np.std(qfi_reps, ddof=1) / math.sqrt(len(qfi_reps)))
     gap_mean = float(np.mean(gap_reps))
     gap_se = float(np.std(gap_reps, ddof=1) / math.sqrt(len(gap_reps)))
     qfi_theory = qfi_ppa_theory(theta, t)
-    vals = (
+    return (
         theta,
         t,
         p_ps,
@@ -310,23 +309,31 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> str:
         qfi_mean * p_ps,
         gap_mean * p_ps,
     )
-    return ",".join(fmt_sig(v) for v in vals)
 
 
 def cmd_fig4(spec: SweepSpec) -> str:
     """Tomographic information pipeline over the grid, written as CSV.
 
     Per grid point: four independent tomography repetitions of the
-    postselected family (three phases each) feed the SLD-based empirical
-    QFI, and four repetitions of the unfiltered state feed the conditional
-    quasiprobability gap.  Per-input-photon columns scale by the exact
-    survival probability (the t = 1 reference detects every photon).
+    postselected Bloch vector (three phases each) feed the empirical QFI
+    :func:`qfi_bloch` of a central difference, and four repetitions of the
+    unfiltered vector feed the conditional quasiprobability gap.
+    Per-input-photon columns scale by the exact survival probability (the
+    t = 1 reference detects every photon).  A point that raises re-raises
+    the same exception type, naming theta, t, the grid index (i, j) and the
+    run seed.
     """
-    rows = [
-        _fig4_point(spec, i, j)
-        for i in range(len(spec.theta_list))
-        for j in range(len(spec.t_list))
-    ]
+    rows = []
+    for i, theta in enumerate(spec.theta_list):
+        for j, t in enumerate(spec.t_list):
+            try:
+                vals = _fig4_point(spec, i, j)
+            except ValueError as exc:
+                raise type(exc)(
+                    f"fig4 point theta = {theta!r}, t = {t!r} at grid index "
+                    f"(i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
+                ) from exc
+            rows.append(",".join(fmt_sig(x) for x in vals))
     out = _resolve_out(spec.output_path, "fig4.csv")
     _write_text(out, ",".join(FIG4_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out
@@ -447,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # An imperfect source keeps most tomographic estimates full-rank, which
-    # the SLD solve of noisy derivatives needs; points with theta >= 1 and
-    # t <= 0.15 still raise at 0.98.
+    # An imperfect source keeps most tomographic estimates inside the Bloch
+    # ball, where qfi_bloch of a noisy derivative is defined; points with
+    # theta >= 1 and t <= 0.15 still raise at 0.98.
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
     try:
         if args.command == "verify":

@@ -38,6 +38,7 @@ __all__ = [
     "PPAFamily",
     "survival_probability",
     "sld",
+    "qfi_bloch",
     "qfi_ppa_theory",
     "qfi_postselected_pure",
     "optimal_measurement",
@@ -136,6 +137,30 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     return SLDResult(lam=lam, qfi=max(qfi, 0.0), residual=residual)
 
 
+def qfi_bloch(r, dr) -> float:
+    """QFI of a qubit family at Bloch vector ``r`` with theta-derivative ``dr``.
+
+    Inside the ball this is Tr(drho L) of :func:`sld` in closed form,
+    F = |r'|^2 + (r . r')^2 / (1 - |r|^2).  On the sphere, where sld finds a
+    kernel (the eigenvalue (1 - |r|)/2 at most 1e-12 times (1 + |r|)/2), the
+    radial part of r' lies in the kernel: |r_hat . r'|/2 > 1e-6 raises
+    :class:`InconsistentDerivativeError`, otherwise
+    F = |r'_perp|^2 + (r_hat . r')^2 / 4.
+    """
+    r = np.asarray(r, dtype=float)
+    dr = np.asarray(dr, dtype=float)
+    rr = float(r @ r)
+    n = math.sqrt(rr)
+    if 1.0 - n > 1e-12 * (1.0 + n):
+        return float(dr @ dr + (r @ dr) ** 2 / (1.0 - rr))
+    radial = float(r @ dr) / n
+    if abs(radial) / 2.0 > 1e-6:
+        raise InconsistentDerivativeError(
+            f"drho has weight {abs(radial) / 2.0:.3e} outside the support of rho"
+        )
+    return float(dr @ dr) - radial**2 + radial**2 / 4.0
+
+
 @dataclass(frozen=True)
 class PPAFamily:
     """theta-indexed family of postselected states for filter amplitude t.
@@ -167,10 +192,6 @@ class PPAFamily:
     def unfiltered_state(self, theta: float) -> DensityMatrix:
         """The imprinted state before the filter acts."""
         return DensityMatrix(self._unfiltered(theta))
-
-    def prob(self, theta: float) -> float:
-        k = self._k
-        return float(np.trace(k @ self._unfiltered(theta) @ k.conj().T).real)
 
     def state(self, theta: float) -> DensityMatrix:
         k = self._k

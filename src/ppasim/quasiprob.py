@@ -33,7 +33,7 @@ from .states import (
     make_filter,
     plus_minus_states,
 )
-from .fisher import qfi_postselected_pure, survival_probability
+from .fisher import qfi_postselected_pure
 
 __all__ = [
     "PreconditionError",
@@ -179,28 +179,36 @@ def condition(kd: np.ndarray, axis: int, outcome: int) -> np.ndarray:
     return _freeze(sliced / norm)
 
 
-def kd_table_closed_form(theta: float, t_mag: float) -> np.ndarray:
+def kd_table_closed_form(r, t: complex) -> np.ndarray:
     """Conditional quasiprobability table of the amplification scheme.
 
     2x2 complex array over (a, a') in {a+, a-} x {a+, a-}, conditioned on
-    the filter's pass outcome, for a real filter amplitude:
+    the filter's pass outcome, for the unfiltered state with Bloch vector
+    ``r`` and filter amplitude ``t``.  With T = |t|^2 and the survival
+    probability p = ((1 + T) + (T - 1) r_z)/2:
 
-        diag:      (1 + t^2) / (4 p_ps)
-        (a+, a-):  e^{+i theta} (t^2 - 1) / (4 p_ps)
+        diag:      (1 + T)(1 +- r_x) / (4 p)
+        (a+, a-):  (T - 1)(r_z + i r_y) / (4 p)
         (a-, a+):  conjugate
 
-    Requires p_ps > 0, i.e. not both theta = 0 (mod 2pi) and t = 0.
+    The imprinted state of phase theta has r = (0, sin theta, cos theta).
+    Raises :class:`ZeroProbabilityError` when p <= 1e-15.
     """
-    if not 0.0 <= t_mag <= 1.0 + 1e-12:
-        raise ValueError("t_mag must lie in [0, 1]")
-    p = survival_probability(theta, t_mag)
+    x, y, z = (float(c) for c in r)
+    t_mag = abs(complex(t))
+    if not t_mag <= 1.0 + 1e-12:
+        raise ValueError("|t| must lie in [0, 1]")
+    t2 = t_mag**2
+    p = ((1.0 + t2) + (t2 - 1.0) * z) / 2.0
     if p <= 1e-15:
         raise ZeroProbabilityError(
             "conditional table undefined: postselection probability is zero"
         )
-    diag = (1.0 + t_mag**2) / (4.0 * p)
-    off = np.exp(1j * theta) * (t_mag**2 - 1.0) / (4.0 * p)
-    return np.array([[diag, off], [np.conj(off), diag]], dtype=complex)
+    diag = (1.0 + t2) / (4.0 * p)
+    off = (t2 - 1.0) * complex(z, y) / (4.0 * p)
+    return np.array(
+        [[diag * (1.0 + x), off], [off.conjugate(), diag * (1.0 - x)]], dtype=complex
+    )
 
 
 def nonclassicality_gap(kd: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from ppasim.bench import (
     BenchConfig,
     _invert_frequency,
     misaligned_half_tangent,
+    postselected_bloch,
     run_trials,
     systematic_shift_t,
 )
@@ -46,6 +47,11 @@ from ppasim.verify import (
     marginalization_suite,
     sld_axis,
 )
+
+
+def imprinted_bloch(theta):
+    """Bloch vector (0, sin theta, cos theta) of the imprinted pure state."""
+    return np.array([0.0, math.sin(theta), math.cos(theta)])
 
 
 def report(capsys, number, name, ok, detail):
@@ -136,7 +142,7 @@ def test_criterion_4_conditional_tables(capsys):
             kd = kd_distribution(rho, ppa_povm_sequence(t))
             worst_sum = max(worst_sum, abs(kd.sum() - 1.0))
             cond = condition(kd, 1, 0)
-            ref = kd_table_closed_form(theta, t)
+            ref = kd_table_closed_form(imprinted_bloch(theta), t)
             scaled = np.abs(cond - ref) / np.maximum(1.0, np.abs(ref))
             worst_table = max(worst_table, float(scaled.max()))
     marg = marginalization_suite(seed=0, n_instances=200)
@@ -195,8 +201,9 @@ def test_criterion_6_information_conservation(capsys):
     for theta in thetas:
         for t in ts:
             per_input = survival = None
-            fam = PPAFamily(t=t)
-            survival = fam.prob(theta)
+            # the bench's Bloch map gives p independently of the
+            # survival_probability inside qfi_ppa_theory
+            _, survival = postselected_bloch(theta, t, 0.0, 1.0)
             per_input = survival * qfi_ppa_theory(theta, t)
             worst_excess = max(worst_excess, per_input - 1.0)
             if math.tan(theta / 2) <= t / 10:
@@ -260,7 +267,7 @@ def test_criterion_8_negativity_milestone(capsys):
     n_high = 0
     for theta in thetas:
         for t in ts:
-            table = kd_table_closed_form(theta, t)
+            table = kd_table_closed_form(imprinted_bloch(theta), t)
             most_negative = min(most_negative, float(table[0, 1].real))
             info = qfi_ppa_theory(theta, t)
             if info > 200.0:

@@ -18,7 +18,13 @@ from ppasim.bench import (
     run_trials,
     systematic_shift_t,
 )
-from ppasim.fisher import MeasurementDirection, PPAFamily, optimal_measurement, qfi_ppa_theory
+from ppasim.fisher import (
+    MeasurementDirection,
+    PPAFamily,
+    optimal_measurement,
+    qfi_ppa_theory,
+    survival_probability,
+)
 from ppasim.states import (
     ID2,
     SIGMA_X,
@@ -59,20 +65,20 @@ def polar_angle(r):
 
 def test_source_state_pure_limit():
     # an open filter at theta = 0 turns the vertical source by pi onto +z
-    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=1.0))
+    r, p = postselected_bloch(0.0, 1.0, 0.0, 1.0)
     assert np.allclose(r, [0, 0, 1], atol=1e-15)
     assert p == pytest.approx(1.0, abs=1e-15)
 
 
 def test_source_state_fully_mixed():
     # the unpolarized limit passes (1 + |t|^2)/2 and leaves along z
-    r, p = postselected_bloch(BenchConfig(theta_true=0.7, t_set=0.5, visibility=1e-12))
+    r, p = postselected_bloch(0.7, 0.5, 0.0, 1e-12)
     assert p == pytest.approx((1 + 0.25) / 2, abs=1e-11)
     assert np.allclose(r, [0, 0, (0.25 - 1) / (0.25 + 1)], atol=1e-11)
 
 
 def test_source_state_partial_visibility():
-    r, _ = postselected_bloch(BenchConfig(theta_true=0.0, t_set=1.0, visibility=0.98))
+    r, _ = postselected_bloch(0.0, 1.0, 0.0, 0.98)
     assert np.allclose(r, [0, 0, 0.98], atol=1e-15)
 
 
@@ -84,7 +90,7 @@ def test_source_state_rejects_out_of_range():
 def test_waveplate_generator_aligned():
     # at eps = 0 the plate turns about x: the state stays in the y-z plane
     for theta in (0.05, 0.4, 1.3):
-        r, _ = postselected_bloch(BenchConfig(theta_true=theta, t_set=1.0))
+        r, _ = postselected_bloch(theta, 1.0, 0.0, 1.0)
         assert abs(r[0]) < 1e-15
         assert r[1] == pytest.approx(math.sin(theta), abs=1e-15)
 
@@ -95,7 +101,7 @@ def test_waveplate_generator_spread_is_tilt_independent():
     theta = 0.3
     for eps in (0.0, 0.01, 0.1, -0.05):
         n = np.array([math.cos(2 * eps), 0.0, math.sin(2 * eps)])
-        r, _ = postselected_bloch(BenchConfig(theta_true=theta, t_set=1.0, epsilon=eps))
+        r, _ = postselected_bloch(theta, 1.0, eps, 1.0)
         r0 = np.array([0.0, 0.0, -1.0])
         a, b = r0 - n * (n @ r0), r - n * (n @ r)
         cos_turn = (a @ b) / (a @ a)
@@ -116,46 +122,45 @@ def test_postselected_bloch_matches_matrix_pipeline():
             epsilon=float(rng.uniform(-0.7, 0.7)),
             visibility=float(rng.uniform(0.01, 1.0)),
         )
-        r, p = postselected_bloch(cfg)
+        r, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
         rho_ref, p_ref = matrix_pipeline(cfg)
         assert np.abs(r - bloch_vector(rho_ref)).max() <= 1e-12
         assert abs(p - p_ref) <= 1e-12
 
 
 def test_postselected_bloch_zero_phase_ideal():
-    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=0.5))
+    r, p = postselected_bloch(0.0, 0.5, 0.0, 1.0)
     assert p == pytest.approx(0.25)
     assert np.allclose(r, [0.0, 0.0, 1.0])
 
 
 def test_postselected_bloch_survival_probability_frozen():
-    _, p = postselected_bloch(BenchConfig(theta_true=0.040, t_set=0.044))
+    _, p = postselected_bloch(0.040, 0.044, 0.0, 1.0)
     assert p == pytest.approx(0.0023351723727588563, abs=1e-15)
 
 
 def test_postselected_bloch_open_filter_passes_everything():
-    _, p = postselected_bloch(BenchConfig(theta_true=0.3, t_set=1.0))
+    _, p = postselected_bloch(0.3, 1.0, 0.0, 1.0)
     assert p == pytest.approx(1.0)
 
 
 def test_postselected_bloch_matches_family():
     for theta in (0.05, 0.3, 1.1):
         for t in (0.2, 0.7):
-            cfg = BenchConfig(theta_true=theta, t_set=t, visibility=0.97)
-            r, p = postselected_bloch(cfg)
+            r, p = postselected_bloch(theta, t, 0.0, 0.97)
             fam = PPAFamily(t=t, v=0.97)
-            assert p == pytest.approx(fam.prob(theta), abs=1e-12)
+            assert p == pytest.approx(survival_probability(theta, t, v=0.97), abs=1e-12)
             assert np.abs(r - bloch_vector(fam.state(theta))).max() < 1e-12
 
 
 def test_postselected_bloch_amplifies_the_polar_angle():
-    r, _ = postselected_bloch(BenchConfig(theta_true=0.1, t_set=0.2))
+    r, _ = postselected_bloch(0.1, 0.2, 0.0, 1.0)
     assert polar_angle(r) == pytest.approx(amplified_angle(0.1, 0.2), abs=1e-12)
 
 
 def test_postselected_bloch_zero_survival_stays_finite():
     # t = 0 at theta = 0 blocks the whole imprinted state
-    r, p = postselected_bloch(BenchConfig(theta_true=0.0, t_set=0.0, delta_t=0.2))
+    r, p = postselected_bloch(0.0, 0.0, 0.0, 1.0)
     assert p < 1e-30
     assert np.all(np.isfinite(r))
 
@@ -371,7 +376,7 @@ def test_run_trials_detection_rate_tracks_survival():
     cfg = BenchConfig(
         theta_true=0.3, t_set=0.5, photon_budget=200_000, n_trials=8, seed=7
     )
-    _, p = postselected_bloch(cfg)
+    _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
     rec = run_trials(cfg)
     sigma = math.sqrt(cfg.photon_budget * p * (1 - p) / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
@@ -386,7 +391,7 @@ def test_run_trials_poisson_mode_tracks_survival():
         n_trials=8,
         seed=3,
     )
-    _, p = postselected_bloch(cfg)
+    _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
     rec = run_trials(cfg)
     sigma = math.sqrt(cfg.photon_budget * p / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
@@ -517,6 +522,16 @@ def test_misaligned_half_tangent_floor():
     # tilt imposes a floor even at zero plate retardation
     val = misaligned_half_tangent(0.01, 0.0)
     assert val == pytest.approx(abs(math.tan(2 * 0.01)), rel=1e-12)
+
+
+def test_misaligned_half_tangent_matches_imprinted_vector():
+    # the formula is the half-polar-angle tangent of the tilted plate's
+    # imprinted vector: the t = 1 output of the closed-form bench map
+    for eps in (0.01, 0.1, -0.3, 0.5):
+        for theta in (0.02, 0.5, 1.5, -1.0):
+            r, _ = postselected_bloch(theta, 1.0, eps, 1.0)
+            half_tan = math.sqrt((1.0 - r[2]) / (1.0 + r[2]))
+            assert abs(misaligned_half_tangent(eps, theta) - half_tan) <= 1e-12
 
 
 def test_rng_stream_path_separation():

@@ -1,12 +1,14 @@
 import csv
+import itertools
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from ppasim import cli
-from ppasim.bench import SWEEP_CSV_COLUMNS
+from ppasim.bench import SWEEP_CSV_COLUMNS, rng_stream
 from ppasim.cli import (
     DEFAULT_T_LIST,
     DEFAULT_THETA_LIST,
@@ -14,6 +16,10 @@ from ppasim.cli import (
     SweepSpec,
     main,
 )
+from ppasim.fisher import InconsistentDerivativeError, PPAFamily, qfi_ppa_theory, sld
+from ppasim.quasiprob import condition, kd_distribution, nonclassicality_gap, ppa_povm_sequence
+from ppasim.states import ID2, PAULIS, DensityMatrix, bloch_vector, hermitian_part, make_filter
+from ppasim.tomography import DEFAULT_DTHETA
 
 
 def read_csv(path):
@@ -309,6 +315,105 @@ def test_fig4_rejects_invalid_input_before_any_work(
     [line] = captured.err.splitlines()
     assert line.startswith(f"ppasim fig4: error: {field}: ")
     assert not out.exists()
+
+
+def matrix_fig4_point(spec, i, j):
+    """Reference for cli._fig4_point: the pipeline on validated 2x2 density matrices.
+
+    Tomography draws the three plus-counts one basis at a time, clips the
+    negative eigenvalue of the linear inversion and renormalizes; the QFI is
+    sld of the central-difference matrix derivative, and the gap conditions
+    the (A, filter, A) quasidistribution of the unfiltered estimate.
+    """
+    theta, t = spec.theta_list[i], spec.t_list[j]
+    shots, dtheta = spec.shots_per_basis, DEFAULT_DTHETA
+    point_seed = cli._grid_seed(spec.seed, i, j)
+    family = PPAFamily(t=t, v=spec.visibility)
+
+    def tomography(rho, rng):
+        ups = [int(rng.binomial(shots, (1.0 + x) / 2.0)) for x in bloch_vector(rho)]
+        raw = (ID2 + sum((2.0 * u / shots - 1.0) * s for u, s in zip(ups, PAULIS))) / 2
+        w, v = np.linalg.eigh(hermitian_part(raw))
+        w = np.clip(w, 0.0, None)
+        return DensityMatrix((v * (w / w.sum())) @ v.conj().T)
+
+    def gap4(rho):
+        kd = kd_distribution(rho, ppa_povm_sequence(t))
+        return 4.0 * nonclassicality_gap(condition(kd, 1, 0))
+
+    qfi, gap = [], []
+    for rep in range(4):
+        minus, center, plus = (
+            tomography(family.state(theta + k * dtheta), rng_stream(point_seed, rep, stage))
+            for k, stage in zip((-1, 0, 1), cli._STAGES_TOMO_PHASES)
+        )
+        drho = hermitian_part((plus.mat - minus.mat) / (2.0 * dtheta))
+        qfi.append(sld(center, drho).qfi)
+        unf = tomography(
+            family.unfiltered_state(theta),
+            rng_stream(point_seed, rep, cli._STAGE_TOMO_UNFILTERED),
+        )
+        gap.append(gap4(unf))
+    k = make_filter(t)
+    p_ps = float(np.trace(k @ family.unfiltered_state(theta).mat @ k.conj().T).real)
+    qfi_mean, gap_mean = float(np.mean(qfi)), float(np.mean(gap))
+    return (
+        theta,
+        t,
+        p_ps,
+        qfi_ppa_theory(theta, t),
+        sld(family.state(theta), family.derivative(theta)).qfi,
+        qfi_mean,
+        float(np.std(qfi, ddof=1) / 2.0),
+        gap4(family.unfiltered_state(theta)),
+        gap_mean,
+        float(np.std(gap, ddof=1) / 2.0),
+        qfi_ppa_theory(theta, t) * p_ps,
+        qfi_mean * p_ps,
+        gap_mean * p_ps,
+    )
+
+
+def test_fig4_bloch_route_matches_matrix_reference():
+    # at v = 0.98 no tomographic estimate on this grid reaches the sphere
+    for seed in range(4):
+        spec = SweepSpec(
+            theta_list=(0.1, 0.5), t_list=(0.3, 1.0), visibility=0.98, seed=seed
+        )
+        for i, j in itertools.product(range(2), range(2)):
+            got = np.array(cli._fig4_point(spec, i, j))
+            ref = np.array(matrix_fig4_point(spec, i, j))
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_fig4_bloch_route_raises_where_matrix_reference_raises():
+    # at v = 1 most estimates clip onto the sphere, where the SLD of a noisy
+    # derivative is undefined: the same point-runs must raise
+    def outcome(point, spec, i, j):
+        try:
+            point(spec, i, j)
+        except InconsistentDerivativeError:
+            return "raised"
+        return "evaluated"
+
+    seen = set()
+    for seed in (0, 5):
+        spec = SweepSpec(visibility=1.0, seed=seed)
+        for i, j in itertools.product(range(7), range(6)):
+            ref = outcome(matrix_fig4_point, spec, i, j)
+            assert outcome(cli._fig4_point, spec, i, j) == ref
+            seen.add(ref)
+    assert seen == {"raised", "evaluated"}
+
+
+def test_fig4_error_names_the_point(tmp_path):
+    argv = ["fig4", "--theta", "1.5", "--t", "0.044", "--seed", "0"]
+    with pytest.raises(InconsistentDerivativeError) as info:
+        main(argv + ["--out", str(tmp_path / "f.csv")])
+    message = str(info.value)
+    for part in ("theta = 1.5", "t = 0.044", "(i, j) = (0, 0)", "seed = 0"):
+        assert part in message
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_fig4_is_deterministic(tmp_path, capsys):

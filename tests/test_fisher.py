@@ -11,6 +11,7 @@ from ppasim.fisher import (
     PurityError,
     cfi,
     optimal_measurement,
+    qfi_bloch,
     qfi_ppa_theory,
     qfi_postselected_pure,
     sld,
@@ -153,6 +154,35 @@ def test_sld_rejects_unreachable_derivative():
     drho = np.diag([0.0, 1.0, -1.0]).astype(complex)
     with pytest.raises(InconsistentDerivativeError):
         sld(rho, drho)
+
+
+def test_qfi_bloch_matches_sld():
+    # rho = (1 + r . sigma)/2 and drho = r' . sigma/2: inside the ball and on
+    # the sphere qfi_bloch is sld's Tr(drho L), and on the sphere both raise
+    # exactly when the radial part of r' exceeds the kernel bound
+    rng = np.random.default_rng(5)
+
+    def sld_qfi(r, dr):
+        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        return sld(rho, np.tensordot(dr, PAULIS, 1) / 2).qfi
+
+    for _ in range(100):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        dr = rng.normal(size=3)
+        r = rng.uniform(0.0, 0.99) * axis
+        assert abs(qfi_bloch(r, dr) - sld_qfi(r, dr)) <= 1e-12 * max(1.0, sld_qfi(r, dr))
+        tangent = dr - (dr @ axis) * axis
+        for radial in (0.0, 1e-6, 4e-6):
+            dr_s = tangent + radial * axis
+            if radial / 2 > 1e-6:
+                with pytest.raises(InconsistentDerivativeError):
+                    sld_qfi(axis, dr_s)
+                with pytest.raises(InconsistentDerivativeError):
+                    qfi_bloch(axis, dr_s)
+            else:
+                ref = sld_qfi(axis, dr_s)
+                assert abs(qfi_bloch(axis, dr_s) - ref) <= 1e-12 * max(1.0, ref)
 
 
 def test_family_analytic_derivative_matches_finite_difference():

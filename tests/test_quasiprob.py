@@ -19,6 +19,8 @@ from ppasim.quasiprob import (
     verify_gap_equality,
 )
 from ppasim.states import (
+    ID2,
+    PAULIS,
     DensityMatrix,
     Generator,
     ZeroProbabilityError,
@@ -54,6 +56,11 @@ def random_density(rng, d):
 
 def imprinted_state(theta):
     return PPAFamily(t=0.5).unfiltered_state(theta)
+
+
+def imprinted_bloch(theta):
+    """Bloch vector of imprinted_state(theta)."""
+    return np.array([0.0, math.sin(theta), math.cos(theta)])
 
 
 # ----------------------------------------------------------------- structure
@@ -177,14 +184,25 @@ def test_full_distribution_sums_to_one():
 
 def test_conditional_table_matches_closed_form():
     for theta in (0.02, 0.2, 0.7):
-        for t in (0.044, 0.3, 0.9):
+        for t in (0.044, 0.3, 0.9, 1.0):
             kd = kd_distribution(imprinted_state(theta), ppa_povm_sequence(t))
             cond = condition(kd, 1, 0)
-            assert np.abs(cond - kd_table_closed_form(theta, t)).max() < 1e-12
+            table = kd_table_closed_form(imprinted_bloch(theta), t)
+            assert np.abs(cond - table).max() < 1e-12
+    # mixed states anywhere in the ball (tomographic estimates among them)
+    # and complex amplitudes
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        r = rng.normal(size=3)
+        r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
+        t = rng.uniform(0.044, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
+        assert np.abs(cond - kd_table_closed_form(r, t)).max() < 1e-12
 
 
 def test_conditional_table_frozen_values():
-    table = kd_table_closed_form(0.2, 0.5)
+    table = kd_table_closed_form(imprinted_bloch(0.2), 0.5)
     assert abs(table[0, 0] - 1.2137099119211106) < 1e-12
     assert abs(table[0, 1] - (-0.7137099119211106 - 0.14467616158841984j)) < 1e-12
     # rounded presentation values
@@ -201,7 +219,7 @@ def test_conditional_normalizer_is_survival_probability():
 
 
 def test_conditional_table_no_filter_is_classical():
-    table = kd_table_closed_form(0.3, 1.0)
+    table = kd_table_closed_form(imprinted_bloch(0.3), 1.0)
     assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-14
 
 
@@ -209,12 +227,12 @@ def test_conditional_table_sums_to_one():
     for _ in range(20):
         theta = float(RNG.uniform(0.01, 3.0))
         t = float(RNG.uniform(0.0, 1.0))
-        assert abs(kd_table_closed_form(theta, t).sum() - 1.0) < 1e-10
+        assert abs(kd_table_closed_form(imprinted_bloch(theta), t).sum() - 1.0) < 1e-10
 
 
 def test_closed_form_table_rejects_dead_slice():
     with pytest.raises(ZeroProbabilityError):
-        kd_table_closed_form(0.0, 0.0)
+        kd_table_closed_form(imprinted_bloch(0.0), 0.0)
 
 
 def test_condition_rejects_zero_normalizer():
@@ -312,7 +330,7 @@ def test_off_diagonal_negativity_with_noncommuting_filter():
     # negative on the near quadrant whenever the filter actually filters
     for theta in (0.05, 0.4, 1.2, 1.5):
         for t in (0.0, 0.3, 0.9):
-            table = kd_table_closed_form(theta, t)
+            table = kd_table_closed_form(imprinted_bloch(theta), t)
             assert table[0, 1].real < 0.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ppasim.bench import BenchConfig, postselected_bloch
+from ppasim.bench import postselected_bloch
 from ppasim.fisher import qfi_postselected_pure
 from ppasim.quasiprob import filter_povm
 from ppasim.states import (
@@ -200,7 +200,7 @@ def test_make_filter_rejects_amplifying_t():
 
 def postselected(theta, t):
     """Postselected Bloch vector and survival of the ideal bench at (theta, t)."""
-    return postselected_bloch(BenchConfig(theta_true=theta, t_set=t))
+    return postselected_bloch(theta, t, 0.0, 1.0)
 
 
 def test_postselect_survival_probability_closed_form():

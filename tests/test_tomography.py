@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ppasim.fisher import PPAFamily, qfi_ppa_theory, sld
-from ppasim.quasiprob import kd_table_closed_form
+from ppasim.bench import postselected_bloch
+from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld
+from ppasim.quasiprob import (
+    condition,
+    kd_distribution,
+    kd_table_closed_form,
+    ppa_povm_sequence,
+)
 from ppasim.states import (
     ID2,
     PAULIS,
@@ -12,14 +18,12 @@ from ppasim.states import (
     ZeroProbabilityError,
     amplified_angle,
     bloch_vector,
-    pure_state,
 )
-from ppasim.tomography import (
-    DEFAULT_DTHETA,
-    kd_from_tomography,
-    rho_derivative,
-    simulate_tomography,
-)
+from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
+
+
+def density(r):
+    return DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
 
 
 def fidelity(rho, sigma):
@@ -34,34 +38,23 @@ def fidelity(rho, sigma):
 # ------------------------------------------------------------- reconstruction
 
 
-def test_analytic_limit_reproduces_state_exactly():
-    for theta in (0.05, 0.4, 1.2):
-        rho = PPAFamily(t=0.5, v=0.95).state(theta)
-        res = simulate_tomography(rho, None)
-        assert np.abs(res.rho_est.mat - rho.mat).max() < 1e-12
-        assert res.counts_per_basis == (0, 0, 0)
-        r = bloch_vector(rho)
-        assert np.allclose(res.expectations, r, atol=1e-12)
-
-
 def test_finite_shots_converge_to_truth():
     rho = PPAFamily(t=0.5, v=0.95).state(0.4)
     failures = 0
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
-        res = simulate_tomography(rho, 10**5, rng)
-        if fidelity(res.rho_est, rho) < 0.999:
+        r_est = simulate_tomography(bloch_vector(rho), 10**5, rng)
+        if fidelity(density(r_est), rho) < 0.999:
             failures += 1
     assert failures <= 2
 
 
 def test_expectations_are_unbiased():
+    # the state sits well inside the ball, so no estimate is clipped
     rho = PPAFamily(t=0.5, v=0.9).state(0.7)
     truth = bloch_vector(rho)
     rng = np.random.default_rng(7)
-    samples = np.array(
-        [simulate_tomography(rho, 2000, rng).expectations for _ in range(400)]
-    )
+    samples = np.array([simulate_tomography(truth, 2000, rng) for _ in range(400)])
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
     assert np.all(np.abs(mean - truth) < 4 * se + 1e-12)
@@ -69,21 +62,20 @@ def test_expectations_are_unbiased():
 
 def test_reconstruction_is_always_physical():
     # near-pure truth: raw linear inversion often leaves the Bloch ball,
-    # the clipped estimate must not
-    rho = PPAFamily(t=0.5).state(0.4)
+    # the clipped estimate must not (its smaller eigenvalue is (1 - |r|)/2)
+    r = bloch_vector(PPAFamily(t=0.5).state(0.4))
     rng = np.random.default_rng(3)
     for _ in range(50):
-        res = simulate_tomography(rho, 200, rng)
-        assert np.linalg.eigvalsh(res.rho_est.mat).min() >= -1e-12
-        assert np.trace(res.rho_est.mat).real == pytest.approx(1.0, abs=1e-12)
+        r_est = simulate_tomography(r, 200, rng)
+        assert (1.0 - np.linalg.norm(r_est)) / 2.0 >= -1e-12
 
 
 def test_finite_shots_require_rng():
-    rho = PPAFamily(t=0.5).state(0.4)
+    r = bloch_vector(PPAFamily(t=0.5).state(0.4))
+    with pytest.raises(TypeError):
+        simulate_tomography(r, 100)
     with pytest.raises(ValueError):
-        simulate_tomography(rho, 100)
-    with pytest.raises(ValueError):
-        simulate_tomography(rho, 0, np.random.default_rng(0))
+        simulate_tomography(r, 0, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ angle read-out
@@ -138,41 +130,6 @@ def test_amplified_angle_from_state_mixing_biases_toward_equator():
     assert b > a
 
 
-# ----------------------------------------------------------------- derivative
-
-
-def test_rho_derivative_zero_for_constant_input():
-    rho = PPAFamily(t=0.5).state(0.4)
-    d = rho_derivative(rho, rho, DEFAULT_DTHETA)
-    assert np.abs(d).max() < 1e-15
-
-
-def test_rho_derivative_is_hermitian_traceless():
-    fam = PPAFamily(t=0.5)
-    dt = DEFAULT_DTHETA
-    d = rho_derivative(fam.state(0.4 - dt), fam.state(0.4 + dt), dt)
-    assert np.abs(d - d.conj().T).max() < 1e-14
-    assert abs(np.trace(d)) < 1e-14
-
-
-def test_rho_derivative_matches_analytic_slope():
-    theta, t = 0.2, 0.5
-    fam = PPAFamily(t=t)
-    dt = DEFAULT_DTHETA
-    fd = rho_derivative(fam.state(theta - dt), fam.state(theta + dt), dt)
-    exact = fam.derivative(theta)
-    assert np.abs(fd - exact).max() < 1e-3
-
-
-def test_rho_derivative_rejects_mixed_dimensions():
-    q2 = DensityMatrix(np.eye(2) / 2)
-    q3 = DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(ValueError):
-        rho_derivative(q2, q3, 0.01)
-    with pytest.raises(ValueError):
-        rho_derivative(q2, q2, 0.0)
-
-
 # ---------------------------------------------------------------- information
 
 
@@ -196,12 +153,8 @@ def test_empirical_qfi_discretization_error_budget():
     for theta in (0.1, 0.2, 0.5, 1.0, 1.5):
         for t in (0.3, 0.5, 1.0):
             fam = PPAFamily(t=t, v=0.98)
-            states = [
-                simulate_tomography(fam.state(theta + k * dt), None).rho_est
-                for k in (-1, 0, 1)
-            ]
-            d = rho_derivative(states[0], states[2], dt)
-            est = sld(states[1], d).qfi
+            r = [postselected_bloch(theta + k * dt, t, 0.0, 0.98)[0] for k in (-1, 0, 1)]
+            est = qfi_bloch(r[1], (r[2] - r[0]) / (2 * dt))
             truth = sld(fam.state(theta), fam.derivative(theta)).qfi
             rel = abs(est - truth) / truth
             assert rel < 7e-3
@@ -212,34 +165,42 @@ def test_empirical_qfi_discretization_error_budget():
 # ------------------------------------------------------- conditional read-out
 
 
+def unfiltered_bloch(theta, v=1.0):
+    """fig4's exact unfiltered vector: the bench map with an open filter."""
+    return postselected_bloch(theta, 1.0, 0.0, v)[0]
+
+
 def test_kd_from_tomography_matches_closed_form():
+    # fig4's gap route (closed-form table of the t = 1 bench vector) against
+    # the conditioned (A, filter, A) quasidistribution of the family's state
     for theta in (0.05, 0.2, 0.8):
         for t in (0.1, 0.5, 0.9):
             rho = PPAFamily(t=t).unfiltered_state(theta)
-            table = kd_from_tomography(rho, t)
-            assert np.abs(table - kd_table_closed_form(theta, t)).max() < 1e-12
+            cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
+            table = kd_table_closed_form(unfiltered_bloch(theta), t)
+            assert np.abs(table - cond).max() < 1e-12
 
 
 def test_kd_from_tomography_open_filter():
-    rho = PPAFamily(t=1.0).unfiltered_state(0.3)
-    table = kd_from_tomography(rho, 1.0)
+    table = kd_table_closed_form(unfiltered_bloch(0.3), 1.0)
     assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
 
 
 def test_kd_from_tomography_rejects_dead_slice():
+    # theta = 0 leaves the state at |0>, which t = 0 blocks entirely
     with pytest.raises(ZeroProbabilityError):
-        kd_from_tomography(pure_state([1, 0]), 0.0)
+        kd_table_closed_form(unfiltered_bloch(0.0), 0.0)
 
 
 def test_kd_from_tomography_accepts_reconstructed_input():
-    # noisy but full pipeline: estimate from counts, condition, compare to
-    # the closed form within a loose statistical band
+    # noisy but full gap read-out: estimate the unfiltered vector from
+    # counts, take its conditional table, compare to the exact table within
+    # a loose statistical band
     theta, t = 0.2, 0.5
-    rho = PPAFamily(t=t, v=0.98).unfiltered_state(theta)
+    r = unfiltered_bloch(theta, 0.98)
     rng = np.random.default_rng(21)
-    res = simulate_tomography(rho, 10**6, rng)
-    table = kd_from_tomography(res.rho_est, t)
-    truth = kd_from_tomography(rho, t)
+    table = kd_table_closed_form(simulate_tomography(r, 10**6, rng), t)
+    truth = kd_table_closed_form(r, t)
     assert np.abs(table - truth).max() < 5e-3
 
 
@@ -248,21 +209,18 @@ def test_kd_from_tomography_accepts_reconstructed_input():
 
 def test_noisy_qfi_pipeline_is_consistent():
     # full figure pipeline at one grid point: three tomography runs,
-    # finite difference, spectral clipping -- repeated estimates must
+    # finite difference, radial clipping -- repeated estimates must
     # scatter around the same-visibility family truth
     theta, t, v = 0.2, 0.5, 0.98
     fam = PPAFamily(t=t, v=v)
     truth = sld(fam.state(theta), fam.derivative(theta)).qfi
     dt = DEFAULT_DTHETA
+    exact = [postselected_bloch(theta + k * dt, t, 0.0, v)[0] for k in (-1, 0, 1)]
     rng = np.random.default_rng(99)
     vals = []
     for _ in range(12):
-        states = [
-            simulate_tomography(fam.state(theta + k * dt), 10**5, rng).rho_est
-            for k in (-1, 0, 1)
-        ]
-        d = rho_derivative(states[0], states[2], dt)
-        vals.append(sld(states[1], d).qfi)
+        r = [simulate_tomography(x, 10**5, rng) for x in exact]
+        vals.append(qfi_bloch(r[1], (r[2] - r[0]) / (2 * dt)))
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - truth) < 4 * se + 5e-3 * truth
