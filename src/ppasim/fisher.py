@@ -22,6 +22,8 @@ from .states import (
     Generator,
     ZeroProbabilityError,
     _as_complex_matrix,
+    _as_complex_stack,
+    _first_bad,
     direction_projector,
     hermitian_part,
     make_filter,
@@ -220,28 +222,38 @@ def qfi_ppa_theory(theta: float, t_mag: float) -> float:
     return (t_mag / p) ** 2
 
 
-def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus) -> float:
+def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     """Postselected QFI 4/p Tr(A rho A M) - 4/p^2 |Tr(A rho M)|^2, M = K+^dag K+.
 
     ``rho_theta`` is the imprinted state *before* the filter acts (the
     normalization by p = Tr(rho M) happens inside the formula), and must be
-    pure to 1e-8.  Reduces to 4 Var(A) when K+ = 1, and gives exactly zero
-    when the filter fully blocks the informative component (t = 0).
+    pure to 1e-8.  ``rho_theta`` and ``k_plus`` may carry leading batch
+    axes, which broadcast; the result is a float, or an array over the batch
+    axes, and each instance is checked for purity and for p > 1e-15 (a
+    failure names the first failing instance).  The traces are taken in
+    Kraus form, Tr(X M) = Tr(K+ X K+^dag), so M itself is never formed.
+    Reduces to 4 Var(A) when K+ = 1, and gives exactly zero when the filter
+    fully blocks the informative component (t = 0).
     """
-    if abs(rho_theta.purity() - 1.0) > 1e-8:
+    purity = rho_theta.purity()
+    bad = np.abs(purity - 1.0) > 1e-8
+    if bad.any():
+        k, at = _first_bad(bad)
         raise PurityError(
-            f"state purity {rho_theta.purity():.10f}; formula requires a pure state"
+            f"{at}state purity {purity[k]:.10f}; formula requires a pure state"
         )
-    k = _as_complex_matrix(k_plus, "K+")
-    m = k.conj().T @ k
-    rho = rho_theta.mat
-    p = float(np.trace(rho @ m).real)
-    if p <= 1e-15:
-        raise ZeroProbabilityError("postselection probability vanished")
-    term1 = np.trace(a.mat @ rho @ a.mat @ m).real
-    term2 = abs(np.trace(a.mat @ rho @ m)) ** 2
-    qfi = 4.0 * term1 / p - 4.0 * term2 / p**2
-    return float(max(qfi, 0.0))
+    k_op = _as_complex_stack(k_plus, "K+")
+    k_rho = k_op @ rho_theta.mat
+    ka_rho = k_op @ a.mat @ rho_theta.mat
+    # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
+    p = np.einsum("...ij,...ij->...", k_rho, k_op.conj()).real
+    bad = p <= 1e-15
+    if bad.any():
+        _, at = _first_bad(bad)
+        raise ZeroProbabilityError(f"{at}postselection probability vanished")
+    term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_op.conj()).real
+    term2 = np.abs(np.einsum("...ij,...ij->...", ka_rho, k_op.conj())) ** 2
+    return np.maximum(4.0 * term1 / p - 4.0 * term2 / p**2, 0.0)
 
 
 def optimal_measurement(theta_prior: float, t: complex) -> MeasurementDirection:

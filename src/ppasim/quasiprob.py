@@ -27,7 +27,8 @@ from .states import (
     DensityMatrix,
     Generator,
     ZeroProbabilityError,
-    _as_complex_matrix,
+    _as_complex_stack,
+    _first_bad,
     _freeze,
     hermitian_part,
     make_filter,
@@ -67,7 +68,12 @@ class ZeroNormalizerError(ValueError):
 @dataclass(frozen=True)
 class POVM:
     """PSD elements summing to the identity, kept as one read-only
-    (n, d, d) ``stack`` of which ``elements`` are views."""
+    (..., n, d, d) ``stack`` of which ``elements`` are views.
+
+    The elements share a shape (..., d, d); leading axes are batch axes,
+    one POVM per instance, each checked for PSD elements and completeness
+    to 1e-10 (a failure in a stack names the first failing instance).
+    """
 
     elements: tuple[np.ndarray, ...]
     stack: np.ndarray = field(init=False, repr=False, compare=False)
@@ -75,22 +81,30 @@ class POVM:
     def __post_init__(self) -> None:
         if len(self.elements) == 0:
             raise ValueError("a POVM needs at least one element")
-        mats = [_as_complex_matrix(e, "POVM element") for e in self.elements]
-        d = mats[0].shape[0]
-        if any(e.shape != (d, d) for e in mats):
+        mats = [_as_complex_stack(e, "POVM element") for e in self.elements]
+        shape = mats[0].shape
+        if any(e.shape != shape for e in mats):
             raise ValueError("POVM elements must share a dimension")
-        stack = np.stack(mats)
-        if np.linalg.eigvalsh(hermitian_part(stack)).min() < -ATOL_STRUCT:
-            raise ValueError("POVM element is not PSD within 1e-10")
-        if np.abs(stack.sum(0) - np.eye(d)).max() > ATOL_STRUCT:
-            raise ValueError("POVM elements do not sum to the identity within 1e-10")
+        stack = np.stack(mats, axis=-3)
+        w = np.linalg.eigvalsh(hermitian_part(stack))
+        if w.min(initial=0.0) < -ATOL_STRUCT:
+            _, at = _first_bad(w.min((-2, -1)) < -ATOL_STRUCT)
+            raise ValueError(f"{at}POVM element is not PSD within 1e-10")
+        dev = np.abs(stack.sum(-3) - np.eye(shape[-1]))
+        if dev.max(initial=0.0) > ATOL_STRUCT:
+            _, at = _first_bad(dev.max((-2, -1)) > ATOL_STRUCT)
+            raise ValueError(
+                f"{at}POVM elements do not sum to the identity within 1e-10"
+            )
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(
+            self, "elements", tuple(stack[..., i, :, :] for i in range(len(mats)))
+        )
 
     @property
     def dim(self) -> int:
-        return self.stack.shape[1]
+        return self.stack.shape[-1]
 
 
 def projective_povm(vectors) -> POVM:
@@ -105,11 +119,12 @@ def projective_povm(vectors) -> POVM:
 def filter_povm(k_plus) -> POVM:
     """Pass/fail POVM {M, 1 - M}, M = K+^dag K+, of a filter: pass is outcome 0.
 
+    ``k_plus`` may be a stack (..., d, d), giving one POVM per instance.
     The PSD check on 1 - M rejects a K+ that is not a contraction.
     """
-    k = _as_complex_matrix(k_plus, "K+")
-    m = k.conj().T @ k
-    return POVM((m, np.eye(k.shape[0]) - m))
+    k = _as_complex_stack(k_plus, "K+")
+    m = k.conj().swapaxes(-1, -2) @ k
+    return POVM((m, np.eye(k.shape[-1]) - m))
 
 
 @functools.cache
@@ -129,9 +144,11 @@ def ppa_povm_sequence(t: complex) -> tuple[POVM, POVM, POVM]:
 
 
 class GapEqualityResult(NamedTuple):
-    lhs: float
-    rhs: float
-    residual: float
+    """Floats for one instance, arrays over the batch axes for a stack."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    residual: float | np.ndarray
 
 
 def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
@@ -139,29 +156,37 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
 
     ``povms`` is a tuple of POVMs on rho's space, the first acting
     first; axis i of the read-only complex result is indexed by the outcomes
-    of ``povms[i]``.  Raises ValueError on a dimension mismatch and when the
+    of ``povms[i]``.  Batch axes of rho and of the POVMs broadcast and lead
+    the result, so a stack of states gives shape (..., n_1, ..., n_k).
+    Raises ValueError on a dimension mismatch and when an instance's
     entries do not sum to 1 within 1e-10.
     """
     if any(p.dim != rho.dim for p in povms):
         raise ValueError("POVM dimension does not match the state")
     # the first measurement multiplies rho first; each later one adds an
-    # outcome axis, so op[m_1, ..., m_k] = M^(k)_{m_k} ... M^(1)_{m_1} rho
+    # outcome axis, so op[..., m_1, ..., m_k] = M^(k)_{m_k} ... M^(1)_{m_1} rho;
+    # the POVM's own batch axes go in front of the outcome axes so far
     op = rho.mat
-    for povm in povms:
-        op = povm.stack @ op[..., None, :, :]
-    values = np.trace(op, axis1=-2, axis2=-1)
-    if abs(complex(values.sum()) - 1.0) > ATOL_STRUCT:
-        raise ValueError("quasidistribution does not sum to 1 within 1e-10")
+    for i, povm in enumerate(povms):
+        s = povm.stack
+        s = s.reshape(s.shape[:-3] + (1,) * i + s.shape[-3:])
+        op = s @ op[..., None, :, :]
+    values = op.trace(0, -2, -1)
+    bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT
+    if bad.any():
+        _, at = _first_bad(bad)
+        raise ValueError(f"{at}quasidistribution does not sum to 1 within 1e-10")
     return _freeze(values)
 
 
 def condition(kd: np.ndarray, axis: int, outcome: int) -> np.ndarray:
     """Condition a quasidistribution on measurement ``axis`` giving ``outcome``.
 
-    Returns the read-only slice at index ``outcome`` of ``axis`` (one axis
-    fewer), renormalized by its total, which for a physical slice is the
-    (real) probability of that outcome.  An ``axis`` or ``outcome`` out of
-    range, negative ones included, raises ValueError; a total of magnitude
+    ``kd`` is the table of one instance, without batch axes.  Returns the
+    read-only slice at index ``outcome`` of ``axis`` (one axis fewer),
+    renormalized by its total, which for a physical slice is the (real)
+    probability of that outcome.  An ``axis`` or ``outcome`` out of range,
+    negative ones included, raises ValueError; a total of magnitude
     <= 1e-14 raises :class:`ZeroNormalizerError`.
     """
     if not 0 <= axis < kd.ndim:
@@ -212,7 +237,7 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
 
 
 def nonclassicality_gap(kd: np.ndarray) -> float:
-    """Spread max - min of |p|^2 over all outcomes of a quasidistribution."""
+    """Spread max - min of |p|^2 over all outcomes of one quasidistribution."""
     sq = np.abs(kd) ** 2
     return float(sq.max() - sq.min())
 
@@ -224,37 +249,61 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     quasidistribution on the pass outcome, restricts to the two generator
     eigenspaces that carry the state, and takes 4 (a_hi - a_lo)^2 times the
     spread of |p|^2 over those four outcomes.  The identity requires a pure
-    state supported on exactly two eigenspaces (a mixed state raises
-    :class:`PurityError`) and a contracting K+ whose pass element is
-    balanced between them (checked to 1e-9).
+    state supported on exactly two eigenspaces (else
+    :class:`PreconditionError`; a mixed state raises :class:`PurityError`)
+    and a contracting K+ whose pass element is balanced between them
+    (checked to 1e-9, else :class:`ConditionNotMetError`).
+
+    ``rho`` and ``k_plus`` may carry leading batch axes, which broadcast
+    against one shared generator ``a``; lhs, rhs and residual are then
+    arrays over the batch axes.  Every check runs per instance, and a
+    failure names the first failing instance.
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
     filt = filter_povm(k_plus)
     if filt.dim != rho.dim or a.dim != rho.dim:
         raise ValueError("rho, generator, and filter dimensions must agree")
-    weights = [float(np.trace(p @ rho.mat).real) for p in a.projectors]
-    supported = [i for i, w in enumerate(weights) if w > 1e-12]
-    if len(supported) != 2:
+    proj = POVM(a.projectors)
+    weights = np.einsum("iab,...ba->...i", proj.stack, rho.mat).real
+    supported = weights > 1e-12
+    count = supported.sum(-1)
+    bad = count != 2
+    if bad.any():
+        k, at = _first_bad(bad)
         raise PreconditionError(
-            f"state is supported on {len(supported)} generator eigenspaces, need 2"
+            f"{at}state is supported on {count[k]} generator eigenspaces, need 2"
         )
     lhs = qfi_postselected_pure(rho, a, k_plus)
 
-    m = filt.stack[0]
-    i_lo, i_hi = supported
-    p_lo, p_hi = a.projectors[i_lo], a.projectors[i_hi]
-    w_lo = np.trace(p_lo @ rho.mat @ p_lo @ m).real
-    w_hi = np.trace(p_hi @ rho.mat @ p_hi @ m).real
-    if abs(w_lo - w_hi) > 1e-9:
+    # the (A, filter, A) table, and per instance the four entries of its
+    # pass slice on the supported pair: (lo, lo), (lo, hi), (hi, lo), (hi, hi)
+    kd = kd_distribution(rho, (proj, filt, proj))
+    batch = kd.shape[:-3]
+    supported = np.broadcast_to(supported, batch + supported.shape[-1:])
+    passed = kd[..., :, 0, :]
+    on_pair = supported[..., :, None] & supported[..., None, :]
+    sub = passed[on_pair].reshape(batch + (4,))
+    # the diagonal entries are the pass weights Tr(P rho P M)
+    w_lo, w_hi = sub[..., 0].real, sub[..., 3].real
+    bad = np.abs(w_lo - w_hi) > 1e-9
+    if bad.any():
+        k, at = _first_bad(bad)
         raise ConditionNotMetError(
-            "filter is unbalanced across the supported eigenspaces "
-            f"({w_lo:.3e} vs {w_hi:.3e})"
+            f"{at}filter is unbalanced across the supported eigenspaces "
+            f"({w_lo[k]:.3e} vs {w_hi[k]:.3e})"
         )
-
-    proj_povm = POVM(a.projectors)
-    cond = condition(kd_distribution(rho, (proj_povm, filt, proj_povm)), 1, 0)
-    spread = a.eigenvalues[i_hi] - a.eigenvalues[i_lo]
-    rhs = 4.0 * spread**2 * nonclassicality_gap(cond[np.ix_(supported, supported)])
-    residual = abs(lhs - rhs) / max(lhs, 1.0)
+    norm = passed.sum((-2, -1))
+    bad = np.abs(norm) <= 1e-14
+    if bad.any():
+        _, at = _first_bad(bad)
+        raise ZeroNormalizerError(
+            f"{at}outcome 0 of measurement 1 has zero quasiprobability"
+        )
+    sq = np.abs(sub / norm[..., None]) ** 2
+    # a_lo and a_hi of each instance
+    eig = np.broadcast_to(a.eigenvalues, supported.shape)[supported].reshape(-1, 2)
+    spread = (eig[:, 1] - eig[:, 0]).reshape(batch)
+    rhs = 4.0 * spread**2 * (sq.max(-1) - sq.min(-1))
+    residual = np.abs(lhs - rhs) / np.maximum(lhs, 1.0)
     return GapEqualityResult(lhs=lhs, rhs=rhs, residual=residual)

@@ -82,13 +82,30 @@ class UndefinedAmplificationError(ValueError):
     """Raised for the 0/0 amplification limit (t = 0 at zero phase)."""
 
 
-def _as_complex_matrix(mat, name: str = "matrix") -> np.ndarray:
+def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
+    """Finite complex square matrices of shape (..., d, d)."""
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _as_complex_matrix(mat, name: str = "matrix") -> np.ndarray:
+    m = _as_complex_stack(mat, name)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
+def _first_bad(bad) -> tuple[tuple[int, ...], str]:
+    """Index of the first True entry of a per-instance mask, and an error
+    message prefix naming that instance ("" when there are no batch axes)."""
+    k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
+    if not k:
+        return k, ""
+    return k, f"instance {k[0] if len(k) == 1 else k}: "
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -119,44 +136,61 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density operator.
+    """A validated density operator, or a stack of them.
 
-    Construction checks hermiticity and unit trace to 1e-10 and positivity to
-    eigenvalue >= -1e-10.  ``mat`` is stored read-only.
+    ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
+    ``mat`` is one state.  Construction checks each instance for
+    hermiticity and unit trace to 1e-10 and positivity to eigenvalue
+    >= -1e-10 (one batched ``eigvalsh``); a failure in a stack names the
+    first failing instance.  ``mat`` is stored read-only.
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _as_complex_matrix(self.mat, "density matrix")
-        if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = np.trace(m).real
-        if abs(np.trace(m) - 1.0) > ATOL_STRUCT:
-            raise ValueError(f"density matrix trace {tr!r} is not 1 within 1e-10")
-        w = np.linalg.eigvalsh(hermitian_part(m))
-        if w.min() < -ATOL_STRUCT:
+        m = _as_complex_stack(self.mat, "density matrix")
+        dev = np.abs(m - m.conj().swapaxes(-1, -2))
+        if dev.max(initial=0.0) > ATOL_STRUCT:
+            _, at = _first_bad(dev.max((-2, -1)) > ATOL_STRUCT)
+            raise ValueError(f"{at}density matrix is not Hermitian within 1e-10")
+        tr = m.trace(0, -2, -1)
+        bad = abs(tr - 1.0) > ATOL_STRUCT
+        if bad.any():
+            k, at = _first_bad(bad)
             raise ValueError(
-                f"density matrix has negative eigenvalue {w.min():.3e}"
+                f"{at}density matrix trace {tr.real[k]!r} is not 1 within 1e-10"
+            )
+        w = np.linalg.eigvalsh(hermitian_part(m))
+        if w.min(initial=0.0) < -ATOL_STRUCT:
+            k, at = _first_bad(w.min(-1) < -ATOL_STRUCT)
+            raise ValueError(
+                f"{at}density matrix has negative eigenvalue {w[k].min():.3e}"
             )
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
+    def purity(self):
+        """Tr(rho^2): a float, or an array over the batch axes."""
+        return np.einsum("...ij,...ji->...", self.mat, self.mat).real
 
 
 def pure_state(vec) -> DensityMatrix:
-    """|psi><psi| from a state vector (normalized internally)."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise ValueError("cannot normalize a zero vector")
-    v = v / n
-    return DensityMatrix(np.outer(v, v.conj()))
+    """|psi><psi| from a state vector (normalized internally).
+
+    ``vec`` has shape (..., d); leading axes are batch axes, and each
+    vector must have norm >= 1e-12.
+    """
+    v = np.asarray(vec, dtype=complex)
+    n = np.linalg.norm(v, axis=-1)
+    bad = n < 1e-12
+    if bad.any():
+        _, at = _first_bad(bad)
+        raise ValueError(f"{at}cannot normalize a zero vector")
+    v = v / n[..., None]
+    return DensityMatrix(v[..., :, None] * v[..., None, :].conj())
 
 
 @dataclass(frozen=True)
@@ -234,18 +268,26 @@ def phase_unitary(gen: Generator, theta: float) -> np.ndarray:
     return u
 
 
-def make_filter(t: complex) -> np.ndarray:
+def make_filter(t) -> np.ndarray:
     """Pass Kraus operator K+ = t |0><0| + |1><1| of the partial polarizer, read-only.
 
     ``t`` is the (possibly complex) transmission amplitude of |0>, |t| <= 1;
-    |1> passes untouched.  Rejected photons are discarded, so every result
-    depends on K+ alone; :func:`ppasim.quasiprob.filter_povm` forms the
-    two-outcome POVM {K+^dag K+, 1 - K+^dag K+}.
+    |1> passes untouched.  An array ``t`` gives a stack of K+ with the
+    shape of ``t`` as leading axes.  Rejected photons are discarded, so
+    every result depends on K+ alone; :func:`ppasim.quasiprob.filter_povm`
+    forms the two-outcome POVM {K+^dag K+, 1 - K+^dag K+}.
     """
-    t = complex(t)
-    if abs(t) > 1.0 + 1e-12:
-        raise ValueError(f"|t| = {abs(t):.6g} exceeds 1; the filter must contract")
-    return _freeze(np.diag([t, 1.0 + 0j]))
+    t = np.asarray(t, dtype=complex)
+    mag = np.abs(t)
+    bad = mag > 1.0 + 1e-12
+    if bad.any():
+        k, at = _first_bad(bad)
+        raise ValueError(f"{at}|t| = {mag[k]:.6g} exceeds 1; the filter must contract")
+    k_plus = np.zeros(t.shape + (2, 2), dtype=complex)
+    k_plus[..., 0, 0] = t
+    k_plus[..., 1, 1] = 1.0
+    k_plus.flags.writeable = False
+    return k_plus
 
 
 def amplified_angle(theta: float, t_mag: float) -> float:
@@ -270,9 +312,9 @@ def amplified_angle(theta: float, t_mag: float) -> float:
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Standard Bloch components (Tr rho sigma_x, sigma_y, sigma_z)."""
-    if rho.dim != 2:
-        raise ValueError("Bloch vectors are defined for qubits only")
+    """Standard Bloch components (Tr rho sigma_x, sigma_y, sigma_z) of one qubit."""
+    if rho.mat.shape != (2, 2):
+        raise ValueError("Bloch vectors are defined for one qubit state only")
     return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])
 
 

@@ -31,7 +31,11 @@ from ppasim.states import (
     psd_sqrt,
     pure_state,
 )
-from ppasim.verify import random_qubit_instance, random_qudit_instance
+from ppasim.verify import (
+    gap_equality_suite,
+    random_qubit_instances,
+    random_qudit_instance,
+)
 
 RNG = np.random.default_rng(4242)
 
@@ -119,6 +123,26 @@ def test_kd_distribution_is_read_only():
     with pytest.raises(ValueError):
         kd[0, 0, 0] = 0.0
     assert not condition(kd, 1, 0).flags.writeable
+
+
+def test_kd_distribution_checks_the_sum_per_instance():
+    # a stack of two valid states totals 2 over all axes but 1 per instance
+    thetas = (0.3, 1.1)
+    stack = DensityMatrix(np.stack([imprinted_state(th).mat for th in thetas]))
+    kd = kd_distribution(stack, ppa_povm_sequence(0.5))
+    assert kd.shape == (2, 2, 2, 2)
+    for i, th in enumerate(thetas):
+        one = kd_distribution(imprinted_state(th), ppa_povm_sequence(0.5))
+        assert np.abs(kd[i] - one).max() < 1e-15
+    # each deviation passes its own 1e-10 check; together they leave 1.8e-10
+    rho = DensityMatrix(
+        np.stack([np.diag([0.5, 0.5]), np.diag([0.5, 0.5 + 9e-11])]).astype(complex)
+    )
+    half = np.diag([0.5, 0.5]) * (1.0 + 9e-11)
+    povm = POVM((half, half))
+    with pytest.raises(ValueError, match="instance 1: quasidistribution does not sum"):
+        kd_distribution(rho, (povm,))
+    assert kd_distribution(DensityMatrix(rho.mat[0]), (povm,)).shape == (2,)
 
 
 # ------------------------------------------------------------- born behavior
@@ -346,9 +370,124 @@ def test_gap_equality_on_the_working_point():
 
 def test_gap_equality_random_qubits():
     rng = np.random.default_rng(99)
-    for _ in range(100):
-        rho, gen, k = random_qubit_instance(rng)
-        assert verify_gap_equality(rho, gen, k).residual < 1e-10
+    rho, gen, k = random_qubit_instances(rng, 100)
+    assert verify_gap_equality(rho, gen, k).residual.max() < 1e-10
+
+
+def per_instance_gap_equality(rng, n):
+    """Reference for the qubit half of gap_equality_suite: the per-instance loop.
+
+    Each instance draws theta, |t| and arg t with three scalar calls, builds
+    its state with phase_unitary and its filter with make_filter, and
+    evaluates the identity on 2x2 matrices: lhs from M = K+^dag K+ and
+    np.trace, rhs by conditioning the (A, filter, A) quasidistribution on
+    the pass outcome.  Both eigenspaces of sigma_x/2 carry every instance.
+    Returns the lhs, rhs and residual arrays.
+    """
+    gen = ppa_generator()
+    a = gen.mat
+    proj = POVM(gen.projectors)
+    rows = []
+    for _ in range(n):
+        theta = float(rng.uniform(0.01, 3.1))
+        mag = float(rng.uniform(0.01, 1.0))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        k = make_filter(mag * complex(math.cos(phase), math.sin(phase)))
+        rho = pure_state(phase_unitary(gen, theta) @ np.array([1.0, 0.0]))
+        m = k.conj().T @ k
+        r = rho.mat
+        p = np.trace(r @ m).real
+        lhs = (
+            4.0 * np.trace(a @ r @ a @ m).real / p
+            - 4.0 * abs(np.trace(a @ r @ m)) ** 2 / p**2
+        )
+        kd = kd_distribution(rho, (proj, filter_povm(k), proj))
+        rhs = 4.0 * gen.spread**2 * nonclassicality_gap(condition(kd, 1, 0))
+        rows.append((lhs, rhs, abs(lhs - rhs) / max(lhs, 1.0)))
+    return np.array(rows).T
+
+
+def test_one_uniform_call_draws_what_three_scalar_calls_draw():
+    loop, batch = np.random.default_rng(11), np.random.default_rng(11)
+    rows = [
+        (
+            loop.uniform(0.01, 3.1),
+            loop.uniform(0.01, 1.0),
+            loop.uniform(0.0, 2.0 * math.pi),
+        )
+        for _ in range(500)
+    ]
+    drawn = batch.uniform([0.01, 0.01, 0.0], [3.1, 1.0, 2.0 * math.pi], size=(500, 3))
+    assert np.array_equal(drawn, np.array(rows))
+    assert batch.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_qubit_instances_match_the_per_instance_loop(seed):
+    n = 1000
+    loop = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    batch = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    lhs, rhs, residual = per_instance_gap_equality(loop, n)
+    got = verify_gap_equality(*random_qubit_instances(batch, n))
+    assert got.lhs.shape == got.rhs.shape == got.residual.shape == (n,)
+    assert np.all(np.abs(got.lhs - lhs) <= 1e-12 * lhs)
+    assert np.all(np.abs(got.rhs - rhs) <= 1e-12 * rhs)
+    # a residual is rounding noise already scaled by max(lhs, 1): compare it
+    # on that scale
+    assert np.all(np.abs(got.residual - residual) <= 1e-12)
+    # the stream is left where the loop leaves it: the qudit instances that
+    # the suite draws next are identical
+    for _ in range(3):
+        (rho_l, gen_l, k_l), (rho_b, gen_b, k_b) = (
+            random_qudit_instance(loop),
+            random_qudit_instance(batch),
+        )
+        assert np.array_equal(rho_l.mat, rho_b.mat)
+        assert np.array_equal(gen_l.mat, gen_b.mat)
+        assert np.array_equal(k_l, k_b)
+    suite = gap_equality_suite(seed, n_qubit=n, n_qudit=200)
+    assert suite.n_instances == 1200
+    assert suite.max_residual >= got.residual.max()
+
+
+def qubit_stack(n=5):
+    """Five random qubit instances as one batch: states, generator, filters."""
+    rho, gen, k = random_qubit_instances(np.random.default_rng(7), n)
+    return np.array(rho.mat), gen, np.array(k)
+
+
+def test_batched_gap_equality_names_the_mixed_instance():
+    mats, gen, k = qubit_stack()
+    mats[3] = np.eye(2) / 2
+    with pytest.raises(PurityError, match="instance 3: state purity"):
+        verify_gap_equality(DensityMatrix(mats), gen, k)
+
+
+def test_batched_gap_equality_names_the_unbalanced_instance():
+    mats, gen, k = qubit_stack()
+    a_plus, a_minus = plus_minus_states()
+    k[2] = 0.4 * np.outer(a_plus, a_plus.conj()) + np.outer(a_minus, a_minus.conj())
+    with pytest.raises(ConditionNotMetError, match="instance 2: filter is unbalanced"):
+        verify_gap_equality(DensityMatrix(mats), gen, k)
+
+
+def test_batched_gap_equality_names_the_single_eigenspace_instance():
+    mats, gen, k = qubit_stack()
+    a_plus, _ = plus_minus_states()
+    mats[1] = np.outer(a_plus, a_plus.conj())
+    with pytest.raises(PreconditionError, match="instance 1: state is supported on 1 "):
+        verify_gap_equality(DensityMatrix(mats), gen, k)
+
+
+def test_batched_gap_equality_equals_its_instances():
+    mats, gen, k = qubit_stack()
+    got = verify_gap_equality(DensityMatrix(mats), gen, k)
+    for i in range(len(mats)):
+        one = verify_gap_equality(DensityMatrix(mats[i]), gen, k[i])
+        assert np.ndim(one.lhs) == 0
+        assert np.allclose(
+            (got.lhs[i], got.rhs[i], got.residual[i]), one, rtol=1e-14, atol=1e-15
+        )
 
 
 def test_gap_equality_random_qudits():

@@ -62,6 +62,23 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.3, -0.3]).astype(complex))
 
 
+def test_density_matrix_stack_names_the_failing_instance():
+    good = pure_state(E0).mat
+    stack = DensityMatrix(np.stack([good, ID2 / 2, good]))
+    assert stack.dim == 2
+    assert np.allclose(stack.purity(), [1.0, 0.5, 1.0])
+    cases = (
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+        (0.7 * ID2, "trace"),
+        (np.diag([1.3, -0.3]), "negative eigenvalue"),
+    )
+    for bad, what in cases:
+        with pytest.raises(ValueError, match=f"instance 2: density matrix .*{what}"):
+            DensityMatrix(np.stack([good, good, bad]))
+    with pytest.raises(ValueError, match="instance 1: cannot normalize"):
+        pure_state([[1.0, 0.0], [0.0, 0.0]])
+
+
 def test_density_matrix_is_read_only():
     rho = pure_state(E0)
     with pytest.raises(ValueError):
