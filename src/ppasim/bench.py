@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -54,6 +57,10 @@ __all__ = [
 
 # Stage tags for RNG substreams; fig4's tomography stages live in cli.
 STAGE_COUNTS = 0
+
+# Most trials (points x trials per point) that run_trials evaluates as one
+# array block.
+BLOCK_TRIALS = 4096
 
 SWEEP_CSV_COLUMNS = (
     "theta_true",
@@ -194,36 +201,48 @@ def postselected_bloch(
 def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
     # q(Theta) = (1 + C sin Theta + D cos Theta)/2 for the real-amplitude
     # family measured along `direction`; written as (R, psi) of the fringe
-    # q = (1 + R cos(Theta - psi))/2.
+    # q = (1 + R cos(Theta - psi))/2.  A fringe without contrast cannot be
+    # inverted.
     c = -math.sin(direction.theta_opt) * math.cos(direction.phi_opt)
     d = math.cos(direction.theta_opt)
-    return math.hypot(c, d), math.atan2(c, d)
-
-
-def _invert_frequency(
-    f,
-    direction: MeasurementDirection,
-    t_assumed: float,
-    theta_prior: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ML inversion of fringe frequencies; returns (estimates, clamped).
-
-    ``clamped`` marks the frequencies outside the fringe's achievable range.
-    """
-    r, psi = _fringe_params(direction)
+    r = math.hypot(c, d)
     if r < 1e-12:
         raise ValueError("measurement direction carries no fringe contrast")
+    return r, math.atan2(c, d)
+
+
+def _half_count_frequency(counts_plus, n_detected):
+    # Empirical frequency kept half a count away from 0 and 1.
+    n = np.asarray(n_detected, dtype=float)
+    return np.clip(np.asarray(counts_plus) / n, 0.5 / n, 1.0 - 0.5 / n)
+
+
+def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ML inversion of fringe frequencies; returns (estimates, clamped).
+
+    ``(r, psi)`` are the fringe's :func:`_fringe_params` and ``prior_big``
+    the amplified prior ``amplified_angle(theta_prior, t_assumed)``; the
+    arccos branch nearest it is mapped back through the assumed amplitude.
+    All parameters broadcast against ``f``, so a (points, trials) block
+    inverts in one call with (points, 1) parameters.  ``clamped`` marks the
+    frequencies outside the fringe's achievable range.
+    """
     u = (2.0 * np.asarray(f, dtype=float) - 1.0) / r
     clamped = np.abs(u) > 1.0
     b = np.arccos(np.clip(u, -1.0, 1.0))
-    # The six arccos branches psi +- b + 2 pi k; argmin keeps the first of
-    # equally near candidates, so ties resolve in this order.
-    cands = np.stack(
-        [base + 2.0 * math.pi * k for base in (psi + b, psi - b) for k in (-1, 0, 1)]
+    # Running minimum over the six arccos branches psi +- b + 2 pi k; the
+    # strict < keeps the first of equally near candidates, so ties resolve
+    # in this order.
+    cands = (
+        base + 2.0 * math.pi * k for base in (psi + b, psi - b) for k in (-1, 0, 1)
     )
-    prior_big = amplified_angle(theta_prior, t_assumed)
-    nearest = np.abs(cands - prior_big).argmin(axis=0)
-    best = np.take_along_axis(cands, nearest[np.newaxis], axis=0)[0]
+    best = next(cands)
+    gap = np.abs(best - prior_big)
+    for cand in cands:
+        cand_gap = np.abs(cand - prior_big)
+        closer = cand_gap < gap
+        best = np.where(closer, cand, best)
+        gap = np.where(closer, cand_gap, gap)
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
@@ -244,13 +263,16 @@ def estimate_theta(
     whose frequency fell outside the fringe's range.  Raises
     :class:`NoDataError` when any trial detected nothing.
     """
-    n = np.asarray(n_detected, dtype=float)
-    if np.any(n == 0):
+    if np.any(np.asarray(n_detected) == 0):
         raise NoDataError("no detected photons in a trial")
     if not 0.0 < t_assumed <= 1.0 + 1e-12:
         raise ValueError("t_assumed must lie in (0, 1]")
-    f = np.clip(np.asarray(counts_plus) / n, 0.5 / n, 1.0 - 0.5 / n)
-    return _invert_frequency(f, direction, t_assumed, theta_prior)
+    return _invert_frequency(
+        _half_count_frequency(counts_plus, n_detected),
+        *_fringe_params(direction),
+        t_assumed,
+        amplified_angle(theta_prior, t_assumed),
+    )
 
 
 def _estimator_direction(
@@ -267,8 +289,95 @@ def _estimator_direction(
     return MeasurementDirection(direction.theta_opt, az)
 
 
-def run_trials(cfg: BenchConfig) -> SweepRecord:
-    """Run the configured number of trials and aggregate the statistics.
+def _moments(est: np.ndarray, theta: np.ndarray):
+    """Row means, sample variances and mean squared errors about ``theta``."""
+    var = est.var(axis=1, ddof=1) if est.shape[1] > 1 else np.full(len(est), math.nan)
+    return est.mean(axis=1), var, np.mean((est - theta[:, np.newaxis]) ** 2, axis=1)
+
+
+def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
+    """run_trials on configs of one trial count, as (points, trials) arrays."""
+    n_points, n_trials = len(block), block[0].n_trials
+    detected = np.empty((n_points, n_trials), dtype=np.int64)
+    plus = np.empty_like(detected)
+    # Per-point estimator inputs as columns: fringe (r, psi), the assumed
+    # amplitude and the amplified prior.
+    r, psi, t_assumed, prior_big = np.empty((4, n_points, 1))
+    for i, cfg in enumerate(block):
+        t = complex(cfg.t_set)
+        t_a = abs(t) + cfg.delta_t
+        phase = cmath.phase(t) if t != 0 else 0.0
+        direction = optimal_measurement(cfg.theta_true, t_a * cmath.exp(1j * phase))
+        # The filter runs at the physical amplitude t_set; delta_t only
+        # enters the estimator.
+        r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
+        n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
+        q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
+
+        rng = rng_stream(cfg.seed, STAGE_COUNTS)
+        if cfg.sampling_mode == "fixed":
+            detected[i] = rng.binomial(
+                int(cfg.photon_budget), min(p_ps, 1.0), size=n_trials
+            )
+        else:
+            detected[i] = rng.poisson(cfg.photon_budget * p_ps, size=n_trials)
+        plus[i] = rng.binomial(detected[i], q)
+        r[i], psi[i] = _fringe_params(_estimator_direction(direction, phase))
+        t_assumed[i] = t_a
+        prior_big[i] = amplified_angle(cfg.theta_true, t_a)
+
+    # A trial that detected nothing gets a dummy count and is left out below.
+    hit = detected > 0
+    est, clamped = _invert_frequency(
+        _half_count_frequency(plus, np.where(hit, detected, 1)),
+        r, psi, t_assumed, prior_big,
+    )
+    n_hit = hit.sum(axis=1)
+    n_clamped = (clamped & hit).sum(axis=1)
+    mean_detected = detected.mean(axis=1)
+    theta = np.array([cfg.theta_true for cfg in block])
+    mean_est, variance, mse = np.full((3, n_points), math.nan)
+    full = n_hit == n_trials
+    mean_est[full], variance[full], mse[full] = _moments(est[full], theta[full])
+    for i in np.flatnonzero(~full & (n_hit > 0)):
+        mean_est[i], variance[i], mse[i] = (
+            m[0] for m in _moments(est[i, hit[i]][np.newaxis], theta[i : i + 1])
+        )
+
+    records = []
+    for i, cfg in enumerate(block):
+        k, n_det = int(n_hit[i]), float(mean_detected[i])
+        var, err = float(variance[i]), float(mse[i])
+        flags: list[str] = []
+        if not k:
+            flags.append("no-data")
+        elif k < n_trials:
+            flags.append(f"empty-trials={n_trials - k}")
+        if n_clamped[i]:
+            flags.append(f"clamped={n_clamped[i]}")
+        t_mag = abs(complex(cfg.t_set))
+        records.append(SweepRecord(
+            theta_true=cfg.theta_true,
+            t_mag=t_mag,
+            mean_estimate=float(mean_est[i]),
+            variance=var,
+            mse=err,
+            mean_detected=n_det,
+            precision_per_photon=(
+                1.0 / (var * n_det) if var > 0 and n_det > 0 else math.nan
+            ),
+            accuracy_per_photon=(
+                1.0 / (err * n_det) if err > 0 and n_det > 0 else math.nan
+            ),
+            qfi_theory=qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan,
+            stderr_variance=var * math.sqrt(2.0 / (k - 1)) if k > 1 else math.nan,
+            flags=";".join(flags),
+        ))
+    return records
+
+
+def run_trials(configs: Sequence[BenchConfig]) -> list[SweepRecord]:
+    """Run every config's trials and aggregate each into its sweep record.
 
     ``sampling_mode='fixed'`` sends exactly ``photon_budget`` photons per
     trial into the filter and detects Binomial(budget, p_ps) of them;
@@ -278,80 +387,24 @@ def run_trials(cfg: BenchConfig) -> SweepRecord:
     amplitude |t_set| + delta_t at the true phase, mirroring a
     calibrated-but-miscalibrated experiment.
 
-    All trials draw from one stream keyed by ``cfg.seed`` (the sweep derives
-    it from the run seed and the grid indices): first every trial's detected
-    count, then every trial's plus count.  The record is reproducible per
-    grid point; single trials are not replayable on their own.
+    All trials of a config draw from one stream keyed by ``cfg.seed`` (the
+    sweep derives it from the run seed and the grid indices): first every
+    trial's detected count, then every trial's plus count.  A record is
+    reproducible per grid point and does not depend on which configs share
+    the call; single trials are not replayable on their own.
+
+    Consecutive configs with one trial count are evaluated together as
+    (points, trials) arrays, in blocks of at most ``BLOCK_TRIALS`` trials
+    (or one point, if it has more), which bounds the memory of a call
+    whatever its length.  Records come back in the order of ``configs``.
     """
-    t = complex(cfg.t_set)
-    t_assumed = abs(t) + cfg.delta_t
-    phase = cmath.phase(t) if t != 0 else 0.0
-    direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
-    # The filter runs at the physical amplitude t_set; delta_t only enters
-    # the estimator.
-    r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
-    n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
-    q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
-
-    rng = rng_stream(cfg.seed, STAGE_COUNTS)
-    if cfg.sampling_mode == "fixed":
-        detected = rng.binomial(
-            int(cfg.photon_budget), min(p_ps, 1.0), size=cfg.n_trials
-        )
-    else:
-        detected = rng.poisson(cfg.photon_budget * p_ps, size=cfg.n_trials)
-    plus = rng.binomial(detected, q)
-    hit = detected > 0
-    est, est_clamped = estimate_theta(
-        plus[hit],
-        detected[hit],
-        t_assumed,
-        _estimator_direction(direction, phase),
-        cfg.theta_true,
-    )
-    clamped = int(est_clamped.sum())
-
-    mean_detected = float(detected.mean())
-    flags: list[str] = []
-    if not len(est):
-        flags.append("no-data")
-        nan = math.nan
-        mean_est = variance = mse = stderr = precision = accuracy = nan
-    else:
-        mean_est = float(est.mean())
-        variance = float(est.var(ddof=1)) if len(est) > 1 else math.nan
-        mse = float(np.mean((est - cfg.theta_true) ** 2))
-        stderr = (
-            variance * math.sqrt(2.0 / (len(est) - 1)) if len(est) > 1 else math.nan
-        )
-        precision = (
-            1.0 / (variance * mean_detected)
-            if variance > 0 and mean_detected > 0
-            else math.nan
-        )
-        accuracy = (
-            1.0 / (mse * mean_detected) if mse > 0 and mean_detected > 0 else math.nan
-        )
-        if len(est) < cfg.n_trials:
-            flags.append(f"empty-trials={cfg.n_trials - len(est)}")
-    if clamped:
-        flags.append(f"clamped={clamped}")
-
-    t_mag = abs(t)
-    qfi = qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan
-    return SweepRecord(
-        theta_true=cfg.theta_true,
-        t_mag=t_mag,
-        mean_estimate=mean_est,
-        variance=variance,
-        mse=mse,
-        mean_detected=mean_detected,
-        precision_per_photon=precision,
-        accuracy_per_photon=accuracy,
-        qfi_theory=qfi,
-        stderr_variance=stderr,
-        flags=";".join(flags),
-    )
+    records: list[SweepRecord] = []
+    for n_trials, group in groupby(configs, key=attrgetter("n_trials")):
+        group = list(group)
+        step = max(1, BLOCK_TRIALS // n_trials)
+        for a in range(0, len(group), step):
+            records += _run_block(group[a : a + step])
+    return records
 
 
 def systematic_shift_t(theta: float, t: float, dt: float) -> float:

@@ -174,15 +174,22 @@ def cmd_sweep(
 ) -> str:
     """Run the bench at every grid point's config and write the sweep CSV.
 
-    Rows follow the order of ``configs`` regardless of worker count; each
-    config carries its grid point's seed, so the bytes written are a pure
-    function of the configs.
+    With ``workers`` above 1 the configs are cut into at most ``workers``
+    contiguous blocks of near-equal length, and each block runs as one
+    :func:`run_trials` call in its own process; no more processes start
+    than there are blocks, and a single block runs in this process.  Rows
+    follow the order of ``configs`` regardless of worker count; each config
+    carries its grid point's seed, so the bytes written are a pure function
+    of the configs.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trials, configs, chunksize=1))
+    n_blocks = min(workers, len(configs))
+    if n_blocks > 1:
+        cuts = [len(configs) * k // n_blocks for k in range(n_blocks + 1)]
+        blocks = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            records = [rec for recs in pool.map(run_trials, blocks) for rec in recs]
     else:
-        records = [run_trials(cfg) for cfg in configs]
+        records = run_trials(configs)
     rows = [rec.to_csv_row() for rec in records]
     out = _resolve_out(output_path, "sweep.csv")
     _write_text(out, ",".join(SWEEP_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")

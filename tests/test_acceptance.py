@@ -16,6 +16,7 @@ import numpy as np
 
 from ppasim.bench import (
     BenchConfig,
+    _fringe_params,
     _invert_frequency,
     misaligned_half_tangent,
     postselected_bloch,
@@ -38,7 +39,12 @@ from ppasim.quasiprob import (
     nonclassicality_gap,
     ppa_povm_sequence,
 )
-from ppasim.states import direction_to_bloch, make_filter, ppa_generator
+from ppasim.states import (
+    amplified_angle,
+    direction_to_bloch,
+    make_filter,
+    ppa_generator,
+)
 from ppasim.verify import (
     T_GRID,
     THETA_GRID,
@@ -161,20 +167,20 @@ def test_criterion_4_conditional_tables(capsys):
 
 def test_criterion_5_monte_carlo_efficiency(capsys):
     t0 = time.perf_counter()
-    rec = run_trials(
+    [rec] = run_trials([
         BenchConfig(
             theta_true=0.040, t_set=0.044, photon_budget=10**7, n_trials=32, seed=11
         )
-    )
+    ])
     target = qfi_ppa_theory(0.040, 0.044)
     se = rec.precision_per_photon * rec.stderr_variance / rec.variance
     dev = abs(rec.precision_per_photon - target) / se
 
-    rec_open = run_trials(
+    [rec_open] = run_trials([
         BenchConfig(
             theta_true=0.040, t_set=1.0, photon_budget=10**7, n_trials=32, seed=11
         )
-    )
+    ])
     se_open = rec_open.precision_per_photon * rec_open.stderr_variance / rec_open.variance
     dev_open = abs(rec_open.precision_per_photon - 1.0) / se_open
     elapsed = time.perf_counter() - t0
@@ -229,17 +235,19 @@ def test_criterion_7_systematic_models(capsys):
     q = float(
         np.trace(PPAFamily(t=t).state(theta).mat @ direction.projector()).real
     )
-    est, clamped = _invert_frequency(q, direction, t + dt, theta)
+    est, clamped = _invert_frequency(
+        q, *_fringe_params(direction), t + dt, amplified_angle(theta, t + dt)
+    )
     bias_model = systematic_shift_t(theta, t, dt) - theta
     rel = abs((est - theta) - bias_model) / abs(bias_model)
 
     # finite-budget sanity: the Monte Carlo mean agrees within 3 SE
-    rec = run_trials(
+    [rec] = run_trials([
         BenchConfig(
             theta_true=theta, t_set=t, delta_t=dt,
             photon_budget=10**7, n_trials=32, seed=11,
         )
-    )
+    ])
     se_mean = math.sqrt(rec.variance / 32)
     mc_dev = abs((rec.mean_estimate - theta) - bias_model) / se_mean
 

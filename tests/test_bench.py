@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -8,7 +9,10 @@ from ppasim.bench import (
     BenchConfig,
     NoDataError,
     SweepRecord,
+    BLOCK_TRIALS,
+    STAGE_COUNTS,
     _estimator_direction,
+    _fringe_params,
     _invert_frequency,
     estimate_theta,
     fmt_sig,
@@ -33,6 +37,7 @@ from ppasim.states import (
     Generator,
     amplified_angle,
     bloch_vector,
+    direction_to_bloch,
     make_filter,
     phase_unitary,
 )
@@ -209,7 +214,9 @@ def test_invert_frequency_reproduces_calibration_shift():
     fam = PPAFamily(t=t)
     rho = fam.state(theta)
     q = float(np.trace(rho.mat @ direction.projector()).real)
-    est, clamped = _invert_frequency(q, direction, t + dt, theta)
+    est, clamped = _invert_frequency(
+        q, *_fringe_params(direction), t + dt, amplified_angle(theta, t + dt)
+    )
     assert not clamped
     assert est == pytest.approx(0.10998076567697557, abs=1e-12)
     assert est == pytest.approx(systematic_shift_t(theta, t, dt), abs=1e-12)
@@ -232,7 +239,9 @@ def test_invert_frequency_clamps_out_of_range():
     # an azimuthally tilted analyzer has fringe contrast below one, so a
     # saturated frequency lands outside the reachable band and is clamped
     direction = MeasurementDirection(theta_opt=math.pi / 2, phi_opt=math.pi / 4)
-    est, clamped = _invert_frequency(np.array([1.0, 0.5]), direction, 0.5, 0.1)
+    est, clamped = _invert_frequency(
+        np.array([1.0, 0.5]), *_fringe_params(direction), 0.5, amplified_angle(0.1, 0.5)
+    )
     assert clamped.tolist() == [True, False]
     assert np.all(np.isfinite(est))
 
@@ -264,7 +273,9 @@ def test_invert_frequency_matches_scalar_reference():
         t = float(rng.uniform(0.05, 1.0))
         prior = float(rng.uniform(-1.5, 1.5))
         f = rng.uniform(-0.05, 1.05, size=16)
-        est, clamped = _invert_frequency(f, direction, t, prior)
+        est, clamped = _invert_frequency(
+            f, *_fringe_params(direction), t, amplified_angle(prior, t)
+        )
         ref = [scalar_invert_reference(x, direction, t, prior) for x in f]
         assert np.allclose(est, [e for e, _ in ref], rtol=0.0, atol=1e-12)
         assert clamped.tolist() == [c for _, c in ref]
@@ -297,22 +308,23 @@ def test_estimate_theta_requires_data():
 
 def test_run_trials_is_deterministic():
     cfg = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=17)
-    rec_a = run_trials(cfg)
-    rec_b = run_trials(cfg)
+    [rec_a] = run_trials([cfg])
+    [rec_b] = run_trials([cfg])
     assert rec_a == rec_b
 
 
 def test_run_trials_seed_changes_output():
     cfg1 = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=17)
     cfg2 = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=18)
-    assert run_trials(cfg1).mean_estimate != run_trials(cfg2).mean_estimate
+    rec1, rec2 = run_trials([cfg1, cfg2])
+    assert rec1.mean_estimate != rec2.mean_estimate
 
 
 def test_run_trials_unbiased_at_matched_calibration():
     cfg = BenchConfig(
         theta_true=0.1, t_set=0.3, photon_budget=10**6, n_trials=24, seed=2
     )
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     se_mean = math.sqrt(rec.variance / cfg.n_trials)
     assert abs(rec.mean_estimate - 0.1) < 4 * se_mean
     assert rec.flags == ""
@@ -329,7 +341,7 @@ def test_run_trials_detects_calibration_bias():
         n_trials=32,
         seed=9,
     )
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     shift = systematic_shift_t(theta, t, dt) - theta
     bias = rec.mean_estimate - theta
     se_mean = math.sqrt(rec.variance / cfg.n_trials)
@@ -340,7 +352,7 @@ def test_run_trials_detects_calibration_bias():
 
 def test_run_trials_flags_empty_budget():
     cfg = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=0, n_trials=3, seed=0)
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     assert "no-data" in rec.flags
     assert math.isnan(rec.mean_estimate)
     assert rec.mean_detected == 0.0
@@ -353,7 +365,7 @@ def test_sample_counts_zero_budget():
             theta_true=0.1, t_set=0.5, photon_budget=0, sampling_mode=mode,
             n_trials=4, seed=0,
         )
-        rec = run_trials(cfg)
+        [rec] = run_trials([cfg])
         assert rec.mean_detected == 0.0
         assert "no-data" in rec.flags
 
@@ -366,7 +378,7 @@ def test_run_trials_zero_survival_flags_no_data():
             theta_true=0.0, t_set=0.0, delta_t=0.2, sampling_mode=mode,
             n_trials=4, seed=5,
         )
-        rec = run_trials(cfg)
+        [rec] = run_trials([cfg])
         assert rec.flags == "no-data"
         assert rec.mean_detected == 0.0
         assert math.isnan(rec.mean_estimate)
@@ -377,7 +389,7 @@ def test_run_trials_detection_rate_tracks_survival():
         theta_true=0.3, t_set=0.5, photon_budget=200_000, n_trials=8, seed=7
     )
     _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     sigma = math.sqrt(cfg.photon_budget * p * (1 - p) / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
 
@@ -392,7 +404,7 @@ def test_run_trials_poisson_mode_tracks_survival():
         seed=3,
     )
     _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     sigma = math.sqrt(cfg.photon_budget * p / cfg.n_trials)
     assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
     assert rec.flags == ""
@@ -406,8 +418,9 @@ def test_run_trials_stream_layout_is_pinned():
         theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=8, seed=17
     )
     poisson = dataclasses.replace(fixed, sampling_mode="poisson")
-    assert run_trials(fixed).mean_detected == 1846.625
-    assert run_trials(poisson).mean_detected == 1853.25
+    rec_fixed, rec_poisson = run_trials([fixed, poisson])
+    assert rec_fixed.mean_detected == 1846.625
+    assert rec_poisson.mean_detected == 1853.25
 
 
 def test_run_trials_precision_near_qfi_bound():
@@ -416,11 +429,125 @@ def test_run_trials_precision_near_qfi_bound():
     cfg = BenchConfig(
         theta_true=0.040, t_set=0.044, photon_budget=10**7, n_trials=32, seed=11
     )
-    rec = run_trials(cfg)
+    [rec] = run_trials([cfg])
     target = qfi_ppa_theory(0.040, 0.044)
     rel_se = rec.stderr_variance / rec.variance
     se_prec = rec.precision_per_photon * rel_se
     assert abs(rec.precision_per_photon - target) < 3 * se_prec
+
+
+def run_trials_reference(cfg):
+    """One config's record, point by point: the run_trials body before blocks."""
+    t = complex(cfg.t_set)
+    t_assumed = abs(t) + cfg.delta_t
+    phase = cmath.phase(t) if t != 0 else 0.0
+    direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
+    r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
+    n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
+    q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
+
+    rng = rng_stream(cfg.seed, STAGE_COUNTS)
+    if cfg.sampling_mode == "fixed":
+        detected = rng.binomial(
+            int(cfg.photon_budget), min(p_ps, 1.0), size=cfg.n_trials
+        )
+    else:
+        detected = rng.poisson(cfg.photon_budget * p_ps, size=cfg.n_trials)
+    plus = rng.binomial(detected, q)
+    hit = detected > 0
+    est, est_clamped = estimate_theta(
+        plus[hit],
+        detected[hit],
+        t_assumed,
+        _estimator_direction(direction, phase),
+        cfg.theta_true,
+    )
+    clamped = int(est_clamped.sum())
+
+    mean_detected = float(detected.mean())
+    flags = []
+    if not len(est):
+        flags.append("no-data")
+        nan = math.nan
+        mean_est = variance = mse = stderr = precision = accuracy = nan
+    else:
+        mean_est = float(est.mean())
+        variance = float(est.var(ddof=1)) if len(est) > 1 else math.nan
+        mse = float(np.mean((est - cfg.theta_true) ** 2))
+        stderr = (
+            variance * math.sqrt(2.0 / (len(est) - 1)) if len(est) > 1 else math.nan
+        )
+        precision = (
+            1.0 / (variance * mean_detected)
+            if variance > 0 and mean_detected > 0
+            else math.nan
+        )
+        accuracy = (
+            1.0 / (mse * mean_detected) if mse > 0 and mean_detected > 0 else math.nan
+        )
+        if len(est) < cfg.n_trials:
+            flags.append(f"empty-trials={cfg.n_trials - len(est)}")
+    if clamped:
+        flags.append(f"clamped={clamped}")
+
+    t_mag = abs(t)
+    qfi = qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan
+    return SweepRecord(
+        theta_true=cfg.theta_true,
+        t_mag=t_mag,
+        mean_estimate=mean_est,
+        variance=variance,
+        mse=mse,
+        mean_detected=mean_detected,
+        precision_per_photon=precision,
+        accuracy_per_photon=accuracy,
+        qfi_theory=qfi,
+        stderr_variance=stderr,
+        flags=";".join(flags),
+    )
+
+
+def grid_configs(thetas, ts, **fields):
+    return [
+        BenchConfig(theta_true=theta, t_set=t, **fields) for theta in thetas for t in ts
+    ]
+
+
+def test_run_trials_matches_per_point_reference():
+    thetas = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
+    ts = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
+    side = math.isqrt(2 * BLOCK_TRIALS // 32) + 1
+    configs = [
+        # a budget of 30 leaves some trials of the tight filters empty
+        *grid_configs(thetas, ts, photon_budget=30, n_trials=5),
+        *grid_configs(thetas, ts, photon_budget=30, n_trials=5, sampling_mode="poisson"),
+        # nothing survives (theta, t) = (0, 0)
+        *grid_configs((0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4),
+        *grid_configs(
+            (0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4, sampling_mode="poisson"
+        ),
+        # a filter phase lowers the estimator's fringe contrast: clamped trials
+        *grid_configs(
+            (0.02, 0.1, 0.5),
+            (0.3 * cmath.exp(0.4j), 0.5 * cmath.exp(1.2j), 0.1 * cmath.exp(2j)),
+            epsilon=0.1, photon_budget=200, n_trials=8,
+        ),
+        *grid_configs(thetas, ts, photon_budget=1000, n_trials=2),
+        # all three systematics over a grid longer than one block
+        *grid_configs(
+            np.linspace(0.02, 1.5, side), np.linspace(0.05, 1.0, side),
+            delta_t=-0.01, epsilon=0.01, visibility=0.95,
+            sampling_mode="poisson", n_trials=32,
+        ),
+        *grid_configs(thetas, (0.15,), n_trials=700),
+    ]
+    configs = [dataclasses.replace(cfg, seed=k) for k, cfg in enumerate(configs)]
+    expected = [run_trials_reference(cfg).to_csv_row() for cfg in configs]
+    assert [rec.to_csv_row() for rec in run_trials(configs)] == expected
+    # the grid holds every kind of degraded row
+    flags = ";".join(row.rpartition(",")[2] for row in expected)
+    for kind in ("empty-trials=", "clamped=", "no-data"):
+        assert kind in flags
 
 
 def test_sweep_record_csv_row_formatting():

@@ -89,13 +89,47 @@ def test_sweep_zero_budget_flags_no_data(tmp_path, capsys):
     assert row["mean_estimate"] == "nan"
 
 
-def test_sweep_workers_do_not_change_bytes(tmp_path, capsys):
+# 7 workers exceed the grid's 6 points.
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
     argv = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
             "--budget", "4000", "--trials", "3", "--seed", "12"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
-    run(argv + ["--out", str(b), "--workers", "2"], capsys)
+    run(argv + ["--out", str(b), "--workers", str(workers)], capsys)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "theta, t, started", [("0.1", "0.5", []), ("0.1,0.2,0.3", "0.5", [3])]
+)
+def test_sweep_starts_no_more_processes_than_grid_points(
+    tmp_path, capsys, monkeypatch, theta, t, started
+):
+    # A stand-in pool records its size and runs the blocks in this process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["sweep", "--theta", theta, "--t", t, "--budget", "4000", "--trials", "3"]
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    run(argv + ["--out", str(a), "--workers", "1"], capsys)
+    run(argv + ["--out", str(b), "--workers", "64"], capsys)
+    assert sizes == started
     assert a.read_bytes() == b.read_bytes()
 
 
