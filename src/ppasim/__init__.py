@@ -54,9 +54,7 @@ from .quasiprob import (
 )
 from .bench import (
     BenchConfig,
-    NoDataError,
     SweepRecord,
-    estimate_theta,
     misaligned_half_tangent,
     postselected_bloch,
     rng_stream,

@@ -41,7 +41,6 @@ from .states import amplified_angle, direction_to_bloch
 from .fisher import MeasurementDirection, optimal_measurement, qfi_ppa_theory
 
 __all__ = [
-    "NoDataError",
     "STAGE_COUNTS",
     "BenchConfig",
     "SweepRecord",
@@ -49,7 +48,6 @@ __all__ = [
     "fmt_sig",
     "rng_stream",
     "postselected_bloch",
-    "estimate_theta",
     "run_trials",
     "systematic_shift_t",
     "misaligned_half_tangent",
@@ -75,10 +73,6 @@ SWEEP_CSV_COLUMNS = (
     "stderr_variance",
     "flags",
 )
-
-
-class NoDataError(ValueError):
-    """No photon survived postselection; nothing to estimate from."""
 
 
 def fmt_sig(x: float) -> str:
@@ -201,14 +195,10 @@ def postselected_bloch(
 def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
     # q(Theta) = (1 + C sin Theta + D cos Theta)/2 for the real-amplitude
     # family measured along `direction`; written as (R, psi) of the fringe
-    # q = (1 + R cos(Theta - psi))/2.  A fringe without contrast cannot be
-    # inverted.
+    # q = (1 + R cos(Theta - psi))/2.
     c = -math.sin(direction.theta_opt) * math.cos(direction.phi_opt)
     d = math.cos(direction.theta_opt)
-    r = math.hypot(c, d)
-    if r < 1e-12:
-        raise ValueError("measurement direction carries no fringe contrast")
-    return r, math.atan2(c, d)
+    return math.hypot(c, d), math.atan2(c, d)
 
 
 def _half_count_frequency(counts_plus, n_detected):
@@ -244,35 +234,6 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
         best = np.where(closer, cand, best)
         gap = np.where(closer, cand_gap, gap)
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
-
-
-def estimate_theta(
-    counts_plus,
-    n_detected,
-    t_assumed: float,
-    direction: MeasurementDirection,
-    theta_prior: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert trials' fringe frequencies into phase estimates.
-
-    ``counts_plus`` and ``n_detected`` are per-trial counts of equal shape.
-    Each empirical frequency is clamped to half a count away from 0 and 1,
-    and to the fringe's achievable range; the arccos branch nearest the
-    amplified prior is taken and mapped back through the assumed amplitude.
-    Returns ``(estimates, clamped)``, where ``clamped`` marks the trials
-    whose frequency fell outside the fringe's range.  Raises
-    :class:`NoDataError` when any trial detected nothing.
-    """
-    if np.any(np.asarray(n_detected) == 0):
-        raise NoDataError("no detected photons in a trial")
-    if not 0.0 < t_assumed <= 1.0 + 1e-12:
-        raise ValueError("t_assumed must lie in (0, 1]")
-    return _invert_frequency(
-        _half_count_frequency(counts_plus, n_detected),
-        *_fringe_params(direction),
-        t_assumed,
-        amplified_angle(theta_prior, t_assumed),
-    )
 
 
 def _estimator_direction(
@@ -326,8 +287,12 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         t_assumed[i] = t_a
         prior_big[i] = amplified_angle(cfg.theta_true, t_a)
 
-    # A trial that detected nothing gets a dummy count and is left out below.
-    hit = detected > 0
+    # A fringe without contrast (at theta = 0 with arg t an odd multiple of
+    # pi/4) cannot be inverted: its point inverts a dummy fringe and is left
+    # out below, as is a trial that detected nothing, which gets a dummy count.
+    flat = r[:, 0] < 1e-12
+    r[flat] = 1.0
+    hit = (detected > 0) & ~flat[:, np.newaxis]
     est, clamped = _invert_frequency(
         _half_count_frequency(plus, np.where(hit, detected, 1)),
         r, psi, t_assumed, prior_big,
@@ -349,7 +314,9 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         k, n_det = int(n_hit[i]), float(mean_detected[i])
         var, err = float(variance[i]), float(mse[i])
         flags: list[str] = []
-        if not k:
+        if flat[i]:
+            flags.append("no-contrast")
+        elif not k:
             flags.append("no-data")
         elif k < n_trials:
             flags.append(f"empty-trials={n_trials - k}")

@@ -254,10 +254,12 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     and a contracting K+ whose pass element is balanced between them
     (checked to 1e-9, else :class:`ConditionNotMetError`).
 
-    ``rho`` and ``k_plus`` may carry leading batch axes, which broadcast
-    against one shared generator ``a``; lhs, rhs and residual are then
-    arrays over the batch axes.  Every check runs per instance, and a
-    failure names the first failing instance.
+    ``rho``, ``a`` and ``k_plus`` may carry leading batch axes, which
+    broadcast: one shared generator, or a :class:`Generator` stack with
+    rho's batch axes (its zero padding projectors carry no weight, so they
+    never count as supported).  lhs, rhs and residual are then arrays over
+    the batch axes, the spread is read per instance, every check runs per
+    instance, and a failure names the first failing instance.
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
@@ -265,7 +267,7 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     if filt.dim != rho.dim or a.dim != rho.dim:
         raise ValueError("rho, generator, and filter dimensions must agree")
     proj = POVM(a.projectors)
-    weights = np.einsum("iab,...ba->...i", proj.stack, rho.mat).real
+    weights = np.einsum("...iab,...ba->...i", proj.stack, rho.mat).real
     supported = weights > 1e-12
     count = supported.sum(-1)
     bad = count != 2

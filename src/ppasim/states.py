@@ -115,17 +115,19 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
+    """Principal square root of a positive semidefinite matrix, or of a stack.
 
-    Eigenvalues in [-ATOL_STRUCT, 0) are treated as exact zeros; anything
-    more negative is rejected.
+    ``mat`` has shape (..., d, d).  Eigenvalues in [-ATOL_STRUCT, 0) are
+    treated as exact zeros; anything more negative is rejected, naming the
+    first failing instance of a stack.
     """
-    m = _as_complex_matrix(mat)
+    m = _as_complex_stack(mat)
     w, v = np.linalg.eigh(hermitian_part(m))
-    if w.min() < -ATOL_STRUCT:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
+    if w.min(initial=0.0) < -ATOL_STRUCT:
+        k, at = _first_bad(w.min(-1) < -ATOL_STRUCT)
+        raise ValueError(f"{at}matrix is not PSD (min eigenvalue {w[k].min():.3e})")
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -195,11 +197,18 @@ def pure_state(vec) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Generator:
-    """Hermitian phase generator with a cached spectral decomposition.
+    """Hermitian phase generator with a cached spectral decomposition, or a stack.
 
-    ``eigenvalues`` are the distinct eigenvalues in ascending order and
-    ``projectors[i]`` the projector onto the corresponding eigenspace, so
-    ``mat = sum_i eigenvalues[i] * projectors[i]``.
+    ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
+    ``mat`` is one generator.  Eigenvalues closer than 1e-10 to the first
+    of their run are one eigenspace.  ``eigenvalues[..., i]`` are the
+    distinct eigenvalues in ascending order and ``projectors[i]`` the
+    (..., d, d) projectors onto the corresponding eigenspaces, so
+    ``mat = sum_i eigenvalues[..., i] * projectors[i]`` per instance.  A
+    stack has as many slots as its instance with the most eigenspaces; an
+    instance with fewer is padded at the top with zero projectors that
+    repeat its largest eigenvalue.  Every check names the first failing
+    instance of a stack.
     """
 
     mat: np.ndarray
@@ -208,44 +217,60 @@ class Generator:
 
     @classmethod
     def from_matrix(cls, mat) -> "Generator":
-        m = _as_complex_matrix(mat, "generator")
-        if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
-            raise InvalidGeneratorError("generator must be Hermitian within 1e-10")
+        m = _as_complex_stack(mat, "generator")
+        bad = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1)) > ATOL_STRUCT
+        if bad.any():
+            _, at = _first_bad(bad)
+            raise InvalidGeneratorError(f"{at}generator must be Hermitian within 1e-10")
         w, v = np.linalg.eigh(m)
-        values: list[float] = []
-        projectors: list[np.ndarray] = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j + 1 < len(w) and w[j + 1] - w[i] <= ATOL_STRUCT:
-                j += 1
-            block = v[:, i : j + 1]
-            values.append(float(np.mean(w[i : j + 1])))
-            projectors.append(_freeze(block @ block.conj().T))
-            i = j + 1
+        d = w.shape[-1]
+        # slot[..., j]: the eigenspace of w[..., j]; a new one starts where w
+        # leaves the first eigenvalue of the current one by more than 1e-10
+        slot = np.zeros(w.shape, dtype=np.intp)
+        first = w[..., 0]
+        for j in range(1, d):
+            new = w[..., j] - first > ATOL_STRUCT
+            first = np.where(new, w[..., j], first)
+            slot[..., j] = slot[..., j - 1] + new
+        member = slot[..., :, None] == np.arange(slot.max(initial=0) + 1)
+        # eigenspace means, summed in eigenvalue order
+        total = np.zeros(member.shape[:-2] + member.shape[-1:])
+        for j in range(d):
+            total = total + np.where(member[..., j, :], w[..., j, None], 0.0)
+        size = member.sum(-2)
+        values = total / np.maximum(size, 1)
+        top = np.take_along_axis(values, slot[..., -1:], -1)
+        values = np.where(size > 0, values, top)
+        # P_i = V_i V_i^dag over the columns of eigenspace i
+        blocks = np.where(member.swapaxes(-1, -2)[..., :, None, :], v[..., None, :, :], 0.0)
+        projectors = _freeze(np.moveaxis(blocks @ blocks.conj().swapaxes(-1, -2), -3, 0))
         return cls(
             mat=_freeze(m),
-            eigenvalues=_freeze(np.array(values)),
+            eigenvalues=_freeze(values),
             projectors=tuple(projectors),
         )
 
     def __post_init__(self) -> None:
         rebuilt = sum(
-            a * p for a, p in zip(self.eigenvalues, self.projectors)
+            a[..., None, None] * p
+            for a, p in zip(np.moveaxis(self.eigenvalues, -1, 0), self.projectors)
         )
-        if np.abs(rebuilt - self.mat).max() > ATOL_STRUCT:
+        bad = np.abs(rebuilt - self.mat).max((-2, -1)) > ATOL_STRUCT
+        if bad.any():
+            _, at = _first_bad(bad)
             raise InvalidGeneratorError(
-                "spectral decomposition does not reproduce the generator"
+                f"{at}spectral decomposition does not reproduce the generator"
             )
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     @property
-    def spread(self) -> float:
-        """Largest minus smallest eigenvalue."""
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
+    def spread(self):
+        """Largest minus smallest eigenvalue: a float, or an array over the batch axes."""
+        spread = self.eigenvalues[..., -1] - self.eigenvalues[..., 0]
+        return float(spread) if spread.ndim == 0 else spread
 
 
 def plus_minus_states() -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,13 @@ reports the worst residual against a fixed threshold.  The suites back the
   ideal and reduced visibility, and (for v < 1, where the SLD is unique)
   the SLD eigenbasis matches that direction;
 * Sylvester residual — the SLD solve reproduces drho on the state's support.
+
+The random instances are drawn one at a time, in a fixed order of stream
+calls, and the gap-equality and marginalization instances are then
+evaluated as stacks: the qubit instances as one batch, the qudit instances
+as one batch per dimension, and the marginalization instances as one batch
+per shape (d and the three outcome counts).  The grid suites and the
+Sylvester random states still make one ``sld`` call per instance.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .states import (
     DensityMatrix,
     Generator,
     direction_to_bloch,
+    hermitian_part,
     make_filter,
     ppa_generator,
     pure_state,
@@ -45,7 +53,8 @@ __all__ = [
     "axis_angle",
     "sld_axis",
     "random_qubit_instances",
-    "random_qudit_instance",
+    "random_qudit_instances",
+    "random_marginalization_instances",
     "gap_equality_suite",
     "marginalization_suite",
     "cfi_qfi_suite",
@@ -119,54 +128,84 @@ def random_qubit_instances(rng: np.random.Generator, n: int):
     return rho, gen, make_filter(mag * np.exp(1j * phase))
 
 
-def random_qudit_instance(rng: np.random.Generator):
-    """Random d-level instance satisfying the identity's preconditions exactly.
+def _complex_normals(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n complex Gaussian d x d matrices, each drawn real part first.
 
-    The generator gets integer eigenvalues in [-3, 3] (distinct extremes,
-    possibly degenerate middle), the state is a random superposition of the
-    extreme eigenvectors, and the filter's pass element is built by a
+    One ``normal`` call draws the 2n real matrices in turn, as 2n calls of
+    size (d, d) would.
+    """
+    parts = rng.normal(size=(n, 2, d, d))
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _by_key(keys) -> list[tuple[object, np.ndarray]]:
+    """(key, ascending positions) for each distinct key, keys in ascending order."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [(key, np.array(groups[key])) for key in sorted(groups)]
+
+
+def random_qudit_instances(rng: np.random.Generator, n: int):
+    """n random d-level instances satisfying the identity's preconditions exactly.
+
+    Each generator gets integer eigenvalues in [-3, 3] (distinct extremes,
+    possibly degenerate middle), each state is a random superposition of
+    the extreme eigenvectors, and each filter's pass element is built by a
     diagonal congruence that balances it between the two supported
     eigenspaces before being rescaled to a contraction.
+
+    The draws are made instance by instance, in the order of n calls of the
+    one-instance draw (d in 3..6 first), so the instances and the stream
+    position do not depend on the batching.  The algebra then runs as one
+    batch per d.  Returns one ``(positions, rho, gen, k_plus)`` per d, in
+    ascending d: the instances' draw positions, a DensityMatrix stack, a
+    Generator stack and a K+ stack.
     """
-    d = int(rng.integers(3, 7))
-    # Haar-ish random orthonormal frame for the generator.
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(z)
-    lo, hi = -3, 3
-    middle = rng.integers(lo, hi + 1, size=d - 2)
-    eigs = np.sort(np.concatenate(([lo], middle, [hi])))
-    gen = Generator.from_matrix((q * eigs) @ q.conj().T)
+    draws = []
+    for _ in range(n):
+        d = int(rng.integers(3, 7))
+        z = _complex_normals(rng, 1, d)[0]
+        middle = rng.integers(-3, 4, size=d - 2)
+        amp = rng.uniform(0.2, 0.8)
+        rel = rng.uniform(0.0, 2.0 * math.pi)
+        x = _complex_normals(rng, 1, d)[0]
+        draws.append((d, z, middle, amp, rel, x, rng.uniform(0.3, 1.0)))
+    groups = []
+    for d, pos in _by_key(draw[0] for draw in draws):
+        z, middle, amp, rel, x, top_to = (
+            np.array(col) for col in list(zip(*(draws[i] for i in pos)))[1:]
+        )
+        # Haar-ish random orthonormal frames for the generators
+        q, _ = np.linalg.qr(z)
+        q_h = q.conj().swapaxes(-1, -2)
+        eigs = np.sort(np.pad(middle, ((0, 0), (1, 1)), constant_values=(-3, 3)), -1)
+        gen = Generator.from_matrix((q * eigs[:, None, :]) @ q_h)
 
-    v_lo = q[:, 0]
-    v_hi = q[:, -1]
-    amp = rng.uniform(0.2, 0.8)
-    rel = rng.uniform(0.0, 2.0 * math.pi)
-    psi = math.sqrt(amp) * v_lo + math.sqrt(1.0 - amp) * np.exp(1j * rel) * v_hi
-    rho = pure_state(psi)
+        v_lo, v_hi = q[..., 0], q[..., -1]
+        psi = np.sqrt(amp)[:, None] * v_lo + (
+            np.sqrt(1.0 - amp) * np.exp(1j * rel)
+        )[:, None] * v_hi
+        rho = pure_state(psi)
 
-    # Random PSD contraction, then congruence by diag(s, 1, ..., 1, 1/s) in a
-    # basis whose first/last vectors are the supported eigenvectors; this
-    # equalizes <v_lo|M|v_lo>-type weights exactly without changing PSD-ness.
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = x @ x.conj().T
-    basis = np.column_stack(
-        [v_lo] + [q[:, i] for i in range(1, d - 1)] + [v_hi]
-    )
-    mb = basis.conj().T @ m @ basis
-    w_lo = (abs(psi @ basis[:, 0].conj()) ** 2) * mb[0, 0].real
-    w_hi = (abs(psi @ basis[:, -1].conj()) ** 2) * mb[-1, -1].real
-    scale = np.ones(d)
-    # choose s so that |<psi|v_lo>|^2 M_00 s^2 = |<psi|v_hi>|^2 M_dd / s^2
-    s = (w_hi / w_lo) ** 0.25
-    scale[0] = s
-    scale[-1] = 1.0 / s
-    mb = (scale[:, None] * mb) * scale[None, :]
-    m = basis @ mb @ basis.conj().T
-    m = (m + m.conj().T) / 2
-    top = np.linalg.eigvalsh(m).max()
-    m = m * (rng.uniform(0.3, 1.0) / top)
-    k_plus = psd_sqrt(m)
-    return rho, gen, k_plus
+        # Random PSD contraction, then congruence by diag(s, 1, ..., 1, 1/s)
+        # in the generator's eigenbasis, whose first/last vectors are the
+        # supported eigenvectors; this equalizes <v_lo|M|v_lo>-type weights
+        # exactly without changing PSD-ness.
+        mb = q_h @ (x @ x.conj().swapaxes(-1, -2)) @ q
+        w_lo = np.abs((psi * v_lo.conj()).sum(-1)) ** 2 * mb[:, 0, 0].real
+        w_hi = np.abs((psi * v_hi.conj()).sum(-1)) ** 2 * mb[:, -1, -1].real
+        # choose s so that |<psi|v_lo>|^2 M_00 s^2 = |<psi|v_hi>|^2 M_dd / s^2
+        s = (w_hi / w_lo) ** 0.25
+        scale = np.ones((len(pos), d))
+        scale[:, 0] = s
+        scale[:, -1] = 1.0 / s
+        mb = (scale[:, :, None] * mb) * scale[:, None, :]
+        m = hermitian_part(q @ mb @ q_h)
+        top = np.linalg.eigvalsh(m).max(-1)
+        m = m * (top_to / top)[:, None, None]
+        groups.append((pos, rho, gen, psd_sqrt(m)))
+    return groups
 
 
 def gap_equality_suite(
@@ -175,9 +214,8 @@ def gap_equality_suite(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rho, gen, k = random_qubit_instances(rng, n_qubit)
     worst = float(verify_gap_equality(rho, gen, k).residual.max(initial=0.0))
-    for _ in range(n_qudit):
-        rho, gen, k = random_qudit_instance(rng)
-        worst = max(worst, verify_gap_equality(rho, gen, k).residual)
+    for _, rho, gen, k in random_qudit_instances(rng, n_qudit):
+        worst = max(worst, float(verify_gap_equality(rho, gen, k).residual.max()))
     return SuiteResult(
         name="gap-equality",
         n_instances=n_qubit + n_qudit,
@@ -186,39 +224,73 @@ def gap_equality_suite(
     )
 
 
-def _random_povm(rng: np.random.Generator, d: int, n_out: int) -> POVM:
-    raw = []
-    for _ in range(n_out):
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        raw.append(x @ x.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    elems = tuple(inv_sqrt @ g @ inv_sqrt for g in raw)
-    return POVM(elems)
+def _random_densities(probs, z) -> DensityMatrix:
+    """States Q diag(probs) Q^dag, Q from the QR of z, one per leading index.
 
-
-def _random_density(rng: np.random.Generator, d: int) -> DensityMatrix:
-    probs = rng.dirichlet(np.ones(d))
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ``probs`` is (..., d) and ``z`` (..., d, d); without batch axes it is
+    one state.
+    """
     q, _ = np.linalg.qr(z)
-    return DensityMatrix((q * probs) @ q.conj().T)
+    return DensityMatrix((q * probs[..., None, :]) @ q.conj().swapaxes(-1, -2))
+
+
+def _random_povms(x) -> POVM:
+    """POVMs S^-1/2 G_i S^-1/2, G_i = X_i X_i^dag, S = sum_i G_i, one per leading index.
+
+    ``x`` is (..., n_out, d, d).
+    """
+    raw = x @ x.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(raw.sum(-3))
+    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[
+        ..., None, :, :
+    ]
+    return POVM(tuple(np.moveaxis(inv_sqrt @ raw @ inv_sqrt, -3, 0)))
+
+
+def random_marginalization_instances(rng: np.random.Generator, n: int):
+    """n random states, each with a sequence of three random POVMs.
+
+    Each instance draws d in 2..4, the state (a Dirichlet spectrum, then a
+    complex Gaussian frame) and then per POVM its outcome count in 2..3 and
+    one complex Gaussian matrix per outcome, instance by instance.  The
+    algebra runs as one batch per (d, n_out_1, n_out_2, n_out_3).  Returns
+    one ``(positions, rho, povms)`` per such shape, in ascending order: the
+    instances' draw positions, a DensityMatrix stack and three POVM stacks.
+    """
+    draws = []
+    for _ in range(n):
+        d = int(rng.integers(2, 5))
+        probs = rng.dirichlet(np.ones(d))
+        z = _complex_normals(rng, 1, d)[0]
+        xs = [_complex_normals(rng, int(rng.integers(2, 4)), d) for _ in range(3)]
+        draws.append((probs, z, xs))
+    groups = []
+    shapes = ((len(probs),) + tuple(len(x) for x in xs) for probs, _, xs in draws)
+    for _, pos in _by_key(shapes):
+        probs, z, xs = zip(*(draws[i] for i in pos))
+        rho = _random_densities(np.array(probs), np.array(z))
+        povms = tuple(_random_povms(np.array(x)) for x in zip(*xs))
+        groups.append((pos, rho, povms))
+    return groups
+
+
+def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
+    """Per instance, the largest |sum over POVM i of p - p without POVM i|."""
+    kd = kd_distribution(rho, povms)
+    k = len(povms)
+    worst = np.zeros(kd.shape[:-k])
+    for idx in range(k):
+        direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
+        diff = np.abs(kd.sum(axis=idx - k) - direct)
+        worst = np.maximum(worst, diff.max(tuple(range(-(k - 1), 0))))
+    return worst
 
 
 def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     worst = 0.0
-    for _ in range(n_instances):
-        d = int(rng.integers(2, 5))
-        rho = _random_density(rng, d)
-        povms = tuple(
-            _random_povm(rng, d, int(rng.integers(2, 4))) for _ in range(3)
-        )
-        kd = kd_distribution(rho, povms)
-        for idx in range(3):
-            direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
-            diff = np.abs(kd.sum(axis=idx) - direct).max()
-            worst = max(worst, float(diff))
+    for _, rho, povms in random_marginalization_instances(rng, n_instances):
+        worst = max(worst, float(_marginalization_residual(rho, povms).max()))
     return SuiteResult(
         name="marginalization",
         n_instances=n_instances,
@@ -272,8 +344,9 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
                 count += 1
     for _ in range(n_instances):
         d = int(rng.integers(2, 5))
-        rho = _random_density(rng, d)
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        probs = rng.dirichlet(np.ones(d))
+        rho = _random_densities(probs, _complex_normals(rng, 1, d)[0])
+        h = _complex_normals(rng, 1, d)[0]
         h = (h + h.conj().T) / 2
         drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
         res = sld(rho, drho)

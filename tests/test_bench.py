@@ -7,14 +7,13 @@ import pytest
 
 from ppasim.bench import (
     BenchConfig,
-    NoDataError,
     SweepRecord,
     BLOCK_TRIALS,
     STAGE_COUNTS,
     _estimator_direction,
     _fringe_params,
+    _half_count_frequency,
     _invert_frequency,
-    estimate_theta,
     fmt_sig,
     misaligned_half_tangent,
     postselected_bloch,
@@ -171,6 +170,38 @@ def test_postselected_bloch_zero_survival_stays_finite():
 
 
 # ---------------------------------------------------------------- estimation
+
+
+class NoDataError(ValueError):
+    """No photon survived postselection; nothing to estimate from."""
+
+
+def estimate_theta(counts_plus, n_detected, t_assumed, direction, theta_prior):
+    """Reference estimator of one point: invert its trials' fringe frequencies.
+
+    ``counts_plus`` and ``n_detected`` are per-trial counts of equal shape.
+    Each empirical frequency is clamped to half a count away from 0 and 1,
+    and to the fringe's achievable range; the arccos branch nearest the
+    amplified prior is taken and mapped back through the assumed amplitude.
+    Returns ``(estimates, clamped)``, where ``clamped`` marks the trials
+    whose frequency fell outside the fringe's range.  Raises NoDataError
+    when any trial detected nothing, and ValueError for a fringe without
+    contrast.
+    """
+    if np.any(np.asarray(n_detected) == 0):
+        raise NoDataError("no detected photons in a trial")
+    if not 0.0 < t_assumed <= 1.0 + 1e-12:
+        raise ValueError("t_assumed must lie in (0, 1]")
+    r, psi = _fringe_params(direction)
+    if r < 1e-12:
+        raise ValueError("measurement direction carries no fringe contrast")
+    return _invert_frequency(
+        _half_count_frequency(counts_plus, n_detected),
+        r,
+        psi,
+        t_assumed,
+        amplified_angle(theta_prior, t_assumed),
+    )
 
 
 def exact_counts(theta, t, direction, n):
@@ -382,6 +413,35 @@ def test_run_trials_zero_survival_flags_no_data():
         assert rec.flags == "no-data"
         assert rec.mean_detected == 0.0
         assert math.isnan(rec.mean_estimate)
+
+
+def test_run_trials_flags_a_point_without_fringe_contrast():
+    # at theta = 0 the estimator's azimuth is 2 arg t, which for arg t an odd
+    # multiple of pi/4 leaves its fringe without contrast: that point becomes
+    # a flagged nan row and the points around it keep their solo rows
+    flat = [
+        BenchConfig(0.0, 0.5 * cmath.exp(1j * k * cmath.pi / 4), n_trials=4, seed=i)
+        for i, k in enumerate((1, 3, -1))
+    ]
+    others = [
+        BenchConfig(0.1, 0.5, n_trials=4, seed=11),
+        BenchConfig(0.0, 0.5 * cmath.exp(0.3j), n_trials=4, seed=12),
+    ]
+    configs = [flat[0], others[0], flat[1], others[1], flat[2]]
+    records = run_trials(configs)
+    for cfg, rec in zip(configs, records):
+        if cfg in flat:
+            assert rec.flags == "no-contrast"
+            for name in ("mean_estimate", "variance", "mse", "precision_per_photon",
+                         "accuracy_per_photon", "stderr_variance"):
+                assert math.isnan(getattr(rec, name))
+            assert rec.mean_detected > 0
+            assert rec.t_mag == pytest.approx(0.5)
+        else:
+            [solo] = run_trials([cfg])
+            assert rec.to_csv_row() == solo.to_csv_row()
+            assert "no-contrast" not in rec.flags
+            assert math.isfinite(rec.mean_estimate)
 
 
 def test_run_trials_detection_rate_tracks_survival():

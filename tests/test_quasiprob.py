@@ -32,9 +32,12 @@ from ppasim.states import (
     pure_state,
 )
 from ppasim.verify import (
+    _marginalization_residual,
     gap_equality_suite,
+    marginalization_suite,
+    random_marginalization_instances,
     random_qubit_instances,
-    random_qudit_instance,
+    random_qudit_instances,
 )
 
 RNG = np.random.default_rng(4242)
@@ -298,6 +301,52 @@ def test_marginalization_equals_shorter_sequence():
             assert np.abs(kd.sum(axis=idx) - direct).max() < 1e-12
 
 
+def per_instance_marginalization(rng, n):
+    """Reference for marginalization_suite: the per-instance loop.
+
+    Each instance draws d, a random state and three random POVMs, one after
+    the other, and sums out each measurement of the three-POVM
+    quasidistribution against the distribution of the other two.  Returns
+    (rho, povms, residual) per instance.
+    """
+    rows = []
+    for _ in range(n):
+        d = int(rng.integers(2, 5))
+        rho = random_density(rng, d)
+        povms = tuple(random_povm(rng, d, int(rng.integers(2, 4))) for _ in range(3))
+        kd = kd_distribution(rho, povms)
+        residual = 0.0
+        for idx in range(3):
+            direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
+            residual = max(residual, float(np.abs(kd.sum(axis=idx) - direct).max()))
+        rows.append((rho, povms, residual))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_marginalization_matches_the_per_instance_loop(seed):
+    # the default suite's 200 instances (verify --n 1000)
+    n = 200
+    loop, batch = suite_streams(seed, 2)
+    refs = per_instance_marginalization(loop, n)
+    groups = random_marginalization_instances(batch, n)
+    assert batch.bit_generator.state == loop.bit_generator.state
+    assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
+    worst = 0.0
+    for pos, rho, povms in groups:
+        residual = _marginalization_residual(rho, povms)
+        assert residual.shape == pos.shape
+        for j, i in enumerate(pos):
+            ref_rho, ref_povms, ref_residual = refs[i]
+            assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
+            for povm, ref_povm in zip(povms, ref_povms):
+                assert np.abs(povm.stack[j] - ref_povm.stack).max() <= 1e-12
+            assert abs(residual[j] - ref_residual) <= 1e-12
+        worst = max(worst, float(residual.max()))
+    assert marginalization_suite(seed, n).max_residual == worst
+    assert abs(worst - max(r for *_, r in refs)) <= 1e-12
+
+
 def test_marginalize_filter_recovers_projective_joint():
     kd = kd_distribution(imprinted_state(0.3), ppa_povm_sequence(0.5))
     proj = ppa_povm_sequence(0.5)[0]
@@ -435,16 +484,9 @@ def test_batched_qubit_instances_match_the_per_instance_loop(seed):
     # a residual is rounding noise already scaled by max(lhs, 1): compare it
     # on that scale
     assert np.all(np.abs(got.residual - residual) <= 1e-12)
-    # the stream is left where the loop leaves it: the qudit instances that
-    # the suite draws next are identical
-    for _ in range(3):
-        (rho_l, gen_l, k_l), (rho_b, gen_b, k_b) = (
-            random_qudit_instance(loop),
-            random_qudit_instance(batch),
-        )
-        assert np.array_equal(rho_l.mat, rho_b.mat)
-        assert np.array_equal(gen_l.mat, gen_b.mat)
-        assert np.array_equal(k_l, k_b)
+    # the stream is left where the loop leaves it, so the qudit instances
+    # that the suite draws next are those of the loop
+    assert batch.bit_generator.state == loop.bit_generator.state
     suite = gap_equality_suite(seed, n_qubit=n, n_qudit=200)
     assert suite.n_instances == 1200
     assert suite.max_residual >= got.residual.max()
@@ -490,11 +532,139 @@ def test_batched_gap_equality_equals_its_instances():
         )
 
 
+def per_instance_qudit_instance(rng):
+    """Reference for random_qudit_instances: one instance drawn and built alone.
+
+    The generator gets integer eigenvalues in [-3, 3] (distinct extremes,
+    possibly degenerate middle), the state is a random superposition of the
+    extreme eigenvectors, and the filter's pass element is a random PSD
+    matrix balanced between the two supported eigenspaces by a diagonal
+    congruence, then rescaled to a contraction.
+    """
+    d = int(rng.integers(3, 7))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(z)
+    lo, hi = -3, 3
+    middle = rng.integers(lo, hi + 1, size=d - 2)
+    eigs = np.sort(np.concatenate(([lo], middle, [hi])))
+    gen = Generator.from_matrix((q * eigs) @ q.conj().T)
+
+    v_lo = q[:, 0]
+    v_hi = q[:, -1]
+    amp = rng.uniform(0.2, 0.8)
+    rel = rng.uniform(0.0, 2.0 * math.pi)
+    psi = math.sqrt(amp) * v_lo + math.sqrt(1.0 - amp) * np.exp(1j * rel) * v_hi
+    rho = pure_state(psi)
+
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = x @ x.conj().T
+    basis = np.column_stack(
+        [v_lo] + [q[:, i] for i in range(1, d - 1)] + [v_hi]
+    )
+    mb = basis.conj().T @ m @ basis
+    w_lo = (abs(psi @ basis[:, 0].conj()) ** 2) * mb[0, 0].real
+    w_hi = (abs(psi @ basis[:, -1].conj()) ** 2) * mb[-1, -1].real
+    scale = np.ones(d)
+    s = (w_hi / w_lo) ** 0.25
+    scale[0] = s
+    scale[-1] = 1.0 / s
+    mb = (scale[:, None] * mb) * scale[None, :]
+    m = basis @ mb @ basis.conj().T
+    m = (m + m.conj().T) / 2
+    top = np.linalg.eigvalsh(m).max()
+    m = m * (rng.uniform(0.3, 1.0) / top)
+    return rho, gen, psd_sqrt(m)
+
+
+def suite_streams(seed, stream, skip_qubits=0):
+    """Two identical suite streams, both advanced past ``skip_qubits`` qubit draws."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream))) for _ in range(2)]
+    for rng in rngs:
+        random_qubit_instances(rng, skip_qubits)
+    return rngs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_qudit_instances_match_the_per_instance_loop(seed):
+    # the qudit instances of the default suite (verify --n 1000): 200, drawn
+    # after the 1000 qubit instances
+    n = 200
+    loop, batch = suite_streams(seed, 1, skip_qubits=1000)
+    refs = [per_instance_qudit_instance(loop) for _ in range(n)]
+    groups = random_qudit_instances(batch, n)
+    assert batch.bit_generator.state == loop.bit_generator.state
+    assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
+    assert [rho.dim for _, rho, _, _ in groups] == [3, 4, 5, 6]
+    wide_extreme = repeated_middle = padded = 0
+    for pos, rho, gen, k in groups:
+        got = verify_gap_equality(rho, gen, k)
+        assert got.residual.shape == pos.shape
+        for j, i in enumerate(pos):
+            ref_rho, ref_gen, ref_k = refs[i]
+            c = len(ref_gen.eigenvalues)
+            assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
+            assert np.abs(gen.mat[j] - ref_gen.mat).max() <= 1e-12
+            assert np.abs(gen.eigenvalues[j, :c] - ref_gen.eigenvalues).max() <= 1e-12
+            # padding repeats the top eigenvalue with a zero projector
+            assert np.all(gen.eigenvalues[j, c:] == gen.eigenvalues[j, c - 1])
+            for slot, proj in enumerate(gen.projectors):
+                if slot < c:
+                    assert np.abs(proj[j] - ref_gen.projectors[slot]).max() <= 1e-12
+                else:
+                    assert np.all(proj[j] == 0.0)
+            assert np.abs(k[j] - ref_k).max() <= 1e-12
+            ref = verify_gap_equality(ref_rho, ref_gen, ref_k)
+            assert abs(got.residual[j] - ref.residual) <= 1e-12
+            assert abs(got.lhs[j] - ref.lhs) <= 1e-12 * ref.lhs
+            ranks = [round(np.trace(p).real) for p in ref_gen.projectors]
+            wide_extreme += ranks[0] > 1 or ranks[-1] > 1
+            repeated_middle += any(r > 1 for r in ranks[1:-1])
+            padded += c < gen.eigenvalues.shape[-1]
+    # degenerate spectra: a middle eigenvalue at -3 or 3, a repeated middle
+    # eigenvalue, and instances padded to their group's widest spectrum
+    assert wide_extreme and repeated_middle and padded
+
+
 def test_gap_equality_random_qudits():
-    rng = np.random.default_rng(100)
-    for _ in range(40):
-        rho, gen, k = random_qudit_instance(rng)
-        assert verify_gap_equality(rho, gen, k).residual < 1e-10
+    groups = random_qudit_instances(np.random.default_rng(100), 40)
+    for _, rho, gen, k in groups:
+        assert verify_gap_equality(rho, gen, k).residual.max() < 1e-10
+
+
+def qudit_group():
+    """The d = 4 group of some random qudit instances, as writable arrays."""
+    [(pos, rho, gen, k)] = [g for g in random_qudit_instances(np.random.default_rng(3), 40)
+                            if g[1].dim == 4]
+    assert len(pos) >= 4
+    return np.array(rho.mat), gen, np.array(k)
+
+
+def test_gap_equality_on_a_generator_stack_names_the_unsupported_instance():
+    mats, gen, k = qudit_group()
+    # an eigenvector of the generator's lowest eigenspace alone
+    w, v = np.linalg.eigh(gen.mat[2])
+    mats[2] = np.outer(v[:, 0], v[:, 0].conj())
+    with pytest.raises(PreconditionError, match="^instance 2: state is supported on 1 "):
+        verify_gap_equality(DensityMatrix(mats), gen, k)
+
+
+def test_gap_equality_on_a_generator_stack_names_the_unbalanced_instance():
+    mats, gen, k = qudit_group()
+    k[1] = np.diag([0.3, 0.6, 0.8, 0.9])
+    with pytest.raises(ConditionNotMetError, match="^instance 1: filter is unbalanced"):
+        verify_gap_equality(DensityMatrix(mats), gen, k)
+
+
+def test_gap_equality_on_a_generator_stack_equals_its_instances():
+    mats, gen, k = qudit_group()
+    got = verify_gap_equality(DensityMatrix(mats), gen, k)
+    for i in range(len(mats)):
+        one = verify_gap_equality(
+            DensityMatrix(mats[i]), Generator.from_matrix(gen.mat[i]), k[i]
+        )
+        assert np.allclose(
+            (got.lhs[i], got.rhs[i], got.residual[i]), one, rtol=1e-12, atol=1e-15
+        )
 
 
 def test_gap_equality_degenerate_four_level():

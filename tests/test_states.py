@@ -20,6 +20,7 @@ from ppasim.states import (
     make_filter,
     phase_unitary,
     ppa_generator,
+    psd_sqrt,
     pure_state,
     ID2,
     PAULIS,
@@ -106,6 +107,68 @@ def test_generator_groups_degenerate_eigenvalues():
     assert list(gen.eigenvalues) == [-1.0, 0.0, 2.0]
     assert [int(round(np.trace(p).real)) for p in gen.projectors] == [1, 2, 1]
     assert gen.spread == 3.0
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def test_generator_stack_pads_to_the_widest_spectrum():
+    # 2, 3 and 4 distinct eigenvalues in one d = 4 stack, in random frames
+    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 1.0, 1.0, 3.0], [-2.0, 0.5, 1.0, 3.0])
+    frames = [random_unitary(RNG, 4) for _ in spectra]
+    mats = np.array([(q * w) @ q.conj().T for q, w in zip(frames, spectra)])
+    gen = Generator.from_matrix(mats)
+    assert gen.dim == 4
+    assert gen.eigenvalues.shape == (3, 4)
+    assert len(gen.projectors) == 4
+    assert np.allclose(gen.eigenvalues[0], [-1.0, 2.0, 2.0, 2.0], atol=1e-12)
+    assert np.allclose(gen.eigenvalues[1], [0.0, 1.0, 3.0, 3.0], atol=1e-12)
+    assert np.allclose(gen.eigenvalues[2], [-2.0, 0.5, 1.0, 3.0], atol=1e-12)
+    assert np.allclose(gen.spread, [3.0, 3.0, 5.0], atol=1e-12)
+    ranks = np.array([np.trace(p, axis1=-2, axis2=-1).real for p in gen.projectors]).T
+    assert np.allclose(ranks, [[2, 2, 0, 0], [1, 2, 1, 0], [1, 1, 1, 1]], atol=1e-12)
+    # the padded slots are exactly zero
+    assert np.all(gen.projectors[2][0] == 0.0)
+    assert np.all(gen.projectors[3][0] == 0.0)
+    assert np.all(gen.projectors[3][1] == 0.0)
+    # each instance is the 2-D generator of its matrix, padded
+    for i, mat in enumerate(mats):
+        one = Generator.from_matrix(mat)
+        c = len(one.eigenvalues)
+        assert np.array_equal(gen.eigenvalues[i, :c], one.eigenvalues)
+        for slot in range(c):
+            assert np.abs(gen.projectors[slot][i] - one.projectors[slot]).max() < 1e-15
+    for arr in (gen.mat, gen.eigenvalues) + gen.projectors:
+        assert not arr.flags.writeable
+
+
+def test_generator_stack_names_the_non_hermitian_instance():
+    mats = np.array([random_hermitian(RNG, 3) for _ in range(4)])
+    mats[2, 0, 1] += 1e-6
+    with pytest.raises(InvalidGeneratorError, match="^instance 2: generator must be Hermitian"):
+        Generator.from_matrix(mats)
+
+
+def test_generator_stack_names_the_instance_it_cannot_rebuild():
+    gen = Generator.from_matrix(np.array([random_hermitian(RNG, 3) for _ in range(3)]))
+    values = np.array(gen.eigenvalues)
+    values[1, 0] += 1e-3
+    with pytest.raises(InvalidGeneratorError, match="^instance 1: spectral decomposition"):
+        Generator(mat=gen.mat, eigenvalues=values, projectors=gen.projectors)
+
+
+def test_psd_sqrt_stack_squares_back_and_names_the_negative_instance():
+    x = RNG.normal(size=(5, 3, 3)) + 1j * RNG.normal(size=(5, 3, 3))
+    m = x @ x.conj().swapaxes(-1, -2)
+    root = psd_sqrt(m)
+    assert np.abs(root @ root - m).max() < 1e-12
+    for i in range(5):
+        assert np.abs(root[i] - psd_sqrt(m[i])).max() < 1e-14
+    m[3] = -m[3]
+    with pytest.raises(ValueError, match="^instance 3: matrix is not PSD"):
+        psd_sqrt(m)
 
 
 def test_ppa_generator_is_one_read_only_instance():
