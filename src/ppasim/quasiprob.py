@@ -161,17 +161,26 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     Raises ValueError on a dimension mismatch and when an instance's
     entries do not sum to 1 within 1e-10.
     """
+    if not povms:
+        raise ValueError("a quasidistribution needs at least one POVM")
     if any(p.dim != rho.dim for p in povms):
         raise ValueError("POVM dimension does not match the state")
     # the first measurement multiplies rho first; each later one adds an
-    # outcome axis, so op[..., m_1, ..., m_k] = M^(k)_{m_k} ... M^(1)_{m_1} rho;
+    # outcome axis, so op[..., m_1, ..., m_i] = M^(i)_{m_i} ... M^(1)_{m_1} rho;
     # the POVM's own batch axes go in front of the outcome axes so far
     op = rho.mat
-    for i, povm in enumerate(povms):
-        s = povm.stack
-        s = s.reshape(s.shape[:-3] + (1,) * i + s.shape[-3:])
+    *first, last = (
+        p.stack.reshape(p.stack.shape[:-3] + (1,) * i + p.stack.shape[-3:])
+        for i, p in enumerate(povms)
+    )
+    for s in first:
         op = s @ op[..., None, :, :]
-    values = op.trace(0, -2, -1)
+    # the last measurement's products are traced one outcome at a time, so
+    # no intermediate holds all k outcome axes times d x d
+    values = np.stack(
+        [(last[..., m, :, :] @ op).trace(0, -2, -1) for m in range(last.shape[-3])],
+        axis=-1,
+    )
     bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT
     if bad.any():
         _, at = _first_bad(bad)

@@ -17,9 +17,10 @@ reports the worst residual against a fixed threshold.  The suites back the
 The random instances are drawn one at a time, in a fixed order of stream
 calls, and the gap-equality and marginalization instances are then
 evaluated as stacks: the qubit instances as one batch, the qudit instances
-as one batch per dimension, and the marginalization instances as one batch
-per shape (d and the three outcome counts).  The grid suites and the
-Sylvester random states still make one ``sld`` call per instance.
+in batches of one dimension, and the marginalization instances in batches
+of one shape (d and the three outcome counts), of at most ``MAX_BATCH``
+instances each.  The grid suites and the Sylvester random states still
+make one ``sld`` call per instance.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ __all__ = [
     "sylvester_suite",
     "run_all",
 ]
+
+# Most random instances evaluated as one batch; this bounds a batch's
+# memory whatever the number of instances (a 6-level gap-equality batch
+# holds (batch, 6, 2, 6, 6) complex products in kd_distribution).
+MAX_BATCH = 32
 
 # Acceptance grid shared by the Fisher-consistency checks.
 THETA_GRID = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
@@ -139,11 +145,18 @@ def _complex_normals(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _by_key(keys) -> list[tuple[object, np.ndarray]]:
-    """(key, ascending positions) for each distinct key, keys in ascending order."""
+    """Batches of equal keys: (key, ascending positions), keys in ascending order.
+
+    The positions of one key are cut into runs of at most ``MAX_BATCH``.
+    """
     groups: dict[object, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return [(key, np.array(groups[key])) for key in sorted(groups)]
+    return [
+        (key, np.array(groups[key][a : a + MAX_BATCH]))
+        for key in sorted(groups)
+        for a in range(0, len(groups[key]), MAX_BATCH)
+    ]
 
 
 def random_qudit_instances(rng: np.random.Generator, n: int):
@@ -155,12 +168,14 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
     diagonal congruence that balances it between the two supported
     eigenspaces before being rescaled to a contraction.
 
-    The draws are made instance by instance, in the order of n calls of the
-    one-instance draw (d in 3..6 first), so the instances and the stream
-    position do not depend on the batching.  The algebra then runs as one
-    batch per d.  Returns one ``(positions, rho, gen, k_plus)`` per d, in
-    ascending d: the instances' draw positions, a DensityMatrix stack, a
-    Generator stack and a K+ stack.
+    All draws are made in this call, instance by instance, in the order of
+    n calls of the one-instance draw (d in 3..6 first), so the instances and
+    the stream position do not depend on the batching.  The algebra runs
+    as one batch per d (of at most ``MAX_BATCH`` instances), each built
+    when the returned iterator reaches it, so one batch is held at a time.
+    It yields ``(positions, rho, gen, k_plus)`` per batch, in ascending d:
+    the instances' draw positions, a DensityMatrix stack, a Generator stack
+    and a K+ stack.
     """
     draws = []
     for _ in range(n):
@@ -171,7 +186,10 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
         rel = rng.uniform(0.0, 2.0 * math.pi)
         x = _complex_normals(rng, 1, d)[0]
         draws.append((d, z, middle, amp, rel, x, rng.uniform(0.3, 1.0)))
-    groups = []
+    return _qudit_batches(draws)
+
+
+def _qudit_batches(draws):
     for d, pos in _by_key(draw[0] for draw in draws):
         z, middle, amp, rel, x, top_to = (
             np.array(col) for col in list(zip(*(draws[i] for i in pos)))[1:]
@@ -204,8 +222,7 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
         m = hermitian_part(q @ mb @ q_h)
         top = np.linalg.eigvalsh(m).max(-1)
         m = m * (top_to / top)[:, None, None]
-        groups.append((pos, rho, gen, psd_sqrt(m)))
-    return groups
+        yield pos, rho, gen, psd_sqrt(m)
 
 
 def gap_equality_suite(
@@ -252,10 +269,12 @@ def random_marginalization_instances(rng: np.random.Generator, n: int):
 
     Each instance draws d in 2..4, the state (a Dirichlet spectrum, then a
     complex Gaussian frame) and then per POVM its outcome count in 2..3 and
-    one complex Gaussian matrix per outcome, instance by instance.  The
-    algebra runs as one batch per (d, n_out_1, n_out_2, n_out_3).  Returns
-    one ``(positions, rho, povms)`` per such shape, in ascending order: the
-    instances' draw positions, a DensityMatrix stack and three POVM stacks.
+    one complex Gaussian matrix per outcome, instance by instance, all in
+    this call.  The algebra runs as one batch per (d, n_out_1, n_out_2,
+    n_out_3) (of at most ``MAX_BATCH`` instances), each built when the
+    returned iterator reaches it.  It yields ``(positions, rho, povms)`` per
+    batch, shapes in ascending order: the instances' draw positions, a
+    DensityMatrix stack and three POVM stacks.
     """
     draws = []
     for _ in range(n):
@@ -264,14 +283,15 @@ def random_marginalization_instances(rng: np.random.Generator, n: int):
         z = _complex_normals(rng, 1, d)[0]
         xs = [_complex_normals(rng, int(rng.integers(2, 4)), d) for _ in range(3)]
         draws.append((probs, z, xs))
-    groups = []
+    return _marginalization_batches(draws)
+
+
+def _marginalization_batches(draws):
     shapes = ((len(probs),) + tuple(len(x) for x in xs) for probs, _, xs in draws)
     for _, pos in _by_key(shapes):
         probs, z, xs = zip(*(draws[i] for i in pos))
         rho = _random_densities(np.array(probs), np.array(z))
-        povms = tuple(_random_povms(np.array(x)) for x in zip(*xs))
-        groups.append((pos, rho, povms))
-    return groups
+        yield pos, rho, tuple(_random_povms(np.array(x)) for x in zip(*xs))
 
 
 def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:

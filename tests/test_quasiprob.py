@@ -32,6 +32,7 @@ from ppasim.states import (
     pure_state,
 )
 from ppasim.verify import (
+    MAX_BATCH,
     _marginalization_residual,
     gap_equality_suite,
     marginalization_suite,
@@ -115,6 +116,11 @@ def test_kd_rejects_dimension_mismatch():
     p3 = projective_povm(np.eye(3))
     with pytest.raises(ValueError):
         kd_distribution(pure_state([1, 0]), (p3,))
+
+
+def test_kd_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match="at least one POVM"):
+        kd_distribution(pure_state([1, 0]), ())
 
 
 def test_kd_distribution_is_read_only():
@@ -329,7 +335,7 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed):
     n = 200
     loop, batch = suite_streams(seed, 2)
     refs = per_instance_marginalization(loop, n)
-    groups = random_marginalization_instances(batch, n)
+    groups = list(random_marginalization_instances(batch, n))
     assert batch.bit_generator.state == loop.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
     worst = 0.0
@@ -591,10 +597,14 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed):
     n = 200
     loop, batch = suite_streams(seed, 1, skip_qubits=1000)
     refs = [per_instance_qudit_instance(loop) for _ in range(n)]
-    groups = random_qudit_instances(batch, n)
+    groups = list(random_qudit_instances(batch, n))
     assert batch.bit_generator.state == loop.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
-    assert [rho.dim for _, rho, _, _ in groups] == [3, 4, 5, 6]
+    # ascending d, in batches of at most MAX_BATCH (200 instances need more
+    # than one batch for some d)
+    dims = [rho.dim for _, rho, _, _ in groups]
+    assert dims == sorted(dims) and set(dims) == {3, 4, 5, 6} and len(dims) > 4
+    assert all(len(pos) <= MAX_BATCH for pos, *_ in groups)
     wide_extreme = repeated_middle = padded = 0
     for pos, rho, gen, k in groups:
         got = verify_gap_equality(rho, gen, k)
