@@ -286,10 +286,10 @@ def ppa_generator() -> Generator:
 
 
 def phase_unitary(gen: Generator, theta: float) -> np.ndarray:
-    """exp(+i * theta * A) for a phase generator A."""
+    """exp(+i * theta * A) for a phase generator A, or a stack of them."""
     u = np.zeros_like(gen.mat)
-    for val, proj in zip(gen.eigenvalues, gen.projectors):
-        u = u + np.exp(1j * theta * val) * proj
+    for val, proj in zip(np.moveaxis(gen.eigenvalues, -1, 0), gen.projectors):
+        u = u + np.exp(1j * theta * val)[..., None, None] * proj
     return u
 
 

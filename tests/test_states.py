@@ -207,6 +207,21 @@ def test_phase_unitary_matches_expm():
         assert np.abs(got - expected).max() < 1e-10
 
 
+def test_phase_unitary_of_a_generator_stack_is_per_instance():
+    # 2, 3 and 4 eigenspaces: the padded slots add nothing
+    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 1.0, 1.0, 3.0], [-2.0, 0.5, 1.0, 3.0])
+    mats = []
+    for w in spectra:
+        q = random_unitary(RNG, 4)
+        mats.append((q * w) @ q.conj().T)
+    got = phase_unitary(Generator.from_matrix(np.array(mats)), 0.7)
+    assert got.shape == (3, 4, 4)
+    for i, mat in enumerate(mats):
+        one = phase_unitary(Generator.from_matrix(mat), 0.7)
+        assert np.abs(got[i] - one).max() < 1e-14
+        assert np.abs(got[i] - scipy.linalg.expm(0.7j * mat)).max() < 1e-10
+
+
 def test_phase_unitary_is_unitary():
     for _ in range(10):
         h = random_hermitian(RNG, 4)
