@@ -1,10 +1,10 @@
 """Command-line interface: sweep, kd, fig4, verify.
 
-All numeric output is written with 12 significant digits and fixed row
-order, and every random draw comes from a stream keyed by (seed, grid
-indices, stage), so output files are byte-identical for any ``--workers``
-value.  ``PPASIM_OUT_DIR`` supplies the default directory for
-relative output paths.
+The CSV output of sweep and fig4 is written with 12 significant digits,
+kd's JSON with the full repr of each float.  Rows come in fixed order and
+every random draw comes from a stream keyed by (seed, grid indices, stage),
+so output files are byte-identical for any ``--workers`` value.
+``PPASIM_OUT_DIR`` supplies the default directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -29,16 +29,9 @@ from .bench import (
     run_trials,
 )
 from .fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld, survival_probability
-from .quasiprob import (
-    condition,
-    kd_distribution,
-    kd_table_closed_form,
-    nonclassicality_gap,
-    ppa_povm_sequence,
-)
-from .states import phase_unitary, ppa_generator, pure_state
+from .quasiprob import kd_table_closed_form, nonclassicality_gap
 from .tomography import DEFAULT_DTHETA, simulate_tomography
-from .verify import run_all
+from .verify import T_GRID, THETA_GRID, run_all
 
 __all__ = [
     "SweepSpec",
@@ -54,9 +47,6 @@ __all__ = [
 ]
 
 OUT_DIR_ENV = "PPASIM_OUT_DIR"
-
-DEFAULT_THETA_LIST = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
-DEFAULT_T_LIST = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
 
 # Row-major (a, a') outcomes of the pass-conditioned table that kd writes.
 KD_TABLE_LABELS = ("a+,a+", "a+,a-", "a-,a+", "a-,a-")
@@ -86,12 +76,17 @@ _STAGE_TOMO_UNFILTERED = 13
 _FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, str: str}
 
 
+def _is_kind(value, kind) -> bool:
+    """isinstance, except that a bool (a JSON true or false) is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description shared by the sweep and fig4 commands."""
 
-    theta_list: tuple[float, ...] = DEFAULT_THETA_LIST
-    t_list: tuple[float, ...] = DEFAULT_T_LIST
+    theta_list: tuple[float, ...] = THETA_GRID
+    t_list: tuple[float, ...] = T_GRID
     visibility: float = 1.0
     epsilon: float = 0.0
     delta_t: float = 0.0
@@ -103,20 +98,21 @@ class SweepSpec:
     output_path: str = ""
 
     def __post_init__(self) -> None:
-        """Reject a field whose type differs from its default's; grids become tuples."""
+        """Reject a field whose type differs from its default's, and a bool
+        anywhere; grids become tuples."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):  # a grid
                 if not (
                     isinstance(value, (list, tuple))
                     and value
-                    and all(isinstance(x, numbers.Real) for x in value)
+                    and all(_is_kind(x, numbers.Real) for x in value)
                 ):
                     raise ValueError(
                         f"{f.name}: expected a non-empty list of numbers, got {value!r}"
                     )
                 object.__setattr__(self, f.name, tuple(float(x) for x in value))
-            elif not isinstance(value, _FIELD_KINDS[type(f.default)]):
+            elif not _is_kind(value, _FIELD_KINDS[type(f.default)]):
                 kind = type(f.default).__name__
                 raise ValueError(f"{f.name}: expected {kind}, got {value!r}")
 
@@ -220,14 +216,17 @@ def check_kd_grid(theta_list, t_list) -> None:
 
 
 def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
-    """Write the conditional quasiprobability tables and gaps as JSON."""
-    gen = ppa_generator()
+    """Write the conditional quasiprobability tables and gaps as JSON.
+
+    The imprinted state exp(i theta sigma_x / 2)|0> has Bloch vector
+    (0, sin theta, cos theta); each table is :func:`kd_table_closed_form`
+    of it.
+    """
     records = []
     for theta in theta_list:
-        u = phase_unitary(gen, theta)
-        rho = pure_state(u @ np.array([1.0, 0.0], dtype=complex))
+        r = (0.0, math.sin(theta), math.cos(theta))
         for t in t_list:
-            cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
+            cond = kd_table_closed_form(r, t)
             gap = nonclassicality_gap(cond)
             records.append({
                 "theta": float(theta),

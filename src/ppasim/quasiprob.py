@@ -7,16 +7,15 @@ joint quasidistribution
 
 with the first measurement acting rightmost.  It is kept as a plain
 read-only complex array whose axis i is indexed by the outcomes of POVM i.
-Marginalizing any index (a sum over that axis) is POVM element deletion;
-conditioning is a slice plus renormalization by its (real) total.
+Marginalizing any index (a sum over that axis) is POVM element deletion.
 Nonclassicality is quantified by the spread of |p|^2 over outcomes, which
-for the amplification filter's conditional distribution ties directly to
-the postselected quantum Fisher information.
+for the amplification scheme's pass-conditioned (A, filter, A) table,
+:func:`kd_table_closed_form`, ties directly to the postselected quantum
+Fisher information.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +30,6 @@ from .states import (
     _first_bad,
     _freeze,
     hermitian_part,
-    make_filter,
-    plus_minus_states,
 )
 from .fisher import qfi_postselected_pure
 
@@ -42,11 +39,8 @@ __all__ = [
     "ZeroNormalizerError",
     "POVM",
     "GapEqualityResult",
-    "projective_povm",
     "filter_povm",
-    "ppa_povm_sequence",
     "kd_distribution",
-    "condition",
     "kd_table_closed_form",
     "nonclassicality_gap",
     "verify_gap_equality",
@@ -107,15 +101,6 @@ class POVM:
         return self.stack.shape[-1]
 
 
-def projective_povm(vectors) -> POVM:
-    """Rank-1 projective POVM from an orthonormal set of vectors, in order."""
-    elems = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        elems.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
-    return POVM(tuple(elems))
-
-
 def filter_povm(k_plus) -> POVM:
     """Pass/fail POVM {M, 1 - M}, M = K+^dag K+, of a filter: pass is outcome 0.
 
@@ -125,22 +110,6 @@ def filter_povm(k_plus) -> POVM:
     k = _as_complex_stack(k_plus, "K+")
     m = k.conj().swapaxes(-1, -2) @ k
     return POVM((m, np.eye(k.shape[-1]) - m))
-
-
-@functools.cache
-def _a_basis_povm() -> POVM:
-    return projective_povm(plus_minus_states())
-
-
-def ppa_povm_sequence(t: complex) -> tuple[POVM, POVM, POVM]:
-    """(A-basis, filter, A-basis) POVMs of the amplification scheme.
-
-    POVMs 0 and 2 are one shared projective POVM onto |a+>, |a-> (outcomes
-    0 and 1, in that order); POVM 1 is :func:`filter_povm` of
-    ``make_filter(t)``, whose outcome 0 is the pass.
-    """
-    proj = _a_basis_povm()
-    return (proj, filter_povm(make_filter(t)), proj)
 
 
 class GapEqualityResult(NamedTuple):
@@ -186,31 +155,6 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
         _, at = _first_bad(bad)
         raise ValueError(f"{at}quasidistribution does not sum to 1 within 1e-10")
     return _freeze(values)
-
-
-def condition(kd: np.ndarray, axis: int, outcome: int) -> np.ndarray:
-    """Condition a quasidistribution on measurement ``axis`` giving ``outcome``.
-
-    ``kd`` is the table of one instance, without batch axes.  Returns the
-    read-only slice at index ``outcome`` of ``axis`` (one axis fewer),
-    renormalized by its total, which for a physical slice is the (real)
-    probability of that outcome.  An ``axis`` or ``outcome`` out of range,
-    negative ones included, raises ValueError; a total of magnitude
-    <= 1e-14 raises :class:`ZeroNormalizerError`.
-    """
-    if not 0 <= axis < kd.ndim:
-        raise ValueError(f"axis {axis} out of range for {kd.ndim} measurements")
-    if not 0 <= outcome < kd.shape[axis]:
-        raise ValueError(
-            f"outcome {outcome} out of range for axis {axis} of shape {kd.shape}"
-        )
-    sliced = np.take(kd, outcome, axis=axis)
-    norm = complex(sliced.sum())
-    if abs(norm) <= 1e-14:
-        raise ZeroNormalizerError(
-            f"outcome {outcome} of measurement {axis} has zero quasiprobability"
-        )
-    return _freeze(sliced / norm)
 
 
 def kd_table_closed_form(r, t: complex) -> np.ndarray:

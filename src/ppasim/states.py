@@ -38,14 +38,11 @@ __all__ = [
     "DensityMatrix",
     "Generator",
     "pure_state",
-    "plus_minus_states",
     "ppa_generator",
     "phase_unitary",
     "make_filter",
     "amplified_angle",
-    "bloch_vector",
     "direction_to_bloch",
-    "analysis_to_standard",
     "direction_projector",
     "hermitian_part",
     "psd_sqrt",
@@ -59,15 +56,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# Analysis-frame axes as columns, expressed in standard Bloch coordinates.
-_ANALYSIS_FRAME = np.array(
-    [
-        [0.0, 1.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0],
-    ]
-)
 
 
 class InvalidGeneratorError(ValueError):
@@ -273,12 +261,6 @@ class Generator:
         return float(spread) if spread.ndim == 0 else spread
 
 
-def plus_minus_states() -> tuple[np.ndarray, np.ndarray]:
-    """The +-x eigenvectors (|0> +- |1>)/sqrt(2)."""
-    s = 1.0 / math.sqrt(2.0)
-    return np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)
-
-
 @functools.cache
 def ppa_generator() -> Generator:
     """The qubit phase generator sigma_x / 2 (eigenvalue spread 1), built once."""
@@ -336,32 +318,15 @@ def amplified_angle(theta: float, t_mag: float) -> float:
     return 2.0 * math.atan2(math.tan(half), t_mag)
 
 
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Standard Bloch components (Tr rho sigma_x, sigma_y, sigma_z) of one qubit."""
-    if rho.mat.shape != (2, 2):
-        raise ValueError("Bloch vectors are defined for one qubit state only")
-    return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])
-
-
-def analysis_to_standard(vec) -> np.ndarray:
-    """Rotate a vector from analysis-frame to standard Bloch coordinates."""
-    return _ANALYSIS_FRAME @ np.asarray(vec, dtype=float).reshape(3)
-
-
 def direction_to_bloch(polar: float, azimuth: float) -> np.ndarray:
     """Unit Bloch vector (standard coords) of an analysis-frame direction.
 
-    (polar, azimuth) are spherical angles in the analysis frame, so e.g.
-    (pi/2, 0) is the analysis x axis = standard -y.
+    (polar, azimuth) are spherical angles in the analysis frame, whose axes
+    are x_a = -y, y_a = +x, z_a = z, so e.g. (pi/2, 0) is standard -y.
     """
-    n_analysis = np.array(
-        [
-            math.sin(polar) * math.cos(azimuth),
-            math.sin(polar) * math.sin(azimuth),
-            math.cos(polar),
-        ]
-    )
-    return analysis_to_standard(n_analysis)
+    x_a = math.sin(polar) * math.cos(azimuth)
+    y_a = math.sin(polar) * math.sin(azimuth)
+    return np.array([y_a, -x_a, math.cos(polar)])
 
 
 def direction_projector(polar: float, azimuth: float) -> np.ndarray:

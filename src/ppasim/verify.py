@@ -68,7 +68,8 @@ __all__ = [
 # holds (batch, 6, 2, 6, 6) complex products in kd_distribution).
 MAX_BATCH = 32
 
-# Acceptance grid shared by the Fisher-consistency checks.
+# Acceptance grid shared by the Fisher-consistency checks; also the default
+# grid of the sweep, kd and fig4 commands.
 THETA_GRID = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
 T_GRID = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
 

@@ -1,0 +1,93 @@
+"""Matrix-route reference for the amplification scheme's KD tables.
+
+The program builds the pass-conditioned (A, filter, A) table only in closed
+form (``quasiprob.kd_table_closed_form``).  The tests check it against the
+general route kept here: 2x2 density matrices, projective POVMs onto
+|a+->, the filter POVM, the general ``kd_distribution`` and a slice
+renormalized by its total.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from ppasim.quasiprob import POVM, ZeroNormalizerError, filter_povm, kd_distribution
+from ppasim.states import (
+    PAULIS,
+    DensityMatrix,
+    make_filter,
+    phase_unitary,
+    ppa_generator,
+    pure_state,
+)
+
+
+def plus_minus_states():
+    """The +-x eigenvectors (|0> +- |1>)/sqrt(2)."""
+    s = 1.0 / math.sqrt(2.0)
+    return np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex)
+
+
+def projective_povm(vectors):
+    """Rank-1 projective POVM from an orthonormal set of vectors, in order."""
+    elems = []
+    for v in vectors:
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        elems.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+    return POVM(tuple(elems))
+
+
+@functools.cache
+def _a_basis_povm():
+    return projective_povm(plus_minus_states())
+
+
+def ppa_povm_sequence(t):
+    """(A-basis, filter, A-basis) POVMs of the amplification scheme.
+
+    POVMs 0 and 2 are one shared projective POVM onto |a+>, |a-> (outcomes
+    0 and 1, in that order); POVM 1 is ``filter_povm(make_filter(t))``,
+    whose outcome 0 is the pass.
+    """
+    proj = _a_basis_povm()
+    return (proj, filter_povm(make_filter(t)), proj)
+
+
+def condition(kd, axis, outcome):
+    """Condition a quasidistribution on measurement ``axis`` giving ``outcome``.
+
+    ``kd`` is the table of one instance, without batch axes.  Returns the
+    read-only slice at index ``outcome`` of ``axis`` (one axis fewer),
+    renormalized by its total.  An ``axis`` or ``outcome`` out of range,
+    negative ones included, raises ValueError; a total of magnitude
+    <= 1e-14 raises ZeroNormalizerError.
+    """
+    if not 0 <= axis < kd.ndim:
+        raise ValueError(f"axis {axis} out of range for {kd.ndim} measurements")
+    if not 0 <= outcome < kd.shape[axis]:
+        raise ValueError(
+            f"outcome {outcome} out of range for axis {axis} of shape {kd.shape}"
+        )
+    sliced = np.take(kd, outcome, axis=axis)
+    norm = complex(sliced.sum())
+    if abs(norm) <= 1e-14:
+        raise ZeroNormalizerError(
+            f"outcome {outcome} of measurement {axis} has zero quasiprobability"
+        )
+    out = sliced / norm
+    out.flags.writeable = False
+    return out
+
+
+def imprinted_table(theta, t):
+    """Pass-conditioned table of exp(i theta sigma_x / 2)|0>, built from matrices."""
+    rho = pure_state(phase_unitary(ppa_generator(), theta) @ np.array([1.0, 0.0]))
+    return condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
+
+
+def bloch_vector(rho: DensityMatrix):
+    """Standard Bloch components (Tr rho sigma_x, sigma_y, sigma_z) of one qubit."""
+    if rho.mat.shape != (2, 2):
+        raise ValueError("Bloch vectors are defined for one qubit state only")
+    return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])

@@ -33,11 +33,9 @@ from ppasim.fisher import (
     sld,
 )
 from ppasim.quasiprob import (
-    condition,
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
-    ppa_povm_sequence,
 )
 from ppasim.states import (
     amplified_angle,
@@ -53,6 +51,8 @@ from ppasim.verify import (
     marginalization_suite,
     sld_axis,
 )
+
+from matrix_reference import condition, ppa_povm_sequence
 
 
 def imprinted_bloch(theta):

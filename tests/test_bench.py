@@ -35,11 +35,12 @@ from ppasim.states import (
     DensityMatrix,
     Generator,
     amplified_angle,
-    bloch_vector,
     direction_to_bloch,
     make_filter,
     phase_unitary,
 )
+
+from matrix_reference import bloch_vector
 
 
 def matrix_pipeline(cfg):

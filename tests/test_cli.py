@@ -9,17 +9,14 @@ import pytest
 
 from ppasim import cli
 from ppasim.bench import SWEEP_CSV_COLUMNS, rng_stream
-from ppasim.cli import (
-    DEFAULT_T_LIST,
-    DEFAULT_THETA_LIST,
-    FIG4_CSV_COLUMNS,
-    SweepSpec,
-    main,
-)
+from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import InconsistentDerivativeError, PPAFamily, qfi_ppa_theory, sld
-from ppasim.quasiprob import condition, kd_distribution, nonclassicality_gap, ppa_povm_sequence
-from ppasim.states import ID2, PAULIS, DensityMatrix, bloch_vector, hermitian_part, make_filter
+from ppasim.quasiprob import kd_distribution, nonclassicality_gap
+from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
 from ppasim.tomography import DEFAULT_DTHETA
+from ppasim.verify import T_GRID, THETA_GRID
+
+from matrix_reference import bloch_vector, condition, imprinted_table, ppa_povm_sequence
 
 
 def read_csv(path):
@@ -259,11 +256,32 @@ def test_kd_json_schema_and_values(tmp_path, capsys):
     assert open_filter["gap"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_kd_matches_the_matrix_reference(tmp_path, capsys):
+    # negative theta, negative t, the open filter and the strong-filter
+    # corner (1.5, 0.044); entries reach ~1e2 at (0.02, 0.044), so compare
+    # entrywise with criterion 4's |kd - ref| / max(1, |ref|)
+    thetas = (-1.5, -0.3, 0.02, 0.2, 1.0, 1.5)
+    ts = (-1.0, -0.5, -0.044, 0.044, 0.3, 1.0)
+    out = tmp_path / "kd.json"
+    argv = ["kd", "--theta=" + ",".join(map(str, thetas)), "--t=" + ",".join(map(str, ts))]
+    code, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    records = json.loads(out.read_text())
+    assert [(r["theta"], r["t"]) for r in records] == list(itertools.product(thetas, ts))
+    for rec in records:
+        ref = imprinted_table(rec["theta"], rec["t"]).ravel()
+        got = np.array(rec["re"]) + 1j * np.array(rec["im"])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        gap = nonclassicality_gap(ref)
+        assert abs(rec["gap"] - gap) <= 1e-12 * max(1.0, gap)
+        assert rec["gap_times_4delta_sq"] == 4.0 * rec["gap"]
+
+
 def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
     out = tmp_path / "kd.json"
     run(["kd", "--out", str(out)], capsys)
     records = json.loads(out.read_text())
-    assert len(records) == len(DEFAULT_THETA_LIST) * len(DEFAULT_T_LIST)
+    assert len(records) == len(THETA_GRID) * len(T_GRID)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +299,7 @@ def test_kd_rejects_invalid_grid_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    monkeypatch.setattr(cli, "kd_distribution", no_work)
+    monkeypatch.setattr(cli, "kd_table_closed_form", no_work)
     out = tmp_path / "kd.json"
     code = main(["kd", "--theta", "0.2", "--t", "0.5", "--out", str(out)] + flags)
     captured = capsys.readouterr()
@@ -516,8 +534,8 @@ def test_spec_from_json_rejects_unknown_keys():
 
 def test_spec_defaults_match_documented_grid():
     spec = SweepSpec()
-    assert spec.theta_list == DEFAULT_THETA_LIST
-    assert spec.t_list == DEFAULT_T_LIST
+    assert spec.theta_list == THETA_GRID
+    assert spec.t_list == T_GRID
     assert spec.photon_budget == 10**6
     assert spec.n_trials == 32
     assert math.isclose(spec.visibility, 1.0)
@@ -537,11 +555,14 @@ def test_spec_defaults_match_documented_grid():
         (["--config", "{cfg}"], "[0.1, 0.2]", "config"),
         (["--config", "{cfg}"], '{"visibility": "high"}', "visibility"),
         (["--config", "{cfg}"], '{"seed": 1.5}', "seed"),
+        (["--config", "{cfg}"], '{"seed": true}', "seed"),
+        (["--config", "{cfg}"], '{"theta_list": [true]}', "theta_list"),
     ],
     ids=[
         "unknown-key", "theta-not-numeric", "t-not-numeric", "malformed-json",
         "missing-config", "empty-grid", "grid-not-a-list", "config-not-an-object",
-        "visibility-not-a-number", "seed-not-an-integer",
+        "visibility-not-a-number", "seed-not-an-integer", "seed-a-boolean",
+        "grid-entry-a-boolean",
     ],
 )
 def test_spec_load_errors_exit_2_naming_the_field(
@@ -550,7 +571,7 @@ def test_spec_load_errors_exit_2_naming_the_field(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    for name in ("run_trials", "ProcessPoolExecutor", "kd_distribution", "_fig4_point"):
+    for name in ("run_trials", "ProcessPoolExecutor", "kd_table_closed_form", "_fig4_point"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = tmp_path / "spec.json"
     if config_text is not None:

@@ -31,6 +31,8 @@ from ppasim.states import (
 )
 from ppasim.verify import THETA_GRID, T_GRID, axis_angle, sld_axis
 
+from matrix_reference import bloch_vector
+
 RNG = np.random.default_rng(777)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -328,8 +330,6 @@ def test_cfi_poor_direction_loses_information():
     # measuring along the state's own Bloch axis is nearly blind
     fam = PPAFamily(t=0.5, v=0.98)
     theta = 0.2
-    from ppasim.states import bloch_vector
-
     x, y, z = bloch_vector(fam.state(theta))
     r = (-y, x, z)  # analysis frame: x_a = -y, y_a = +x, z_a = z
     polar = math.atan2(math.hypot(r[0], r[1]), r[2])

@@ -9,13 +9,10 @@ from ppasim.quasiprob import (
     ConditionNotMetError,
     PreconditionError,
     ZeroNormalizerError,
-    condition,
     filter_povm,
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
-    ppa_povm_sequence,
-    projective_povm,
     verify_gap_equality,
 )
 from ppasim.states import (
@@ -26,7 +23,6 @@ from ppasim.states import (
     ZeroProbabilityError,
     make_filter,
     phase_unitary,
-    plus_minus_states,
     ppa_generator,
     psd_sqrt,
     pure_state,
@@ -39,6 +35,13 @@ from ppasim.verify import (
     random_marginalization_instances,
     random_qubit_instances,
     random_qudit_instances,
+)
+
+from matrix_reference import (
+    condition,
+    plus_minus_states,
+    ppa_povm_sequence,
+    projective_povm,
 )
 
 RNG = np.random.default_rng(4242)

@@ -14,8 +14,6 @@ from ppasim.states import (
     UndefinedAmplificationError,
     ZeroProbabilityError,
     amplified_angle,
-    analysis_to_standard,
-    bloch_vector,
     direction_to_bloch,
     make_filter,
     phase_unitary,
@@ -27,6 +25,8 @@ from ppasim.states import (
     SIGMA_X,
     SIGMA_Z,
 )
+
+from matrix_reference import bloch_vector
 
 RNG = np.random.default_rng(1234)
 
@@ -416,18 +416,31 @@ def test_bloch_rejects_long_vector():
 # ------------------------------------------------------------ analysis frame
 
 
+# the analysis x, y and z axes as (polar, azimuth) directions
+ANALYSIS_AXES = ((math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (0.0, 0.0))
+
+
 def test_analysis_frame_axes():
-    assert np.abs(analysis_to_standard([1, 0, 0]) - [0, -1, 0]).max() < 1e-15
-    assert np.abs(analysis_to_standard([0, 1, 0]) - [1, 0, 0]).max() < 1e-15
-    assert np.abs(analysis_to_standard([0, 0, 1]) - [0, 0, 1]).max() < 1e-15
+    # x_a = -y, y_a = +x, z_a = z in standard coordinates
+    expected = ([0, -1, 0], [1, 0, 0], [0, 0, 1])
+    for (polar, azimuth), axis in zip(ANALYSIS_AXES, expected):
+        assert np.abs(direction_to_bloch(polar, azimuth) - axis).max() < 1e-15
 
 
 def test_analysis_frame_round_trip():
-    # the frame is a rotation, so its transpose takes standard coordinates back
-    frame = np.column_stack([analysis_to_standard(e) for e in np.eye(3)])
+    # the frame is a rotation (orthonormal columns, determinant +1), and a
+    # direction equals the frame applied to its analysis-frame unit vector
+    frame = np.column_stack([direction_to_bloch(p, a) for p, a in ANALYSIS_AXES])
+    assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-15
+    assert abs(np.linalg.det(frame) - 1.0) < 1e-15
     for _ in range(10):
-        v = RNG.normal(size=3)
-        assert np.abs(frame.T @ analysis_to_standard(v) - v).max() < 1e-14
+        polar, azimuth = RNG.uniform(0, math.pi), RNG.uniform(-math.pi, math.pi)
+        n_a = [
+            math.sin(polar) * math.cos(azimuth),
+            math.sin(polar) * math.sin(azimuth),
+            math.cos(polar),
+        ]
+        assert np.abs(frame.T @ direction_to_bloch(polar, azimuth) - n_a).max() < 1e-14
 
 
 def test_direction_to_bloch_is_unit():

@@ -5,21 +5,17 @@ import pytest
 
 from ppasim.bench import postselected_bloch
 from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld
-from ppasim.quasiprob import (
-    condition,
-    kd_distribution,
-    kd_table_closed_form,
-    ppa_povm_sequence,
-)
+from ppasim.quasiprob import kd_distribution, kd_table_closed_form
 from ppasim.states import (
     ID2,
     PAULIS,
     DensityMatrix,
     ZeroProbabilityError,
     amplified_angle,
-    bloch_vector,
 )
 from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
+
+from matrix_reference import bloch_vector, condition, ppa_povm_sequence
 
 
 def density(r):
