@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -459,6 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads "-0.3,0.2" as an option, not as the value of --theta
+    # (or an abbreviation of it) or --t before it, so attach it with "="
+    for i in range(len(argv) - 1, 0, -1):
+        flag = re.fullmatch(r"--t(h|he|het|heta)?", argv[i - 1])
+        if flag and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     # An imperfect source keeps most tomographic estimates inside the Bloch
     # ball, where qfi_bloch of a noisy derivative is defined; points with

@@ -15,13 +15,9 @@ import numpy as np
 
 from .states import (
     ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DensityMatrix,
     Generator,
     ZeroProbabilityError,
-    _as_complex_matrix,
     _as_complex_stack,
     _first_bad,
     direction_projector,
@@ -45,7 +41,6 @@ __all__ = [
     "qfi_postselected_pure",
     "optimal_measurement",
     "cfi",
-    "sld_closed_form",
 ]
 
 
@@ -63,11 +58,12 @@ class PurityError(ValueError):
 
 @dataclass(frozen=True)
 class SLDResult:
-    """SLD operator, the QFI it certifies, and the on-support defect norm."""
+    """SLD operator, the QFI it certifies, and the on-support defect norm
+    (``qfi`` and ``residual`` are arrays over the batch axes of a stack)."""
 
     lam: np.ndarray
-    qfi: float
-    residual: float
+    qfi: float | np.ndarray
+    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,42 +97,53 @@ def survival_probability(theta: float, t_mag: float, v: float = 1.0) -> float:
 def sld(rho: DensityMatrix, drho) -> SLDResult:
     """Solve (rho L + L rho)/2 = drho for the SLD L and report QFI = Tr(drho L).
 
-    ``drho`` must be Hermitian with |trace| <= 1e-9.  With rho = V diag(lambda)
-    V^dag, L = V (2 (V^dag drho V)_ij / (lambda_i + lambda_j)) V^dag on the
-    pairs where either eigenvalue exceeds 1e-12 lambda_max, and 0 on the
-    kernel-kernel block; a kernel block of drho with norm beyond 1e-6 is
-    unreachable and raises :class:`InconsistentDerivativeError`.
-    ``residual`` is the Frobenius norm of the defect projected onto the
-    support of rho.
+    ``drho`` must be Hermitian to 1e-8 with |trace| <= 1e-9.  With rho =
+    V diag(lambda) V^dag, L = V (2 (V^dag drho V)_ij / (lambda_i +
+    lambda_j)) V^dag on the pairs where either eigenvalue exceeds 1e-12
+    lambda_max, and 0 on the kernel-kernel block; a kernel block of drho
+    with norm beyond 1e-6 is unreachable and raises
+    :class:`InconsistentDerivativeError`.  ``residual`` is the Frobenius
+    norm of the defect projected onto the support of rho.  ``rho`` and
+    ``drho`` may be (..., d, d) stacks, solved by one batched ``eigh``, with
+    every check per instance; a failure names the first failing instance.
     """
     m = rho.mat
-    dm = _as_complex_matrix(drho, "drho")
+    dm = _as_complex_stack(drho, "drho")
     if dm.shape != m.shape:
         raise ValueError("drho dimension does not match rho")
-    if np.abs(dm - dm.conj().T).max() > 1e-8:
-        raise ValueError("drho must be Hermitian")
-    if abs(np.trace(dm)) > 1e-9:
-        raise ValueError("drho must be traceless (trace-preserving family)")
-
+    dev = np.abs(dm - dm.conj().swapaxes(-1, -2))
+    if dev.max(initial=0.0) > 1e-8:
+        _, at = _first_bad(dev.max((-2, -1)) > 1e-8)
+        raise ValueError(f"{at}drho must be Hermitian")
+    tr = np.abs(dm.trace(0, -2, -1))
+    if tr.max(initial=0.0) > 1e-9:
+        _, at = _first_bad(tr > 1e-9)
+        raise ValueError(f"{at}drho must be traceless (trace-preserving family)")
     w, vecs = np.linalg.eigh(hermitian_part(m))
-    on = w > 1e-12 * max(w.max(), 1e-300)
-    d_eig = vecs.conj().T @ dm @ vecs
+    # eigh sorts ascending, so w[..., -1:] is the largest eigenvalue
+    on = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    d_eig = vecs_h @ dm @ vecs
+    pairs = on[..., :, None] | on[..., None, :]
     if not on.all():
-        kernel_norm = float(np.linalg.norm(d_eig[np.ix_(~on, ~on)]))
-        if kernel_norm > 1e-6:
+        kernel_norm = np.sqrt((np.abs(np.where(pairs, 0.0, d_eig)) ** 2).sum((-2, -1)))
+        bad = kernel_norm > 1e-6
+        if bad.any():
+            k, at = _first_bad(bad)
             raise InconsistentDerivativeError(
-                f"drho has weight {kernel_norm:.3e} outside the support of rho"
+                f"{at}drho has weight {kernel_norm[k]:.3e} outside the support of rho"
             )
-    pairs = on[:, None] | on[None, :]
-    denom = np.where(pairs, w[:, None] + w[None, :], 1.0)
+    denom = np.where(pairs, w[..., :, None] + w[..., None, :], 1.0)
     lam_eig = np.where(pairs, 2.0 * d_eig / denom, 0.0)
-    lam = hermitian_part(vecs @ lam_eig @ vecs.conj().T)
-
-    defect = (m @ lam + lam @ m) / 2.0 - dm
-    support = vecs[:, on]
-    residual = float(np.linalg.norm(support.conj().T @ defect @ support))
-    qfi = float(np.trace(dm @ lam).real)
-    return SLDResult(lam=lam, qfi=max(qfi, 0.0), residual=residual)
+    lam = hermitian_part(vecs @ lam_eig @ vecs_h)
+    # the defect in the eigenbasis of rho, kept on the support-support block
+    defect = vecs_h @ ((m @ lam + lam @ m) / 2.0 - dm) @ vecs
+    support = on[..., :, None] & on[..., None, :]
+    residual = np.sqrt((np.abs(np.where(support, defect, 0.0)) ** 2).sum((-2, -1)))
+    qfi = np.maximum((dm @ lam).trace(0, -2, -1).real, 0.0)
+    if qfi.ndim == 0:
+        return SLDResult(lam=lam, qfi=float(qfi), residual=float(residual))
+    return SLDResult(lam=lam, qfi=qfi, residual=residual)
 
 
 def qfi_bloch(r, dr) -> float:
@@ -163,6 +170,9 @@ def qfi_bloch(r, dr) -> float:
     return float(dr @ dr) - radial**2 + radial**2 / 4.0
 
 
+_KET0_BRA0 = np.diag([1.0, 0.0]).astype(complex)
+
+
 @dataclass(frozen=True)
 class PPAFamily:
     """theta-indexed family of postselected states for filter amplitude t.
@@ -171,44 +181,51 @@ class PPAFamily:
     are cos(theta/2)|0> + i sin(theta/2)|1>; the bench's vertical-input,
     theta - pi pipeline produces exactly the same family.  ``state`` returns
     the normalized postselected state, ``derivative`` its exact analytic
-    theta-derivative (quotient rule through the normalization).
+    theta-derivative (quotient rule through the normalization).  ``t``,
+    ``v`` and ``theta`` may be arrays that broadcast to the batch axes of
+    the (..., 2, 2) results; a bad t or v names its first instance.
     """
 
     t: complex
     v: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < abs(complex(self.t)) <= 1.0 + 1e-12:
-            raise ValueError("PPAFamily requires 0 < |t| <= 1")
-        if not 0.0 < self.v <= 1.0:
-            raise ValueError("visibility must lie in (0, 1]")
+        mag = np.abs(np.asarray(self.t, dtype=complex))
+        v = np.asarray(self.v, dtype=float)
+        for ok, message in (
+            ((0.0 < mag) & (mag <= 1.0 + 1e-12), "PPAFamily requires 0 < |t| <= 1"),
+            ((0.0 < v) & (v <= 1.0), "visibility must lie in (0, 1]"),
+        ):
+            if not ok.all():
+                raise ValueError(_first_bad(~ok)[1] + message)
         object.__setattr__(self, "_k", make_filter(self.t))
         object.__setattr__(self, "_gen", ppa_generator())
-        rho0 = self.v * np.diag([1.0, 0.0]).astype(complex) + (1.0 - self.v) * ID2 / 2
-        object.__setattr__(self, "_rho0", rho0)
+        v = v[..., None, None]
+        object.__setattr__(self, "_rho0", v * _KET0_BRA0 + (1.0 - v) * ID2 / 2)
 
-    def _unfiltered(self, theta: float) -> np.ndarray:
+    def _unfiltered(self, theta) -> np.ndarray:
         u = phase_unitary(self._gen, theta)
-        return u @ self._rho0 @ u.conj().T
+        return u @ self._rho0 @ u.conj().swapaxes(-1, -2)
 
-    def unfiltered_state(self, theta: float) -> DensityMatrix:
+    def unfiltered_state(self, theta) -> DensityMatrix:
         """The imprinted state before the filter acts."""
         return DensityMatrix(self._unfiltered(theta))
 
-    def state(self, theta: float) -> DensityMatrix:
+    def state(self, theta) -> DensityMatrix:
         k = self._k
-        num = k @ self._unfiltered(theta) @ k.conj().T
-        return DensityMatrix(num / np.trace(num).real)
+        num = k @ self._unfiltered(theta) @ k.conj().swapaxes(-1, -2)
+        return DensityMatrix(num / num.trace(0, -2, -1).real[..., None, None])
 
-    def derivative(self, theta: float) -> np.ndarray:
+    def derivative(self, theta) -> np.ndarray:
         k = self._k
+        k_h = k.conj().swapaxes(-1, -2)
         rho = self._unfiltered(theta)
         a = self._gen.mat
         drho = 1j * (a @ rho - rho @ a)
-        num = k @ rho @ k.conj().T
-        dnum = k @ drho @ k.conj().T
-        p = np.trace(num).real
-        dp = np.trace(dnum).real
+        num = k @ rho @ k_h
+        dnum = k @ drho @ k_h
+        p = num.trace(0, -2, -1).real[..., None, None]
+        dp = dnum.trace(0, -2, -1).real[..., None, None]
         return hermitian_part(dnum / p - num * (dp / p**2))
 
 
@@ -275,46 +292,22 @@ def optimal_measurement(theta_prior: float, t: complex) -> MeasurementDirection:
     return MeasurementDirection(theta_opt=polar, phi_opt=azimuth)
 
 
-def cfi(direction: MeasurementDirection, family: PPAFamily, theta: float) -> float:
+def cfi(proj, family: PPAFamily, theta):
     """Classical Fisher information q'^2 / (q (1 - q)) of a projective qubit test.
 
-    q' comes from the family's exact analytic ``derivative``.  Outcomes with
-    q in {0, 1} (within 1e-12) raise :class:`DegenerateMeasurementError`.
+    ``proj`` projects onto the +1 outcome (``direction.projector()``), or is
+    a (..., 2, 2) stack that broadcasts with the family and ``theta``.  q'
+    comes from the family's exact analytic ``derivative``.  Outcomes with q
+    in {0, 1} (within 1e-12) raise :class:`DegenerateMeasurementError`,
+    naming the first failing instance.
     """
-    proj = direction.projector()
-    q = float(np.trace(family.state(theta).mat @ proj).real)
-    if q < 1e-12 or q > 1.0 - 1e-12:
+    q = (family.state(theta).mat @ proj).trace(0, -2, -1).real
+    bad = (q < 1e-12) | (q > 1.0 - 1e-12)
+    if bad.any():
+        k, at = _first_bad(bad)
         raise DegenerateMeasurementError(
-            f"outcome probability {q:.3e} carries no information"
+            f"{at}outcome probability {q[k]:.3e} carries no information"
         )
-    dq = float(np.trace(family.derivative(theta) @ proj).real)
-    return dq**2 / (q * (1.0 - q))
-
-
-def sld_closed_form(theta: float, t: complex, v: float) -> np.ndarray:
-    """Closed-form SLD of the visibility-v postselected family.
-
-    -(v / p_ps) * [ (1-|t|^2)/2 sin(theta) 1
-                    + cos(theta) (Re t sig_x^a + Im t sig_y^a)
-                    + (1+|t|^2)/2 sin(theta) sig_z ]
-
-    with the analysis-frame Paulis sig_x^a = -sigma_y, sig_y^a = +sigma_x
-    and p_ps the visibility-v survival probability.  For v < 1 this equals
-    :func:`sld` of the family exactly; at v = 1 it remains a valid SLD but
-    differs from the minimum-norm solution by a kernel shift.
-    """
-    t = complex(t)
-    mag = abs(t)
-    if not 0.0 < mag <= 1.0 + 1e-12:
-        raise ValueError("sld_closed_form requires 0 < |t| <= 1")
-    if not 0.0 < v <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
-    p = survival_probability(theta, mag, v=v)
-    sig_x_a = -SIGMA_Y
-    sig_y_a = SIGMA_X
-    bracket = (
-        (1.0 - mag**2) / 2.0 * math.sin(theta) * ID2
-        + math.cos(theta) * (t.real * sig_x_a + t.imag * sig_y_a)
-        + (1.0 + mag**2) / 2.0 * math.sin(theta) * SIGMA_Z
-    )
-    return -(v / p) * bracket
+    dq = (family.derivative(theta) @ proj).trace(0, -2, -1).real
+    info = dq**2 / (q * (1.0 - q))
+    return float(info) if info.ndim == 0 else info

@@ -80,13 +80,6 @@ def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _as_complex_matrix(mat, name: str = "matrix") -> np.ndarray:
-    m = _as_complex_stack(mat, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
 def _first_bad(bad) -> tuple[tuple[int, ...], str]:
     """Index of the first True entry of a per-instance mask, and an error
     message prefix naming that instance ("" when there are no batch axes)."""

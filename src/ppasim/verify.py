@@ -15,16 +15,18 @@ reports the worst residual against a fixed threshold.  The suites back the
 * Sylvester residual — the SLD solve reproduces drho on the state's support.
 
 The random instances are drawn one at a time, in a fixed order of stream
-calls, and the gap-equality and marginalization instances are then
-evaluated as stacks: the qubit instances as one batch, the qudit instances
-in batches of one dimension, and the marginalization instances in batches
-of one shape (d and the three outcome counts), of at most ``MAX_BATCH``
-instances each.  The grid suites and the Sylvester random states still
-make one ``sld`` call per instance.
+calls, and then evaluated as stacks: the gap-equality qubit instances as
+one batch, the qudit instances and the Sylvester random states in batches
+of one dimension, and the marginalization instances in batches of one
+shape (d and the three outcome counts), of at most ``MAX_BATCH`` instances
+each.  The 84 grid states of the CFI = QFI and Sylvester suites are one
+``PPAFamily`` evaluation and one ``sld`` call, made once per process and
+shared by both suites.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +36,7 @@ from .states import (
     PAULIS,
     DensityMatrix,
     Generator,
+    _first_bad,
     direction_to_bloch,
     hermitian_part,
     make_filter,
@@ -93,28 +96,28 @@ class SuiteResult:
         )
 
 
-def axis_angle(u, w) -> float:
+def axis_angle(u, w):
     """Angle between two axes (sign-insensitive), stable at small angles.
 
     Uses atan2 of the cross and dot products; an arccos of the inner product
     loses everything below ~1e-8 to rounding, which matters at the 1e-8
-    tolerances used here.
+    tolerances used here.  ``u`` and ``w`` may be (..., 3) stacks.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    u = u / np.linalg.norm(u)
-    w = w / np.linalg.norm(w)
-    if np.dot(u, w) < 0:
-        w = -w
-    return math.atan2(np.linalg.norm(np.cross(u, w)), float(np.dot(u, w)))
+    # scale-free; flipping w flips the sign of both products, so take |u . w|
+    ang = np.arctan2(np.linalg.norm(np.cross(u, w), axis=-1), np.abs((u * w).sum(-1)))
+    return float(ang) if ang.ndim == 0 else ang
 
 
 def sld_axis(lam: np.ndarray) -> np.ndarray:
-    """Bloch axis (standard coords) of a qubit SLD's traceless part."""
-    vec = np.array([float(np.trace(lam @ s).real) for s in PAULIS])
-    n = np.linalg.norm(vec)
-    if n < 1e-12:
-        raise ValueError("SLD has no traceless part; the axis is undefined")
+    """Bloch axis (standard coords) of a qubit SLD's traceless part, or (..., 3) axes."""
+    vec = np.stack([(lam @ s).trace(0, -2, -1).real for s in PAULIS], -1)
+    n = np.linalg.norm(vec, axis=-1, keepdims=True)
+    bad = n[..., 0] < 1e-12
+    if bad.any():
+        _, at = _first_bad(bad)
+        raise ValueError(f"{at}SLD has no traceless part; the axis is undefined")
     return vec / n
 
 
@@ -320,65 +323,58 @@ def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
     )
 
 
+@functools.cache
+def _grid_solution():
+    """(family, theta, read-only sld result) of the acceptance grid, solved
+    once per process; batch axes (v, theta, t) over (1, 0.98) x THETA_GRID x
+    T_GRID."""
+    family = PPAFamily(t=np.array(T_GRID), v=np.array([1.0, 0.98])[:, None, None])
+    theta = np.array(THETA_GRID)[:, None]
+    res = sld(family.state(theta), family.derivative(theta))
+    for arr in (theta, res.lam, res.qfi, res.residual):
+        arr.flags.writeable = False
+    return family, theta, res
+
+
 def cfi_qfi_suite() -> SuiteResult:
     """Closed-form direction attains the QFI; SLD axis matches it at v < 1.
 
     Deterministic over the acceptance grid.
     """
-    worst = 0.0
-    count = 0
-    for v in (1.0, 0.98):
-        for theta in THETA_GRID:
-            for t in T_GRID:
-                family = PPAFamily(t=t, v=v)
-                direction = optimal_measurement(theta, t)
-                rho = family.state(theta)
-                res = sld(rho, family.derivative(theta))
-                classical = cfi(direction, family, theta)
-                worst = max(worst, abs(classical - res.qfi) / res.qfi)
-                if v < 1.0:
-                    ang = axis_angle(
-                        sld_axis(res.lam),
-                        direction_to_bloch(direction.theta_opt, direction.phi_opt),
-                    )
-                    worst = max(worst, ang)
-                count += 1
-    return SuiteResult(
-        name="cfi-equals-qfi",
-        n_instances=count,
-        max_residual=worst,
-        threshold=1e-8,
+    family, theta, res = _grid_solution()
+    grid = (len(THETA_GRID), len(T_GRID))
+    directions = [optimal_measurement(th, t) for th in THETA_GRID for t in T_GRID]
+    proj = np.reshape([d.projector() for d in directions], grid + (2, 2))
+    axes = np.reshape(
+        [direction_to_bloch(d.theta_opt, d.phi_opt) for d in directions], grid + (3,)
     )
+    classical = cfi(proj, family, theta)
+    worst = float((np.abs(classical - res.qfi) / res.qfi).max())
+    # the SLD is unique only for v < 1, the second v of the grid
+    worst = max(worst, float(axis_angle(sld_axis(res.lam[1]), axes).max()))
+    return SuiteResult("cfi-equals-qfi", res.qfi.size, worst, threshold=1e-8)
 
 
 def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
-    """SLD defect on the support, over the grid family and random mixed states."""
+    """SLD defect on the support, over the grid family and random mixed states
+    (drawn one at a time, solved in batches of one d)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    worst = 0.0
-    count = 0
-    for v in (1.0, 0.98):
-        for theta in THETA_GRID:
-            for t in T_GRID:
-                family = PPAFamily(t=t, v=v)
-                res = sld(family.state(theta), family.derivative(theta))
-                worst = max(worst, res.residual)
-                count += 1
+    draws = []
     for _ in range(n_instances):
         d = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(d))
-        rho = _random_densities(probs, _complex_normals(rng, 1, d)[0])
-        h = _complex_normals(rng, 1, d)[0]
-        h = (h + h.conj().T) / 2
+        z, h = _complex_normals(rng, 2, d)
+        draws.append((probs, z, h))
+    _, _, grid = _grid_solution()
+    worst = float(grid.residual.max())
+    for _, pos in _by_key(len(probs) for probs, _, _ in draws):
+        probs, z, h = (np.array(col) for col in zip(*(draws[i] for i in pos)))
+        rho = _random_densities(probs, z)
+        h = hermitian_part(h)
         drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
-        res = sld(rho, drho)
-        worst = max(worst, res.residual)
-        count += 1
-    return SuiteResult(
-        name="sylvester-residual",
-        n_instances=count,
-        max_residual=worst,
-        threshold=1e-8,
-    )
+        worst = max(worst, float(sld(rho, drho).residual.max()))
+    n = grid.qfi.size + n_instances
+    return SuiteResult("sylvester-residual", n, worst, threshold=1e-8)
 
 
 def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:

@@ -114,11 +114,12 @@ def test_criterion_3_optimal_measurement(capsys):
     for theta in THETA_GRID:
         for t in T_GRID:
             direction = optimal_measurement(theta, t)
+            proj = direction.projector()
             for v in (1.0, 0.98):
                 fam = PPAFamily(t=t, v=v)
                 res = sld(fam.state(theta), fam.derivative(theta))
                 worst_cfi = max(
-                    worst_cfi, abs(cfi(direction, fam, theta) - res.qfi) / res.qfi
+                    worst_cfi, abs(cfi(proj, fam, theta) - res.qfi) / res.qfi
                 )
                 if v < 1.0:
                     # below unit visibility the SLD solution is unique, so

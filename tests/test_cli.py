@@ -277,6 +277,31 @@ def test_kd_matches_the_matrix_reference(tmp_path, capsys):
         assert rec["gap_times_4delta_sq"] == 4.0 * rec["gap"]
 
 
+@pytest.mark.parametrize(
+    "command, theta, t, extra",
+    [
+        ("kd", "-0.3,0.2,1.5", "-0.5,0.044,1.0", []),
+        ("sweep", "-0.3,0.2", "-.5,1.0", ["--trials", "2"]),
+        ("fig4", "-0.3,0.2", "0.3,1.0", []),  # fig4 takes t > 0 only
+    ],
+)
+def test_grid_starting_with_a_minus_sign_parses_in_both_forms(
+    tmp_path, capsys, command, theta, t, extra
+):
+    # "--theta -0.3,..." is not a single number, which argparse would read
+    # as an option; it must give the same file as "--theta=-0.3,..."
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    argv = [command, "--theta", theta, "--t", t, *extra, "--out", str(spaced)]
+    assert run(argv, capsys)[0] == 0
+    argv = [command, f"--theta={theta}", f"--t={t}", *extra, "--out", str(joined)]
+    assert run(argv, capsys)[0] == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    if command == "kd":  # argparse also takes an abbreviated --theta
+        argv = ["kd", "--the", theta, "--t", t, "--out", str(spaced)]
+        assert run(argv, capsys)[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+
 def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
     out = tmp_path / "kd.json"
     run(["kd", "--out", str(out)], capsys)

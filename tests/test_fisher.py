@@ -15,7 +15,6 @@ from ppasim.fisher import (
     qfi_ppa_theory,
     qfi_postselected_pure,
     sld,
-    sld_closed_form,
     survival_probability,
 )
 from ppasim.states import (
@@ -24,12 +23,21 @@ from ppasim.states import (
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
+    direction_projector,
     direction_to_bloch,
     make_filter,
     ppa_generator,
     pure_state,
 )
-from ppasim.verify import THETA_GRID, T_GRID, axis_angle, sld_axis
+from ppasim.verify import (
+    THETA_GRID,
+    T_GRID,
+    axis_angle,
+    cfi_qfi_suite,
+    sld_axis,
+    sylvester_suite,
+)
 
 from matrix_reference import bloch_vector
 
@@ -96,6 +104,135 @@ def test_sld_matches_kronecker_pinv_reference():
 
 
 # ----------------------------------------------------------------------- sld
+
+
+def padded(mat, d):
+    """``mat`` in the top-left block of a d x d zero matrix."""
+    out = np.zeros((d, d), dtype=complex)
+    n = len(mat)
+    out[:n, :n] = mat
+    return out
+
+
+def mixed_sld_stack():
+    """(rho, drho) stacks of d = 3 with batch shape (2, 2): a pure and a
+    full-rank PPAFamily qubit padded with a zero level, then a rank-2 and a
+    full-rank qutrit with Hamiltonian derivatives (so no kernel block of
+    drho carries weight)."""
+    rng = np.random.default_rng(31)
+    rhos, drhos = [], []
+    for v in (1.0, 0.9):
+        fam = PPAFamily(t=0.3, v=v)
+        rhos.append(padded(fam.state(0.4).mat, 3))
+        drhos.append(padded(fam.derivative(0.4), 3))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    for rho in ((q * [0.6, 0.4, 0.0]) @ q.conj().T, random_density(rng, 3).mat):
+        h = random_hermitian(rng, 3)
+        rhos.append(rho)
+        drhos.append(1j * (h @ rho - rho @ h))
+    shape = (2, 2, 3, 3)
+    return DensityMatrix(np.reshape(rhos, shape)), np.reshape(drhos, shape)
+
+
+def test_sld_stack_matches_per_instance_calls():
+    rho, drho = mixed_sld_stack()
+    res = sld(rho, drho)
+    assert res.lam.shape == (2, 2, 3, 3)
+    assert res.qfi.shape == res.residual.shape == (2, 2)
+    for k in np.ndindex(2, 2):
+        one = sld(DensityMatrix(rho.mat[k]), drho[k])
+        scale = max(1.0, np.abs(one.lam).max())
+        assert np.abs(res.lam[k] - one.lam).max() <= 1e-12 * scale
+        assert abs(res.qfi[k] - one.qfi) <= 1e-12 * max(1.0, one.qfi)
+        assert abs(res.residual[k] - one.residual) <= 1e-12
+    # the padded qubits solve as the qubits themselves
+    for k, v in (((0, 0), 1.0), ((0, 1), 0.9)):
+        fam = PPAFamily(t=0.3, v=v)
+        qubit = sld(fam.state(0.4), fam.derivative(0.4))
+        scale = max(1.0, np.abs(qubit.lam).max())
+        assert np.abs(res.lam[k] - padded(qubit.lam, 3)).max() <= 1e-12 * scale
+        assert abs(res.qfi[k] - qubit.qfi) <= 1e-12 * max(1.0, qubit.qfi)
+
+
+def test_sld_stack_errors_name_the_instance():
+    rho, drho = mixed_sld_stack()
+    flat_rho = DensityMatrix(rho.mat.reshape(4, 3, 3))
+    flat = drho.reshape(4, 3, 3)
+    skew = flat.copy()
+    skew[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"^instance 2: drho must be Hermitian"):
+        sld(flat_rho, skew)
+    traceful = flat.copy()
+    traceful[3] += 1e-8 * np.eye(3)
+    with pytest.raises(ValueError, match=r"^instance 3: drho must be traceless"):
+        sld(flat_rho, traceful)
+    # the kernel of the rank-2 qutrit (instance 2) gets weight 1e-3
+    unreachable = flat.copy()
+    kernel = np.linalg.eigh(flat_rho.mat[2])[1][:, 0]
+    unreachable[2] += 1e-3 * (np.outer(kernel, kernel.conj()) - np.eye(3) / 3)
+    with pytest.raises(
+        InconsistentDerivativeError, match=r"^instance 2: drho has weight"
+    ):
+        sld(flat_rho, unreachable)
+    # a batch with two batch axes names the instance by its index tuple
+    with pytest.raises(ValueError, match=r"^instance \(1, 0\): drho must be Hermitian"):
+        sld(rho, skew.reshape(2, 2, 3, 3))
+
+
+def test_sld_single_instance_returns_floats():
+    fam = PPAFamily(t=0.5, v=0.98)
+    res = sld(fam.state(0.2), fam.derivative(0.2))
+    assert type(res.qfi) is float and type(res.residual) is float
+    assert res.lam.shape == (2, 2)
+
+
+def test_family_grid_is_one_evaluation_of_the_per_point_calls():
+    # the grid as (v, theta, t) batch axes is bit for bit the per-point
+    # route, which is what keeps fig4's 2-D qfi_family unchanged
+    vs = (1.0, 0.98)
+    fam = PPAFamily(t=np.array(T_GRID), v=np.array(vs)[:, None, None])
+    theta = np.array(THETA_GRID)[:, None]
+    rho, drho = fam.state(theta), fam.derivative(theta)
+    res = sld(rho, drho)
+    proj = np.array(
+        [[optimal_measurement(th, t).projector() for t in T_GRID] for th in THETA_GRID]
+    )
+    classical = cfi(proj, fam, theta)
+    assert rho.mat.shape == (2, 7, 6, 2, 2) and classical.shape == (2, 7, 6)
+    for i, j, k in np.ndindex(2, 7, 6):
+        one = PPAFamily(t=T_GRID[k], v=vs[i])
+        th = THETA_GRID[j]
+        assert np.array_equal(rho.mat[i, j, k], one.state(th).mat)
+        assert np.array_equal(drho[i, j, k], one.derivative(th))
+        ref = sld(one.state(th), one.derivative(th))
+        assert np.array_equal(res.lam[i, j, k], ref.lam)
+        assert res.qfi[i, j, k] == ref.qfi
+        assert classical[i, j, k] == cfi(proj[j, k], one, th)
+
+
+def test_family_and_cfi_stacks_name_the_instance():
+    with pytest.raises(ValueError, match=r"^instance 1: PPAFamily requires 0 < \|t\|"):
+        PPAFamily(t=np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"^instance 2: visibility must lie in"):
+        PPAFamily(t=0.5, v=np.array([1.0, 0.9, 0.0]))
+    fam = PPAFamily(t=0.5)
+    # at theta = 0 the state is |0>, so the polar direction gives q = 1
+    proj = [optimal_measurement(0.0, 0.5).projector(), direction_projector(0.0, 0.0)]
+    with pytest.raises(DegenerateMeasurementError, match=r"^instance 1: outcome prob"):
+        cfi(np.array(proj), fam, 0.0)
+
+
+def test_grid_suite_summaries_are_pinned():
+    # the summaries of the per-instance loops these suites replaced
+    grid = "[cfi-equals-qfi] n=84 max_residual=8.784e-15 threshold=1.0e-08 PASS"
+    assert cfi_qfi_suite().summary() == grid
+    assert sylvester_suite(0).summary() == (
+        "[sylvester-residual] n=184 max_residual=2.657e-15 threshold=1.0e-08 PASS"
+    )
+    assert sylvester_suite(5).summary() == (
+        "[sylvester-residual] n=184 max_residual=3.942e-15 threshold=1.0e-08 PASS"
+    )
+
 
 
 def test_sld_zero_derivative():
@@ -304,7 +441,7 @@ def test_cfi_attains_qfi_along_optimal_direction():
             for t in T_GRID:
                 fam = PPAFamily(t=t, v=v)
                 qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-                c = cfi(optimal_measurement(theta, t), fam, theta)
+                c = cfi(optimal_measurement(theta, t).projector(), fam, theta)
                 assert abs(c - qfi) / qfi < 1e-10
 
 
@@ -320,7 +457,7 @@ def test_cfi_never_exceeds_qfi():
             float(RNG.uniform(-math.pi, math.pi)),
         )
         try:
-            c = cfi(d, fam, theta)
+            c = cfi(d.projector(), fam, theta)
         except DegenerateMeasurementError:
             continue
         assert c <= qfi + 1e-9
@@ -338,7 +475,7 @@ def test_cfi_poor_direction_loses_information():
         azim = -math.pi
     aligned = MeasurementDirection(polar, azim)
     qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-    assert cfi(aligned, fam, theta) < 5e-3 * qfi
+    assert cfi(aligned.projector(), fam, theta) < 5e-3 * qfi
 
 
 def test_cfi_finite_difference_path():
@@ -351,7 +488,7 @@ def test_cfi_finite_difference_path():
 
     dq = (q(0.2 + 1e-5) - q(0.2 - 1e-5)) / 2e-5
     numeric = dq**2 / (q(0.2) * (1.0 - q(0.2)))
-    exact = cfi(d, fam, 0.2)
+    exact = cfi(d.projector(), fam, 0.2)
     assert abs(numeric - exact) / exact < 1e-6
 
 
@@ -359,10 +496,34 @@ def test_cfi_rejects_degenerate_outcome():
     fam = PPAFamily(t=0.5, v=1.0)
     # at theta = 0 the state is |0>; the polar direction gives q = 1
     with pytest.raises(DegenerateMeasurementError):
-        cfi(MeasurementDirection(0.0, 0.0), fam, 0.0)
+        cfi(MeasurementDirection(0.0, 0.0).projector(), fam, 0.0)
 
 
 # ------------------------------------------------------------- closed-form L
+
+
+def sld_closed_form(theta: float, t: complex, v: float) -> np.ndarray:
+    """Closed-form SLD of the visibility-v postselected family.
+
+    -(v / p_ps) * [ (1-|t|^2)/2 sin(theta) 1
+                    + cos(theta) (Re t sig_x^a + Im t sig_y^a)
+                    + (1+|t|^2)/2 sin(theta) sig_z ]
+
+    with the analysis-frame Paulis sig_x^a = -sigma_y, sig_y^a = +sigma_x
+    and p_ps the visibility-v survival probability.  For v < 1 this equals
+    :func:`sld` of the family exactly; at v = 1 it remains a valid SLD but
+    differs from the minimum-norm solution by a kernel shift.
+    """
+    t = complex(t)
+    mag = abs(t)
+    p = survival_probability(theta, mag, v=v)
+    bracket = (
+        (1.0 - mag**2) / 2.0 * math.sin(theta) * ID2
+        + math.cos(theta) * (t.real * -SIGMA_Y + t.imag * SIGMA_X)
+        + (1.0 + mag**2) / 2.0 * math.sin(theta) * SIGMA_Z
+    )
+    return -(v / p) * bracket
+
 
 
 def test_sld_closed_form_equals_solver_for_mixed_family():
