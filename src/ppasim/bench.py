@@ -2,13 +2,13 @@
 
 The simulated apparatus prepares a (possibly depolarized) vertical input,
 imprints a phase theta - pi with a slightly misalignable waveplate, applies
-the partially transmitting filter, and measures the survivors along a
-projective direction.  Every step acts on one polarization qubit, so the
-noiseless pipeline is a closed map on Bloch vectors: the source
-r0 = (0, 0, -v), a rotation by pi - theta about the waveplate axis, and the
-filter map of K+ = diag(t, 1), which also gives the survival probability
-(see :func:`postselected_bloch`).  Phase estimates invert the measured
-fringe in closed form.
+the partially transmitting filter, and measures the survivors with the
+projective test along a unit Bloch vector n.  Every step acts on one
+polarization qubit, so the noiseless pipeline is a closed map on Bloch
+vectors: the source r0 = (0, 0, -v), a rotation by pi - theta about the
+waveplate axis, and the filter map of K+ = diag(t, 1), which also gives the
+survival probability (see :func:`postselected_bloch`).  Phase estimates
+invert the measured fringe in closed form.
 
 Systematic knobs:
 
@@ -37,8 +37,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .states import amplified_angle, direction_to_bloch
-from .fisher import MeasurementDirection, optimal_measurement, qfi_ppa_theory
+from .states import amplified_angle
+from .fisher import optimal_measurement, qfi_ppa_theory
 
 __all__ = [
     "STAGE_COUNTS",
@@ -59,6 +59,10 @@ STAGE_COUNTS = 0
 # Most trials (points x trials per point) that run_trials evaluates as one
 # array block.
 BLOCK_TRIALS = 4096
+
+# Largest photon budget or tomography shot count; numpy's binomial and
+# poisson samplers both accept counts and means up to it.
+MAX_COUNT = 10**18
 
 SWEEP_CSV_COLUMNS = (
     "theta_true",
@@ -122,12 +126,18 @@ class BenchConfig:
                 f"{field}: t = {self.t_set:g} with delta_t = {self.delta_t:g} gives "
                 f"the assumed amplitude |t| + delta_t = {assumed:g}, outside (0, 1]"
             )
-        if abs(self.epsilon) >= math.pi / 4:
+        if not abs(self.epsilon) < math.pi / 4:
             raise ValueError(f"epsilon: {self.epsilon:g} must satisfy |epsilon| < pi/4")
         if not 0.0 < self.visibility <= 1.0:
             raise ValueError(f"visibility: v = {self.visibility:g} outside (0, 1]")
-        if self.photon_budget < 0 or self.photon_budget != int(self.photon_budget):
-            raise ValueError(f"photon_budget: {self.photon_budget} is not a count >= 0")
+        if not (
+            0 <= self.photon_budget <= MAX_COUNT
+            and self.photon_budget == int(self.photon_budget)
+        ):
+            raise ValueError(
+                f"photon_budget: {self.photon_budget} is not a count "
+                f"in [0, {MAX_COUNT}]"
+            )
         if self.sampling_mode not in ("fixed", "poisson"):
             raise ValueError(
                 f"sampling_mode: {self.sampling_mode!r} must be 'fixed' or 'poisson'"
@@ -192,13 +202,11 @@ def postselected_bloch(
     return (r / p if p > 0.0 else np.zeros(3)), p
 
 
-def _fringe_params(direction: MeasurementDirection) -> tuple[float, float]:
-    # q(Theta) = (1 + C sin Theta + D cos Theta)/2 for the real-amplitude
-    # family measured along `direction`; written as (R, psi) of the fringe
-    # q = (1 + R cos(Theta - psi))/2.
-    c = -math.sin(direction.theta_opt) * math.cos(direction.phi_opt)
-    d = math.cos(direction.theta_opt)
-    return math.hypot(c, d), math.atan2(c, d)
+def _fringe_params(n: np.ndarray) -> tuple[float, float]:
+    # The real-amplitude family sits at (0, sin Theta, cos Theta), so along
+    # the Bloch vector n it gives q(Theta) = (1 + n_y sin Theta + n_z cos Theta)/2;
+    # written as (R, psi) of the fringe q = (1 + R cos(Theta - psi))/2.
+    return math.hypot(n[1], n[2]), math.atan2(n[1], n[2])
 
 
 def _half_count_frequency(counts_plus, n_detected):
@@ -236,18 +244,14 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
-def _estimator_direction(
-    direction: MeasurementDirection, phase: float
-) -> MeasurementDirection:
+def _estimator_direction(n: np.ndarray, phase: float) -> np.ndarray:
     # The fringe model inside the estimator is written for a real filter
-    # amplitude; a filter phase rotates the state's azimuth by -phase, which
-    # is equivalent to shifting the measurement azimuth by +phase.
+    # amplitude; a filter phase turns the state by -phase about z, which is
+    # equivalent to turning the measurement vector n by +phase.
     if phase == 0.0:
-        return direction
-    az = math.remainder(direction.phi_opt + phase, 2.0 * math.pi)
-    if az >= math.pi:
-        az -= 2.0 * math.pi
-    return MeasurementDirection(direction.theta_opt, az)
+        return n
+    c, s = math.cos(phase), math.sin(phase)
+    return np.array([c * n[0] - s * n[1], s * n[0] + c * n[1], n[2]])
 
 
 def _moments(est: np.ndarray, theta: np.ndarray):
@@ -268,11 +272,10 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         t = complex(cfg.t_set)
         t_a = abs(t) + cfg.delta_t
         phase = cmath.phase(t) if t != 0 else 0.0
-        direction = optimal_measurement(cfg.theta_true, t_a * cmath.exp(1j * phase))
+        n = optimal_measurement(cfg.theta_true, t_a * cmath.exp(1j * phase))
         # The filter runs at the physical amplitude t_set; delta_t only
         # enters the estimator.
         r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
-        n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
         q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
 
         rng = rng_stream(cfg.seed, STAGE_COUNTS)
@@ -283,7 +286,7 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         else:
             detected[i] = rng.poisson(cfg.photon_budget * p_ps, size=n_trials)
         plus[i] = rng.binomial(detected[i], q)
-        r[i], psi[i] = _fringe_params(_estimator_direction(direction, phase))
+        r[i], psi[i] = _fringe_params(_estimator_direction(n, phase))
         t_assumed[i] = t_a
         prior_big[i] = amplified_angle(cfg.theta_true, t_a)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bench import (
+    MAX_COUNT,
     SWEEP_CSV_COLUMNS,
     BenchConfig,
     fmt_sig,
@@ -251,9 +252,9 @@ def check_fig4_spec(spec: SweepSpec) -> None:
             raise ValueError(f"t_list: t = {t:g} must be positive")
     if not 0.0 < spec.visibility <= 1.0:
         raise ValueError(f"visibility: v = {spec.visibility:g} must lie in (0, 1]")
-    if not spec.shots_per_basis >= 1:
+    if not 1 <= spec.shots_per_basis <= MAX_COUNT:
         raise ValueError(
-            f"shots_per_basis: {spec.shots_per_basis} must be at least 1"
+            f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
         )
     if not spec.seed >= 0:
         raise ValueError(f"seed: {spec.seed} must be non-negative")
@@ -390,38 +391,35 @@ def _read_config(path: str) -> dict:
 def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepSpec:
     """Spec from defaults, then the config file, then flags.
 
-    Raises ValueError naming the field on any unreadable or invalid input.
+    Each flag stores under its SweepSpec field name; the grids arrive as
+    comma-separated text.  Raises ValueError naming the field on any
+    unreadable or invalid input.
     """
     data: dict = dict(defaults or {})
     if getattr(args, "config", None):
         data.update(_read_config(args.config))
-    if getattr(args, "theta", None) is not None:
-        data["theta_list"] = _parse_float_list("theta_list", args.theta)
-    if getattr(args, "t", None) is not None:
-        data["t_list"] = _parse_float_list("t_list", args.t)
-    for attr, key in (
-        ("budget", "photon_budget"),
-        ("trials", "n_trials"),
-        ("seed", "seed"),
-        ("visibility", "visibility"),
-        ("epsilon", "epsilon"),
-        ("delta_t", "delta_t"),
-        ("sampling_mode", "sampling_mode"),
-        ("shots", "shots_per_basis"),
-        ("out", "output_path"),
-    ):
-        val = getattr(args, attr, None)
+    for f in fields(SweepSpec):
+        val = getattr(args, f.name, None)
         if val is not None:
-            data[key] = val
+            grid = isinstance(f.default, tuple)
+            data[f.name] = _parse_float_list(f.name, val) if grid else val
     return SweepSpec(**data)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", help="comma-separated phase values")
-    p.add_argument("--t", help="comma-separated filter amplitudes")
+    p.add_argument(
+        "--theta", dest="theta_list", metavar="THETA",
+        help="comma-separated phase values",
+    )
+    p.add_argument(
+        "--t", dest="t_list", metavar="T", help="comma-separated filter amplitudes"
+    )
     p.add_argument("--config", help="JSON file with SweepSpec fields")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output path (resolved against $%s)" % OUT_DIR_ENV)
+    p.add_argument(
+        "--out", dest="output_path", metavar="OUT",
+        help="output path (resolved against $%s)" % OUT_DIR_ENV,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,8 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo precision sweep -> CSV")
     _add_grid_args(p_sweep)
-    p_sweep.add_argument("--budget", type=int, default=None, help="photons per trial")
-    p_sweep.add_argument("--trials", type=int, default=None)
+    p_sweep.add_argument(
+        "--budget", dest="photon_budget", metavar="BUDGET", type=int,
+        help="photons per trial",
+    )
+    p_sweep.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int)
     p_sweep.add_argument("--visibility", type=float, default=None)
     p_sweep.add_argument("--epsilon", type=float, default=None)
     p_sweep.add_argument("--delta-t", dest="delta_t", type=float, default=None)
@@ -450,7 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig4 = sub.add_parser("fig4", help="tomographic QFI/gap pipeline -> CSV")
     _add_grid_args(p_fig4)
     p_fig4.add_argument("--visibility", type=float, default=None)
-    p_fig4.add_argument("--shots", type=int, default=None, help="tomography shots per basis")
+    p_fig4.add_argument(
+        "--shots", dest="shots_per_basis", metavar="SHOTS", type=int,
+        help="tomography shots per basis",
+    )
 
     p_verify = sub.add_parser("verify", help="run randomized identity suites")
     p_verify.add_argument("--seed", type=int, default=0)

@@ -3,7 +3,8 @@
 The symmetric logarithmic derivative (SLD) solves the Sylvester equation
 (rho L + L rho)/2 = drho in the eigenbasis of rho, where it is diagonal; the
 minimum-norm solution it gives handles rank-deficient (pure or filtered)
-states without a special case.
+states without a special case.  A qubit read-out is the projective test
+(1 + n . sigma)/2 along a unit Bloch vector n.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import numpy as np
 
 from .states import (
     ID2,
+    PAULIS,
     DensityMatrix,
     Generator,
     ZeroProbabilityError,
     _as_complex_stack,
     _first_bad,
-    direction_projector,
     hermitian_part,
     make_filter,
     phase_unitary,
@@ -32,7 +33,6 @@ __all__ = [
     "DegenerateMeasurementError",
     "PurityError",
     "SLDResult",
-    "MeasurementDirection",
     "PPAFamily",
     "survival_probability",
     "sld",
@@ -64,23 +64,6 @@ class SLDResult:
     lam: np.ndarray
     qfi: float | np.ndarray
     residual: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class MeasurementDirection:
-    """Projective qubit measurement axis, (polar, azimuth) in the analysis frame."""
-
-    theta_opt: float
-    phi_opt: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_opt <= math.pi:
-            raise ValueError("theta_opt must lie in [0, pi]")
-        if not -math.pi <= self.phi_opt < math.pi:
-            raise ValueError("phi_opt must lie in [-pi, pi)")
-
-    def projector(self) -> np.ndarray:
-        return direction_projector(self.theta_opt, self.phi_opt)
 
 
 def survival_probability(theta: float, t_mag: float, v: float = 1.0) -> float:
@@ -207,10 +190,6 @@ class PPAFamily:
         u = phase_unitary(self._gen, theta)
         return u @ self._rho0 @ u.conj().swapaxes(-1, -2)
 
-    def unfiltered_state(self, theta) -> DensityMatrix:
-        """The imprinted state before the filter acts."""
-        return DensityMatrix(self._unfiltered(theta))
-
     def state(self, theta) -> DensityMatrix:
         k = self._k
         num = k @ self._unfiltered(theta) @ k.conj().swapaxes(-1, -2)
@@ -273,12 +252,13 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / p**2, 0.0)
 
 
-def optimal_measurement(theta_prior: float, t: complex) -> MeasurementDirection:
-    """QFI-achieving projective direction for the postselected qubit family.
+def optimal_measurement(theta_prior: float, t: complex) -> np.ndarray:
+    """Unit Bloch vector n of the +1 outcome of the QFI-achieving projective test.
 
-    Polar angle from cot(theta_opt) = (1 + |t|^2)/(2|t|) * tan(theta_prior),
-    azimuth arg(t); both independent of visibility.  t = 0 has no amplified
-    family and raises.
+    n = (s sin az, -s cos az, cos polar) with s = sin polar, where
+    cot(polar) = (1 + |t|^2)/(2|t|) * tan(theta_prior) and az = arg(t); n is
+    independent of visibility, and for real t > 0 it lies in the y-z plane.
+    t = 0 has no amplified family and raises.
     """
     t = complex(t)
     mag = abs(t)
@@ -287,20 +267,20 @@ def optimal_measurement(theta_prior: float, t: complex) -> MeasurementDirection:
     cot = (1.0 + mag**2) / (2.0 * mag) * math.tan(theta_prior)
     polar = math.pi / 2.0 - math.atan(cot)
     azimuth = math.atan2(t.imag, t.real)
-    if azimuth >= math.pi:  # fold the branch point into [-pi, pi)
-        azimuth = -math.pi
-    return MeasurementDirection(theta_opt=polar, phi_opt=azimuth)
+    s = math.sin(polar)
+    return np.array([s * math.sin(azimuth), -(s * math.cos(azimuth)), math.cos(polar)])
 
 
-def cfi(proj, family: PPAFamily, theta):
+def cfi(n, family: PPAFamily, theta):
     """Classical Fisher information q'^2 / (q (1 - q)) of a projective qubit test.
 
-    ``proj`` projects onto the +1 outcome (``direction.projector()``), or is
-    a (..., 2, 2) stack that broadcasts with the family and ``theta``.  q'
-    comes from the family's exact analytic ``derivative``.  Outcomes with q
-    in {0, 1} (within 1e-12) raise :class:`DegenerateMeasurementError`,
-    naming the first failing instance.
+    The test projects onto (1 + n . sigma)/2, the +1 outcome along the unit
+    Bloch vector ``n``; a (..., 3) stack of vectors broadcasts with the
+    family and ``theta``.  q' comes from the family's exact analytic
+    ``derivative``.  Outcomes with q in {0, 1} (within 1e-12) raise
+    :class:`DegenerateMeasurementError`, naming the first failing instance.
     """
+    proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
     q = (family.state(theta).mat @ proj).trace(0, -2, -1).real
     bad = (q < 1e-12) | (q > 1.0 - 1e-12)
     if bad.any():

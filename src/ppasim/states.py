@@ -10,11 +10,8 @@ Conventions, fixed once and used everywhere:
   is vertical.
 * ``|a+-> = (|0> +- |1>)/sqrt(2)`` lie on the +-x Bloch axes.
 * Phase imprinting uses ``U(theta) = exp(+i * theta * A)``.
-* Measurement directions are quoted as (polar, azimuth) pairs in the
-  *analysis frame*, the frame in which the amplified states swept out by the
-  postselection filter live in the x-z plane.  Written in standard Bloch
-  coordinates its axes are ``x_a = -y``, ``y_a = +x``, ``z_a = z``; see
-  :func:`direction_to_bloch`.
+* Bloch vectors, including measurement directions, are in these standard
+  coordinates.
 """
 
 from __future__ import annotations
@@ -42,8 +39,6 @@ __all__ = [
     "phase_unitary",
     "make_filter",
     "amplified_angle",
-    "direction_to_bloch",
-    "direction_projector",
     "hermitian_part",
     "psd_sqrt",
 ]
@@ -247,12 +242,6 @@ class Generator:
     def dim(self) -> int:
         return self.mat.shape[-1]
 
-    @property
-    def spread(self):
-        """Largest minus smallest eigenvalue: a float, or an array over the batch axes."""
-        spread = self.eigenvalues[..., -1] - self.eigenvalues[..., 0]
-        return float(spread) if spread.ndim == 0 else spread
-
 
 @functools.cache
 def ppa_generator() -> Generator:
@@ -309,20 +298,3 @@ def amplified_angle(theta: float, t_mag: float) -> float:
             )
         return math.copysign(math.pi, theta)
     return 2.0 * math.atan2(math.tan(half), t_mag)
-
-
-def direction_to_bloch(polar: float, azimuth: float) -> np.ndarray:
-    """Unit Bloch vector (standard coords) of an analysis-frame direction.
-
-    (polar, azimuth) are spherical angles in the analysis frame, whose axes
-    are x_a = -y, y_a = +x, z_a = z, so e.g. (pi/2, 0) is standard -y.
-    """
-    x_a = math.sin(polar) * math.cos(azimuth)
-    y_a = math.sin(polar) * math.sin(azimuth)
-    return np.array([y_a, -x_a, math.cos(polar)])
-
-
-def direction_projector(polar: float, azimuth: float) -> np.ndarray:
-    """Projector (1 + n . sigma)/2 onto the +1 outcome along a direction."""
-    n = direction_to_bloch(polar, azimuth)
-    return (ID2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z) / 2

@@ -37,7 +37,6 @@ from .states import (
     DensityMatrix,
     Generator,
     _first_bad,
-    direction_to_bloch,
     hermitian_part,
     make_filter,
     ppa_generator,
@@ -343,12 +342,10 @@ def cfi_qfi_suite() -> SuiteResult:
     """
     family, theta, res = _grid_solution()
     grid = (len(THETA_GRID), len(T_GRID))
-    directions = [optimal_measurement(th, t) for th in THETA_GRID for t in T_GRID]
-    proj = np.reshape([d.projector() for d in directions], grid + (2, 2))
     axes = np.reshape(
-        [direction_to_bloch(d.theta_opt, d.phi_opt) for d in directions], grid + (3,)
+        [optimal_measurement(th, t) for th in THETA_GRID for t in T_GRID], grid + (3,)
     )
-    classical = cfi(proj, family, theta)
+    classical = cfi(axes, family, theta)
     worst = float((np.abs(classical - res.qfi) / res.qfi).max())
     # the SLD is unique only for v < 1, the second v of the grid
     worst = max(worst, float(axis_angle(sld_axis(res.lam[1]), axes).max()))

@@ -14,6 +14,7 @@ import numpy as np
 
 from ppasim.quasiprob import POVM, ZeroNormalizerError, filter_povm, kd_distribution
 from ppasim.states import (
+    ID2,
     PAULIS,
     DensityMatrix,
     make_filter,
@@ -78,6 +79,14 @@ def condition(kd, axis, outcome):
     out = sliced / norm
     out.flags.writeable = False
     return out
+
+
+def unfiltered_state(theta, v=1.0):
+    """The imprinted state before the filter acts: U (v|0><0| + (1 - v) 1/2) U^dag
+    with U = exp(i theta sigma_x / 2), the input of ``fisher.PPAFamily``."""
+    u = phase_unitary(ppa_generator(), theta)
+    rho0 = v * np.diag([1.0, 0.0]) + (1.0 - v) * ID2 / 2
+    return DensityMatrix(u @ rho0 @ u.conj().T)
 
 
 def imprinted_table(theta, t):

@@ -39,7 +39,6 @@ from ppasim.quasiprob import (
 )
 from ppasim.states import (
     amplified_angle,
-    direction_to_bloch,
     make_filter,
     ppa_generator,
 )
@@ -52,7 +51,12 @@ from ppasim.verify import (
     sld_axis,
 )
 
-from matrix_reference import condition, ppa_povm_sequence
+from matrix_reference import (
+    bloch_vector,
+    condition,
+    ppa_povm_sequence,
+    unfiltered_state,
+)
 
 
 def imprinted_bloch(theta):
@@ -89,7 +93,7 @@ def test_criterion_2_fisher_route_consistency(capsys):
             fam = PPAFamily(t=t)
             routes = (
                 qfi_ppa_theory(theta, t),
-                qfi_postselected_pure(fam.unfiltered_state(theta), gen, make_filter(t)),
+                qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t)),
                 sld(fam.state(theta), fam.derivative(theta)).qfi,
             )
             scale = max(routes)
@@ -113,18 +117,16 @@ def test_criterion_3_optimal_measurement(capsys):
     worst_axis = 0.0
     for theta in THETA_GRID:
         for t in T_GRID:
-            direction = optimal_measurement(theta, t)
-            proj = direction.projector()
+            axis = optimal_measurement(theta, t)
             for v in (1.0, 0.98):
                 fam = PPAFamily(t=t, v=v)
                 res = sld(fam.state(theta), fam.derivative(theta))
                 worst_cfi = max(
-                    worst_cfi, abs(cfi(proj, fam, theta) - res.qfi) / res.qfi
+                    worst_cfi, abs(cfi(axis, fam, theta) - res.qfi) / res.qfi
                 )
                 if v < 1.0:
                     # below unit visibility the SLD solution is unique, so
                     # its eigen-axis is comparable to the closed-form one
-                    axis = direction_to_bloch(direction.theta_opt, direction.phi_opt)
                     worst_axis = max(worst_axis, axis_angle(sld_axis(res.lam), axis))
     ok = worst_cfi <= 1e-8 and worst_axis <= 1e-8
     report(
@@ -145,7 +147,7 @@ def test_criterion_4_conditional_tables(capsys):
     worst_sum = 0.0
     for theta in THETA_GRID:
         for t in T_GRID:
-            rho = PPAFamily(t=t).unfiltered_state(theta)
+            rho = unfiltered_state(theta)
             kd = kd_distribution(rho, ppa_povm_sequence(t))
             worst_sum = max(worst_sum, abs(kd.sum() - 1.0))
             cond = condition(kd, 1, 0)
@@ -232,12 +234,10 @@ def test_criterion_7_systematic_models(capsys):
     # calibration error: feed the estimator the exact large-budget frequency
     # while it assumes t + dt; the recovered bias must match the closed form
     theta, t, dt = 0.1, 0.1, 1e-3
-    direction = optimal_measurement(theta, t + dt)
-    q = float(
-        np.trace(PPAFamily(t=t).state(theta).mat @ direction.projector()).real
-    )
+    n = optimal_measurement(theta, t + dt)
+    q = (1.0 + float(n @ bloch_vector(PPAFamily(t=t).state(theta)))) / 2.0
     est, clamped = _invert_frequency(
-        q, *_fringe_params(direction), t + dt, amplified_angle(theta, t + dt)
+        q, *_fringe_params(n), t + dt, amplified_angle(theta, t + dt)
     )
     bias_model = systematic_shift_t(theta, t, dt) - theta
     rel = abs((est - theta) - bias_model) / abs(bias_model)
@@ -281,7 +281,7 @@ def test_criterion_8_negativity_milestone(capsys):
             info = qfi_ppa_theory(theta, t)
             if info > 200.0:
                 n_high += 1
-                rho = PPAFamily(t=t).unfiltered_state(theta)
+                rho = unfiltered_state(theta)
                 cond = condition(
                     kd_distribution(rho, ppa_povm_sequence(t)), 1, 0
                 )

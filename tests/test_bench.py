@@ -9,6 +9,7 @@ from ppasim.bench import (
     BenchConfig,
     SweepRecord,
     BLOCK_TRIALS,
+    MAX_COUNT,
     STAGE_COUNTS,
     _estimator_direction,
     _fringe_params,
@@ -22,7 +23,6 @@ from ppasim.bench import (
     systematic_shift_t,
 )
 from ppasim.fisher import (
-    MeasurementDirection,
     PPAFamily,
     optimal_measurement,
     qfi_ppa_theory,
@@ -35,7 +35,6 @@ from ppasim.states import (
     DensityMatrix,
     Generator,
     amplified_angle,
-    direction_to_bloch,
     make_filter,
     phase_unitary,
 )
@@ -177,7 +176,7 @@ class NoDataError(ValueError):
     """No photon survived postselection; nothing to estimate from."""
 
 
-def estimate_theta(counts_plus, n_detected, t_assumed, direction, theta_prior):
+def estimate_theta(counts_plus, n_detected, t_assumed, n, theta_prior):
     """Reference estimator of one point: invert its trials' fringe frequencies.
 
     ``counts_plus`` and ``n_detected`` are per-trial counts of equal shape.
@@ -193,7 +192,7 @@ def estimate_theta(counts_plus, n_detected, t_assumed, direction, theta_prior):
         raise NoDataError("no detected photons in a trial")
     if not 0.0 < t_assumed <= 1.0 + 1e-12:
         raise ValueError("t_assumed must lie in (0, 1]")
-    r, psi = _fringe_params(direction)
+    r, psi = _fringe_params(n)
     if r < 1e-12:
         raise ValueError("measurement direction carries no fringe contrast")
     return _invert_frequency(
@@ -205,35 +204,47 @@ def estimate_theta(counts_plus, n_detected, t_assumed, direction, theta_prior):
     )
 
 
-def exact_counts(theta, t, direction, n):
-    """Noise-free plus counts at the model frequency for each total in n."""
-    rho = PPAFamily(t=t).state(theta)
-    q = float(np.trace(rho.mat @ direction.projector()).real)
-    n = np.asarray(n)
-    return np.round(n * q).astype(np.int64), n
+def unit_vector(polar, azimuth):
+    """Unit Bloch vector at spherical angles (polar, azimuth) about z."""
+    s = math.sin(polar)
+    return np.array([s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)])
+
+
+# The equatorial read-out -y turned by pi/4 about z: fringe contrast 1/sqrt(2).
+TILTED = unit_vector(math.pi / 2, -math.pi / 4)
+
+
+def read_out_frequency(theta, t, n):
+    """Exact +1 frequency of the family's state along the unit Bloch vector n."""
+    return (1.0 + float(n @ bloch_vector(PPAFamily(t=t).state(theta)))) / 2.0
+
+
+def exact_counts(theta, t, n, totals):
+    """Noise-free plus counts at the model frequency for each of the totals."""
+    totals = np.asarray(totals)
+    return np.round(totals * read_out_frequency(theta, t, n)).astype(np.int64), totals
 
 
 def test_estimate_theta_recovers_truth_from_exact_counts():
     for theta in (0.05, 0.2, 0.9):
         for t in (0.1, 0.5, 0.9):
-            direction = optimal_measurement(theta, t)
+            n = optimal_measurement(theta, t)
             totals = [10**9, 3 * 10**9, 7 * 10**9]
-            plus, n = exact_counts(theta, t, direction, totals)
-            est, clamped = estimate_theta(plus, n, t, direction, theta)
+            plus, detected = exact_counts(theta, t, n, totals)
+            est, clamped = estimate_theta(plus, detected, t, n, theta)
             assert est.shape == (3,)
             assert np.all(np.abs(est - theta) < 1e-8)
             assert not clamped.any()
 
 
 def test_estimate_theta_complex_filter_phase():
-    # a filter phase rotates the state's azimuth; folding it into the model
-    # direction reduces the problem to the real-amplitude fringe
+    # a filter phase turns the state about z; turning the read-out back
+    # into the model reduces the problem to the real-amplitude fringe
     t = 0.5 * np.exp(0.8j)
     theta = 0.2
-    direction = optimal_measurement(theta, t)
-    plus, n = exact_counts(theta, t, direction, [10**9])
-    model_direction = _estimator_direction(direction, 0.8)
-    est, _ = estimate_theta(plus, n, abs(t), model_direction, theta)
+    n = optimal_measurement(theta, t)
+    plus, detected = exact_counts(theta, t, n, [10**9])
+    est, _ = estimate_theta(plus, detected, abs(t), _estimator_direction(n, 0.8), theta)
     assert est[0] == pytest.approx(theta, abs=1e-8)
 
 
@@ -242,12 +253,10 @@ def test_invert_frequency_reproduces_calibration_shift():
     # miscalibrated transmission: the output must land on the closed-form
     # shifted angle
     theta, t, dt = 0.1, 0.1, 0.01
-    direction = optimal_measurement(theta, t + dt)
-    fam = PPAFamily(t=t)
-    rho = fam.state(theta)
-    q = float(np.trace(rho.mat @ direction.projector()).real)
+    n = optimal_measurement(theta, t + dt)
+    q = read_out_frequency(theta, t, n)
     est, clamped = _invert_frequency(
-        q, *_fringe_params(direction), t + dt, amplified_angle(theta, t + dt)
+        q, *_fringe_params(n), t + dt, amplified_angle(theta, t + dt)
     )
     assert not clamped
     assert est == pytest.approx(0.10998076567697557, abs=1e-12)
@@ -270,19 +279,16 @@ def test_half_tangent_shift_identity():
 def test_invert_frequency_clamps_out_of_range():
     # an azimuthally tilted analyzer has fringe contrast below one, so a
     # saturated frequency lands outside the reachable band and is clamped
-    direction = MeasurementDirection(theta_opt=math.pi / 2, phi_opt=math.pi / 4)
     est, clamped = _invert_frequency(
-        np.array([1.0, 0.5]), *_fringe_params(direction), 0.5, amplified_angle(0.1, 0.5)
+        np.array([1.0, 0.5]), *_fringe_params(TILTED), 0.5, amplified_angle(0.1, 0.5)
     )
     assert clamped.tolist() == [True, False]
     assert np.all(np.isfinite(est))
 
 
-def scalar_invert_reference(f, direction, t_assumed, theta_prior):
+def scalar_invert_reference(f, n, t_assumed, theta_prior):
     """One-frequency fringe inversion written as a scalar loop."""
-    c = -math.sin(direction.theta_opt) * math.cos(direction.phi_opt)
-    d = math.cos(direction.theta_opt)
-    r, psi = math.hypot(c, d), math.atan2(c, d)
+    r, psi = math.hypot(n[1], n[2]), math.atan2(n[1], n[2])
     u = (2.0 * f - 1.0) / r
     b = math.acos(min(max(u, -1.0), 1.0))
     prior_big = amplified_angle(theta_prior, t_assumed)
@@ -298,17 +304,12 @@ def scalar_invert_reference(f, direction, t_assumed, theta_prior):
 def test_invert_frequency_matches_scalar_reference():
     rng = np.random.default_rng(23)
     for _ in range(40):
-        direction = MeasurementDirection(
-            theta_opt=float(rng.uniform(0.0, math.pi)),
-            phi_opt=float(rng.uniform(-math.pi, math.pi)),
-        )
+        n = unit_vector(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
         t = float(rng.uniform(0.05, 1.0))
         prior = float(rng.uniform(-1.5, 1.5))
         f = rng.uniform(-0.05, 1.05, size=16)
-        est, clamped = _invert_frequency(
-            f, *_fringe_params(direction), t, amplified_angle(prior, t)
-        )
-        ref = [scalar_invert_reference(x, direction, t, prior) for x in f]
+        est, clamped = _invert_frequency(f, *_fringe_params(n), t, amplified_angle(prior, t))
+        ref = [scalar_invert_reference(x, n, t, prior) for x in f]
         assert np.allclose(est, [e for e, _ in ref], rtol=0.0, atol=1e-12)
         assert clamped.tolist() == [c for _, c in ref]
 
@@ -316,23 +317,22 @@ def test_invert_frequency_matches_scalar_reference():
 def test_estimate_theta_saturated_counts_stay_finite():
     # the optimal analyzer has full contrast: the half-count clamp alone
     # keeps saturated frequencies inside the fringe
-    direction = optimal_measurement(0.1, 0.5)
-    est, clamped = estimate_theta([100, 0], [100, 100], 0.5, direction, 0.1)
+    n = optimal_measurement(0.1, 0.5)
+    est, clamped = estimate_theta([100, 0], [100, 100], 0.5, n, 0.1)
     assert np.all(np.isfinite(est))
     assert not clamped.any()
     # below full contrast only the saturated trial leaves the fringe's range
-    tilted = MeasurementDirection(theta_opt=math.pi / 2, phi_opt=math.pi / 4)
-    est, clamped = estimate_theta([60, 100, 40], [100, 100, 100], 0.5, tilted, 0.1)
+    est, clamped = estimate_theta([60, 100, 40], [100, 100, 100], 0.5, TILTED, 0.1)
     assert np.all(np.isfinite(est))
     assert clamped.tolist() == [False, True, False]
 
 
 def test_estimate_theta_requires_data():
-    direction = optimal_measurement(0.1, 0.5)
+    n = optimal_measurement(0.1, 0.5)
     with pytest.raises(NoDataError):
-        estimate_theta([0], [0], 0.5, direction, 0.1)
+        estimate_theta([0], [0], 0.5, n, 0.1)
     with pytest.raises(NoDataError):
-        estimate_theta([50, 0, 40], [100, 0, 100], 0.5, direction, 0.1)
+        estimate_theta([50, 0, 40], [100, 0, 100], 0.5, n, 0.1)
 
 
 # -------------------------------------------------------------------- trials
@@ -502,9 +502,8 @@ def run_trials_reference(cfg):
     t = complex(cfg.t_set)
     t_assumed = abs(t) + cfg.delta_t
     phase = cmath.phase(t) if t != 0 else 0.0
-    direction = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
+    n = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
     r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
-    n = direction_to_bloch(direction.theta_opt, direction.phi_opt)
     q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
 
     rng = rng_stream(cfg.seed, STAGE_COUNTS)
@@ -520,7 +519,7 @@ def run_trials_reference(cfg):
         plus[hit],
         detected[hit],
         t_assumed,
-        _estimator_direction(direction, phase),
+        _estimator_direction(n, phase),
         cfg.theta_true,
     )
     clamped = int(est_clamped.sum())
@@ -656,6 +655,8 @@ def test_fmt_sig_round_trip():
         {"n_trials": 1},
         {"t_set": 0.0},
         {"theta_true": 3.3},
+        {"epsilon": math.nan},
+        {"photon_budget": MAX_COUNT + 1},
     ],
 )
 def test_config_rejects_invalid_fields(kwargs):
@@ -663,6 +664,16 @@ def test_config_rejects_invalid_fields(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         BenchConfig(**base)
+
+
+def test_run_trials_accepts_the_count_cap():
+    # at t = 1 every photon survives: the largest binomial count and
+    # poisson mean that a budget of MAX_COUNT asks of the samplers
+    for mode in ("fixed", "poisson"):
+        cfg = BenchConfig(0.3, 1.0, photon_budget=MAX_COUNT, sampling_mode=mode, n_trials=2)
+        [rec] = run_trials([cfg])
+        assert rec.mean_detected == pytest.approx(MAX_COUNT, rel=1e-6)
+        assert rec.mean_estimate == pytest.approx(0.3, abs=1e-6)
 
 
 # --------------------------------------------------------- systematic models

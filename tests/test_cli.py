@@ -16,7 +16,13 @@ from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filte
 from ppasim.tomography import DEFAULT_DTHETA
 from ppasim.verify import T_GRID, THETA_GRID
 
-from matrix_reference import bloch_vector, condition, imprinted_table, ppa_povm_sequence
+from matrix_reference import (
+    bloch_vector,
+    condition,
+    imprinted_table,
+    ppa_povm_sequence,
+    unfiltered_state,
+)
 
 
 def read_csv(path):
@@ -180,6 +186,10 @@ def test_sweep_systematic_flags_propagate(tmp_path, capsys):
         (["--visibility", "0"], "visibility"),
         (["--seed", "-1"], "seed"),
         (["--workers", "0"], "workers"),
+        (["--epsilon", "nan"], "epsilon"),
+        (["--budget", "100000000000000000000"], "photon_budget"),
+        (["--budget", "100000000000000000000", "--sampling-mode", "poisson"],
+         "photon_budget"),
     ],
 )
 def test_sweep_rejects_invalid_input_before_any_work(
@@ -375,6 +385,7 @@ def test_fig4_pipeline_tracks_theory(tmp_path, capsys):
         (["--shots", "0"], "shots_per_basis"),
         (["--theta", "nan"], "theta_list"),
         (["--seed", "-1"], "seed"),
+        (["--shots", "100000000000000000000"], "shots_per_basis"),
     ],
 )
 def test_fig4_rejects_invalid_input_before_any_work(
@@ -427,12 +438,13 @@ def matrix_fig4_point(spec, i, j):
         drho = hermitian_part((plus.mat - minus.mat) / (2.0 * dtheta))
         qfi.append(sld(center, drho).qfi)
         unf = tomography(
-            family.unfiltered_state(theta),
+            unfiltered_state(theta, spec.visibility),
             rng_stream(point_seed, rep, cli._STAGE_TOMO_UNFILTERED),
         )
         gap.append(gap4(unf))
     k = make_filter(t)
-    p_ps = float(np.trace(k @ family.unfiltered_state(theta).mat @ k.conj().T).real)
+    rho = unfiltered_state(theta, spec.visibility)
+    p_ps = float(np.trace(k @ rho.mat @ k.conj().T).real)
     qfi_mean, gap_mean = float(np.mean(qfi)), float(np.mean(gap))
     return (
         theta,
@@ -442,7 +454,7 @@ def matrix_fig4_point(spec, i, j):
         sld(family.state(theta), family.derivative(theta)).qfi,
         qfi_mean,
         float(np.std(qfi, ddof=1) / 2.0),
-        gap4(family.unfiltered_state(theta)),
+        gap4(unfiltered_state(theta, spec.visibility)),
         gap_mean,
         float(np.std(gap, ddof=1) / 2.0),
         qfi_ppa_theory(theta, t) * p_ps,

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from ppasim.fisher import (
     DegenerateMeasurementError,
     InconsistentDerivativeError,
-    MeasurementDirection,
     PPAFamily,
     PurityError,
     cfi,
@@ -24,8 +24,6 @@ from ppasim.states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    direction_projector,
-    direction_to_bloch,
     make_filter,
     ppa_generator,
     pure_state,
@@ -39,7 +37,7 @@ from ppasim.verify import (
     sylvester_suite,
 )
 
-from matrix_reference import bloch_vector
+from matrix_reference import bloch_vector, unfiltered_state
 
 RNG = np.random.default_rng(777)
 
@@ -194,10 +192,8 @@ def test_family_grid_is_one_evaluation_of_the_per_point_calls():
     theta = np.array(THETA_GRID)[:, None]
     rho, drho = fam.state(theta), fam.derivative(theta)
     res = sld(rho, drho)
-    proj = np.array(
-        [[optimal_measurement(th, t).projector() for t in T_GRID] for th in THETA_GRID]
-    )
-    classical = cfi(proj, fam, theta)
+    axes = np.array([[optimal_measurement(th, t) for t in T_GRID] for th in THETA_GRID])
+    classical = cfi(axes, fam, theta)
     assert rho.mat.shape == (2, 7, 6, 2, 2) and classical.shape == (2, 7, 6)
     for i, j, k in np.ndindex(2, 7, 6):
         one = PPAFamily(t=T_GRID[k], v=vs[i])
@@ -207,7 +203,7 @@ def test_family_grid_is_one_evaluation_of_the_per_point_calls():
         ref = sld(one.state(th), one.derivative(th))
         assert np.array_equal(res.lam[i, j, k], ref.lam)
         assert res.qfi[i, j, k] == ref.qfi
-        assert classical[i, j, k] == cfi(proj[j, k], one, th)
+        assert classical[i, j, k] == cfi(axes[j, k], one, th)
 
 
 def test_family_and_cfi_stacks_name_the_instance():
@@ -216,10 +212,10 @@ def test_family_and_cfi_stacks_name_the_instance():
     with pytest.raises(ValueError, match=r"^instance 2: visibility must lie in"):
         PPAFamily(t=0.5, v=np.array([1.0, 0.9, 0.0]))
     fam = PPAFamily(t=0.5)
-    # at theta = 0 the state is |0>, so the polar direction gives q = 1
-    proj = [optimal_measurement(0.0, 0.5).projector(), direction_projector(0.0, 0.0)]
+    # at theta = 0 the state is |0>, so the +z read-out gives q = 1
+    axes = [optimal_measurement(0.0, 0.5), (0.0, 0.0, 1.0)]
     with pytest.raises(DegenerateMeasurementError, match=r"^instance 1: outcome prob"):
-        cfi(np.array(proj), fam, 0.0)
+        cfi(np.array(axes), fam, 0.0)
 
 
 def test_grid_suite_summaries_are_pinned():
@@ -376,9 +372,7 @@ def test_qfi_postselected_pure_matches_sld_route():
     for theta in (0.02, 0.2, 1.0):
         for t in (0.044, 0.3, 1.0):
             fam = PPAFamily(t=t, v=1.0)
-            lhs = qfi_postselected_pure(
-                fam.unfiltered_state(theta), gen, make_filter(t)
-            )
+            lhs = qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t))
             rhs = sld(fam.state(theta), fam.derivative(theta)).qfi
             assert abs(lhs - rhs) < 1e-8 * max(rhs, 1.0)
 
@@ -390,16 +384,12 @@ def test_qfi_postselected_pure_no_filter_variance():
 
 
 def test_qfi_postselected_pure_vanishes_at_t_zero():
-    fam = PPAFamily(t=0.5, v=1.0)
-    val = qfi_postselected_pure(
-        fam.unfiltered_state(0.3), ppa_generator(), make_filter(0.0)
-    )
+    val = qfi_postselected_pure(unfiltered_state(0.3), ppa_generator(), make_filter(0.0))
     assert val == 0.0
 
 
 def test_qfi_postselected_pure_continuous_in_t_near_zero():
-    fam = PPAFamily(t=0.5, v=1.0)
-    rho = fam.unfiltered_state(0.3)
+    rho = unfiltered_state(0.3)
     small = qfi_postselected_pure(rho, ppa_generator(), make_filter(1e-3))
     assert abs(small - qfi_ppa_theory(0.3, 1e-3)) / small < 1e-6
 
@@ -414,20 +404,51 @@ def test_qfi_postselected_pure_rejects_mixed_state():
 # -------------------------------------------------------- optimal directions
 
 
+def polar_angle(n):
+    return math.atan2(math.hypot(n[0], n[1]), n[2])
+
+
 def test_optimal_measurement_equator_at_zero_prior():
-    d = optimal_measurement(0.0, 0.3)
-    assert abs(d.theta_opt - math.pi / 2) < 1e-14
-    assert d.phi_opt == 0.0
+    # at zero prior the read-out lies on the equator, along -y for real t
+    n = optimal_measurement(0.0, 0.3)
+    assert abs(polar_angle(n) - math.pi / 2) < 1e-14
+    assert n[0] == 0.0 and n[1] == -1.0
 
 
 def test_optimal_measurement_frozen_value():
-    d = optimal_measurement(0.2, 0.5)
-    assert abs(d.theta_opt - 1.3226319366299182) < 1e-12
+    n = optimal_measurement(0.2, 0.5)
+    assert abs(polar_angle(n) - 1.3226319366299182) < 1e-12
 
 
 def test_optimal_measurement_azimuth_tracks_filter_phase():
-    t = 0.3 * np.exp(1j * 0.8)
-    assert abs(optimal_measurement(0.1, t).phi_opt - 0.8) < 1e-14
+    # a filter phase arg t turns the read-out by arg t about z, away from -y
+    n = optimal_measurement(0.1, 0.3 * np.exp(1j * 0.8))
+    assert abs(math.atan2(n[0], -n[1]) - 0.8) < 1e-14
+
+
+def read_out_from_angles(theta_prior, t):
+    """The read-out by its earlier definition: (polar, azimuth) angles in a
+    frame with axes (-y, +x, z), azimuth folded into [-pi, pi), then turned
+    into a standard Bloch vector."""
+    t = complex(t)
+    mag = abs(t)
+    cot = (1.0 + mag**2) / (2.0 * mag) * math.tan(theta_prior)
+    polar = math.pi / 2.0 - math.atan(cot)
+    azimuth = math.atan2(t.imag, t.real)
+    if azimuth >= math.pi:
+        azimuth = -math.pi
+    x_f = math.sin(polar) * math.cos(azimuth)
+    y_f = math.sin(polar) * math.sin(azimuth)
+    return np.array([y_f, -x_f, math.cos(polar)])
+
+
+def test_optimal_measurement_matches_the_angle_formula():
+    ts = (*T_GRID, -0.044, -0.5, -1.0, 0.5 * cmath.exp(0.8j), 0.2 * cmath.exp(-2.5j))
+    for theta in (*THETA_GRID, -0.3):
+        for t in ts:
+            n = optimal_measurement(theta, t)
+            assert np.abs(n - read_out_from_angles(theta, t)).max() <= 1e-15
+            assert abs(np.linalg.norm(n) - 1.0) < 1e-14
 
 
 def test_optimal_measurement_rejects_t_zero():
@@ -441,7 +462,7 @@ def test_cfi_attains_qfi_along_optimal_direction():
             for t in T_GRID:
                 fam = PPAFamily(t=t, v=v)
                 qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-                c = cfi(optimal_measurement(theta, t).projector(), fam, theta)
+                c = cfi(optimal_measurement(theta, t), fam, theta)
                 assert abs(c - qfi) / qfi < 1e-10
 
 
@@ -452,12 +473,15 @@ def test_cfi_never_exceeds_qfi():
         v = float(RNG.choice([1.0, 0.98]))
         fam = PPAFamily(t=t, v=v)
         qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-        d = MeasurementDirection(
-            float(RNG.uniform(0, math.pi)),
-            float(RNG.uniform(-math.pi, math.pi)),
+        polar = float(RNG.uniform(0, math.pi))
+        azimuth = float(RNG.uniform(-math.pi, math.pi))
+        n = (
+            math.sin(polar) * math.cos(azimuth),
+            math.sin(polar) * math.sin(azimuth),
+            math.cos(polar),
         )
         try:
-            c = cfi(d.projector(), fam, theta)
+            c = cfi(n, fam, theta)
         except DegenerateMeasurementError:
             continue
         assert c <= qfi + 1e-9
@@ -467,36 +491,30 @@ def test_cfi_poor_direction_loses_information():
     # measuring along the state's own Bloch axis is nearly blind
     fam = PPAFamily(t=0.5, v=0.98)
     theta = 0.2
-    x, y, z = bloch_vector(fam.state(theta))
-    r = (-y, x, z)  # analysis frame: x_a = -y, y_a = +x, z_a = z
-    polar = math.atan2(math.hypot(r[0], r[1]), r[2])
-    azim = math.atan2(r[1], r[0])
-    if azim >= math.pi:  # [-pi, pi) convention
-        azim = -math.pi
-    aligned = MeasurementDirection(polar, azim)
+    r = bloch_vector(fam.state(theta))
     qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-    assert cfi(aligned.projector(), fam, theta) < 5e-3 * qfi
+    assert cfi(r / np.linalg.norm(r), fam, theta) < 5e-3 * qfi
 
 
 def test_cfi_finite_difference_path():
     # cfi's analytic q' agrees with a central difference of q with step 1e-5
     fam = PPAFamily(t=0.5, v=1.0)
-    d = optimal_measurement(0.2, 0.5)
+    n = optimal_measurement(0.2, 0.5)
 
     def q(theta):
-        return float(np.trace(fam.state(theta).mat @ d.projector()).real)
+        return (1.0 + float(n @ bloch_vector(fam.state(theta)))) / 2.0
 
     dq = (q(0.2 + 1e-5) - q(0.2 - 1e-5)) / 2e-5
     numeric = dq**2 / (q(0.2) * (1.0 - q(0.2)))
-    exact = cfi(d.projector(), fam, 0.2)
+    exact = cfi(n, fam, 0.2)
     assert abs(numeric - exact) / exact < 1e-6
 
 
 def test_cfi_rejects_degenerate_outcome():
     fam = PPAFamily(t=0.5, v=1.0)
-    # at theta = 0 the state is |0>; the polar direction gives q = 1
+    # at theta = 0 the state is |0>; the +z read-out gives q = 1
     with pytest.raises(DegenerateMeasurementError):
-        cfi(MeasurementDirection(0.0, 0.0).projector(), fam, 0.0)
+        cfi((0.0, 0.0, 1.0), fam, 0.0)
 
 
 # ------------------------------------------------------------- closed-form L
@@ -506,11 +524,10 @@ def sld_closed_form(theta: float, t: complex, v: float) -> np.ndarray:
     """Closed-form SLD of the visibility-v postselected family.
 
     -(v / p_ps) * [ (1-|t|^2)/2 sin(theta) 1
-                    + cos(theta) (Re t sig_x^a + Im t sig_y^a)
-                    + (1+|t|^2)/2 sin(theta) sig_z ]
+                    + cos(theta) (Im t sigma_x - Re t sigma_y)
+                    + (1+|t|^2)/2 sin(theta) sigma_z ]
 
-    with the analysis-frame Paulis sig_x^a = -sigma_y, sig_y^a = +sigma_x
-    and p_ps the visibility-v survival probability.  For v < 1 this equals
+    with p_ps the visibility-v survival probability.  For v < 1 this equals
     :func:`sld` of the family exactly; at v = 1 it remains a valid SLD but
     differs from the minimum-norm solution by a kernel shift.
     """
@@ -539,16 +556,14 @@ def test_sld_closed_form_axis_matches_optimal_direction():
     for v in (0.98, 0.9):
         for theta in THETA_GRID:
             for t in T_GRID:
-                d = optimal_measurement(theta, t)
                 ang = axis_angle(
-                    sld_axis(sld_closed_form(theta, t, v)),
-                    direction_to_bloch(d.theta_opt, d.phi_opt),
+                    sld_axis(sld_closed_form(theta, t, v)), optimal_measurement(theta, t)
                 )
                 assert ang < 1e-12
 
 
 def test_sld_closed_form_equator_axis_at_zero_phase():
-    # at theta = 0 the SLD is proportional to the analysis-x Pauli (-sigma_y)
+    # at theta = 0 the SLD is proportional to -sigma_y, the read-out's Pauli
     lam = sld_closed_form(0.0, 0.5, 1.0)
     assert abs(np.trace(lam).real) < 1e-12
     assert np.abs(lam + (0.5 / survival_probability(0.0, 0.5)) * (-SIGMA_Y)).max() < 1e-12

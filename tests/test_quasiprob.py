@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ppasim.fisher import PPAFamily, PurityError, qfi_postselected_pure
+from ppasim.fisher import PurityError, qfi_postselected_pure
 from ppasim.quasiprob import (
     POVM,
     ConditionNotMetError,
@@ -42,6 +42,7 @@ from matrix_reference import (
     plus_minus_states,
     ppa_povm_sequence,
     projective_povm,
+    unfiltered_state,
 )
 
 RNG = np.random.default_rng(4242)
@@ -66,7 +67,7 @@ def random_density(rng, d):
 
 
 def imprinted_state(theta):
-    return PPAFamily(t=0.5).unfiltered_state(theta)
+    return unfiltered_state(theta)
 
 
 def imprinted_bloch(theta):
@@ -460,7 +461,8 @@ def per_instance_gap_equality(rng, n):
             - 4.0 * abs(np.trace(a @ r @ m)) ** 2 / p**2
         )
         kd = kd_distribution(rho, (proj, filter_povm(k), proj))
-        rhs = 4.0 * gen.spread**2 * nonclassicality_gap(condition(kd, 1, 0))
+        spread = gen.eigenvalues[-1] - gen.eigenvalues[0]
+        rhs = 4.0 * spread**2 * nonclassicality_gap(condition(kd, 1, 0))
         rows.append((lhs, rhs, abs(lhs - rhs) / max(lhs, 1.0)))
     return np.array(rows).T
 

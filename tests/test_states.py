@@ -14,7 +14,6 @@ from ppasim.states import (
     UndefinedAmplificationError,
     ZeroProbabilityError,
     amplified_angle,
-    direction_to_bloch,
     make_filter,
     phase_unitary,
     ppa_generator,
@@ -106,7 +105,7 @@ def test_generator_groups_degenerate_eigenvalues():
     gen = Generator.from_matrix(np.diag([-1.0, 0.0, 0.0, 2.0]))
     assert list(gen.eigenvalues) == [-1.0, 0.0, 2.0]
     assert [int(round(np.trace(p).real)) for p in gen.projectors] == [1, 2, 1]
-    assert gen.spread == 3.0
+    assert gen.eigenvalues[-1] - gen.eigenvalues[0] == 3.0
 
 
 def random_unitary(rng, d):
@@ -126,7 +125,8 @@ def test_generator_stack_pads_to_the_widest_spectrum():
     assert np.allclose(gen.eigenvalues[0], [-1.0, 2.0, 2.0, 2.0], atol=1e-12)
     assert np.allclose(gen.eigenvalues[1], [0.0, 1.0, 3.0, 3.0], atol=1e-12)
     assert np.allclose(gen.eigenvalues[2], [-2.0, 0.5, 1.0, 3.0], atol=1e-12)
-    assert np.allclose(gen.spread, [3.0, 3.0, 5.0], atol=1e-12)
+    spread = gen.eigenvalues[..., -1] - gen.eigenvalues[..., 0]
+    assert np.allclose(spread, [3.0, 3.0, 5.0], atol=1e-12)
     ranks = np.array([np.trace(p, axis1=-2, axis2=-1).real for p in gen.projectors]).T
     assert np.allclose(ranks, [[2, 2, 0, 0], [1, 2, 1, 0], [1, 1, 1, 1]], atol=1e-12)
     # the padded slots are exactly zero
@@ -413,48 +413,14 @@ def test_bloch_rejects_long_vector():
         DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
 
 
-# ------------------------------------------------------------ analysis frame
+# ------------------------------------------------------------ amplified states
 
 
-# the analysis x, y and z axes as (polar, azimuth) directions
-ANALYSIS_AXES = ((math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (0.0, 0.0))
-
-
-def test_analysis_frame_axes():
-    # x_a = -y, y_a = +x, z_a = z in standard coordinates
-    expected = ([0, -1, 0], [1, 0, 0], [0, 0, 1])
-    for (polar, azimuth), axis in zip(ANALYSIS_AXES, expected):
-        assert np.abs(direction_to_bloch(polar, azimuth) - axis).max() < 1e-15
-
-
-def test_analysis_frame_round_trip():
-    # the frame is a rotation (orthonormal columns, determinant +1), and a
-    # direction equals the frame applied to its analysis-frame unit vector
-    frame = np.column_stack([direction_to_bloch(p, a) for p, a in ANALYSIS_AXES])
-    assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-15
-    assert abs(np.linalg.det(frame) - 1.0) < 1e-15
-    for _ in range(10):
-        polar, azimuth = RNG.uniform(0, math.pi), RNG.uniform(-math.pi, math.pi)
-        n_a = [
-            math.sin(polar) * math.cos(azimuth),
-            math.sin(polar) * math.sin(azimuth),
-            math.cos(polar),
-        ]
-        assert np.abs(frame.T @ direction_to_bloch(polar, azimuth) - n_a).max() < 1e-14
-
-
-def test_direction_to_bloch_is_unit():
-    for _ in range(10):
-        n = direction_to_bloch(RNG.uniform(0, math.pi), RNG.uniform(-math.pi, math.pi))
-        assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-
-
-def test_amplified_states_lie_in_analysis_xz_plane():
-    # the postselected family must have zero analysis-y component for real t
+def test_amplified_states_lie_in_the_yz_plane():
+    # for real t the postselected family has x = 0, and its polar angle is
+    # the amplified angle
     for theta in (0.05, 0.3, 1.1):
         (x, y, z), _ = postselected(theta, 0.3)
-        r_analysis = np.array([-y, x, z])  # x_a = -y, y_a = +x, z_a = z
-        assert abs(r_analysis[1]) < 1e-12
-        # and the polar angle is the amplified angle
+        assert abs(x) < 1e-12
         big = amplified_angle(theta, 0.3)
-        assert abs(math.atan2(abs(r_analysis[0]), r_analysis[2]) - big) < 1e-12
+        assert abs(math.atan2(abs(y), z) - big) < 1e-12

@@ -15,7 +15,7 @@ from ppasim.states import (
 )
 from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
 
-from matrix_reference import bloch_vector, condition, ppa_povm_sequence
+from matrix_reference import bloch_vector, condition, ppa_povm_sequence, unfiltered_state
 
 
 def density(r):
@@ -171,7 +171,7 @@ def test_kd_from_tomography_matches_closed_form():
     # the conditioned (A, filter, A) quasidistribution of the family's state
     for theta in (0.05, 0.2, 0.8):
         for t in (0.1, 0.5, 0.9):
-            rho = PPAFamily(t=t).unfiltered_state(theta)
+            rho = unfiltered_state(theta)
             cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
             table = kd_table_closed_form(unfiltered_bloch(theta), t)
             assert np.abs(table - cond).max() < 1e-12
