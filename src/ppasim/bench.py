@@ -42,6 +42,8 @@ from .fisher import optimal_measurement, qfi_ppa_theory
 
 __all__ = [
     "STAGE_COUNTS",
+    "STAGE_TOMOGRAPHY",
+    "MIN_AMPLITUDE",
     "BenchConfig",
     "SweepRecord",
     "SWEEP_CSV_COLUMNS",
@@ -53,8 +55,10 @@ __all__ = [
     "misaligned_half_tangent",
 ]
 
-# Stage tags for RNG substreams; fig4's tomography stages live in cli.
+# Stage tags of a grid point's RNG substreams: the sweep's counts and fig4's
+# tomography.
 STAGE_COUNTS = 0
+STAGE_TOMOGRAPHY = 1
 
 # Most trials (points x trials per point) that run_trials evaluates as one
 # array block.
@@ -63,6 +67,10 @@ BLOCK_TRIALS = 4096
 # Largest photon budget or tomography shot count; numpy's binomial and
 # poisson samplers both accept counts and means up to it.
 MAX_COUNT = 10**18
+
+# Smallest assumed filter amplitude |t| + delta_t: the estimates and their
+# variance scale as t and t^2, which below it underflow to a degenerate row.
+MIN_AMPLITUDE = 1e-100
 
 SWEEP_CSV_COLUMNS = (
     "theta_true",
@@ -120,11 +128,12 @@ class BenchConfig:
         if abs(t) > 1.0 + 1e-12:
             raise ValueError(f"t_list: |t| = {abs(t):g} exceeds 1")
         assumed = abs(t) + self.delta_t
-        if not 0.0 < assumed <= 1.0 + 1e-12:
+        if not MIN_AMPLITUDE <= assumed <= 1.0 + 1e-12:
             field = "t_list, delta_t" if self.delta_t else "t_list"
             raise ValueError(
                 f"{field}: t = {self.t_set:g} with delta_t = {self.delta_t:g} gives "
-                f"the assumed amplitude |t| + delta_t = {assumed:g}, outside (0, 1]"
+                f"the assumed amplitude |t| + delta_t = {assumed:g}, "
+                f"outside [{MIN_AMPLITUDE:g}, 1]"
             )
         if not abs(self.epsilon) < math.pi / 4:
             raise ValueError(f"epsilon: {self.epsilon:g} must satisfy |epsilon| < pi/4")

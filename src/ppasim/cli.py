@@ -23,6 +23,7 @@ import numpy as np
 
 from .bench import (
     MAX_COUNT,
+    STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     BenchConfig,
     fmt_sig,
@@ -30,8 +31,16 @@ from .bench import (
     rng_stream,
     run_trials,
 )
-from .fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld, survival_probability
+from .fisher import (
+    PPAFamily,
+    on_sphere,
+    qfi_bloch,
+    qfi_ppa_theory,
+    sld,
+    survival_probability,
+)
 from .quasiprob import kd_table_closed_form, nonclassicality_gap
+from .states import ZeroProbabilityError
 from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import T_GRID, THETA_GRID, run_all
 
@@ -67,11 +76,14 @@ FIG4_CSV_COLUMNS = (
     "qfi_theory_per_input",
     "qfi_empirical_per_input",
     "gap4_empirical_per_input",
+    "flags",
 )
 
-# RNG stage tags for the tomography pipeline (bench trials use stage 0).
-_STAGES_TOMO_PHASES = (10, 11, 12)  # theta - dtheta, theta, theta + dtheta
-_STAGE_TOMO_UNFILTERED = 13
+# Tomography repetitions per fig4 point, and the distance from the sphere,
+# in standard deviations of an estimate's length (at most 1/sqrt(shots)),
+# within which an unprojected centre estimate flags its point near-boundary.
+_FIG4_REPS = 4
+_NEAR_BOUNDARY_SIGMAS = 3.0
 
 
 # What a SweepSpec field accepts, keyed by the type of its default.
@@ -128,17 +140,13 @@ def _resolve_out(path: str, default_name: str) -> str:
     return os.path.join(base, name) if base else name
 
 
-def _grid_seed(seed: int, i: int, j: int) -> int:
-    """Stable per-grid-point seed, independent of evaluation order."""
-    return int(np.random.SeedSequence((seed, i, j)).generate_state(1, np.uint64)[0])
-
-
 def _point_seed(seed: int, i: int, j: int) -> int:
-    """Bench seed of sweep grid point (i, j): the run seed and the indices side by side.
+    """Seed of grid point (i, j): the run seed and the indices side by side.
 
-    rng_stream hashes it, so each point's stream is keyed by (seed, i, j).
-    Unlike ``_grid_seed`` it needs no numpy.random, which a sweep's parent
-    process would otherwise load only to hand points to its workers.
+    rng_stream hashes it, so each point's stream is keyed by (seed, i, j);
+    sweep and fig4 draw from it under their own stage tags.  It needs no
+    numpy.random, which a sweep's parent process would otherwise load only
+    to hand points to its workers.
     """
     if seed < 0:
         raise ValueError(f"seed: {seed} must be non-negative")
@@ -260,18 +268,23 @@ def check_fig4_spec(spec: SweepSpec) -> None:
         raise ValueError(f"seed: {spec.seed} must be non-negative")
 
 
-def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple[float, ...]:
-    """The FIG4_CSV_COLUMNS values of grid point (i, j)."""
+def _fig4_qfi_family(spec: SweepSpec) -> np.ndarray:
+    """The qfi_family column over the (theta, t) grid, as one batched sld solve."""
+    family = PPAFamily(t=np.array(spec.t_list), v=spec.visibility)
+    theta = np.array(spec.theta_list)[:, None]
+    return sld(family.state(theta), family.derivative(theta)).qfi
+
+
+def _fig4_point(spec: SweepSpec, i: int, j: int, qfi_family: float) -> tuple:
+    """The FIG4_CSV_COLUMNS values of grid point (i, j), flags last."""
     theta = spec.theta_list[i]
     t = spec.t_list[j]
     vis = spec.visibility
+    shots = spec.shots_per_basis
     dtheta = DEFAULT_DTHETA
-    point_seed = _grid_seed(spec.seed, i, j)
 
-    # Same-visibility exact references (the closed-form theory is the v=1
-    # ideal); qfi_family is the independent matrix-route SLD.
-    family = PPAFamily(t=t, v=vis)
-    qfi_family = sld(family.state(theta), family.derivative(theta)).qfi
+    # Exact vectors: the postselected family at theta - dtheta, theta and
+    # theta + dtheta, then the unfiltered state (t = 1).
     exact = [
         postselected_bloch(th, t, 0.0, vis)
         for th in (theta - dtheta, theta, theta + dtheta)
@@ -280,27 +293,35 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple[float, ...]:
     r_unfiltered, _ = postselected_bloch(theta, 1.0, 0.0, vis)
     gap4_family = 4.0 * nonclassicality_gap(kd_table_closed_form(r_unfiltered, t))
 
-    qfi_reps: list[float] = []
-    gap_reps: list[float] = []
-    for rep in range(4):
-        minus, center, plus = (
-            simulate_tomography(
-                r, spec.shots_per_basis, rng_stream(point_seed, rep, stage)
-            )
-            for (r, _), stage in zip(exact, _STAGES_TOMO_PHASES)
-        )
-        qfi_reps.append(qfi_bloch(center, (plus - minus) / (2.0 * dtheta)))
-        unf = simulate_tomography(
-            r_unfiltered,
-            spec.shots_per_basis,
-            rng_stream(point_seed, rep, _STAGE_TOMO_UNFILTERED),
-        )
-        gap_reps.append(4.0 * nonclassicality_gap(kd_table_closed_form(unf, t)))
+    # One stream per point and one draw of (repetitions, vectors, axes) counts.
+    truth = np.array([r for r, _ in exact] + [r_unfiltered])
+    rng = rng_stream(_point_seed(spec.seed, i, j), STAGE_TOMOGRAPHY)
+    est = simulate_tomography(np.broadcast_to(truth, (_FIG4_REPS, 4, 3)), shots, rng)
+    minus, center, plus, unfiltered = est.swapaxes(0, 1)
+    dr = (plus - minus) / (2.0 * dtheta)
+    # A centre estimate on the sphere is a pure state, whose derivative has
+    # no radial part: project r' onto the tangent plane (Smolin, Gambetta &
+    # Smith, PRL 108, 070502, 2012).
+    boundary = on_sphere(center)
+    if boundary.any():
+        c = center[boundary]
+        dr[boundary] -= ((c * dr[boundary]).sum(-1) / (c * c).sum(-1))[:, None] * c
+    norm = np.sqrt((center * center).sum(-1))
+    near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
+    flags = [f"boundary={boundary.sum()}"] if boundary.any() else []
+    if near.any():
+        flags.append("near-boundary")
+    try:
+        tables = kd_table_closed_form(unfiltered, t)
+        gap_reps = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
+    except ZeroProbabilityError:
+        # an unfiltered estimate the filter blocks entirely has no table
+        gap_reps = np.full(_FIG4_REPS, math.nan)
+        flags.append("no-survival")
 
-    qfi_mean = float(np.mean(qfi_reps))
-    qfi_se = float(np.std(qfi_reps, ddof=1) / math.sqrt(len(qfi_reps)))
-    gap_mean = float(np.mean(gap_reps))
-    gap_se = float(np.std(gap_reps, ddof=1) / math.sqrt(len(gap_reps)))
+    reps = np.stack([qfi_bloch(center, dr), gap_reps])
+    qfi_mean, gap_mean = reps.mean(1)
+    qfi_se, gap_se = reps.std(1, ddof=1) / math.sqrt(_FIG4_REPS)
     qfi_theory = qfi_ppa_theory(theta, t)
     return (
         theta,
@@ -316,32 +337,38 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple[float, ...]:
         qfi_theory * p_ps,
         qfi_mean * p_ps,
         gap_mean * p_ps,
+        ";".join(flags),
     )
 
 
 def cmd_fig4(spec: SweepSpec) -> str:
     """Tomographic information pipeline over the grid, written as CSV.
 
-    Per grid point: four independent tomography repetitions of the
-    postselected Bloch vector (three phases each) feed the empirical QFI
-    :func:`qfi_bloch` of a central difference, and four repetitions of the
-    unfiltered vector feed the conditional quasiprobability gap.
-    Per-input-photon columns scale by the exact survival probability (the
-    t = 1 reference detects every photon).  A point that raises re-raises
-    the same exception type, naming theta, t, the grid index (i, j) and the
-    run seed.
+    Per grid point, one stream keyed by (seed, i, j) draws four tomography
+    repetitions of the postselected Bloch vector at theta and theta +-
+    dtheta, whose central difference feeds the empirical QFI
+    :func:`qfi_bloch`, and of the unfiltered vector, which feeds the
+    conditional quasiprobability gap.  On the sphere the derivative is
+    projected onto the tangent plane; ``flags`` counts those repetitions
+    (``boundary=<n>``), marks centre estimates within three standard
+    deviations of the sphere (``near-boundary``) and an unfiltered estimate
+    the filter blocks entirely (``no-survival``, nan gap columns).
+    Per-input-photon columns scale by the exact survival probability.  A
+    point that raises re-raises the same exception type, naming theta, t,
+    the grid index (i, j) and the run seed.
     """
+    qfi_family = _fig4_qfi_family(spec)
     rows = []
     for i, theta in enumerate(spec.theta_list):
         for j, t in enumerate(spec.t_list):
             try:
-                vals = _fig4_point(spec, i, j)
+                *vals, flags = _fig4_point(spec, i, j, float(qfi_family[i, j]))
             except ValueError as exc:
                 raise type(exc)(
                     f"fig4 point theta = {theta!r}, t = {t!r} at grid index "
                     f"(i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
                 ) from exc
-            rows.append(",".join(fmt_sig(x) for x in vals))
+            rows.append(",".join(fmt_sig(x) for x in vals) + f",{flags}")
     out = _resolve_out(spec.output_path, "fig4.csv")
     _write_text(out, ",".join(FIG4_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out
@@ -472,9 +499,8 @@ def main(argv=None) -> int:
         if flag and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
-    # An imperfect source keeps most tomographic estimates inside the Bloch
-    # ball, where qfi_bloch of a noisy derivative is defined; points with
-    # theta >= 1 and t <= 0.15 still raise at 0.98.
+    # An imperfect source keeps most tomographic estimates off the sphere,
+    # where fig4 would project the derivative and flag the point.
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
     try:
         if args.command == "verify":

@@ -36,6 +36,7 @@ __all__ = [
     "PPAFamily",
     "survival_probability",
     "sld",
+    "on_sphere",
     "qfi_bloch",
     "qfi_ppa_theory",
     "qfi_postselected_pure",
@@ -129,28 +130,44 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     return SLDResult(lam=lam, qfi=qfi, residual=residual)
 
 
-def qfi_bloch(r, dr) -> float:
+def on_sphere(r) -> np.ndarray | bool:
+    """Mask of the Bloch vectors ``r`` (a (..., 3) stack) where :func:`sld`
+    finds a kernel: the eigenvalue (1 - |r|)/2 of (1 + r . sigma)/2 is at
+    most 1e-12 times (1 + |r|)/2."""
+    n = np.sqrt((np.asarray(r, dtype=float) ** 2).sum(-1))
+    return 1.0 - n <= 1e-12 * (1.0 + n)
+
+
+def qfi_bloch(r, dr):
     """QFI of a qubit family at Bloch vector ``r`` with theta-derivative ``dr``.
 
     Inside the ball this is Tr(drho L) of :func:`sld` in closed form,
-    F = |r'|^2 + (r . r')^2 / (1 - |r|^2).  On the sphere, where sld finds a
-    kernel (the eigenvalue (1 - |r|)/2 at most 1e-12 times (1 + |r|)/2), the
-    radial part of r' lies in the kernel: |r_hat . r'|/2 > 1e-6 raises
+    F = |r'|^2 + (r . r')^2 / (1 - |r|^2).  On the sphere (:func:`on_sphere`)
+    the radial part of r' lies in the kernel: |r_hat . r'|/2 > 1e-6 raises
     :class:`InconsistentDerivativeError`, otherwise
-    F = |r'_perp|^2 + (r_hat . r')^2 / 4.
+    F = |r'_perp|^2 + (r_hat . r')^2 / 4.  ``r`` and ``dr`` may be (..., 3)
+    stacks; the result is a float for one vector and an array over the batch
+    axes otherwise, and a failure names the first failing instance.
     """
     r = np.asarray(r, dtype=float)
     dr = np.asarray(dr, dtype=float)
-    rr = float(r @ r)
-    n = math.sqrt(rr)
-    if 1.0 - n > 1e-12 * (1.0 + n):
-        return float(dr @ dr + (r @ dr) ** 2 / (1.0 - rr))
-    radial = float(r @ dr) / n
-    if abs(radial) / 2.0 > 1e-6:
+    rr = (r * r).sum(-1)
+    r_dr = (r * dr).sum(-1)
+    dr_dr = (dr * dr).sum(-1)
+    sphere = on_sphere(r)
+    radial = r_dr / np.where(sphere, np.sqrt(rr), 1.0)
+    bad = sphere & (np.abs(radial) / 2.0 > 1e-6)
+    if bad.any():
+        k, at = _first_bad(bad)
         raise InconsistentDerivativeError(
-            f"drho has weight {abs(radial) / 2.0:.3e} outside the support of rho"
+            f"{at}drho has weight {abs(radial[k]) / 2.0:.3e} outside the support of rho"
         )
-    return float(dr @ dr) - radial**2 + radial**2 / 4.0
+    qfi = np.where(
+        sphere,
+        dr_dr - radial**2 + radial**2 / 4.0,
+        dr_dr + r_dr**2 / np.where(sphere, 1.0, 1.0 - rr),
+    )
+    return float(qfi) if qfi.ndim == 0 else qfi
 
 
 _KET0_BRA0 = np.diag([1.0, 0.0]).astype(complex)

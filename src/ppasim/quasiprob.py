@@ -170,29 +170,42 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
         (a-, a+):  conjugate
 
     The imprinted state of phase theta has r = (0, sin theta, cos theta).
-    Raises :class:`ZeroProbabilityError` when p <= 1e-15.
+    ``r`` may be a (..., 3) stack, giving (..., 2, 2) tables.  Raises
+    :class:`ZeroProbabilityError` when p <= 1e-15, naming the first such
+    instance of a stack.
     """
-    x, y, z = (float(c) for c in r)
+    r = np.asarray(r, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     t_mag = abs(complex(t))
     if not t_mag <= 1.0 + 1e-12:
         raise ValueError("|t| must lie in [0, 1]")
     t2 = t_mag**2
     p = ((1.0 + t2) + (t2 - 1.0) * z) / 2.0
-    if p <= 1e-15:
+    bad = p <= 1e-15
+    if bad.any():
+        _, at = _first_bad(bad)
         raise ZeroProbabilityError(
-            "conditional table undefined: postselection probability is zero"
+            f"{at}conditional table undefined: postselection probability is zero"
         )
-    diag = (1.0 + t2) / (4.0 * p)
-    off = (t2 - 1.0) * complex(z, y) / (4.0 * p)
-    return np.array(
-        [[diag * (1.0 + x), off], [off.conjugate(), diag * (1.0 - x)]], dtype=complex
-    )
+    q = 4.0 * p
+    diag = (1.0 + t2) / q
+    # each part divided by the real q, as a real division rounds (numpy's
+    # complex division multiplies by a reciprocal instead)
+    off = (t2 - 1.0) * z / q + 1j * ((t2 - 1.0) * y / q)
+    return np.stack(
+        [diag * (1.0 + x), off, off.conj(), diag * (1.0 - x)], axis=-1
+    ).reshape(r.shape[:-1] + (2, 2))
 
 
-def nonclassicality_gap(kd: np.ndarray) -> float:
-    """Spread max - min of |p|^2 over all outcomes of one quasidistribution."""
+def nonclassicality_gap(kd: np.ndarray, axes=None):
+    """Spread max - min of |p|^2 over all outcomes of one quasidistribution.
+
+    ``axes`` names the outcome axes of a stack of tables, whose gaps come
+    back as an array; by default the whole array is one table.
+    """
     sq = np.abs(kd) ** 2
-    return float(sq.max() - sq.min())
+    gap = sq.max(axis=axes) - sq.min(axis=axes)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEqualityResult:

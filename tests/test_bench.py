@@ -10,6 +10,7 @@ from ppasim.bench import (
     SweepRecord,
     BLOCK_TRIALS,
     MAX_COUNT,
+    MIN_AMPLITUDE,
     STAGE_COUNTS,
     _estimator_direction,
     _fringe_params,
@@ -657,6 +658,8 @@ def test_fmt_sig_round_trip():
         {"theta_true": 3.3},
         {"epsilon": math.nan},
         {"photon_budget": MAX_COUNT + 1},
+        {"t_set": 1e-300},
+        {"t_set": 0.5, "delta_t": -0.5 + 1e-101},
     ],
 )
 def test_config_rejects_invalid_fields(kwargs):
@@ -664,6 +667,18 @@ def test_config_rejects_invalid_fields(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         BenchConfig(**base)
+
+
+def test_run_trials_at_the_amplitude_floor_writes_a_normal_row():
+    # at |t| = MIN_AMPLITUDE the estimates and their variance, which scale
+    # as t and t^2, are still normal doubles; below it the config is refused
+    [rec] = run_trials([BenchConfig(0.1, MIN_AMPLITUDE, n_trials=4, seed=2)])
+    assert rec.flags == ""
+    for value in (rec.mean_estimate, rec.variance, rec.qfi_theory):
+        assert abs(value) >= np.finfo(float).tiny
+    assert math.isfinite(rec.precision_per_photon)
+    with pytest.raises(ValueError, match=r"^t_list: .* outside \[1e-100, 1\]"):
+        BenchConfig(0.1, MIN_AMPLITUDE / 2)
 
 
 def test_run_trials_accepts_the_count_cap():

@@ -11,6 +11,7 @@ from ppasim.fisher import (
     PurityError,
     cfi,
     optimal_measurement,
+    on_sphere,
     qfi_bloch,
     qfi_ppa_theory,
     qfi_postselected_pure,
@@ -318,6 +319,28 @@ def test_qfi_bloch_matches_sld():
             else:
                 ref = sld_qfi(axis, dr_s)
                 assert abs(qfi_bloch(axis, dr_s) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_qfi_bloch_of_a_stack_is_the_per_vector_qfi():
+    # inside the ball and on the sphere alike, a (2, 5, 3) stack gives the
+    # per-vector values, and an unreachable derivative names its instance
+    rng = np.random.default_rng(6)
+    axis = rng.normal(size=(2, 5, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    dr = rng.normal(size=(2, 5, 3))
+    dr -= (dr * axis).sum(-1, keepdims=True) * axis  # tangent on the sphere
+    r = axis * rng.uniform(0.0, 0.99, size=(2, 5, 1))
+    r[:, ::2] = axis[:, ::2]
+    assert list(on_sphere(r)[0]) == [True, False, True, False, True]
+    qfi = qfi_bloch(r, dr)
+    assert qfi.shape == (2, 5)
+    for k in np.ndindex(2, 5):
+        assert qfi[k] == qfi_bloch(r[k], dr[k])
+    dr[1, 2] += 1e-3 * axis[1, 2]
+    with pytest.raises(
+        InconsistentDerivativeError, match=r"^instance \(1, 2\): drho has weight"
+    ):
+        qfi_bloch(r, dr)
 
 
 def test_family_analytic_derivative_matches_finite_difference():

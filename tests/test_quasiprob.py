@@ -272,6 +272,27 @@ def test_closed_form_table_rejects_dead_slice():
         kd_table_closed_form(imprinted_bloch(0.0), 0.0)
 
 
+def test_closed_form_table_of_a_stack_is_the_per_vector_tables():
+    # a (2, 3, 3) stack of Bloch vectors gives (2, 3, 2, 2) tables, bit for
+    # bit the per-vector ones, and per-table gaps over the outcome axes
+    rng = np.random.default_rng(14)
+    r = rng.normal(size=(2, 3, 3))
+    r /= np.linalg.norm(r, axis=-1, keepdims=True)
+    r *= rng.uniform(0.0, 1.0, size=(2, 3, 1))
+    t = 0.3 * np.exp(0.4j)
+    tables = kd_table_closed_form(r, t)
+    gaps = nonclassicality_gap(tables, axes=(-2, -1))
+    assert tables.shape == (2, 3, 2, 2) and gaps.shape == (2, 3)
+    for k in np.ndindex(2, 3):
+        one = kd_table_closed_form(r[k], t)
+        assert np.array_equal(tables[k], one)
+        assert gaps[k] == nonclassicality_gap(one)
+    # a vector the filter blocks entirely is named by its instance
+    r[1, 2] = (0.0, 0.0, 1.0)
+    with pytest.raises(ZeroProbabilityError, match=r"^instance \(1, 2\): "):
+        kd_table_closed_form(r, 0.0)
+
+
 def test_condition_rejects_zero_normalizer():
     # fully blocking filter on a state it annihilates: slice sums to zero
     kd = kd_distribution(pure_state([1, 0]), ppa_povm_sequence(0.0))

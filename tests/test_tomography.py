@@ -74,6 +74,22 @@ def test_finite_shots_require_rng():
         simulate_tomography(r, 0, np.random.default_rng(0))
 
 
+def test_stack_draws_like_one_call_per_vector():
+    # a (2, 4, 3) stack is drawn in C order by one binomial call: the same
+    # counts as per-vector calls on an equal stream, and the same estimates
+    family = PPAFamily(t=0.5, v=0.9)
+    truth = np.array([bloch_vector(family.state(th)) for th in (0.1, 0.4, 0.8, 1.5)])
+    stack = np.broadcast_to(truth, (2, 4, 3))
+    got = simulate_tomography(stack, 500, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    ref = [simulate_tomography(r, 500, rng) for r in stack.reshape(-1, 3)]
+    assert np.array_equal(got.reshape(-1, 3), np.array(ref))
+    bad = stack.copy()
+    bad[1, 2, 0] = 1.5
+    with pytest.raises(ValueError, match=r"^instance \(1, 2\): "):
+        simulate_tomography(bad, 500, np.random.default_rng(5))
+
+
 # ------------------------------------------------------------ angle read-out
 
 
