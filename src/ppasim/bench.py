@@ -311,6 +311,9 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
     )
     n_hit = hit.sum(axis=1)
     n_clamped = (clamped & hit).sum(axis=1)
+    # Two or more estimates, all equal: no precision can be read off them.
+    lowest = np.where(hit, est, np.inf).min(axis=1)
+    zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
     mean_detected = detected.mean(axis=1)
     theta = np.array([cfg.theta_true for cfg in block])
     mean_est, variance, mse = np.full((3, n_points), math.nan)
@@ -334,6 +337,8 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
             flags.append(f"empty-trials={n_trials - k}")
         if n_clamped[i]:
             flags.append(f"clamped={n_clamped[i]}")
+        if zero_spread[i]:
+            flags.append("zero-variance")
         t_mag = abs(complex(cfg.t_set))
         records.append(SweepRecord(
             theta_true=cfg.theta_true,

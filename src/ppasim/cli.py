@@ -272,7 +272,7 @@ def _fig4_qfi_family(spec: SweepSpec) -> np.ndarray:
     """The qfi_family column over the (theta, t) grid, as one batched sld solve."""
     family = PPAFamily(t=np.array(spec.t_list), v=spec.visibility)
     theta = np.array(spec.theta_list)[:, None]
-    return sld(family.state(theta), family.derivative(theta)).qfi
+    return sld(*family.state_and_derivative(theta)).qfi
 
 
 def _fig4_point(spec: SweepSpec, i: int, j: int, qfi_family: float) -> tuple:

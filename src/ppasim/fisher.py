@@ -181,7 +181,8 @@ class PPAFamily:
     are cos(theta/2)|0> + i sin(theta/2)|1>; the bench's vertical-input,
     theta - pi pipeline produces exactly the same family.  ``state`` returns
     the normalized postselected state, ``derivative`` its exact analytic
-    theta-derivative (quotient rule through the normalization).  ``t``,
+    theta-derivative (quotient rule through the normalization);
+    ``state_and_derivative`` returns both from one evaluation.  ``t``,
     ``v`` and ``theta`` may be arrays that broadcast to the batch axes of
     the (..., 2, 2) results; a bad t or v names its first instance.
     """
@@ -203,26 +204,24 @@ class PPAFamily:
         v = v[..., None, None]
         object.__setattr__(self, "_rho0", v * _KET0_BRA0 + (1.0 - v) * ID2 / 2)
 
-    def _unfiltered(self, theta) -> np.ndarray:
-        u = phase_unitary(self._gen, theta)
-        return u @ self._rho0 @ u.conj().swapaxes(-1, -2)
-
     def state(self, theta) -> DensityMatrix:
-        k = self._k
-        num = k @ self._unfiltered(theta) @ k.conj().swapaxes(-1, -2)
-        return DensityMatrix(num / num.trace(0, -2, -1).real[..., None, None])
+        return self.state_and_derivative(theta)[0]
 
     def derivative(self, theta) -> np.ndarray:
+        return self.state_and_derivative(theta)[1]
+
+    def state_and_derivative(self, theta) -> tuple[DensityMatrix, np.ndarray]:
         k = self._k
         k_h = k.conj().swapaxes(-1, -2)
-        rho = self._unfiltered(theta)
+        u = phase_unitary(self._gen, theta)
+        rho = u @ self._rho0 @ u.conj().swapaxes(-1, -2)
         a = self._gen.mat
         drho = 1j * (a @ rho - rho @ a)
         num = k @ rho @ k_h
         dnum = k @ drho @ k_h
         p = num.trace(0, -2, -1).real[..., None, None]
         dp = dnum.trace(0, -2, -1).real[..., None, None]
-        return hermitian_part(dnum / p - num * (dp / p**2))
+        return DensityMatrix(num / p), hermitian_part(dnum / p - num * (dp / p**2))
 
 
 def qfi_ppa_theory(theta: float, t_mag: float) -> float:
@@ -298,13 +297,14 @@ def cfi(n, family: PPAFamily, theta):
     :class:`DegenerateMeasurementError`, naming the first failing instance.
     """
     proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
-    q = (family.state(theta).mat @ proj).trace(0, -2, -1).real
+    rho, drho = family.state_and_derivative(theta)
+    q = (rho.mat @ proj).trace(0, -2, -1).real
     bad = (q < 1e-12) | (q > 1.0 - 1e-12)
     if bad.any():
         k, at = _first_bad(bad)
         raise DegenerateMeasurementError(
             f"{at}outcome probability {q[k]:.3e} carries no information"
         )
-    dq = (family.derivative(theta) @ proj).trace(0, -2, -1).real
+    dq = (drho @ proj).trace(0, -2, -1).real
     info = dq**2 / (q * (1.0 - q))
     return float(info) if info.ndim == 0 else info

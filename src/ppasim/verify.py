@@ -14,14 +14,12 @@ reports the worst residual against a fixed threshold.  The suites back the
   the SLD eigenbasis matches that direction;
 * Sylvester residual — the SLD solve reproduces drho on the state's support.
 
-The random instances are drawn one at a time, in a fixed order of stream
-calls, and then evaluated as stacks: the gap-equality qubit instances as
-one batch, the qudit instances and the Sylvester random states in batches
-of one dimension, and the marginalization instances in batches of one
-shape (d and the three outcome counts), of at most ``MAX_BATCH`` instances
-each.  The 84 grid states of the CFI = QFI and Sylvester suites are one
-``PPAFamily`` evaluation and one ``sld`` call, made once per process and
-shared by both suites.
+The qudit and marginalization instances are drawn as arrays, each d and
+then each parameter per d in one call.  Instances are evaluated as stacks:
+the qubit instances as one batch, the others in batches of one d of at
+most ``MAX_BATCH`` instances.  The 84 grid states of the CFI = QFI and
+Sylvester suites are one ``PPAFamily`` evaluation and one ``sld`` call,
+made once per process and shared by both suites.
 """
 
 from __future__ import annotations
@@ -65,10 +63,10 @@ __all__ = [
     "run_all",
 ]
 
-# Most random instances evaluated as one batch; this bounds a batch's
-# memory whatever the number of instances (a 6-level gap-equality batch
-# holds (batch, 6, 2, 6, 6) complex products in kd_distribution).
-MAX_BATCH = 32
+# Most random instances evaluated as one batch, so a batch's memory is
+# bounded (a 6-level gap-equality batch of 128 holds 0.9 MB of complex
+# products in kd_distribution); at the default sizes each d is one batch.
+MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default
 # grid of the sweep, kd and fig4 commands.
@@ -137,29 +135,41 @@ def random_qubit_instances(rng: np.random.Generator, n: int):
     return rho, gen, make_filter(mag * np.exp(1j * phase))
 
 
-def _complex_normals(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n complex Gaussian d x d matrices, each drawn real part first.
-
-    One ``normal`` call draws the 2n real matrices in turn, as 2n calls of
-    size (d, d) would.
-    """
-    parts = rng.normal(size=(n, 2, d, d))
-    return parts[:, 0] + 1j * parts[:, 1]
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Complex matrices from (..., 2, d, d) real and imaginary parts."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
-def _by_key(keys) -> list[tuple[object, np.ndarray]]:
-    """Batches of equal keys: (key, ascending positions), keys in ascending order.
+def _by_d(dims: np.ndarray, draw) -> list[tuple[np.ndarray, ...]]:
+    """``(positions, *draw(d, m))`` per d in ascending order, for the m
+    instances of that d (their positions in ``dims``)."""
+    groups = []
+    # not np.unique, which imports numpy.ma (about 1 MB) on first use
+    for d in sorted(set(dims.tolist())):
+        pos = np.flatnonzero(dims == d)
+        groups.append((pos, *draw(d, len(pos))))
+    return groups
 
-    The positions of one key are cut into runs of at most ``MAX_BATCH``.
-    """
-    groups: dict[object, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [
-        (key, np.array(groups[key][a : a + MAX_BATCH]))
-        for key in sorted(groups)
-        for a in range(0, len(groups[key]), MAX_BATCH)
-    ]
+
+def _runs(groups):
+    """Each group's arrays cut along their first axis into aligned runs of at
+    most ``MAX_BATCH`` rows."""
+    for group in groups:
+        for a in range(0, len(group[0]), MAX_BATCH):
+            yield tuple(x[a : a + MAX_BATCH] for x in group)
+
+
+def _qudit_draws(rng: np.random.Generator, n: int) -> list:
+    """Every instance's d in 3..6 in one call, then per d each parameter in
+    one call: ``(positions, z, middle, amp, rel, x, top_to)`` per d."""
+    return _by_d(rng.integers(3, 7, size=n), lambda d, m: (
+        rng.normal(size=(m, 2, d, d)),
+        rng.integers(-3, 4, size=(m, d - 2)),
+        rng.uniform(0.2, 0.8, size=m),
+        rng.uniform(0.0, 2.0 * math.pi, size=m),
+        rng.normal(size=(m, 2, d, d)),
+        rng.uniform(0.3, 1.0, size=m),
+    ))
 
 
 def random_qudit_instances(rng: np.random.Generator, n: int):
@@ -171,35 +181,20 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
     diagonal congruence that balances it between the two supported
     eigenspaces before being rescaled to a contraction.
 
-    All draws are made in this call, instance by instance, in the order of
-    n calls of the one-instance draw (d in 3..6 first), so the instances and
-    the stream position do not depend on the batching.  The algebra runs
-    as one batch per d (of at most ``MAX_BATCH`` instances), each built
-    when the returned iterator reaches it, so one batch is held at a time.
-    It yields ``(positions, rho, gen, k_plus)`` per batch, in ascending d:
-    the instances' draw positions, a DensityMatrix stack, a Generator stack
-    and a K+ stack.
+    All draws are made in this call (``_qudit_draws``); each batch is built
+    when the returned iterator reaches it.  It yields ``(positions, rho,
+    gen, k_plus)`` per batch, in ascending d: the instances' positions in
+    the draw, a DensityMatrix, a Generator and a K+ stack.
     """
-    draws = []
-    for _ in range(n):
-        d = int(rng.integers(3, 7))
-        z = _complex_normals(rng, 1, d)[0]
-        middle = rng.integers(-3, 4, size=d - 2)
-        amp = rng.uniform(0.2, 0.8)
-        rel = rng.uniform(0.0, 2.0 * math.pi)
-        x = _complex_normals(rng, 1, d)[0]
-        draws.append((d, z, middle, amp, rel, x, rng.uniform(0.3, 1.0)))
-    return _qudit_batches(draws)
+    return _qudit_batches(_qudit_draws(rng, n))
 
 
 def _qudit_batches(draws):
-    for d, pos in _by_key(draw[0] for draw in draws):
-        z, middle, amp, rel, x, top_to = (
-            np.array(col) for col in list(zip(*(draws[i] for i in pos)))[1:]
-        )
+    for pos, z, middle, amp, rel, x, top_to in _runs(draws):
         # Haar-ish random orthonormal frames for the generators
-        q, _ = np.linalg.qr(z)
+        q, _ = np.linalg.qr(_complex(z))
         q_h = q.conj().swapaxes(-1, -2)
+        d = q.shape[-1]
         eigs = np.sort(np.pad(middle, ((0, 0), (1, 1)), constant_values=(-3, 3)), -1)
         gen = Generator.from_matrix((q * eigs[:, None, :]) @ q_h)
 
@@ -213,6 +208,7 @@ def _qudit_batches(draws):
         # in the generator's eigenbasis, whose first/last vectors are the
         # supported eigenvectors; this equalizes <v_lo|M|v_lo>-type weights
         # exactly without changing PSD-ness.
+        x = _complex(x)
         mb = q_h @ (x @ x.conj().swapaxes(-1, -2)) @ q
         w_lo = np.abs((psi * v_lo.conj()).sum(-1)) ** 2 * mb[:, 0, 0].real
         w_hi = np.abs((psi * v_hi.conj()).sum(-1)) ** 2 * mb[:, -1, -1].real
@@ -267,34 +263,42 @@ def _random_povms(x) -> POVM:
     return POVM(tuple(np.moveaxis(inv_sqrt @ raw @ inv_sqrt, -3, 0)))
 
 
+def _marginalization_draws(rng: np.random.Generator, n: int) -> list:
+    """Every instance's d in 2..4 in one call and its POVMs' outcome counts
+    in 2..3 in one more, then per d each parameter in one call:
+    ``(positions, n_out, probs, z, x)`` per d, x with three outcome slots
+    per POVM."""
+    dims, n_out = rng.integers(2, 5, size=n), rng.integers(2, 4, size=(n, 3))
+    return _by_d(dims, lambda d, m: (
+        n_out[dims == d],
+        rng.dirichlet(np.ones(d), size=m),
+        rng.normal(size=(m, 2, d, d)),
+        rng.normal(size=(m, 3, 3, 2, d, d)),
+    ))
+
+
 def random_marginalization_instances(rng: np.random.Generator, n: int):
     """n random states, each with a sequence of three random POVMs.
 
-    Each instance draws d in 2..4, the state (a Dirichlet spectrum, then a
-    complex Gaussian frame) and then per POVM its outcome count in 2..3 and
-    one complex Gaussian matrix per outcome, instance by instance, all in
-    this call.  The algebra runs as one batch per (d, n_out_1, n_out_2,
-    n_out_3) (of at most ``MAX_BATCH`` instances), each built when the
-    returned iterator reaches it.  It yields ``(positions, rho, povms)`` per
-    batch, shapes in ascending order: the instances' draw positions, a
-    DensityMatrix stack and three POVM stacks.
+    Each instance has a d in 2..4, a state (a Dirichlet spectrum in a
+    complex Gaussian frame) and per POVM 2..3 outcomes, one complex
+    Gaussian matrix each (``_random_povms``).  Every POVM has three outcome
+    slots; an unused one is the zero element, which adds exact zeros to
+    every marginal.  All draws are made in this call
+    (``_marginalization_draws``); each batch is built when the returned
+    iterator reaches it.  It yields ``(positions, rho, povms)`` per batch,
+    in ascending d: the instances' positions in the draw, a DensityMatrix
+    stack and three POVM stacks.
     """
-    draws = []
-    for _ in range(n):
-        d = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(d))
-        z = _complex_normals(rng, 1, d)[0]
-        xs = [_complex_normals(rng, int(rng.integers(2, 4)), d) for _ in range(3)]
-        draws.append((probs, z, xs))
-    return _marginalization_batches(draws)
+    return _marginalization_batches(_marginalization_draws(rng, n))
 
 
 def _marginalization_batches(draws):
-    shapes = ((len(probs),) + tuple(len(x) for x in xs) for probs, _, xs in draws)
-    for _, pos in _by_key(shapes):
-        probs, z, xs = zip(*(draws[i] for i in pos))
-        rho = _random_densities(np.array(probs), np.array(z))
-        yield pos, rho, tuple(_random_povms(np.array(x)) for x in zip(*xs))
+    for pos, n_out, probs, z, x in _runs(draws):
+        used = np.arange(3) < n_out[..., None]
+        x = np.where(used[..., None, None], _complex(x), 0.0)
+        rho = _random_densities(probs, _complex(z))
+        yield pos, rho, tuple(_random_povms(x[:, i]) for i in range(3))
 
 
 def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
@@ -329,7 +333,7 @@ def _grid_solution():
     T_GRID."""
     family = PPAFamily(t=np.array(T_GRID), v=np.array([1.0, 0.98])[:, None, None])
     theta = np.array(THETA_GRID)[:, None]
-    res = sld(family.state(theta), family.derivative(theta))
+    res = sld(*family.state_and_derivative(theta))
     for arr in (theta, res.lam, res.qfi, res.residual):
         arr.flags.writeable = False
     return family, theta, res
@@ -360,12 +364,16 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
     for _ in range(n_instances):
         d = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(d))
-        z, h = _complex_normals(rng, 2, d)
+        z, h = _complex(rng.normal(size=(2, 2, d, d)))
         draws.append((probs, z, h))
     _, _, grid = _grid_solution()
     worst = float(grid.residual.max())
-    for _, pos in _by_key(len(probs) for probs, _, _ in draws):
-        probs, z, h = (np.array(col) for col in zip(*(draws[i] for i in pos)))
+    dims = np.array([len(probs) for probs, _, _ in draws])
+    groups = (
+        tuple(map(np.array, zip(*(draws[i] for i in np.flatnonzero(dims == d)))))
+        for d in sorted(set(dims.tolist()))
+    )
+    for probs, z, h in _runs(groups):
         rho = _random_densities(probs, z)
         h = hermitian_part(h)
         drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family

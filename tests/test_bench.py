@@ -550,6 +550,8 @@ def run_trials_reference(cfg):
             flags.append(f"empty-trials={cfg.n_trials - len(est)}")
     if clamped:
         flags.append(f"clamped={clamped}")
+    if len(est) > 1 and np.all(est == est[0]):
+        flags.append("zero-variance")
 
     t_mag = abs(t)
     qfi = qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan
@@ -607,7 +609,7 @@ def test_run_trials_matches_per_point_reference():
     assert [rec.to_csv_row() for rec in run_trials(configs)] == expected
     # the grid holds every kind of degraded row
     flags = ";".join(row.rpartition(",")[2] for row in expected)
-    for kind in ("empty-trials=", "clamped=", "no-data"):
+    for kind in ("empty-trials=", "clamped=", "no-data", "zero-variance"):
         assert kind in flags
 
 

@@ -93,6 +93,35 @@ def test_sweep_zero_budget_flags_no_data(tmp_path, capsys):
     assert row["mean_estimate"] == "nan"
 
 
+def test_sweep_flags_rows_whose_estimates_are_all_equal(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    # a filter this tight detects one trace of signal: every trial inverts
+    # the same fringe frequency
+    run(
+        ["sweep", "--theta", "3.1", "--t", "1e-6", "--budget", "100",
+         "--trials", "8", "--out", str(out)],
+        capsys,
+    )
+    [row] = read_csv(out)
+    assert row["flags"] == "zero-variance"
+    assert row["variance"] == "0"
+    assert row["precision_per_photon"] == "nan"
+    # a budget of 3 leaves most points a few equal estimates; their sample
+    # variance is 0 or rounding noise, which no precision can be read from
+    run(["sweep", "--budget", "3", "--trials", "50", "--seed", "2", "--out", str(out)],
+        capsys)
+    rows = read_csv(out)
+    flagged = [r for r in rows if "zero-variance" in r["flags"].split(";")]
+    assert any(r["variance"] == "0" for r in flagged)
+    assert any(float(r["variance"]) > 0 for r in flagged)
+    assert all(float(r["variance"]) < 1e-30 for r in flagged)
+    assert all(
+        float(r["variance"]) > 1e-12
+        for r in rows
+        if r not in flagged and not math.isnan(float(r["variance"]))
+    )
+
+
 # 7 workers exceed the grid's 6 points.
 @pytest.mark.parametrize("workers", [2, 3, 7])
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
@@ -637,6 +666,38 @@ def test_verify_exits_clean(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+# The gap-equality and marginalization lines of `ppasim verify` since the
+# random suites are drawn as arrays; at --n 1 only one d has an instance.
+# A residual is rounding noise, which another BLAS build can move, so it is
+# held to a factor of 4; the draws behind it are pinned call by call in
+# tests/test_quasiprob.py.
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["--seed", "0"], [
+            "[gap-equality] n=1200 max_residual=1.254e-13 threshold=1.0e-09 PASS",
+            "[marginalization] n=200 max_residual=1.221e-15 threshold=1.0e-12 PASS",
+        ]),
+        (["--seed", "5"], [
+            "[gap-equality] n=1200 max_residual=1.455e-13 threshold=1.0e-09 PASS",
+            "[marginalization] n=200 max_residual=1.999e-15 threshold=1.0e-12 PASS",
+        ]),
+        (["--n", "1"], [
+            "[gap-equality] n=2 max_residual=3.276e-16 threshold=1.0e-09 PASS",
+            "[marginalization] n=1 max_residual=3.960e-16 threshold=1.0e-12 PASS",
+        ]),
+    ],
+)
+def test_verify_random_suite_lines_are_pinned(capsys, argv, lines):
+    assert main(["verify", *argv]) == 0
+    got = capsys.readouterr().out.splitlines()[:2]
+    pattern = re.compile(r"max_residual=(\S+)")
+    for line, want in zip(got, lines, strict=True):
+        assert pattern.sub("", line) == pattern.sub("", want)
+        ratio = float(pattern.search(line)[1]) / float(pattern.search(want)[1])
+        assert 0.25 <= ratio <= 4.0
 
 
 @pytest.mark.parametrize(

@@ -27,8 +27,8 @@ from ppasim.states import (
     psd_sqrt,
     pure_state,
 )
+from ppasim import verify
 from ppasim.verify import (
-    MAX_BATCH,
     _marginalization_residual,
     gap_equality_suite,
     marginalization_suite,
@@ -332,38 +332,65 @@ def test_marginalization_equals_shorter_sequence():
             assert np.abs(kd.sum(axis=idx) - direct).max() < 1e-12
 
 
-def per_instance_marginalization(rng, n):
-    """Reference for marginalization_suite: the per-instance loop.
+def gaussian(parts):
+    """The complex matrix of drawn (2, d, d) real and imaginary parts."""
+    return parts[0] + 1j * parts[1]
 
-    Each instance draws d, a random state and three random POVMs, one after
-    the other, and sums out each measurement of the three-POVM
-    quasidistribution against the distribution of the other two.  Returns
-    (rho, povms, residual) per instance.
+
+def marginalization_instance(n_out, probs, z, x):
+    """Reference for random_marginalization_instances: one instance built
+    alone from its draws, with its used outcomes only.
+
+    The state is Q diag(probs) Q^dag with Q from the QR of z; POVM i has
+    the n_out[i] elements S^-1/2 G_k S^-1/2, G_k = X_k X_k^dag for the
+    first n_out[i] of its drawn X; each measurement of the three-POVM
+    quasidistribution is summed out against the distribution of the other
+    two.  Returns (rho, povms, residual).
     """
-    rows = []
-    for _ in range(n):
-        d = int(rng.integers(2, 5))
-        rho = random_density(rng, d)
-        povms = tuple(random_povm(rng, d, int(rng.integers(2, 4))) for _ in range(3))
-        kd = kd_distribution(rho, povms)
-        residual = 0.0
-        for idx in range(3):
-            direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
-            residual = max(residual, float(np.abs(kd.sum(axis=idx) - direct).max()))
-        rows.append((rho, povms, residual))
-    return rows
+    q, _ = np.linalg.qr(gaussian(z))
+    rho = DensityMatrix((q * probs) @ q.conj().T)
+    povms = []
+    for k, slots in zip(n_out, x):
+        raw = [gaussian(a) @ gaussian(a).conj().T for a in slots[:k]]
+        w, v = np.linalg.eigh(sum(raw))
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        povms.append(POVM(tuple(inv_sqrt @ g @ inv_sqrt for g in raw)))
+    povms = tuple(povms)
+    kd = kd_distribution(rho, povms)
+    residual = 0.0
+    for idx in range(3):
+        direct = kd_distribution(rho, povms[:idx] + povms[idx + 1 :])
+        residual = max(residual, float(np.abs(kd.sum(axis=idx) - direct).max()))
+    return rho, povms, residual
+
+
+def by_position(draws, build):
+    """``build`` applied to each instance's draws, keyed by its position."""
+    return {
+        int(pos[j]): build(*(col[j] for col in cols))
+        for pos, *cols in draws
+        for j in range(len(pos))
+    }
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_batched_marginalization_matches_the_per_instance_loop(seed):
-    # the default suite's 200 instances (verify --n 1000)
+def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch):
+    # the default suite's 200 instances (verify --n 1000), in batches of at
+    # most 16 so that every d needs more than one
+    monkeypatch.setattr(verify, "MAX_BATCH", 16)
     n = 200
-    loop, batch = suite_streams(seed, 2)
-    refs = per_instance_marginalization(loop, n)
+    drawn, batch = suite_streams(seed, 2)
+    draws = verify._marginalization_draws(drawn, n)
+    refs = by_position(draws, marginalization_instance)
     groups = list(random_marginalization_instances(batch, n))
-    assert batch.bit_generator.state == loop.bit_generator.state
+    assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
+    dims = [rho.dim for _, rho, _ in groups]
+    assert dims == sorted(dims) and set(dims) == {2, 3, 4}
+    assert all(dims.count(d) > 1 for d in dims)
+    assert all(len(pos) <= 16 for pos, *_ in groups)
     worst = 0.0
+    padded = 0
     for pos, rho, povms in groups:
         residual = _marginalization_residual(rho, povms)
         assert residual.shape == pos.shape
@@ -371,11 +398,16 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed):
             ref_rho, ref_povms, ref_residual = refs[i]
             assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
             for povm, ref_povm in zip(povms, ref_povms):
-                assert np.abs(povm.stack[j] - ref_povm.stack).max() <= 1e-12
+                k = len(ref_povm.elements)
+                assert np.abs(povm.stack[j, :k] - ref_povm.stack).max() <= 1e-12
+                # an unused outcome slot is exactly the zero element
+                assert np.all(povm.stack[j, k:] == 0.0)
+                padded += k < 3
             assert abs(residual[j] - ref_residual) <= 1e-12
         worst = max(worst, float(residual.max()))
+    assert padded
     assert marginalization_suite(seed, n).max_residual == worst
-    assert abs(worst - max(r for *_, r in refs)) <= 1e-12
+    assert abs(worst - max(r for *_, r in refs.values())) <= 1e-12
 
 
 def test_marginalize_filter_recovers_projective_joint():
@@ -564,32 +596,27 @@ def test_batched_gap_equality_equals_its_instances():
         )
 
 
-def per_instance_qudit_instance(rng):
-    """Reference for random_qudit_instances: one instance drawn and built alone.
+def qudit_instance(z, middle, amp, rel, x, top_to):
+    """Reference for random_qudit_instances: one instance built alone from its draws.
 
-    The generator gets integer eigenvalues in [-3, 3] (distinct extremes,
-    possibly degenerate middle), the state is a random superposition of the
-    extreme eigenvectors, and the filter's pass element is a random PSD
-    matrix balanced between the two supported eigenspaces by a diagonal
-    congruence, then rescaled to a contraction.
+    The generator gets the eigenvalues -3, ``middle`` and 3 (distinct
+    extremes, possibly degenerate middle) in the frame Q from the QR of z,
+    the state is a superposition of the extreme eigenvectors, and the
+    filter's pass element is the PSD matrix X X^dag balanced between the
+    two supported eigenspaces by a diagonal congruence, then rescaled to a
+    contraction whose largest eigenvalue is ``top_to``.
     """
-    d = int(rng.integers(3, 7))
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(z)
-    lo, hi = -3, 3
-    middle = rng.integers(lo, hi + 1, size=d - 2)
-    eigs = np.sort(np.concatenate(([lo], middle, [hi])))
+    q, _ = np.linalg.qr(gaussian(z))
+    d = len(q)
+    eigs = np.sort(np.concatenate(([-3], middle, [3])))
     gen = Generator.from_matrix((q * eigs) @ q.conj().T)
 
     v_lo = q[:, 0]
     v_hi = q[:, -1]
-    amp = rng.uniform(0.2, 0.8)
-    rel = rng.uniform(0.0, 2.0 * math.pi)
     psi = math.sqrt(amp) * v_lo + math.sqrt(1.0 - amp) * np.exp(1j * rel) * v_hi
     rho = pure_state(psi)
 
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = x @ x.conj().T
+    m = gaussian(x) @ gaussian(x).conj().T
     basis = np.column_stack(
         [v_lo] + [q[:, i] for i in range(1, d - 1)] + [v_hi]
     )
@@ -604,7 +631,7 @@ def per_instance_qudit_instance(rng):
     m = basis @ mb @ basis.conj().T
     m = (m + m.conj().T) / 2
     top = np.linalg.eigvalsh(m).max()
-    m = m * (rng.uniform(0.3, 1.0) / top)
+    m = m * (top_to / top)
     return rho, gen, psd_sqrt(m)
 
 
@@ -617,20 +644,21 @@ def suite_streams(seed, stream, skip_qubits=0):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_batched_qudit_instances_match_the_per_instance_loop(seed):
+def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
     # the qudit instances of the default suite (verify --n 1000): 200, drawn
-    # after the 1000 qubit instances
+    # after the 1000 qubit instances, in batches of at most 16 so that
+    # every d needs more than one
+    monkeypatch.setattr(verify, "MAX_BATCH", 16)
     n = 200
-    loop, batch = suite_streams(seed, 1, skip_qubits=1000)
-    refs = [per_instance_qudit_instance(loop) for _ in range(n)]
+    drawn, batch = suite_streams(seed, 1, skip_qubits=1000)
+    refs = by_position(verify._qudit_draws(drawn, n), qudit_instance)
     groups = list(random_qudit_instances(batch, n))
-    assert batch.bit_generator.state == loop.bit_generator.state
+    assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
-    # ascending d, in batches of at most MAX_BATCH (200 instances need more
-    # than one batch for some d)
     dims = [rho.dim for _, rho, _, _ in groups]
-    assert dims == sorted(dims) and set(dims) == {3, 4, 5, 6} and len(dims) > 4
-    assert all(len(pos) <= MAX_BATCH for pos, *_ in groups)
+    assert dims == sorted(dims) and set(dims) == {3, 4, 5, 6}
+    assert all(dims.count(d) > 1 for d in dims)
+    assert all(len(pos) <= 16 for pos, *_ in groups)
     wide_extreme = repeated_middle = padded = 0
     for pos, rho, gen, k in groups:
         got = verify_gap_equality(rho, gen, k)
@@ -659,6 +687,68 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed):
     # degenerate spectra: a middle eigenvalue at -3 or 3, a repeated middle
     # eigenvalue, and instances padded to their group's widest spectrum
     assert wide_extreme and repeated_middle and padded
+
+
+def test_random_suites_draw_every_d_then_each_parameter_per_d():
+    # the stream layout of the qudit and marginalization draws, call by call
+    n = 60
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    qudits = verify._qudit_draws(rng, n)
+    dims = ref.integers(3, 7, size=n)
+    assert [len(q[1][0, 0]) for q in qudits] == np.unique(dims).tolist()
+    for pos, *params in qudits:
+        d, m = len(params[0][0, 0]), len(pos)
+        assert np.array_equal(pos, np.flatnonzero(dims == d))
+        want = (
+            ref.normal(size=(m, 2, d, d)),
+            ref.integers(-3, 4, size=(m, d - 2)),
+            ref.uniform(0.2, 0.8, size=m),
+            ref.uniform(0.0, 2.0 * math.pi, size=m),
+            ref.normal(size=(m, 2, d, d)),
+            ref.uniform(0.3, 1.0, size=m),
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(params, want))
+    margs = verify._marginalization_draws(rng, n)
+    dims = ref.integers(2, 5, size=n)
+    n_out = ref.integers(2, 4, size=(n, 3))
+    assert [len(g[2][0]) for g in margs] == np.unique(dims).tolist()
+    for pos, *params in margs:
+        d, m = len(params[1][0]), len(pos)
+        assert np.array_equal(pos, np.flatnonzero(dims == d))
+        want = (
+            n_out[pos],
+            ref.dirichlet(np.ones(d), size=m),
+            ref.normal(size=(m, 2, d, d)),
+            ref.normal(size=(m, 3, 3, 2, d, d)),
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(params, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("max_batch", [1, 7, verify.MAX_BATCH])
+def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
+    n = 40
+
+    def residuals():
+        gap = np.empty(n)
+        for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(5), n):
+            gap[pos] = verify_gap_equality(rho, gen, k).residual
+        marg = np.empty(n)
+        for pos, rho, povms in random_marginalization_instances(
+            np.random.default_rng(6), n
+        ):
+            marg[pos] = _marginalization_residual(rho, povms)
+        return gap, marg
+
+    gap, marg = residuals()
+    monkeypatch.setattr(verify, "MAX_BATCH", max_batch)
+    got_gap, got_marg = residuals()
+    # every POVM has three outcome slots whatever its batch: bit for bit
+    assert np.array_equal(got_marg, marg)
+    # a Generator stack pads each instance to the widest spectrum of its
+    # batch, with zero projectors, and the gap's sums round differently
+    # over the padded outcomes
+    assert np.all(np.abs(got_gap - gap) <= 1e-12)
 
 
 def test_gap_equality_random_qudits():
