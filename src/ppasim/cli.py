@@ -32,11 +32,10 @@ from .bench import (
     run_trials,
 )
 from .fisher import (
-    PPAFamily,
     on_sphere,
     qfi_bloch,
+    qfi_ppa_family,
     qfi_ppa_theory,
-    sld,
     survival_probability,
 )
 from .quasiprob import kd_table_closed_form, nonclassicality_gap
@@ -268,14 +267,7 @@ def check_fig4_spec(spec: SweepSpec) -> None:
         raise ValueError(f"seed: {spec.seed} must be non-negative")
 
 
-def _fig4_qfi_family(spec: SweepSpec) -> np.ndarray:
-    """The qfi_family column over the (theta, t) grid, as one batched sld solve."""
-    family = PPAFamily(t=np.array(spec.t_list), v=spec.visibility)
-    theta = np.array(spec.theta_list)[:, None]
-    return sld(*family.state_and_derivative(theta)).qfi
-
-
-def _fig4_point(spec: SweepSpec, i: int, j: int, qfi_family: float) -> tuple:
+def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
     """The FIG4_CSV_COLUMNS values of grid point (i, j), flags last."""
     theta = spec.theta_list[i]
     t = spec.t_list[j]
@@ -328,7 +320,7 @@ def _fig4_point(spec: SweepSpec, i: int, j: int, qfi_family: float) -> tuple:
         t,
         p_ps,
         qfi_theory,
-        qfi_family,
+        qfi_ppa_family(theta, t, vis),
         qfi_mean,
         qfi_se,
         gap4_family,
@@ -352,17 +344,19 @@ def cmd_fig4(spec: SweepSpec) -> str:
     projected onto the tangent plane; ``flags`` counts those repetitions
     (``boundary=<n>``), marks centre estimates within three standard
     deviations of the sphere (``near-boundary``) and an unfiltered estimate
-    the filter blocks entirely (``no-survival``, nan gap columns).
+    the filter blocks entirely (``no-survival``, nan gap columns).  The
+    exact columns are closed forms: ``qfi_family`` is
+    :func:`qfi_ppa_family` of the point, ``gap4_family`` the gap of
+    :func:`kd_table_closed_form` of the exact unfiltered vector.
     Per-input-photon columns scale by the exact survival probability.  A
     point that raises re-raises the same exception type, naming theta, t,
     the grid index (i, j) and the run seed.
     """
-    qfi_family = _fig4_qfi_family(spec)
     rows = []
     for i, theta in enumerate(spec.theta_list):
         for j, t in enumerate(spec.t_list):
             try:
-                *vals, flags = _fig4_point(spec, i, j, float(qfi_family[i, j]))
+                *vals, flags = _fig4_point(spec, i, j)
             except ValueError as exc:
                 raise type(exc)(
                     f"fig4 point theta = {theta!r}, t = {t!r} at grid index "

@@ -39,6 +39,7 @@ __all__ = [
     "on_sphere",
     "qfi_bloch",
     "qfi_ppa_theory",
+    "qfi_ppa_family",
     "qfi_postselected_pure",
     "optimal_measurement",
     "cfi",
@@ -232,6 +233,30 @@ def qfi_ppa_theory(theta: float, t_mag: float) -> float:
     if p <= 0.0:
         raise ValueError("survival probability vanished")
     return (t_mag / p) ** 2
+
+
+def qfi_ppa_family(theta: float, t_mag: float, v: float = 1.0) -> float:
+    """QFI of :class:`PPAFamily` (``t_mag``, ``v``) at ``theta``, in closed form.
+
+    A qubit family with Bloch vector r has F = |r'|^2 + (r . r')^2 / (1 - |r|^2)
+    (Zhong, Sun, Ma, Wang & Nori, PRA 87, 022337, 2013).  Here 1 - |r|^2 =
+    T (1 - v^2) / p^2 and r . r' = T (1 - v^2) p' / p^3, with T = |t|^2 and
+    p the survival probability, so F has the form without cancellation
+
+        F = T / (4 p^4) [(v cos theta (1 + T) - v^2 (1 - T))^2
+                         + v^2 sin^2 theta (4 T + (1 - v^2)(1 - T)^2)],
+
+    which is (|t| / p)^2, :func:`qfi_ppa_theory`, at v = 1.
+    """
+    if not 0.0 < t_mag <= 1.0 + 1e-12:
+        raise ValueError("qfi_ppa_family requires 0 < t_mag <= 1")
+    if not 0.0 < v <= 1.0:
+        raise ValueError("visibility must lie in (0, 1]")
+    p = survival_probability(theta, t_mag, v)
+    t2 = t_mag**2
+    along = v * math.cos(theta) * (1.0 + t2) - v**2 * (1.0 - t2)
+    across = v**2 * math.sin(theta) ** 2 * (4.0 * t2 + (1.0 - v**2) * (1.0 - t2) ** 2)
+    return t2 * (along**2 + across) / (4.0 * p**4)
 
 
 def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):

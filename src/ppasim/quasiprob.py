@@ -144,10 +144,12 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     )
     for s in first:
         op = s @ op[..., None, :, :]
-    # the last measurement's products are traced one outcome at a time, so
-    # no intermediate holds all k outcome axes times d x d
+    # the last measurement is traced against op one outcome at a time, so no
+    # intermediate holds all k outcome axes times d x d; Tr(M op) is the
+    # elementwise sum of M * op^T, O(d^2) where the product would be O(d^3)
+    op_t = op.swapaxes(-1, -2)
     values = np.stack(
-        [(last[..., m, :, :] @ op).trace(0, -2, -1) for m in range(last.shape[-3])],
+        [(last[..., m, :, :] * op_t).sum((-2, -1)) for m in range(last.shape[-3])],
         axis=-1,
     )
     bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT

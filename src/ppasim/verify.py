@@ -64,8 +64,9 @@ __all__ = [
 ]
 
 # Most random instances evaluated as one batch, so a batch's memory is
-# bounded (a 6-level gap-equality batch of 128 holds 0.9 MB of complex
-# products in kd_distribution); at the default sizes each d is one batch.
+# bounded (a 6-level gap-equality batch of 128 peaks at 2.1 MB in
+# kd_distribution: 0.9 MB of (A, filter) products and 0.9 MB of one last
+# outcome's elementwise products); at the default sizes each d is one batch.
 MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default

@@ -11,7 +11,13 @@ import pytest
 from ppasim import cli
 from ppasim.bench import STAGE_TOMOGRAPHY, SWEEP_CSV_COLUMNS, rng_stream
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
-from ppasim.fisher import InconsistentDerivativeError, PPAFamily, qfi_ppa_theory, sld
+from ppasim.fisher import (
+    InconsistentDerivativeError,
+    PPAFamily,
+    qfi_ppa_family,
+    qfi_ppa_theory,
+    sld,
+)
 from ppasim.quasiprob import kd_distribution, nonclassicality_gap
 from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
 from ppasim.tomography import DEFAULT_DTHETA
@@ -520,9 +526,8 @@ def compare_with_matrix_reference(visibility):
         spec = SweepSpec(
             theta_list=(0.1, 0.5), t_list=(0.3, 1.0), visibility=visibility, seed=seed
         )
-        qfi_family = cli._fig4_qfi_family(spec)
         for i, j in itertools.product(range(2), range(2)):
-            *got, flags = cli._fig4_point(spec, i, j, float(qfi_family[i, j]))
+            *got, flags = cli._fig4_point(spec, i, j)
             ref = np.array(matrix_fig4_point(spec, i, j))
             scale = np.abs(ref)
             if visibility == 1.0:
@@ -550,14 +555,35 @@ def test_fig4_tangent_projection_matches_matrix_reference():
 
 @pytest.mark.parametrize("visibility", [0.98, 1.0])
 def test_fig4_qfi_family_is_the_per_point_solve(visibility):
-    # one batched sld over the grid, bit for bit the per-point 2-D solve
-    spec = SweepSpec(visibility=visibility)
-    qfi_family = cli._fig4_qfi_family(spec)
-    assert qfi_family.shape == (len(THETA_GRID), len(T_GRID))
-    for i, j in np.ndindex(qfi_family.shape):
-        family = PPAFamily(t=T_GRID[j], v=visibility)
-        theta = THETA_GRID[i]
-        assert qfi_family[i, j] == sld(family.state(theta), family.derivative(theta)).qfi
+    # the closed form fig4 writes against the 2-D sld solve of the family,
+    # and at v = 1 against the ideal theory line
+    for theta, t in itertools.product(THETA_GRID, T_GRID):
+        family = PPAFamily(t=t, v=visibility)
+        solved = sld(family.state(theta), family.derivative(theta)).qfi
+        closed = qfi_ppa_family(theta, t, visibility)
+        assert closed == pytest.approx(solved, rel=1e-12, abs=0.0)
+        if visibility == 1.0:
+            assert closed == pytest.approx(qfi_ppa_theory(theta, t), rel=1e-12, abs=0.0)
+
+
+def test_fig4_qfi_family_stays_accurate_near_the_sphere(tmp_path, capsys):
+    # at t = 1e-6 the filtered state lies within about 1e-12 of the sphere,
+    # where 1 - |r|^2 cancels; the pinned values are 80-digit numerical
+    # derivatives of the family's Bloch vector
+    pinned = {
+        (2.0, 0.5): 6.85193671362e-13,
+        (1.0, 0.98): 1.7353456135e-11,
+    }
+    for (theta, v), want in pinned.items():
+        out = tmp_path / f"v{v}.csv"
+        code, _ = run(
+            ["fig4", "--theta", repr(theta), "--t", "1e-6", "--visibility", repr(v),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        [row] = fig4_rows(out)
+        assert row["qfi_family"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("visibility", [0.98, 1.0])
@@ -569,9 +595,8 @@ def test_fig4_evaluates_every_default_point(visibility):
     flagged = np.zeros(ratio.shape, dtype=bool)
     for seed in range(20):
         spec = SweepSpec(visibility=visibility, seed=seed)
-        qfi_family = cli._fig4_qfi_family(spec)
         for i, j in np.ndindex(ratio.shape[:2]):
-            *vals, flags = cli._fig4_point(spec, i, j, float(qfi_family[i, j]))
+            *vals, flags = cli._fig4_point(spec, i, j)
             assert np.all(np.isfinite(vals))
             assert all(FIG4_FLAG.fullmatch(f) for f in flags.split(";") if flags)
             ratio[i, j, seed] = vals[5] / vals[4]
@@ -619,10 +644,10 @@ def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsy
 
 
 def test_fig4_error_names_the_point(tmp_path, monkeypatch):
-    def fail_at_1_0(spec, i, j, qfi_family):
+    def fail_at_1_0(spec, i, j):
         if (i, j) == (1, 0):
             raise InconsistentDerivativeError("drho has weight 1e-3 outside the support")
-        return real_point(spec, i, j, qfi_family)
+        return real_point(spec, i, j)
 
     real_point = cli._fig4_point
     monkeypatch.setattr(cli, "_fig4_point", fail_at_1_0)

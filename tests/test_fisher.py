@@ -13,6 +13,7 @@ from ppasim.fisher import (
     optimal_measurement,
     on_sphere,
     qfi_bloch,
+    qfi_ppa_family,
     qfi_ppa_theory,
     qfi_postselected_pure,
     sld,
@@ -186,8 +187,8 @@ def test_sld_single_instance_returns_floats():
 
 
 def test_family_grid_is_one_evaluation_of_the_per_point_calls():
-    # the grid as (v, theta, t) batch axes is bit for bit the per-point
-    # route, which is what keeps fig4's 2-D qfi_family unchanged
+    # the grid as (v, theta, t) batch axes, as verify's grid suites solve
+    # it, is bit for bit the per-point route
     vs = (1.0, 0.98)
     fam = PPAFamily(t=np.array(T_GRID), v=np.array(vs)[:, None, None])
     theta = np.array(THETA_GRID)[:, None]
@@ -381,6 +382,16 @@ def test_qfi_theory_grows_as_filter_weakens():
 def test_qfi_theory_rejects_t_zero():
     with pytest.raises(ValueError):
         qfi_ppa_theory(0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t_mag, v, match",
+    [(0.0, 0.98, "t_mag"), (1.5, 0.98, "t_mag"), (0.5, 0.0, "visibility"),
+     (0.5, 1.2, "visibility")],
+)
+def test_qfi_family_rejects_values_outside_the_family(t_mag, v, match):
+    with pytest.raises(ValueError, match=match):
+        qfi_ppa_family(0.1, t_mag, v)
 
 
 def test_survival_probability_visibility_mix():

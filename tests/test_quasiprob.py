@@ -192,7 +192,9 @@ def loop_kd_values(rho, povms):
     return values
 
 
-def test_kd_distribution_equals_per_outcome_loop_bit_for_bit():
+def test_kd_distribution_equals_per_outcome_loop():
+    # the last trace is a contraction, not np.trace of a product, so the two
+    # routes agree to rounding, not bit for bit
     rng = np.random.default_rng(31)
     for _ in range(40):
         d = int(rng.integers(2, 6))
@@ -202,11 +204,12 @@ def test_kd_distribution_equals_per_outcome_loop_bit_for_bit():
         )
         rho = random_density(rng, d)
         kd = kd_distribution(rho, povms)
-        assert np.array_equal(kd, loop_kd_values(rho, povms))
+        assert np.abs(kd - loop_kd_values(rho, povms)).max() <= 1e-15
     for t in (0.044, 0.5, 1.0):
         rho = imprinted_state(0.3)
         povms = ppa_povm_sequence(t)
-        assert np.array_equal(kd_distribution(rho, povms), loop_kd_values(rho, povms))
+        kd = kd_distribution(rho, povms)
+        assert np.abs(kd - loop_kd_values(rho, povms)).max() <= 1e-15
 
 
 def test_full_distribution_sums_to_one():
