@@ -38,7 +38,7 @@ from operator import attrgetter
 import numpy as np
 
 from .states import amplified_angle
-from .fisher import optimal_measurement, qfi_ppa_theory
+from .fisher import optimal_measurement, qfi_ppa_theory, survival_probability
 
 __all__ = [
     "STAGE_COUNTS",
@@ -104,7 +104,8 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Full description of one bench run."""
+    """Full description of one bench run, taken as given: the CLI checks
+    the values before it builds one."""
 
     theta_true: float
     t_set: complex
@@ -115,46 +116,6 @@ class BenchConfig:
     sampling_mode: str = "fixed"
     n_trials: int = 32
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        """Reject a point the bench cannot run, naming the spec field and value."""
-        # |theta_true| < pi is the range of amplified_angle, which the
-        # estimator's branch choice needs.
-        if not abs(self.theta_true) < math.pi:
-            raise ValueError(
-                f"theta_list: theta = {self.theta_true:g} must lie in (-pi, pi)"
-            )
-        t = complex(self.t_set)
-        if abs(t) > 1.0 + 1e-12:
-            raise ValueError(f"t_list: |t| = {abs(t):g} exceeds 1")
-        assumed = abs(t) + self.delta_t
-        if not MIN_AMPLITUDE <= assumed <= 1.0 + 1e-12:
-            field = "t_list, delta_t" if self.delta_t else "t_list"
-            raise ValueError(
-                f"{field}: t = {self.t_set:g} with delta_t = {self.delta_t:g} gives "
-                f"the assumed amplitude |t| + delta_t = {assumed:g}, "
-                f"outside [{MIN_AMPLITUDE:g}, 1]"
-            )
-        if not abs(self.epsilon) < math.pi / 4:
-            raise ValueError(f"epsilon: {self.epsilon:g} must satisfy |epsilon| < pi/4")
-        if not 0.0 < self.visibility <= 1.0:
-            raise ValueError(f"visibility: v = {self.visibility:g} outside (0, 1]")
-        if not (
-            0 <= self.photon_budget <= MAX_COUNT
-            and self.photon_budget == int(self.photon_budget)
-        ):
-            raise ValueError(
-                f"photon_budget: {self.photon_budget} is not a count "
-                f"in [0, {MAX_COUNT}]"
-            )
-        if self.sampling_mode not in ("fixed", "poisson"):
-            raise ValueError(
-                f"sampling_mode: {self.sampling_mode!r} must be 'fixed' or 'poisson'"
-            )
-        if self.n_trials < 2 or self.n_trials != int(self.n_trials):
-            raise ValueError(f"n_trials: {self.n_trials} is not an integer >= 2")
-        if int(self.seed) < 0:
-            raise ValueError(f"seed: {self.seed} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -188,10 +149,10 @@ def postselected_bloch(
     postselected state and the survival probability.  The source
     r0 = (0, 0, -v) turns by pi - theta about n = (cos 2 eps, 0, sin 2 eps)
     (Rodrigues' formula); K+ = diag(t, 1) then maps r1 = (x, y, z) to
-    p = (|t|^2 (1 + z) + 1 - z)/2 and r_ps = (Re w, -Im w,
-    (|t|^2 (1 + z) - (1 - z))/2) / p with w = t (x - i y).  At t = 1 the
-    filter passes everything and r_ps is the imprinted vector; for
-    eps = 0 it is v (0, sin theta, cos theta).  A point that no photon
+    p = :func:`survival_probability` of the |1> population (1 - z)/2 and
+    r_ps = (Re w, -Im w, (|t|^2 (1 + z) - (1 - z))/2) / p with
+    w = t (x - i y).  At t = 1 the filter passes everything and r_ps is the
+    imprinted vector; for eps = 0 it is v (0, sin theta, cos theta).  A point that no photon
     survives (p = 0) returns r_ps = 0 and p_ps = 0.
     """
     v = visibility
@@ -206,7 +167,7 @@ def postselected_bloch(
     t = complex(t)
     t2 = abs(t) ** 2
     w = t * complex(x, -y)
-    p = (t2 * (1.0 + z) + 1.0 - z) / 2.0
+    p = survival_probability(abs(t), (1.0 - z) / 2.0)
     r = np.array([w.real, -w.imag, (t2 * (1.0 + z) - (1.0 - z)) / 2.0])
     return (r / p if p > 0.0 else np.zeros(3)), p
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bench import (
     MAX_COUNT,
+    MIN_AMPLITUDE,
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     BenchConfig,
@@ -47,11 +48,8 @@ __all__ = [
     "SweepSpec",
     "sweep_configs",
     "cmd_sweep",
-    "check_kd_grid",
     "cmd_kd",
-    "check_fig4_spec",
     "cmd_fig4",
-    "check_verify_args",
     "cmd_verify",
     "main",
 ]
@@ -147,16 +145,11 @@ def _point_seed(seed: int, i: int, j: int) -> int:
     numpy.random, which a sweep's parent process would otherwise load only
     to hand points to its workers.
     """
-    if seed < 0:
-        raise ValueError(f"seed: {seed} must be non-negative")
     return (int(seed) << 64) | (i << 32) | j
 
 
 def sweep_configs(spec: SweepSpec) -> list[BenchConfig]:
-    """Checked bench input of every grid point, in row-major grid order.
-
-    Raises ValueError naming the offending field before any trial runs.
-    """
+    """Bench input of every grid point, in row-major grid order."""
     return [
         BenchConfig(
             theta_true=theta,
@@ -180,14 +173,14 @@ def cmd_sweep(
     """Run the bench at every grid point's config and write the sweep CSV.
 
     With ``workers`` above 1 the configs are cut into at most ``workers``
-    contiguous blocks of near-equal length, and each block runs as one
-    :func:`run_trials` call in its own process; no more processes start
-    than there are blocks, and a single block runs in this process.  Rows
+    contiguous blocks of near-equal length, and no more blocks than
+    ``os.cpu_count()``; each block runs as one :func:`run_trials` call in
+    its own process, and a single block runs in this process.  Rows
     follow the order of ``configs`` regardless of worker count; each config
     carries its grid point's seed, so the bytes written are a pure function
     of the configs.
     """
-    n_blocks = min(workers, len(configs))
+    n_blocks = min(workers, len(configs), os.cpu_count() or 1)
     if n_blocks > 1:
         cuts = [len(configs) * k // n_blocks for k in range(n_blocks + 1)]
         blocks = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -207,21 +200,6 @@ def _write_text(path: str, text: str) -> None:
         os.makedirs(d, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def check_kd_grid(theta_list, t_list) -> None:
-    """Raise ValueError naming the field and the first (theta, t) kd cannot evaluate."""
-    for theta in theta_list:
-        for t in t_list:
-            if not abs(t) <= 1.0 + 1e-12:
-                raise ValueError(f"t_list: t = {t:g} must satisfy |t| <= 1")
-            if not math.isfinite(theta):
-                raise ValueError(f"theta_list: theta = {theta} is not finite")
-            if not survival_probability(theta, abs(t)) > 1e-14:
-                raise ValueError(
-                    f"theta_list, t_list: survival probability at (theta = {theta:g}, "
-                    f"t = {t:g}) is not above the 1e-14 that conditioning needs"
-                )
 
 
 def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
@@ -249,22 +227,6 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     out = _resolve_out(output_path, "kd.json")
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
-
-
-def check_fig4_spec(spec: SweepSpec) -> None:
-    """Raise ValueError naming the first field fig4 cannot evaluate."""
-    check_kd_grid(spec.theta_list, spec.t_list)
-    for t in spec.t_list:
-        if not t > 0.0:
-            raise ValueError(f"t_list: t = {t:g} must be positive")
-    if not 0.0 < spec.visibility <= 1.0:
-        raise ValueError(f"visibility: v = {spec.visibility:g} must lie in (0, 1]")
-    if not 1 <= spec.shots_per_basis <= MAX_COUNT:
-        raise ValueError(
-            f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
-        )
-    if not spec.seed >= 0:
-        raise ValueError(f"seed: {spec.seed} must be non-negative")
 
 
 def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
@@ -368,14 +330,6 @@ def cmd_fig4(spec: SweepSpec) -> str:
     return out
 
 
-def check_verify_args(seed: int, n_instances: int | None) -> None:
-    """Raise ValueError naming the first verify argument that cannot run."""
-    if seed < 0:
-        raise ValueError(f"seed: {seed} must be non-negative")
-    if n_instances is not None and n_instances < 1:
-        raise ValueError(f"n_instances: {n_instances} must be at least 1")
-
-
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     """Run the self-verification suites; exit code 0 iff all pass."""
     results = run_all(seed, n_instances)
@@ -425,6 +379,71 @@ def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepS
             grid = isinstance(f.default, tuple)
             data[f.name] = _parse_float_list(f.name, val) if grid else val
     return SweepSpec(**data)
+
+
+def _check(command: str, spec: SweepSpec, args: argparse.Namespace) -> None:
+    """Raise ValueError at the first value ``command`` cannot evaluate.
+
+    Every value rule of the four commands is here, once, with the commands
+    it applies to; SweepSpec has checked the types.  The message starts
+    with the field and quotes the value.  The grids come first, entry by
+    entry: theta_list, t_list, then the (theta, t) points in row-major
+    order.  The other fields follow in SweepSpec order, then ``--workers``
+    and ``--n``.
+    """
+    for theta in spec.theta_list:
+        if command in ("kd", "fig4") and not math.isfinite(theta):
+            raise ValueError(f"theta_list: theta = {theta} is not finite")
+        # |theta| < pi is the range of amplified_angle, which the
+        # estimator's branch choice needs.
+        if command == "sweep" and not abs(theta) < math.pi:
+            raise ValueError(f"theta_list: theta = {theta:g} must lie in (-pi, pi)")
+    dt = spec.delta_t
+    for t in spec.t_list:
+        if command in ("sweep", "kd", "fig4") and not abs(t) <= 1.0 + 1e-12:
+            raise ValueError(f"t_list: t = {t:g} must satisfy |t| <= 1")
+        if command == "fig4" and not t > 0.0:
+            raise ValueError(f"t_list: t = {t:g} must be positive")
+        if command == "sweep" and not MIN_AMPLITUDE <= abs(t) + dt <= 1.0 + 1e-12:
+            field = "t_list, delta_t" if dt else "t_list"
+            raise ValueError(
+                f"{field}: t = {t:g} with delta_t = {dt:g} gives the assumed "
+                f"amplitude |t| + delta_t = {abs(t) + dt:g}, "
+                f"outside [{MIN_AMPLITUDE:g}, 1]"
+            )
+    if command in ("kd", "fig4"):
+        for theta in spec.theta_list:
+            for t in spec.t_list:
+                if not survival_probability(abs(t), math.sin(theta / 2.0) ** 2) > 1e-14:
+                    raise ValueError(
+                        f"theta_list, t_list: survival probability at (theta = "
+                        f"{theta:g}, t = {t:g}) is not above the 1e-14 that "
+                        f"conditioning needs"
+                    )
+    if command in ("sweep", "fig4") and not 0.0 < spec.visibility <= 1.0:
+        raise ValueError(f"visibility: v = {spec.visibility:g} must lie in (0, 1]")
+    if command == "sweep" and not abs(spec.epsilon) < math.pi / 4:
+        raise ValueError(f"epsilon: {spec.epsilon:g} must satisfy |epsilon| < pi/4")
+    if command == "sweep" and not 0 <= spec.photon_budget <= MAX_COUNT:
+        raise ValueError(
+            f"photon_budget: {spec.photon_budget} is not a count in [0, {MAX_COUNT}]"
+        )
+    if command == "sweep" and spec.sampling_mode not in ("fixed", "poisson"):
+        raise ValueError(
+            f"sampling_mode: {spec.sampling_mode!r} must be 'fixed' or 'poisson'"
+        )
+    if command == "sweep" and spec.n_trials < 2:
+        raise ValueError(f"n_trials: {spec.n_trials} is not an integer >= 2")
+    if command in ("sweep", "fig4", "verify") and spec.seed < 0:
+        raise ValueError(f"seed: {spec.seed} must be non-negative")
+    if command == "fig4" and not 1 <= spec.shots_per_basis <= MAX_COUNT:
+        raise ValueError(
+            f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
+        )
+    if command == "sweep" and args.workers < 1:
+        raise ValueError(f"workers: {args.workers} must be at least 1")
+    if command == "verify" and args.n_instances is not None and args.n_instances < 1:
+        raise ValueError(f"n_instances: {args.n_instances} must be at least 1")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -497,25 +516,15 @@ def main(argv=None) -> int:
     # where fig4 would project the derivative and flag the point.
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
     try:
-        if args.command == "verify":
-            check_verify_args(args.seed, args.n_instances)
-        else:
-            spec = _load_spec(args, defaults)
-            if args.command == "sweep":
-                if args.workers < 1:
-                    raise ValueError(f"workers: {args.workers} must be at least 1")
-                configs = sweep_configs(spec)
-            elif args.command == "kd":
-                check_kd_grid(spec.theta_list, spec.t_list)
-            else:
-                check_fig4_spec(spec)
+        spec = _load_spec(args, defaults)
+        _check(args.command, spec, args)
     except ValueError as exc:
         print(f"ppasim {args.command}: error: {exc}", file=sys.stderr)
         return 2
     if args.command == "verify":
-        return cmd_verify(args.seed, args.n_instances)
+        return cmd_verify(spec.seed, args.n_instances)
     if args.command == "sweep":
-        out = cmd_sweep(configs, spec.output_path, workers=args.workers)
+        out = cmd_sweep(sweep_configs(spec), spec.output_path, workers=args.workers)
     elif args.command == "kd":
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
     else:

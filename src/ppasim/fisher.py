@@ -68,15 +68,19 @@ class SLDResult:
     residual: float | np.ndarray
 
 
-def survival_probability(theta: float, t_mag: float, v: float = 1.0) -> float:
-    """Postselection probability |t|^2 cos^2(theta/2) + sin^2(theta/2).
+def survival_probability(t_mag, w):
+    """Probability p = |t|^2 + (1 - |t|^2) w that a photon passes the filter.
 
-    The optional visibility mixes in the filter's response to the maximally
-    mixed state, (1 + |t|^2)/2.
+    ``w`` = (1 - z)/2 is the |1> population of the unfiltered state with
+    Bloch z-component z: K+ = diag(t, 1) passes |0> with probability |t|^2
+    and |1> always.  The imprinted pure state of phase theta has
+    w = sin^2(theta/2), and at visibility v, w = (1 - v)/2 + v sin^2(theta/2).
+    Given w, the sum has no cancellation, unlike the form
+    |t|^2 cos^2(theta/2) + sin^2(theta/2), whose 1 - cos^2(theta/2) loses
+    digits at small theta.  ``t_mag`` and ``w`` may be arrays.
     """
-    c = math.cos(theta / 2.0) ** 2
-    p_pure = t_mag**2 * c + (1.0 - c)
-    return v * p_pure + (1.0 - v) * (1.0 + t_mag**2) / 2.0
+    t2 = t_mag**2
+    return t2 + (1.0 - t2) * w
 
 
 def sld(rho: DensityMatrix, drho) -> SLDResult:
@@ -229,7 +233,7 @@ def qfi_ppa_theory(theta: float, t_mag: float) -> float:
     """Ideal postselected QFI (|t| / p_ps)^2 for the pure family."""
     if not 0.0 < t_mag <= 1.0 + 1e-12:
         raise ValueError("qfi_ppa_theory requires 0 < t_mag <= 1")
-    p = survival_probability(theta, t_mag)
+    p = survival_probability(t_mag, math.sin(theta / 2.0) ** 2)
     if p <= 0.0:
         raise ValueError("survival probability vanished")
     return (t_mag / p) ** 2
@@ -252,7 +256,7 @@ def qfi_ppa_family(theta: float, t_mag: float, v: float = 1.0) -> float:
         raise ValueError("qfi_ppa_family requires 0 < t_mag <= 1")
     if not 0.0 < v <= 1.0:
         raise ValueError("visibility must lie in (0, 1]")
-    p = survival_probability(theta, t_mag, v)
+    p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * math.sin(theta / 2.0) ** 2)
     t2 = t_mag**2
     along = v * math.cos(theta) * (1.0 + t2) - v**2 * (1.0 - t2)
     across = v**2 * math.sin(theta) ** 2 * (4.0 * t2 + (1.0 - v**2) * (1.0 - t2) ** 2)

@@ -31,7 +31,7 @@ from .states import (
     _freeze,
     hermitian_part,
 )
-from .fisher import qfi_postselected_pure
+from .fisher import qfi_postselected_pure, survival_probability
 
 __all__ = [
     "PreconditionError",
@@ -165,7 +165,7 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
     2x2 complex array over (a, a') in {a+, a-} x {a+, a-}, conditioned on
     the filter's pass outcome, for the unfiltered state with Bloch vector
     ``r`` and filter amplitude ``t``.  With T = |t|^2 and the survival
-    probability p = ((1 + T) + (T - 1) r_z)/2:
+    probability p = T + (1 - T)(1 - r_z)/2 (:func:`survival_probability`):
 
         diag:      (1 + T)(1 +- r_x) / (4 p)
         (a+, a-):  (T - 1)(r_z + i r_y) / (4 p)
@@ -182,7 +182,7 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
     if not t_mag <= 1.0 + 1e-12:
         raise ValueError("|t| must lie in [0, 1]")
     t2 = t_mag**2
-    p = ((1.0 + t2) + (t2 - 1.0) * z) / 2.0
+    p = survival_probability(t_mag, (1.0 - z) / 2.0)
     bad = p <= 1e-15
     if bad.any():
         _, at = _first_bad(bad)

@@ -31,7 +31,6 @@ __all__ = [
     "PAULIS",
     "InvalidGeneratorError",
     "ZeroProbabilityError",
-    "UndefinedAmplificationError",
     "DensityMatrix",
     "Generator",
     "pure_state",
@@ -59,10 +58,6 @@ class InvalidGeneratorError(ValueError):
 
 class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of (numerically) zero probability."""
-
-
-class UndefinedAmplificationError(ValueError):
-    """Raised for the 0/0 amplification limit (t = 0 at zero phase)."""
 
 
 def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
@@ -282,19 +277,11 @@ def make_filter(t) -> np.ndarray:
 def amplified_angle(theta: float, t_mag: float) -> float:
     """Phase-to-polar-angle map of the filter: tan(Theta/2) = tan(theta/2)/t.
 
-    Monotone in theta on |theta| < pi.  For t_mag = 0 the map saturates at
-    sign(theta) * pi for any theta != 0; theta = 0 there is the undefined
-    0/0 limit and raises.
+    Monotone in theta on |theta| < pi, for 0 < t_mag <= 1.
     """
-    if not 0.0 <= t_mag <= 1.0 + 1e-12:
-        raise ValueError("t_mag must lie in [0, 1]")
+    if not 0.0 < t_mag <= 1.0 + 1e-12:
+        raise ValueError("amplified_angle requires 0 < t_mag <= 1")
     half = theta / 2.0
     if abs(half) >= math.pi / 2.0:
         raise ValueError("amplified_angle requires |theta| < pi")
-    if t_mag == 0.0:
-        if theta == 0.0:
-            raise UndefinedAmplificationError(
-                "amplification of theta = 0 at t = 0 is undefined"
-            )
-        return math.copysign(math.pi, theta)
     return 2.0 * math.atan2(math.tan(half), t_mag)

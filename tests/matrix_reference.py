@@ -1,10 +1,11 @@
-"""Matrix-route reference for the amplification scheme's KD tables.
+"""Independent references for the amplification scheme's closed forms.
 
 The program builds the pass-conditioned (A, filter, A) table only in closed
 form (``quasiprob.kd_table_closed_form``).  The tests check it against the
 general route kept here: 2x2 density matrices, projective POVMs onto
 |a+->, the filter POVM, the general ``kd_distribution`` and a slice
-renormalized by its total.
+renormalized by its total.  The survival probability is kept here in its
+theta form, against which ``fisher.survival_probability`` is checked.
 """
 
 import functools
@@ -22,6 +23,16 @@ from ppasim.states import (
     ppa_generator,
     pure_state,
 )
+
+
+def survival_theta_form(theta, t_mag, v=1.0):
+    """Survival probability v (|t|^2 cos^2(theta/2) + sin^2(theta/2)) +
+    (1 - v)(1 + |t|^2)/2: the pure family's, mixed with the filter's
+    response to the maximally mixed state.  At small theta its
+    1 - cos^2(theta/2) loses digits."""
+    c = math.cos(theta / 2.0) ** 2
+    p_pure = t_mag**2 * c + (1.0 - c)
+    return v * p_pure + (1.0 - v) * (1.0 + t_mag**2) / 2.0
 
 
 def plus_minus_states():

@@ -19,7 +19,6 @@ from ppasim.bench import (
     _fringe_params,
     _invert_frequency,
     misaligned_half_tangent,
-    postselected_bloch,
     run_trials,
     systematic_shift_t,
 )
@@ -55,6 +54,7 @@ from matrix_reference import (
     bloch_vector,
     condition,
     ppa_povm_sequence,
+    survival_theta_form,
     unfiltered_state,
 )
 
@@ -210,9 +210,9 @@ def test_criterion_6_information_conservation(capsys):
     for theta in thetas:
         for t in ts:
             per_input = survival = None
-            # the bench's Bloch map gives p independently of the
+            # the reference theta form gives p independently of the
             # survival_probability inside qfi_ppa_theory
-            _, survival = postselected_bloch(theta, t, 0.0, 1.0)
+            survival = survival_theta_form(theta, t)
             per_input = survival * qfi_ppa_theory(theta, t)
             worst_excess = max(worst_excess, per_input - 1.0)
             if math.tan(theta / 2) <= t / 10:

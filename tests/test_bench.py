@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import dataclasses
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ppasim import cli
 from ppasim.bench import (
     BenchConfig,
     SweepRecord,
@@ -23,12 +25,8 @@ from ppasim.bench import (
     run_trials,
     systematic_shift_t,
 )
-from ppasim.fisher import (
-    PPAFamily,
-    optimal_measurement,
-    qfi_ppa_theory,
-    survival_probability,
-)
+from ppasim.cli import SweepSpec
+from ppasim.fisher import PPAFamily, optimal_measurement, qfi_ppa_theory
 from ppasim.states import (
     ID2,
     SIGMA_X,
@@ -40,7 +38,7 @@ from ppasim.states import (
     phase_unitary,
 )
 
-from matrix_reference import bloch_vector
+from matrix_reference import bloch_vector, survival_theta_form
 
 
 def matrix_pipeline(cfg):
@@ -59,6 +57,13 @@ def matrix_pipeline(cfg):
     num = k @ u @ rho @ u.conj().T @ k.conj().T
     p = float(np.trace(num).real)
     return DensityMatrix(num / p), p
+
+
+def check_sweep_point(theta_true=0.1, t_set=0.5, **fields):
+    """The sweep's input check on the one-point grid (theta_true, t_set), with
+    the other BenchConfig fields as given; BenchConfig itself checks nothing."""
+    spec = SweepSpec(theta_list=[theta_true], t_list=[t_set], **fields)
+    cli._check("sweep", spec, argparse.Namespace(workers=1))
 
 
 def polar_angle(r):
@@ -89,7 +94,7 @@ def test_source_state_partial_visibility():
 
 def test_source_state_rejects_out_of_range():
     with pytest.raises(ValueError, match="^visibility: "):
-        BenchConfig(theta_true=0.1, t_set=0.5, visibility=1.2)
+        check_sweep_point(visibility=1.2)
 
 
 def test_waveplate_generator_aligned():
@@ -154,7 +159,7 @@ def test_postselected_bloch_matches_family():
         for t in (0.2, 0.7):
             r, p = postselected_bloch(theta, t, 0.0, 0.97)
             fam = PPAFamily(t=t, v=0.97)
-            assert p == pytest.approx(survival_probability(theta, t, v=0.97), abs=1e-12)
+            assert p == pytest.approx(survival_theta_form(theta, t, v=0.97), abs=1e-12)
             assert np.abs(r - bloch_vector(fam.state(theta))).max() < 1e-12
 
 
@@ -665,10 +670,11 @@ def test_fmt_sig_round_trip():
     ],
 )
 def test_config_rejects_invalid_fields(kwargs):
-    base = dict(theta_true=0.1, t_set=0.5)
-    base.update(kwargs)
-    with pytest.raises(ValueError):
-        BenchConfig(**base)
+    # the message starts with the spec field of the first bad value
+    name = next(iter(kwargs))
+    field = {"theta_true": "theta_list", "t_set": "t_list"}.get(name, name)
+    with pytest.raises(ValueError, match=f"^{field}"):
+        check_sweep_point(**kwargs)
 
 
 def test_run_trials_at_the_amplitude_floor_writes_a_normal_row():
@@ -680,7 +686,7 @@ def test_run_trials_at_the_amplitude_floor_writes_a_normal_row():
         assert abs(value) >= np.finfo(float).tiny
     assert math.isfinite(rec.precision_per_photon)
     with pytest.raises(ValueError, match=r"^t_list: .* outside \[1e-100, 1\]"):
-        BenchConfig(0.1, MIN_AMPLITUDE / 2)
+        check_sweep_point(t_set=MIN_AMPLITUDE / 2)
 
 
 def test_run_trials_accepts_the_count_cap():

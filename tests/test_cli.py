@@ -87,6 +87,22 @@ def test_sweep_reports_theory_column(tmp_path, capsys):
     assert float(rows[1]["qfi_theory"]) == pytest.approx(1.0)
 
 
+def test_sweep_theory_column_is_exact_at_small_theta_and_t(tmp_path, capsys):
+    # p = t^2 + (1 - t^2) sin^2(theta/2) has no cancellation; the form
+    # t^2 cos^2(theta/2) + sin^2(theta/2) wrote 639977242058 here
+    theta = t = 1e-6
+    out = tmp_path / "s.csv"
+    code, _ = run(
+        ["sweep", "--theta", repr(theta), "--t", repr(t), "--trials", "2",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    p = t * t + (1.0 - t * t) * math.sin(theta / 2.0) ** 2
+    [row] = read_csv(out)
+    assert float(row["qfi_theory"]) == pytest.approx((t / p) ** 2, rel=1e-12, abs=0.0)
+
+
 def test_sweep_zero_budget_flags_no_data(tmp_path, capsys):
     out = tmp_path / "s.csv"
     run(
@@ -140,14 +156,9 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "theta, t, started", [("0.1", "0.5", []), ("0.1,0.2,0.3", "0.5", [3])]
-)
-def test_sweep_starts_no_more_processes_than_grid_points(
-    tmp_path, capsys, monkeypatch, theta, t, started
-):
-    # A stand-in pool records its size and runs the blocks in this process.
-    sizes = []
+def recording_pool(sizes):
+    """Stand-in for ProcessPoolExecutor: appends each pool's size to
+    ``sizes`` and runs the blocks in this process."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -162,7 +173,19 @@ def test_sweep_starts_no_more_processes_than_grid_points(
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+@pytest.mark.parametrize(
+    "theta, t, started", [("0.1", "0.5", []), ("0.1,0.2,0.3", "0.5", [3])]
+)
+def test_sweep_starts_no_more_processes_than_grid_points(
+    tmp_path, capsys, monkeypatch, theta, t, started
+):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
+    # enough CPUs that the grid, not the CPU count, bounds the pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     argv = ["sweep", "--theta", theta, "--t", t, "--budget", "4000", "--trials", "3"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -170,6 +193,21 @@ def test_sweep_starts_no_more_processes_than_grid_points(
     run(argv + ["--out", str(b), "--workers", "64"], capsys)
     assert sizes == started
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch):
+    # the bytes do not depend on the worker count, so processes beyond the
+    # CPUs would only cost memory and start-up
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, _ = run(
+        ["sweep", "--theta", "0.1,0.2,0.3", "--t", "0.3,0.5,0.7", "--budget", "4000",
+         "--trials", "3", "--workers", "64", "--out", str(tmp_path / "s.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert sizes == [2]
 
 
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -250,6 +288,27 @@ def test_sweep_rejects_invalid_input_before_any_work(
     # the message quotes the offending value, here always the flag's last entry
     value = flags[1].split(",")[-1]
     assert re.search(rf"(?<![\w.-]){re.escape(value)}(?![\w.])", line)
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_config_value_outside_the_flag_choices(
+    tmp_path, capsys, monkeypatch
+):
+    # argparse's choices guard --sampling-mode, never a config file's value
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "run_trials", no_work)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text('{"sampling_mode": "bursty"}')
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("ppasim sweep: error: sampling_mode: ")
+    assert "'bursty'" in line
     assert not out.exists()
 
 

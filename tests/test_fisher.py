@@ -39,7 +39,7 @@ from ppasim.verify import (
     sylvester_suite,
 )
 
-from matrix_reference import bloch_vector, unfiltered_state
+from matrix_reference import bloch_vector, survival_theta_form, unfiltered_state
 
 RNG = np.random.default_rng(777)
 
@@ -395,10 +395,21 @@ def test_qfi_family_rejects_values_outside_the_family(t_mag, v, match):
 
 
 def test_survival_probability_visibility_mix():
-    p_pure = survival_probability(0.2, 0.5)
-    p_mixed = survival_probability(0.2, 0.5, v=0.98)
+    # at visibility v the |1> population is (1 - v)/2 + v sin^2(theta/2)
+    s = math.sin(0.1) ** 2
+    p_pure = survival_probability(0.5, s)
+    p_mixed = survival_probability(0.5, 0.01 + 0.98 * s)
     assert abs(p_pure - 0.2574750333095344) < 1e-15
-    assert abs(p_mixed - (0.98 * p_pure + 0.02 * (1 + 0.25) / 2)) < 1e-15
+    assert abs(p_pure - survival_theta_form(0.2, 0.5)) < 1e-15
+    assert abs(p_mixed - survival_theta_form(0.2, 0.5, v=0.98)) < 1e-15
+
+
+def test_theory_qfi_has_no_cancellation_at_small_theta():
+    # the sin^2(theta/2) form keeps every digit where 1 - cos^2(theta/2)
+    # cancels; the pinned value is (t / p)^2 evaluated in exact arithmetic
+    assert qfi_ppa_theory(1e-3, 1e-9) == pytest.approx(
+        1.60000026665389e-05, rel=1e-12, abs=0.0
+    )
 
 
 def test_qfi_postselected_pure_matches_sld_route():
@@ -567,7 +578,7 @@ def sld_closed_form(theta: float, t: complex, v: float) -> np.ndarray:
     """
     t = complex(t)
     mag = abs(t)
-    p = survival_probability(theta, mag, v=v)
+    p = survival_theta_form(theta, mag, v=v)
     bracket = (
         (1.0 - mag**2) / 2.0 * math.sin(theta) * ID2
         + math.cos(theta) * (t.real * -SIGMA_Y + t.imag * SIGMA_X)
@@ -600,4 +611,4 @@ def test_sld_closed_form_equator_axis_at_zero_phase():
     # at theta = 0 the SLD is proportional to -sigma_y, the read-out's Pauli
     lam = sld_closed_form(0.0, 0.5, 1.0)
     assert abs(np.trace(lam).real) < 1e-12
-    assert np.abs(lam + (0.5 / survival_probability(0.0, 0.5)) * (-SIGMA_Y)).max() < 1e-12
+    assert np.abs(lam + (0.5 / survival_theta_form(0.0, 0.5)) * (-SIGMA_Y)).max() < 1e-12

@@ -11,7 +11,6 @@ from ppasim.states import (
     DensityMatrix,
     Generator,
     InvalidGeneratorError,
-    UndefinedAmplificationError,
     ZeroProbabilityError,
     amplified_angle,
     make_filter,
@@ -366,19 +365,11 @@ def test_amplified_angle_monotone_in_theta():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_amplified_angle_saturates_at_t_zero():
-    assert amplified_angle(0.3, 0.0) == math.pi
-    assert amplified_angle(-0.3, 0.0) == -math.pi
-
-
-def test_amplified_angle_undefined_at_origin():
-    with pytest.raises(UndefinedAmplificationError):
-        amplified_angle(0.0, 0.0)
-
-
 def test_amplified_angle_rejects_t_above_one():
-    with pytest.raises(ValueError):
-        amplified_angle(0.1, 1.5)
+    # the map is defined for 0 < t <= 1, the range of optimal_measurement
+    for t in (1.5, 0.0):
+        with pytest.raises(ValueError, match="0 < t_mag <= 1"):
+            amplified_angle(0.1, t)
 
 
 # ----------------------------------------------------------------- Bloch map
