@@ -19,6 +19,11 @@ Systematic knobs:
   cos(2 eps) sigma_x/2 + sin(2 eps) sigma_z/2, a rotation about
   (cos 2 eps, 0, sin 2 eps) by the same angle.
 
+The filter amplitude t_set is real.  A negative one is the |t_set| filter
+followed by a turn by pi about z, and the optimal analyzer turns with it
+(its azimuth is arg t), so it draws the counts of |t_set|: the bench runs
+every point at |t_set| and writes the |t_set| row.
+
 Randomness is drawn from numpy streams keyed by (seed, grid indices, stage):
 the sweep derives each grid point's seed from the run seed and the point's
 grid indices, and a bench run draws all of its trials from one stream of
@@ -28,10 +33,9 @@ or worker count; a single trial cannot be replayed without its grid point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 
@@ -72,20 +76,6 @@ MAX_COUNT = 10**18
 # variance scale as t and t^2, which below it underflow to a degenerate row.
 MIN_AMPLITUDE = 1e-100
 
-SWEEP_CSV_COLUMNS = (
-    "theta_true",
-    "t_mag",
-    "mean_estimate",
-    "variance",
-    "mse",
-    "mean_detected",
-    "precision_per_photon",
-    "accuracy_per_photon",
-    "qfi_theory",
-    "stderr_variance",
-    "flags",
-)
-
 
 def fmt_sig(x: float) -> str:
     """Format a float with 12 significant digits (nan prints as 'nan')."""
@@ -105,10 +95,11 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class BenchConfig:
     """Full description of one bench run, taken as given: the CLI checks
-    the values before it builds one."""
+    the values before it builds one.  ``t_set`` is the real filter
+    amplitude; a negative one runs as ``|t_set|`` (see the module notes)."""
 
     theta_true: float
-    t_set: complex
+    t_set: float
     delta_t: float = 0.0
     epsilon: float = 0.0
     visibility: float = 1.0
@@ -140,20 +131,24 @@ class SweepRecord:
         return ",".join(fmt_sig(v) for v in vals) + f",{self.flags}"
 
 
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+
+
 def postselected_bloch(
-    theta: float, t: complex, epsilon: float, visibility: float
+    theta: float, t: float, epsilon: float, visibility: float
 ) -> tuple[np.ndarray, float]:
     """Noiseless pipeline source -> U(theta - pi) -> filter on Bloch vectors.
 
     Returns ``(r_ps, p_ps)``: the standard Bloch vector of the normalized
     postselected state and the survival probability.  The source
     r0 = (0, 0, -v) turns by pi - theta about n = (cos 2 eps, 0, sin 2 eps)
-    (Rodrigues' formula); K+ = diag(t, 1) then maps r1 = (x, y, z) to
-    p = :func:`survival_probability` of the |1> population (1 - z)/2 and
-    r_ps = (Re w, -Im w, (|t|^2 (1 + z) - (1 - z))/2) / p with
-    w = t (x - i y).  At t = 1 the filter passes everything and r_ps is the
-    imprinted vector; for eps = 0 it is v (0, sin theta, cos theta).  A point that no photon
-    survives (p = 0) returns r_ps = 0 and p_ps = 0.
+    (Rodrigues' formula); K+ = diag(t, 1) with real t then maps
+    r1 = (x, y, z) to p = :func:`survival_probability` of the |1> population
+    (1 - z)/2 and r_ps = (t x, t y, (t^2 (1 + z) - (1 - z))/2) / p, so a
+    negative t turns r_ps by pi about z.  At t = 1 the filter passes
+    everything and r_ps is the imprinted vector; for eps = 0 it is
+    v (0, sin theta, cos theta).  A point that no photon survives (p = 0)
+    returns r_ps = 0 and p_ps = 0.
     """
     v = visibility
     c2, s2 = math.cos(2.0 * epsilon), math.sin(2.0 * epsilon)
@@ -164,11 +159,8 @@ def postselected_bloch(
     x = c2 * along
     y = v * c2 * sa
     z = -v * ca + s2 * along
-    t = complex(t)
-    t2 = abs(t) ** 2
-    w = t * complex(x, -y)
     p = survival_probability(abs(t), (1.0 - z) / 2.0)
-    r = np.array([w.real, -w.imag, (t2 * (1.0 + z) - (1.0 - z)) / 2.0])
+    r = np.array([t * x, t * y, (t**2 * (1.0 + z) - (1.0 - z)) / 2.0])
     return (r / p if p > 0.0 else np.zeros(3)), p
 
 
@@ -214,16 +206,6 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
-def _estimator_direction(n: np.ndarray, phase: float) -> np.ndarray:
-    # The fringe model inside the estimator is written for a real filter
-    # amplitude; a filter phase turns the state by -phase about z, which is
-    # equivalent to turning the measurement vector n by +phase.
-    if phase == 0.0:
-        return n
-    c, s = math.cos(phase), math.sin(phase)
-    return np.array([c * n[0] - s * n[1], s * n[0] + c * n[1], n[2]])
-
-
 def _moments(est: np.ndarray, theta: np.ndarray):
     """Row means, sample variances and mean squared errors about ``theta``."""
     var = est.var(axis=1, ddof=1) if est.shape[1] > 1 else np.full(len(est), math.nan)
@@ -239,11 +221,10 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
     # amplitude and the amplified prior.
     r, psi, t_assumed, prior_big = np.empty((4, n_points, 1))
     for i, cfg in enumerate(block):
-        t = complex(cfg.t_set)
-        t_a = abs(t) + cfg.delta_t
-        phase = cmath.phase(t) if t != 0 else 0.0
-        n = optimal_measurement(cfg.theta_true, t_a * cmath.exp(1j * phase))
-        # The filter runs at the physical amplitude t_set; delta_t only
+        t = abs(cfg.t_set)
+        t_a = t + cfg.delta_t
+        n = optimal_measurement(cfg.theta_true, t_a)
+        # The filter runs at the physical amplitude |t_set|; delta_t only
         # enters the estimator.
         r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
         q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
@@ -256,22 +237,17 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         else:
             detected[i] = rng.poisson(cfg.photon_budget * p_ps, size=n_trials)
         plus[i] = rng.binomial(detected[i], q)
-        r[i], psi[i] = _fringe_params(_estimator_direction(n, phase))
+        r[i], psi[i] = _fringe_params(n)
         t_assumed[i] = t_a
         prior_big[i] = amplified_angle(cfg.theta_true, t_a)
 
-    # A fringe without contrast (at theta = 0 with arg t an odd multiple of
-    # pi/4) cannot be inverted: its point inverts a dummy fringe and is left
-    # out below, as is a trial that detected nothing, which gets a dummy count.
-    flat = r[:, 0] < 1e-12
-    r[flat] = 1.0
-    hit = (detected > 0) & ~flat[:, np.newaxis]
-    est, clamped = _invert_frequency(
+    # A trial that detected nothing inverts a dummy count and is left out below.
+    hit = detected > 0
+    est, _ = _invert_frequency(
         _half_count_frequency(plus, np.where(hit, detected, 1)),
         r, psi, t_assumed, prior_big,
     )
     n_hit = hit.sum(axis=1)
-    n_clamped = (clamped & hit).sum(axis=1)
     # Two or more estimates, all equal: no precision can be read off them.
     lowest = np.where(hit, est, np.inf).min(axis=1)
     zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
@@ -290,17 +266,19 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
         k, n_det = int(n_hit[i]), float(mean_detected[i])
         var, err = float(variance[i]), float(mse[i])
         flags: list[str] = []
-        if flat[i]:
-            flags.append("no-contrast")
-        elif not k:
+        if not k:
             flags.append("no-data")
         elif k < n_trials:
             flags.append(f"empty-trials={n_trials - k}")
-        if n_clamped[i]:
-            flags.append(f"clamped={n_clamped[i]}")
         if zero_spread[i]:
             flags.append("zero-variance")
-        t_mag = abs(complex(cfg.t_set))
+        t_mag = abs(cfg.t_set)
+        try:
+            qfi_theory = qfi_ppa_theory(cfg.theta_true, t_mag)
+        except (ValueError, OverflowError):
+            # t = 0, or near theta = 0 a t so small that p underflows to 0
+            # or (t / p)^2 overflows: the theory has no value here
+            qfi_theory = math.nan
         records.append(SweepRecord(
             theta_true=cfg.theta_true,
             t_mag=t_mag,
@@ -314,7 +292,7 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
             accuracy_per_photon=(
                 1.0 / (err * n_det) if err > 0 and n_det > 0 else math.nan
             ),
-            qfi_theory=qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan,
+            qfi_theory=qfi_theory,
             stderr_variance=var * math.sqrt(2.0 / (k - 1)) if k > 1 else math.nan,
             flags=";".join(flags),
         ))

@@ -1,5 +1,4 @@
 import argparse
-import cmath
 import dataclasses
 import math
 
@@ -14,7 +13,6 @@ from ppasim.bench import (
     MAX_COUNT,
     MIN_AMPLITUDE,
     STAGE_COUNTS,
-    _estimator_direction,
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
@@ -125,10 +123,11 @@ def test_waveplate_generator_spread_is_tilt_independent():
 def test_postselected_bloch_matches_matrix_pipeline():
     rng = np.random.default_rng(31)
     for _ in range(300):
-        t = rng.uniform(0.01, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        # a real amplitude of either sign
+        t = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 1.0)
         cfg = BenchConfig(
             theta_true=float(rng.uniform(-3.1, 3.1)),
-            t_set=complex(t),
+            t_set=float(t),
             epsilon=float(rng.uniform(-0.7, 0.7)),
             visibility=float(rng.uniform(0.01, 1.0)),
         )
@@ -241,17 +240,6 @@ def test_estimate_theta_recovers_truth_from_exact_counts():
             assert est.shape == (3,)
             assert np.all(np.abs(est - theta) < 1e-8)
             assert not clamped.any()
-
-
-def test_estimate_theta_complex_filter_phase():
-    # a filter phase turns the state about z; turning the read-out back
-    # into the model reduces the problem to the real-amplitude fringe
-    t = 0.5 * np.exp(0.8j)
-    theta = 0.2
-    n = optimal_measurement(theta, t)
-    plus, detected = exact_counts(theta, t, n, [10**9])
-    est, _ = estimate_theta(plus, detected, abs(t), _estimator_direction(n, 0.8), theta)
-    assert est[0] == pytest.approx(theta, abs=1e-8)
 
 
 def test_invert_frequency_reproduces_calibration_shift():
@@ -422,35 +410,6 @@ def test_run_trials_zero_survival_flags_no_data():
         assert math.isnan(rec.mean_estimate)
 
 
-def test_run_trials_flags_a_point_without_fringe_contrast():
-    # at theta = 0 the estimator's azimuth is 2 arg t, which for arg t an odd
-    # multiple of pi/4 leaves its fringe without contrast: that point becomes
-    # a flagged nan row and the points around it keep their solo rows
-    flat = [
-        BenchConfig(0.0, 0.5 * cmath.exp(1j * k * cmath.pi / 4), n_trials=4, seed=i)
-        for i, k in enumerate((1, 3, -1))
-    ]
-    others = [
-        BenchConfig(0.1, 0.5, n_trials=4, seed=11),
-        BenchConfig(0.0, 0.5 * cmath.exp(0.3j), n_trials=4, seed=12),
-    ]
-    configs = [flat[0], others[0], flat[1], others[1], flat[2]]
-    records = run_trials(configs)
-    for cfg, rec in zip(configs, records):
-        if cfg in flat:
-            assert rec.flags == "no-contrast"
-            for name in ("mean_estimate", "variance", "mse", "precision_per_photon",
-                         "accuracy_per_photon", "stderr_variance"):
-                assert math.isnan(getattr(rec, name))
-            assert rec.mean_detected > 0
-            assert rec.t_mag == pytest.approx(0.5)
-        else:
-            [solo] = run_trials([cfg])
-            assert rec.to_csv_row() == solo.to_csv_row()
-            assert "no-contrast" not in rec.flags
-            assert math.isfinite(rec.mean_estimate)
-
-
 def test_run_trials_detection_rate_tracks_survival():
     cfg = BenchConfig(
         theta_true=0.3, t_set=0.5, photon_budget=200_000, n_trials=8, seed=7
@@ -505,10 +464,9 @@ def test_run_trials_precision_near_qfi_bound():
 
 def run_trials_reference(cfg):
     """One config's record, point by point: the run_trials body before blocks."""
-    t = complex(cfg.t_set)
-    t_assumed = abs(t) + cfg.delta_t
-    phase = cmath.phase(t) if t != 0 else 0.0
-    n = optimal_measurement(cfg.theta_true, t_assumed * cmath.exp(1j * phase))
+    t = abs(cfg.t_set)
+    t_assumed = t + cfg.delta_t
+    n = optimal_measurement(cfg.theta_true, t_assumed)
     r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
     q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
 
@@ -521,14 +479,7 @@ def run_trials_reference(cfg):
         detected = rng.poisson(cfg.photon_budget * p_ps, size=cfg.n_trials)
     plus = rng.binomial(detected, q)
     hit = detected > 0
-    est, est_clamped = estimate_theta(
-        plus[hit],
-        detected[hit],
-        t_assumed,
-        _estimator_direction(n, phase),
-        cfg.theta_true,
-    )
-    clamped = int(est_clamped.sum())
+    est, _ = estimate_theta(plus[hit], detected[hit], t_assumed, n, cfg.theta_true)
 
     mean_detected = float(detected.mean())
     flags = []
@@ -553,16 +504,13 @@ def run_trials_reference(cfg):
         )
         if len(est) < cfg.n_trials:
             flags.append(f"empty-trials={cfg.n_trials - len(est)}")
-    if clamped:
-        flags.append(f"clamped={clamped}")
     if len(est) > 1 and np.all(est == est[0]):
         flags.append("zero-variance")
 
-    t_mag = abs(t)
-    qfi = qfi_ppa_theory(cfg.theta_true, t_mag) if t_mag > 0 else math.nan
+    qfi = qfi_ppa_theory(cfg.theta_true, t) if t > 0 else math.nan
     return SweepRecord(
         theta_true=cfg.theta_true,
-        t_mag=t_mag,
+        t_mag=t,
         mean_estimate=mean_est,
         variance=variance,
         mse=mse,
@@ -594,12 +542,6 @@ def test_run_trials_matches_per_point_reference():
         *grid_configs(
             (0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4, sampling_mode="poisson"
         ),
-        # a filter phase lowers the estimator's fringe contrast: clamped trials
-        *grid_configs(
-            (0.02, 0.1, 0.5),
-            (0.3 * cmath.exp(0.4j), 0.5 * cmath.exp(1.2j), 0.1 * cmath.exp(2j)),
-            epsilon=0.1, photon_budget=200, n_trials=8,
-        ),
         *grid_configs(thetas, ts, photon_budget=1000, n_trials=2),
         # all three systematics over a grid longer than one block
         *grid_configs(
@@ -614,7 +556,7 @@ def test_run_trials_matches_per_point_reference():
     assert [rec.to_csv_row() for rec in run_trials(configs)] == expected
     # the grid holds every kind of degraded row
     flags = ";".join(row.rpartition(",")[2] for row in expected)
-    for kind in ("empty-trials=", "clamped=", "no-data", "zero-variance"):
+    for kind in ("empty-trials=", "no-data", "zero-variance"):
         assert kind in flags
 
 
@@ -630,12 +572,12 @@ def test_sweep_record_csv_row_formatting():
         accuracy_per_photon=3.1,
         qfi_theory=3.5,
         stderr_variance=2e-9,
-        flags="clamped=1",
+        flags="empty-trials=1",
     )
     row = rec.to_csv_row()
     fields = row.split(",")
     assert fields[0] == "0.1"
-    assert fields[-1] == "clamped=1"
+    assert fields[-1] == "empty-trials=1"
     assert len(fields) == 11
     for text in fields[:-1]:
         float(text)

@@ -328,6 +328,41 @@ def test_sweep_zero_survival_point_flags_no_data(tmp_path, capsys):
     assert all(r["flags"] == "" for r in rows[1:])
 
 
+def test_sweep_writes_nan_theory_where_t_squared_underflows(tmp_path, capsys):
+    # at theta = 0 the theory's p = t^2 is 0 for t = 1e-300, and (t / p)^2
+    # exceeds the float range for t = 1e-160: those two rows write
+    # qfi_theory nan, and every row is the one its point writes alone
+    out = tmp_path / "s.csv"
+    code, _ = run(
+        ["sweep", "--theta", "0,0.1", "--t", "1e-300,1e-160,0.5", "--delta-t", "0.1",
+         "--visibility", "0.95", "--trials", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    spec = SweepSpec(
+        theta_list=(0.0, 0.1), t_list=(1e-300, 1e-160, 0.5), delta_t=0.1,
+        visibility=0.95, n_trials=2,
+    )
+    alone = [cli.run_trials([cfg])[0].to_csv_row() for cfg in cli.sweep_configs(spec)]
+    assert out.read_text().splitlines()[1:] == alone
+    rows = read_csv(out)
+    assert [r["qfi_theory"] == "nan" for r in rows] == [True, True] + [False] * 4
+    assert all(r["flags"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "poisson"])
+def test_sweep_with_negative_t_writes_the_rows_of_its_magnitude(tmp_path, capsys, mode):
+    # a negative amplitude is the |t| filter turned by pi about z, and the
+    # analyzer turns with it: both sweeps draw and write the same numbers
+    argv = ["sweep", "--delta-t", "-0.01", "--epsilon", "0.2", "--visibility", "0.95",
+            "--sampling-mode", mode, "--trials", "8", "--seed", "5"]
+    neg = tmp_path / "neg.csv"
+    pos = tmp_path / "pos.csv"
+    assert run(argv + ["--t=-0.044,-0.3,-1.0", "--out", str(neg)], capsys)[0] == 0
+    assert run(argv + ["--t", "0.044,0.3,1.0", "--out", str(pos)], capsys)[0] == 0
+    assert neg.read_bytes() == pos.read_bytes()
+
+
 def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PPASIM_OUT_DIR", str(tmp_path))
     code, printed = run(
