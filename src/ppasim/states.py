@@ -131,7 +131,7 @@ class DensityMatrix:
         if bad.any():
             k, at = _first_bad(bad)
             raise ValueError(
-                f"{at}density matrix trace {tr.real[k]!r} is not 1 within 1e-10"
+                f"{at}density matrix trace {tr.real[k]} is not 1 within 1e-10"
             )
         w = np.linalg.eigvalsh(hermitian_part(m))
         if w.min(initial=0.0) < -ATOL_STRUCT:
