@@ -56,6 +56,9 @@ __all__ = [
 
 OUT_DIR_ENV = "PPASIM_OUT_DIR"
 
+# The file each writing command names when no output path is given.
+DEFAULT_OUT = {"sweep": "sweep.csv", "kd": "kd.json", "fig4": "fig4.csv"}
+
 # Row-major (a, a') outcomes of the pass-conditioned table that kd writes.
 KD_TABLE_LABELS = ("a+,a+", "a+,a-", "a-,a+", "a-,a-")
 
@@ -189,7 +192,7 @@ def cmd_sweep(
     else:
         records = run_trials(configs)
     rows = [rec.to_csv_row() for rec in records]
-    out = _resolve_out(output_path, "sweep.csv")
+    out = _resolve_out(output_path, DEFAULT_OUT["sweep"])
     _write_text(out, ",".join(SWEEP_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out
 
@@ -200,6 +203,25 @@ def _write_text(path: str, text: str) -> None:
         os.makedirs(d, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _probe_out(path: str) -> None:
+    """Raise ValueError naming ``output_path`` if ``path`` cannot be written.
+
+    The probe opens the file for appending, first making a missing
+    directory, and removes the file again if the probe created it.
+    """
+    existed = os.path.lexists(path)
+    try:
+        try:
+            open(path, "a").close()
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path))
+            open(path, "a").close()
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise ValueError(f"output_path: cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
@@ -224,7 +246,7 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
                 "gap": gap,
                 "gap_times_4delta_sq": 4.0 * gap,  # eigenvalue spread is 1
             })
-    out = _resolve_out(output_path, "kd.json")
+    out = _resolve_out(output_path, DEFAULT_OUT["kd"])
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
 
@@ -325,7 +347,7 @@ def cmd_fig4(spec: SweepSpec) -> str:
                     f"(i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
                 ) from exc
             rows.append(",".join(fmt_sig(x) for x in vals) + f",{flags}")
-    out = _resolve_out(spec.output_path, "fig4.csv")
+    out = _resolve_out(spec.output_path, DEFAULT_OUT["fig4"])
     _write_text(out, ",".join(FIG4_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out
 
@@ -455,7 +477,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
         "--t", dest="t_list", metavar="T", help="comma-separated filter amplitudes"
     )
     p.add_argument("--config", help="JSON file with SweepSpec fields")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--out", dest="output_path", metavar="OUT",
         help="output path (resolved against $%s)" % OUT_DIR_ENV,
@@ -472,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo precision sweep -> CSV")
     _add_grid_args(p_sweep)
+    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument(
         "--budget", dest="photon_budget", metavar="BUDGET", type=int,
         help="photons per trial",
@@ -490,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig4 = sub.add_parser("fig4", help="tomographic QFI/gap pipeline -> CSV")
     _add_grid_args(p_fig4)
+    p_fig4.add_argument("--seed", type=int, default=None)
     p_fig4.add_argument("--visibility", type=float, default=None)
     p_fig4.add_argument(
         "--shots", dest="shots_per_basis", metavar="SHOTS", type=int,
@@ -518,6 +541,8 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args, defaults)
         _check(args.command, spec, args)
+        if args.command in DEFAULT_OUT:
+            _probe_out(_resolve_out(spec.output_path, DEFAULT_OUT[args.command]))
     except ValueError as exc:
         print(f"ppasim {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .states import (
     Generator,
     ZeroProbabilityError,
     _as_complex_stack,
-    _first_bad,
+    _reject,
     hermitian_part,
     make_filter,
     phase_unitary,
@@ -100,14 +100,10 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     dm = _as_complex_stack(drho, "drho")
     if dm.shape != m.shape:
         raise ValueError("drho dimension does not match rho")
-    dev = np.abs(dm - dm.conj().swapaxes(-1, -2))
-    if dev.max(initial=0.0) > 1e-8:
-        _, at = _first_bad(dev.max((-2, -1)) > 1e-8)
-        raise ValueError(f"{at}drho must be Hermitian")
+    dev = np.abs(dm - dm.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
+    _reject(dev > 1e-8, ValueError, "drho must be Hermitian")
     tr = np.abs(dm.trace(0, -2, -1))
-    if tr.max(initial=0.0) > 1e-9:
-        _, at = _first_bad(tr > 1e-9)
-        raise ValueError(f"{at}drho must be traceless (trace-preserving family)")
+    _reject(tr > 1e-9, ValueError, "drho must be traceless (trace-preserving family)")
     w, vecs = np.linalg.eigh(hermitian_part(m))
     # eigh sorts ascending, so w[..., -1:] is the largest eigenvalue
     on = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
@@ -116,12 +112,10 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     pairs = on[..., :, None] | on[..., None, :]
     if not on.all():
         kernel_norm = np.sqrt((np.abs(np.where(pairs, 0.0, d_eig)) ** 2).sum((-2, -1)))
-        bad = kernel_norm > 1e-6
-        if bad.any():
-            k, at = _first_bad(bad)
-            raise InconsistentDerivativeError(
-                f"{at}drho has weight {kernel_norm[k]:.3e} outside the support of rho"
-            )
+        _reject(
+            kernel_norm > 1e-6, InconsistentDerivativeError,
+            "drho has weight {:.3e} outside the support of rho", kernel_norm,
+        )
     denom = np.where(pairs, w[..., :, None] + w[..., None, :], 1.0)
     lam_eig = np.where(pairs, 2.0 * d_eig / denom, 0.0)
     lam = hermitian_part(vecs @ lam_eig @ vecs_h)
@@ -161,12 +155,11 @@ def qfi_bloch(r, dr):
     dr_dr = (dr * dr).sum(-1)
     sphere = on_sphere(r)
     radial = r_dr / np.where(sphere, np.sqrt(rr), 1.0)
-    bad = sphere & (np.abs(radial) / 2.0 > 1e-6)
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise InconsistentDerivativeError(
-            f"{at}drho has weight {abs(radial[k]) / 2.0:.3e} outside the support of rho"
-        )
+    weight = np.abs(radial) / 2.0
+    _reject(
+        sphere & (weight > 1e-6), InconsistentDerivativeError,
+        "drho has weight {:.3e} outside the support of rho", weight,
+    )
     qfi = np.where(
         sphere,
         dr_dr - radial**2 + radial**2 / 4.0,
@@ -198,12 +191,11 @@ class PPAFamily:
     def __post_init__(self) -> None:
         mag = np.abs(np.asarray(self.t, dtype=complex))
         v = np.asarray(self.v, dtype=float)
-        for ok, message in (
-            ((0.0 < mag) & (mag <= 1.0 + 1e-12), "PPAFamily requires 0 < |t| <= 1"),
-            ((0.0 < v) & (v <= 1.0), "visibility must lie in (0, 1]"),
-        ):
-            if not ok.all():
-                raise ValueError(_first_bad(~ok)[1] + message)
+        _reject(
+            ~((0.0 < mag) & (mag <= 1.0 + 1e-12)), ValueError,
+            "PPAFamily requires 0 < |t| <= 1",
+        )
+        _reject(~((0.0 < v) & (v <= 1.0)), ValueError, "visibility must lie in (0, 1]")
         object.__setattr__(self, "_k", make_filter(self.t))
         object.__setattr__(self, "_gen", ppa_generator())
         v = v[..., None, None]
@@ -277,21 +269,16 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     fully blocks the informative component (t = 0).
     """
     purity = rho_theta.purity()
-    bad = np.abs(purity - 1.0) > 1e-8
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise PurityError(
-            f"{at}state purity {purity[k]:.10f}; formula requires a pure state"
-        )
+    _reject(
+        np.abs(purity - 1.0) > 1e-8, PurityError,
+        "state purity {:.10f}; formula requires a pure state", purity,
+    )
     k_op = _as_complex_stack(k_plus, "K+")
     k_rho = k_op @ rho_theta.mat
     ka_rho = k_op @ a.mat @ rho_theta.mat
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
     p = np.einsum("...ij,...ij->...", k_rho, k_op.conj()).real
-    bad = p <= 1e-15
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ZeroProbabilityError(f"{at}postselection probability vanished")
+    _reject(p <= 1e-15, ZeroProbabilityError, "postselection probability vanished")
     term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_op.conj()).real
     term2 = np.abs(np.einsum("...ij,...ij->...", ka_rho, k_op.conj())) ** 2
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / p**2, 0.0)
@@ -328,12 +315,10 @@ def cfi(n, family: PPAFamily, theta):
     proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
     rho, drho = family.state_and_derivative(theta)
     q = (rho.mat @ proj).trace(0, -2, -1).real
-    bad = (q < 1e-12) | (q > 1.0 - 1e-12)
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise DegenerateMeasurementError(
-            f"{at}outcome probability {q[k]:.3e} carries no information"
-        )
+    _reject(
+        (q < 1e-12) | (q > 1.0 - 1e-12), DegenerateMeasurementError,
+        "outcome probability {:.3e} carries no information", q,
+    )
     dq = (drho @ proj).trace(0, -2, -1).real
     info = dq**2 / (q * (1.0 - q))
     return float(info) if info.ndim == 0 else info

@@ -16,7 +16,7 @@ Fisher information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +27,8 @@ from .states import (
     Generator,
     ZeroProbabilityError,
     _as_complex_stack,
-    _first_bad,
     _freeze,
+    _reject,
     hermitian_part,
 )
 from .fisher import qfi_postselected_pure, survival_probability
@@ -61,40 +61,27 @@ class ZeroNormalizerError(ValueError):
 
 @dataclass(frozen=True)
 class POVM:
-    """PSD elements summing to the identity, kept as one read-only
-    (..., n, d, d) ``stack`` of which ``elements`` are views.
+    """PSD elements summing to the identity, one read-only (..., n, d, d) ``stack``.
 
-    The elements share a shape (..., d, d); leading axes are batch axes,
-    one POVM per instance, each checked for PSD elements and completeness
-    to 1e-10 (a failure in a stack names the first failing instance).
+    ``stack[..., i, :, :]`` is element i; leading axes are batch axes, one
+    POVM per instance, each checked for PSD elements and completeness to
+    1e-10 (a failure in a stack names the first failing instance).
     """
 
-    elements: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.elements) == 0:
+        if np.ndim(self.stack) < 3 or np.shape(self.stack)[-3] == 0:
             raise ValueError("a POVM needs at least one element")
-        mats = [_as_complex_stack(e, "POVM element") for e in self.elements]
-        shape = mats[0].shape
-        if any(e.shape != shape for e in mats):
-            raise ValueError("POVM elements must share a dimension")
-        stack = np.stack(mats, axis=-3)
-        w = np.linalg.eigvalsh(hermitian_part(stack))
-        if w.min(initial=0.0) < -ATOL_STRUCT:
-            _, at = _first_bad(w.min((-2, -1)) < -ATOL_STRUCT)
-            raise ValueError(f"{at}POVM element is not PSD within 1e-10")
-        dev = np.abs(stack.sum(-3) - np.eye(shape[-1]))
-        if dev.max(initial=0.0) > ATOL_STRUCT:
-            _, at = _first_bad(dev.max((-2, -1)) > ATOL_STRUCT)
-            raise ValueError(
-                f"{at}POVM elements do not sum to the identity within 1e-10"
-            )
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(
-            self, "elements", tuple(stack[..., i, :, :] for i in range(len(mats)))
+        stack = _as_complex_stack(self.stack, "POVM element")
+        low = np.linalg.eigvalsh(hermitian_part(stack)).min((-2, -1), initial=0.0)
+        _reject(low < -ATOL_STRUCT, ValueError, "POVM element is not PSD within 1e-10")
+        dev = np.abs(stack.sum(-3) - np.eye(stack.shape[-1])).max((-2, -1), initial=0.0)
+        _reject(
+            dev > ATOL_STRUCT, ValueError,
+            "POVM elements do not sum to the identity within 1e-10",
         )
+        object.__setattr__(self, "stack", _freeze(stack))
 
     @property
     def dim(self) -> int:
@@ -109,7 +96,7 @@ def filter_povm(k_plus) -> POVM:
     """
     k = _as_complex_stack(k_plus, "K+")
     m = k.conj().swapaxes(-1, -2) @ k
-    return POVM((m, np.eye(k.shape[-1]) - m))
+    return POVM(np.stack([m, np.eye(k.shape[-1]) - m], axis=-3))
 
 
 class GapEqualityResult(NamedTuple):
@@ -153,9 +140,7 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
         axis=-1,
     )
     bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ValueError(f"{at}quasidistribution does not sum to 1 within 1e-10")
+    _reject(bad, ValueError, "quasidistribution does not sum to 1 within 1e-10")
     return _freeze(values)
 
 
@@ -183,12 +168,10 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
         raise ValueError("|t| must lie in [0, 1]")
     t2 = t_mag**2
     p = survival_probability(t_mag, (1.0 - z) / 2.0)
-    bad = p <= 1e-15
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ZeroProbabilityError(
-            f"{at}conditional table undefined: postselection probability is zero"
-        )
+    _reject(
+        p <= 1e-15, ZeroProbabilityError,
+        "conditional table undefined: postselection probability is zero",
+    )
     q = 4.0 * p
     diag = (1.0 + t2) / q
     # each part divided by the real q, as a real division rounds (numpy's
@@ -238,12 +221,10 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     weights = np.einsum("...iab,...ba->...i", proj.stack, rho.mat).real
     supported = weights > 1e-12
     count = supported.sum(-1)
-    bad = count != 2
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise PreconditionError(
-            f"{at}state is supported on {count[k]} generator eigenspaces, need 2"
-        )
+    _reject(
+        count != 2, PreconditionError,
+        "state is supported on {} generator eigenspaces, need 2", count,
+    )
     lhs = qfi_postselected_pure(rho, a, k_plus)
 
     # the (A, filter, A) table, and per instance the four entries of its
@@ -256,20 +237,16 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     sub = passed[on_pair].reshape(batch + (4,))
     # the diagonal entries are the pass weights Tr(P rho P M)
     w_lo, w_hi = sub[..., 0].real, sub[..., 3].real
-    bad = np.abs(w_lo - w_hi) > 1e-9
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise ConditionNotMetError(
-            f"{at}filter is unbalanced across the supported eigenspaces "
-            f"({w_lo[k]:.3e} vs {w_hi[k]:.3e})"
-        )
+    _reject(
+        np.abs(w_lo - w_hi) > 1e-9, ConditionNotMetError,
+        "filter is unbalanced across the supported eigenspaces ({:.3e} vs {:.3e})",
+        w_lo, w_hi,
+    )
     norm = passed.sum((-2, -1))
-    bad = np.abs(norm) <= 1e-14
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ZeroNormalizerError(
-            f"{at}outcome 0 of measurement 1 has zero quasiprobability"
-        )
+    _reject(
+        np.abs(norm) <= 1e-14, ZeroNormalizerError,
+        "outcome 0 of measurement 1 has zero quasiprobability",
+    )
     sq = np.abs(sub / norm[..., None]) ** 2
     # a_lo and a_hi of each instance
     eig = np.broadcast_to(a.eigenvalues, supported.shape)[supported].reshape(-1, 2)

@@ -70,13 +70,19 @@ def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _first_bad(bad) -> tuple[tuple[int, ...], str]:
-    """Index of the first True entry of a per-instance mask, and an error
-    message prefix naming that instance ("" when there are no batch axes)."""
+def _reject(bad, error: type[Exception], message: str, *values) -> None:
+    """Raise ``error`` at the first True entry of the per-instance mask ``bad``.
+
+    ``message`` is formatted with each of ``values`` (arrays over the mask's
+    axes) at that entry.  With batch axes it is prefixed "instance k: ", or
+    the index tuple for more than one axis.  A mask with no True entry
+    returns.
+    """
+    if not bad.any():
+        return
     k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
-    if not k:
-        return k, ""
-    return k, f"instance {k[0] if len(k) == 1 else k}: "
+    text = message.format(*(np.asarray(v)[k] for v in values))
+    raise error(f"instance {k[0] if len(k) == 1 else k}: {text}" if k else text)
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -94,9 +100,10 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """
     m = _as_complex_stack(mat)
     w, v = np.linalg.eigh(hermitian_part(m))
-    if w.min(initial=0.0) < -ATOL_STRUCT:
-        k, at = _first_bad(w.min(-1) < -ATOL_STRUCT)
-        raise ValueError(f"{at}matrix is not PSD (min eigenvalue {w[k].min():.3e})")
+    low = w.min(-1, initial=0.0)
+    _reject(
+        low < -ATOL_STRUCT, ValueError, "matrix is not PSD (min eigenvalue {:.3e})", low
+    )
     w = np.sqrt(np.clip(w, 0.0, None))
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -122,23 +129,20 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = _as_complex_stack(self.mat, "density matrix")
-        dev = np.abs(m - m.conj().swapaxes(-1, -2))
-        if dev.max(initial=0.0) > ATOL_STRUCT:
-            _, at = _first_bad(dev.max((-2, -1)) > ATOL_STRUCT)
-            raise ValueError(f"{at}density matrix is not Hermitian within 1e-10")
+        dev = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
+        _reject(
+            dev > ATOL_STRUCT, ValueError, "density matrix is not Hermitian within 1e-10"
+        )
         tr = m.trace(0, -2, -1)
-        bad = abs(tr - 1.0) > ATOL_STRUCT
-        if bad.any():
-            k, at = _first_bad(bad)
-            raise ValueError(
-                f"{at}density matrix trace {tr.real[k]} is not 1 within 1e-10"
-            )
-        w = np.linalg.eigvalsh(hermitian_part(m))
-        if w.min(initial=0.0) < -ATOL_STRUCT:
-            k, at = _first_bad(w.min(-1) < -ATOL_STRUCT)
-            raise ValueError(
-                f"{at}density matrix has negative eigenvalue {w[k].min():.3e}"
-            )
+        _reject(
+            abs(tr - 1.0) > ATOL_STRUCT, ValueError,
+            "density matrix trace {} is not 1 within 1e-10", tr.real,
+        )
+        low = np.linalg.eigvalsh(hermitian_part(m)).min(-1, initial=0.0)
+        _reject(
+            low < -ATOL_STRUCT, ValueError,
+            "density matrix has negative eigenvalue {:.3e}", low,
+        )
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
@@ -158,10 +162,7 @@ def pure_state(vec) -> DensityMatrix:
     """
     v = np.asarray(vec, dtype=complex)
     n = np.linalg.norm(v, axis=-1)
-    bad = n < 1e-12
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ValueError(f"{at}cannot normalize a zero vector")
+    _reject(n < 1e-12, ValueError, "cannot normalize a zero vector")
     v = v / n[..., None]
     return DensityMatrix(v[..., :, None] * v[..., None, :].conj())
 
@@ -173,10 +174,11 @@ class Generator:
     ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
     ``mat`` is one generator.  Eigenvalues closer than 1e-10 to the first
     of their run are one eigenspace.  ``eigenvalues[..., i]`` are the
-    distinct eigenvalues in ascending order and ``projectors[i]`` the
-    (..., d, d) projectors onto the corresponding eigenspaces, so
-    ``mat = sum_i eigenvalues[..., i] * projectors[i]`` per instance.  A
-    stack has as many slots as its instance with the most eigenspaces; an
+    distinct eigenvalues in ascending order and ``projectors`` the one
+    read-only (..., k, d, d) array whose ``projectors[..., i, :, :]``
+    projects onto the eigenspace of ``eigenvalues[..., i]``, so ``mat =
+    sum_i eigenvalues[..., i] * projectors[..., i, :, :]`` per instance.  A
+    stack has as many slots k as its instance with the most eigenspaces; an
     instance with fewer is padded at the top with zero projectors that
     repeat its largest eigenvalue.  Every check names the first failing
     instance of a stack.
@@ -184,15 +186,13 @@ class Generator:
 
     mat: np.ndarray
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     @classmethod
     def from_matrix(cls, mat) -> "Generator":
         m = _as_complex_stack(mat, "generator")
         bad = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1)) > ATOL_STRUCT
-        if bad.any():
-            _, at = _first_bad(bad)
-            raise InvalidGeneratorError(f"{at}generator must be Hermitian within 1e-10")
+        _reject(bad, InvalidGeneratorError, "generator must be Hermitian within 1e-10")
         w, v = np.linalg.eigh(m)
         d = w.shape[-1]
         # slot[..., j]: the eigenspace of w[..., j]; a new one starts where w
@@ -214,24 +214,19 @@ class Generator:
         values = np.where(size > 0, values, top)
         # P_i = V_i V_i^dag over the columns of eigenspace i
         blocks = np.where(member.swapaxes(-1, -2)[..., :, None, :], v[..., None, :, :], 0.0)
-        projectors = _freeze(np.moveaxis(blocks @ blocks.conj().swapaxes(-1, -2), -3, 0))
         return cls(
             mat=_freeze(m),
             eigenvalues=_freeze(values),
-            projectors=tuple(projectors),
+            projectors=_freeze(blocks @ blocks.conj().swapaxes(-1, -2)),
         )
 
     def __post_init__(self) -> None:
-        rebuilt = sum(
-            a[..., None, None] * p
-            for a, p in zip(np.moveaxis(self.eigenvalues, -1, 0), self.projectors)
-        )
+        rebuilt = (np.asarray(self.eigenvalues)[..., None, None] * self.projectors).sum(-3)
         bad = np.abs(rebuilt - self.mat).max((-2, -1)) > ATOL_STRUCT
-        if bad.any():
-            _, at = _first_bad(bad)
-            raise InvalidGeneratorError(
-                f"{at}spectral decomposition does not reproduce the generator"
-            )
+        _reject(
+            bad, InvalidGeneratorError,
+            "spectral decomposition does not reproduce the generator",
+        )
 
     @property
     def dim(self) -> int:
@@ -244,12 +239,14 @@ def ppa_generator() -> Generator:
     return Generator.from_matrix(SIGMA_X / 2)
 
 
-def phase_unitary(gen: Generator, theta: float) -> np.ndarray:
-    """exp(+i * theta * A) for a phase generator A, or a stack of them."""
-    u = np.zeros_like(gen.mat)
-    for val, proj in zip(np.moveaxis(gen.eigenvalues, -1, 0), gen.projectors):
-        u = u + np.exp(1j * theta * val)[..., None, None] * proj
-    return u
+def phase_unitary(gen: Generator, theta) -> np.ndarray:
+    """exp(+i * theta * A) = sum_i exp(+i * theta * a_i) P_i for a phase generator A.
+
+    ``gen`` may be a stack and ``theta`` an array; their batch axes
+    broadcast and lead the (..., d, d) result.
+    """
+    phases = np.exp(1j * np.asarray(theta)[..., None] * gen.eigenvalues)
+    return (phases[..., None, None] * gen.projectors).sum(-3)
 
 
 def make_filter(t) -> np.ndarray:
@@ -263,10 +260,10 @@ def make_filter(t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     mag = np.abs(t)
-    bad = mag > 1.0 + 1e-12
-    if bad.any():
-        k, at = _first_bad(bad)
-        raise ValueError(f"{at}|t| = {mag[k]:.6g} exceeds 1; the filter must contract")
+    _reject(
+        mag > 1.0 + 1e-12, ValueError,
+        "|t| = {:.6g} exceeds 1; the filter must contract", mag,
+    )
     k_plus = np.zeros(t.shape + (2, 2), dtype=complex)
     k_plus[..., 0, 0] = t
     k_plus[..., 1, 1] = 1.0

@@ -34,7 +34,7 @@ from .states import (
     PAULIS,
     DensityMatrix,
     Generator,
-    _first_bad,
+    _reject,
     hermitian_part,
     make_filter,
     ppa_generator,
@@ -112,10 +112,9 @@ def sld_axis(lam: np.ndarray) -> np.ndarray:
     """Bloch axis (standard coords) of a qubit SLD's traceless part, or (..., 3) axes."""
     vec = np.stack([(lam @ s).trace(0, -2, -1).real for s in PAULIS], -1)
     n = np.linalg.norm(vec, axis=-1, keepdims=True)
-    bad = n[..., 0] < 1e-12
-    if bad.any():
-        _, at = _first_bad(bad)
-        raise ValueError(f"{at}SLD has no traceless part; the axis is undefined")
+    _reject(
+        n[..., 0] < 1e-12, ValueError, "SLD has no traceless part; the axis is undefined"
+    )
     return vec / n
 
 
@@ -132,7 +131,7 @@ def random_qubit_instances(rng: np.random.Generator, n: int):
     gen = ppa_generator()
     # e^{i theta A}|0> = sum_k e^{i theta a_k} P_k |0>
     phases = np.exp(1j * theta[:, None] * gen.eigenvalues)
-    rho = pure_state((phases[:, :, None] * np.stack(gen.projectors)[:, :, 0]).sum(1))
+    rho = pure_state((phases[:, :, None] * gen.projectors[:, :, 0]).sum(1))
     return rho, gen, make_filter(mag * np.exp(1j * phase))
 
 
@@ -261,7 +260,7 @@ def _random_povms(x) -> POVM:
     inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[
         ..., None, :, :
     ]
-    return POVM(tuple(np.moveaxis(inv_sqrt @ raw @ inv_sqrt, -3, 0)))
+    return POVM(inv_sqrt @ raw @ inv_sqrt)
 
 
 def _marginalization_draws(rng: np.random.Generator, n: int) -> list:

@@ -902,3 +902,68 @@ def test_spec_load_errors_exit_2_naming_the_field(
     [line] = captured.err.splitlines()
     assert line.startswith(f"ppasim {command}: error: {field}: ")
     assert {p.name for p in tmp_path.iterdir()} <= {"spec.json"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "kd", "fig4"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["out", "out-dir-env"])
+def test_unwritable_output_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, via_env
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with an unwritable output path")
+
+    stubs = ("run_trials", "ProcessPoolExecutor", "kd_table_closed_form", "_fig4_point")
+    for name in stubs:
+        monkeypatch.setattr(cli, name, no_work)
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    if via_env:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(blocker))
+        out = blocker / cli.DEFAULT_OUT[command]
+        argv = [command, "--out", out.name]
+    else:
+        out = blocker / "x.csv"
+        argv = [command, "--out", str(out)]
+    code = main(argv + ["--theta", "0.1", "--t", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ppasim {command}: error: output_path: cannot write {out}: Not a directory"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["notadir"]
+    assert blocker.read_text() == ""
+
+
+def test_output_probe_leaves_nothing_behind_a_failed_run(tmp_path, monkeypatch):
+    # the probe makes the missing directory but removes the file it opened
+    def fail(*args, **kwargs):
+        raise RuntimeError("stop after the probe")
+
+    monkeypatch.setattr(cli, "cmd_kd", fail)
+    out = tmp_path / "new" / "kd.json"
+    with pytest.raises(RuntimeError):
+        main(["kd", "--out", str(out)])
+    assert [p.name for p in tmp_path.iterdir()] == ["new"]
+    assert not any(out.parent.iterdir())
+    # an existing file is left as it was
+    out.write_text("kept")
+    with pytest.raises(RuntimeError):
+        main(["kd", "--out", str(out)])
+    assert out.read_text() == "kept"
+
+
+def test_kd_takes_no_seed_flag(tmp_path, capsys):
+    # kd is a closed form; its --seed was read by nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["kd", "--seed", "1", "--out", str(tmp_path / "kd.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # a config file's seed is still a SweepSpec field for every command
+    cfg = tmp_path / "spec.json"
+    cfg.write_text('{"seed": 3}')
+    code, _ = run(["kd", "--theta", "0.1", "--t", "0.5", "--config", str(cfg),
+                   "--out", str(tmp_path / "kd.json")], capsys)
+    assert code == 0
+    assert (tmp_path / "kd.json").exists()

@@ -117,7 +117,7 @@ CASES = [
      ValueError, "Bloch vector components must lie in [-1, 1]"),
     ("povm-psd", filter_povm, (ID2 / 2,), (1.5 * ID2,),
      ValueError, "POVM element is not PSD within 1e-10"),
-    ("povm-complete", lambda s: POVM(tuple(np.moveaxis(s, -3, 0))),
+    ("povm-complete", POVM,
      ((ID2 / 2, ID2 / 2),), ((ID2 / 2, ID2 / 4),),
      ValueError, "POVM elements do not sum to the identity within 1e-10"),
     ("kd-sum", _kd_sum, (ID2 / 2,), (np.diag([0.5, 0.5 + 9e-11]),),

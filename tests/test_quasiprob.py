@@ -102,9 +102,8 @@ def test_povm_stores_elements_as_views_of_a_frozen_stack():
     povm = random_povm(RNG, 3, 4)
     assert povm.stack.shape == (4, 3, 3)
     assert not povm.stack.flags.writeable
-    for i, e in enumerate(povm.elements):
+    for e in povm.stack:
         assert e.base is povm.stack
-        assert np.array_equal(e, povm.stack[i])
         with pytest.raises(ValueError):
             e[0, 0] = 0.0
 
@@ -183,11 +182,11 @@ def test_commuting_sequence_on_joint_eigenstate_is_deterministic():
 
 def loop_kd_values(rho, povms):
     """Per-outcome reference: one product chain and one trace per outcome."""
-    values = np.empty(tuple(len(p.elements) for p in povms), dtype=complex)
+    values = np.empty(tuple(len(p.stack) for p in povms), dtype=complex)
     for idx in np.ndindex(*values.shape):
         op = rho.mat
         for povm, i in zip(povms, idx):
-            op = povm.elements[i] @ op
+            op = povm.stack[i] @ op
         values[idx] = np.trace(op)
     return values
 
@@ -401,7 +400,7 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch
             ref_rho, ref_povms, ref_residual = refs[i]
             assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
             for povm, ref_povm in zip(povms, ref_povms):
-                k = len(ref_povm.elements)
+                k = len(ref_povm.stack)
                 assert np.abs(povm.stack[j, :k] - ref_povm.stack).max() <= 1e-12
                 # an unused outcome slot is exactly the zero element
                 assert np.all(povm.stack[j, k:] == 0.0)
@@ -674,11 +673,11 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
             assert np.abs(gen.eigenvalues[j, :c] - ref_gen.eigenvalues).max() <= 1e-12
             # padding repeats the top eigenvalue with a zero projector
             assert np.all(gen.eigenvalues[j, c:] == gen.eigenvalues[j, c - 1])
-            for slot, proj in enumerate(gen.projectors):
+            for slot, proj in enumerate(gen.projectors[j]):
                 if slot < c:
-                    assert np.abs(proj[j] - ref_gen.projectors[slot]).max() <= 1e-12
+                    assert np.abs(proj - ref_gen.projectors[slot]).max() <= 1e-12
                 else:
-                    assert np.all(proj[j] == 0.0)
+                    assert np.all(proj == 0.0)
             assert np.abs(k[j] - ref_k).max() <= 1e-12
             ref = verify_gap_equality(ref_rho, ref_gen, ref_k)
             assert abs(got.residual[j] - ref.residual) <= 1e-12

@@ -120,26 +120,26 @@ def test_generator_stack_pads_to_the_widest_spectrum():
     gen = Generator.from_matrix(mats)
     assert gen.dim == 4
     assert gen.eigenvalues.shape == (3, 4)
-    assert len(gen.projectors) == 4
+    assert gen.projectors.shape == (3, 4, 4, 4)
     assert np.allclose(gen.eigenvalues[0], [-1.0, 2.0, 2.0, 2.0], atol=1e-12)
     assert np.allclose(gen.eigenvalues[1], [0.0, 1.0, 3.0, 3.0], atol=1e-12)
     assert np.allclose(gen.eigenvalues[2], [-2.0, 0.5, 1.0, 3.0], atol=1e-12)
     spread = gen.eigenvalues[..., -1] - gen.eigenvalues[..., 0]
     assert np.allclose(spread, [3.0, 3.0, 5.0], atol=1e-12)
-    ranks = np.array([np.trace(p, axis1=-2, axis2=-1).real for p in gen.projectors]).T
+    ranks = np.trace(gen.projectors, axis1=-2, axis2=-1).real
     assert np.allclose(ranks, [[2, 2, 0, 0], [1, 2, 1, 0], [1, 1, 1, 1]], atol=1e-12)
     # the padded slots are exactly zero
-    assert np.all(gen.projectors[2][0] == 0.0)
-    assert np.all(gen.projectors[3][0] == 0.0)
-    assert np.all(gen.projectors[3][1] == 0.0)
+    assert np.all(gen.projectors[0, 2] == 0.0)
+    assert np.all(gen.projectors[0, 3] == 0.0)
+    assert np.all(gen.projectors[1, 3] == 0.0)
     # each instance is the 2-D generator of its matrix, padded
     for i, mat in enumerate(mats):
         one = Generator.from_matrix(mat)
         c = len(one.eigenvalues)
         assert np.array_equal(gen.eigenvalues[i, :c], one.eigenvalues)
         for slot in range(c):
-            assert np.abs(gen.projectors[slot][i] - one.projectors[slot]).max() < 1e-15
-    for arr in (gen.mat, gen.eigenvalues) + gen.projectors:
+            assert np.abs(gen.projectors[i, slot] - one.projectors[slot]).max() < 1e-15
+    for arr in (gen.mat, gen.eigenvalues, gen.projectors):
         assert not arr.flags.writeable
 
 
@@ -174,7 +174,7 @@ def test_ppa_generator_is_one_read_only_instance():
     gen = ppa_generator()
     assert ppa_generator() is gen
     assert np.array_equal(gen.mat, SIGMA_X / 2)
-    for arr in (gen.mat, gen.eigenvalues) + gen.projectors:
+    for arr in (gen.mat, gen.eigenvalues, gen.projectors):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -251,7 +251,7 @@ def test_phase_unitary_preserves_purity():
 
 
 def fail_element(t):
-    return filter_povm(make_filter(t)).elements[1]
+    return filter_povm(make_filter(t)).stack[1]
 
 
 def test_make_filter_limits():
