@@ -56,7 +56,6 @@ __all__ = [
     "postselected_bloch",
     "run_trials",
     "systematic_shift_t",
-    "misaligned_half_tangent",
 ]
 
 # Stage tags of a grid point's RNG substreams: the sweep's counts and fig4's
@@ -340,19 +339,3 @@ def systematic_shift_t(theta: float, t: float, dt: float) -> float:
         raise ValueError("actual amplitude t must be positive")
     return 2.0 * math.atan(math.tan(theta / 2.0) * (1.0 + dt / t))
 
-
-def misaligned_half_tangent(epsilon: float, theta: float) -> float:
-    """Half-angle tangent actually imprinted by a misaligned waveplate.
-
-    sqrt( (sin^2(2 eps) + tan^2(theta/2)) / cos^2(2 eps) ); reduces to
-    tan(theta/2) at eps = 0 and floors at |tan(2 eps)| as theta -> 0.  It is
-    sqrt((1 - z)/(1 + z)), the tangent of half the polar angle, of the
-    imprinted vector ``postselected_bloch(theta, 1, eps, 1)``.
-
-    The sweep's fringe estimator does not read this angle: the tilt moves
-    the imprinted vector toward x, off the y-z plane the fringe is written
-    for, so a sweep row's ``--epsilon`` bias is not 2 atan of this value.
-    """
-    s = math.sin(2.0 * epsilon) ** 2
-    c = math.cos(2.0 * epsilon) ** 2
-    return math.sqrt((s + math.tan(theta / 2.0) ** 2) / c)

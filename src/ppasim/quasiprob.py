@@ -207,8 +207,8 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
 
     ``rho``, ``a`` and ``k_plus`` may carry leading batch axes, which
     broadcast: one shared generator, or a :class:`Generator` stack with
-    rho's batch axes (its zero padding projectors carry no weight, so they
-    never count as supported).  lhs, rhs and residual are then arrays over
+    rho's batch axes (a zero projector carries no weight, so it never
+    counts as supported).  lhs, rhs and residual are then arrays over
     the batch axes, the spread is read per instance, every check runs per
     instance, and a failure names the first failing instance.
 

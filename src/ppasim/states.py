@@ -172,16 +172,12 @@ class Generator:
     """Hermitian phase generator with a cached spectral decomposition, or a stack.
 
     ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
-    ``mat`` is one generator.  Eigenvalues closer than 1e-10 to the first
-    of their run are one eigenspace.  ``eigenvalues[..., i]`` are the
-    distinct eigenvalues in ascending order and ``projectors`` the one
-    read-only (..., k, d, d) array whose ``projectors[..., i, :, :]``
-    projects onto the eigenspace of ``eigenvalues[..., i]``, so ``mat =
-    sum_i eigenvalues[..., i] * projectors[..., i, :, :]`` per instance.  A
-    stack has as many slots k as its instance with the most eigenspaces; an
-    instance with fewer is padded at the top with zero projectors that
-    repeat its largest eigenvalue.  Every check names the first failing
-    instance of a stack.
+    ``mat`` is one generator.  ``projectors`` is one (..., k, d, d) array
+    whose ``projectors[..., i, :, :]`` belongs to ``eigenvalues[..., i]``,
+    so ``mat = sum_i eigenvalues[..., i] * projectors[..., i, :, :]`` per
+    instance; construction checks that sum to 1e-10, naming the first
+    failing instance of a stack, and stores all three arrays read-only.  A
+    slot may hold a zero projector, which carries no weight.
     """
 
     mat: np.ndarray
@@ -190,38 +186,44 @@ class Generator:
 
     @classmethod
     def from_matrix(cls, mat) -> "Generator":
+        """Spectral decomposition of one Hermitian matrix, or of a stack whose
+        instances share their eigenspace multiplicities (else it raises,
+        naming the first instance that differs).  Eigenvalues within 1e-10
+        of the first of their run are one eigenspace, valued at their mean.
+        """
         m = _as_complex_stack(mat, "generator")
         bad = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1)) > ATOL_STRUCT
         _reject(bad, InvalidGeneratorError, "generator must be Hermitian within 1e-10")
         w, v = np.linalg.eigh(m)
         d = w.shape[-1]
-        # slot[..., j]: the eigenspace of w[..., j]; a new one starts where w
-        # leaves the first eigenvalue of the current one by more than 1e-10
-        slot = np.zeros(w.shape, dtype=np.intp)
+        # new[..., j]: w[..., j] leaves the first eigenvalue of its run by
+        # more than 1e-10, so it starts an eigenspace
+        new = np.zeros(w.shape, dtype=bool)
         first = w[..., 0]
         for j in range(1, d):
-            new = w[..., j] - first > ATOL_STRUCT
-            first = np.where(new, w[..., j], first)
-            slot[..., j] = slot[..., j - 1] + new
-        member = slot[..., :, None] == np.arange(slot.max(initial=0) + 1)
-        # eigenspace means, summed in eigenvalue order
-        total = np.zeros(member.shape[:-2] + member.shape[-1:])
-        for j in range(d):
-            total = total + np.where(member[..., j, :], w[..., j, None], 0.0)
-        size = member.sum(-2)
-        values = total / np.maximum(size, 1)
-        top = np.take_along_axis(values, slot[..., -1:], -1)
-        values = np.where(size > 0, values, top)
-        # P_i = V_i V_i^dag over the columns of eigenspace i
-        blocks = np.where(member.swapaxes(-1, -2)[..., :, None, :], v[..., None, :, :], 0.0)
+            new[..., j] = w[..., j] - first > ATOL_STRUCT
+            first = np.where(new[..., j], w[..., j], first)
+        # every instance must start its eigenspaces where the first does
+        lead = new.reshape(-1, d)[:1]
+        _reject(
+            (new != lead).any(-1), InvalidGeneratorError,
+            "eigenspace multiplicities differ from those of the first instance",
+        )
+        bounds = (0, *np.flatnonzero(lead), d)
+        runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         return cls(
-            mat=_freeze(m),
-            eigenvalues=_freeze(values),
-            projectors=_freeze(blocks @ blocks.conj().swapaxes(-1, -2)),
+            mat=m,
+            eigenvalues=np.stack([w[..., r].mean(-1) for r in runs], -1),
+            # P_i = V_i V_i^dag over the columns of eigenspace i
+            projectors=np.stack(
+                [v[..., r] @ v[..., r].conj().swapaxes(-1, -2) for r in runs], -3
+            ),
         )
 
     def __post_init__(self) -> None:
-        rebuilt = (np.asarray(self.eigenvalues)[..., None, None] * self.projectors).sum(-3)
+        for name in ("mat", "eigenvalues", "projectors"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        rebuilt = (self.eigenvalues[..., None, None] * self.projectors).sum(-3)
         bad = np.abs(rebuilt - self.mat).max((-2, -1)) > ATOL_STRUCT
         _reject(
             bad, InvalidGeneratorError,

@@ -48,6 +48,7 @@ from .fisher import (
     sld,
 )
 from .quasiprob import POVM, kd_distribution, verify_gap_equality
+from .bench import rng_stream
 
 __all__ = [
     "SuiteResult",
@@ -64,9 +65,9 @@ __all__ = [
 ]
 
 # Most random instances evaluated as one batch, so a batch's memory is
-# bounded (a 6-level gap-equality batch of 128 peaks at 2.1 MB in
-# kd_distribution: 0.9 MB of (A, filter) products and 0.9 MB of one last
-# outcome's elementwise products); at the default sizes each d is one batch.
+# bounded (per tracemalloc, a 6-level gap-equality batch of 128, seven
+# projector slots a generator, peaks at 3.2 MB in verify_gap_equality); at
+# the default sizes each d is one batch.
 MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default
@@ -176,10 +177,12 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
     """n random d-level instances satisfying the identity's preconditions exactly.
 
     Each generator gets integer eigenvalues in [-3, 3] (distinct extremes,
-    possibly degenerate middle), each state is a random superposition of
-    the extreme eigenvectors, and each filter's pass element is built by a
-    diagonal congruence that balances it between the two supported
-    eigenspaces before being rescaled to a contraction.
+    possibly degenerate middle) and one projector slot per value -3 ... 3,
+    zero for a value it lacks, so no instance depends on its batch.  Each
+    state is a random superposition of the extreme eigenvectors, and each
+    filter's pass element is built by a diagonal congruence that balances
+    it between the two supported eigenspaces before being rescaled to a
+    contraction.
 
     All draws are made in this call (``_qudit_draws``); each batch is built
     when the returned iterator reaches it.  It yields ``(positions, rho,
@@ -196,7 +199,15 @@ def _qudit_batches(draws):
         q_h = q.conj().swapaxes(-1, -2)
         d = q.shape[-1]
         eigs = np.sort(np.pad(middle, ((0, 0), (1, 1)), constant_values=(-3, 3)), -1)
-        gen = Generator.from_matrix((q * eigs[:, None, :]) @ q_h)
+        # one slot per value a = -3 ... 3: P_a sums q_j q_j^dag over the
+        # columns with eigenvalue a, and is zero where an instance lacks a
+        slots = np.arange(-3.0, 4.0)
+        cols = np.where(eigs[:, None, None, :] == slots[:, None, None], q[:, None], 0.0)
+        gen = Generator(
+            mat=(q * eigs[:, None, :]) @ q_h,
+            eigenvalues=np.broadcast_to(slots, (len(pos), len(slots))),
+            projectors=cols @ cols.conj().swapaxes(-1, -2),
+        )
 
         v_lo, v_hi = q[..., 0], q[..., -1]
         psi = np.sqrt(amp)[:, None] * v_lo + (
@@ -227,7 +238,7 @@ def _qudit_batches(draws):
 def gap_equality_suite(
     seed: int, n_qubit: int = 1000, n_qudit: int = 200
 ) -> SuiteResult:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    rng = rng_stream(seed, 1)
     rho, gen, k = random_qubit_instances(rng, n_qubit)
     worst = float(verify_gap_equality(rho, gen, k).residual.max(initial=0.0))
     for _, rho, gen, k in random_qudit_instances(rng, n_qudit):
@@ -314,7 +325,7 @@ def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np
 
 
 def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    rng = rng_stream(seed, 2)
     worst = 0.0
     for _, rho, povms in random_marginalization_instances(rng, n_instances):
         worst = max(worst, float(_marginalization_residual(rho, povms).max()))
@@ -359,7 +370,7 @@ def cfi_qfi_suite() -> SuiteResult:
 def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
     """SLD defect on the support, over the grid family and random mixed states
     (drawn one at a time, solved in batches of one d)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    rng = rng_stream(seed, 3)
     draws = []
     for _ in range(n_instances):
         d = int(rng.integers(2, 5))

@@ -18,7 +18,7 @@ from ppasim.bench import (
     BenchConfig,
     _fringe_params,
     _invert_frequency,
-    misaligned_half_tangent,
+    postselected_bloch,
     run_trials,
     systematic_shift_t,
 )
@@ -252,8 +252,10 @@ def test_criterion_7_systematic_models(capsys):
     se_mean = math.sqrt(rec.variance / 32)
     mc_dev = abs((rec.mean_estimate - theta) - bias_model) / se_mean
 
-    # analyzer tilt: noiseless inferred half-tangent
-    ht = misaligned_half_tangent(0.01, 0.04)
+    # analyzer tilt: half-tangent of the polar angle the tilted plate
+    # imprints, from the bench's closed-form map with the filter open
+    r, _ = postselected_bloch(0.04, 1.0, 0.01, 1.0)
+    ht = math.sqrt((1.0 - r[2]) / (1.0 + r[2]))
     ht_err = abs(ht - 0.028291)
 
     ok = (not clamped) and rel <= 0.01 and mc_dev <= 3.0 and ht_err <= 1e-6

@@ -17,7 +17,6 @@ from ppasim.bench import (
     _half_count_frequency,
     _invert_frequency,
     fmt_sig,
-    misaligned_half_tangent,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -667,35 +666,6 @@ def test_systematic_shift_depends_only_on_relative_error():
     a = systematic_shift_t(0.1, 0.05, 0.005)
     b = systematic_shift_t(0.1, 0.5, 0.05)
     assert a == pytest.approx(b, abs=1e-15)
-
-
-def test_misaligned_half_tangent_aligned_limit():
-    for theta in (0.01, 0.2, 1.0):
-        assert misaligned_half_tangent(0.0, theta) == pytest.approx(
-            math.tan(theta / 2), abs=1e-15
-        )
-
-
-def test_misaligned_half_tangent_frozen_value():
-    assert misaligned_half_tangent(0.01, 0.04) == pytest.approx(
-        0.02829087250444975, abs=1e-15
-    )
-
-
-def test_misaligned_half_tangent_floor():
-    # tilt imposes a floor even at zero plate retardation
-    val = misaligned_half_tangent(0.01, 0.0)
-    assert val == pytest.approx(abs(math.tan(2 * 0.01)), rel=1e-12)
-
-
-def test_misaligned_half_tangent_matches_imprinted_vector():
-    # the formula is the half-polar-angle tangent of the tilted plate's
-    # imprinted vector: the t = 1 output of the closed-form bench map
-    for eps in (0.01, 0.1, -0.3, 0.5):
-        for theta in (0.02, 0.5, 1.5, -1.0):
-            r, _ = postselected_bloch(theta, 1.0, eps, 1.0)
-            half_tan = math.sqrt((1.0 - r[2]) / (1.0 + r[2]))
-            assert abs(misaligned_half_tangent(eps, theta) - half_tan) <= 1e-12
 
 
 def test_rng_stream_path_separation():

@@ -661,21 +661,23 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
     assert dims == sorted(dims) and set(dims) == {3, 4, 5, 6}
     assert all(dims.count(d) > 1 for d in dims)
     assert all(len(pos) <= 16 for pos, *_ in groups)
-    wide_extreme = repeated_middle = padded = 0
+    wide_extreme = repeated_middle = 0
     for pos, rho, gen, k in groups:
         got = verify_gap_equality(rho, gen, k)
         assert got.residual.shape == pos.shape
         for j, i in enumerate(pos):
             ref_rho, ref_gen, ref_k = refs[i]
-            c = len(ref_gen.eigenvalues)
+            values = np.round(ref_gen.eigenvalues)
+            assert np.abs(ref_gen.eigenvalues - values).max() <= 1e-12
+            ref_proj = dict(zip(values.tolist(), ref_gen.projectors))
             assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
             assert np.abs(gen.mat[j] - ref_gen.mat).max() <= 1e-12
-            assert np.abs(gen.eigenvalues[j, :c] - ref_gen.eigenvalues).max() <= 1e-12
-            # padding repeats the top eigenvalue with a zero projector
-            assert np.all(gen.eigenvalues[j, c:] == gen.eigenvalues[j, c - 1])
-            for slot, proj in enumerate(gen.projectors[j]):
-                if slot < c:
-                    assert np.abs(proj - ref_gen.projectors[slot]).max() <= 1e-12
+            # one slot per value -3 ... 3: the reference projector of that
+            # eigenvalue, or exactly zero where the instance lacks it
+            assert np.array_equal(gen.eigenvalues[j], np.arange(-3.0, 4.0))
+            for value, proj in zip(gen.eigenvalues[j].tolist(), gen.projectors[j]):
+                if value in ref_proj:
+                    assert np.abs(proj - ref_proj[value]).max() <= 1e-12
                 else:
                     assert np.all(proj == 0.0)
             assert np.abs(k[j] - ref_k).max() <= 1e-12
@@ -685,10 +687,9 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
             ranks = [round(np.trace(p).real) for p in ref_gen.projectors]
             wide_extreme += ranks[0] > 1 or ranks[-1] > 1
             repeated_middle += any(r > 1 for r in ranks[1:-1])
-            padded += c < gen.eigenvalues.shape[-1]
-    # degenerate spectra: a middle eigenvalue at -3 or 3, a repeated middle
-    # eigenvalue, and instances padded to their group's widest spectrum
-    assert wide_extreme and repeated_middle and padded
+    # degenerate spectra: a middle eigenvalue at -3 or 3, and a repeated
+    # middle eigenvalue
+    assert wide_extreme and repeated_middle
 
 
 def test_random_suites_draw_every_d_then_each_parameter_per_d():
@@ -727,14 +728,20 @@ def test_random_suites_draw_every_d_then_each_parameter_per_d():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("max_batch", [1, 7, verify.MAX_BATCH])
+def qudit_residuals(seed, n):
+    """Gap residuals of ``random_qudit_instances(default_rng(seed), n)``, in draw order."""
+    gap = np.empty(n)
+    for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(seed), n):
+        gap[pos] = verify_gap_equality(rho, gen, k).residual
+    return gap
+
+
+@pytest.mark.parametrize("max_batch", [1, 7, 16, verify.MAX_BATCH])
 def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     n = 40
 
     def residuals():
-        gap = np.empty(n)
-        for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(5), n):
-            gap[pos] = verify_gap_equality(rho, gen, k).residual
+        gap = qudit_residuals(5, n)
         marg = np.empty(n)
         for pos, rho, povms in random_marginalization_instances(
             np.random.default_rng(6), n
@@ -745,12 +752,19 @@ def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     gap, marg = residuals()
     monkeypatch.setattr(verify, "MAX_BATCH", max_batch)
     got_gap, got_marg = residuals()
-    # every POVM has three outcome slots whatever its batch: bit for bit
+    # every POVM has three outcome slots and every generator seven,
+    # whatever its batch: bit for bit
     assert np.array_equal(got_marg, marg)
-    # a Generator stack pads each instance to the widest spectrum of its
-    # batch, with zero projectors, and the gap's sums round differently
-    # over the padded outcomes
-    assert np.all(np.abs(got_gap - gap) <= 1e-12)
+    assert np.array_equal(got_gap, gap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_size_does_not_change_any_qudit_residual_of_the_suite(seed, monkeypatch):
+    # 200 qudit instances, the suite's default count, in batches of 128, 16, 7, 1
+    gap = qudit_residuals(seed, 200)
+    for max_batch in (1, 7, 16):
+        monkeypatch.setattr(verify, "MAX_BATCH", max_batch)
+        assert np.array_equal(qudit_residuals(seed, 200), gap)
 
 
 def test_gap_equality_random_qudits():
@@ -788,11 +802,11 @@ def test_gap_equality_on_a_generator_stack_equals_its_instances():
     got = verify_gap_equality(DensityMatrix(mats), gen, k)
     for i in range(len(mats)):
         one = verify_gap_equality(
-            DensityMatrix(mats[i]), Generator.from_matrix(gen.mat[i]), k[i]
+            DensityMatrix(mats[i]),
+            Generator(gen.mat[i], gen.eigenvalues[i], gen.projectors[i]),
+            k[i],
         )
-        assert np.allclose(
-            (got.lhs[i], got.rhs[i], got.residual[i]), one, rtol=1e-12, atol=1e-15
-        )
+        assert (got.lhs[i], got.rhs[i], got.residual[i]) == one
 
 
 def test_gap_equality_degenerate_four_level():

@@ -112,33 +112,24 @@ def random_unitary(rng, d):
     return q
 
 
-def test_generator_stack_pads_to_the_widest_spectrum():
-    # 2, 3 and 4 distinct eigenvalues in one d = 4 stack, in random frames
-    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 1.0, 1.0, 3.0], [-2.0, 0.5, 1.0, 3.0])
+def test_generator_stack_names_the_instance_with_other_multiplicities():
+    # two eigenspaces of two in instances 0 and 1, four of one in instance 2
+    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0], [-2.0, 0.5, 1.0, 3.0])
     frames = [random_unitary(RNG, 4) for _ in spectra]
     mats = np.array([(q * w) @ q.conj().T for q, w in zip(frames, spectra)])
-    gen = Generator.from_matrix(mats)
-    assert gen.dim == 4
-    assert gen.eigenvalues.shape == (3, 4)
-    assert gen.projectors.shape == (3, 4, 4, 4)
-    assert np.allclose(gen.eigenvalues[0], [-1.0, 2.0, 2.0, 2.0], atol=1e-12)
-    assert np.allclose(gen.eigenvalues[1], [0.0, 1.0, 3.0, 3.0], atol=1e-12)
-    assert np.allclose(gen.eigenvalues[2], [-2.0, 0.5, 1.0, 3.0], atol=1e-12)
-    spread = gen.eigenvalues[..., -1] - gen.eigenvalues[..., 0]
-    assert np.allclose(spread, [3.0, 3.0, 5.0], atol=1e-12)
-    ranks = np.trace(gen.projectors, axis1=-2, axis2=-1).real
-    assert np.allclose(ranks, [[2, 2, 0, 0], [1, 2, 1, 0], [1, 1, 1, 1]], atol=1e-12)
-    # the padded slots are exactly zero
-    assert np.all(gen.projectors[0, 2] == 0.0)
-    assert np.all(gen.projectors[0, 3] == 0.0)
-    assert np.all(gen.projectors[1, 3] == 0.0)
-    # each instance is the 2-D generator of its matrix, padded
-    for i, mat in enumerate(mats):
-        one = Generator.from_matrix(mat)
-        c = len(one.eigenvalues)
-        assert np.array_equal(gen.eigenvalues[i, :c], one.eigenvalues)
-        for slot in range(c):
-            assert np.abs(gen.projectors[i, slot] - one.projectors[slot]).max() < 1e-15
+    with pytest.raises(
+        InvalidGeneratorError,
+        match="^instance 2: eigenspace multiplicities differ from those of the first",
+    ):
+        Generator.from_matrix(mats)
+
+
+def test_generator_built_directly_is_read_only():
+    gen = Generator(
+        mat=SIGMA_Z / 2,
+        eigenvalues=[-0.5, 0.5],
+        projectors=np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]),
+    )
     for arr in (gen.mat, gen.eigenvalues, gen.projectors):
         assert not arr.flags.writeable
 
@@ -207,8 +198,8 @@ def test_phase_unitary_matches_expm():
 
 
 def test_phase_unitary_of_a_generator_stack_is_per_instance():
-    # 2, 3 and 4 eigenspaces: the padded slots add nothing
-    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 1.0, 1.0, 3.0], [-2.0, 0.5, 1.0, 3.0])
+    # instances that share their eigenspace multiplicities, 1, 2 and 1
+    spectra = ([-2.0, 0.5, 0.5, 3.0], [0.0, 1.0, 1.0, 3.0], [-1.0, 2.0, 2.0, 2.5])
     mats = []
     for w in spectra:
         q = random_unitary(RNG, 4)
