@@ -24,11 +24,11 @@ followed by a turn by pi about z, and the optimal analyzer turns with it
 (its azimuth is arg t), so it draws the counts of |t_set|: the bench runs
 every point at |t_set| and writes the |t_set| row.
 
-Randomness is drawn from numpy streams keyed by (seed, grid indices, stage):
-the sweep derives each grid point's seed from the run seed and the point's
-grid indices, and a bench run draws all of its trials from one stream of
-that seed.  A grid point replays alone and independently of execution order
-or worker count; a single trial cannot be replayed without its grid point.
+Each grid point draws its counts from its own Philox stream (Salmon et al.,
+SC'11) keyed by two 64-bit words: one drawn by SeedSequence((run seed,
+STAGE_COUNTS)) and the grid bits i << 32 | j, which a config's ``seed``
+carries below the run seed (``cli._point_seed``).  A grid point replays alone,
+whatever the execution order or worker count; a single trial does not.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -126,16 +127,15 @@ class SweepRecord:
 
     def to_csv_row(self) -> str:
         """The numeric columns of SWEEP_CSV_COLUMNS with 12 digits, then ``flags``."""
-        vals = (getattr(self, name) for name in SWEEP_CSV_COLUMNS[:-1])
-        return ",".join(fmt_sig(v) for v in vals) + f",{self.flags}"
+        return _CSV_ROW % tuple(getattr(self, name) for name in SWEEP_CSV_COLUMNS)
 
 
 SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+# One row of SWEEP_CSV_COLUMNS: every number as fmt_sig writes it, then flags.
+_CSV_ROW = ",".join(["%.12g"] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"])
 
 
-def postselected_bloch(
-    theta: float, t: float, epsilon: float, visibility: float
-) -> tuple[np.ndarray, float]:
+def postselected_bloch(theta, t, epsilon, visibility):
     """Noiseless pipeline source -> U(theta - pi) -> filter on Bloch vectors.
 
     Returns ``(r_ps, p_ps)``: the standard Bloch vector of the normalized
@@ -147,27 +147,29 @@ def postselected_bloch(
     negative t turns r_ps by pi about z.  At t = 1 the filter passes
     everything and r_ps is the imprinted vector; for eps = 0 it is
     v (0, sin theta, cos theta).  A point that no photon survives (p = 0)
-    returns r_ps = 0 and p_ps = 0.
+    returns r_ps = 0 and p_ps = 0.  All four may be arrays, broadcast to
+    r_ps (..., 3) and p_ps.
     """
     v = visibility
-    c2, s2 = math.cos(2.0 * epsilon), math.sin(2.0 * epsilon)
+    c2, s2 = np.cos(2.0 * epsilon), np.sin(2.0 * epsilon)
     alpha = math.pi - theta
-    ca, sa = math.cos(alpha), math.sin(alpha)
+    ca, sa = np.cos(alpha), np.sin(alpha)
     # n x r0 = (0, v c2, 0) and n . r0 = -v s2
     along = -v * s2 * (1.0 - ca)
     x = c2 * along
     y = v * c2 * sa
     z = -v * ca + s2 * along
-    p = survival_probability(abs(t), (1.0 - z) / 2.0)
-    r = np.array([t * x, t * y, (t**2 * (1.0 + z) - (1.0 - z)) / 2.0])
-    return (r / p if p > 0.0 else np.zeros(3)), p
+    p = survival_probability(np.abs(t), (1.0 - z) / 2.0)
+    r = np.empty(p.shape + (3,))
+    r[..., 0], r[..., 1], r[..., 2] = t * x, t * y, (t**2 * (1 + z) - (1 - z)) / 2
+    return r / np.where(p > 0.0, p, np.inf)[..., None], p
 
 
-def _fringe_params(n: np.ndarray) -> tuple[float, float]:
+def _fringe_params(n: np.ndarray) -> tuple:
     # The real-amplitude family sits at (0, sin Theta, cos Theta), so along
     # the Bloch vector n it gives q(Theta) = (1 + n_y sin Theta + n_z cos Theta)/2;
     # written as (R, psi) of the fringe q = (1 + R cos(Theta - psi))/2.
-    return math.hypot(n[1], n[2]), math.atan2(n[1], n[2])
+    return np.hypot(n[..., 1], n[..., 2]), np.arctan2(n[..., 1], n[..., 2])
 
 
 def _half_count_frequency(counts_plus, n_detected):
@@ -205,97 +207,96 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
-def _moments(est: np.ndarray, theta: np.ndarray):
-    """Row means, sample variances and mean squared errors about ``theta``."""
-    var = est.var(axis=1, ddof=1) if est.shape[1] > 1 else np.full(len(est), math.nan)
-    return est.mean(axis=1), var, np.mean((est - theta[:, np.newaxis]) ** 2, axis=1)
+@cache
+def _key_word(run_seed: int) -> int:
+    """First key word of the count streams of the run seed ``run_seed``."""
+    seq = np.random.SeedSequence((run_seed, STAGE_COUNTS))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+@cache
+def _philox():
+    """Every block's Philox generator and its counter-0 state, made on first use."""
+    bitgen = np.random.Philox(key=0)
+    return bitgen, np.random.Generator(bitgen), bitgen.state
+
+
+def _draw_counts(block: list[BenchConfig], p_ps, q) -> tuple[np.ndarray, np.ndarray]:
+    """(points, trials) detected and plus counts, drawn as :func:`run_trials`
+    says: point k survives with probability ``p_ps[k]``, reads + with ``q[k]``."""
+    detected, plus = np.empty((2, len(block), block[0].n_trials), dtype=np.int64)
+    lam = np.array([cfg.photon_budget for cfg in block]) * p_ps
+    p_fixed, lam_plus, lam_minus = np.minimum(p_ps, 1.0), lam * q, lam * (1.0 - q)
+    bitgen, gen, state = _philox()
+    for k, cfg in enumerate(block):
+        state["state"]["key"] = (_key_word(cfg.seed >> 64), cfg.seed & (2**64 - 1))
+        bitgen.state = state
+        if cfg.sampling_mode == "fixed":
+            detected[k] = gen.binomial(cfg.photon_budget, p_fixed[k], cfg.n_trials)
+            plus[k] = gen.binomial(detected[k], q[k])
+        else:
+            plus[k] = gen.poisson(lam_plus[k], cfg.n_trials)
+            detected[k] = plus[k] + gen.poisson(lam_minus[k], cfg.n_trials)
+    return detected, plus
+
+
+def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
+    """(mean, variance, mse about ``theta``, count, zero spread) of each row's
+    estimates where ``hit``, nan where too few; zero spread: 2+ all equal."""
+    n_hit = hit.sum(axis=1)
+    lowest = np.where(hit, est, np.inf).min(axis=1)
+    zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
+    stats = np.full((3, len(est)), math.nan)
+    full = n_hit == est.shape[1]
+    # The full rows as one array, then each row with empty trials alone.
+    parts = [(full, slice(None))]
+    parts += [([i], hit[i]) for i in np.flatnonzero(~full & (n_hit > 0))]
+    for rows, trials in parts:
+        e = est[rows][:, trials]
+        var = e.var(axis=1, ddof=1) if e.shape[1] > 1 else np.full(len(e), math.nan)
+        stats[:, rows] = e.mean(axis=1), var, np.mean((e - theta[rows, None]) ** 2, 1)
+    return (*stats, n_hit, zero_spread)
 
 
 def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
     """run_trials on configs of one trial count, as (points, trials) arrays."""
-    n_points, n_trials = len(block), block[0].n_trials
-    detected = np.empty((n_points, n_trials), dtype=np.int64)
-    plus = np.empty_like(detected)
-    # Per-point estimator inputs as columns: fringe (r, psi), the assumed
-    # amplitude and the amplified prior.
-    r, psi, t_assumed, prior_big = np.empty((4, n_points, 1))
-    for i, cfg in enumerate(block):
-        t = abs(cfg.t_set)
-        t_a = t + cfg.delta_t
-        n = optimal_measurement(cfg.theta_true, t_a)
-        # The filter runs at the physical amplitude |t_set|; delta_t only
-        # enters the estimator.
-        r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
-        q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
-
-        rng = rng_stream(cfg.seed, STAGE_COUNTS)
-        if cfg.sampling_mode == "fixed":
-            detected[i] = rng.binomial(
-                int(cfg.photon_budget), min(p_ps, 1.0), size=n_trials
-            )
-        else:
-            detected[i] = rng.poisson(cfg.photon_budget * p_ps, size=n_trials)
-        plus[i] = rng.binomial(detected[i], q)
-        r[i], psi[i] = _fringe_params(n)
-        t_assumed[i] = t_a
-        prior_big[i] = amplified_angle(cfg.theta_true, t_a)
+    theta, t, delta_t, epsilon, visibility = np.array(
+        [(c.theta_true, c.t_set, c.delta_t, c.epsilon, c.visibility) for c in block]
+    ).T
+    t = np.abs(t)
+    t_assumed = t + delta_t
+    n = optimal_measurement(theta, t_assumed)
+    # The filter runs at the physical amplitude |t_set|; delta_t only
+    # enters the estimator.
+    r_ps, p_ps = postselected_bloch(theta, t, epsilon, visibility)
+    q = np.clip((1.0 + (n * r_ps).sum(-1)) / 2.0, 0.0, 1.0)
+    detected, plus = _draw_counts(block, p_ps, q)
 
     # A trial that detected nothing inverts a dummy count and is left out below.
     hit = detected > 0
     est, _ = _invert_frequency(
         _half_count_frequency(plus, np.where(hit, detected, 1)),
-        r, psi, t_assumed, prior_big,
+        *(col[:, None] for col in (*_fringe_params(n), t_assumed)),
+        amplified_angle(theta, t_assumed)[:, None],
     )
-    n_hit = hit.sum(axis=1)
-    # Two or more estimates, all equal: no precision can be read off them.
-    lowest = np.where(hit, est, np.inf).min(axis=1)
-    zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
+    mean_est, variance, mse, n_hit, zero_spread = _moments(est, hit, theta)
     mean_detected = detected.mean(axis=1)
-    theta = np.array([cfg.theta_true for cfg in block])
-    mean_est, variance, mse = np.full((3, n_points), math.nan)
-    full = n_hit == n_trials
-    mean_est[full], variance[full], mse[full] = _moments(est[full], theta[full])
-    for i in np.flatnonzero(~full & (n_hit > 0)):
-        mean_est[i], variance[i], mse[i] = (
-            m[0] for m in _moments(est[i, hit[i]][np.newaxis], theta[i : i + 1])
-        )
-
-    records = []
-    for i, cfg in enumerate(block):
-        k, n_det = int(n_hit[i]), float(mean_detected[i])
-        var, err = float(variance[i]), float(mse[i])
-        flags: list[str] = []
-        if not k:
-            flags.append("no-data")
-        elif k < n_trials:
-            flags.append(f"empty-trials={n_trials - k}")
-        if zero_spread[i]:
-            flags.append("zero-variance")
-        t_mag = abs(cfg.t_set)
-        try:
-            qfi_theory = qfi_ppa_theory(cfg.theta_true, t_mag)
-        except (ValueError, OverflowError):
-            # t = 0, or near theta = 0 a t so small that p underflows to 0
-            # or (t / p)^2 overflows: the theory has no value here
-            qfi_theory = math.nan
-        records.append(SweepRecord(
-            theta_true=cfg.theta_true,
-            t_mag=t_mag,
-            mean_estimate=float(mean_est[i]),
-            variance=var,
-            mse=err,
-            mean_detected=n_det,
-            precision_per_photon=(
-                1.0 / (var * n_det) if var > 0 and n_det > 0 else math.nan
-            ),
-            accuracy_per_photon=(
-                1.0 / (err * n_det) if err > 0 and n_det > 0 else math.nan
-            ),
-            qfi_theory=qfi_theory,
-            stderr_variance=var * math.sqrt(2.0 / (k - 1)) if k > 1 else math.nan,
-            flags=";".join(flags),
-        ))
-    return records
+    # t = 0 has no theory value (nor, see qfi_ppa_theory, a t that underflows)
+    qfi_theory = np.where(t > 0, qfi_ppa_theory(theta, np.where(t > 0, t, 1)), math.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.stack([variance, mse]) * mean_detected
+        per_photon = np.where(scaled > 0.0, 1.0 / scaled, math.nan)
+        stderr = np.where(n_hit > 1, variance * np.sqrt(2.0 / (n_hit - 1)), math.nan)
+    columns = np.stack([
+        theta, t, mean_est, variance, mse, mean_detected, *per_photon, qfi_theory, stderr
+    ], axis=1)
+    n_trials = block[0].n_trials
+    flags = [""] * len(block)
+    for i in np.flatnonzero((n_hit < n_trials) | zero_spread).tolist():
+        k = int(n_hit[i])
+        empty = [f"empty-trials={n_trials - k}" if k else "no-data"] * (k < n_trials)
+        flags[i] = ";".join(empty + ["zero-variance"] * bool(zero_spread[i]))
+    return [SweepRecord(*row, flag) for row, flag in zip(columns.tolist(), flags)]
 
 
 def run_trials(configs: Sequence[BenchConfig]) -> list[SweepRecord]:
@@ -307,13 +308,10 @@ def run_trials(configs: Sequence[BenchConfig]) -> list[SweepRecord]:
     survivors.  Detected photons split binomially along the measurement
     direction, which is the information-optimal one for the *assumed*
     amplitude |t_set| + delta_t at the true phase, mirroring a
-    calibrated-but-miscalibrated experiment.
-
-    All trials of a config draw from one stream keyed by ``cfg.seed`` (the
-    sweep derives it from the run seed and the grid indices): first every
-    trial's detected count, then every trial's plus count.  A record is
-    reproducible per grid point and does not depend on which configs share
-    the call; single trials are not replayable on their own.
+    calibrated-but-miscalibrated experiment.  From its own stream (see the
+    module notes) ``'fixed'`` draws every trial's detected count, then every
+    plus count; ``'poisson'`` every plus count ~ Poisson(budget p_ps q), then
+    every minus count ~ Poisson(budget p_ps (1 - q)): the same law, thinned.
 
     Consecutive configs with one trial count are evaluated together as
     (points, trials) arrays, in blocks of at most ``BLOCK_TRIALS`` trials

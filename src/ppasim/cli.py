@@ -2,8 +2,8 @@
 
 The CSV output of sweep and fig4 is written with 12 significant digits,
 kd's JSON with the full repr of each float.  Rows come in fixed order and
-every random draw comes from a stream keyed by (seed, grid indices, stage),
-so output files are byte-identical for any ``--workers`` value.
+every random draw comes from a stream keyed by the seed, the grid indices
+and the stage, so output files are byte-identical for any ``--workers`` value.
 ``PPASIM_OUT_DIR`` supplies the default directory for relative output paths.
 """
 
@@ -141,10 +141,10 @@ def _resolve_out(path: str, default_name: str) -> str:
 
 
 def _point_seed(seed: int, i: int, j: int) -> int:
-    """Seed of grid point (i, j): the run seed and the indices side by side.
+    """Seed of grid point (i, j): the run seed above bit 64, i << 32 | j below.
 
-    rng_stream hashes it, so each point's stream is keyed by (seed, i, j);
-    sweep and fig4 draw from it under their own stage tags.  It needs no
+    The sweep keys the point's count stream on its two halves (see
+    ppasim.bench) and fig4's rng_stream hashes it whole.  It needs no
     numpy.random, which a sweep's parent process would otherwise load only
     to hand points to its workers.
     """
@@ -170,6 +170,11 @@ def sweep_configs(spec: SweepSpec) -> list[BenchConfig]:
     ]
 
 
+def _sweep_rows(configs: list[BenchConfig]) -> list[str]:
+    """The CSV rows of ``configs``: a pool worker returns these, not records."""
+    return [rec.to_csv_row() for rec in run_trials(configs)]
+
+
 def cmd_sweep(
     configs: list[BenchConfig], output_path: str = "", workers: int = 1
 ) -> str:
@@ -177,21 +182,19 @@ def cmd_sweep(
 
     With ``workers`` above 1 the configs are cut into at most ``workers``
     contiguous blocks of near-equal length, and no more blocks than
-    ``os.cpu_count()``; each block runs as one :func:`run_trials` call in
-    its own process, and a single block runs in this process.  Rows
-    follow the order of ``configs`` regardless of worker count; each config
-    carries its grid point's seed, so the bytes written are a pure function
-    of the configs.
+    ``os.cpu_count()``; each block's process returns its CSV rows, and a
+    single block runs in this process.  Rows follow the order of ``configs``
+    and each config carries its grid point's seed, so the bytes written are a
+    pure function of the configs, whatever the worker count.
     """
     n_blocks = min(workers, len(configs), os.cpu_count() or 1)
     if n_blocks > 1:
         cuts = [len(configs) * k // n_blocks for k in range(n_blocks + 1)]
         blocks = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            records = [rec for recs in pool.map(run_trials, blocks) for rec in recs]
+            rows = [row for part in pool.map(_sweep_rows, blocks) for row in part]
     else:
-        records = run_trials(configs)
-    rows = [rec.to_csv_row() for rec in records]
+        rows = _sweep_rows(configs)
     out = _resolve_out(output_path, DEFAULT_OUT["sweep"])
     _write_text(out, ",".join(SWEEP_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
     return out

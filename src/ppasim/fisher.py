@@ -22,6 +22,7 @@ from .states import (
     ZeroProbabilityError,
     _as_complex_stack,
     _reject,
+    _reject_amplitude,
     hermitian_part,
     make_filter,
     phase_unitary,
@@ -189,12 +190,8 @@ class PPAFamily:
     v: float = 1.0
 
     def __post_init__(self) -> None:
-        mag = np.abs(np.asarray(self.t, dtype=complex))
+        _reject_amplitude(np.abs(self.t), "PPAFamily requires 0 < |t| <= 1")
         v = np.asarray(self.v, dtype=float)
-        _reject(
-            ~((0.0 < mag) & (mag <= 1.0 + 1e-12)), ValueError,
-            "PPAFamily requires 0 < |t| <= 1",
-        )
         _reject(~((0.0 < v) & (v <= 1.0)), ValueError, "visibility must lie in (0, 1]")
         object.__setattr__(self, "_k", make_filter(self.t))
         object.__setattr__(self, "_gen", ppa_generator())
@@ -221,14 +218,14 @@ class PPAFamily:
         return DensityMatrix(num / p), hermitian_part(dnum / p - num * (dp / p**2))
 
 
-def qfi_ppa_theory(theta: float, t_mag: float) -> float:
-    """Ideal postselected QFI (|t| / p_ps)^2 for the pure family."""
-    if not 0.0 < t_mag <= 1.0 + 1e-12:
-        raise ValueError("qfi_ppa_theory requires 0 < t_mag <= 1")
-    p = survival_probability(t_mag, math.sin(theta / 2.0) ** 2)
-    if p <= 0.0:
-        raise ValueError("survival probability vanished")
-    return (t_mag / p) ** 2
+def qfi_ppa_theory(theta, t_mag):
+    """Ideal postselected QFI (|t| / p_ps)^2 for the pure family, over arrays
+    too; nan where p underflows to 0 or (t / p)^2 overflows."""
+    _reject_amplitude(t_mag, "qfi_ppa_theory requires 0 < t_mag <= 1")
+    p = survival_probability(t_mag, np.sin(theta / 2.0) ** 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        qfi = (t_mag / p) ** 2
+    return np.where(qfi < math.inf, qfi, math.nan)[()]
 
 
 def qfi_ppa_family(theta: float, t_mag: float, v: float = 1.0) -> float:
@@ -284,23 +281,21 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / p**2, 0.0)
 
 
-def optimal_measurement(theta_prior: float, t: complex) -> np.ndarray:
+def optimal_measurement(theta_prior, t) -> np.ndarray:
     """Unit Bloch vector n of the +1 outcome of the QFI-achieving projective test.
 
     n = (s sin az, -s cos az, cos polar) with s = sin polar, where
     cot(polar) = (1 + |t|^2)/(2|t|) * tan(theta_prior) and az = arg(t); n is
     independent of visibility, and for real t > 0 it lies in the y-z plane.
-    t = 0 has no amplified family and raises.
+    t = 0 has no amplified family and raises; arrays give a (..., 3) stack.
     """
-    t = complex(t)
-    mag = abs(t)
-    if not 0.0 < mag <= 1.0 + 1e-12:
-        raise ValueError("optimal_measurement requires 0 < |t| <= 1")
-    cot = (1.0 + mag**2) / (2.0 * mag) * math.tan(theta_prior)
-    polar = math.pi / 2.0 - math.atan(cot)
-    azimuth = math.atan2(t.imag, t.real)
-    s = math.sin(polar)
-    return np.array([s * math.sin(azimuth), -(s * math.cos(azimuth)), math.cos(polar)])
+    mag = np.abs(t)
+    _reject_amplitude(mag, "optimal_measurement requires 0 < |t| <= 1")
+    cot = (1.0 + mag**2) / (2.0 * mag) * np.tan(theta_prior)
+    polar = math.pi / 2.0 - np.arctan(cot)
+    azimuth = np.angle(t)
+    s = np.sin(polar)
+    return np.stack([s * np.sin(azimuth), -(s * np.cos(azimuth)), np.cos(polar)], -1)
 
 
 def cfi(n, family: PPAFamily, theta):

@@ -85,6 +85,11 @@ def _reject(bad, error: type[Exception], message: str, *values) -> None:
     raise error(f"instance {k[0] if len(k) == 1 else k}: {text}" if k else text)
 
 
+def _reject_amplitude(mag, message: str) -> None:
+    """:func:`_reject` every magnitude ``mag`` outside (0, 1 + 1e-12]."""
+    _reject(~np.logical_and(0.0 < mag, mag <= 1.0 + 1e-12), ValueError, message)
+
+
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2, for one matrix or a stack of them."""
     m = np.asarray(mat, dtype=complex)
@@ -273,14 +278,13 @@ def make_filter(t) -> np.ndarray:
     return k_plus
 
 
-def amplified_angle(theta: float, t_mag: float) -> float:
+def amplified_angle(theta, t_mag):
     """Phase-to-polar-angle map of the filter: tan(Theta/2) = tan(theta/2)/t.
 
-    Monotone in theta on |theta| < pi, for 0 < t_mag <= 1.
+    Monotone in theta on |theta| < pi, for 0 < t_mag <= 1, over arrays too.
     """
-    if not 0.0 < t_mag <= 1.0 + 1e-12:
-        raise ValueError("amplified_angle requires 0 < t_mag <= 1")
-    half = theta / 2.0
-    if abs(half) >= math.pi / 2.0:
-        raise ValueError("amplified_angle requires |theta| < pi")
-    return 2.0 * math.atan2(math.tan(half), t_mag)
+    _reject_amplitude(t_mag, "amplified_angle requires 0 < t_mag <= 1")
+    half = np.asarray(theta, dtype=float) / 2.0
+    bad = ~(np.abs(half) < math.pi / 2.0)
+    _reject(bad, ValueError, "amplified_angle requires |theta| < pi")
+    return 2.0 * np.arctan2(np.tan(half), t_mag)

@@ -13,6 +13,7 @@ from ppasim.bench import (
     MAX_COUNT,
     MIN_AMPLITUDE,
     STAGE_COUNTS,
+    _draw_counts,
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
@@ -437,15 +438,37 @@ def test_run_trials_poisson_mode_tracks_survival():
 
 
 def test_run_trials_stream_layout_is_pinned():
-    # one stream per config: every detected count, then every plus count;
-    # the integer totals pin the draws without depending on libm rounding
+    # one Philox stream per config: fixed draws every detected count, then
+    # every plus count; poisson every plus count, then every minus count.
+    # The integer totals pin the draws without depending on libm rounding
     fixed = BenchConfig(
         theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=8, seed=17
     )
     poisson = dataclasses.replace(fixed, sampling_mode="poisson")
     rec_fixed, rec_poisson = run_trials([fixed, poisson])
-    assert rec_fixed.mean_detected == 1846.625
-    assert rec_poisson.mean_detected == 1853.25
+    assert rec_fixed.mean_detected == 1856.25
+    assert rec_poisson.mean_detected == 1843.875
+
+
+def test_draw_counts_follow_the_thinning_law():
+    # k = 5 standard errors and the seeds are fixed before any run
+    k, n, budget, p, q = 5.0, 4000, 1000, 0.3, 0.25
+    lam = budget * p
+    poisson = BenchConfig(
+        theta_true=0.1, t_set=0.5, photon_budget=budget, sampling_mode="poisson",
+        n_trials=n, seed=(7 << 64) | 3,
+    )
+    fixed = dataclasses.replace(poisson, sampling_mode="fixed", seed=(7 << 64) | 4)
+    detected, plus = _draw_counts([poisson, fixed], np.full(2, p), np.full(2, q))
+    # poisson: detected ~ Poisson(lam), plus ~ Poisson(lam q), and plus is
+    # independent of minus = detected - plus
+    assert abs(detected[0].mean() - lam) < k * math.sqrt(lam / n)
+    assert abs(plus[0].mean() - lam * q) < k * math.sqrt(lam * q / n)
+    corr = np.corrcoef(plus[0], detected[0] - plus[0])[0, 1]
+    assert abs(corr) < k / math.sqrt(n)
+    # fixed: detected ~ Binomial(budget, p), plus ~ Binomial(budget, p q)
+    assert abs(detected[1].mean() - lam) < k * math.sqrt(lam * (1 - p) / n)
+    assert abs(plus[1].mean() - lam * q) < k * math.sqrt(lam * q * (1 - p * q) / n)
 
 
 def test_run_trials_precision_near_qfi_bound():
@@ -461,22 +484,33 @@ def test_run_trials_precision_near_qfi_bound():
     assert abs(rec.precision_per_photon - target) < 3 * se_prec
 
 
+def count_stream(seed):
+    """A config's count stream, built through Philox's ``key`` argument: the
+    first key word from SeedSequence((run seed, STAGE_COUNTS)), the second
+    the grid bits below bit 64 of ``seed``."""
+    seq = np.random.SeedSequence((seed >> 64, STAGE_COUNTS))
+    word = int(seq.generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(key=word | (seed % 2**64) << 64))
+
+
 def run_trials_reference(cfg):
-    """One config's record, point by point: the run_trials body before blocks."""
+    """One config's record, point by point, from the scalar closed forms."""
     t = abs(cfg.t_set)
     t_assumed = t + cfg.delta_t
     n = optimal_measurement(cfg.theta_true, t_assumed)
     r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
-    q = min(max((1.0 + float(n @ r_ps)) / 2.0, 0.0), 1.0)
+    q = min(max((1.0 + float((n * r_ps).sum())) / 2.0, 0.0), 1.0)
 
-    rng = rng_stream(cfg.seed, STAGE_COUNTS)
+    rng = count_stream(cfg.seed)
     if cfg.sampling_mode == "fixed":
         detected = rng.binomial(
             int(cfg.photon_budget), min(p_ps, 1.0), size=cfg.n_trials
         )
+        plus = rng.binomial(detected, q)
     else:
-        detected = rng.poisson(cfg.photon_budget * p_ps, size=cfg.n_trials)
-    plus = rng.binomial(detected, q)
+        lam = cfg.photon_budget * p_ps
+        plus = rng.poisson(lam * q, size=cfg.n_trials)
+        detected = plus + rng.poisson(lam * (1.0 - q), size=cfg.n_trials)
     hit = detected > 0
     est, _ = estimate_theta(plus[hit], detected[hit], t_assumed, n, cfg.theta_true)
 

@@ -2,14 +2,17 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ppasim import cli
-from ppasim.bench import STAGE_TOMOGRAPHY, SWEEP_CSV_COLUMNS, rng_stream
+from ppasim.bench import STAGE_TOMOGRAPHY, SWEEP_CSV_COLUMNS, _moments, rng_stream
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import (
     InconsistentDerivativeError,
@@ -128,20 +131,17 @@ def test_sweep_flags_rows_whose_estimates_are_all_equal(tmp_path, capsys):
     assert row["flags"] == "zero-variance"
     assert row["variance"] == "0"
     assert row["precision_per_photon"] == "nan"
-    # a budget of 3 leaves most points a few equal estimates; their sample
-    # variance is 0 or rounding noise, which no precision can be read from
-    run(["sweep", "--budget", "3", "--trials", "50", "--seed", "2", "--out", str(out)],
-        capsys)
-    rows = read_csv(out)
-    flagged = [r for r in rows if "zero-variance" in r["flags"].split(";")]
-    assert any(r["variance"] == "0" for r in flagged)
-    assert any(float(r["variance"]) > 0 for r in flagged)
-    assert all(float(r["variance"]) < 1e-30 for r in flagged)
-    assert all(
-        float(r["variance"]) > 1e-12
-        for r in rows
-        if r not in flagged and not math.isnan(float(r["variance"]))
-    )
+    # equal estimates can have a sample variance of rounding noise, not 0:
+    # three of 0.1 give about 3e-34, and the row is flagged all the same;
+    # an empty trial's dummy estimate (5.0) takes no part
+    est = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 5.0], [0.1, 0.1, 0.2]])
+    hit = np.array([[True, True, True], [True, True, False], [True, True, True]])
+    _, variance, _, n_hit, zero_spread = _moments(est, hit, np.full(3, 0.1))
+    assert 0.0 < variance[0] < 1e-30
+    assert variance[1] == 0.0
+    assert variance[2] > 1e-12
+    assert n_hit.tolist() == [3, 2, 3]
+    assert zero_spread.tolist() == [True, True, False]
 
 
 # 7 workers exceed the grid's 6 points.
@@ -154,6 +154,23 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
     run(argv + ["--out", str(b), "--workers", str(workers)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
+    # the workers draw; importing numpy.random would only cost the parent memory
+    out = tmp_path / "s.csv"
+    code = (
+        "import sys\n"
+        "from ppasim import cli\n"
+        "spec = cli.SweepSpec(theta_list=(0.1, 0.2), t_list=(0.3, 0.5), n_trials=2)\n"
+        f"cli.cmd_sweep(cli.sweep_configs(spec), {str(out)!r}, workers=2)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    assert len(read_csv(out)) == 4
 
 
 def recording_pool(sizes):

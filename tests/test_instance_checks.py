@@ -1,4 +1,5 @@
-"""Exact texts of the per-instance checks of the linear-algebra core.
+"""Exact texts of the per-instance checks of the linear-algebra core and of
+the closed forms that broadcast over arrays.
 
 Each check is reached through a public constructor or function with one
 unbatched input, a one-axis stack (good, bad) that fails at instance 1 and
@@ -16,6 +17,8 @@ from ppasim.fisher import (
     PPAFamily,
     PurityError,
     cfi,
+    optimal_measurement,
+    qfi_ppa_theory,
     qfi_bloch,
     qfi_postselected_pure,
     sld,
@@ -38,6 +41,7 @@ from ppasim.states import (
     Generator,
     InvalidGeneratorError,
     ZeroProbabilityError,
+    amplified_angle,
     make_filter,
     ppa_generator,
     psd_sqrt,
@@ -136,6 +140,18 @@ CASES = [
      ZeroNormalizerError, "outcome 0 of measurement 1 has zero quasiprobability"),
     ("sld-axis", sld_axis, (SIGMA_Z,), (ID2,),
      ValueError, "SLD has no traceless part; the axis is undefined"),
+    ("optimal-measurement", optimal_measurement, (0.1, 0.5), (0.1, 0.0),
+     ValueError, "optimal_measurement requires 0 < |t| <= 1"),
+    ("qfi-theory", qfi_ppa_theory, (0.1, 0.5), (0.1, 0.0),
+     ValueError, "qfi_ppa_theory requires 0 < t_mag <= 1"),
+    ("qfi-theory-negative-t", qfi_ppa_theory, (0.1, 0.5), (0.1, -0.5),
+     ValueError, "qfi_ppa_theory requires 0 < t_mag <= 1"),
+    ("amplified-angle-t", amplified_angle, (0.1, 0.5), (0.1, 1.5),
+     ValueError, "amplified_angle requires 0 < t_mag <= 1"),
+    ("amplified-angle-negative-t", amplified_angle, (0.1, 0.5), (0.1, -0.5),
+     ValueError, "amplified_angle requires 0 < t_mag <= 1"),
+    ("amplified-angle-theta", amplified_angle, (0.1, 0.5), (3.2, 0.5),
+     ValueError, "amplified_angle requires |theta| < pi"),
 ]
 
 
