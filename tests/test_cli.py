@@ -144,6 +144,22 @@ def test_sweep_flags_rows_whose_estimates_are_all_equal(tmp_path, capsys):
     assert zero_spread.tolist() == [True, True, False]
 
 
+def test_sweep_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
+    # `ppasim sweep` at its defaults (seed 0), against the rows it wrote on
+    # the keyed Philox count streams; no row of this grid is zero-variance
+    out = tmp_path / "s.csv"
+    code, _ = run(["sweep", "--out", str(out)], capsys)
+    assert code == 0
+    pinned = Path(__file__).parent / "data" / "sweep_default_seed0.csv"
+    got, ref = read_csv(out), read_csv(pinned)
+    assert got[0].keys() == ref[0].keys()
+    assert len(got) == len(ref) == len(THETA_GRID) * len(T_GRID)
+    for row, want in zip(got, ref):
+        assert row["flags"] == want["flags"]
+        for key in SWEEP_CSV_COLUMNS[:-1]:
+            assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-9, abs=0.0)
+
+
 # 7 workers exceed the grid's 6 points.
 @pytest.mark.parametrize("workers", [2, 3, 7])
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
