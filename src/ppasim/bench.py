@@ -27,7 +27,7 @@ every point at |t_set| and writes the |t_set| row.
 Each grid point draws its counts from its own Philox stream (Salmon et al.,
 SC'11) keyed by two 64-bit words: one drawn by SeedSequence((run seed,
 STAGE_COUNTS)) and the grid bits i << 32 | j, which a config's ``seed``
-carries below the run seed (``cli._point_seed``).  A grid point replays alone,
+carries below the run seed (:func:`_point_seed`).  A grid point replays alone,
 whatever the execution order or worker count; a single trial does not.
 """
 
@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "BenchConfig",
     "SweepRecord",
     "SWEEP_CSV_COLUMNS",
-    "fmt_sig",
     "rng_stream",
     "postselected_bloch",
     "run_trials",
@@ -75,11 +75,6 @@ MAX_COUNT = 10**18
 # Smallest assumed filter amplitude |t| + delta_t: the estimates and their
 # variance scale as t and t^2, which below it underflow to a degenerate row.
 MIN_AMPLITUDE = 1e-100
-
-
-def fmt_sig(x: float) -> str:
-    """Format a float with 12 significant digits (nan prints as 'nan')."""
-    return format(float(x), ".12g")
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -109,9 +104,8 @@ class BenchConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Aggregated statistics of `n_trials` bench runs at one grid point."""
+class SweepRecord(NamedTuple):
+    """Statistics of `n_trials` bench runs at one grid point: one sweep CSV row."""
 
     theta_true: float
     t_mag: float
@@ -125,14 +119,8 @@ class SweepRecord:
     stderr_variance: float
     flags: str = ""
 
-    def to_csv_row(self) -> str:
-        """The numeric columns of SWEEP_CSV_COLUMNS with 12 digits, then ``flags``."""
-        return _CSV_ROW % tuple(getattr(self, name) for name in SWEEP_CSV_COLUMNS)
 
-
-SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
-# One row of SWEEP_CSV_COLUMNS: every number as fmt_sig writes it, then flags.
-_CSV_ROW = ",".join(["%.12g"] * (len(SWEEP_CSV_COLUMNS) - 1) + ["%s"])
+SWEEP_CSV_COLUMNS = SweepRecord._fields
 
 
 def postselected_bloch(theta, t, epsilon, visibility):
@@ -207,6 +195,13 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
+def _point_seed(seed: int, i: int, j: int) -> int:
+    """Seed of grid point (i, j): the run seed above bit 64, i << 32 | j below.
+    :func:`_draw_counts` keys its count stream on the two halves; fig4's
+    :func:`rng_stream` hashes it whole."""
+    return (int(seed) << 64) | (i << 32) | j
+
+
 @cache
 def _key_word(run_seed: int) -> int:
     """First key word of the count streams of the run seed ``run_seed``."""
@@ -242,7 +237,7 @@ def _draw_counts(block: list[BenchConfig], p_ps, q) -> tuple[np.ndarray, np.ndar
 
 def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
     """(mean, variance, mse about ``theta``, count, zero spread) of each row's
-    estimates where ``hit``, nan where too few; zero spread: 2+ all equal."""
+    estimates where ``hit``, nan where too few; zero spread (2+ equal): variance 0."""
     n_hit = hit.sum(axis=1)
     lowest = np.where(hit, est, np.inf).min(axis=1)
     zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
@@ -255,6 +250,7 @@ def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
         e = est[rows][:, trials]
         var = e.var(axis=1, ddof=1) if e.shape[1] > 1 else np.full(len(e), math.nan)
         stats[:, rows] = e.mean(axis=1), var, np.mean((e - theta[rows, None]) ** 2, 1)
+    stats[1, zero_spread] = 0.0
     return (*stats, n_hit, zero_spread)
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: sweep, kd, fig4, verify.
 
-The CSV output of sweep and fig4 is written with 12 significant digits,
-kd's JSON with the full repr of each float.  Rows come in fixed order and
-every random draw comes from a stream keyed by the seed, the grid indices
-and the stage, so output files are byte-identical for any ``--workers`` value.
-``PPASIM_OUT_DIR`` supplies the default directory for relative output paths.
+sweep and fig4 write their CSV through one grid runner, :func:`_run_grid`,
+with 12 significant digits; kd's JSON carries the full repr of each float.
+Every random draw comes from a stream keyed by the seed, the grid indices
+and the stage (``bench._point_seed``), so output files are byte-identical
+for any ``--workers`` value.  ``PPASIM_OUT_DIR`` supplies the default
+directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .bench import (
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     BenchConfig,
-    fmt_sig,
+    _point_seed,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -46,7 +49,6 @@ from .verify import T_GRID, THETA_GRID, run_all
 
 __all__ = [
     "SweepSpec",
-    "sweep_configs",
     "cmd_sweep",
     "cmd_kd",
     "cmd_fig4",
@@ -140,64 +142,54 @@ def _resolve_out(path: str, default_name: str) -> str:
     return os.path.join(base, name) if base else name
 
 
-def _point_seed(seed: int, i: int, j: int) -> int:
-    """Seed of grid point (i, j): the run seed above bit 64, i << 32 | j below.
+def _csv_row(values: tuple) -> str:
+    """One CSV row: each value with 12 significant digits, the last (flags) as is."""
+    return "%.12g," * (len(values) - 1) % values[:-1] + values[-1]
 
-    The sweep keys the point's count stream on its two halves (see
-    ppasim.bench) and fig4's rng_stream hashes it whole.  It needs no
-    numpy.random, which a sweep's parent process would otherwise load only
-    to hand points to its workers.
+
+def _grid_rows(evaluate, spec: SweepSpec, points: list) -> list[str]:
+    """The CSV rows of ``evaluate(spec, points)``: a pool worker returns these."""
+    return [_csv_row(values) for values in evaluate(spec, points)]
+
+
+def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> str:
+    """Write the CSV of ``columns`` whose rows ``evaluate(spec, points)``, a
+    module-level function, gives for the grid indices (i, j) in ``points``.
+
+    The row-major grid is cut into at most ``workers`` contiguous blocks of
+    near-equal length, and no more than ``os.cpu_count()``, one process per
+    block; a single block runs in this process.  Rows keep the grid order.
     """
-    return (int(seed) << 64) | (i << 32) | j
-
-
-def sweep_configs(spec: SweepSpec) -> list[BenchConfig]:
-    """Bench input of every grid point, in row-major grid order."""
-    return [
-        BenchConfig(
-            theta_true=theta,
-            t_set=t,
-            delta_t=spec.delta_t,
-            epsilon=spec.epsilon,
-            visibility=spec.visibility,
-            photon_budget=spec.photon_budget,
-            sampling_mode=spec.sampling_mode,
-            n_trials=spec.n_trials,
-            seed=_point_seed(spec.seed, i, j),
-        )
-        for i, theta in enumerate(spec.theta_list)
-        for j, t in enumerate(spec.t_list)
-    ]
-
-
-def _sweep_rows(configs: list[BenchConfig]) -> list[str]:
-    """The CSV rows of ``configs``: a pool worker returns these, not records."""
-    return [rec.to_csv_row() for rec in run_trials(configs)]
-
-
-def cmd_sweep(
-    configs: list[BenchConfig], output_path: str = "", workers: int = 1
-) -> str:
-    """Run the bench at every grid point's config and write the sweep CSV.
-
-    With ``workers`` above 1 the configs are cut into at most ``workers``
-    contiguous blocks of near-equal length, and no more blocks than
-    ``os.cpu_count()``; each block's process returns its CSV rows, and a
-    single block runs in this process.  Rows follow the order of ``configs``
-    and each config carries its grid point's seed, so the bytes written are a
-    pure function of the configs, whatever the worker count.
-    """
-    n_blocks = min(workers, len(configs), os.cpu_count() or 1)
+    points = list(product(range(len(spec.theta_list)), range(len(spec.t_list))))
+    rows_of = partial(_grid_rows, evaluate, spec)
+    n_blocks = min(workers, len(points), os.cpu_count() or 1) if workers > 1 else 1
     if n_blocks > 1:
-        cuts = [len(configs) * k // n_blocks for k in range(n_blocks + 1)]
-        blocks = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+        cuts = [len(points) * k // n_blocks for k in range(n_blocks + 1)]
+        blocks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            rows = [row for part in pool.map(_sweep_rows, blocks) for row in part]
+            rows = [row for part in pool.map(rows_of, blocks) for row in part]
     else:
-        rows = _sweep_rows(configs)
-    out = _resolve_out(output_path, DEFAULT_OUT["sweep"])
-    _write_text(out, ",".join(SWEEP_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        rows = rows_of(points)
+    out = _resolve_out(spec.output_path, DEFAULT_OUT[command])
+    _write_text(out, ",".join(columns) + "\n" + "\n".join(rows) + "\n")
     return out
+
+
+def _sweep_points(spec: SweepSpec, points: list) -> list:
+    """The SweepRecord of each grid index (i, j) in ``points``, seeded by it;
+    the BenchConfig fields from delta_t to n_trials are the spec's."""
+    shared = {f.name: getattr(spec, f.name) for f in fields(BenchConfig)[2:-1]}
+    return run_trials([
+        BenchConfig(spec.theta_list[i], spec.t_list[j], **shared,
+                    seed=_point_seed(spec.seed, i, j))
+        for i, j in points
+    ])
+
+
+def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
+    """Run the bench at every grid point, on up to ``workers`` processes (see
+    :func:`_run_grid`), and write the sweep CSV; the bytes do not depend on it."""
+    return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, _sweep_points, workers)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -339,20 +331,21 @@ def cmd_fig4(spec: SweepSpec) -> str:
     point that raises re-raises the same exception type, naming theta, t,
     the grid index (i, j) and the run seed.
     """
-    rows = []
-    for i, theta in enumerate(spec.theta_list):
-        for j, t in enumerate(spec.t_list):
-            try:
-                *vals, flags = _fig4_point(spec, i, j)
-            except ValueError as exc:
-                raise type(exc)(
-                    f"fig4 point theta = {theta!r}, t = {t!r} at grid index "
-                    f"(i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
-                ) from exc
-            rows.append(",".join(fmt_sig(x) for x in vals) + f",{flags}")
-    out = _resolve_out(spec.output_path, DEFAULT_OUT["fig4"])
-    _write_text(out, ",".join(FIG4_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
-    return out
+    return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_points)
+
+
+def _fig4_points(spec: SweepSpec, points: list) -> list[tuple]:
+    """:func:`_fig4_point` of each (i, j) in ``points``; an error names its point."""
+    values = []
+    for i, j in points:
+        try:
+            values.append(_fig4_point(spec, i, j))
+        except ValueError as exc:
+            raise type(exc)(
+                f"fig4 point theta = {spec.theta_list[i]!r}, t = {spec.t_list[j]!r} "
+                f"at grid index (i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
+            ) from exc
+    return values
 
 
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
@@ -552,7 +545,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(spec.seed, args.n_instances)
     if args.command == "sweep":
-        out = cmd_sweep(sweep_configs(spec), spec.output_path, workers=args.workers)
+        out = cmd_sweep(spec, workers=args.workers)
     elif args.command == "kd":
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
     else:

@@ -17,7 +17,6 @@ from ppasim.bench import (
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
-    fmt_sig,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -515,6 +514,7 @@ def run_trials_reference(cfg):
     est, _ = estimate_theta(plus[hit], detected[hit], t_assumed, n, cfg.theta_true)
 
     mean_detected = float(detected.mean())
+    zero_spread = len(est) > 1 and bool(np.all(est == est[0]))
     flags = []
     if not len(est):
         flags.append("no-data")
@@ -523,6 +523,8 @@ def run_trials_reference(cfg):
     else:
         mean_est = float(est.mean())
         variance = float(est.var(ddof=1)) if len(est) > 1 else math.nan
+        if zero_spread:  # equal estimates: no rounding noise of the sum
+            variance = 0.0
         mse = float(np.mean((est - cfg.theta_true) ** 2))
         stderr = (
             variance * math.sqrt(2.0 / (len(est) - 1)) if len(est) > 1 else math.nan
@@ -537,7 +539,7 @@ def run_trials_reference(cfg):
         )
         if len(est) < cfg.n_trials:
             flags.append(f"empty-trials={cfg.n_trials - len(est)}")
-    if len(est) > 1 and np.all(est == est[0]):
+    if zero_spread:
         flags.append("zero-variance")
 
     qfi = qfi_ppa_theory(cfg.theta_true, t) if t > 0 else math.nan
@@ -585,40 +587,12 @@ def test_run_trials_matches_per_point_reference():
         *grid_configs(thetas, (0.15,), n_trials=700),
     ]
     configs = [dataclasses.replace(cfg, seed=k) for k, cfg in enumerate(configs)]
-    expected = [run_trials_reference(cfg).to_csv_row() for cfg in configs]
-    assert [rec.to_csv_row() for rec in run_trials(configs)] == expected
+    expected = [cli._csv_row(run_trials_reference(cfg)) for cfg in configs]
+    assert [cli._csv_row(rec) for rec in run_trials(configs)] == expected
     # the grid holds every kind of degraded row
     flags = ";".join(row.rpartition(",")[2] for row in expected)
     for kind in ("empty-trials=", "no-data", "zero-variance"):
         assert kind in flags
-
-
-def test_sweep_record_csv_row_formatting():
-    rec = SweepRecord(
-        theta_true=0.1,
-        t_mag=0.3,
-        mean_estimate=0.1001,
-        variance=1e-8,
-        mse=1.1e-8,
-        mean_detected=1234.5,
-        precision_per_photon=3.3,
-        accuracy_per_photon=3.1,
-        qfi_theory=3.5,
-        stderr_variance=2e-9,
-        flags="empty-trials=1",
-    )
-    row = rec.to_csv_row()
-    fields = row.split(",")
-    assert fields[0] == "0.1"
-    assert fields[-1] == "empty-trials=1"
-    assert len(fields) == 11
-    for text in fields[:-1]:
-        float(text)
-
-
-def test_fmt_sig_round_trip():
-    for x in (0.1, 1 / 3, 1e-17, 12345.6789, 0.0):
-        assert float(fmt_sig(x)) == pytest.approx(x, rel=1e-11, abs=1e-300)
 
 
 # ------------------------------------------------------------- configuration

@@ -131,17 +131,30 @@ def test_sweep_flags_rows_whose_estimates_are_all_equal(tmp_path, capsys):
     assert row["flags"] == "zero-variance"
     assert row["variance"] == "0"
     assert row["precision_per_photon"] == "nan"
-    # equal estimates can have a sample variance of rounding noise, not 0:
-    # three of 0.1 give about 3e-34, and the row is flagged all the same;
-    # an empty trial's dummy estimate (5.0) takes no part
+    # the sample variance of equal estimates can be rounding noise (three of
+    # 0.1 give about 3e-34), which _moments writes as exactly 0; an empty
+    # trial's dummy estimate (5.0) takes no part
     est = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 5.0], [0.1, 0.1, 0.2]])
     hit = np.array([[True, True, True], [True, True, False], [True, True, True]])
     _, variance, _, n_hit, zero_spread = _moments(est, hit, np.full(3, 0.1))
-    assert 0.0 < variance[0] < 1e-30
+    assert variance[0] == 0.0
     assert variance[1] == 0.0
     assert variance[2] > 1e-12
     assert n_hit.tolist() == [3, 2, 3]
     assert zero_spread.tolist() == [True, True, False]
+
+
+def test_sweep_zero_variance_rows_write_no_precision(tmp_path, capsys):
+    # at this budget (0.2, 0.15) detects a photon in 3 of 5 trials, whose
+    # equal estimates once left a variance of 2.9e-34 and a precision of 4e33
+    out = tmp_path / "s.csv"
+    code, _ = run(["sweep", "--budget", "30", "--trials", "5", "--out", str(out)], capsys)
+    assert code == 0
+    rows = [r for r in read_csv(out) if "zero-variance" in r["flags"].split(";")]
+    assert ("0.2", "0.15") in [(r["theta_true"], r["t_mag"]) for r in rows]
+    for row in rows:
+        assert (row["variance"], row["precision_per_photon"]) == ("0", "nan")
+        assert row["stderr_variance"] == "0"
 
 
 def test_sweep_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
@@ -179,8 +192,9 @@ def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
     code = (
         "import sys\n"
         "from ppasim import cli\n"
-        "spec = cli.SweepSpec(theta_list=(0.1, 0.2), t_list=(0.3, 0.5), n_trials=2)\n"
-        f"cli.cmd_sweep(cli.sweep_configs(spec), {str(out)!r}, workers=2)\n"
+        "spec = cli.SweepSpec(theta_list=(0.1, 0.2), t_list=(0.3, 0.5), n_trials=2,\n"
+        f"                    output_path={str(out)!r})\n"
+        "cli.cmd_sweep(spec, workers=2)\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -207,6 +221,43 @@ def recording_pool(sizes):
             return map(fn, *iterables)
 
     return RecordingPool
+
+
+def test_csv_row_writes_12_digits_then_the_flags():
+    # the one row format of sweep and fig4
+    values = (0.1, 1 / 3, 1e-17, 12345.6789, 0.0, -2.5e300, math.nan, "empty-trials=1")
+    fields = cli._csv_row(values).split(",")
+    assert len(fields) == len(values)
+    assert fields[-1] == "empty-trials=1"
+    assert fields[-2] == "nan"
+    for text, x in zip(fields[:-2], values[:-2]):
+        assert float(text) == pytest.approx(x, rel=1e-11, abs=1e-300)
+    assert cli._csv_row((0.5, "")) == "0.5,"
+
+
+def stub_points(spec, points):
+    """Stand-in grid evaluator: a point's indices, a product and a flag naming it."""
+    return [(i, j, spec.theta_list[i] * spec.t_list[j], f"at={i}.{j}") for i, j in points]
+
+
+def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    thetas, ts = (0.1, 0.2, 0.3), (0.5, 1.0)
+    want = "i,j,product,flags\n" + "".join(
+        f"{i},{j},{theta * t:.12g},at={i}.{j}\n"
+        for i, theta in enumerate(thetas)
+        for j, t in enumerate(ts)
+    )
+    for workers in (1, 2, 3, 7):
+        out = tmp_path / f"w{workers}.csv"
+        spec = SweepSpec(theta_list=thetas, t_list=ts, output_path=str(out))
+        columns = ("i", "j", "product", "flags")
+        assert cli._run_grid(spec, "sweep", columns, stub_points, workers) == str(out)
+        assert out.read_text() == want
+    # one block runs in this process; 7 workers are capped at the 6 points
+    assert sizes == [2, 3, 6]
 
 
 @pytest.mark.parametrize(
@@ -376,7 +427,10 @@ def test_sweep_writes_nan_theory_where_t_squared_underflows(tmp_path, capsys):
         theta_list=(0.0, 0.1), t_list=(1e-300, 1e-160, 0.5), delta_t=0.1,
         visibility=0.95, n_trials=2,
     )
-    alone = [cli.run_trials([cfg])[0].to_csv_row() for cfg in cli.sweep_configs(spec)]
+    alone = [
+        cli._csv_row(cli._sweep_points(spec, [point])[0])
+        for point in itertools.product(range(2), range(3))
+    ]
     assert out.read_text().splitlines()[1:] == alone
     rows = read_csv(out)
     assert [r["qfi_theory"] == "nan" for r in rows] == [True, True] + [False] * 4
