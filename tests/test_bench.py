@@ -595,6 +595,35 @@ def test_run_trials_matches_per_point_reference():
         assert kind in flags
 
 
+def test_sweep_record_csv_row_formatting():
+    rec = SweepRecord(
+        theta_true=0.1,
+        t_mag=0.3,
+        mean_estimate=0.1001,
+        variance=1e-8,
+        mse=1.1e-8,
+        mean_detected=1234.5,
+        precision_per_photon=3.3,
+        accuracy_per_photon=3.1,
+        qfi_theory=3.5,
+        stderr_variance=2e-9,
+        flags="empty-trials=1",
+    )
+    fields = cli._csv_row(rec).split(",")
+    assert fields[0] == "0.1"
+    assert fields[-1] == "empty-trials=1"
+    assert len(fields) == len(SweepRecord._fields) == 11
+    for text in fields[:-1]:
+        float(text)
+
+
+def test_fmt_sig_round_trip():
+    # the numeric fields of a sweep row read back within 12 significant digits
+    for x in (0.1, 1 / 3, 1e-17, 12345.6789, 0.0):
+        text = cli._csv_row((x, "")).partition(",")[0]
+        assert float(text) == pytest.approx(x, rel=1e-11, abs=1e-300)
+
+
 # ------------------------------------------------------------- configuration
 
 
