@@ -15,11 +15,10 @@ import json
 import math
 import numbers
 import os
+import pickle
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -148,28 +147,64 @@ def _csv_row(values: tuple) -> str:
 
 
 def _grid_rows(evaluate, spec: SweepSpec, points: list) -> list[str]:
-    """The CSV rows of ``evaluate(spec, points)``: a pool worker returns these."""
+    """The CSV rows of ``evaluate(spec, points)``: a forked worker sends these."""
     return [_csv_row(values) for values in evaluate(spec, points)]
 
 
-def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> str:
-    """Write the CSV of ``columns`` whose rows ``evaluate(spec, points)``, a
-    module-level function, gives for the grid indices (i, j) in ``points``.
+def _fork_blocks(evaluate, spec: SweepSpec, blocks: list) -> list[str]:
+    """The :func:`_grid_rows` of each block in turn, each from a forked child
+    that pickles ``(True, rows)`` or ``(False, exception)`` to its own pipe.
+    Once all are reaped, a worker's exception is re-raised; a child that exits
+    without it raises RuntimeError naming its block's first point and seed."""
+    children = []
+    for block in blocks:
+        fd_read, fd_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # never return into the caller nor flush inherited buffers
+            try:
+                try:
+                    payload = (True, _grid_rows(evaluate, spec, block))
+                except Exception as exc:
+                    payload = (False, exc)
+                with open(fd_write, "wb") as fh:
+                    fh.write(pickle.dumps(payload))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(fd_write)
+        children.append((block[0], pid, open(fd_read, "rb")))
+    sent = []
+    for (i, j), pid, fh in children:
+        with fh:
+            sent.append((i, j, fh.read(), os.waitpid(pid, 0)[1]))
+    rows = []
+    for i, j, data, status in sent:
+        ok, value = pickle.loads(data) if data and not status else (False, RuntimeError(
+            f"worker of the block from grid index (i, j) = ({i}, {j}), seed = "
+            f"{spec.seed}: exit status {os.waitstatus_to_exitcode(status)}, no rows"))
+        if not ok:
+            raise value
+        rows += value
+    return rows
 
-    The row-major grid is cut into at most ``workers`` contiguous blocks of
-    near-equal length, and no more than ``os.cpu_count()``, one process per
-    block; a single block runs in this process.  Rows keep the grid order.
+
+def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> str:
+    """Write the CSV of ``columns`` whose rows ``evaluate(spec, points)`` gives
+    for the grid indices (i, j) in ``points``.
+
+    On Linux the row-major grid is cut into at most ``workers`` contiguous
+    blocks of near-equal length, and no more than ``os.cpu_count()``, each
+    run by :func:`_fork_blocks`; one block, or any grid elsewhere, runs in
+    this process.  Rows keep the grid order.
     """
     points = list(product(range(len(spec.theta_list)), range(len(spec.t_list))))
-    rows_of = partial(_grid_rows, evaluate, spec)
     n_blocks = min(workers, len(points), os.cpu_count() or 1) if workers > 1 else 1
-    if n_blocks > 1:
+    if n_blocks > 1 and sys.platform == "linux":
         cuts = [len(points) * k // n_blocks for k in range(n_blocks + 1)]
         blocks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            rows = [row for part in pool.map(rows_of, blocks) for row in part]
+        rows = _fork_blocks(evaluate, spec, blocks)
     else:
-        rows = rows_of(points)
+        rows = _grid_rows(evaluate, spec, points)
     out = _resolve_out(spec.output_path, DEFAULT_OUT[command])
     _write_text(out, ",".join(columns) + "\n" + "\n".join(rows) + "\n")
     return out
@@ -256,16 +291,10 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
 
     # Exact vectors: the postselected family at theta - dtheta, theta and
     # theta + dtheta, then the unfiltered state (t = 1).
-    exact = [
-        postselected_bloch(th, t, 0.0, vis)
-        for th in (theta - dtheta, theta, theta + dtheta)
-    ]
-    p_ps = exact[1][1]
-    r_unfiltered, _ = postselected_bloch(theta, 1.0, 0.0, vis)
-    gap4_family = 4.0 * nonclassicality_gap(kd_table_closed_form(r_unfiltered, t))
+    thetas = np.array([theta - dtheta, theta, theta + dtheta, theta])
+    truth, (_, p_ps, _, _) = postselected_bloch(thetas, np.array([t, t, t, 1]), 0, vis)
 
     # One stream per point and one draw of (repetitions, vectors, axes) counts.
-    truth = np.array([r for r, _ in exact] + [r_unfiltered])
     rng = rng_stream(_point_seed(spec.seed, i, j), STAGE_TOMOGRAPHY)
     est = simulate_tomography(np.broadcast_to(truth, (_FIG4_REPS, 4, 3)), shots, rng)
     minus, center, plus, unfiltered = est.swapaxes(0, 1)
@@ -283,12 +312,13 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
     if near.any():
         flags.append("near-boundary")
     try:
-        tables = kd_table_closed_form(unfiltered, t)
-        gap_reps = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
+        tables = kd_table_closed_form(np.vstack([truth[3:], unfiltered]), t)
     except ZeroProbabilityError:
         # an unfiltered estimate the filter blocks entirely has no table
-        gap_reps = np.full(_FIG4_REPS, math.nan)
+        tables = np.full((_FIG4_REPS + 1, 2, 2), math.nan, dtype=complex)
+        tables[0] = kd_table_closed_form(truth[3], t)
         flags.append("no-survival")
+    gap4_family, *gap_reps = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
 
     reps = np.stack([qfi_bloch(center, dr), gap_reps])
     qfi_mean, gap_mean = reps.mean(1)

@@ -17,6 +17,7 @@ from ppasim.bench import (
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
+    _point_seed,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -587,8 +588,16 @@ def test_run_trials_matches_per_point_reference():
         *grid_configs(thetas, (0.15,), n_trials=700),
     ]
     configs = [dataclasses.replace(cfg, seed=k) for k, cfg in enumerate(configs)]
+    # the point (3, 2) of `ppasim sweep --budget 30 --trials 5`, whose three
+    # equal hit estimates have a naive variance of 2.9e-34, not 0
+    configs.append(
+        BenchConfig(0.2, 0.15, photon_budget=30, n_trials=5, seed=_point_seed(0, 3, 2))
+    )
     expected = [cli._csv_row(run_trials_reference(cfg)) for cfg in configs]
-    assert [cli._csv_row(rec) for rec in run_trials(configs)] == expected
+    records = run_trials(configs)
+    assert [cli._csv_row(rec) for rec in records] == expected
+    assert "zero-variance" in records[-1].flags.split(";")
+    assert records[-1].variance == 0.0
     # the grid holds every kind of degraded row
     flags = ";".join(row.rpartition(",")[2] for row in expected)
     for kind in ("empty-trials=", "no-data", "zero-variance"):

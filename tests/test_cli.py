@@ -187,15 +187,19 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
 def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
-    # the workers draw; importing numpy.random would only cost the parent memory
+    # the workers draw; importing numpy.random would only cost the parent
+    # memory, as would a process pool module
     out = tmp_path / "s.csv"
     code = (
         "import sys\n"
         "from ppasim import cli\n"
+        "pools = ('concurrent.futures', 'multiprocessing')\n"
+        "assert not set(pools) & set(sys.modules)\n"
         "spec = cli.SweepSpec(theta_list=(0.1, 0.2), t_list=(0.3, 0.5), n_trials=2,\n"
         f"                    output_path={str(out)!r})\n"
         "cli.cmd_sweep(spec, workers=2)\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert not set(pools) & set(sys.modules)\n"
     )
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -203,24 +207,15 @@ def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
     assert len(read_csv(out)) == 4
 
 
-def recording_pool(sizes):
-    """Stand-in for ProcessPoolExecutor: appends each pool's size to
+def recording_runner(sizes):
+    """Stand-in for cli._fork_blocks: appends each run's block count to
     ``sizes`` and runs the blocks in this process."""
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def run_blocks(evaluate, spec, blocks):
+        sizes.append(len(blocks))
+        return [row for block in blocks for row in cli._grid_rows(evaluate, spec, block)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    return RecordingPool
+    return run_blocks
 
 
 def test_csv_row_writes_12_digits_then_the_flags():
@@ -242,7 +237,7 @@ def stub_points(spec, points):
 
 def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     thetas, ts = (0.1, 0.2, 0.3), (0.5, 1.0)
     want = "i,j,product,flags\n" + "".join(
@@ -267,8 +262,8 @@ def test_sweep_starts_no_more_processes_than_grid_points(
     tmp_path, capsys, monkeypatch, theta, t, started
 ):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
-    # enough CPUs that the grid, not the CPU count, bounds the pool
+    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
+    # enough CPUs that the grid, not the CPU count, bounds the blocks
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     argv = ["sweep", "--theta", theta, "--t", t, "--budget", "4000", "--trials", "3"]
     a = tmp_path / "a.csv"
@@ -283,7 +278,7 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     # the bytes do not depend on the worker count, so processes beyond the
     # CPUs would only cost memory and start-up
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, _ = run(
         ["sweep", "--theta", "0.1,0.2,0.3", "--t", "0.3,0.5,0.7", "--budget", "4000",
@@ -292,6 +287,58 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert sizes == [2]
+
+
+# A grid of 3 x 2 points in three blocks whose second block, from (1, 0),
+# fails as FAIL says; the script prints what reaches the caller, then
+# whether any child is left unreaped.
+FAILING_WORKER = """
+import os, sys
+from ppasim import cli
+
+def evaluate(spec, points):
+    if (1, 0) in points:
+        FAIL
+    return [(i, j, "") for i, j in points]
+
+os.cpu_count = lambda: 4
+spec = cli.SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), seed=7,
+                     output_path=sys.argv[1])
+try:
+    cli._run_grid(spec, "sweep", ("i", "j", "flags"), evaluate, workers=3)
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        ('raise ValueError("boom")', "ValueError: boom"),
+        ("os._exit(3)", "RuntimeError: worker of the block from grid index "
+         "(i, j) = (1, 0), seed = 7: exit status 3, no rows"),
+        # the child leaves through os._exit(1), never through the caller's stack
+        ("raise KeyboardInterrupt", "RuntimeError: worker of the block from grid "
+         "index (i, j) = (1, 0), seed = 7: exit status 1, no rows"),
+    ],
+    ids=["raises", "exits", "interrupted"],
+)
+def test_a_failing_worker_reaches_the_caller_and_is_reaped(tmp_path, fail, error):
+    out = tmp_path / "s.csv"
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = FAILING_WORKER.replace("FAIL", fail)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.splitlines() == [error, "no child left"]
+    assert not out.exists()
 
 
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -359,7 +406,7 @@ def test_sweep_rejects_invalid_input_before_any_work(
         raise AssertionError("work started on invalid input")
 
     monkeypatch.setattr(cli, "run_trials", no_work)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(cli, "_fork_blocks", no_work)
     out = tmp_path / "s.csv"
     argv = ["sweep", "--theta", "0.1", "--t", "0.5", "--budget", "100",
             "--trials", "2", "--workers", "2", "--out", str(out)]
@@ -976,7 +1023,7 @@ def test_spec_load_errors_exit_2_naming_the_field(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    for name in ("run_trials", "ProcessPoolExecutor", "kd_table_closed_form", "_fig4_point"):
+    for name in ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_point"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = tmp_path / "spec.json"
     if config_text is not None:
@@ -999,7 +1046,7 @@ def test_unwritable_output_exits_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started with an unwritable output path")
 
-    stubs = ("run_trials", "ProcessPoolExecutor", "kd_table_closed_form", "_fig4_point")
+    stubs = ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_point")
     for name in stubs:
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "notadir"
