@@ -24,21 +24,17 @@ followed by a turn by pi about z, and the optimal analyzer turns with it
 (its azimuth is arg t), so it draws the counts of |t_set|: the bench runs
 every point at |t_set| and writes the |t_set| row.
 
-Each grid point draws its counts from its own Philox stream (Salmon et al.,
-SC'11) keyed by two 64-bit words: one drawn by SeedSequence((run seed,
-STAGE_COUNTS)) and the grid bits i << 32 | j, which a config's ``seed``
-carries below the run seed (:func:`_point_seed`).  A grid point replays alone,
-whatever the execution order or worker count; a single trial does not.
+Each grid point (i, j) of a run draws its counts from its own Philox stream
+(Salmon et al., SC'11) keyed by two 64-bit words: one drawn by
+SeedSequence((run seed, STAGE_COUNTS)) and the grid bits i << 32 | j.  A grid
+point replays alone, whatever the execution order or worker count; a single
+trial does not.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +46,6 @@ __all__ = [
     "STAGE_COUNTS",
     "STAGE_TOMOGRAPHY",
     "MIN_AMPLITUDE",
-    "BenchConfig",
     "SweepRecord",
     "SWEEP_CSV_COLUMNS",
     "rng_stream",
@@ -85,23 +80,6 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     are identical for any worker count.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Full description of one bench run, taken as given: the CLI checks
-    the values before it builds one.  ``t_set`` is the real filter
-    amplitude; a negative one runs as ``|t_set|`` (see the module notes)."""
-
-    theta_true: float
-    t_set: float
-    delta_t: float = 0.0
-    epsilon: float = 0.0
-    visibility: float = 1.0
-    photon_budget: int = 10**6
-    sampling_mode: str = "fixed"
-    n_trials: int = 32
-    seed: int = 0
 
 
 class SweepRecord(NamedTuple):
@@ -195,13 +173,6 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
 
 
-def _point_seed(seed: int, i: int, j: int) -> int:
-    """Seed of grid point (i, j): the run seed above bit 64, i << 32 | j below.
-    :func:`_draw_counts` keys its count stream on the two halves; fig4's
-    :func:`rng_stream` hashes it whole."""
-    return (int(seed) << 64) | (i << 32) | j
-
-
 @cache
 def _key_word(run_seed: int) -> int:
     """First key word of the count streams of the run seed ``run_seed``."""
@@ -216,22 +187,30 @@ def _philox():
     return bitgen, np.random.Generator(bitgen), bitgen.state
 
 
-def _draw_counts(block: list[BenchConfig], p_ps, q) -> tuple[np.ndarray, np.ndarray]:
+def _draw_counts(spec, points, p_ps, q) -> tuple[np.ndarray, np.ndarray]:
     """(points, trials) detected and plus counts, drawn as :func:`run_trials`
     says: point k survives with probability ``p_ps[k]``, reads + with ``q[k]``."""
-    detected, plus = np.empty((2, len(block), block[0].n_trials), dtype=np.int64)
-    lam = np.array([cfg.photon_budget for cfg in block]) * p_ps
-    p_fixed, lam_plus, lam_minus = np.minimum(p_ps, 1.0), lam * q, lam * (1.0 - q)
+    n, budget = spec.n_trials, spec.photon_budget
+    detected, plus = np.empty((2, len(points), n), dtype=np.int64)
     bitgen, gen, state = _philox()
-    for k, cfg in enumerate(block):
-        state["state"]["key"] = (_key_word(cfg.seed >> 64), cfg.seed & (2**64 - 1))
-        bitgen.state = state
-        if cfg.sampling_mode == "fixed":
-            detected[k] = gen.binomial(cfg.photon_budget, p_fixed[k], cfg.n_trials)
+    if spec.sampling_mode == "fixed":
+        p_fixed = np.minimum(p_ps, 1.0)
+
+        def draw(k):
+            detected[k] = gen.binomial(budget, p_fixed[k], n)
             plus[k] = gen.binomial(detected[k], q[k])
-        else:
-            plus[k] = gen.poisson(lam_plus[k], cfg.n_trials)
-            detected[k] = plus[k] + gen.poisson(lam_minus[k], cfg.n_trials)
+    else:
+        lam = budget * p_ps
+        lam_plus, lam_minus = lam * q, lam * (1.0 - q)
+
+        def draw(k):
+            plus[k] = gen.poisson(lam_plus[k], n)
+            detected[k] = plus[k] + gen.poisson(lam_minus[k], n)
+    word = _key_word(spec.seed)
+    for k, (i, j) in enumerate(points):
+        state["state"]["key"] = (word, i << 32 | j)
+        bitgen.state = state
+        draw(k)
     return detected, plus
 
 
@@ -254,19 +233,18 @@ def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
     return (*stats, n_hit, zero_spread)
 
 
-def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
-    """run_trials on configs of one trial count, as (points, trials) arrays."""
-    theta, t, delta_t, epsilon, visibility = np.array(
-        [(c.theta_true, c.t_set, c.delta_t, c.epsilon, c.visibility) for c in block]
-    ).T
-    t = np.abs(t)
-    t_assumed = t + delta_t
+def _run_block(spec, points) -> list[SweepRecord]:
+    """run_trials on one block of points, as (points, trials) arrays."""
+    index = np.array(points)
+    theta = np.array(spec.theta_list)[index[:, 0]]
+    t = np.abs(np.array(spec.t_list)[index[:, 1]])
+    t_assumed = t + spec.delta_t
     n = optimal_measurement(theta, t_assumed)
     # The filter runs at the physical amplitude |t_set|; delta_t only
     # enters the estimator.
-    r_ps, p_ps = postselected_bloch(theta, t, epsilon, visibility)
+    r_ps, p_ps = postselected_bloch(theta, t, spec.epsilon, spec.visibility)
     q = np.clip((1.0 + (n * r_ps).sum(-1)) / 2.0, 0.0, 1.0)
-    detected, plus = _draw_counts(block, p_ps, q)
+    detected, plus = _draw_counts(spec, points, p_ps, q)
 
     # A trial that detected nothing inverts a dummy count and is left out below.
     hit = detected > 0
@@ -286,8 +264,8 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
     columns = np.stack([
         theta, t, mean_est, variance, mse, mean_detected, *per_photon, qfi_theory, stderr
     ], axis=1)
-    n_trials = block[0].n_trials
-    flags = [""] * len(block)
+    n_trials = spec.n_trials
+    flags = [""] * len(points)
     for i in np.flatnonzero((n_hit < n_trials) | zero_spread).tolist():
         k = int(n_hit[i])
         empty = [f"empty-trials={n_trials - k}" if k else "no-data"] * (k < n_trials)
@@ -295,8 +273,10 @@ def _run_block(block: list[BenchConfig]) -> list[SweepRecord]:
     return [SweepRecord(*row, flag) for row, flag in zip(columns.tolist(), flags)]
 
 
-def run_trials(configs: Sequence[BenchConfig]) -> list[SweepRecord]:
-    """Run every config's trials and aggregate each into its sweep record.
+def run_trials(spec, points: list) -> list[SweepRecord]:
+    """The sweep record of each grid index (i, j) in ``points``: ``spec``'s
+    bench run (a ``cli.SweepSpec``, read by attribute) at ``theta_list[i]``
+    and the filter amplitude ``t_list[j]``, over ``spec.n_trials`` trials.
 
     ``sampling_mode='fixed'`` sends exactly ``photon_budget`` photons per
     trial into the filter and detects Binomial(budget, p_ps) of them;
@@ -309,17 +289,15 @@ def run_trials(configs: Sequence[BenchConfig]) -> list[SweepRecord]:
     plus count; ``'poisson'`` every plus count ~ Poisson(budget p_ps q), then
     every minus count ~ Poisson(budget p_ps (1 - q)): the same law, thinned.
 
-    Consecutive configs with one trial count are evaluated together as
-    (points, trials) arrays, in blocks of at most ``BLOCK_TRIALS`` trials
-    (or one point, if it has more), which bounds the memory of a call
-    whatever its length.  Records come back in the order of ``configs``.
+    The points are evaluated as (points, trials) arrays, in blocks of at
+    most ``BLOCK_TRIALS`` trials (or one point, if it has more), which bounds
+    the memory of a call whatever its length.  Records come back in the
+    order of ``points``.
     """
     records: list[SweepRecord] = []
-    for n_trials, group in groupby(configs, key=attrgetter("n_trials")):
-        group = list(group)
-        step = max(1, BLOCK_TRIALS // n_trials)
-        for a in range(0, len(group), step):
-            records += _run_block(group[a : a + step])
+    step = max(1, BLOCK_TRIALS // spec.n_trials)
+    for a in range(0, len(points), step):
+        records += _run_block(spec, points[a : a + step])
     return records
 
 

@@ -3,9 +3,9 @@
 sweep and fig4 write their CSV through one grid runner, :func:`_run_grid`,
 with 12 significant digits; kd's JSON carries the full repr of each float.
 Every random draw comes from a stream keyed by the seed, the grid indices
-and the stage (``bench._point_seed``), so output files are byte-identical
-for any ``--workers`` value.  ``PPASIM_OUT_DIR`` supplies the default
-directory for relative output paths.
+and the stage, so output files are byte-identical for any ``--workers``
+value.  ``PPASIM_OUT_DIR`` supplies the default directory for relative
+output paths.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .bench import (
     MIN_AMPLITUDE,
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
-    BenchConfig,
-    _point_seed,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -98,7 +96,8 @@ def _is_kind(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description shared by the sweep and fig4 commands."""
+    """Grid description shared by the sweep and fig4 commands, and the
+    description of a bench run that :func:`bench.run_trials` reads."""
 
     theta_list: tuple[float, ...] = THETA_GRID
     t_list: tuple[float, ...] = T_GRID
@@ -210,21 +209,10 @@ def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> st
     return out
 
 
-def _sweep_points(spec: SweepSpec, points: list) -> list:
-    """The SweepRecord of each grid index (i, j) in ``points``, seeded by it;
-    the BenchConfig fields from delta_t to n_trials are the spec's."""
-    shared = {f.name: getattr(spec, f.name) for f in fields(BenchConfig)[2:-1]}
-    return run_trials([
-        BenchConfig(spec.theta_list[i], spec.t_list[j], **shared,
-                    seed=_point_seed(spec.seed, i, j))
-        for i, j in points
-    ])
-
-
 def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
     """Run the bench at every grid point, on up to ``workers`` processes (see
     :func:`_run_grid`), and write the sweep CSV; the bytes do not depend on it."""
-    return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, _sweep_points, workers)
+    return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, run_trials, workers)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -279,6 +267,12 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     out = _resolve_out(output_path, DEFAULT_OUT["kd"])
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
+
+
+def _point_seed(seed: int, i: int, j: int) -> int:
+    """Seed of fig4's grid point (i, j): the run seed above bit 64, i << 32 | j
+    below, which :func:`rng_stream` hashes whole."""
+    return (int(seed) << 64) | (i << 32) | j
 
 
 def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:

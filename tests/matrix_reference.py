@@ -6,6 +6,8 @@ general route kept here: 2x2 density matrices, projective POVMs onto
 |a+->, the filter POVM, the general ``kd_distribution`` and a slice
 renormalized by its total.  The survival probability is kept here in its
 theta form, against which ``fisher.survival_probability`` is checked.
+:func:`run_point` runs one bench point on the count stream of a packed point
+seed.
 """
 
 import functools
@@ -13,6 +15,8 @@ import math
 
 import numpy as np
 
+from ppasim.bench import run_trials
+from ppasim.cli import SweepSpec
 from ppasim.quasiprob import POVM, ZeroNormalizerError, filter_povm, kd_distribution
 from ppasim.states import (
     ID2,
@@ -111,3 +115,17 @@ def bloch_vector(rho: DensityMatrix):
     if rho.mat.shape != (2, 2):
         raise ValueError("Bloch vectors are defined for one qubit state only")
     return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])
+
+
+def run_point(theta_true, t_set, seed=0, **fields):
+    """The sweep record of one bench point keyed by the packed point seed
+    ``seed``: grid point (i, j) = ((seed >> 32) & 0xffffffff, seed & 0xffffffff)
+    of a run with seed ``seed >> 64``, whose grids repeat theta_true and t_set
+    up to that index.  ``fields`` are the other SweepSpec fields."""
+    i, j = (seed >> 32) & 0xFFFFFFFF, seed & 0xFFFFFFFF
+    spec = SweepSpec(
+        theta_list=[theta_true] * (i + 1), t_list=[t_set] * (j + 1), seed=seed >> 64,
+        **fields,
+    )
+    [rec] = run_trials(spec, [(i, j)])
+    return rec

@@ -15,11 +15,9 @@ import time
 import numpy as np
 
 from ppasim.bench import (
-    BenchConfig,
     _fringe_params,
     _invert_frequency,
     postselected_bloch,
-    run_trials,
     systematic_shift_t,
 )
 from ppasim.cli import main
@@ -54,6 +52,7 @@ from matrix_reference import (
     bloch_vector,
     condition,
     ppa_povm_sequence,
+    run_point,
     survival_theta_form,
     unfiltered_state,
 )
@@ -170,20 +169,12 @@ def test_criterion_4_conditional_tables(capsys):
 
 def test_criterion_5_monte_carlo_efficiency(capsys):
     t0 = time.perf_counter()
-    [rec] = run_trials([
-        BenchConfig(
-            theta_true=0.040, t_set=0.044, photon_budget=10**7, n_trials=32, seed=11
-        )
-    ])
+    rec = run_point(0.040, 0.044, photon_budget=10**7, n_trials=32, seed=11)
     target = qfi_ppa_theory(0.040, 0.044)
     se = rec.precision_per_photon * rec.stderr_variance / rec.variance
     dev = abs(rec.precision_per_photon - target) / se
 
-    [rec_open] = run_trials([
-        BenchConfig(
-            theta_true=0.040, t_set=1.0, photon_budget=10**7, n_trials=32, seed=11
-        )
-    ])
+    rec_open = run_point(0.040, 1.0, photon_budget=10**7, n_trials=32, seed=11)
     se_open = rec_open.precision_per_photon * rec_open.stderr_variance / rec_open.variance
     dev_open = abs(rec_open.precision_per_photon - 1.0) / se_open
     elapsed = time.perf_counter() - t0
@@ -243,12 +234,7 @@ def test_criterion_7_systematic_models(capsys):
     rel = abs((est - theta) - bias_model) / abs(bias_model)
 
     # finite-budget sanity: the Monte Carlo mean agrees within 3 SE
-    [rec] = run_trials([
-        BenchConfig(
-            theta_true=theta, t_set=t, delta_t=dt,
-            photon_budget=10**7, n_trials=32, seed=11,
-        )
-    ])
+    rec = run_point(theta, t, delta_t=dt, photon_budget=10**7, n_trials=32, seed=11)
     se_mean = math.sqrt(rec.variance / 32)
     mc_dev = abs((rec.mean_estimate - theta) - bias_model) / se_mean
 

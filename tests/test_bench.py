@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from ppasim import cli
 from ppasim.bench import (
-    BenchConfig,
     SweepRecord,
     BLOCK_TRIALS,
     MAX_COUNT,
@@ -17,7 +17,6 @@ from ppasim.bench import (
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
-    _point_seed,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -36,22 +35,22 @@ from ppasim.states import (
     phase_unitary,
 )
 
-from matrix_reference import bloch_vector, survival_theta_form
+from matrix_reference import bloch_vector, run_point, survival_theta_form
 
 
-def matrix_pipeline(cfg):
+def matrix_pipeline(theta, t, epsilon, visibility):
     """Reference for postselected_bloch: the bench as 2x2 density matrices.
 
     Source v|1><1| + (1 - v) 1/2, conjugation by exp(i (theta - pi) G) with
     the misaligned waveplate generator G = cos(2 eps) sigma_x/2 +
     sin(2 eps) sigma_z/2, then K+ rho K+^dag renormalized by its trace.
     """
-    rho = cfg.visibility * np.diag([0.0, 1.0]) + (1.0 - cfg.visibility) * ID2 / 2
+    rho = visibility * np.diag([0.0, 1.0]) + (1.0 - visibility) * ID2 / 2
     gen = Generator.from_matrix(
-        math.cos(2 * cfg.epsilon) * SIGMA_X / 2 + math.sin(2 * cfg.epsilon) * SIGMA_Z / 2
+        math.cos(2 * epsilon) * SIGMA_X / 2 + math.sin(2 * epsilon) * SIGMA_Z / 2
     )
-    u = phase_unitary(gen, cfg.theta_true - math.pi)
-    k = make_filter(cfg.t_set)
+    u = phase_unitary(gen, theta - math.pi)
+    k = make_filter(t)
     num = k @ u @ rho @ u.conj().T @ k.conj().T
     p = float(np.trace(num).real)
     return DensityMatrix(num / p), p
@@ -59,7 +58,7 @@ def matrix_pipeline(cfg):
 
 def check_sweep_point(theta_true=0.1, t_set=0.5, **fields):
     """The sweep's input check on the one-point grid (theta_true, t_set), with
-    the other BenchConfig fields as given; BenchConfig itself checks nothing."""
+    the other SweepSpec fields as given; run_trials itself checks nothing."""
     spec = SweepSpec(theta_list=[theta_true], t_list=[t_set], **fields)
     cli._check("sweep", spec, argparse.Namespace(workers=1))
 
@@ -125,14 +124,14 @@ def test_postselected_bloch_matches_matrix_pipeline():
     for _ in range(300):
         # a real amplitude of either sign
         t = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 1.0)
-        cfg = BenchConfig(
-            theta_true=float(rng.uniform(-3.1, 3.1)),
-            t_set=float(t),
-            epsilon=float(rng.uniform(-0.7, 0.7)),
-            visibility=float(rng.uniform(0.01, 1.0)),
+        args = (
+            float(rng.uniform(-3.1, 3.1)),
+            float(t),
+            float(rng.uniform(-0.7, 0.7)),
+            float(rng.uniform(0.01, 1.0)),
         )
-        r, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
-        rho_ref, p_ref = matrix_pipeline(cfg)
+        r, p = postselected_bloch(*args)
+        rho_ref, p_ref = matrix_pipeline(*args)
         assert np.abs(r - bloch_vector(rho_ref)).max() <= 1e-12
         assert abs(p - p_ref) <= 1e-12
 
@@ -333,25 +332,21 @@ def test_estimate_theta_requires_data():
 
 
 def test_run_trials_is_deterministic():
-    cfg = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=17)
-    [rec_a] = run_trials([cfg])
-    [rec_b] = run_trials([cfg])
-    assert rec_a == rec_b
+    point = dict(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=17)
+    assert run_point(**point) == run_point(**point)
 
 
 def test_run_trials_seed_changes_output():
-    cfg1 = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=17)
-    cfg2 = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=18)
-    rec1, rec2 = run_trials([cfg1, cfg2])
+    rec1, rec2 = (
+        run_point(theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=6, seed=seed)
+        for seed in (17, 18)
+    )
     assert rec1.mean_estimate != rec2.mean_estimate
 
 
 def test_run_trials_unbiased_at_matched_calibration():
-    cfg = BenchConfig(
-        theta_true=0.1, t_set=0.3, photon_budget=10**6, n_trials=24, seed=2
-    )
-    [rec] = run_trials([cfg])
-    se_mean = math.sqrt(rec.variance / cfg.n_trials)
+    rec = run_point(theta_true=0.1, t_set=0.3, photon_budget=10**6, n_trials=24, seed=2)
+    se_mean = math.sqrt(rec.variance / 24)
     assert abs(rec.mean_estimate - 0.1) < 4 * se_mean
     assert rec.flags == ""
     assert rec.qfi_theory == pytest.approx(qfi_ppa_theory(0.1, 0.3))
@@ -359,7 +354,7 @@ def test_run_trials_unbiased_at_matched_calibration():
 
 def test_run_trials_detects_calibration_bias():
     theta, t, dt = 0.1, 0.1, 0.01
-    cfg = BenchConfig(
+    rec = run_point(
         theta_true=theta,
         t_set=t,
         delta_t=dt,
@@ -367,18 +362,16 @@ def test_run_trials_detects_calibration_bias():
         n_trials=32,
         seed=9,
     )
-    [rec] = run_trials([cfg])
     shift = systematic_shift_t(theta, t, dt) - theta
     bias = rec.mean_estimate - theta
-    se_mean = math.sqrt(rec.variance / cfg.n_trials)
+    se_mean = math.sqrt(rec.variance / 32)
     # the bias is resolved (many sigma from zero) and matches the model
     assert bias > 5 * se_mean
     assert abs(bias - shift) < 4 * se_mean
 
 
 def test_run_trials_flags_empty_budget():
-    cfg = BenchConfig(theta_true=0.1, t_set=0.3, photon_budget=0, n_trials=3, seed=0)
-    [rec] = run_trials([cfg])
+    rec = run_point(theta_true=0.1, t_set=0.3, photon_budget=0, n_trials=3, seed=0)
     assert "no-data" in rec.flags
     assert math.isnan(rec.mean_estimate)
     assert rec.mean_detected == 0.0
@@ -387,65 +380,65 @@ def test_run_trials_flags_empty_budget():
 def test_sample_counts_zero_budget():
     # with no photons sent, neither sampling mode detects anything
     for mode in ("fixed", "poisson"):
-        cfg = BenchConfig(
+        rec = run_point(
             theta_true=0.1, t_set=0.5, photon_budget=0, sampling_mode=mode,
             n_trials=4, seed=0,
         )
-        [rec] = run_trials([cfg])
         assert rec.mean_detected == 0.0
         assert "no-data" in rec.flags
 
 
 def test_run_trials_zero_survival_flags_no_data():
-    # (theta, t) = (0, 0) passes nothing; with delta_t > 0 the config is
-    # valid and the point must become a flagged row, not an error
+    # (theta, t) = (0, 0) passes nothing; with delta_t > 0 the point is
+    # valid and must become a flagged row, not an error
     for mode in ("fixed", "poisson"):
-        cfg = BenchConfig(
+        rec = run_point(
             theta_true=0.0, t_set=0.0, delta_t=0.2, sampling_mode=mode,
             n_trials=4, seed=5,
         )
-        [rec] = run_trials([cfg])
         assert rec.flags == "no-data"
         assert rec.mean_detected == 0.0
         assert math.isnan(rec.mean_estimate)
 
 
 def test_run_trials_detection_rate_tracks_survival():
-    cfg = BenchConfig(
-        theta_true=0.3, t_set=0.5, photon_budget=200_000, n_trials=8, seed=7
+    budget, n_trials = 200_000, 8
+    _, p = postselected_bloch(0.3, 0.5, 0.0, 1.0)
+    rec = run_point(
+        theta_true=0.3, t_set=0.5, photon_budget=budget, n_trials=n_trials, seed=7
     )
-    _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
-    [rec] = run_trials([cfg])
-    sigma = math.sqrt(cfg.photon_budget * p * (1 - p) / cfg.n_trials)
-    assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
+    sigma = math.sqrt(budget * p * (1 - p) / n_trials)
+    assert abs(rec.mean_detected - budget * p) < 4 * sigma
 
 
 def test_run_trials_poisson_mode_tracks_survival():
-    cfg = BenchConfig(
+    budget, n_trials = 5000, 8
+    _, p = postselected_bloch(0.3, 0.5, 0.0, 1.0)
+    rec = run_point(
         theta_true=0.3,
         t_set=0.5,
-        photon_budget=5000,
+        photon_budget=budget,
         sampling_mode="poisson",
-        n_trials=8,
+        n_trials=n_trials,
         seed=3,
     )
-    _, p = postselected_bloch(cfg.theta_true, cfg.t_set, cfg.epsilon, cfg.visibility)
-    [rec] = run_trials([cfg])
-    sigma = math.sqrt(cfg.photon_budget * p / cfg.n_trials)
-    assert abs(rec.mean_detected - cfg.photon_budget * p) < 4 * sigma
+    sigma = math.sqrt(budget * p / n_trials)
+    assert abs(rec.mean_detected - budget * p) < 4 * sigma
     assert rec.flags == ""
     assert math.isfinite(rec.mean_estimate)
 
 
 def test_run_trials_stream_layout_is_pinned():
-    # one Philox stream per config: fixed draws every detected count, then
+    # one Philox stream per point: fixed draws every detected count, then
     # every plus count; poisson every plus count, then every minus count.
     # The integer totals pin the draws without depending on libm rounding
-    fixed = BenchConfig(
-        theta_true=0.1, t_set=0.3, photon_budget=20000, n_trials=8, seed=17
+    rec_fixed, rec_poisson = (
+        run_point(
+            theta_true=0.1, t_set=0.3, photon_budget=20000, sampling_mode=mode,
+            n_trials=8, seed=17,
+        )
+        for mode in ("fixed", "poisson")
     )
-    poisson = dataclasses.replace(fixed, sampling_mode="poisson")
-    rec_fixed, rec_poisson = run_trials([fixed, poisson])
     assert rec_fixed.mean_detected == 1856.25
     assert rec_poisson.mean_detected == 1843.875
 
@@ -454,12 +447,15 @@ def test_draw_counts_follow_the_thinning_law():
     # k = 5 standard errors and the seeds are fixed before any run
     k, n, budget, p, q = 5.0, 4000, 1000, 0.3, 0.25
     lam = budget * p
-    poisson = BenchConfig(
-        theta_true=0.1, t_set=0.5, photon_budget=budget, sampling_mode="poisson",
-        n_trials=n, seed=(7 << 64) | 3,
+    # run seed 7: poisson draws at grid point (0, 3), fixed at (0, 4)
+    poisson = SweepSpec(
+        photon_budget=budget, sampling_mode="poisson", n_trials=n, seed=7
     )
-    fixed = dataclasses.replace(poisson, sampling_mode="fixed", seed=(7 << 64) | 4)
-    detected, plus = _draw_counts([poisson, fixed], np.full(2, p), np.full(2, q))
+    fixed = dataclasses.replace(poisson, sampling_mode="fixed")
+    detected, plus = np.empty((2, 2, n), dtype=np.int64)
+    for row, (spec, j) in enumerate(((poisson, 3), (fixed, 4))):
+        counts = _draw_counts(spec, [(0, j)], np.full(1, p), np.full(1, q))
+        detected[row], plus[row] = counts[0][0], counts[1][0]
     # poisson: detected ~ Poisson(lam), plus ~ Poisson(lam q), and plus is
     # independent of minus = detected - plus
     assert abs(detected[0].mean() - lam) < k * math.sqrt(lam / n)
@@ -474,45 +470,45 @@ def test_draw_counts_follow_the_thinning_law():
 def test_run_trials_precision_near_qfi_bound():
     # tight-filter working point: per-photon precision should approach the
     # theory value within a few standard errors (it cannot beat it)
-    cfg = BenchConfig(
+    rec = run_point(
         theta_true=0.040, t_set=0.044, photon_budget=10**7, n_trials=32, seed=11
     )
-    [rec] = run_trials([cfg])
     target = qfi_ppa_theory(0.040, 0.044)
     rel_se = rec.stderr_variance / rec.variance
     se_prec = rec.precision_per_photon * rel_se
     assert abs(rec.precision_per_photon - target) < 3 * se_prec
 
 
-def count_stream(seed):
-    """A config's count stream, built through Philox's ``key`` argument: the
-    first key word from SeedSequence((run seed, STAGE_COUNTS)), the second
-    the grid bits below bit 64 of ``seed``."""
-    seq = np.random.SeedSequence((seed >> 64, STAGE_COUNTS))
+def count_stream(seed, i, j):
+    """Grid point (i, j)'s count stream, built through Philox's ``key``
+    argument: the first key word from SeedSequence((run seed, STAGE_COUNTS)),
+    the second the grid bits i << 32 | j."""
+    seq = np.random.SeedSequence((seed, STAGE_COUNTS))
     word = int(seq.generate_state(1, np.uint64)[0])
-    return np.random.Generator(np.random.Philox(key=word | (seed % 2**64) << 64))
+    return np.random.Generator(np.random.Philox(key=word | (i << 32 | j) << 64))
 
 
-def run_trials_reference(cfg):
-    """One config's record, point by point, from the scalar closed forms."""
-    t = abs(cfg.t_set)
-    t_assumed = t + cfg.delta_t
-    n = optimal_measurement(cfg.theta_true, t_assumed)
-    r_ps, p_ps = postselected_bloch(cfg.theta_true, t, cfg.epsilon, cfg.visibility)
+def run_trials_reference(spec, i, j):
+    """The record of ``spec``'s grid point (i, j), from the scalar closed forms."""
+    theta = spec.theta_list[i]
+    t = abs(spec.t_list[j])
+    t_assumed = t + spec.delta_t
+    n = optimal_measurement(theta, t_assumed)
+    r_ps, p_ps = postselected_bloch(theta, t, spec.epsilon, spec.visibility)
     q = min(max((1.0 + float((n * r_ps).sum())) / 2.0, 0.0), 1.0)
 
-    rng = count_stream(cfg.seed)
-    if cfg.sampling_mode == "fixed":
+    rng = count_stream(spec.seed, i, j)
+    if spec.sampling_mode == "fixed":
         detected = rng.binomial(
-            int(cfg.photon_budget), min(p_ps, 1.0), size=cfg.n_trials
+            int(spec.photon_budget), min(p_ps, 1.0), size=spec.n_trials
         )
         plus = rng.binomial(detected, q)
     else:
-        lam = cfg.photon_budget * p_ps
-        plus = rng.poisson(lam * q, size=cfg.n_trials)
-        detected = plus + rng.poisson(lam * (1.0 - q), size=cfg.n_trials)
+        lam = spec.photon_budget * p_ps
+        plus = rng.poisson(lam * q, size=spec.n_trials)
+        detected = plus + rng.poisson(lam * (1.0 - q), size=spec.n_trials)
     hit = detected > 0
-    est, _ = estimate_theta(plus[hit], detected[hit], t_assumed, n, cfg.theta_true)
+    est, _ = estimate_theta(plus[hit], detected[hit], t_assumed, n, theta)
 
     mean_detected = float(detected.mean())
     zero_spread = len(est) > 1 and bool(np.all(est == est[0]))
@@ -526,7 +522,7 @@ def run_trials_reference(cfg):
         variance = float(est.var(ddof=1)) if len(est) > 1 else math.nan
         if zero_spread:  # equal estimates: no rounding noise of the sum
             variance = 0.0
-        mse = float(np.mean((est - cfg.theta_true) ** 2))
+        mse = float(np.mean((est - theta) ** 2))
         stderr = (
             variance * math.sqrt(2.0 / (len(est) - 1)) if len(est) > 1 else math.nan
         )
@@ -538,14 +534,14 @@ def run_trials_reference(cfg):
         accuracy = (
             1.0 / (mse * mean_detected) if mse > 0 and mean_detected > 0 else math.nan
         )
-        if len(est) < cfg.n_trials:
-            flags.append(f"empty-trials={cfg.n_trials - len(est)}")
+        if len(est) < spec.n_trials:
+            flags.append(f"empty-trials={spec.n_trials - len(est)}")
     if zero_spread:
         flags.append("zero-variance")
 
-    qfi = qfi_ppa_theory(cfg.theta_true, t) if t > 0 else math.nan
+    qfi = qfi_ppa_theory(theta, t) if t > 0 else math.nan
     return SweepRecord(
-        theta_true=cfg.theta_true,
+        theta_true=theta,
         t_mag=t,
         mean_estimate=mean_est,
         variance=variance,
@@ -559,42 +555,46 @@ def run_trials_reference(cfg):
     )
 
 
-def grid_configs(thetas, ts, **fields):
-    return [
-        BenchConfig(theta_true=theta, t_set=t, **fields) for theta in thetas for t in ts
-    ]
+def grid_run(thetas, ts, **fields):
+    """A spec of the grid thetas x ts and all its grid indices (i, j)."""
+    points = list(itertools.product(range(len(thetas)), range(len(ts))))
+    return SweepSpec(theta_list=list(thetas), t_list=list(ts), **fields), points
 
 
 def test_run_trials_matches_per_point_reference():
     thetas = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
     ts = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
     side = math.isqrt(2 * BLOCK_TRIALS // 32) + 1
-    configs = [
+    runs = [
         # a budget of 30 leaves some trials of the tight filters empty
-        *grid_configs(thetas, ts, photon_budget=30, n_trials=5),
-        *grid_configs(thetas, ts, photon_budget=30, n_trials=5, sampling_mode="poisson"),
+        grid_run(thetas, ts, photon_budget=30, n_trials=5),
+        grid_run(thetas, ts, photon_budget=30, n_trials=5, sampling_mode="poisson"),
         # nothing survives (theta, t) = (0, 0)
-        *grid_configs((0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4),
-        *grid_configs(
+        grid_run((0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4),
+        grid_run(
             (0.0, 0.1), (0.0, 0.5), delta_t=0.2, n_trials=4, sampling_mode="poisson"
         ),
-        *grid_configs(thetas, ts, photon_budget=1000, n_trials=2),
+        grid_run(thetas, ts, photon_budget=1000, n_trials=2),
         # all three systematics over a grid longer than one block
-        *grid_configs(
+        grid_run(
             np.linspace(0.02, 1.5, side), np.linspace(0.05, 1.0, side),
             delta_t=-0.01, epsilon=0.01, visibility=0.95,
             sampling_mode="poisson", n_trials=32,
         ),
-        *grid_configs(thetas, (0.15,), n_trials=700),
+        grid_run(thetas, (0.15,), n_trials=700),
     ]
-    configs = [dataclasses.replace(cfg, seed=k) for k, cfg in enumerate(configs)]
+    runs = [
+        (dataclasses.replace(spec, seed=k), points) for k, (spec, points) in enumerate(runs)
+    ]
     # the point (3, 2) of `ppasim sweep --budget 30 --trials 5`, whose three
     # equal hit estimates have a naive variance of 2.9e-34, not 0
-    configs.append(
-        BenchConfig(0.2, 0.15, photon_budget=30, n_trials=5, seed=_point_seed(0, 3, 2))
-    )
-    expected = [cli._csv_row(run_trials_reference(cfg)) for cfg in configs]
-    records = run_trials(configs)
+    runs.append((SweepSpec(photon_budget=30, n_trials=5), [(3, 2)]))
+    expected = [
+        cli._csv_row(run_trials_reference(spec, i, j))
+        for spec, points in runs
+        for i, j in points
+    ]
+    records = [rec for spec, points in runs for rec in run_trials(spec, points)]
     assert [cli._csv_row(rec) for rec in records] == expected
     assert "zero-variance" in records[-1].flags.split(";")
     assert records[-1].variance == 0.0
@@ -666,8 +666,8 @@ def test_config_rejects_invalid_fields(kwargs):
 
 def test_run_trials_at_the_amplitude_floor_writes_a_normal_row():
     # at |t| = MIN_AMPLITUDE the estimates and their variance, which scale
-    # as t and t^2, are still normal doubles; below it the config is refused
-    [rec] = run_trials([BenchConfig(0.1, MIN_AMPLITUDE, n_trials=4, seed=2)])
+    # as t and t^2, are still normal doubles; below it the point is refused
+    rec = run_point(0.1, MIN_AMPLITUDE, n_trials=4, seed=2)
     assert rec.flags == ""
     for value in (rec.mean_estimate, rec.variance, rec.qfi_theory):
         assert abs(value) >= np.finfo(float).tiny
@@ -680,8 +680,9 @@ def test_run_trials_accepts_the_count_cap():
     # at t = 1 every photon survives: the largest binomial count and
     # poisson mean that a budget of MAX_COUNT asks of the samplers
     for mode in ("fixed", "poisson"):
-        cfg = BenchConfig(0.3, 1.0, photon_budget=MAX_COUNT, sampling_mode=mode, n_trials=2)
-        [rec] = run_trials([cfg])
+        rec = run_point(
+            0.3, 1.0, photon_budget=MAX_COUNT, sampling_mode=mode, n_trials=2
+        )
         assert rec.mean_detected == pytest.approx(MAX_COUNT, rel=1e-6)
         assert rec.mean_estimate == pytest.approx(0.3, abs=1e-6)
 

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from ppasim import cli
-from ppasim.bench import STAGE_TOMOGRAPHY, SWEEP_CSV_COLUMNS, _moments, rng_stream
+from ppasim.bench import (
+    STAGE_TOMOGRAPHY,
+    SWEEP_CSV_COLUMNS,
+    _moments,
+    rng_stream,
+    run_trials,
+)
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import (
     InconsistentDerivativeError,
@@ -44,6 +50,12 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def package_env():
+    """The environment with this ppasim first on PYTHONPATH, for a subprocess."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 # --------------------------------------------------------------------- sweep
@@ -173,7 +185,8 @@ def test_sweep_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
             assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-9, abs=0.0)
 
 
-# 7 workers exceed the grid's 6 points.
+# 7 workers exceed the grid's 6 points.  The forked side runs in a
+# subprocess, whose time limit fails a deadlocked runner instead of hanging.
 @pytest.mark.parametrize("workers", [2, 3, 7])
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
     argv = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
@@ -181,7 +194,11 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
-    run(argv + ["--out", str(b), "--workers", str(workers)], capsys)
+    subprocess.run(
+        [sys.executable, "-m", "ppasim", *argv, "--out", str(b),
+         "--workers", str(workers)],
+        env=package_env(), stdout=subprocess.DEVNULL, check=True, timeout=60,
+    )
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -201,9 +218,9 @@ def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
         "assert 'numpy.random' not in sys.modules\n"
         "assert not set(pools) & set(sys.modules)\n"
     )
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), check=True, timeout=60
+    )
     assert len(read_csv(out)) == 4
 
 
@@ -330,12 +347,10 @@ except ChildProcessError:
 )
 def test_a_failing_worker_reaches_the_caller_and_is_reaped(tmp_path, fail, error):
     out = tmp_path / "s.csv"
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = FAILING_WORKER.replace("FAIL", fail)
     done = subprocess.run(
         [sys.executable, "-c", code, str(out)],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=package_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.splitlines() == [error, "no child left"]
     assert not out.exists()
@@ -475,7 +490,7 @@ def test_sweep_writes_nan_theory_where_t_squared_underflows(tmp_path, capsys):
         visibility=0.95, n_trials=2,
     )
     alone = [
-        cli._csv_row(cli._sweep_points(spec, [point])[0])
+        cli._csv_row(run_trials(spec, [point])[0])
         for point in itertools.product(range(2), range(3))
     ]
     assert out.read_text().splitlines()[1:] == alone
