@@ -18,6 +18,7 @@ import os
 import pickle
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import product
 
@@ -61,22 +62,16 @@ DEFAULT_OUT = {"sweep": "sweep.csv", "kd": "kd.json", "fig4": "fig4.csv"}
 # Row-major (a, a') outcomes of the pass-conditioned table that kd writes.
 KD_TABLE_LABELS = ("a+,a+", "a+,a-", "a-,a+", "a-,a-")
 
-FIG4_CSV_COLUMNS = (
-    "theta_true",
-    "t_mag",
-    "p_ps",
-    "qfi_theory",
-    "qfi_family",
-    "qfi_empirical",
-    "qfi_empirical_stderr",
-    "gap4_family",
-    "gap4_empirical",
-    "gap4_empirical_stderr",
-    "qfi_theory_per_input",
-    "qfi_empirical_per_input",
-    "gap4_empirical_per_input",
-    "flags",
-)
+# The keys of each kd JSON record, in file order.
+KD_RECORD_KEYS = ("theta", "t", "labels", "re", "im", "gap", "gap_times_4delta_sq")
+
+# One fig4 CSV row: exact and tomographic information at one grid point.
+Fig4Record = namedtuple("Fig4Record", (
+    "theta_true t_mag p_ps qfi_theory qfi_family qfi_empirical qfi_empirical_stderr"
+    " gap4_family gap4_empirical gap4_empirical_stderr qfi_theory_per_input"
+    " qfi_empirical_per_input gap4_empirical_per_input flags"
+))
+FIG4_CSV_COLUMNS = Fig4Record._fields
 
 # Tomography repetitions per fig4 point, and the distance from the sphere,
 # in standard deviations of an estimate's length (at most 1/sqrt(shots)),
@@ -255,15 +250,10 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
         for t in t_list:
             cond = kd_table_closed_form(r, t)
             gap = nonclassicality_gap(cond)
-            records.append({
-                "theta": float(theta),
-                "t": float(t),
-                "labels": list(KD_TABLE_LABELS),
-                "re": cond.real.ravel().tolist(),
-                "im": cond.imag.ravel().tolist(),
-                "gap": gap,
-                "gap_times_4delta_sq": 4.0 * gap,  # eigenvalue spread is 1
-            })
+            records.append(dict(zip(KD_RECORD_KEYS, (
+                float(theta), float(t), list(KD_TABLE_LABELS), cond.real.ravel().tolist(),
+                cond.imag.ravel().tolist(), gap, 4.0 * gap,  # eigenvalue spread is 1
+            ))))
     out = _resolve_out(output_path, DEFAULT_OUT["kd"])
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
@@ -275,8 +265,8 @@ def _point_seed(seed: int, i: int, j: int) -> int:
     return (int(seed) << 64) | (i << 32) | j
 
 
-def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
-    """The FIG4_CSV_COLUMNS values of grid point (i, j), flags last."""
+def _fig4_point(spec: SweepSpec, i: int, j: int) -> Fig4Record:
+    """The fig4 row of grid point (i, j)."""
     theta = spec.theta_list[i]
     t = spec.t_list[j]
     vis = spec.visibility
@@ -318,21 +308,13 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> tuple:
     qfi_mean, gap_mean = reps.mean(1)
     qfi_se, gap_se = reps.std(1, ddof=1) / math.sqrt(_FIG4_REPS)
     qfi_theory = qfi_ppa_theory(theta, t)
-    return (
-        theta,
-        t,
-        p_ps,
-        qfi_theory,
-        qfi_ppa_family(theta, t, vis),
-        qfi_mean,
-        qfi_se,
-        gap4_family,
-        gap_mean,
-        gap_se,
-        qfi_theory * p_ps,
-        qfi_mean * p_ps,
-        gap_mean * p_ps,
-        ";".join(flags),
+    return Fig4Record(
+        theta_true=theta, t_mag=t, p_ps=p_ps, qfi_theory=qfi_theory,
+        qfi_family=qfi_ppa_family(theta, t, vis),
+        qfi_empirical=qfi_mean, qfi_empirical_stderr=qfi_se,
+        gap4_family=gap4_family, gap4_empirical=gap_mean, gap4_empirical_stderr=gap_se,
+        qfi_theory_per_input=qfi_theory * p_ps, qfi_empirical_per_input=qfi_mean * p_ps,
+        gap4_empirical_per_input=gap_mean * p_ps, flags=";".join(flags),
     )
 
 
@@ -358,7 +340,7 @@ def cmd_fig4(spec: SweepSpec) -> str:
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_points)
 
 
-def _fig4_points(spec: SweepSpec, points: list) -> list[tuple]:
+def _fig4_points(spec: SweepSpec, points: list) -> list[Fig4Record]:
     """:func:`_fig4_point` of each (i, j) in ``points``; an error names its point."""
     values = []
     for i, j in points:

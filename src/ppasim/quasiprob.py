@@ -27,9 +27,11 @@ from .states import (
     Generator,
     ZeroProbabilityError,
     _as_complex_stack,
+    _built,
+    _check_povm,
     _freeze,
     _reject,
-    hermitian_part,
+    _reject_non_psd,
 )
 from .fisher import qfi_postselected_pure, survival_probability
 
@@ -65,23 +67,13 @@ class POVM:
 
     ``stack[..., i, :, :]`` is element i; leading axes are batch axes, one
     POVM per instance, each checked for PSD elements and completeness to
-    1e-10 (a failure in a stack names the first failing instance).
+    1e-10, naming the first failing instance (``states._built`` skips this).
     """
 
     stack: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.ndim(self.stack) < 3 or np.shape(self.stack)[-3] == 0:
-            raise ValueError("a POVM needs at least one element")
-        stack = _as_complex_stack(self.stack, "POVM element")
-        low = np.linalg.eigvalsh(hermitian_part(stack)).min((-2, -1), initial=0.0)
-        _reject(low < -ATOL_STRUCT, ValueError, "POVM element is not PSD within 1e-10")
-        dev = np.abs(stack.sum(-3) - np.eye(stack.shape[-1])).max((-2, -1), initial=0.0)
-        _reject(
-            dev > ATOL_STRUCT, ValueError,
-            "POVM elements do not sum to the identity within 1e-10",
-        )
-        object.__setattr__(self, "stack", _freeze(stack))
+        object.__setattr__(self, "stack", _freeze(_check_povm(self.stack)))
 
     @property
     def dim(self) -> int:
@@ -92,11 +84,14 @@ def filter_povm(k_plus) -> POVM:
     """Pass/fail POVM {M, 1 - M}, M = K+^dag K+, of a filter: pass is outcome 0.
 
     ``k_plus`` may be a stack (..., d, d), giving one POVM per instance.
-    The PSD check on 1 - M rejects a K+ that is not a contraction.
+    The one check, that 1 - M is PSD, rejects a K+ that is not a contraction.
     """
     k = _as_complex_stack(k_plus, "K+")
     m = k.conj().swapaxes(-1, -2) @ k
-    return POVM(np.stack([m, np.eye(k.shape[-1]) - m], axis=-3))
+    rest = _as_complex_stack(np.eye(k.shape[-1]) - m, "POVM element")
+    _reject_non_psd(rest[..., None, :, :])
+    # then M = K^dag K is PSD too, and M + (1 - M) = 1
+    return _built(POVM, stack=np.stack([m, rest], axis=-3))
 
 
 class GapEqualityResult(NamedTuple):
@@ -217,7 +212,8 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     filt = filter_povm(k_plus)
     if filt.dim != rho.dim or a.dim != rho.dim:
         raise ValueError("rho, generator, and filter dimensions must agree")
-    proj = POVM(a.projectors)
+    # a Generator's projectors were checked as a POVM when it was made
+    proj = _built(POVM, stack=a.projectors)
     weights = np.einsum("...iab,...ba->...i", proj.stack, rho.mat).real
     supported = weights > 1e-12
     count = supported.sum(-1)

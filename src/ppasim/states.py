@@ -119,6 +119,35 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _built(cls, **arrays):
+    """A ``cls`` of arrays valid by construction, each stored by :func:`_freeze`:
+    the one construction path that runs no check; callers say why it holds."""
+    obj = object.__new__(cls)
+    for name, value in arrays.items():
+        object.__setattr__(obj, name, _freeze(value))
+    return obj
+
+
+def _reject_non_psd(elements, error: type[Exception] = ValueError) -> None:
+    """:func:`_reject` each instance of (..., n, d, d) ``elements`` not all PSD."""
+    low = np.linalg.eigvalsh(hermitian_part(elements)).min((-2, -1), initial=0.0)
+    _reject(low < -ATOL_STRUCT, error, "POVM element is not PSD within 1e-10")
+
+
+def _check_povm(stack, error: type[Exception] = ValueError) -> np.ndarray:
+    """``stack`` as complex (..., n, d, d) elements, once each instance's are
+    PSD and sum to 1 within 1e-10; else ``error`` names the first failing one."""
+    if np.ndim(stack) < 3 or np.shape(stack)[-3] == 0:
+        raise error("a POVM needs at least one element")
+    stack = _as_complex_stack(stack, "POVM element")
+    _reject_non_psd(stack, error)
+    dev = np.abs(stack.sum(-3) - np.eye(stack.shape[-1])).max((-2, -1), initial=0.0)
+    _reject(
+        dev > ATOL_STRUCT, error, "POVM elements do not sum to the identity within 1e-10"
+    )
+    return stack
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density operator, or a stack of them.
@@ -127,7 +156,8 @@ class DensityMatrix:
     ``mat`` is one state.  Construction checks each instance for
     hermiticity and unit trace to 1e-10 and positivity to eigenvalue
     >= -1e-10 (one batched ``eigvalsh``); a failure in a stack names the
-    first failing instance.  ``mat`` is stored read-only.
+    first failing instance.  ``mat`` is stored read-only.  (:func:`_built`
+    makes states valid by construction, skipping these checks.)
     """
 
     mat: np.ndarray
@@ -162,14 +192,18 @@ class DensityMatrix:
 def pure_state(vec) -> DensityMatrix:
     """|psi><psi| from a state vector (normalized internally).
 
-    ``vec`` has shape (..., d); leading axes are batch axes, and each
-    vector must have norm >= 1e-12.
+    ``vec`` has shape (..., d); leading axes are batch axes.  Each vector
+    must be finite with a finite norm >= 1e-12 (else the first failing
+    instance is named); then |psi><psi| is a state by construction.
     """
     v = np.asarray(vec, dtype=complex)
+    _reject(~np.isfinite(v).all(-1), ValueError, "state vector is not finite")
     n = np.linalg.norm(v, axis=-1)
+    _reject(~np.isfinite(n), ValueError, "state vector norm overflows")
     _reject(n < 1e-12, ValueError, "cannot normalize a zero vector")
     v = v / n[..., None]
-    return DensityMatrix(v[..., :, None] * v[..., None, :].conj())
+    # rank one, Hermitian entry by entry, trace |v|^2 = 1 to rounding
+    return _built(DensityMatrix, mat=v[..., :, None] * v[..., None, :].conj())
 
 
 @dataclass(frozen=True)
@@ -180,9 +214,9 @@ class Generator:
     ``mat`` is one generator.  ``projectors`` is one (..., k, d, d) array
     whose ``projectors[..., i, :, :]`` belongs to ``eigenvalues[..., i]``,
     so ``mat = sum_i eigenvalues[..., i] * projectors[..., i, :, :]`` per
-    instance; construction checks that sum to 1e-10, naming the first
-    failing instance of a stack, and stores all three arrays read-only.  A
-    slot may hold a zero projector, which carries no weight.
+    instance; construction checks that sum, then that the projectors form a
+    POVM, to 1e-10, naming the first failing instance of a stack, and stores
+    all three arrays read-only.  A zero projector carries no weight.
     """
 
     mat: np.ndarray
@@ -229,11 +263,12 @@ class Generator:
         for name in ("mat", "eigenvalues", "projectors"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         rebuilt = (self.eigenvalues[..., None, None] * self.projectors).sum(-3)
-        bad = np.abs(rebuilt - self.mat).max((-2, -1)) > ATOL_STRUCT
+        bad = ~(np.abs(rebuilt - self.mat).max((-2, -1)) <= ATOL_STRUCT)  # nan too
         _reject(
             bad, InvalidGeneratorError,
             "spectral decomposition does not reproduce the generator",
         )
+        _check_povm(self.projectors, InvalidGeneratorError)
 
     @property
     def dim(self) -> int:

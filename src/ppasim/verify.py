@@ -19,7 +19,8 @@ then each parameter per d in one call.  Instances are evaluated as stacks:
 the qubit instances as one batch, the others in batches of one d of at
 most ``MAX_BATCH`` instances.  The 84 grid states of the CFI = QFI and
 Sylvester suites are one ``PPAFamily`` evaluation and one ``sld`` call,
-made once per process and shared by both suites.
+made once per process and shared by both suites.  The random states,
+generators and POVMs are valid by construction, so ``states._built`` makes them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .states import (
     PAULIS,
     DensityMatrix,
     Generator,
+    _built,
     _reject,
     hermitian_part,
     make_filter,
@@ -203,7 +205,9 @@ def _qudit_batches(draws):
         # columns with eigenvalue a, and is zero where an instance lacks a
         slots = np.arange(-3.0, 4.0)
         cols = np.where(eigs[:, None, None, :] == slots[:, None, None], q[:, None], 0.0)
-        gen = Generator(
+        # spectral sums over one orthonormal frame, whose slots sum to 1
+        gen = _built(
+            Generator,
             mat=(q * eigs[:, None, :]) @ q_h,
             eigenvalues=np.broadcast_to(slots, (len(pos), len(slots))),
             projectors=cols @ cols.conj().swapaxes(-1, -2),
@@ -258,7 +262,9 @@ def _random_densities(probs, z) -> DensityMatrix:
     one state.
     """
     q, _ = np.linalg.qr(z)
-    return DensityMatrix((q * probs[..., None, :]) @ q.conj().swapaxes(-1, -2))
+    # a probability vector in a unitary frame
+    mat = (q * probs[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    return _built(DensityMatrix, mat=mat)
 
 
 def _random_povms(x) -> POVM:
@@ -271,7 +277,8 @@ def _random_povms(x) -> POVM:
     inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[
         ..., None, :, :
     ]
-    return POVM(inv_sqrt @ raw @ inv_sqrt)
+    # congruences of PSD G_i by S^-1/2, which sum to S^-1/2 S S^-1/2 = 1
+    return _built(POVM, stack=inv_sqrt @ raw @ inv_sqrt)
 
 
 def _marginalization_draws(rng: np.random.Generator, n: int) -> list:

@@ -85,7 +85,6 @@ def test_sweep_writes_expected_grid(tmp_path, capsys):
     assert str(out) in printed
     rows = read_csv(out)
     assert len(rows) == 2
-    assert tuple(rows[0]) == SWEEP_CSV_COLUMNS
     assert [r["theta_true"] for r in rows] == ["0.1", "0.2"]
     assert all(r["t_mag"] == "0.5" for r in rows)
 
@@ -524,6 +523,36 @@ def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     assert str(tmp_path / "env.csv") in printed
 
 
+# ------------------------------------------------------------------ schemas
+
+
+def test_output_schemas_are_pinned(tmp_path, capsys):
+    """The sweep and fig4 CSV headers and the kd record keys, in file order."""
+    sweep, fig4, kd = (tmp_path / name for name in ("s.csv", "f.csv", "kd.json"))
+    grid = ["--theta", "0.2", "--t", "0.5"]
+    for argv in (
+        ["sweep", *grid, "--trials", "2", "--out", str(sweep)],
+        ["fig4", *grid, "--shots", "100", "--out", str(fig4)],
+        ["kd", *grid, "--out", str(kd)],
+    ):
+        assert run(argv, capsys)[0] == 0
+    assert sweep.read_text().splitlines()[0].split(",") == [
+        "theta_true", "t_mag", "mean_estimate", "variance", "mse", "mean_detected",
+        "precision_per_photon", "accuracy_per_photon", "qfi_theory",
+        "stderr_variance", "flags",
+    ]
+    assert fig4.read_text().splitlines()[0].split(",") == [
+        "theta_true", "t_mag", "p_ps", "qfi_theory", "qfi_family", "qfi_empirical",
+        "qfi_empirical_stderr", "gap4_family", "gap4_empirical",
+        "gap4_empirical_stderr", "qfi_theory_per_input", "qfi_empirical_per_input",
+        "gap4_empirical_per_input", "flags",
+    ]
+    [record] = json.loads(kd.read_text())
+    assert list(record) == [
+        "theta", "t", "labels", "re", "im", "gap", "gap_times_4delta_sq",
+    ]
+
+
 # ----------------------------------------------------------------------- kd
 
 
@@ -651,7 +680,6 @@ def test_fig4_pipeline_tracks_theory(tmp_path, capsys):
     assert code == 0
     rows = read_csv(out)
     assert len(rows) == 1
-    assert tuple(rows[0]) == FIG4_CSV_COLUMNS
     [row] = fig4_rows(out)
     assert row["qfi_theory"] == pytest.approx(3.7711148807566075, rel=1e-11)
     # the family truth sits below the ideal theory line at v = 0.98

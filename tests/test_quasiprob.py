@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from ppasim.states import (
     psd_sqrt,
     pure_state,
 )
-from ppasim import verify
+from ppasim import quasiprob, states, verify
 from ppasim.verify import (
     _marginalization_residual,
     gap_equality_suite,
@@ -106,6 +107,37 @@ def test_povm_stores_elements_as_views_of_a_frozen_stack():
         assert e.base is povm.stack
         with pytest.raises(ValueError):
             e[0, 0] = 0.0
+
+
+def test_verify_builds_only_what_the_public_constructors_accept(monkeypatch):
+    """Every state, POVM and generator that verify makes through the
+    unchecked ``_built`` path, at seeds 0-5 and the ``--n 200`` sizes,
+    passes its public constructor and is stored the same."""
+    made, unchecked = [], states._built
+
+    def recording(cls, **arrays):
+        made.append(unchecked(cls, **arrays))
+        return made[-1]
+
+    for module in (states, quasiprob, verify):
+        monkeypatch.setattr(module, "_built", recording)
+    for seed in range(6):
+        assert all(r.passed for r in verify.run_all(seed, 200))
+    assert {type(obj) for obj in made} == {DensityMatrix, POVM, Generator}
+    for obj in made:
+        arrays = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        checked = type(obj)(**arrays)
+        assert all(np.array_equal(getattr(checked, k), v) for k, v in arrays.items())
+
+
+def test_filter_povm_checks_the_contraction_and_matches_the_public_povm():
+    k = psd_sqrt(np.array([random_density(RNG, 3).mat for _ in range(4)]))
+    povm = filter_povm(k)
+    assert not povm.stack.flags.writeable
+    assert np.array_equal(POVM(povm.stack).stack, povm.stack)
+    k[2] *= 1.1 / np.linalg.eigvalsh(k[2]).max()  # largest singular value 1.1
+    with pytest.raises(ValueError, match="^instance 2: POVM element is not PSD within"):
+        filter_povm(k)
 
 
 def test_sequence_rejects_mixed_dimensions():

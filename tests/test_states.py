@@ -134,6 +134,49 @@ def test_generator_built_directly_is_read_only():
         assert not arr.flags.writeable
 
 
+def test_generator_built_directly_rejects_projectors_that_are_not_a_povm():
+    # every set reproduces diag(0, 1) as sum_i a_i P_i; the bad ones sum to
+    # diag(1, 2), or to 1 with a zero-weight slot that is not PSD
+    mat = np.diag([0.0, 1.0])
+    cases = [
+        ([0.0, 1.0], [np.diag([1.0, 0.0]), mat], [np.eye(2), mat],
+         "POVM elements do not sum to the identity within 1e-10"),
+        ([0.0, 0.0, 1.0], [np.diag([1.0, 0.0]), np.zeros((2, 2)), mat],
+         [np.diag([1.0, 0.5]), np.diag([0.0, -0.5]), mat],
+         "POVM element is not PSD within 1e-10"),
+    ]
+    for values, good, bad, message in cases:
+        Generator(mat=mat, eigenvalues=values, projectors=good)
+        with pytest.raises(InvalidGeneratorError, match=f"^{message}$"):
+            Generator(mat=mat, eigenvalues=values, projectors=bad)
+        with pytest.raises(InvalidGeneratorError, match=f"^instance 1: {message}$"):
+            Generator(mat=[mat, mat], eigenvalues=[values] * 2, projectors=[good, bad])
+
+
+def test_generator_built_directly_rejects_a_non_finite_spectrum():
+    good = Generator.from_matrix(SIGMA_Z / 2)
+    with pytest.raises(InvalidGeneratorError, match="^spectral decomposition does not"):
+        Generator(mat=good.mat, eigenvalues=[-0.5, np.nan], projectors=good.projectors)
+    with pytest.raises(InvalidGeneratorError, match="^spectral decomposition does not"):
+        Generator(mat=np.diag([0.5, np.nan]), eigenvalues=good.eigenvalues,
+                  projectors=good.projectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_pure_state_rejects_non_finite_vectors(bad):
+    message = "state vector is not finite"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pure_state([1.0, bad])
+    with pytest.raises(ValueError, match=f"^instance 2: {message}$"):
+        pure_state([[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+
+
+def test_pure_state_rejects_a_norm_that_overflows():
+    with pytest.raises(ValueError, match="^instance 1: state vector norm overflows$"):
+        with np.errstate(over="ignore"):
+            pure_state([[1.0, 0.0], [1e200, 1e200]])
+
+
 def test_generator_stack_names_the_non_hermitian_instance():
     mats = np.array([random_hermitian(RNG, 3) for _ in range(4)])
     mats[2, 0, 1] += 1e-6
