@@ -11,7 +11,6 @@ output paths.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import numbers
 import os
@@ -19,8 +18,8 @@ import pickle
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,11 +88,7 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description shared by the sweep and fig4 commands, and the
-    description of a bench run that :func:`bench.run_trials` reads."""
-
+class _SweepFields(NamedTuple):
     theta_list: tuple[float, ...] = THETA_GRID
     t_list: tuple[float, ...] = T_GRID
     visibility: float = 1.0
@@ -106,24 +101,43 @@ class SweepSpec:
     shots_per_basis: int = 10**5
     output_path: str = ""
 
-    def __post_init__(self) -> None:
-        """Reject a field whose type differs from its default's, and a bool
-        anywhere; grids become tuples."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, tuple):  # a grid
-                if not (
-                    isinstance(value, (list, tuple))
-                    and value
-                    and all(_is_kind(x, numbers.Real) for x in value)
-                ):
-                    raise ValueError(
-                        f"{f.name}: expected a non-empty list of numbers, got {value!r}"
-                    )
-                object.__setattr__(self, f.name, tuple(float(x) for x in value))
-            elif not _is_kind(value, _FIELD_KINDS[type(f.default)]):
-                kind = type(f.default).__name__
-                raise ValueError(f"{f.name}: expected {kind}, got {value!r}")
+
+def _checked(name: str, value, default):
+    """``value`` for the SweepSpec field ``name``, a grid as a float tuple;
+    ValueError if its type differs from ``default``'s, or it is a bool."""
+    if isinstance(default, tuple):  # a grid
+        if not (
+            isinstance(value, (list, tuple))
+            and value
+            and all(_is_kind(x, numbers.Real) for x in value)
+        ):
+            raise ValueError(f"{name}: expected a non-empty list of numbers, got {value!r}")
+        return tuple(float(x) for x in value)
+    if not _is_kind(value, _FIELD_KINDS[type(default)]):
+        raise ValueError(f"{name}: expected {type(default).__name__}, got {value!r}")
+    return value
+
+
+class SweepSpec(_SweepFields):
+    """Grid description shared by the sweep and fig4 commands, and the
+    description of a bench run that :func:`bench.run_trials` reads.
+
+    Every construction path, ``_make``, ``_replace``, ``pickle`` and
+    ``copy`` included, checks each field with :func:`_checked`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        defaults = cls._field_defaults
+        return tuple.__new__(
+            cls, [_checked(n, v, defaults[n]) for n, v in zip(cls._fields, spec)]
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
 
 def _resolve_out(path: str, default_name: str) -> str:
@@ -254,6 +268,8 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
                 float(theta), float(t), list(KD_TABLE_LABELS), cond.real.ravel().tolist(),
                 cond.imag.ravel().tolist(), gap, 4.0 * gap,  # eigenvalue spread is 1
             ))))
+    import json  # only kd and --config use it, so the cli imports it late
+
     out = _resolve_out(output_path, DEFAULT_OUT["kd"])
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
@@ -371,6 +387,8 @@ def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
 
 def _read_config(path: str) -> dict:
     """SweepSpec fields from a JSON file; ValueError naming the problem otherwise."""
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -380,9 +398,8 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"config: {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config: {path} must hold a JSON object of SweepSpec fields")
-    known = {f.name for f in fields(SweepSpec)}
     for key in data:
-        if key not in known:
+        if key not in SweepSpec._fields:
             raise ValueError(f"{key}: not a SweepSpec field (config {path})")
     return data
 
@@ -397,11 +414,11 @@ def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepS
     data: dict = dict(defaults or {})
     if getattr(args, "config", None):
         data.update(_read_config(args.config))
-    for f in fields(SweepSpec):
-        val = getattr(args, f.name, None)
+    for name, default in SweepSpec._field_defaults.items():
+        val = getattr(args, name, None)
         if val is not None:
-            grid = isinstance(f.default, tuple)
-            data[f.name] = _parse_float_list(f.name, val) if grid else val
+            grid = isinstance(default, tuple)
+            data[name] = _parse_float_list(name, val) if grid else val
     return SweepSpec(**data)
 
 

@@ -10,7 +10,7 @@ states without a special case.  A qubit read-out is the projective test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .states import (
     Generator,
     ZeroProbabilityError,
     _as_complex_stack,
+    _ReadOnly,
     _reject,
     _reject_amplitude,
     hermitian_part,
@@ -59,8 +60,7 @@ class PurityError(ValueError):
     """Raised when a pure-state formula receives a mixed state."""
 
 
-@dataclass(frozen=True)
-class SLDResult:
+class SLDResult(NamedTuple):
     """SLD operator, the QFI it certifies, and the on-support defect norm
     (``qfi`` and ``residual`` are arrays over the batch axes of a stack)."""
 
@@ -172,8 +172,7 @@ def qfi_bloch(r, dr):
 _KET0_BRA0 = np.diag([1.0, 0.0]).astype(complex)
 
 
-@dataclass(frozen=True)
-class PPAFamily:
+class PPAFamily(_ReadOnly):
     """theta-indexed family of postselected states for filter amplitude t.
 
     The input is v|0><0| + (1-v) 1/2 in the frame where the imprinted states
@@ -186,14 +185,15 @@ class PPAFamily:
     the (..., 2, 2) results; a bad t or v names its first instance.
     """
 
-    t: complex
-    v: float = 1.0
+    __slots__ = ("t", "v", "_k", "_gen", "_rho0")
 
-    def __post_init__(self) -> None:
-        _reject_amplitude(np.abs(self.t), "PPAFamily requires 0 < |t| <= 1")
-        v = np.asarray(self.v, dtype=float)
+    def __init__(self, t: complex, v: float = 1.0) -> None:
+        _reject_amplitude(np.abs(t), "PPAFamily requires 0 < |t| <= 1")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
+        v = np.asarray(v, dtype=float)
         _reject(~((0.0 < v) & (v <= 1.0)), ValueError, "visibility must lie in (0, 1]")
-        object.__setattr__(self, "_k", make_filter(self.t))
+        object.__setattr__(self, "_k", make_filter(t))
         object.__setattr__(self, "_gen", ppa_generator())
         v = v[..., None, None]
         object.__setattr__(self, "_rho0", v * _KET0_BRA0 + (1.0 - v) * ID2 / 2)

@@ -16,7 +16,6 @@ Fisher information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .states import (
     _built,
     _check_povm,
     _freeze,
+    _ReadOnly,
     _reject,
     _reject_non_psd,
 )
@@ -61,8 +61,7 @@ class ZeroNormalizerError(ValueError):
     """Conditioning slice has (numerically) zero total quasiprobability."""
 
 
-@dataclass(frozen=True)
-class POVM:
+class POVM(_ReadOnly):
     """PSD elements summing to the identity, one read-only (..., n, d, d) ``stack``.
 
     ``stack[..., i, :, :]`` is element i; leading axes are batch axes, one
@@ -70,10 +69,10 @@ class POVM:
     1e-10, naming the first failing instance (``states._built`` skips this).
     """
 
-    stack: np.ndarray
+    __slots__ = ("stack",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stack", _freeze(_check_povm(self.stack)))
+    def __init__(self, stack) -> None:
+        object.__setattr__(self, "stack", _freeze(_check_povm(stack)))
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,6 +127,35 @@ def _built(cls, **arrays):
     return obj
 
 
+class _ReadOnly:
+    """Base of the validated holders, whose ``__slots__`` name their attributes.
+
+    Attributes are set once, by ``object.__setattr__`` in ``__init__`` or
+    :func:`_built`; assigning or deleting one raises AttributeError.
+    Instances compare and hash by identity.  ``pickle`` and ``copy`` restore
+    the slots through ``__setstate__``, storing their arrays read-only.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        public = (n for n in self.__slots__ if not n.startswith("_"))
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in public)
+        return f"{type(self).__name__}({args})"
+
+
 def _reject_non_psd(elements, error: type[Exception] = ValueError) -> None:
     """:func:`_reject` each instance of (..., n, d, d) ``elements`` not all PSD."""
     low = np.linalg.eigvalsh(hermitian_part(elements)).min((-2, -1), initial=0.0)
@@ -148,8 +176,7 @@ def _check_povm(stack, error: type[Exception] = ValueError) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_ReadOnly):
     """A validated density operator, or a stack of them.
 
     ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
@@ -160,10 +187,10 @@ class DensityMatrix:
     makes states valid by construction, skipping these checks.)
     """
 
-    mat: np.ndarray
+    __slots__ = ("mat",)
 
-    def __post_init__(self) -> None:
-        m = _as_complex_stack(self.mat, "density matrix")
+    def __init__(self, mat) -> None:
+        m = _as_complex_stack(mat, "density matrix")
         dev = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
         _reject(
             dev > ATOL_STRUCT, ValueError, "density matrix is not Hermitian within 1e-10"
@@ -206,8 +233,7 @@ def pure_state(vec) -> DensityMatrix:
     return _built(DensityMatrix, mat=v[..., :, None] * v[..., None, :].conj())
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_ReadOnly):
     """Hermitian phase generator with a cached spectral decomposition, or a stack.
 
     ``mat`` has shape (..., d, d); leading axes are batch axes, and a 2-D
@@ -219,9 +245,7 @@ class Generator:
     all three arrays read-only.  A zero projector carries no weight.
     """
 
-    mat: np.ndarray
-    eigenvalues: np.ndarray
-    projectors: np.ndarray
+    __slots__ = ("mat", "eigenvalues", "projectors")
 
     @classmethod
     def from_matrix(cls, mat) -> "Generator":
@@ -259,9 +283,9 @@ class Generator:
             ),
         )
 
-    def __post_init__(self) -> None:
-        for name in ("mat", "eigenvalues", "projectors"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+    def __init__(self, mat, eigenvalues, projectors) -> None:
+        for name, value in zip(self.__slots__, (mat, eigenvalues, projectors)):
+            object.__setattr__(self, name, _freeze(value))
         rebuilt = (self.eigenvalues[..., None, None] * self.projectors).sum(-3)
         bad = ~(np.abs(rebuilt - self.mat).max((-2, -1)) <= ATOL_STRUCT)  # nan too
         _reject(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ THETA_GRID = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
 T_GRID = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     n_instances: int
     max_residual: float

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import itertools
 import math
 
@@ -451,7 +450,7 @@ def test_draw_counts_follow_the_thinning_law():
     poisson = SweepSpec(
         photon_budget=budget, sampling_mode="poisson", n_trials=n, seed=7
     )
-    fixed = dataclasses.replace(poisson, sampling_mode="fixed")
+    fixed = poisson._replace(sampling_mode="fixed")
     detected, plus = np.empty((2, 2, n), dtype=np.int64)
     for row, (spec, j) in enumerate(((poisson, 3), (fixed, 4))):
         counts = _draw_counts(spec, [(0, j)], np.full(1, p), np.full(1, q))
@@ -584,7 +583,7 @@ def test_run_trials_matches_per_point_reference():
         grid_run(thetas, (0.15,), n_trials=700),
     ]
     runs = [
-        (dataclasses.replace(spec, seed=k), points) for k, (spec, points) in enumerate(runs)
+        (spec._replace(seed=k), points) for k, (spec, points) in enumerate(runs)
     ]
     # the point (3, 2) of `ppasim sweep --budget 30 --trials 5`, whose three
     # equal hit estimates have a naive variance of 2.9e-34, not 0

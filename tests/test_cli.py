@@ -223,6 +223,24 @@ def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
     assert len(read_csv(out)) == 4
 
 
+def test_importing_the_cli_loads_no_module_that_only_some_commands_need():
+    # every command pays for what `import ppasim.cli` loads: json is for kd
+    # and --config alone, numpy.random for a command's first draw, and the
+    # holders and records need no dataclass code generation
+    code = (
+        "import sys\n"
+        "import ppasim.cli\n"
+        "late = ('dataclasses', 'json', 'numpy.random', 'concurrent.futures',\n"
+        "        'multiprocessing')\n"
+        "print(sorted(set(late) & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), check=True, timeout=60,
+        capture_output=True, text=True,
+    )
+    assert done.stdout == "[]\n"
+
+
 def recording_runner(sizes):
     """Stand-in for cli._fork_blocks: appends each run's block count to
     ``sizes`` and runs the blocks in this process."""
@@ -1019,6 +1037,35 @@ def test_verify_rejects_invalid_input_before_any_work(
     assert line.startswith(f"ppasim verify: error: {field}: ")
 
 
+# ---------------------------------------------------------------------- help
+
+
+HELP_FLAGS = {
+    "sweep": (
+        "--theta", "--t", "--config", "--out", "--seed", "--budget", "--trials",
+        "--visibility", "--epsilon", "--delta-t", "--sampling-mode", "--workers",
+    ),
+    "kd": ("--theta", "--t", "--config", "--out"),
+    "fig4": (
+        "--theta", "--t", "--config", "--out", "--seed", "--visibility", "--shots"
+    ),
+    "verify": ("--seed", "--n"),
+}
+
+
+@pytest.mark.parametrize("command", [None, *HELP_FLAGS])
+def test_help_exits_0_naming_every_flag(capsys, command):
+    # argparse checks a help string or metavar only when it formats it
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    names = HELP_FLAGS.get(command, tuple(HELP_FLAGS))
+    for name in ("-h", "--help", *names):
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text), name
+
+
 # ---------------------------------------------------------------------- spec
 
 
@@ -1034,6 +1081,19 @@ def test_spec_defaults_match_documented_grid():
     assert spec.photon_budget == 10**6
     assert spec.n_trials == 32
     assert math.isclose(spec.visibility, 1.0)
+
+
+def test_spec_copies_check_and_convert_like_the_constructor():
+    spec = SweepSpec(seed=3)
+    message = "^seed: expected int, got True$"
+    with pytest.raises(ValueError, match=message):
+        spec._replace(seed=True)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec._make(True if name == "seed" else v for name, v in zip(spec._fields, spec))
+    copied = spec._replace(theta_list=[0.1, 1])
+    assert copied.theta_list == (0.1, 1.0)
+    assert type(copied.theta_list[1]) is float
+    assert copied._replace(theta_list=spec.theta_list) == spec
 
 
 @pytest.mark.parametrize("command", ["sweep", "kd", "fig4"])

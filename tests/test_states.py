@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ppasim.bench import postselected_bloch
-from ppasim.fisher import qfi_postselected_pure
-from ppasim.quasiprob import filter_povm
+from ppasim.cli import SweepSpec
+from ppasim.fisher import PPAFamily, qfi_postselected_pure
+from ppasim.quasiprob import POVM, filter_povm
 from ppasim.states import (
     DensityMatrix,
     Generator,
@@ -160,6 +163,46 @@ def test_generator_built_directly_rejects_a_non_finite_spectrum():
     with pytest.raises(InvalidGeneratorError, match="^spectral decomposition does not"):
         Generator(mat=np.diag([0.5, np.nan]), eigenvalues=good.eigenvalues,
                   projectors=good.projectors)
+
+
+def assert_same_contents(x, y):
+    """Equal values, slot by slot for a holder, and read-only arrays in ``y``."""
+    assert type(x) is type(y)
+    if isinstance(x, np.ndarray):
+        assert np.array_equal(x, y)
+        assert not y.flags.writeable
+    elif isinstance(x, tuple) or not hasattr(type(x), "__slots__"):
+        assert x == y
+    else:
+        for name in type(x).__slots__:
+            assert_same_contents(getattr(x, name), getattr(y, name))
+
+
+HOLDERS = {
+    "DensityMatrix": lambda: DensityMatrix(np.diag([0.75, 0.25])),
+    "Generator": lambda: Generator.from_matrix(SIGMA_X / 2),
+    "POVM": lambda: POVM(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])),
+    "PPAFamily": lambda: PPAFamily(0.3, 0.9),
+    "SweepSpec": lambda: SweepSpec(theta_list=[0.1, 1], seed=4),
+}
+
+
+@pytest.mark.parametrize("make", HOLDERS.values(), ids=HOLDERS.keys())
+def test_holders_are_read_only_compare_by_identity_and_round_trip(make):
+    obj, twin = make(), make()
+    # the array holders compare and hash by identity; a SweepSpec by value
+    by_value = isinstance(obj, SweepSpec)
+    assert obj == obj
+    assert (obj == twin) is by_value
+    assert (hash(obj) == hash(twin)) is by_value
+    name = (obj._fields if by_value else type(obj).__slots__)[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(twin, name))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert copied is not obj
+        assert_same_contents(obj, copied)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
