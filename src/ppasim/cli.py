@@ -16,6 +16,7 @@ import numbers
 import os
 import pickle
 import re
+import stat
 import sys
 from collections import namedtuple
 from itertools import product
@@ -225,11 +226,19 @@ def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place, through a symlink, making a missing
+    directory, and cut a longer regular file to the new length.  No O_TRUNC and
+    no rename: on ext4 a file cut to zero, or renamed over, starts writeback at
+    close, which made a rewrite about five times slower.  Nothing is fsynced."""
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        old = os.fstat(fh.fileno())
+        n = fh.write(text.encode())
+        if stat.S_ISREG(old.st_mode) and old.st_size > n:
+            fh.truncate(n)
 
 
 def _probe_out(path: str) -> None:

@@ -541,6 +541,87 @@ def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     assert str(tmp_path / "env.csv") in printed
 
 
+# ------------------------------------------------------------- output files
+
+FULL_GRID = dict(theta_list=THETA_GRID, t_list=T_GRID)
+ONE_POINT = dict(theta_list=(0.1,), t_list=(0.5,))
+
+
+def write_output(command, path, grid):
+    """Write ``command``'s output over ``grid`` to ``path``, all else at the defaults."""
+    if command == "kd":
+        cli.cmd_kd(grid["theta_list"], grid["t_list"], str(path))
+    else:
+        getattr(cli, f"cmd_{command}")(SweepSpec(**grid, output_path=str(path)))
+
+
+@pytest.mark.parametrize("command", ["fig4", "kd"])
+def test_rewrite_over_a_longer_file_gives_the_bytes_of_a_fresh_write(tmp_path, command):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    write_output(command, reused, FULL_GRID)
+    long_size = reused.stat().st_size
+    write_output(command, reused, ONE_POINT)
+    write_output(command, fresh, ONE_POINT)
+    assert long_size > fresh.stat().st_size
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_a_rewrite_keeps_the_file(tmp_path):
+    out = tmp_path / "kd.json"
+    write_output("kd", out, FULL_GRID)
+    ino = out.stat().st_ino
+    write_output("kd", out, ONE_POINT)
+    assert out.stat().st_ino == ino
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "f"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    write_output("kd", link, FULL_GRID)
+    write_output("kd", link, ONE_POINT)
+    write_output("kd", fresh, ONE_POINT)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_kd_writes_to_dev_null():
+    assert cli.cmd_kd(THETA_GRID, T_GRID, "/dev/null") == "/dev/null"
+
+
+def test_no_command_truncates_or_renames_over_an_existing_output(tmp_path, monkeypatch):
+    # rewriting in place spares ext4 the writeback that a file cut to zero,
+    # or renamed over, starts at close
+    import builtins
+    import io
+
+    out = tmp_path / "out"
+    real_out = os.path.realpath(out)
+    modes, renamed = [], []
+
+    def recording(real, name_arg, log):
+        def wrapper(*args, **kwargs):
+            path = args[name_arg] if len(args) > name_arg else None
+            if isinstance(path, (str, os.PathLike)) and os.path.realpath(path) == real_out:
+                log.append(args[1] if len(args) > 1 else kwargs.get("mode", "r"))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for command in ("sweep", "fig4", "kd"):
+        out.write_bytes(b"x" * 100_000)
+        with monkeypatch.context() as m:
+            for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+                m.setattr(module, name, recording(getattr(module, name), 0, modes))
+            for name in ("rename", "replace"):
+                m.setattr(os, name, recording(getattr(os, name), 1, renamed))
+            write_output(command, out, ONE_POINT)
+        assert 0 < out.stat().st_size < 100_000
+    assert modes and not renamed
+    for mode in modes:
+        assert ("w" not in mode if isinstance(mode, str) else not mode & os.O_TRUNC), mode
+
+
 # ------------------------------------------------------------------ schemas
 
 
