@@ -34,7 +34,7 @@ from .bench import (
     run_trials,
 )
 from .fisher import (
-    on_sphere,
+    _on_sphere,
     qfi_bloch,
     qfi_ppa_family,
     qfi_ppa_theory,
@@ -230,11 +230,13 @@ def _write_text(path: str, text: str) -> None:
     directory, and cut a longer regular file to the new length.  No O_TRUNC and
     no rename: on ext4 a file cut to zero, or renamed over, starts writeback at
     close, which made a rewrite about five times slower.  Nothing is fsynced."""
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(path, flags, 0o666), "wb") as fh:
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    with open(fd, "wb") as fh:
         old = os.fstat(fh.fileno())
         n = fh.write(text.encode())
         if stat.S_ISREG(old.st_mode) and old.st_size > n:
@@ -305,34 +307,35 @@ def _fig4_point(spec: SweepSpec, i: int, j: int) -> Fig4Record:
 
     # One stream per point and one draw of (repetitions, vectors, axes) counts.
     rng = rng_stream(_point_seed(spec.seed, i, j), STAGE_TOMOGRAPHY)
-    est = simulate_tomography(np.broadcast_to(truth, (_FIG4_REPS, 4, 3)), shots, rng)
+    est = simulate_tomography(truth[None].repeat(_FIG4_REPS, 0), shots, rng)
     minus, center, plus, unfiltered = est.swapaxes(0, 1)
     dr = (plus - minus) / (2.0 * dtheta)
     # A centre estimate on the sphere is a pure state, whose derivative has
     # no radial part: project r' onto the tangent plane (Smolin, Gambetta &
     # Smith, PRL 108, 070502, 2012).
-    boundary = on_sphere(center)
-    if boundary.any():
+    rr = np.add.reduce(center * center, -1)
+    norm, boundary = _on_sphere(rr)
+    if n_boundary := int(np.add.reduce(boundary)):
         c = center[boundary]
-        dr[boundary] -= ((c * dr[boundary]).sum(-1) / (c * c).sum(-1))[:, None] * c
-    norm = np.sqrt((center * center).sum(-1))
+        dr[boundary] -= (np.add.reduce(c * dr[boundary], -1) / rr[boundary])[:, None] * c
+    flags = [f"boundary={n_boundary}"] if n_boundary else []
     near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
-    flags = [f"boundary={boundary.sum()}"] if boundary.any() else []
-    if near.any():
+    if np.logical_or.reduce(near):
         flags.append("near-boundary")
     try:
-        tables = kd_table_closed_form(np.vstack([truth[3:], unfiltered]), t)
+        tables = kd_table_closed_form(np.concatenate((truth[3:], unfiltered)), t)
     except ZeroProbabilityError:
         # an unfiltered estimate the filter blocks entirely has no table
         tables = np.full((_FIG4_REPS + 1, 2, 2), math.nan, dtype=complex)
         tables[0] = kd_table_closed_form(truth[3], t)
         flags.append("no-survival")
-    gap4_family, *gap_reps = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
-
-    reps = np.stack([qfi_bloch(center, dr), gap_reps])
-    qfi_mean, gap_mean = reps.mean(1)
-    qfi_se, gap_se = reps.std(1, ddof=1) / math.sqrt(_FIG4_REPS)
-    qfi_theory = qfi_ppa_theory(theta, t)
+    gap4_family, *gaps = (4.0 * nonclassicality_gap(tables, axes=(-2, -1))).tolist()
+    # reps.mean(1), and reps.std(1, ddof=1) / sqrt(4), in NumPy's operations
+    reps = np.array([qfi_bloch(center, dr).tolist(), gaps])
+    mean = np.add.reduce(reps, 1) / _FIG4_REPS
+    se = np.sqrt(np.add.reduce((reps - mean[:, None]) ** 2, 1) / (_FIG4_REPS - 1)) / 2.0
+    (qfi_mean, gap_mean), (qfi_se, gap_se) = mean.tolist(), se.tolist()
+    qfi_theory, p_ps = float(qfi_ppa_theory(theta, t)), float(p_ps)
     return Fig4Record(
         theta_true=theta, t_mag=t, p_ps=p_ps, qfi_theory=qfi_theory,
         qfi_family=qfi_ppa_family(theta, t, vis),
@@ -556,11 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads "-0.3,0.2" as an option, not as the value of --theta
-    # (or an abbreviation of it) or --t before it, so attach it with "="
+    # argparse reads "-0.3,0.2" or "-1e-3" as an option, not as the value of
+    # the option before it, so attach it with "=" (no option starts -<digit>)
     for i in range(len(argv) - 1, 0, -1):
-        flag = re.fullmatch(r"--t(h|he|het|heta)?", argv[i - 1])
-        if flag and re.match(r"-[\d.]", argv[i]):
+        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     # An imperfect source keeps most tomographic estimates off the sphere,

@@ -134,8 +134,12 @@ def on_sphere(r) -> np.ndarray | bool:
     """Mask of the Bloch vectors ``r`` (a (..., 3) stack) where :func:`sld`
     finds a kernel: the eigenvalue (1 - |r|)/2 of (1 + r . sigma)/2 is at
     most 1e-12 times (1 + |r|)/2."""
-    n = np.sqrt((np.asarray(r, dtype=float) ** 2).sum(-1))
-    return 1.0 - n <= 1e-12 * (1.0 + n)
+    return _on_sphere((np.asarray(r, dtype=float) ** 2).sum(-1))[1]
+
+
+def _on_sphere(rr):  # |r| and the on_sphere mask of Bloch vectors with |r|^2 = rr
+    n = np.sqrt(rr)
+    return n, 1.0 - n <= 1e-12 * (1.0 + n)
 
 
 def qfi_bloch(r, dr):
@@ -149,13 +153,12 @@ def qfi_bloch(r, dr):
     stacks; the result is a float for one vector and an array over the batch
     axes otherwise, and a failure names the first failing instance.
     """
-    r = np.asarray(r, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    rr = (r * r).sum(-1)
-    r_dr = (r * dr).sum(-1)
-    dr_dr = (dr * dr).sum(-1)
-    sphere = on_sphere(r)
-    radial = r_dr / np.where(sphere, np.sqrt(rr), 1.0)
+    r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
+    rr = np.add.reduce(r * r, -1)
+    r_dr = np.add.reduce(r * dr, -1)
+    dr_dr = np.add.reduce(dr * dr, -1)
+    norm, sphere = _on_sphere(rr)
+    radial = r_dr / np.where(sphere, norm, 1.0)
     weight = np.abs(radial) / 2.0
     _reject(
         sphere & (weight > 1e-6), InconsistentDerivativeError,

@@ -622,6 +622,29 @@ def test_no_command_truncates_or_renames_over_an_existing_output(tmp_path, monke
         assert ("w" not in mode if isinstance(mode, str) else not mode & os.O_TRUNC), mode
 
 
+@pytest.mark.parametrize("command", ["fig4", "kd"])
+def test_writing_into_an_existing_directory_makes_no_directory(
+    tmp_path, monkeypatch, command
+):
+    # the writer opens first and makes a directory only when the open finds
+    # none
+    def refuse(*args, **kwargs):
+        raise AssertionError("os.makedirs called for an existing directory")
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    write_output(command, tmp_path / "out", ONE_POINT)  # new file
+    write_output(command, tmp_path / "out", ONE_POINT)  # rewrite
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+@pytest.mark.parametrize("command", ["fig4", "kd"])
+def test_writing_into_a_missing_nested_directory_makes_it(tmp_path, command):
+    out = tmp_path / "a" / "b" / "out"
+    write_output(command, out, ONE_POINT)
+    write_output(command, tmp_path / "fresh", ONE_POINT)
+    assert out.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+
 # ------------------------------------------------------------------ schemas
 
 
@@ -719,6 +742,47 @@ def test_grid_starting_with_a_minus_sign_parses_in_both_forms(
         argv = ["kd", "--the", theta, "--t", t, "--out", str(spaced)]
         assert run(argv, capsys)[0] == 0
         assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--epsilon", "-1e-3"],
+        ["sweep", "--delta-t", "-2e-3"],
+        ["sweep", "--visibility", "-1e-3"],
+        ["sweep", "--epsilon", "-.001"],
+        ["sweep", "--seed", "-1"],
+        ["sweep", "--budget", "-5"],
+        ["sweep", "--trials", "-2"],
+        ["sweep", "--workers", "-1"],
+        ["fig4", "--visibility", "-5e-1"],
+        ["fig4", "--seed", "-1"],
+        ["fig4", "--shots", "-100"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--n", "-1"],
+    ],
+    ids="".join,
+)
+def test_negative_number_parses_in_both_forms(tmp_path, capsys, argv):
+    # "-1e-3" is no plain negative number to argparse, which would read it as
+    # an option; the spaced form must write the bytes of "--flag=-1e-3", or
+    # give the same error naming the field
+    command, flag, value = argv
+    grid = [] if command == "verify" else ["--theta", "0.1", "--t", "0.5"]
+    extra = ["--trials", "2"] if command == "sweep" and flag != "--trials" else []
+    results = []
+    for name, form in (("spaced", [flag, value]), ("joined", [f"{flag}={value}"])):
+        out = tmp_path / name
+        where = [] if command == "verify" else ["--out", str(out)]
+        code = main([command, *grid, *extra, *form, *where])
+        err = capsys.readouterr().err
+        results.append((code, err, out.read_bytes() if code == 0 else None))
+    assert results[0] == results[1]
+    code, err, _ = results[0]
+    if code:
+        field = {"--n": "n_instances", "--trials": "n_trials", "--budget": "photon_budget",
+                 "--shots": "shots_per_basis"}.get(flag, flag[2:])
+        assert code == 2 and err.startswith(f"ppasim {command}: error: {field}: ")
 
 
 def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
@@ -980,18 +1044,24 @@ def test_fig4_evaluates_every_default_point(visibility):
 
 def test_fig4_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
     # `ppasim fig4` at its defaults (v = 0.98, seed 0), against the rows it
-    # wrote when the one-stream layout was introduced
-    out = tmp_path / "f.csv"
-    code, _ = run(["fig4", "--out", str(out)], capsys)
-    assert code == 0
-    pinned = Path(__file__).parent / "data" / "fig4_default_seed0.csv"
-    assert read_csv(out)[0].keys() == read_csv(pinned)[0].keys()
-    got, ref = fig4_rows(out), fig4_rows(pinned)
-    assert len(got) == len(ref) == len(THETA_GRID) * len(T_GRID)
-    for row, want in zip(got, ref):
-        assert row["flags"] == want["flags"]
-        for key in FIG4_CSV_COLUMNS[:-1]:
-            assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    # wrote when the one-stream layout was introduced; and at v = 1 with 100
+    # shots, where every row takes the projection branch (boundary=<n>) and
+    # most are also near-boundary
+    for extra, name in (
+        ([], "fig4_default_seed0.csv"),
+        (["--visibility", "1.0", "--shots", "100"], "fig4_v1_shots100_seed0.csv"),
+    ):
+        out = tmp_path / name
+        code, _ = run(["fig4", *extra, "--out", str(out)], capsys)
+        assert code == 0
+        pinned = Path(__file__).parent / "data" / name
+        assert read_csv(out)[0].keys() == read_csv(pinned)[0].keys()
+        got, ref = fig4_rows(out), fig4_rows(pinned)
+        assert len(got) == len(ref) == len(THETA_GRID) * len(T_GRID)
+        for row, want in zip(got, ref):
+            assert row["flags"] == want["flags"]
+            for key in FIG4_CSV_COLUMNS[:-1]:
+                assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
 
 
 def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsys):
