@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import amplified_angle
+from .states import _reject, amplified_angle
 from .fisher import optimal_measurement, qfi_ppa_theory, survival_probability
 
 __all__ = [
@@ -113,8 +113,7 @@ def postselected_bloch(theta, t, epsilon, visibility):
     negative t turns r_ps by pi about z.  At t = 1 the filter passes
     everything and r_ps is the imprinted vector; for eps = 0 it is
     v (0, sin theta, cos theta).  A point that no photon survives (p = 0)
-    returns r_ps = 0 and p_ps = 0.  All four may be arrays, broadcast to
-    r_ps (..., 3) and p_ps.
+    returns r_ps = 0 and p_ps = 0.  r_ps has the broadcast shape (..., 3).
     """
     v = visibility
     c2, s2 = np.cos(2.0 * epsilon), np.sin(2.0 * epsilon)
@@ -127,7 +126,7 @@ def postselected_bloch(theta, t, epsilon, visibility):
     z = -v * ca + s2 * along
     p = survival_probability(np.abs(t), (1.0 - z) / 2.0)
     r = np.empty(p.shape + (3,))
-    r[..., 0], r[..., 1], r[..., 2] = t * x, t * y, (t**2 * (1 + z) - (1 - z)) / 2
+    r[..., 0], r[..., 1], r[..., 2] = t * x, t * y, (t * t * (1 + z) - (1 - z)) / 2
     return r / np.where(p > 0.0, p, np.inf)[..., None], p
 
 
@@ -301,13 +300,11 @@ def run_trials(spec, points: list) -> list[SweepRecord]:
     return records
 
 
-def systematic_shift_t(theta: float, t: float, dt: float) -> float:
+def systematic_shift_t(theta, t, dt):
     """First-principles biased estimate under amplitude miscalibration.
 
     theta_e = 2 arctan( tan(theta/2) (1 + dt/t) ) with dt = assumed - actual;
     exact, not linearized.
     """
-    if t <= 0:
-        raise ValueError("actual amplitude t must be positive")
-    return 2.0 * math.atan(math.tan(theta / 2.0) * (1.0 + dt / t))
-
+    _reject(np.asarray(t) <= 0, ValueError, "actual amplitude t must be positive")
+    return 2.0 * np.arctan(np.tan(theta / 2.0) * (1.0 + dt / t))

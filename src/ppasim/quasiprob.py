@@ -138,7 +138,7 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     return _freeze(values)
 
 
-def kd_table_closed_form(r, t: complex) -> np.ndarray:
+def kd_table_closed_form(r, t) -> np.ndarray:
     """Conditional quasiprobability table of the amplification scheme.
 
     2x2 complex array over (a, a') in {a+, a-} x {a+, a-}, conditioned on
@@ -151,16 +151,15 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
         (a-, a+):  conjugate
 
     The imprinted state of phase theta has r = (0, sin theta, cos theta).
-    ``r`` may be a (..., 3) stack, giving (..., 2, 2) tables.  Raises
-    :class:`ZeroProbabilityError` when p <= 1e-15, naming the first such
-    instance of a stack.
+    A (..., 3) stack ``r`` and an array ``t`` broadcast to (..., 2, 2)
+    tables.  Raises :class:`ZeroProbabilityError` when p <= 1e-15, naming
+    the first such instance.
     """
     r = np.asarray(r, dtype=float)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    t_mag = abs(complex(t))
-    if not t_mag <= 1.0 + 1e-12:
-        raise ValueError("|t| must lie in [0, 1]")
-    t2 = t_mag**2
+    t_mag = np.abs(t)
+    _reject(~(t_mag <= 1.0 + 1e-12), ValueError, "|t| must lie in [0, 1]")
+    t2 = t_mag * t_mag
     p = survival_probability(t_mag, (1.0 - z) / 2.0)
     _reject(
         p <= 1e-15, ZeroProbabilityError,
@@ -173,7 +172,7 @@ def kd_table_closed_form(r, t: complex) -> np.ndarray:
     off = (t2 - 1.0) * z / q + 1j * ((t2 - 1.0) * y / q)
     return np.stack(
         [diag * (1.0 + x), off, off.conj(), diag * (1.0 - x)], axis=-1
-    ).reshape(r.shape[:-1] + (2, 2))
+    ).reshape(np.shape(p) + (2, 2))
 
 
 def nonclassicality_gap(kd: np.ndarray, axes=None):

@@ -27,7 +27,7 @@ from ppasim.fisher import (
     qfi_ppa_theory,
     sld,
 )
-from ppasim.quasiprob import kd_distribution, nonclassicality_gap
+from ppasim.quasiprob import kd_distribution, kd_table_closed_form, nonclassicality_gap
 from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
 from ppasim.tomography import DEFAULT_DTHETA
 from ppasim.verify import T_GRID, THETA_GRID
@@ -785,11 +785,20 @@ def test_negative_number_parses_in_both_forms(tmp_path, capsys, argv):
         assert code == 2 and err.startswith(f"ppasim {command}: error: {field}: ")
 
 
-def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
+def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys, monkeypatch):
+    # and one closed-form call builds every table of the grid
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kd_table_closed_form(*args)
+
+    monkeypatch.setattr(cli, "kd_table_closed_form", counted)
     out = tmp_path / "kd.json"
     run(["kd", "--out", str(out)], capsys)
     records = json.loads(out.read_text())
     assert len(records) == len(THETA_GRID) * len(T_GRID)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -799,6 +808,9 @@ def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys):
         (["--t", "0.5,1.5"], "t_list"),
         (["--t", "-2"], "t_list"),
         (["--theta", "0.2,nan"], "theta_list"),
+        # the first point in row-major order that the filter blocks
+        (["--theta", "0.5,0", "--t", "1e-8,0"],
+         "theta_list, t_list: survival probability at (theta = 0, t = 1e-08)"),
     ],
 )
 def test_kd_rejects_invalid_grid_before_any_work(

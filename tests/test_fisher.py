@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from ppasim.bench import postselected_bloch, systematic_shift_t
 from ppasim.fisher import (
     DegenerateMeasurementError,
     InconsistentDerivativeError,
     PPAFamily,
     PurityError,
+    _on_sphere,
     cfi,
     optimal_measurement,
-    on_sphere,
     qfi_bloch,
     qfi_ppa_family,
     qfi_ppa_theory,
@@ -19,6 +20,7 @@ from ppasim.fisher import (
     sld,
     survival_probability,
 )
+from ppasim.quasiprob import kd_table_closed_form
 from ppasim.states import (
     DensityMatrix,
     ID2,
@@ -332,7 +334,7 @@ def test_qfi_bloch_of_a_stack_is_the_per_vector_qfi():
     dr -= (dr * axis).sum(-1, keepdims=True) * axis  # tangent on the sphere
     r = axis * rng.uniform(0.0, 0.99, size=(2, 5, 1))
     r[:, ::2] = axis[:, ::2]
-    assert list(on_sphere(r)[0]) == [True, False, True, False, True]
+    assert list(_on_sphere((r * r).sum(-1))[1][0]) == [True, False, True, False, True]
     qfi = qfi_bloch(r, dr)
     assert qfi.shape == (2, 5)
     for k in np.ndindex(2, 5):
@@ -392,6 +394,46 @@ def test_qfi_theory_rejects_t_zero():
 def test_qfi_family_rejects_values_outside_the_family(t_mag, v, match):
     with pytest.raises(ValueError, match=match):
         qfi_ppa_family(0.1, t_mag, v)
+
+
+def test_qfi_family_is_nan_where_p_underflows():
+    # |t|^2 = 1e-400 underflows, so at theta = 0 and v = 1 nothing survives,
+    # as at the same point of qfi_ppa_theory
+    assert math.isnan(qfi_ppa_family(0.0, 1e-200))
+    assert math.isnan(qfi_ppa_theory(0.0, 1e-200))
+
+
+# Each closed form of the PPA family as a function of (theta, t, v),
+# returning its outputs as a tuple.
+FAMILY_FORMS = {
+    "survival_probability": lambda th, t, v: (
+        survival_probability(np.abs(t), (1.0 - v) / 2.0 + v * np.square(np.sin(th / 2.0))),
+    ),
+    "postselected_bloch": lambda th, t, v: postselected_bloch(th, t, 0.02, v),
+    "qfi_ppa_theory": lambda th, t, v: (qfi_ppa_theory(th, np.abs(t)),),
+    "qfi_ppa_family": lambda th, t, v: (qfi_ppa_family(th, np.abs(t), v),),
+    "kd_table_closed_form": lambda th, t, v: (kd_table_closed_form(
+        np.expand_dims(v, -1) * np.stack([0.0 * th, np.sin(th), np.cos(th)], -1), t
+    ),),
+    "systematic_shift_t": lambda th, t, v: (systematic_shift_t(th, np.abs(t), 0.01 * v),),
+}
+
+
+@pytest.mark.parametrize("form", FAMILY_FORMS.values(), ids=FAMILY_FORMS.keys())
+def test_family_closed_forms_broadcast_to_their_scalar_calls(form):
+    # theta, t and v on three axes: one call equals the per-point scalar
+    # calls bit for bit, and a scalar call gives a float where it gives
+    # neither a Bloch vector nor a table
+    rng = np.random.default_rng(31)
+    theta = np.concatenate([-rng.uniform(0.01, 3.0, 2), rng.uniform(0.01, 3.0, 2)])
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 3), [1.0, 1e-8, -1e-8]])
+    v = np.concatenate([rng.uniform(0.5, 1.0, 2), [1.0]])
+    grid = np.broadcast_arrays(theta[:, None, None], t[:, None], v)
+    outs = form(*grid)
+    for k in np.ndindex(grid[0].shape):
+        for whole, one in zip(outs, form(*(float(a[k]) for a in grid))):
+            np.testing.assert_array_equal(whole[k], one)
+            assert np.ndim(one) > 0 or isinstance(one, float)
 
 
 def test_survival_probability_visibility_mix():

@@ -11,6 +11,7 @@ are those of the failing instance.
 import numpy as np
 import pytest
 
+from ppasim.bench import systematic_shift_t
 from ppasim.fisher import (
     DegenerateMeasurementError,
     InconsistentDerivativeError,
@@ -18,6 +19,7 @@ from ppasim.fisher import (
     PurityError,
     cfi,
     optimal_measurement,
+    qfi_ppa_family,
     qfi_ppa_theory,
     qfi_bloch,
     qfi_postselected_pure,
@@ -146,6 +148,14 @@ CASES = [
      ValueError, "qfi_ppa_theory requires 0 < t_mag <= 1"),
     ("qfi-theory-negative-t", qfi_ppa_theory, (0.1, 0.5), (0.1, -0.5),
      ValueError, "qfi_ppa_theory requires 0 < t_mag <= 1"),
+    ("qfi-family-t", qfi_ppa_family, (0.1, 0.5, 0.9), (0.1, 1.5, 0.9),
+     ValueError, "qfi_ppa_family requires 0 < t_mag <= 1"),
+    ("qfi-family-v", qfi_ppa_family, (0.1, 0.5, 0.9), (0.1, 0.5, 1.2),
+     ValueError, "visibility must lie in (0, 1]"),
+    ("kd-table-t", kd_table_closed_form, ([0.0, 0.0, 1.0], 0.5), ([0.0, 0.0, 1.0], 1.5),
+     ValueError, "|t| must lie in [0, 1]"),
+    ("systematic-shift-t", systematic_shift_t, (0.1, 0.5, 0.01), (0.1, 0.0, 0.01),
+     ValueError, "actual amplitude t must be positive"),
     ("amplified-angle-t", amplified_angle, (0.1, 0.5), (0.1, 1.5),
      ValueError, "amplified_angle requires 0 < t_mag <= 1"),
     ("amplified-angle-negative-t", amplified_angle, (0.1, 0.5), (0.1, -0.5),
