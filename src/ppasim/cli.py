@@ -34,6 +34,7 @@ from .bench import (
     run_trials,
 )
 from .fisher import (
+    ZERO_PROBABILITY,
     _on_sphere,
     qfi_bloch,
     qfi_ppa_family,
@@ -41,7 +42,6 @@ from .fisher import (
     survival_probability,
 )
 from .quasiprob import kd_table_closed_form, nonclassicality_gap
-from .states import ZeroProbabilityError
 from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import T_GRID, THETA_GRID, run_all
 
@@ -78,6 +78,8 @@ FIG4_CSV_COLUMNS = Fig4Record._fields
 # within which an unprojected centre estimate flags its point near-boundary.
 _FIG4_REPS = 4
 _NEAR_BOUNDARY_SIGMAS = 3.0
+
+_FIG4_BLOCK = 1024  # most grid points that fig4 evaluates as one array block
 
 
 # What a SweepSpec field accepts, keyed by the type of its default.
@@ -286,64 +288,55 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     return out
 
 
-def _point_seed(seed: int, i: int, j: int) -> int:
-    """Seed of fig4's grid point (i, j): the run seed above bit 64, i << 32 | j
-    below, which :func:`rng_stream` hashes whole."""
-    return (int(seed) << 64) | (i << 32) | j
-
-
-def _fig4_point(spec: SweepSpec, i: int, j: int) -> Fig4Record:
-    """The fig4 row of grid point (i, j)."""
-    theta = spec.theta_list[i]
-    t = spec.t_list[j]
-    vis = spec.visibility
-    shots = spec.shots_per_basis
-    dtheta = DEFAULT_DTHETA
+def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
+    """The fig4 rows of ``points``, as (points, repetitions, vectors, 3) arrays."""
+    index = np.array(points)
+    theta, t = np.array(spec.theta_list)[index[:, 0]], np.array(spec.t_list)[index[:, 1]]
+    shots, dtheta, vis = spec.shots_per_basis, DEFAULT_DTHETA, spec.visibility
 
     # Exact vectors: the postselected family at theta - dtheta, theta and
     # theta + dtheta, then the unfiltered state (t = 1).
-    thetas = np.array([theta - dtheta, theta, theta + dtheta, theta])
-    truth, (_, p_ps, _, _) = postselected_bloch(thetas, np.array([t, t, t, 1]), 0, vis)
-
-    # One stream per point and one draw of (repetitions, vectors, axes) counts.
-    rng = rng_stream(_point_seed(spec.seed, i, j), STAGE_TOMOGRAPHY)
-    est = simulate_tomography(truth[None].repeat(_FIG4_REPS, 0), shots, rng)
-    minus, center, plus, unfiltered = est.swapaxes(0, 1)
+    truth, p = postselected_bloch(
+        theta[:, None] + [-dtheta, 0.0, dtheta, 0.0],
+        np.where([True, True, True, False], t[:, None], 1.0), 0, vis,
+    )
+    # One stream per point, keyed by the run seed above bit 64 and i << 32 | j
+    # below, and one draw of its (repetitions, vectors, axes) counts.
+    rngs = (rng_stream(spec.seed << 64 | i << 32 | j, STAGE_TOMOGRAPHY) for i, j in points)
+    vectors = truth[:, None].repeat(_FIG4_REPS, 1)
+    est = np.array([simulate_tomography(r, shots, rng) for r, rng in zip(vectors, rngs)])
+    minus, center, plus, unfiltered = est.transpose(2, 0, 1, 3)
     dr = (plus - minus) / (2.0 * dtheta)
     # A centre estimate on the sphere is a pure state, whose derivative has
     # no radial part: project r' onto the tangent plane (Smolin, Gambetta &
     # Smith, PRL 108, 070502, 2012).
     rr = np.add.reduce(center * center, -1)
     norm, boundary = _on_sphere(rr)
-    if n_boundary := int(np.add.reduce(boundary)):
+    if boundary.any():
         c = center[boundary]
         dr[boundary] -= (np.add.reduce(c * dr[boundary], -1) / rr[boundary])[:, None] * c
-    flags = [f"boundary={n_boundary}"] if n_boundary else []
     near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
-    if np.logical_or.reduce(near):
-        flags.append("near-boundary")
-    try:
-        tables = kd_table_closed_form(np.concatenate((truth[3:], unfiltered)), t)
-    except ZeroProbabilityError:
-        # an unfiltered estimate the filter blocks entirely has no table
-        tables = np.full((_FIG4_REPS + 1, 2, 2), math.nan, dtype=complex)
-        tables[0] = kd_table_closed_form(truth[3], t)
-        flags.append("no-survival")
-    gap4_family, *gaps = (4.0 * nonclassicality_gap(tables, axes=(-2, -1))).tolist()
-    # reps.mean(1), and reps.std(1, ddof=1) / sqrt(4), in NumPy's operations
-    reps = np.array([qfi_bloch(center, dr).tolist(), gaps])
-    mean = np.add.reduce(reps, 1) / _FIG4_REPS
-    se = np.sqrt(np.add.reduce((reps - mean[:, None]) ** 2, 1) / (_FIG4_REPS - 1)) / 2.0
-    (qfi_mean, gap_mean), (qfi_se, gap_se) = mean.tolist(), se.tolist()
-    qfi_theory, p_ps = float(qfi_ppa_theory(theta, t)), float(p_ps)
-    return Fig4Record(
-        theta_true=theta, t_mag=t, p_ps=p_ps, qfi_theory=qfi_theory,
-        qfi_family=qfi_ppa_family(theta, t, vis),
-        qfi_empirical=qfi_mean, qfi_empirical_stderr=qfi_se,
-        gap4_family=gap4_family, gap4_empirical=gap_mean, gap4_empirical_stderr=gap_se,
-        qfi_theory_per_input=qfi_theory * p_ps, qfi_empirical_per_input=qfi_mean * p_ps,
-        gap4_empirical_per_input=gap_mean * p_ps, flags=";".join(flags),
+    # An unfiltered estimate the filter blocks entirely has no table: it
+    # becomes a nan vector, whose table and gap are nan.
+    w = (1.0 - unfiltered[..., 2]) / 2.0
+    blocked = survival_probability(t[:, None], w) <= ZERO_PROBABILITY
+    unfiltered = np.where(blocked[..., None], math.nan, unfiltered)
+    tables = kd_table_closed_form(np.concatenate((truth[:, 3:], unfiltered), 1), t[:, None])
+    gap4 = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
+    # each row's mean, and its std(ddof=1) / sqrt(4), in NumPy's operations
+    reps = np.array([qfi_bloch(center, dr), gap4[:, 1:]])
+    mean = np.add.reduce(reps, -1) / _FIG4_REPS
+    var = np.add.reduce((reps - mean[..., None]) ** 2, -1) / (_FIG4_REPS - 1)
+    (qfi_mean, gap_mean), (qfi_se, gap_se) = mean, np.sqrt(var) / 2.0
+    qfi_theory, p_ps = qfi_ppa_theory(theta, t), p[:, 1]
+    columns = (
+        theta, t, p_ps, qfi_theory, qfi_ppa_family(theta, t, vis), qfi_mean, qfi_se,
+        gap4[:, 0], gap_mean, gap_se, qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
     )
+    names = ("boundary={}", "near-boundary", "no-survival")
+    counts = np.add.reduce(np.array([boundary, near, blocked]), -1).T.tolist()
+    flags = [";".join(f.format(n) for f, n in zip(names, row) if n) for row in counts]
+    return list(map(Fig4Record, *(c.tolist() for c in columns), flags))
 
 
 def cmd_fig4(spec: SweepSpec) -> str:
@@ -358,28 +351,32 @@ def cmd_fig4(spec: SweepSpec) -> str:
     (``boundary=<n>``), marks centre estimates within three standard
     deviations of the sphere (``near-boundary``) and an unfiltered estimate
     the filter blocks entirely (``no-survival``, nan gap columns).  The
-    exact columns are closed forms: ``qfi_family`` is
-    :func:`qfi_ppa_family` of the point, ``gap4_family`` the gap of
-    :func:`kd_table_closed_form` of the exact unfiltered vector.
-    Per-input-photon columns scale by the exact survival probability.  A
-    point that raises re-raises the same exception type, naming theta, t,
-    the grid index (i, j) and the run seed.
+    exact columns are closed forms, and the per-input-photon columns scale
+    by the exact survival probability.  An error names the theta, t, grid
+    index (i, j) and run seed of the point that raised.
     """
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_points)
 
 
 def _fig4_points(spec: SweepSpec, points: list) -> list[Fig4Record]:
-    """:func:`_fig4_point` of each (i, j) in ``points``; an error names its point."""
-    values = []
-    for i, j in points:
+    """:func:`_fig4_block` of ``points`` in blocks; a block that raises
+    ValueError runs again point by point, to name the first that raises."""
+    rows = []
+    for a in range(0, len(points), _FIG4_BLOCK):
+        block = points[a : a + _FIG4_BLOCK]
         try:
-            values.append(_fig4_point(spec, i, j))
+            rows += _fig4_block(spec, block)
         except ValueError as exc:
+            if len(block) > 1:
+                for point in block:
+                    _fig4_points(spec, [point])
+                raise
+            [(i, j)] = block
             raise type(exc)(
                 f"fig4 point theta = {spec.theta_list[i]!r}, t = {spec.t_list[j]!r} "
                 f"at grid index (i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
             ) from exc
-    return values
+    return rows
 
 
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:

@@ -51,7 +51,10 @@ __all__ = [
     "qfi_postselected_pure",
     "optimal_measurement",
     "cfi",
+    "ZERO_PROBABILITY",
 ]
+
+ZERO_PROBABILITY = 1e-15  # a survival probability at or below it conditions nothing
 
 
 class InconsistentDerivativeError(ValueError):
@@ -165,8 +168,8 @@ def qfi_bloch(r, dr):
     )
     qfi = np.where(
         sphere,
-        dr_dr - radial**2 + radial**2 / 4.0,
-        dr_dr + r_dr**2 / np.where(sphere, 1.0, 1.0 - rr),
+        dr_dr - radial * radial + radial * radial / 4.0,
+        dr_dr + r_dr * r_dr / np.where(sphere, 1.0, 1.0 - rr),
     )
     return float(qfi) if qfi.ndim == 0 else qfi
 
@@ -264,7 +267,7 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     normalization by p = Tr(rho M) happens inside the formula), and must be
     pure to 1e-8.  ``rho_theta`` and ``k_plus`` may carry leading batch
     axes, which broadcast; the result is a float, or an array over the batch
-    axes, and each instance is checked for purity and for p > 1e-15 (a
+    axes, and each instance is checked for purity and for p > ZERO_PROBABILITY (a
     failure names the first failing instance).  The traces are taken in
     Kraus form, Tr(X M) = Tr(K+ X K+^dag), so M itself is never formed.
     Reduces to 4 Var(A) when K+ = 1, and gives exactly zero when the filter
@@ -280,10 +283,10 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     ka_rho = k_op @ a.mat @ rho_theta.mat
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
     p = np.einsum("...ij,...ij->...", k_rho, k_op.conj()).real
-    _reject(p <= 1e-15, ZeroProbabilityError, "postselection probability vanished")
+    _reject(p <= ZERO_PROBABILITY, ZeroProbabilityError, "postselection probability vanished")
     term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_op.conj()).real
-    term2 = np.abs(np.einsum("...ij,...ij->...", ka_rho, k_op.conj())) ** 2
-    return np.maximum(4.0 * term1 / p - 4.0 * term2 / p**2, 0.0)
+    term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_op.conj())))
+    return np.maximum(4.0 * term1 / p - 4.0 * term2 / (p * p), 0.0)
 
 
 def optimal_measurement(theta_prior, t) -> np.ndarray:
@@ -296,7 +299,7 @@ def optimal_measurement(theta_prior, t) -> np.ndarray:
     """
     mag = np.abs(t)
     _reject_amplitude(mag, "optimal_measurement requires 0 < |t| <= 1")
-    cot = (1.0 + mag**2) / (2.0 * mag) * np.tan(theta_prior)
+    cot = (1.0 + mag * mag) / (2.0 * mag) * np.tan(theta_prior)
     polar = math.pi / 2.0 - np.arctan(cot)
     azimuth = np.angle(t)
     s = np.sin(polar)
@@ -320,5 +323,5 @@ def cfi(n, family: PPAFamily, theta):
         "outcome probability {:.3e} carries no information", q,
     )
     dq = (drho @ proj).trace(0, -2, -1).real
-    info = dq**2 / (q * (1.0 - q))
+    info = dq * dq / (q * (1.0 - q))
     return float(info) if info.ndim == 0 else info

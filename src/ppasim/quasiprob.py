@@ -33,7 +33,7 @@ from .states import (
     _reject,
     _reject_non_psd,
 )
-from .fisher import qfi_postselected_pure, survival_probability
+from .fisher import ZERO_PROBABILITY, qfi_postselected_pure, survival_probability
 
 __all__ = [
     "PreconditionError",
@@ -152,8 +152,8 @@ def kd_table_closed_form(r, t) -> np.ndarray:
 
     The imprinted state of phase theta has r = (0, sin theta, cos theta).
     A (..., 3) stack ``r`` and an array ``t`` broadcast to (..., 2, 2)
-    tables.  Raises :class:`ZeroProbabilityError` when p <= 1e-15, naming
-    the first such instance.
+    tables.  Raises :class:`ZeroProbabilityError` when p <= ZERO_PROBABILITY,
+    naming the first such instance.
     """
     r = np.asarray(r, dtype=float)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
@@ -162,7 +162,7 @@ def kd_table_closed_form(r, t) -> np.ndarray:
     t2 = t_mag * t_mag
     p = survival_probability(t_mag, (1.0 - z) / 2.0)
     _reject(
-        p <= 1e-15, ZeroProbabilityError,
+        p <= ZERO_PROBABILITY, ZeroProbabilityError,
         "conditional table undefined: postselection probability is zero",
     )
     q = 4.0 * p
@@ -170,9 +170,10 @@ def kd_table_closed_form(r, t) -> np.ndarray:
     # each part divided by the real q, as a real division rounds (numpy's
     # complex division multiplies by a reciprocal instead)
     off = (t2 - 1.0) * z / q + 1j * ((t2 - 1.0) * y / q)
-    return np.stack(
-        [diag * (1.0 + x), off, off.conj(), diag * (1.0 - x)], axis=-1
-    ).reshape(np.shape(p) + (2, 2))
+    table = np.empty(np.shape(p) + (2, 2), dtype=complex)
+    table[..., 0, 0], table[..., 0, 1] = diag * (1.0 + x), off
+    table[..., 1, 0], table[..., 1, 1] = off.conj(), diag * (1.0 - x)
+    return table
 
 
 def nonclassicality_gap(kd: np.ndarray, axes=None):

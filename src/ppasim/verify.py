@@ -362,10 +362,7 @@ def cfi_qfi_suite() -> SuiteResult:
     Deterministic over the acceptance grid.
     """
     family, theta, res = _grid_solution()
-    grid = (len(THETA_GRID), len(T_GRID))
-    axes = np.reshape(
-        [optimal_measurement(th, t) for th in THETA_GRID for t in T_GRID], grid + (3,)
-    )
+    axes = optimal_measurement(theta, np.array(T_GRID))
     classical = cfi(axes, family, theta)
     worst = float((np.abs(classical - res.qfi) / res.qfi).max())
     # the SLD is unique only for v < 1, the second v of the grid

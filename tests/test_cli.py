@@ -890,7 +890,7 @@ def test_fig4_rejects_invalid_input_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    monkeypatch.setattr(cli, "_fig4_point", no_work)
+    monkeypatch.setattr(cli, "_fig4_block", no_work)
     out = tmp_path / "f.csv"
     code = main(["fig4", "--theta", "0.2", "--t", "0.5", "--out", str(out)] + flags)
     captured = capsys.readouterr()
@@ -902,7 +902,8 @@ def test_fig4_rejects_invalid_input_before_any_work(
 
 
 def matrix_fig4_point(spec, i, j):
-    """Reference for cli._fig4_point: the pipeline on validated 2x2 density matrices.
+    """Reference for the fig4 row of grid point (i, j): the pipeline on
+    validated 2x2 density matrices.
 
     The point's one stream draws the plus-counts one basis at a time, in
     the order repetition, state (theta - dtheta, theta, theta + dtheta,
@@ -916,7 +917,7 @@ def matrix_fig4_point(spec, i, j):
     """
     theta, t = spec.theta_list[i], spec.t_list[j]
     shots, dtheta = spec.shots_per_basis, DEFAULT_DTHETA
-    rng = rng_stream(cli._point_seed(spec.seed, i, j), STAGE_TOMOGRAPHY)
+    rng = rng_stream(spec.seed << 64 | i << 32 | j, STAGE_TOMOGRAPHY)
     family = PPAFamily(t=t, v=spec.visibility)
     unfiltered = unfiltered_state(theta, spec.visibility)
 
@@ -965,15 +966,15 @@ def matrix_fig4_point(spec, i, j):
 
 
 def compare_with_matrix_reference(visibility):
-    """Check cli._fig4_point against matrix_fig4_point on a 2x2 grid at
-    seeds 0-3; return how many centre estimates were projected."""
+    """Check the rows of one cli._fig4_block call against matrix_fig4_point on
+    a 2x2 grid at seeds 0-3; return how many centre estimates were projected."""
     boundary = 0
     for seed in range(4):
         spec = SweepSpec(
             theta_list=(0.1, 0.5), t_list=(0.3, 1.0), visibility=visibility, seed=seed
         )
-        for i, j in itertools.product(range(2), range(2)):
-            *got, flags = cli._fig4_point(spec, i, j)
+        points = list(itertools.product(range(2), range(2)))
+        for (i, j), (*got, flags) in zip(points, cli._fig4_block(spec, points)):
             ref = np.array(matrix_fig4_point(spec, i, j))
             scale = np.abs(ref)
             if visibility == 1.0:
@@ -1039,10 +1040,10 @@ def test_fig4_evaluates_every_default_point(visibility):
     # seed flags has its median qfi_empirical / qfi_family in [0.8, 1.25]
     ratio = np.empty((len(THETA_GRID), len(T_GRID), 20))
     flagged = np.zeros(ratio.shape, dtype=bool)
+    points = list(np.ndindex(ratio.shape[:2]))
     for seed in range(20):
         spec = SweepSpec(visibility=visibility, seed=seed)
-        for i, j in np.ndindex(ratio.shape[:2]):
-            *vals, flags = cli._fig4_point(spec, i, j)
+        for (i, j), (*vals, flags) in zip(points, cli._fig4_block(spec, points)):
             assert np.all(np.isfinite(vals))
             assert all(FIG4_FLAG.fullmatch(f) for f in flags.split(";") if flags)
             ratio[i, j, seed] = vals[5] / vals[4]
@@ -1056,24 +1057,46 @@ def test_fig4_evaluates_every_default_point(visibility):
 
 def test_fig4_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
     # `ppasim fig4` at its defaults (v = 0.98, seed 0), against the rows it
-    # wrote when the one-stream layout was introduced; and at v = 1 with 100
-    # shots, where every row takes the projection branch (boundary=<n>) and
-    # most are also near-boundary
-    for extra, name in (
-        ([], "fig4_default_seed0.csv"),
-        (["--visibility", "1.0", "--shots", "100"], "fig4_v1_shots100_seed0.csv"),
-    ):
-        out = tmp_path / name
-        code, _ = run(["fig4", *extra, "--out", str(out)], capsys)
-        assert code == 0
-        pinned = Path(__file__).parent / "data" / name
-        assert read_csv(out)[0].keys() == read_csv(pinned)[0].keys()
-        got, ref = fig4_rows(out), fig4_rows(pinned)
-        assert len(got) == len(ref) == len(THETA_GRID) * len(T_GRID)
-        for row, want in zip(got, ref):
-            assert row["flags"] == want["flags"]
-            for key in FIG4_CSV_COLUMNS[:-1]:
-                assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    # wrote when the one-stream layout was introduced (3 of its 546 numeric
+    # cells have moved since, in the 12th digit); and byte for byte at v = 1
+    # with 100 shots, where every row takes the projection branch
+    # (boundary=<n>) and most are also near-boundary
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "fig4_default_seed0.csv"
+    code, _ = run(["fig4", "--out", str(out)], capsys)
+    assert code == 0
+    pinned = data / "fig4_default_seed0.csv"
+    assert read_csv(out)[0].keys() == read_csv(pinned)[0].keys()
+    got, ref = fig4_rows(out), fig4_rows(pinned)
+    assert len(got) == len(ref) == len(THETA_GRID) * len(T_GRID)
+    for row, want in zip(got, ref):
+        assert row["flags"] == want["flags"]
+        for key in FIG4_CSV_COLUMNS[:-1]:
+            assert row[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    out = tmp_path / "fig4_v1_shots100_seed0.csv"
+    code, _ = run(
+        ["fig4", "--visibility", "1.0", "--shots", "100", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert out.read_bytes() == (data / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("visibility, shots", [(0.98, 10**5), (1.0, 100)])
+def test_fig4_rows_do_not_depend_on_the_blocks(monkeypatch, visibility, shots):
+    # the default grid's rows, byte for byte, from one block, from one-point
+    # calls, and from blocks of 1 and of 5 points
+    spec = SweepSpec(visibility=visibility, shots_per_basis=shots)
+    points = list(itertools.product(range(len(THETA_GRID)), range(len(T_GRID))))
+
+    def rows(points):
+        return cli._grid_rows(cli._fig4_points, spec, points)
+
+    whole = rows(points)
+    assert len(whole) == len(points)
+    assert [row for point in points for row in rows([point])] == whole
+    for block in (1, 5):
+        monkeypatch.setattr(cli, "_FIG4_BLOCK", block)
+        assert rows(points) == whole
 
 
 def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsys):
@@ -1096,13 +1119,15 @@ def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsy
 
 
 def test_fig4_error_names_the_point(tmp_path, monkeypatch):
-    def fail_at_1_0(spec, i, j):
-        if (i, j) == (1, 0):
+    # the whole grid is one block, which raises; run again one point at a
+    # time, it names the first point that raises
+    def fail_at_1_0(spec, points):
+        if (1, 0) in points:
             raise InconsistentDerivativeError("drho has weight 1e-3 outside the support")
-        return real_point(spec, i, j)
+        return real_block(spec, points)
 
-    real_point = cli._fig4_point
-    monkeypatch.setattr(cli, "_fig4_point", fail_at_1_0)
+    real_block = cli._fig4_block
+    monkeypatch.setattr(cli, "_fig4_block", fail_at_1_0)
     argv = ["fig4", "--theta", "0.2,1.5", "--t", "0.044,0.5", "--seed", "3"]
     with pytest.raises(InconsistentDerivativeError) as info:
         main(argv + ["--out", str(tmp_path / "f.csv")])
@@ -1289,7 +1314,7 @@ def test_spec_load_errors_exit_2_naming_the_field(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    for name in ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_point"):
+    for name in ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_block"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = tmp_path / "spec.json"
     if config_text is not None:
@@ -1312,7 +1337,7 @@ def test_unwritable_output_exits_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started with an unwritable output path")
 
-    stubs = ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_point")
+    stubs = ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_block")
     for name in stubs:
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "notadir"

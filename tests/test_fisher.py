@@ -37,6 +37,7 @@ from ppasim.verify import (
     T_GRID,
     axis_angle,
     cfi_qfi_suite,
+    random_qubit_instances,
     sld_axis,
     sylvester_suite,
 )
@@ -344,6 +345,12 @@ def test_qfi_bloch_of_a_stack_is_the_per_vector_qfi():
         InconsistentDerivativeError, match=r"^instance \(1, 2\): drho has weight"
     ):
         qfi_bloch(r, dr)
+    # inside the ball, where vector 3 of this seeded set squares an r . r' whose
+    # libm pow(x, 2), which NumPy's scalar ** calls, is not x * x
+    rng = np.random.default_rng(1196)
+    r, dr = rng.uniform(-0.57, 0.57, (16, 3)), rng.normal(size=(16, 3))
+    qfi = qfi_bloch(r, dr)
+    assert [qfi_bloch(r[k], dr[k]) for k in range(16)] == qfi.tolist()
 
 
 def test_family_analytic_derivative_matches_finite_difference():
@@ -464,6 +471,15 @@ def test_qfi_postselected_pure_matches_sld_route():
             assert abs(lhs - rhs) < 1e-8 * max(rhs, 1.0)
 
 
+def test_qfi_postselected_pure_of_a_stack_is_the_per_instance_qfi():
+    # bit for bit, on a seeded set whose instance 4 squares a value where
+    # libm pow(x, 2), which NumPy's scalar ** calls, is not x * x
+    rho, gen, k_plus = random_qubit_instances(np.random.default_rng(8), 16)
+    qfi = qfi_postselected_pure(rho, gen, k_plus)
+    for i in range(16):
+        assert qfi_postselected_pure(DensityMatrix(rho.mat[i]), gen, k_plus[i]) == qfi[i]
+
+
 def test_qfi_postselected_pure_no_filter_variance():
     # K+ = 1 gives 4 Var(A); |0> has Var(sigma_x/2) = 1/4
     val = qfi_postselected_pure(pure_state(E0), ppa_generator(), make_filter(1.0))
@@ -536,6 +552,17 @@ def test_optimal_measurement_matches_the_angle_formula():
             n = optimal_measurement(theta, t)
             assert np.abs(n - read_out_from_angles(theta, t)).max() <= 1e-15
             assert abs(np.linalg.norm(n) - 1.0) < 1e-14
+
+
+def test_optimal_measurement_of_arrays_is_the_per_point_direction():
+    # bit for bit, on a seeded set whose point 0 squares a |t| where libm
+    # pow(x, 2), which NumPy's scalar ** calls, is not x * x
+    rng = np.random.default_rng(1497)
+    theta, t = rng.uniform(-1.5, 1.5, 8), rng.uniform(0.0, 1.0, 8)
+    n = optimal_measurement(theta, t)
+    assert n.shape == (8, 3)
+    for k in range(8):
+        assert n[k].tolist() == optimal_measurement(theta[k], t[k]).tolist()
 
 
 def test_optimal_measurement_rejects_t_zero():
