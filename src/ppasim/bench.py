@@ -59,10 +59,6 @@ __all__ = [
 STAGE_COUNTS = 0
 STAGE_TOMOGRAPHY = 1
 
-# Most trials (points x trials per point) that run_trials evaluates as one
-# array block.
-BLOCK_TRIALS = 4096
-
 # Largest photon budget or tomography shot count; numpy's binomial and
 # poisson samplers both accept counts and means up to it.
 MAX_COUNT = 10**18
@@ -232,8 +228,25 @@ def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
     return (*stats, n_hit, zero_spread)
 
 
-def _run_block(spec, points) -> list[SweepRecord]:
-    """run_trials on one block of points, as (points, trials) arrays."""
+def run_trials(spec, points: list) -> list[SweepRecord]:
+    """The sweep record of each grid index (i, j) in ``points``: ``spec``'s
+    bench run (a ``cli.SweepSpec``, read by attribute) at ``theta_list[i]``
+    and the filter amplitude ``t_list[j]``, over ``spec.n_trials`` trials.
+
+    ``sampling_mode='fixed'`` sends exactly ``photon_budget`` photons per
+    trial into the filter and detects Binomial(budget, p_ps) of them;
+    ``'poisson'`` models a coherent source with Poisson(budget * p_ps)
+    survivors.  Detected photons split binomially along the measurement
+    direction, which is the information-optimal one for the *assumed*
+    amplitude |t_set| + delta_t at the true phase, mirroring a
+    calibrated-but-miscalibrated experiment.  From its own stream (see the
+    module notes) ``'fixed'`` draws every trial's detected count, then every
+    plus count; ``'poisson'`` every plus count ~ Poisson(budget p_ps q), then
+    every minus count ~ Poisson(budget p_ps (1 - q)): the same law, thinned.
+
+    The points are evaluated as one (points, trials) array, records in their
+    order; the grid runner's blocks of ``cli.BLOCK_TRIALS`` bound the memory.
+    """
     index = np.array(points)
     theta = np.array(spec.theta_list)[index[:, 0]]
     t = np.abs(np.array(spec.t_list)[index[:, 1]])
@@ -270,34 +283,6 @@ def _run_block(spec, points) -> list[SweepRecord]:
         empty = [f"empty-trials={n_trials - k}" if k else "no-data"] * (k < n_trials)
         flags[i] = ";".join(empty + ["zero-variance"] * bool(zero_spread[i]))
     return [SweepRecord(*row, flag) for row, flag in zip(columns.tolist(), flags)]
-
-
-def run_trials(spec, points: list) -> list[SweepRecord]:
-    """The sweep record of each grid index (i, j) in ``points``: ``spec``'s
-    bench run (a ``cli.SweepSpec``, read by attribute) at ``theta_list[i]``
-    and the filter amplitude ``t_list[j]``, over ``spec.n_trials`` trials.
-
-    ``sampling_mode='fixed'`` sends exactly ``photon_budget`` photons per
-    trial into the filter and detects Binomial(budget, p_ps) of them;
-    ``'poisson'`` models a coherent source with Poisson(budget * p_ps)
-    survivors.  Detected photons split binomially along the measurement
-    direction, which is the information-optimal one for the *assumed*
-    amplitude |t_set| + delta_t at the true phase, mirroring a
-    calibrated-but-miscalibrated experiment.  From its own stream (see the
-    module notes) ``'fixed'`` draws every trial's detected count, then every
-    plus count; ``'poisson'`` every plus count ~ Poisson(budget p_ps q), then
-    every minus count ~ Poisson(budget p_ps (1 - q)): the same law, thinned.
-
-    The points are evaluated as (points, trials) arrays, in blocks of at
-    most ``BLOCK_TRIALS`` trials (or one point, if it has more), which bounds
-    the memory of a call whatever its length.  Records come back in the
-    order of ``points``.
-    """
-    records: list[SweepRecord] = []
-    step = max(1, BLOCK_TRIALS // spec.n_trials)
-    for a in range(0, len(points), step):
-        records += _run_block(spec, points[a : a + step])
-    return records
 
 
 def systematic_shift_t(theta, t, dt):

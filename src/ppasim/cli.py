@@ -1,11 +1,12 @@
 """Command-line interface: sweep, kd, fig4, verify.
 
-sweep and fig4 write their CSV through one grid runner, :func:`_run_grid`,
-with 12 significant digits; kd's JSON carries the full repr of each float.
-Every random draw comes from a stream keyed by the seed, the grid indices
-and the stage, so output files are byte-identical for any ``--workers``
-value.  ``PPASIM_OUT_DIR`` supplies the default directory for relative
-output paths.
+sweep and fig4 write their CSV, with 12 significant digits, through one
+grid runner, :func:`_run_grid`, which bounds memory by evaluating blocks of
+at most ``BLOCK_TRIALS`` trials and names the grid point of an error.  kd's
+JSON carries the full repr of each float.  Every random draw comes from a
+stream keyed by the seed, the grid indices and the stage, so output files
+are byte-identical for any ``--workers`` value.  ``PPASIM_OUT_DIR``
+supplies the default directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ FIG4_CSV_COLUMNS = Fig4Record._fields
 # within which an unprojected centre estimate flags its point near-boundary.
 _FIG4_REPS = 4
 _NEAR_BOUNDARY_SIGMAS = 3.0
-
-_FIG4_BLOCK = 1024  # most grid points that fig4 evaluates as one array block
 
 
 # What a SweepSpec field accepts, keyed by the type of its default.
@@ -157,24 +156,44 @@ def _csv_row(values: tuple) -> str:
     return "%.12g," * (len(values) - 1) % values[:-1] + values[-1]
 
 
-def _grid_rows(evaluate, spec: SweepSpec, points: list) -> list[str]:
-    """The CSV rows of ``evaluate(spec, points)``: a forked worker sends these."""
-    return [_csv_row(values) for values in evaluate(spec, points)]
+BLOCK_TRIALS = 4096  # most trials (points x trials each) the runner evaluates at once
 
 
-def _fork_blocks(evaluate, spec: SweepSpec, blocks: list) -> list[str]:
-    """The :func:`_grid_rows` of each block in turn, each from a forked child
-    that pickles ``(True, rows)`` or ``(False, exception)`` to its own pipe.
-    Once all are reaped, a worker's exception is re-raised; a child that exits
-    without it raises RuntimeError naming its block's first point and seed."""
+def _point_name(spec: SweepSpec, i: int, j: int) -> str:
+    """The grid point (i, j) of ``spec`` as an error names it, to be replayed."""
+    return (f"grid point theta = {spec.theta_list[i]!r}, t = {spec.t_list[j]!r} "
+            f"at grid index (i, j) = ({i}, {j}), seed = {spec.seed}")
+
+
+def _grid_rows(evaluate, spec: SweepSpec, points: list, step: int) -> list[str]:
+    """The CSV rows of ``evaluate(spec, block)`` over ``points`` cut into blocks
+    of ``step`` points: a forked worker sends these.  A block that raises
+    ValueError runs again point by point, to name the first that raises."""
+    rows = []
+    for a in range(0, len(points), step):
+        block = points[a : a + step]
+        try:
+            rows += map(_csv_row, evaluate(spec, block))
+        except ValueError as exc:
+            if len(block) == 1:
+                raise type(exc)(f"{_point_name(spec, *block[0])}: {exc}") from exc
+            _grid_rows(evaluate, spec, block, 1)
+            raise
+    return rows
+
+
+def _fork_chunks(evaluate, spec: SweepSpec, chunks: list, step: int) -> list[str]:
+    """The :func:`_grid_rows` of each chunk, from a forked child that pickles
+    ``(True, rows)`` or ``(False, exception)`` to its pipe.  Once all are reaped,
+    a worker's exception is raised again, or RuntimeError naming its first point."""
     children = []
-    for block in blocks:
+    for chunk in chunks:
         fd_read, fd_write = os.pipe()
         pid = os.fork()
         if pid == 0:  # never return into the caller nor flush inherited buffers
             try:
                 try:
-                    payload = (True, _grid_rows(evaluate, spec, block))
+                    payload = (True, _grid_rows(evaluate, spec, chunk, step))
                 except Exception as exc:
                     payload = (False, exc)
                 with open(fd_write, "wb") as fh:
@@ -183,39 +202,41 @@ def _fork_blocks(evaluate, spec: SweepSpec, blocks: list) -> list[str]:
             finally:
                 os._exit(1)
         os.close(fd_write)
-        children.append((block[0], pid, open(fd_read, "rb")))
+        children.append((chunk[0], pid, open(fd_read, "rb")))
     sent = []
-    for (i, j), pid, fh in children:
+    for point, pid, fh in children:
         with fh:
-            sent.append((i, j, fh.read(), os.waitpid(pid, 0)[1]))
+            sent.append((point, fh.read(), os.waitpid(pid, 0)[1]))
     rows = []
-    for i, j, data, status in sent:
+    for point, data, status in sent:
         ok, value = pickle.loads(data) if data and not status else (False, RuntimeError(
-            f"worker of the block from grid index (i, j) = ({i}, {j}), seed = "
-            f"{spec.seed}: exit status {os.waitstatus_to_exitcode(status)}, no rows"))
+            f"worker of the chunk from {_point_name(spec, *point)}: "
+            f"exit status {os.waitstatus_to_exitcode(status)}, no rows"))
         if not ok:
             raise value
         rows += value
     return rows
 
 
-def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> str:
+def _run_grid(spec: SweepSpec, command: str, columns, evaluate, trials, workers=1) -> str:
     """Write the CSV of ``columns`` whose rows ``evaluate(spec, points)`` gives
-    for the grid indices (i, j) in ``points``.
+    for the grid indices (i, j) in ``points``, each point of ``trials`` trials.
 
     On Linux the row-major grid is cut into at most ``workers`` contiguous
-    blocks of near-equal length, and no more than ``os.cpu_count()``, each
-    run by :func:`_fork_blocks`; one block, or any grid elsewhere, runs in
-    this process.  Rows keep the grid order.
+    chunks of near-equal length, and no more than ``os.cpu_count()``, each
+    run by :func:`_fork_chunks`; one chunk, or any grid elsewhere, runs in
+    this process.  Each chunk is cut from its start into blocks of at most
+    ``BLOCK_TRIALS`` trials, or one point, which bounds a run's memory.
     """
     points = list(product(range(len(spec.theta_list)), range(len(spec.t_list))))
-    n_blocks = min(workers, len(points), os.cpu_count() or 1) if workers > 1 else 1
-    if n_blocks > 1 and sys.platform == "linux":
-        cuts = [len(points) * k // n_blocks for k in range(n_blocks + 1)]
-        blocks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
-        rows = _fork_blocks(evaluate, spec, blocks)
+    step = max(1, BLOCK_TRIALS // trials)
+    n_chunks = min(workers, len(points), os.cpu_count() or 1) if workers > 1 else 1
+    if n_chunks > 1 and sys.platform == "linux":
+        cuts = [len(points) * k // n_chunks for k in range(n_chunks + 1)]
+        chunks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
+        rows = _fork_chunks(evaluate, spec, chunks, step)
     else:
-        rows = _grid_rows(evaluate, spec, points)
+        rows = _grid_rows(evaluate, spec, points, step)
     out = _resolve_out(spec.output_path, DEFAULT_OUT[command])
     _write_text(out, ",".join(columns) + "\n" + "\n".join(rows) + "\n")
     return out
@@ -224,7 +245,7 @@ def _run_grid(spec: SweepSpec, command: str, columns, evaluate, workers=1) -> st
 def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
     """Run the bench at every grid point, on up to ``workers`` processes (see
     :func:`_run_grid`), and write the sweep CSV; the bytes do not depend on it."""
-    return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, run_trials, workers)
+    return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, run_trials, spec.n_trials, workers)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -352,31 +373,9 @@ def cmd_fig4(spec: SweepSpec) -> str:
     deviations of the sphere (``near-boundary``) and an unfiltered estimate
     the filter blocks entirely (``no-survival``, nan gap columns).  The
     exact columns are closed forms, and the per-input-photon columns scale
-    by the exact survival probability.  An error names the theta, t, grid
-    index (i, j) and run seed of the point that raised.
+    by the exact survival probability.
     """
-    return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_points)
-
-
-def _fig4_points(spec: SweepSpec, points: list) -> list[Fig4Record]:
-    """:func:`_fig4_block` of ``points`` in blocks; a block that raises
-    ValueError runs again point by point, to name the first that raises."""
-    rows = []
-    for a in range(0, len(points), _FIG4_BLOCK):
-        block = points[a : a + _FIG4_BLOCK]
-        try:
-            rows += _fig4_block(spec, block)
-        except ValueError as exc:
-            if len(block) > 1:
-                for point in block:
-                    _fig4_points(spec, [point])
-                raise
-            [(i, j)] = block
-            raise type(exc)(
-                f"fig4 point theta = {spec.theta_list[i]!r}, t = {spec.t_list[j]!r} "
-                f"at grid index (i, j) = ({i}, {j}), seed = {spec.seed}: {exc}"
-            ) from exc
-    return rows
+    return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_block, _FIG4_REPS)
 
 
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
@@ -462,6 +461,9 @@ def _check(command: str, spec: SweepSpec, args: argparse.Namespace) -> None:
                 f"outside [{MIN_AMPLITUDE:g}, 1]"
             )
     if command in ("kd", "fig4"):
+        # Not fisher.ZERO_PROBABILITY (1e-15): tests/matrix_reference's
+        # condition rejects totals <= 1e-14, and the (1 - r_z)/2 of cmd_kd's
+        # tables sat up to 2.2e-16 below this sin^2(theta/2) over 2e6 random theta.
         w = np.square(np.sin(np.array(spec.theta_list)[:, None] / 2.0))
         fails = ~(survival_probability(np.abs(spec.t_list), w) > 1e-14)
         if fails.any():

@@ -8,7 +8,6 @@ import pytest
 from ppasim import cli
 from ppasim.bench import (
     SweepRecord,
-    BLOCK_TRIALS,
     MAX_COUNT,
     MIN_AMPLITUDE,
     STAGE_COUNTS,
@@ -563,7 +562,7 @@ def grid_run(thetas, ts, **fields):
 def test_run_trials_matches_per_point_reference():
     thetas = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
     ts = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
-    side = math.isqrt(2 * BLOCK_TRIALS // 32) + 1
+    side = math.isqrt(2 * cli.BLOCK_TRIALS // 32) + 1
     runs = [
         # a budget of 30 leaves some trials of the tight filters empty
         grid_run(thetas, ts, photon_budget=30, n_trials=5),
@@ -593,8 +592,14 @@ def test_run_trials_matches_per_point_reference():
         for spec, points in runs
         for i, j in points
     ]
+    # each run as one array, then in the grid runner's blocks, which the
+    # long grid crosses
     records = [rec for spec, points in runs for rec in run_trials(spec, points)]
     assert [cli._csv_row(rec) for rec in records] == expected
+    step = [cli.BLOCK_TRIALS // spec.n_trials for spec, _ in runs]
+    assert len(runs[5][1]) > step[5]
+    rows = [cli._grid_rows(run_trials, *run, k) for run, k in zip(runs, step)]
+    assert sum(rows, []) == expected
     assert "zero-variance" in records[-1].flags.split(";")
     assert records[-1].variance == 0.0
     # the grid holds every kind of degraded row

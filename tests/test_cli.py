@@ -242,14 +242,14 @@ def test_importing_the_cli_loads_no_module_that_only_some_commands_need():
 
 
 def recording_runner(sizes):
-    """Stand-in for cli._fork_blocks: appends each run's block count to
-    ``sizes`` and runs the blocks in this process."""
+    """Stand-in for cli._fork_chunks: appends each run's chunk count to
+    ``sizes`` and runs the chunks in this process."""
 
-    def run_blocks(evaluate, spec, blocks):
-        sizes.append(len(blocks))
-        return [row for block in blocks for row in cli._grid_rows(evaluate, spec, block)]
+    def run_chunks(evaluate, spec, chunks, step):
+        sizes.append(len(chunks))
+        return sum((cli._grid_rows(evaluate, spec, chunk, step) for chunk in chunks), [])
 
-    return run_blocks
+    return run_chunks
 
 
 def test_csv_row_writes_12_digits_then_the_flags():
@@ -271,7 +271,7 @@ def stub_points(spec, points):
 
 def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
+    monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     thetas, ts = (0.1, 0.2, 0.3), (0.5, 1.0)
     want = "i,j,product,flags\n" + "".join(
@@ -283,9 +283,9 @@ def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkey
         out = tmp_path / f"w{workers}.csv"
         spec = SweepSpec(theta_list=thetas, t_list=ts, output_path=str(out))
         columns = ("i", "j", "product", "flags")
-        assert cli._run_grid(spec, "sweep", columns, stub_points, workers) == str(out)
+        assert cli._run_grid(spec, "sweep", columns, stub_points, 1, workers) == str(out)
         assert out.read_text() == want
-    # one block runs in this process; 7 workers are capped at the 6 points
+    # one chunk runs in this process; 7 workers are capped at the 6 points
     assert sizes == [2, 3, 6]
 
 
@@ -296,8 +296,8 @@ def test_sweep_starts_no_more_processes_than_grid_points(
     tmp_path, capsys, monkeypatch, theta, t, started
 ):
     sizes = []
-    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
-    # enough CPUs that the grid, not the CPU count, bounds the blocks
+    monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
+    # enough CPUs that the grid, not the CPU count, bounds the chunks
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     argv = ["sweep", "--theta", theta, "--t", t, "--budget", "4000", "--trials", "3"]
     a = tmp_path / "a.csv"
@@ -312,7 +312,7 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     # the bytes do not depend on the worker count, so processes beyond the
     # CPUs would only cost memory and start-up
     sizes = []
-    monkeypatch.setattr(cli, "_fork_blocks", recording_runner(sizes))
+    monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, _ = run(
         ["sweep", "--theta", "0.1,0.2,0.3", "--t", "0.3,0.5,0.7", "--budget", "4000",
@@ -323,9 +323,9 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     assert sizes == [2]
 
 
-# A grid of 3 x 2 points in three blocks whose second block, from (1, 0),
-# fails as FAIL says; the script prints what reaches the caller, then
-# whether any child is left unreaped.
+# A grid of 3 x 2 points in three worker chunks whose second chunk, from
+# (1, 0), fails as FAIL says; the script prints what reaches the caller,
+# then whether any child is left unreaped.
 FAILING_WORKER = """
 import os, sys
 from ppasim import cli
@@ -339,7 +339,7 @@ os.cpu_count = lambda: 4
 spec = cli.SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), seed=7,
                      output_path=sys.argv[1])
 try:
-    cli._run_grid(spec, "sweep", ("i", "j", "flags"), evaluate, workers=3)
+    cli._run_grid(spec, "sweep", ("i", "j", "flags"), evaluate, 1, workers=3)
 except Exception as exc:
     print(f"{type(exc).__name__}: {exc}")
 try:
@@ -347,18 +347,21 @@ try:
 except ChildProcessError:
     print("no child left")
 """
+# The point (1, 0) of that grid, as the runner and a dead worker name it.
+POINT_1_0 = "grid point theta = 0.2, t = 0.5 at grid index (i, j) = (1, 0), seed = 7"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
 @pytest.mark.parametrize(
     "fail, error",
     [
-        ('raise ValueError("boom")', "ValueError: boom"),
-        ("os._exit(3)", "RuntimeError: worker of the block from grid index "
-         "(i, j) = (1, 0), seed = 7: exit status 3, no rows"),
+        # the block runs again point by point in the worker, which names (1, 0)
+        ('raise ValueError("boom")', f"ValueError: {POINT_1_0}: boom"),
+        ("os._exit(3)",
+         f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 3, no rows"),
         # the child leaves through os._exit(1), never through the caller's stack
-        ("raise KeyboardInterrupt", "RuntimeError: worker of the block from grid "
-         "index (i, j) = (1, 0), seed = 7: exit status 1, no rows"),
+        ("raise KeyboardInterrupt",
+         f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 1, no rows"),
     ],
     ids=["raises", "exits", "interrupted"],
 )
@@ -438,7 +441,7 @@ def test_sweep_rejects_invalid_input_before_any_work(
         raise AssertionError("work started on invalid input")
 
     monkeypatch.setattr(cli, "run_trials", no_work)
-    monkeypatch.setattr(cli, "_fork_blocks", no_work)
+    monkeypatch.setattr(cli, "_fork_chunks", no_work)
     out = tmp_path / "s.csv"
     argv = ["sweep", "--theta", "0.1", "--t", "0.5", "--budget", "100",
             "--trials", "2", "--workers", "2", "--out", str(out)]
@@ -1081,22 +1084,27 @@ def test_fig4_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
     assert out.read_bytes() == (data / out.name).read_bytes()
 
 
-@pytest.mark.parametrize("visibility, shots", [(0.98, 10**5), (1.0, 100)])
-def test_fig4_rows_do_not_depend_on_the_blocks(monkeypatch, visibility, shots):
-    # the default grid's rows, byte for byte, from one block, from one-point
-    # calls, and from blocks of 1 and of 5 points
-    spec = SweepSpec(visibility=visibility, shots_per_basis=shots)
+@pytest.mark.parametrize(
+    "evaluate, fields",
+    [
+        ("run_trials", {}),
+        ("run_trials", {"sampling_mode": "poisson"}),
+        ("_fig4_block", {"visibility": 0.98}),
+        ("_fig4_block", {"visibility": 1.0, "shots_per_basis": 100}),
+    ],
+    ids=["sweep-fixed", "sweep-poisson", "fig4", "fig4-v1-shots100"],
+)
+def test_rows_do_not_depend_on_the_blocks(evaluate, fields):
+    # the default grid's rows, byte for byte, from the runner's blocks, from
+    # blocks of 5 points and from one-point blocks
+    evaluate = getattr(cli, evaluate)
+    spec = SweepSpec(**fields)
+    trials = cli._FIG4_REPS if evaluate is cli._fig4_block else spec.n_trials
     points = list(itertools.product(range(len(THETA_GRID)), range(len(T_GRID))))
-
-    def rows(points):
-        return cli._grid_rows(cli._fig4_points, spec, points)
-
-    whole = rows(points)
+    whole = cli._grid_rows(evaluate, spec, points, cli.BLOCK_TRIALS // trials)
     assert len(whole) == len(points)
-    assert [row for point in points for row in rows([point])] == whole
-    for block in (1, 5):
-        monkeypatch.setattr(cli, "_FIG4_BLOCK", block)
-        assert rows(points) == whole
+    for step in (1, 5):
+        assert cli._grid_rows(evaluate, spec, points, step) == whole
 
 
 def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsys):
@@ -1135,6 +1143,30 @@ def test_fig4_error_names_the_point(tmp_path, monkeypatch):
     for part in ("theta = 1.5", "t = 0.044", "(i, j) = (1, 0)", "seed = 3", "drho has"):
         assert part in message
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_error_names_the_point(tmp_path, monkeypatch, workers):
+    # a block that raises runs again one point at a time, in this process or
+    # in a forked worker, and the error names the first point that raises
+    def fail_at_1_0(spec, points):
+        if (1, 0) in points:
+            raise ValueError("survival probability vanished")
+        return real_run(spec, points)
+
+    real_run = cli.run_trials
+    monkeypatch.setattr(cli, "run_trials", fail_at_1_0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "s.csv"
+    spec = SweepSpec(theta_list=(0.2, 1.5), t_list=(0.044, 0.5), n_trials=4, seed=3,
+                     output_path=str(out))
+    with pytest.raises(ValueError) as info:
+        cli.cmd_sweep(spec, workers)
+    assert str(info.value) == (
+        "grid point theta = 1.5, t = 0.044 at grid index (i, j) = (1, 0), seed = 3: "
+        "survival probability vanished"
+    )
+    assert not out.exists()
 
 
 def test_fig4_is_deterministic(tmp_path, capsys):
@@ -1314,7 +1346,7 @@ def test_spec_load_errors_exit_2_naming_the_field(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    for name in ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_block"):
+    for name in ("run_trials", "_fork_chunks", "kd_table_closed_form", "_fig4_block"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = tmp_path / "spec.json"
     if config_text is not None:
@@ -1337,7 +1369,7 @@ def test_unwritable_output_exits_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started with an unwritable output path")
 
-    stubs = ("run_trials", "_fork_blocks", "kd_table_closed_form", "_fig4_block")
+    stubs = ("run_trials", "_fork_chunks", "kd_table_closed_form", "_fig4_block")
     for name in stubs:
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "notadir"
