@@ -15,7 +15,6 @@ import argparse
 import math
 import numbers
 import os
-import pickle
 import re
 import stat
 import sys
@@ -157,6 +156,7 @@ def _csv_row(values: tuple) -> str:
 
 
 BLOCK_TRIALS = 4096  # most trials (points x trials each) the runner evaluates at once
+_CHUNK_RAISED = 70  # a forked chunk's exit status when its rows raised an Exception
 
 
 def _point_name(spec: SweepSpec, i: int, j: int) -> str:
@@ -183,38 +183,45 @@ def _grid_rows(evaluate, spec: SweepSpec, points: list, step: int) -> list[str]:
 
 
 def _fork_chunks(evaluate, spec: SweepSpec, chunks: list, step: int) -> list[str]:
-    """The :func:`_grid_rows` of each chunk, from a forked child that pickles
-    ``(True, rows)`` or ``(False, exception)`` to its pipe.  Once all are reaped,
-    a worker's exception is raised again, or RuntimeError naming its first point."""
+    """The :func:`_grid_rows` of each chunk, as bytes from a forked child that exits
+    ``_CHUNK_RAISED`` if they raise.  Once all are reaped, a chunk that raised runs
+    again here, to raise as in one process; other failures raise RuntimeError."""
     children = []
-    for chunk in chunks:
-        fd_read, fd_write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # never return into the caller nor flush inherited buffers
+    try:
+        for chunk in chunks:
+            fd_read, fd_write = os.pipe()
             try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_read)
+                os.close(fd_write)
+                raise
+            if pid == 0:  # never return into the caller nor flush inherited buffers
                 try:
-                    payload = (True, _grid_rows(evaluate, spec, chunk, step))
-                except Exception as exc:
-                    payload = (False, exc)
-                with open(fd_write, "wb") as fh:
-                    fh.write(pickle.dumps(payload))
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(fd_write)
-        children.append((chunk[0], pid, open(fd_read, "rb")))
-    sent = []
-    for point, pid, fh in children:
-        with fh:
-            sent.append((point, fh.read(), os.waitpid(pid, 0)[1]))
+                    try:
+                        data = "\n".join(_grid_rows(evaluate, spec, chunk, step)).encode()
+                    except Exception:
+                        os._exit(_CHUNK_RAISED)
+                    with open(fd_write, "wb") as fh:
+                        fh.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fd_write)
+            children.append((chunk, pid, open(fd_read, "rb")))
+    finally:
+        sent = []
+        for chunk, pid, fh in children:
+            with fh:
+                sent.append((chunk, fh.read(), os.waitpid(pid, 0)[1]))
     rows = []
-    for point, data, status in sent:
-        ok, value = pickle.loads(data) if data and not status else (False, RuntimeError(
-            f"worker of the chunk from {_point_name(spec, *point)}: "
-            f"exit status {os.waitstatus_to_exitcode(status)}, no rows"))
-        if not ok:
-            raise value
-        rows += value
+    for chunk, data, status in sent:
+        if (code := os.waitstatus_to_exitcode(status)) == _CHUNK_RAISED:
+            _grid_rows(evaluate, spec, chunk, step)
+        if code or not data:
+            raise RuntimeError(f"worker of the chunk from {_point_name(spec, *chunk[0])}: "
+                               f"exit status {code}, no rows")
+        rows += data.decode().split("\n")
     return rows
 
 
@@ -249,10 +256,12 @@ def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write ``text`` over ``path`` in place, through a symlink, making a missing
-    directory, and cut a longer regular file to the new length.  No O_TRUNC and
-    no rename: on ext4 a file cut to zero, or renamed over, starts writeback at
-    close, which made a rewrite about five times slower.  Nothing is fsynced."""
+    """Write ``text`` over ``path`` in place, through a symlink, and cut a longer
+    regular file to the new length.  Like :func:`_probe_out`, which main() runs first
+    to reject an unwritable path before any work, it makes a missing directory, as
+    library calls of ``cmd_*`` are not probed.  No O_TRUNC and no rename: on ext4 a
+    file cut to zero, or renamed over, starts writeback at close, which made a
+    rewrite about five times slower.  Nothing is fsynced."""
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
         fd = os.open(path, flags, 0o666)
@@ -267,11 +276,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _probe_out(path: str) -> None:
-    """Raise ValueError naming ``output_path`` if ``path`` cannot be written.
-
-    The probe opens the file for appending, first making a missing
-    directory, and removes the file again if the probe created it.
-    """
+    """Raise ValueError naming ``output_path`` if ``path`` cannot be written: open it
+    for appending, first making a missing directory, and remove the file again if
+    the probe created it."""
     existed = os.path.lexists(path)
     try:
         try:

@@ -184,12 +184,22 @@ def test_sweep_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
             assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-9, abs=0.0)
 
 
-# 7 workers exceed the grid's 6 points.  The forked side runs in a
+SMALL_GRID = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
+              "--budget", "4000", "--trials", "3", "--seed", "12"]
+# At seed 0 its rows carry every sweep flag and nan cells, which must cross
+# a worker's pipe unchanged.
+FLAG_GRID = ["sweep", "--theta", "0,0.1,3.1", "--t", "1e-6,0.044,0.5",
+             "--budget", "30", "--trials", "8"]
+
+
+# 7 workers exceed the small grid's 6 points.  The forked side runs in a
 # subprocess, whose time limit fails a deadlocked runner instead of hanging.
-@pytest.mark.parametrize("workers", [2, 3, 7])
-def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
-    argv = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
-            "--budget", "4000", "--trials", "3", "--seed", "12"]
+@pytest.mark.parametrize(
+    "argv, workers",
+    [(SMALL_GRID, 2), (SMALL_GRID, 3), (SMALL_GRID, 7), (FLAG_GRID, 2), (FLAG_GRID, 3)],
+    ids=["2", "3", "7", "flags-2", "flags-3"],
+)
+def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, argv, workers):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
@@ -199,6 +209,12 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, workers):
         env=package_env(), stdout=subprocess.DEVNULL, check=True, timeout=60,
     )
     assert a.read_bytes() == b.read_bytes()
+    if argv is FLAG_GRID:
+        flags = [row["flags"] for row in read_csv(a)]
+        for flag in ("no-data", "empty-trials=7", "empty-trials=6;zero-variance",
+                     "zero-variance"):
+            assert flag in flags
+        assert b",nan," in a.read_bytes()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
@@ -330,6 +346,10 @@ FAILING_WORKER = """
 import os, sys
 from ppasim import cli
 
+class PointError(Exception):
+    def __init__(self, where, why):
+        super().__init__(f"{where}: {why}")
+
 def evaluate(spec, points):
     if (1, 0) in points:
         FAIL
@@ -355,15 +375,17 @@ POINT_1_0 = "grid point theta = 0.2, t = 0.5 at grid index (i, j) = (1, 0), seed
 @pytest.mark.parametrize(
     "fail, error",
     [
-        # the block runs again point by point in the worker, which names (1, 0)
+        # the chunk runs again in the caller, point by point, which names (1, 0)
         ('raise ValueError("boom")', f"ValueError: {POINT_1_0}: boom"),
+        # an exception that cannot be rebuilt from its message keeps its type
+        ('raise PointError((1, 0), "boom")', "PointError: (1, 0): boom"),
         ("os._exit(3)",
          f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 3, no rows"),
         # the child leaves through os._exit(1), never through the caller's stack
         ("raise KeyboardInterrupt",
          f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 1, no rows"),
     ],
-    ids=["raises", "exits", "interrupted"],
+    ids=["raises", "raises-two-arguments", "exits", "interrupted"],
 )
 def test_a_failing_worker_reaches_the_caller_and_is_reaped(tmp_path, fail, error):
     out = tmp_path / "s.csv"
@@ -373,6 +395,51 @@ def test_a_failing_worker_reaches_the_caller_and_is_reaped(tmp_path, fail, error
         env=package_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.splitlines() == [error, "no child left"]
+    assert not out.exists()
+
+
+# os.fork fails on its second call, after the first child has started on
+# more rows than a pipe buffers (64 KiB), so that child blocks until read.
+FAILING_FORK = """
+import errno, os, sys
+from ppasim import cli
+
+def evaluate(spec, points):
+    return [(i, j, "x" * 40000) for i, j in points]
+
+def fork():
+    forks.append(None)
+    if len(forks) == 2:
+        raise OSError(errno.EAGAIN, "fork refused")
+    return real_fork()
+
+forks, real_fork = [], os.fork
+os.fork = fork
+os.cpu_count = lambda: 4
+spec = cli.SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), output_path=sys.argv[1])
+fds = len(os.listdir("/proc/self/fd"))
+try:
+    cli._run_grid(spec, "sweep", ("i", "j", "flags"), evaluate, 1, workers=3)
+except OSError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+print("fds opened:", len(os.listdir("/proc/self/fd")) - fds)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+def test_a_failed_fork_reaps_the_started_workers_and_closes_its_pipe(tmp_path):
+    out = tmp_path / "s.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", FAILING_FORK, str(out)],
+        env=package_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.splitlines() == [
+        "BlockingIOError: [Errno 11] fork refused", "fds opened: 0", "no child left",
+    ]
     assert not out.exists()
 
 
@@ -1147,8 +1214,9 @@ def test_fig4_error_names_the_point(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_error_names_the_point(tmp_path, monkeypatch, workers):
-    # a block that raises runs again one point at a time, in this process or
-    # in a forked worker, and the error names the first point that raises
+    # a block that raises runs again one point at a time, and a forked
+    # worker's chunk runs again in this process, so the error names the first
+    # point that raises and keeps its cause
     def fail_at_1_0(spec, points):
         if (1, 0) in points:
             raise ValueError("survival probability vanished")
@@ -1166,6 +1234,8 @@ def test_sweep_error_names_the_point(tmp_path, monkeypatch, workers):
         "grid point theta = 1.5, t = 0.044 at grid index (i, j) = (1, 0), seed = 3: "
         "survival probability vanished"
     )
+    cause = info.value.__cause__
+    assert type(cause) is ValueError and str(cause) == "survival probability vanished"
     assert not out.exists()
 
 
