@@ -276,13 +276,16 @@ def run_trials(spec, points: list) -> list[SweepRecord]:
     columns = np.stack([
         theta, t, mean_est, variance, mse, mean_detected, *per_photon, qfi_theory, stderr
     ], axis=1)
-    n_trials = spec.n_trials
-    flags = [""] * len(points)
-    for i in np.flatnonzero((n_hit < n_trials) | zero_spread).tolist():
-        k = int(n_hit[i])
-        empty = [f"empty-trials={n_trials - k}" if k else "no-data"] * (k < n_trials)
-        flags[i] = ";".join(empty + ["zero-variance"] * bool(zero_spread[i]))
+    flags = _flag_column(("no-data", "empty-trials={}", "zero-variance"),
+                         [n_hit == 0, (n_hit > 0) * (spec.n_trials - n_hit), zero_spread])
     return [SweepRecord(*row, flag) for row, flag in zip(columns.tolist(), flags)]
+
+
+def _flag_column(names, counts) -> list[str]:
+    """Each row's ``flags`` cell: ``names[k].format(n)`` for each nonzero n of the
+    row in ``counts[k]`` (a bool counts 1), joined by ';'."""
+    rows = np.array(counts, dtype=int).T.tolist()
+    return [";".join(f.format(n) for f, n in zip(names, row) if n) for row in rows]
 
 
 def systematic_shift_t(theta, t, dt):

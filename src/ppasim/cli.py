@@ -29,6 +29,7 @@ from .bench import (
     MIN_AMPLITUDE,
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
+    _flag_column,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -176,7 +177,12 @@ def _grid_rows(evaluate, spec: SweepSpec, points: list, step: int) -> list[str]:
             rows += map(_csv_row, evaluate(spec, block))
         except ValueError as exc:
             if len(block) == 1:
-                raise type(exc)(f"{_point_name(spec, *block[0])}: {exc}") from exc
+                named = f"{_point_name(spec, *block[0])}: {exc}"
+                try:  # keep the type where it takes one message
+                    named = type(exc)(named)
+                except Exception:
+                    named = ValueError(named)
+                raise named from exc
             _grid_rows(evaluate, spec, block, 1)
             raise
     return rows
@@ -361,9 +367,8 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
         theta, t, p_ps, qfi_theory, qfi_ppa_family(theta, t, vis), qfi_mean, qfi_se,
         gap4[:, 0], gap_mean, gap_se, qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
     )
-    names = ("boundary={}", "near-boundary", "no-survival")
-    counts = np.add.reduce(np.array([boundary, near, blocked]), -1).T.tolist()
-    flags = [";".join(f.format(n) for f, n in zip(names, row) if n) for row in counts]
+    flags = _flag_column(("boundary={}", "near-boundary", "no-survival"),
+                         np.add.reduce(np.array([boundary, near, blocked]), -1))
     return list(map(Fig4Record, *(c.tolist() for c in columns), flags))
 
 

@@ -14,19 +14,23 @@ reports the worst residual against a fixed threshold.  The suites back the
   the SLD eigenbasis matches that direction;
 * Sylvester residual — the SLD solve reproduces drho on the state's support.
 
-The qudit and marginalization instances are drawn as arrays, each d and
-then each parameter per d in one call.  Instances are evaluated as stacks:
-the qubit instances as one batch, the others in batches of one d of at
-most ``MAX_BATCH`` instances.  The 84 grid states of the CFI = QFI and
-Sylvester suites are one ``PPAFamily`` evaluation and one ``sld`` call,
-made once per process and shared by both suites.  The random states,
-generators and POVMs are valid by construction, so ``states._built`` makes them.
+Every random suite draws its instances as arrays, each d (where d varies)
+and then each parameter per d in one call, and builds and evaluates them
+in stacks of one d of at most ``MAX_BATCH``, so memory is bounded for any
+count.  ``random_qudit_instances`` and ``random_marginalization_instances``
+make every draw when called and build each batch when their iterator
+reaches it, which yields it with the instances' positions in the draw, in
+ascending d.  The 84 grid states of the CFI = QFI and Sylvester suites are
+one ``PPAFamily`` evaluation and one ``sld`` call, made once per process
+and shared by both suites.  The random states, generators and POVMs are
+valid by construction, so ``states._built`` makes them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +73,7 @@ __all__ = [
 # Most random instances evaluated as one batch, so a batch's memory is
 # bounded (per tracemalloc, a 6-level gap-equality batch of 128, seven
 # projector slots a generator, peaks at 3.2 MB in verify_gap_equality); at
-# the default sizes each d is one batch.
+# the default sizes the 1000 qubits are eight batches and each other d one.
 MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default
@@ -120,21 +124,26 @@ def sld_axis(lam: np.ndarray) -> np.ndarray:
     return vec / n
 
 
-def random_qubit_instances(rng: np.random.Generator, n: int):
-    """n random filter-scheme instances: pure states, sigma_x/2 generator, filters.
-
-    One ``uniform`` call draws (theta, |t|, arg t) per instance, row by
-    row, so the draws and the stream position are those of 3n scalar
-    calls.  Returns a stack of n states e^{i theta A}|0>, the shared
-    generator and a stack of n filters.
-    """
+def _qubit_draws(rng: np.random.Generator, n: int) -> list:
+    """Every instance's (theta, |t|, arg t) in one ``uniform`` call, row by row, as
+    3n scalar calls would draw them: one group ``(positions, theta, mag, phase)``."""
     draws = rng.uniform([0.01, 0.01, 0.0], [3.1, 1.0, 2.0 * math.pi], size=(n, 3))
-    theta, mag, phase = draws.T
+    return [(np.arange(n), *draws.T)]
+
+
+def random_qubit_instances(rng: np.random.Generator, n: int):
+    """n random filter-scheme instances drawn by ``_qubit_draws``, as one stack of
+    states e^{i theta A}|0>, the shared sigma_x/2 generator and a stack of filters."""
+    return next(_qubit_batches(_qubit_draws(rng, n)))[1:]
+
+
+def _qubit_batches(runs):
     gen = ppa_generator()
-    # e^{i theta A}|0> = sum_k e^{i theta a_k} P_k |0>
-    phases = np.exp(1j * theta[:, None] * gen.eigenvalues)
-    rho = pure_state((phases[:, :, None] * gen.projectors[:, :, 0]).sum(1))
-    return rho, gen, make_filter(mag * np.exp(1j * phase))
+    for pos, theta, mag, phase in runs:
+        # e^{i theta A}|0> = sum_k e^{i theta a_k} P_k |0>
+        phases = np.exp(1j * theta[:, None] * gen.eigenvalues)
+        rho = pure_state((phases[:, :, None] * gen.projectors[:, :, 0]).sum(1))
+        yield pos, rho, gen, make_filter(mag * np.exp(1j * phase))
 
 
 def _complex(parts: np.ndarray) -> np.ndarray:
@@ -183,12 +192,8 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
     state is a random superposition of the extreme eigenvectors, and each
     filter's pass element is built by a diagonal congruence that balances
     it between the two supported eigenspaces before being rescaled to a
-    contraction.
-
-    All draws are made in this call (``_qudit_draws``); each batch is built
-    when the returned iterator reaches it.  It yields ``(positions, rho,
-    gen, k_plus)`` per batch, in ascending d: the instances' positions in
-    the draw, a DensityMatrix, a Generator and a K+ stack.
+    contraction.  Draws as ``_qudit_draws``; yields ``(positions, rho, gen,
+    k_plus)`` batches.
     """
     return _qudit_batches(_qudit_draws(rng, n))
 
@@ -238,20 +243,13 @@ def _qudit_batches(draws):
         yield pos, rho, gen, psd_sqrt(m)
 
 
-def gap_equality_suite(
-    seed: int, n_qubit: int = 1000, n_qudit: int = 200
-) -> SuiteResult:
+def gap_equality_suite(seed: int, n_qubit: int = 1000, n_qudit: int = 200) -> SuiteResult:
     rng = rng_stream(seed, 1)
-    rho, gen, k = random_qubit_instances(rng, n_qubit)
-    worst = float(verify_gap_equality(rho, gen, k).residual.max(initial=0.0))
-    for _, rho, gen, k in random_qudit_instances(rng, n_qudit):
+    qubits = _qubit_batches(_runs(_qubit_draws(rng, n_qubit)))
+    worst = 0.0
+    for _, rho, gen, k in chain(qubits, random_qudit_instances(rng, n_qudit)):
         worst = max(worst, float(verify_gap_equality(rho, gen, k).residual.max()))
-    return SuiteResult(
-        name="gap-equality",
-        n_instances=n_qubit + n_qudit,
-        max_residual=worst,
-        threshold=1e-9,
-    )
+    return SuiteResult("gap-equality", n_qubit + n_qudit, worst, threshold=1e-9)
 
 
 def _random_densities(probs, z) -> DensityMatrix:
@@ -301,11 +299,8 @@ def random_marginalization_instances(rng: np.random.Generator, n: int):
     complex Gaussian frame) and per POVM 2..3 outcomes, one complex
     Gaussian matrix each (``_random_povms``).  Every POVM has three outcome
     slots; an unused one is the zero element, which adds exact zeros to
-    every marginal.  All draws are made in this call
-    (``_marginalization_draws``); each batch is built when the returned
-    iterator reaches it.  It yields ``(positions, rho, povms)`` per batch,
-    in ascending d: the instances' positions in the draw, a DensityMatrix
-    stack and three POVM stacks.
+    every marginal.  Draws as ``_marginalization_draws``; yields
+    ``(positions, rho, povms)`` batches, ``povms`` three POVM stacks.
     """
     return _marginalization_batches(_marginalization_draws(rng, n))
 
@@ -335,12 +330,7 @@ def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
     worst = 0.0
     for _, rho, povms in random_marginalization_instances(rng, n_instances):
         worst = max(worst, float(_marginalization_residual(rho, povms).max()))
-    return SuiteResult(
-        name="marginalization",
-        n_instances=n_instances,
-        max_residual=worst,
-        threshold=1e-12,
-    )
+    return SuiteResult("marginalization", n_instances, worst, threshold=1e-12)
 
 
 @functools.cache
@@ -372,24 +362,19 @@ def cfi_qfi_suite() -> SuiteResult:
 
 def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
     """SLD defect on the support, over the grid family and random mixed states
-    (drawn one at a time, solved in batches of one d)."""
+    (each d in 2..4, then per d all spectra and all frames and Hamiltonians
+    in one call each; solved in batches of one d)."""
     rng = rng_stream(seed, 3)
-    draws = []
-    for _ in range(n_instances):
-        d = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(d))
-        z, h = _complex(rng.normal(size=(2, 2, d, d)))
-        draws.append((probs, z, h))
+    draws = _by_d(rng.integers(2, 5, size=n_instances), lambda d, m: (
+        rng.dirichlet(np.ones(d), size=m),
+        rng.normal(size=(m, 2, 2, d, d)),
+    ))
     _, _, grid = _grid_solution()
     worst = float(grid.residual.max())
-    dims = np.array([len(probs) for probs, _, _ in draws])
-    groups = (
-        tuple(map(np.array, zip(*(draws[i] for i in np.flatnonzero(dims == d)))))
-        for d in sorted(set(dims.tolist()))
-    )
-    for probs, z, h in _runs(groups):
-        rho = _random_densities(probs, z)
-        h = hermitian_part(h)
+    for _, probs, zh in _runs(draws):
+        zh = _complex(zh)
+        rho = _random_densities(probs, zh[:, 0])
+        h = hermitian_part(zh[:, 1])
         drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
         worst = max(worst, float(sld(rho, drho).residual.max()))
     n = grid.qfi.size + n_instances

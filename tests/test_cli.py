@@ -350,6 +350,10 @@ class PointError(Exception):
     def __init__(self, where, why):
         super().__init__(f"{where}: {why}")
 
+class PointValueError(ValueError):
+    def __init__(self, where, why):
+        super().__init__(f"{where}: {why}")
+
 def evaluate(spec, points):
     if (1, 0) in points:
         FAIL
@@ -379,13 +383,17 @@ POINT_1_0 = "grid point theta = 0.2, t = 0.5 at grid index (i, j) = (1, 0), seed
         ('raise ValueError("boom")', f"ValueError: {POINT_1_0}: boom"),
         # an exception that cannot be rebuilt from its message keeps its type
         ('raise PointError((1, 0), "boom")', "PointError: (1, 0): boom"),
+        # a ValueError that cannot be rebuilt from one message: named as a
+        # plain ValueError from it
+        ('raise PointValueError((1, 0), "boom")', f"ValueError: {POINT_1_0}: (1, 0): boom"),
         ("os._exit(3)",
          f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 3, no rows"),
         # the child leaves through os._exit(1), never through the caller's stack
         ("raise KeyboardInterrupt",
          f"RuntimeError: worker of the chunk from {POINT_1_0}: exit status 1, no rows"),
     ],
-    ids=["raises", "raises-two-arguments", "exits", "interrupted"],
+    ids=["raises", "raises-two-arguments", "raises-value-error-two-arguments", "exits",
+         "interrupted"],
 )
 def test_a_failing_worker_reaches_the_caller_and_is_reaped(tmp_path, fail, error):
     out = tmp_path / "s.csv"
@@ -1236,6 +1244,29 @@ def test_sweep_error_names_the_point(tmp_path, monkeypatch, workers):
     )
     cause = info.value.__cause__
     assert type(cause) is ValueError and str(cause) == "survival probability vanished"
+    assert not out.exists()
+
+
+def test_a_value_error_that_takes_two_arguments_is_named_in_process(tmp_path):
+    # the runner cannot rebuild this error from the named message, so it
+    # raises a ValueError with that message, caused by the original
+    class PointValueError(ValueError):
+        def __init__(self, where, why):
+            super().__init__(f"{where}: {why}")
+
+    def evaluate(spec, points):
+        if (1, 0) in points:
+            raise PointValueError((1, 0), "boom")
+        return [(i, j, "") for i, j in points]
+
+    out = tmp_path / "s.csv"
+    spec = SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), seed=7,
+                     output_path=str(out))
+    with pytest.raises(ValueError) as info:
+        cli._run_grid(spec, "sweep", ("i", "j", "flags"), evaluate, 1, workers=1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{POINT_1_0}: (1, 0): boom"
+    assert type(info.value.__cause__) is PointValueError
     assert not out.exists()
 
 

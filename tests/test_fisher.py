@@ -224,14 +224,15 @@ def test_family_and_cfi_stacks_name_the_instance():
 
 
 def test_grid_suite_summaries_are_pinned():
-    # the summaries of the per-instance loops these suites replaced
+    # the CFI = QFI summary of the per-instance loop it replaced, and the
+    # Sylvester summaries of its draws by d
     grid = "[cfi-equals-qfi] n=84 max_residual=8.784e-15 threshold=1.0e-08 PASS"
     assert cfi_qfi_suite().summary() == grid
     assert sylvester_suite(0).summary() == (
-        "[sylvester-residual] n=184 max_residual=2.657e-15 threshold=1.0e-08 PASS"
+        "[sylvester-residual] n=184 max_residual=2.090e-15 threshold=1.0e-08 PASS"
     )
     assert sylvester_suite(5).summary() == (
-        "[sylvester-residual] n=184 max_residual=3.942e-15 threshold=1.0e-08 PASS"
+        "[sylvester-residual] n=184 max_residual=2.881e-15 threshold=1.0e-08 PASS"
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -767,9 +768,25 @@ def qudit_residuals(seed, n):
     return gap
 
 
+def suite_qubit_residuals(seed, n, monkeypatch):
+    """Gap residuals of the qubit instances of ``gap_equality_suite(seed, n, 1)``."""
+    got = []
+
+    def recording(*instances):
+        res = verify_gap_equality(*instances)
+        got.append(res.residual)
+        return res
+
+    monkeypatch.setattr(verify, "verify_gap_equality", recording)
+    gap_equality_suite(seed, n_qubit=n, n_qudit=1)
+    monkeypatch.setattr(verify, "verify_gap_equality", verify_gap_equality)
+    return np.concatenate(got)[:n]
+
+
 @pytest.mark.parametrize("max_batch", [1, 7, 16, verify.MAX_BATCH])
 def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     n = 40
+    n_qubit = 300  # more than one run of the default MAX_BATCH
 
     def residuals():
         gap = qudit_residuals(5, n)
@@ -781,12 +798,30 @@ def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
         return gap, marg
 
     gap, marg = residuals()
+    # the suite's qubits as one stack, whatever MAX_BATCH is
+    qubit = verify_gap_equality(
+        *random_qubit_instances(suite_streams(3, 1)[0], n_qubit)
+    ).residual
     monkeypatch.setattr(verify, "MAX_BATCH", max_batch)
     got_gap, got_marg = residuals()
     # every POVM has three outcome slots and every generator seven,
     # whatever its batch: bit for bit
     assert np.array_equal(got_marg, marg)
     assert np.array_equal(got_gap, gap)
+    assert np.array_equal(suite_qubit_residuals(3, n_qubit, monkeypatch), qubit)
+
+
+def test_gap_equality_suite_memory_is_bounded_for_many_qubits():
+    # the qubits are built and checked in runs of MAX_BATCH, so the peak does
+    # not grow with their number; one stack of 20 000 peaks at about 18 MiB
+    gap_equality_suite(0, n_qubit=10, n_qudit=1)  # first-call caches
+    tracemalloc.start()
+    try:
+        gap_equality_suite(0, n_qubit=20000, n_qudit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(4))
