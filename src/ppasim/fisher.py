@@ -282,10 +282,11 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     k_rho = k_op @ rho_theta.mat
     ka_rho = k_op @ a.mat @ rho_theta.mat
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
-    p = np.einsum("...ij,...ij->...", k_rho, k_op.conj()).real
+    k_conj = k_op.conj()
+    p = np.einsum("...ij,...ij->...", k_rho, k_conj).real
     _reject(p <= ZERO_PROBABILITY, ZeroProbabilityError, "postselection probability vanished")
-    term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_op.conj()).real
-    term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_op.conj())))
+    term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_conj).real
+    term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_conj)))
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / (p * p), 0.0)
 
 

@@ -125,14 +125,10 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     )
     for s in first:
         op = s @ op[..., None, :, :]
-    # the last measurement is traced against op one outcome at a time, so no
-    # intermediate holds all k outcome axes times d x d; Tr(M op) is the
-    # elementwise sum of M * op^T, O(d^2) where the product would be O(d^3)
-    op_t = op.swapaxes(-1, -2)
-    values = np.stack(
-        [(last[..., m, :, :] * op_t).sum((-2, -1)) for m in range(last.shape[-3])],
-        axis=-1,
-    )
+    # the last measurement is traced against op in one contraction, so no
+    # intermediate holds all k outcome axes times d x d; Tr(M op) sums
+    # M[a, b] op[b, a], O(d^2) where the product would be O(d^3)
+    values = np.einsum("...mab,...ba->...m", last, op)
     bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT
     _reject(bad, ValueError, "quasidistribution does not sum to 1 within 1e-10")
     return _freeze(values)
@@ -199,6 +195,12 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     and a contracting K+ whose pass element is balanced between them
     (checked to 1e-9, else :class:`ConditionNotMetError`).
 
+    The table is built on A's measurement coarse-grained to three slots,
+    (a_lo, a_hi, rest), rest the sum of the other projectors; a two-slot
+    generator already is this coarse-graining.  The identity is unchanged:
+    the four pair entries are the same traces Tr(P_a' M P_a rho), and the
+    pass slice's total is Tr(M rho) for any slots that sum to 1.
+
     ``rho``, ``a`` and ``k_plus`` may carry leading batch axes, which
     broadcast: one shared generator, or a :class:`Generator` stack with
     rho's batch axes (a zero projector carries no weight, so it never
@@ -211,9 +213,7 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     filt = filter_povm(k_plus)
     if filt.dim != rho.dim or a.dim != rho.dim:
         raise ValueError("rho, generator, and filter dimensions must agree")
-    # a Generator's projectors were checked as a POVM when it was made
-    proj = _built(POVM, stack=a.projectors)
-    weights = np.einsum("...iab,...ba->...i", proj.stack, rho.mat).real
+    weights = np.einsum("...iab,...ba->...i", a.projectors, rho.mat).real
     supported = weights > 1e-12
     count = supported.sum(-1)
     _reject(
@@ -222,14 +222,22 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     )
     lhs = qfi_postselected_pure(rho, a, k_plus)
 
-    # the (A, filter, A) table, and per instance the four entries of its
-    # pass slice on the supported pair: (lo, lo), (lo, hi), (hi, lo), (hi, hi)
-    kd = kd_distribution(rho, (proj, filt, proj))
-    batch = kd.shape[:-3]
-    supported = np.broadcast_to(supported, batch + supported.shape[-1:])
-    passed = kd[..., :, 0, :]
-    on_pair = supported[..., :, None] & supported[..., None, :]
-    sub = passed[on_pair].reshape(batch + (4,))
+    # per instance the slots of a_lo and a_hi, in slot order
+    pair = np.nonzero(supported)[-1].reshape(supported.shape[:-1] + (2,))
+    eig = np.take_along_axis(np.broadcast_to(a.eigenvalues, supported.shape), pair, -1)
+    slots = a.projectors
+    if slots.shape[-3] > 2:
+        slots = np.broadcast_to(slots, supported.shape + slots.shape[-2:])
+        rest = np.where(supported[..., None, None], 0.0, slots).sum(-3, keepdims=True)
+        lo_hi = np.take_along_axis(slots, pair[..., None, None], -3)
+        slots = np.concatenate([lo_hi, rest], -3)
+    # a Generator's projectors were checked as a POVM when it was made, and
+    # coarse-graining keeps them one
+    proj = _built(POVM, stack=slots)
+    # the pass slice of the (A, filter, A) table; its pair entries are
+    # (lo, lo), (lo, hi), (hi, lo), (hi, hi)
+    passed = kd_distribution(rho, (proj, filt, proj))[..., :, 0, :]
+    sub = passed[..., :2, :2].reshape(passed.shape[:-2] + (4,))
     # the diagonal entries are the pass weights Tr(P rho P M)
     w_lo, w_hi = sub[..., 0].real, sub[..., 3].real
     _reject(
@@ -243,9 +251,6 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
         "outcome 0 of measurement 1 has zero quasiprobability",
     )
     sq = np.abs(sub / norm[..., None]) ** 2
-    # a_lo and a_hi of each instance
-    eig = np.broadcast_to(a.eigenvalues, supported.shape)[supported].reshape(-1, 2)
-    spread = (eig[:, 1] - eig[:, 0]).reshape(batch)
-    rhs = 4.0 * spread**2 * (sq.max(-1) - sq.min(-1))
+    rhs = 4.0 * (eig[..., 1] - eig[..., 0]) ** 2 * (sq.max(-1) - sq.min(-1))
     residual = np.abs(lhs - rhs) / np.maximum(lhs, 1.0)
     return GapEqualityResult(lhs=lhs, rhs=rhs, residual=residual)

@@ -60,7 +60,6 @@ __all__ = [
     "SuiteResult",
     "axis_angle",
     "sld_axis",
-    "random_qubit_instances",
     "random_qudit_instances",
     "random_marginalization_instances",
     "gap_equality_suite",
@@ -72,8 +71,9 @@ __all__ = [
 
 # Most random instances evaluated as one batch, so a batch's memory is
 # bounded (per tracemalloc, a 6-level gap-equality batch of 128, seven
-# projector slots a generator, peaks at 3.2 MB in verify_gap_equality); at
-# the default sizes the 1000 qubits are eight batches and each other d one.
+# projector slots a generator coarse-grained to three for its table, peaks
+# at 1.5 MB in verify_gap_equality); at the default sizes the 1000 qubits
+# are eight batches and each other d one.
 MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default
@@ -131,13 +131,9 @@ def _qubit_draws(rng: np.random.Generator, n: int) -> list:
     return [(np.arange(n), *draws.T)]
 
 
-def random_qubit_instances(rng: np.random.Generator, n: int):
-    """n random filter-scheme instances drawn by ``_qubit_draws``, as one stack of
-    states e^{i theta A}|0>, the shared sigma_x/2 generator and a stack of filters."""
-    return next(_qubit_batches(_qubit_draws(rng, n)))[1:]
-
-
 def _qubit_batches(runs):
+    """Per run, ``(positions, rho, gen, k_plus)``: states e^{i theta A}|0>, the
+    shared sigma_x/2 generator and filters of amplitude |t| e^{i arg t}."""
     gen = ppa_generator()
     for pos, theta, mag, phase in runs:
         # e^{i theta A}|0> = sum_k e^{i theta a_k} P_k |0>

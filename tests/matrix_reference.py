@@ -7,14 +7,18 @@ general route kept here: 2x2 density matrices, projective POVMs onto
 renormalized by its total.  The survival probability is kept here in its
 theta form, against which ``fisher.survival_probability`` is checked.
 :func:`run_point` runs one bench point on the count stream of a packed point
-seed.
+seed.  :func:`kd_entries` is ``kd_distribution`` one instance and one
+outcome tuple at a time, and :func:`qubit_instances` draws verify's random
+qubit instances as one stack.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
+from ppasim import verify
 from ppasim.bench import run_trials
 from ppasim.cli import SweepSpec
 from ppasim.quasiprob import POVM, ZeroNormalizerError, filter_povm, kd_distribution
@@ -129,3 +133,29 @@ def run_point(theta_true, t_set, seed=0, **fields):
     )
     [rec] = run_trials(spec, [(i, j)])
     return rec
+
+
+def kd_entries(rho: DensityMatrix, povms):
+    """Tr(M^(k)_{m_k} ... M^(1)_{m_1} rho), one entry at a time: a Python loop
+    over the broadcast batch axes of rho and the POVMs, then over every
+    outcome tuple, multiplying d x d matrices and taking np.trace."""
+    stacks = [p.stack for p in povms]
+    batch = np.broadcast_shapes(rho.mat.shape[:-2], *(s.shape[:-3] for s in stacks))
+    rho_b = np.broadcast_to(rho.mat, batch + rho.mat.shape[-2:])
+    stacks_b = [np.broadcast_to(s, batch + s.shape[-3:]) for s in stacks]
+    outcomes = tuple(s.shape[-3] for s in stacks)
+    out = np.empty(batch + outcomes, dtype=complex)
+    for b in np.ndindex(*batch):
+        for ms in itertools.product(*(range(n) for n in outcomes)):
+            op = rho_b[b]
+            for s, m in zip(stacks_b, ms):
+                op = s[b][m] @ op
+            out[b + ms] = np.trace(op)
+    return out
+
+
+def qubit_instances(rng, n):
+    """verify's n random qubit instances drawn from ``rng``, as one stack:
+    (states, the shared sigma_x/2 generator, filters)."""
+    [(_, *instances)] = verify._qubit_batches(verify._qubit_draws(rng, n))
+    return tuple(instances)

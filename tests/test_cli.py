@@ -1303,6 +1303,17 @@ def test_verify_exits_clean(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [["--n", "200"], ["--seed", "3", "--n", "5000"]])
+def test_ci_self_verification_runs_pass(capsys, argv):
+    # the two runs of CI's "Self-verification" step, in process; at --n 5000
+    # every suite needs more than one run of MAX_BATCH for each d
+    code = main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 4
+    assert all(line.endswith(" PASS") for line in lines)
+
+
 # The gap-equality and marginalization lines of `ppasim verify` since the
 # random suites are drawn as arrays; at --n 1 only one d has an instance.
 # A residual is rounding noise, which another BLAS build can move, so it is

@@ -37,12 +37,16 @@ from ppasim.verify import (
     T_GRID,
     axis_angle,
     cfi_qfi_suite,
-    random_qubit_instances,
     sld_axis,
     sylvester_suite,
 )
 
-from matrix_reference import bloch_vector, survival_theta_form, unfiltered_state
+from matrix_reference import (
+    bloch_vector,
+    qubit_instances,
+    survival_theta_form,
+    unfiltered_state,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -475,7 +479,7 @@ def test_qfi_postselected_pure_matches_sld_route():
 def test_qfi_postselected_pure_of_a_stack_is_the_per_instance_qfi():
     # bit for bit, on a seeded set whose instance 4 squares a value where
     # libm pow(x, 2), which NumPy's scalar ** calls, is not x * x
-    rho, gen, k_plus = random_qubit_instances(np.random.default_rng(8), 16)
+    rho, gen, k_plus = qubit_instances(np.random.default_rng(8), 16)
     qfi = qfi_postselected_pure(rho, gen, k_plus)
     for i in range(16):
         assert qfi_postselected_pure(DensityMatrix(rho.mat[i]), gen, k_plus[i]) == qfi[i]

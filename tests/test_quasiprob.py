@@ -34,15 +34,16 @@ from ppasim.verify import (
     gap_equality_suite,
     marginalization_suite,
     random_marginalization_instances,
-    random_qubit_instances,
     random_qudit_instances,
 )
 
 from matrix_reference import (
     condition,
+    kd_entries,
     plus_minus_states,
     ppa_povm_sequence,
     projective_povm,
+    qubit_instances,
     unfiltered_state,
 )
 
@@ -212,17 +213,6 @@ def test_commuting_sequence_on_joint_eigenstate_is_deterministic():
     assert np.abs(kd - expected).max() < 1e-14
 
 
-def loop_kd_values(rho, povms):
-    """Per-outcome reference: one product chain and one trace per outcome."""
-    values = np.empty(tuple(len(p.stack) for p in povms), dtype=complex)
-    for idx in np.ndindex(*values.shape):
-        op = rho.mat
-        for povm, i in zip(povms, idx):
-            op = povm.stack[i] @ op
-        values[idx] = np.trace(op)
-    return values
-
-
 def test_kd_distribution_equals_per_outcome_loop():
     # the last trace is a contraction, not np.trace of a product, so the two
     # routes agree to rounding, not bit for bit
@@ -235,12 +225,32 @@ def test_kd_distribution_equals_per_outcome_loop():
         )
         rho = random_density(rng, d)
         kd = kd_distribution(rho, povms)
-        assert np.abs(kd - loop_kd_values(rho, povms)).max() <= 1e-15
+        assert np.abs(kd - kd_entries(rho, povms)).max() <= 1e-15
     for t in (0.044, 0.5, 1.0):
         rho = imprinted_state(0.3)
         povms = ppa_povm_sequence(t)
         kd = kd_distribution(rho, povms)
-        assert np.abs(kd - loop_kd_values(rho, povms)).max() <= 1e-15
+        assert np.abs(kd - kd_entries(rho, povms)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("batched", ["rho", "one-povm", "both"])
+def test_batched_kd_distribution_equals_per_entry_loop(k, batched):
+    # batch axes (3,) on rho and (2, 1) on POVM k // 2, which broadcast to
+    # (2, 3) when both have them
+    rng = np.random.default_rng(40 + k)
+    d = 3
+    mats = np.stack([random_density(rng, d).mat for _ in range(3)])
+    rho = DensityMatrix(mats if batched != "one-povm" else mats[0])
+    povms = [random_povm(rng, d, n_out) for n_out in (2, 3, 4)[:k]]
+    if batched != "rho":
+        n_out = len(povms[k // 2].stack)
+        stacks = [random_povm(rng, d, n_out).stack for _ in range(2)]
+        povms[k // 2] = POVM(np.stack(stacks)[:, None])
+    kd = kd_distribution(rho, tuple(povms))
+    batch = {"rho": (3,), "one-povm": (2, 1), "both": (2, 3)}[batched]
+    assert kd.shape == batch + tuple(p.stack.shape[-3] for p in povms)
+    assert np.abs(kd - kd_entries(rho, povms)).max() <= 1e-14
 
 
 def test_full_distribution_sums_to_one():
@@ -516,7 +526,7 @@ def test_gap_equality_on_the_working_point():
 
 def test_gap_equality_random_qubits():
     rng = np.random.default_rng(99)
-    rho, gen, k = random_qubit_instances(rng, 100)
+    rho, gen, k = qubit_instances(rng, 100)
     assert verify_gap_equality(rho, gen, k).residual.max() < 1e-10
 
 
@@ -575,7 +585,7 @@ def test_batched_qubit_instances_match_the_per_instance_loop(seed):
     loop = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     batch = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     lhs, rhs, residual = per_instance_gap_equality(loop, n)
-    got = verify_gap_equality(*random_qubit_instances(batch, n))
+    got = verify_gap_equality(*qubit_instances(batch, n))
     assert got.lhs.shape == got.rhs.shape == got.residual.shape == (n,)
     assert np.all(np.abs(got.lhs - lhs) <= 1e-12 * lhs)
     assert np.all(np.abs(got.rhs - rhs) <= 1e-12 * rhs)
@@ -592,7 +602,7 @@ def test_batched_qubit_instances_match_the_per_instance_loop(seed):
 
 def qubit_stack(n=5):
     """Five random qubit instances as one batch: states, generator, filters."""
-    rho, gen, k = random_qubit_instances(np.random.default_rng(7), n)
+    rho, gen, k = qubit_instances(np.random.default_rng(7), n)
     return np.array(rho.mat), gen, np.array(k)
 
 
@@ -673,7 +683,7 @@ def suite_streams(seed, stream, skip_qubits=0):
     """Two identical suite streams, both advanced past ``skip_qubits`` qubit draws."""
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream))) for _ in range(2)]
     for rng in rngs:
-        random_qubit_instances(rng, skip_qubits)
+        verify._qubit_draws(rng, skip_qubits)
     return rngs
 
 
@@ -760,6 +770,33 @@ def test_random_suites_draw_every_d_then_each_parameter_per_d():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_coarse_grained_table_keeps_the_pair_entries_and_the_norm(monkeypatch):
+    # verify_gap_equality builds its (A, filter, A) table on the slots
+    # (a_lo, a_hi, rest); the full seven-slot table has the same four pair
+    # entries and the same pass-slice total
+    tables = []
+
+    def recording(rho, povms):
+        tables.append(kd_distribution(rho, povms))
+        return tables[-1]
+
+    monkeypatch.setattr(quasiprob, "kd_distribution", recording)
+    for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(12), 200):
+        tables.clear()
+        verify_gap_equality(rho, gen, k)
+        [coarse] = tables
+        assert coarse.shape == (len(pos), 3, 2, 3)
+        # the state is supported on the slots of -3 and 3, the first and last
+        weights = np.einsum("niab,nba->ni", gen.projectors, rho.mat).real
+        assert np.array_equal(np.flatnonzero((weights > 1e-12).any(0)), [0, 6])
+        proj = POVM(gen.projectors)
+        full = kd_distribution(rho, (proj, filter_povm(k), proj))[:, :, 0, :]
+        assert full.shape == (len(pos), 7, 7)
+        passed = coarse[:, :, 0, :]
+        assert np.abs(passed[:, :2, :2] - full[:, [0, 6]][:, :, [0, 6]]).max() <= 1e-15
+        assert np.abs(passed.sum((-2, -1)) - full.sum((-2, -1))).max() <= 1e-15
+
+
 def qudit_residuals(seed, n):
     """Gap residuals of ``random_qudit_instances(default_rng(seed), n)``, in draw order."""
     gap = np.empty(n)
@@ -800,7 +837,7 @@ def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     gap, marg = residuals()
     # the suite's qubits as one stack, whatever MAX_BATCH is
     qubit = verify_gap_equality(
-        *random_qubit_instances(suite_streams(3, 1)[0], n_qubit)
+        *qubit_instances(suite_streams(3, 1)[0], n_qubit)
     ).residual
     monkeypatch.setattr(verify, "MAX_BATCH", max_batch)
     got_gap, got_marg = residuals()
