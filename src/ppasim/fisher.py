@@ -10,8 +10,9 @@ The closed forms of the PPA family (:func:`survival_probability`,
 :func:`qfi_ppa_theory`, :func:`qfi_ppa_family`, ``bench.postselected_bloch``,
 ``bench.systematic_shift_t``, ``quasiprob.kd_table_closed_form``) share one
 rule: scalars give a float; arrays broadcast together, to the per-point values
-bit for bit (squares are products: NumPy's scalar ``**`` calls ``pow``); an
-invalid entry raises through ``states._reject``, which names its first instance.
+bit for bit (squares are products: NumPy's scalar ``**`` calls ``pow``); a
+value left undefined, as where nothing survives the filter, is nan; an invalid
+entry raises through ``states._reject``, which names its first instance.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .states import (
     ATOL_STRUCT,
     DensityMatrix,
     Generator,
-    ZeroProbabilityError,
     _as_complex_stack,
     _built,
     _check_povm,
@@ -148,8 +147,8 @@ def kd_table_closed_form(r, t) -> np.ndarray:
 
     The imprinted state of phase theta has r = (0, sin theta, cos theta).
     A (..., 3) stack ``r`` and an array ``t`` broadcast to (..., 2, 2)
-    tables.  Raises :class:`ZeroProbabilityError` when p <= ZERO_PROBABILITY,
-    naming the first such instance.
+    tables.  Where p <= ZERO_PROBABILITY nothing survives: there is no
+    conditional table, so that instance's table is nan.
     """
     r = np.asarray(r, dtype=float)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
@@ -157,11 +156,7 @@ def kd_table_closed_form(r, t) -> np.ndarray:
     _reject(~(t_mag <= 1.0 + 1e-12), ValueError, "|t| must lie in [0, 1]")
     t2 = t_mag * t_mag
     p = survival_probability(t_mag, (1.0 - z) / 2.0)
-    _reject(
-        p <= ZERO_PROBABILITY, ZeroProbabilityError,
-        "conditional table undefined: postselection probability is zero",
-    )
-    q = 4.0 * p
+    q = 4.0 * np.where(p > ZERO_PROBABILITY, p, np.nan)
     diag = (1.0 + t2) / q
     # each part divided by the real q, as a real division rounds (numpy's
     # complex division multiplies by a reciprocal instead)

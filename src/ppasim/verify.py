@@ -43,6 +43,7 @@ from .states import (
     _reject,
     hermitian_part,
     make_filter,
+    phase_unitary,
     ppa_generator,
     pure_state,
     psd_sqrt,
@@ -87,13 +88,16 @@ class SuiteResult(NamedTuple):
     n_instances: int
     max_residual: float
     threshold: float
+    error: str = ""  # "<type>: <message>" of a suite that raised
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.threshold
+        return not self.error and self.max_residual <= self.threshold
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if self.error:  # no instance was checked
+            return f"[{self.name}] n={self.n_instances} raised {self.error} {status}"
         return (
             f"[{self.name}] n={self.n_instances} max_residual={self.max_residual:.3e} "
             f"threshold={self.threshold:.1e} {status}"
@@ -136,9 +140,7 @@ def _qubit_batches(runs):
     shared sigma_x/2 generator and filters of amplitude |t| e^{i arg t}."""
     gen = ppa_generator()
     for pos, theta, mag, phase in runs:
-        # e^{i theta A}|0> = sum_k e^{i theta a_k} P_k |0>
-        phases = np.exp(1j * theta[:, None] * gen.eigenvalues)
-        rho = pure_state((phases[:, :, None] * gen.projectors[:, :, 0]).sum(1))
+        rho = pure_state(phase_unitary(gen, theta)[:, :, 0])
         yield pos, rho, gen, make_filter(mag * np.exp(1j * phase))
 
 
@@ -378,14 +380,21 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
 
 
 def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
-    """Run all four suites; ``n_instances`` scales the randomized ones."""
+    """Run all four suites; ``n_instances`` scales the randomized ones.  A
+    suite that raises ValueError fails alone, naming the error."""
     n_qubit = 1000 if n_instances is None else max(n_instances, 1)
-    n_qudit = 200 if n_instances is None else max(n_instances // 5, 1)
-    n_marg = 200 if n_instances is None else max(n_instances // 5, 1)
+    n_qudit = n_marg = 200 if n_instances is None else max(n_instances // 5, 1)
     n_sylv = 100 if n_instances is None else max(n_instances // 10, 1)
-    return [
-        gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
-        marginalization_suite(seed, n_instances=n_marg),
-        cfi_qfi_suite(),
-        sylvester_suite(seed, n_instances=n_sylv),
-    ]
+    results = []
+    for name, suite in {
+        "gap-equality": lambda: gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
+        "marginalization": lambda: marginalization_suite(seed, n_instances=n_marg),
+        "cfi-equals-qfi": cfi_qfi_suite,
+        "sylvester-residual": lambda: sylvester_suite(seed, n_instances=n_sylv),
+    }.items():
+        try:
+            results.append(suite())
+        except ValueError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            results.append(SuiteResult(name, 0, math.nan, math.nan, error))
+    return results

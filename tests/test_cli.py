@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppasim import cli
+from ppasim import cli, verify
 from ppasim.bench import (
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
@@ -27,7 +27,12 @@ from ppasim.fisher import (
     qfi_ppa_theory,
     sld,
 )
-from ppasim.quasiprob import kd_distribution, kd_table_closed_form, nonclassicality_gap
+from ppasim.quasiprob import (
+    ConditionNotMetError,
+    kd_distribution,
+    kd_table_closed_form,
+    nonclassicality_gap,
+)
 from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
 from ppasim.tomography import DEFAULT_DTHETA
 from ppasim.verify import T_GRID, THETA_GRID
@@ -1201,6 +1206,21 @@ def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsy
     assert math.isfinite(other["gap4_empirical"])
 
 
+def test_fig4_no_survival_grid_is_pinned(tmp_path, capsys):
+    # CI's grid with three blocked unfiltered estimates (two at t = 3e-8),
+    # byte for byte against the rows fig4 wrote when it masked them by
+    # their survival probability, before kd_table_closed_form made them nan
+    out = tmp_path / "fig4_no_survival_seed3.csv"
+    code, _ = run(
+        ["fig4", "--theta", "1e-3,1e-6,0.5", "--t", "1e-9,1e-8,3e-8,0.5",
+         "--visibility", "1", "--shots", "2", "--seed", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / out.name).read_bytes()
+    assert out.read_text().count("no-survival") == 3
+
+
 def test_fig4_error_names_the_point(tmp_path, monkeypatch):
     # the whole grid is one block, which raises; run again one point at a
     # time, it names the first point that raises
@@ -1312,6 +1332,24 @@ def test_ci_self_verification_runs_pass(capsys, argv):
     assert code == 0
     assert len(lines) == 4
     assert all(line.endswith(" PASS") for line in lines)
+
+
+def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
+    # a suite whose precondition check raises fails on one line naming the
+    # error; the other three still run and pass, and the exit code is 1
+    def unbalanced(*args):
+        raise ConditionNotMetError("instance 3: filter is unbalanced")
+
+    monkeypatch.setattr(verify, "verify_gap_equality", unbalanced)
+    code = main(["verify", "--n", "200"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert len(lines) == 4
+    assert lines[0] == ("[gap-equality] n=0 raised ConditionNotMetError: "
+                        "instance 3: filter is unbalanced FAIL")
+    assert sum(line.endswith(" PASS") for line in lines) == 3
+    assert "Traceback" not in captured.out + captured.err
 
 
 # The gap-equality and marginalization lines of `ppasim verify` since the

@@ -128,10 +128,6 @@ CASES = [
      ValueError, "POVM elements do not sum to the identity within 1e-10"),
     ("kd-sum", _kd_sum, (ID2 / 2,), (np.diag([0.5, 0.5 + 9e-11]),),
      ValueError, "quasidistribution does not sum to 1 within 1e-10"),
-    ("kd-table-survival", lambda r: kd_table_closed_form(r, 0.0),
-     ([0.0, 0.0, -1.0],), ([0.0, 0.0, 1.0],),
-     ZeroProbabilityError,
-     "conditional table undefined: postselection probability is zero"),
     ("gap-support", _gap, (KET0,), (PLUS,),
      PreconditionError, "state is supported on 1 generator eigenspaces, need 2"),
     ("gap-balance", lambda k: _gap(k_plus=k),

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,14 @@ def test_module_all_lists_only_names_it_defines(module):
     names = mod.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(mod, name)] == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # every ```python block of README.md, joined in order into one script
+    # as CI's "README Quickstart runs" step pipes them to python, run in an
+    # empty directory
+    readme = Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    exec(compile("".join(blocks), str(readme), "exec"), {"__name__": "__main__"})

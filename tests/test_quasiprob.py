@@ -21,7 +21,6 @@ from ppasim.states import (
     PAULIS,
     DensityMatrix,
     Generator,
-    ZeroProbabilityError,
     make_filter,
     phase_unitary,
     ppa_generator,
@@ -311,9 +310,27 @@ def test_conditional_table_sums_to_one():
         assert abs(kd_table_closed_form(imprinted_bloch(theta), t).sum() - 1.0) < 1e-10
 
 
-def test_closed_form_table_rejects_dead_slice():
-    with pytest.raises(ZeroProbabilityError):
-        kd_table_closed_form(imprinted_bloch(0.0), 0.0)
+def test_closed_form_table_is_nan_exactly_where_nothing_survives():
+    # t = 0 blocks |0> (r_z = 1) entirely: that instance has no conditional
+    # table, so its table and gap are nan, in a one-axis and a two-axis
+    # stack; every other table, one whose survival probability is 1e-14
+    # among them, is finite and bit for bit the per-vector one
+    rng = np.random.default_rng(15)
+    r = rng.normal(size=(2, 3, 3))
+    r /= np.linalg.norm(r, axis=-1, keepdims=True)
+    r *= rng.uniform(0.0, 1.0, size=(2, 3, 1))
+    r[0, 0] = (0.0, 0.0, 1.0 - 2e-14)
+    dead = np.zeros((2, 3), dtype=bool)
+    dead[0, 1] = dead[1, 2] = True
+    r[dead] = (0.0, 0.0, 1.0)
+    for stack, mask in ((r, dead), (r[1], dead[1])):
+        tables = kd_table_closed_form(stack, 0.0)
+        gaps = nonclassicality_gap(tables, axes=(-2, -1))
+        assert np.isnan(tables[mask]).all() and np.isfinite(tables[~mask]).all()
+        assert np.array_equal(np.isnan(gaps), mask)
+        for k in np.ndindex(mask.shape):
+            one = kd_table_closed_form(stack[k], 0.0)
+            assert np.array_equal(tables[k], one, equal_nan=True)
 
 
 def test_closed_form_table_of_a_stack_is_the_per_vector_tables():
@@ -331,10 +348,6 @@ def test_closed_form_table_of_a_stack_is_the_per_vector_tables():
         one = kd_table_closed_form(r[k], t)
         assert np.array_equal(tables[k], one)
         assert gaps[k] == nonclassicality_gap(one)
-    # a vector the filter blocks entirely is named by its instance
-    r[1, 2] = (0.0, 0.0, 1.0)
-    with pytest.raises(ZeroProbabilityError, match=r"^instance \(1, 2\): "):
-        kd_table_closed_form(r, 0.0)
 
 
 def test_condition_rejects_zero_normalizer():

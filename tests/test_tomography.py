@@ -5,12 +5,11 @@ import pytest
 
 from ppasim.bench import postselected_bloch
 from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld
-from ppasim.quasiprob import kd_distribution, kd_table_closed_form
+from ppasim.quasiprob import kd_distribution, kd_table_closed_form, nonclassicality_gap
 from ppasim.states import (
     ID2,
     PAULIS,
     DensityMatrix,
-    ZeroProbabilityError,
     amplified_angle,
 )
 from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
@@ -198,10 +197,12 @@ def test_kd_from_tomography_open_filter():
     assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
 
 
-def test_kd_from_tomography_rejects_dead_slice():
-    # theta = 0 leaves the state at |0>, which t = 0 blocks entirely
-    with pytest.raises(ZeroProbabilityError):
-        kd_table_closed_form(unfiltered_bloch(0.0), 0.0)
+def test_kd_from_tomography_of_a_dead_slice_is_nan():
+    # theta = 0 leaves the state at |0>, which t = 0 blocks entirely: there
+    # is no conditional table, so the table and its gap are nan
+    table = kd_table_closed_form(unfiltered_bloch(0.0), 0.0)
+    assert table.shape == (2, 2) and np.isnan(table).all()
+    assert math.isnan(nonclassicality_gap(table))
 
 
 def test_kd_from_tomography_accepts_reconstructed_input():
