@@ -128,6 +128,10 @@ CASES = [
      ValueError, "POVM elements do not sum to the identity within 1e-10"),
     ("kd-sum", _kd_sum, (ID2 / 2,), (np.diag([0.5, 0.5 + 9e-11]),),
      ValueError, "quasidistribution does not sum to 1 within 1e-10"),
+    # the gap identity's conditional KD table needs a surviving state; the
+    # closed-form table is nan there instead (tests/test_quasiprob.py)
+    ("kd-table-survival", lambda k: _gap(k_plus=k), (ID2,), (make_filter(0.0),),
+     ZeroProbabilityError, "postselection probability vanished"),
     ("gap-support", _gap, (KET0,), (PLUS,),
      PreconditionError, "state is supported on 1 generator eigenspaces, need 2"),
     ("gap-balance", lambda k: _gap(k_plus=k),

@@ -310,7 +310,7 @@ def test_conditional_table_sums_to_one():
         assert abs(kd_table_closed_form(imprinted_bloch(theta), t).sum() - 1.0) < 1e-10
 
 
-def test_closed_form_table_is_nan_exactly_where_nothing_survives():
+def test_closed_form_table_rejects_dead_slice():
     # t = 0 blocks |0> (r_z = 1) entirely: that instance has no conditional
     # table, so its table and gap are nan, in a one-axis and a two-axis
     # stack; every other table, one whose survival probability is 1e-14
