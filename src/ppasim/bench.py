@@ -294,5 +294,5 @@ def systematic_shift_t(theta, t, dt):
     theta_e = 2 arctan( tan(theta/2) (1 + dt/t) ) with dt = assumed - actual;
     exact, not linearized.
     """
-    _reject(np.asarray(t) <= 0, ValueError, "actual amplitude t must be positive")
+    _reject(np.asarray(t) <= 0, "actual amplitude t must be positive")
     return 2.0 * np.arctan(np.tan(theta / 2.0) * (1.0 + dt / t))

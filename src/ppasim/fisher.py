@@ -12,7 +12,8 @@ The closed forms of the PPA family (:func:`survival_probability`,
 rule: scalars give a float; arrays broadcast together, to the per-point values
 bit for bit (squares are products: NumPy's scalar ``**`` calls ``pow``); a
 value left undefined, as where nothing survives the filter, is nan; an invalid
-entry raises through ``states._reject``, which names its first instance.
+entry raises ValueError through ``states._reject``, which names its first
+instance.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .states import (
     PAULIS,
     DensityMatrix,
     Generator,
-    ZeroProbabilityError,
     _as_complex_stack,
     _ReadOnly,
     _reject,
@@ -39,9 +39,6 @@ from .states import (
 )
 
 __all__ = [
-    "InconsistentDerivativeError",
-    "DegenerateMeasurementError",
-    "PurityError",
     "SLDResult",
     "PPAFamily",
     "survival_probability",
@@ -56,18 +53,6 @@ __all__ = [
 ]
 
 ZERO_PROBABILITY = 1e-15  # a survival probability at or below it conditions nothing
-
-
-class InconsistentDerivativeError(ValueError):
-    """drho has weight outside the reachable range of the Sylvester map."""
-
-
-class DegenerateMeasurementError(ValueError):
-    """A projective outcome with probability 0 or 1 carries no phase signal."""
-
-
-class PurityError(ValueError):
-    """Raised when a pure-state formula receives a mixed state."""
 
 
 class SLDResult(NamedTuple):
@@ -101,20 +86,20 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     V diag(lambda) V^dag, L = V (2 (V^dag drho V)_ij / (lambda_i +
     lambda_j)) V^dag on the pairs where either eigenvalue exceeds 1e-12
     lambda_max, and 0 on the kernel-kernel block; a kernel block of drho
-    with norm beyond 1e-6 is unreachable and raises
-    :class:`InconsistentDerivativeError`.  ``residual`` is the Frobenius
-    norm of the defect projected onto the support of rho.  ``rho`` and
-    ``drho`` may be (..., d, d) stacks, solved by one batched ``eigh``, with
-    every check per instance; a failure names the first failing instance.
+    with norm beyond 1e-6 is unreachable and raises ValueError.
+    ``residual`` is the Frobenius norm of the defect projected onto the
+    support of rho.  ``rho`` and ``drho`` may be (..., d, d) stacks, solved
+    by one batched ``eigh``, with every check per instance; a failure names
+    the first failing instance.
     """
     m = rho.mat
     dm = _as_complex_stack(drho, "drho")
     if dm.shape != m.shape:
         raise ValueError("drho dimension does not match rho")
     dev = np.abs(dm - dm.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
-    _reject(dev > 1e-8, ValueError, "drho must be Hermitian")
+    _reject(dev > 1e-8, "drho must be Hermitian")
     tr = np.abs(dm.trace(0, -2, -1))
-    _reject(tr > 1e-9, ValueError, "drho must be traceless (trace-preserving family)")
+    _reject(tr > 1e-9, "drho must be traceless (trace-preserving family)")
     w, vecs = np.linalg.eigh(hermitian_part(m))
     # eigh sorts ascending, so w[..., -1:] is the largest eigenvalue
     on = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
@@ -124,7 +109,7 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     if not on.all():
         kernel_norm = np.sqrt((np.abs(np.where(pairs, 0.0, d_eig)) ** 2).sum((-2, -1)))
         _reject(
-            kernel_norm > 1e-6, InconsistentDerivativeError,
+            kernel_norm > 1e-6,
             "drho has weight {:.3e} outside the support of rho", kernel_norm,
         )
     denom = np.where(pairs, w[..., :, None] + w[..., None, :], 1.0)
@@ -151,10 +136,10 @@ def qfi_bloch(r, dr):
     Inside the ball this is Tr(drho L) of :func:`sld` in closed form,
     F = |r'|^2 + (r . r')^2 / (1 - |r|^2).  On the sphere (:func:`_on_sphere`)
     the radial part of r' lies in the kernel: |r_hat . r'|/2 > 1e-6 raises
-    :class:`InconsistentDerivativeError`, otherwise
-    F = |r'_perp|^2 + (r_hat . r')^2 / 4.  ``r`` and ``dr`` may be (..., 3)
-    stacks; the result is a float for one vector and an array over the batch
-    axes otherwise, and a failure names the first failing instance.
+    ValueError, otherwise F = |r'_perp|^2 + (r_hat . r')^2 / 4.  ``r`` and
+    ``dr`` may be (..., 3) stacks; the result is a float for one vector and
+    an array over the batch axes otherwise, and a failure names the first
+    failing instance.
     """
     r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
     rr = np.add.reduce(r * r, -1)
@@ -164,7 +149,7 @@ def qfi_bloch(r, dr):
     radial = r_dr / np.where(sphere, norm, 1.0)
     weight = np.abs(radial) / 2.0
     _reject(
-        sphere & (weight > 1e-6), InconsistentDerivativeError,
+        sphere & (weight > 1e-6),
         "drho has weight {:.3e} outside the support of rho", weight,
     )
     qfi = np.where(
@@ -198,7 +183,7 @@ class PPAFamily(_ReadOnly):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
         v = np.asarray(v, dtype=float)
-        _reject(~((0.0 < v) & (v <= 1.0)), ValueError, "visibility must lie in (0, 1]")
+        _reject(~((0.0 < v) & (v <= 1.0)), "visibility must lie in (0, 1]")
         object.__setattr__(self, "_k", make_filter(t))
         object.__setattr__(self, "_gen", ppa_generator())
         v = v[..., None, None]
@@ -251,7 +236,7 @@ def qfi_ppa_family(theta, t_mag, v=1.0):
     0.03% of 5e4 uniform random (theta, t) differ at 12 significant digits.
     """
     _reject_amplitude(t_mag, "qfi_ppa_family requires 0 < t_mag <= 1")
-    _reject(~np.logical_and(0.0 < v, v <= 1.0), ValueError, "visibility must lie in (0, 1]")
+    _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
     p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
     t2, v2 = t_mag * t_mag, v * v
     along = v * np.cos(theta) * (1.0 + t2) - v2 * (1.0 - t2)
@@ -268,15 +253,16 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     normalization by p = Tr(rho M) happens inside the formula), and must be
     pure to 1e-8.  ``rho_theta`` and ``k_plus`` may carry leading batch
     axes, which broadcast; the result is a float, or an array over the batch
-    axes, and each instance is checked for purity and for p > ZERO_PROBABILITY (a
-    failure names the first failing instance).  The traces are taken in
-    Kraus form, Tr(X M) = Tr(K+ X K+^dag), so M itself is never formed.
+    axes, and each instance is checked for purity and for p > ZERO_PROBABILITY
+    (a failure raises ValueError naming the first failing instance).  The
+    traces are taken in Kraus form, Tr(X M) = Tr(K+ X K+^dag), so M itself is
+    never formed.
     Reduces to 4 Var(A) when K+ = 1, and gives exactly zero when the filter
     fully blocks the informative component (t = 0).
     """
     purity = rho_theta.purity()
     _reject(
-        np.abs(purity - 1.0) > 1e-8, PurityError,
+        np.abs(purity - 1.0) > 1e-8,
         "state purity {:.10f}; formula requires a pure state", purity,
     )
     k_op = _as_complex_stack(k_plus, "K+")
@@ -285,7 +271,7 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
     k_conj = k_op.conj()
     p = np.einsum("...ij,...ij->...", k_rho, k_conj).real
-    _reject(p <= ZERO_PROBABILITY, ZeroProbabilityError, "postselection probability vanished")
+    _reject(p <= ZERO_PROBABILITY, "postselection probability vanished")
     term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_conj).real
     term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_conj)))
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / (p * p), 0.0)
@@ -315,13 +301,13 @@ def cfi(n, family: PPAFamily, theta):
     Bloch vector ``n``; a (..., 3) stack of vectors broadcasts with the
     family and ``theta``.  q' comes from the family's exact analytic
     ``derivative``.  Outcomes with q in {0, 1} (within 1e-12) raise
-    :class:`DegenerateMeasurementError`, naming the first failing instance.
+    ValueError, naming the first failing instance.
     """
     proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
     rho, drho = family.state_and_derivative(theta)
     q = (rho.mat @ proj).trace(0, -2, -1).real
     _reject(
-        (q < 1e-12) | (q > 1.0 - 1e-12), DegenerateMeasurementError,
+        (q < 1e-12) | (q > 1.0 - 1e-12),
         "outcome probability {:.3e} carries no information", q,
     )
     dq = (drho @ proj).trace(0, -2, -1).real

@@ -28,8 +28,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "PAULIS",
-    "InvalidGeneratorError",
-    "ZeroProbabilityError",
     "DensityMatrix",
     "Generator",
     "pure_state",
@@ -51,14 +49,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-class InvalidGeneratorError(ValueError):
-    """Raised when a phase generator is not Hermitian."""
-
-
-class ZeroProbabilityError(ValueError):
-    """Raised when conditioning on an outcome of (numerically) zero probability."""
-
-
 def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
     """Finite complex square matrices of shape (..., d, d)."""
     m = np.asarray(mat, dtype=complex)
@@ -69,8 +59,8 @@ def _as_complex_stack(mat, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _reject(bad, error: type[Exception], message: str, *values) -> None:
-    """Raise ``error`` at the first True entry of the per-instance mask ``bad``.
+def _reject(bad, message: str, *values) -> None:
+    """Raise ValueError at the first True entry of the per-instance mask ``bad``.
 
     ``message`` is formatted with each of ``values`` (arrays over the mask's
     axes) at that entry.  With batch axes it is prefixed "instance k: ", or
@@ -81,12 +71,12 @@ def _reject(bad, error: type[Exception], message: str, *values) -> None:
         return
     k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
     text = message.format(*(np.asarray(v)[k] for v in values))
-    raise error(f"instance {k[0] if len(k) == 1 else k}: {text}" if k else text)
+    raise ValueError(f"instance {k[0] if len(k) == 1 else k}: {text}" if k else text)
 
 
 def _reject_amplitude(mag, message: str) -> None:
     """:func:`_reject` every magnitude ``mag`` outside (0, 1 + 1e-12]."""
-    _reject(~np.logical_and(0.0 < mag, mag <= 1.0 + 1e-12), ValueError, message)
+    _reject(~np.logical_and(0.0 < mag, mag <= 1.0 + 1e-12), message)
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -105,9 +95,7 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     m = _as_complex_stack(mat)
     w, v = np.linalg.eigh(hermitian_part(m))
     low = w.min(-1, initial=0.0)
-    _reject(
-        low < -ATOL_STRUCT, ValueError, "matrix is not PSD (min eigenvalue {:.3e})", low
-    )
+    _reject(low < -ATOL_STRUCT, "matrix is not PSD (min eigenvalue {:.3e})", low)
     w = np.sqrt(np.clip(w, 0.0, None))
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -156,23 +144,21 @@ class _ReadOnly:
         return f"{type(self).__name__}({args})"
 
 
-def _reject_non_psd(elements, error: type[Exception] = ValueError) -> None:
+def _reject_non_psd(elements) -> None:
     """:func:`_reject` each instance of (..., n, d, d) ``elements`` not all PSD."""
     low = np.linalg.eigvalsh(hermitian_part(elements)).min((-2, -1), initial=0.0)
-    _reject(low < -ATOL_STRUCT, error, "POVM element is not PSD within 1e-10")
+    _reject(low < -ATOL_STRUCT, "POVM element is not PSD within 1e-10")
 
 
-def _check_povm(stack, error: type[Exception] = ValueError) -> np.ndarray:
+def _check_povm(stack) -> np.ndarray:
     """``stack`` as complex (..., n, d, d) elements, once each instance's are
-    PSD and sum to 1 within 1e-10; else ``error`` names the first failing one."""
+    PSD and sum to 1 within 1e-10; else ValueError names the first failing one."""
     if np.ndim(stack) < 3 or np.shape(stack)[-3] == 0:
-        raise error("a POVM needs at least one element")
+        raise ValueError("a POVM needs at least one element")
     stack = _as_complex_stack(stack, "POVM element")
-    _reject_non_psd(stack, error)
+    _reject_non_psd(stack)
     dev = np.abs(stack.sum(-3) - np.eye(stack.shape[-1])).max((-2, -1), initial=0.0)
-    _reject(
-        dev > ATOL_STRUCT, error, "POVM elements do not sum to the identity within 1e-10"
-    )
+    _reject(dev > ATOL_STRUCT, "POVM elements do not sum to the identity within 1e-10")
     return stack
 
 
@@ -192,18 +178,15 @@ class DensityMatrix(_ReadOnly):
     def __init__(self, mat) -> None:
         m = _as_complex_stack(mat, "density matrix")
         dev = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
-        _reject(
-            dev > ATOL_STRUCT, ValueError, "density matrix is not Hermitian within 1e-10"
-        )
+        _reject(dev > ATOL_STRUCT, "density matrix is not Hermitian within 1e-10")
         tr = m.trace(0, -2, -1)
         _reject(
-            abs(tr - 1.0) > ATOL_STRUCT, ValueError,
+            abs(tr - 1.0) > ATOL_STRUCT,
             "density matrix trace {} is not 1 within 1e-10", tr.real,
         )
         low = np.linalg.eigvalsh(hermitian_part(m)).min(-1, initial=0.0)
         _reject(
-            low < -ATOL_STRUCT, ValueError,
-            "density matrix has negative eigenvalue {:.3e}", low,
+            low < -ATOL_STRUCT, "density matrix has negative eigenvalue {:.3e}", low,
         )
         object.__setattr__(self, "mat", _freeze(m))
 
@@ -224,10 +207,10 @@ def pure_state(vec) -> DensityMatrix:
     instance is named); then |psi><psi| is a state by construction.
     """
     v = np.asarray(vec, dtype=complex)
-    _reject(~np.isfinite(v).all(-1), ValueError, "state vector is not finite")
+    _reject(~np.isfinite(v).all(-1), "state vector is not finite")
     n = np.linalg.norm(v, axis=-1)
-    _reject(~np.isfinite(n), ValueError, "state vector norm overflows")
-    _reject(n < 1e-12, ValueError, "cannot normalize a zero vector")
+    _reject(~np.isfinite(n), "state vector norm overflows")
+    _reject(n < 1e-12, "cannot normalize a zero vector")
     v = v / n[..., None]
     # rank one, Hermitian entry by entry, trace |v|^2 = 1 to rounding
     return _built(DensityMatrix, mat=v[..., :, None] * v[..., None, :].conj())
@@ -241,8 +224,9 @@ class Generator(_ReadOnly):
     whose ``projectors[..., i, :, :]`` belongs to ``eigenvalues[..., i]``,
     so ``mat = sum_i eigenvalues[..., i] * projectors[..., i, :, :]`` per
     instance; construction checks that sum, then that the projectors form a
-    POVM, to 1e-10, naming the first failing instance of a stack, and stores
-    all three arrays read-only.  A zero projector carries no weight.
+    POVM, to 1e-10 (else ValueError names the first failing instance of a
+    stack), and stores all three arrays read-only.  A zero projector carries
+    no weight.
     """
 
     __slots__ = ("mat", "eigenvalues", "projectors")
@@ -256,7 +240,7 @@ class Generator(_ReadOnly):
         """
         m = _as_complex_stack(mat, "generator")
         bad = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1)) > ATOL_STRUCT
-        _reject(bad, InvalidGeneratorError, "generator must be Hermitian within 1e-10")
+        _reject(bad, "generator must be Hermitian within 1e-10")
         w, v = np.linalg.eigh(m)
         d = w.shape[-1]
         # new[..., j]: w[..., j] leaves the first eigenvalue of its run by
@@ -269,7 +253,7 @@ class Generator(_ReadOnly):
         # every instance must start its eigenspaces where the first does
         lead = new.reshape(-1, d)[:1]
         _reject(
-            (new != lead).any(-1), InvalidGeneratorError,
+            (new != lead).any(-1),
             "eigenspace multiplicities differ from those of the first instance",
         )
         bounds = (0, *np.flatnonzero(lead), d)
@@ -288,11 +272,8 @@ class Generator(_ReadOnly):
             object.__setattr__(self, name, _freeze(value))
         rebuilt = (self.eigenvalues[..., None, None] * self.projectors).sum(-3)
         bad = ~(np.abs(rebuilt - self.mat).max((-2, -1)) <= ATOL_STRUCT)  # nan too
-        _reject(
-            bad, InvalidGeneratorError,
-            "spectral decomposition does not reproduce the generator",
-        )
-        _check_povm(self.projectors, InvalidGeneratorError)
+        _reject(bad, "spectral decomposition does not reproduce the generator")
+        _check_povm(self.projectors)
 
     @property
     def dim(self) -> int:
@@ -326,10 +307,7 @@ def make_filter(t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     mag = np.abs(t)
-    _reject(
-        mag > 1.0 + 1e-12, ValueError,
-        "|t| = {:.6g} exceeds 1; the filter must contract", mag,
-    )
+    _reject(mag > 1.0 + 1e-12, "|t| = {:.6g} exceeds 1; the filter must contract", mag)
     k_plus = np.zeros(t.shape + (2, 2), dtype=complex)
     k_plus[..., 0, 0] = t
     k_plus[..., 1, 1] = 1.0
@@ -345,5 +323,5 @@ def amplified_angle(theta, t_mag):
     _reject_amplitude(t_mag, "amplified_angle requires 0 < t_mag <= 1")
     half = np.asarray(theta, dtype=float) / 2.0
     bad = ~(np.abs(half) < math.pi / 2.0)
-    _reject(bad, ValueError, "amplified_angle requires |theta| < pi")
+    _reject(bad, "amplified_angle requires |theta| < pi")
     return 2.0 * np.arctan2(np.tan(half), t_mag)

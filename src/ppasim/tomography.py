@@ -39,9 +39,6 @@ def simulate_tomography(
     if shots < 1:
         raise ValueError("shots_per_basis must be >= 1")
     r = np.asarray(r, dtype=float)
-    _reject(
-        ~(np.abs(r) <= 1.0).all(-1), ValueError,
-        "Bloch vector components must lie in [-1, 1]",
-    )
+    _reject(~(np.abs(r) <= 1.0).all(-1), "Bloch vector components must lie in [-1, 1]")
     e = 2.0 * rng.binomial(shots, (1.0 + r) / 2.0) / shots - 1.0
     return e / np.maximum(1.0, np.sqrt((e * e).sum(-1, keepdims=True)))

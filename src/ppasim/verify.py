@@ -16,8 +16,9 @@ reports the worst residual against a fixed threshold.  The suites back the
 
 Every random suite draws its instances as arrays, each d (where d varies)
 and then each parameter per d in one call, and builds and evaluates them
-in stacks of one d of at most ``MAX_BATCH``, so memory is bounded for any
-count.  ``random_qudit_instances`` and ``random_marginalization_instances``
+in stacks of one d of at most ``MAX_BATCH``.  So each evaluated stack is
+bounded for any count, but the draws are made up front and grow with it.
+``random_qudit_instances`` and ``random_marginalization_instances``
 make every draw when called and build each batch when their iterator
 reaches it, which yields it with the instances' positions in the draw, in
 ascending d.  The 84 grid states of the CFI = QFI and Sylvester suites are
@@ -122,9 +123,7 @@ def sld_axis(lam: np.ndarray) -> np.ndarray:
     """Bloch axis (standard coords) of a qubit SLD's traceless part, or (..., 3) axes."""
     vec = np.stack([(lam @ s).trace(0, -2, -1).real for s in PAULIS], -1)
     n = np.linalg.norm(vec, axis=-1, keepdims=True)
-    _reject(
-        n[..., 0] < 1e-12, ValueError, "SLD has no traceless part; the axis is undefined"
-    )
+    _reject(n[..., 0] < 1e-12, "SLD has no traceless part; the axis is undefined")
     return vec / n
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ppasim import verify
 from ppasim.bench import run_trials
 from ppasim.cli import SweepSpec
-from ppasim.quasiprob import POVM, ZeroNormalizerError, filter_povm, kd_distribution
+from ppasim.quasiprob import POVM, filter_povm, kd_distribution
 from ppasim.states import (
     ID2,
     PAULIS,
@@ -80,8 +80,8 @@ def condition(kd, axis, outcome):
     ``kd`` is the table of one instance, without batch axes.  Returns the
     read-only slice at index ``outcome`` of ``axis`` (one axis fewer),
     renormalized by its total.  An ``axis`` or ``outcome`` out of range,
-    negative ones included, raises ValueError; a total of magnitude
-    <= 1e-14 raises ZeroNormalizerError.
+    negative ones included, or a total of magnitude <= 1e-14 raises
+    ValueError.
     """
     if not 0 <= axis < kd.ndim:
         raise ValueError(f"axis {axis} out of range for {kd.ndim} measurements")
@@ -92,7 +92,7 @@ def condition(kd, axis, outcome):
     sliced = np.take(kd, outcome, axis=axis)
     norm = complex(sliced.sum())
     if abs(norm) <= 1e-14:
-        raise ZeroNormalizerError(
+        raise ValueError(
             f"outcome {outcome} of measurement {axis} has zero quasiprobability"
         )
     out = sliced / norm

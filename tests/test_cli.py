@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import json
 import math
@@ -21,14 +22,12 @@ from ppasim.bench import (
 )
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import (
-    InconsistentDerivativeError,
     PPAFamily,
     qfi_ppa_family,
     qfi_ppa_theory,
     sld,
 )
 from ppasim.quasiprob import (
-    ConditionNotMetError,
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
@@ -781,6 +780,19 @@ def test_kd_json_schema_and_values(tmp_path, capsys):
     assert open_filter["gap"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_ci_kd_subset_equals_the_default_records(tmp_path, capsys):
+    # CI's kd subset line: each record of a 2 x 2 grid equals the record of
+    # the same (theta, t) in the default grid
+    sub, full = tmp_path / "sub.json", tmp_path / "all.json"
+    argv = ["kd", "--theta", "0.2,1.5", "--t", "0.5,1.0", "--out", str(sub)]
+    assert run(argv, capsys)[0] == 0
+    assert run(["kd", "--out", str(full)], capsys)[0] == 0
+    records = json.loads(sub.read_text())
+    grid = {(r["theta"], r["t"]): r for r in json.loads(full.read_text())}
+    assert len(records) == 4
+    assert records == [grid[r["theta"], r["t"]] for r in records]
+
+
 def test_kd_matches_the_matrix_reference(tmp_path, capsys):
     # negative theta, negative t, the open filter and the strong-filter
     # corner (1.5, 0.044); entries reach ~1e2 at (0.02, 0.044), so compare
@@ -1221,22 +1233,30 @@ def test_fig4_no_survival_grid_is_pinned(tmp_path, capsys):
     assert out.read_text().count("no-survival") == 3
 
 
+class ForeignError(ValueError):
+    """A ValueError subclass from outside the package."""
+
+
 def test_fig4_error_names_the_point(tmp_path, monkeypatch):
     # the whole grid is one block, which raises; run again one point at a
-    # time, it names the first point that raises
+    # time, it names the first point that raises, keeping the error's type
+    # and its cause
     def fail_at_1_0(spec, points):
         if (1, 0) in points:
-            raise InconsistentDerivativeError("drho has weight 1e-3 outside the support")
+            raise ForeignError("drho has weight 1e-3 outside the support")
         return real_block(spec, points)
 
     real_block = cli._fig4_block
     monkeypatch.setattr(cli, "_fig4_block", fail_at_1_0)
     argv = ["fig4", "--theta", "0.2,1.5", "--t", "0.044,0.5", "--seed", "3"]
-    with pytest.raises(InconsistentDerivativeError) as info:
+    named = (r"^grid point theta = 1\.5, t = 0\.044 at grid index \(i, j\) = \(1, 0\), "
+             r"seed = 3: drho has weight 1e-3 outside the support$")
+    with pytest.raises(ValueError, match=named) as info:
         main(argv + ["--out", str(tmp_path / "f.csv")])
-    message = str(info.value)
-    for part in ("theta = 1.5", "t = 0.044", "(i, j) = (1, 0)", "seed = 3", "drho has"):
-        assert part in message
+    assert type(info.value) is ForeignError
+    cause = info.value.__cause__
+    assert type(cause) is ForeignError
+    assert str(cause) == "drho has weight 1e-3 outside the support"
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -1334,11 +1354,26 @@ def test_ci_self_verification_runs_pass(capsys, argv):
     assert all(line.endswith(" PASS") for line in lines)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ci_verify_with_warnings_as_errors_passes(capsys, monkeypatch):
+    # CI's `python -W error -m ppasim verify --n 5000 --seed 3`, in process:
+    # any warning raises; the grid is solved afresh, not read from the cache
+    # an earlier test filled
+    fresh = functools.cache(verify._grid_solution.__wrapped__)
+    monkeypatch.setattr(verify, "_grid_solution", fresh)
+    code = main(["verify", "--n", "5000", "--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 4
+    assert all(line.endswith(" PASS") for line in lines)
+    assert fresh.cache_info().misses == 1
+
+
 def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
     # a suite whose precondition check raises fails on one line naming the
     # error; the other three still run and pass, and the exit code is 1
     def unbalanced(*args):
-        raise ConditionNotMetError("instance 3: filter is unbalanced")
+        raise ForeignError("instance 3: filter is unbalanced")
 
     monkeypatch.setattr(verify, "verify_gap_equality", unbalanced)
     code = main(["verify", "--n", "200"])
@@ -1346,10 +1381,25 @@ def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
     lines = captured.out.splitlines()
     assert code == 1
     assert len(lines) == 4
-    assert lines[0] == ("[gap-equality] n=0 raised ConditionNotMetError: "
+    assert lines[0] == ("[gap-equality] n=0 raised ForeignError: "
                         "instance 3: filter is unbalanced FAIL")
     assert sum(line.endswith(" PASS") for line in lines) == 3
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_names_a_failed_package_check_as_value_error(capsys, monkeypatch):
+    # the gap suite's states, mixed half with the identity, fail the purity
+    # check of the gap identity, which raises a plain ValueError
+    def mixed(rho, gen, k):
+        return real(DensityMatrix((rho.mat + np.eye(rho.dim) / rho.dim) / 2), gen, k)
+
+    real = verify.verify_gap_equality
+    monkeypatch.setattr(verify, "verify_gap_equality", mixed)
+    code = main(["verify", "--n", "200"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0] == ("[gap-equality] n=0 raised ValueError: instance 0: state purity "
+                        "0.6250000000; formula requires a pure state FAIL")
 
 
 # The gap-equality and marginalization lines of `ppasim verify` since the
