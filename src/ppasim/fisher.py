@@ -29,6 +29,7 @@ from .states import (
     DensityMatrix,
     Generator,
     _as_complex_stack,
+    _built,
     _ReadOnly,
     _reject,
     _reject_amplitude,
@@ -173,7 +174,8 @@ class PPAFamily(_ReadOnly):
     theta-derivative (quotient rule through the normalization);
     ``state_and_derivative`` returns both from one evaluation.  ``t``,
     ``v`` and ``theta`` may be arrays that broadcast to the batch axes of
-    the (..., 2, 2) results; a bad t or v names its first instance.
+    the (..., 2, 2) results; a bad t or v, or a theta at which no photon
+    survives (or which is not finite), names its first instance.
     """
 
     __slots__ = ("t", "v", "_k", "_gen", "_rho0")
@@ -204,9 +206,13 @@ class PPAFamily(_ReadOnly):
         drho = 1j * (a @ rho - rho @ a)
         num = k @ rho @ k_h
         dnum = k @ drho @ k_h
-        p = num.trace(0, -2, -1).real[..., None, None]
+        p = num.trace(0, -2, -1).real
+        _reject(~(p > 0.0), "survival probability {:.3e} leaves no state", p)
+        p = p[..., None, None]
         dp = dnum.trace(0, -2, -1).real[..., None, None]
-        return DensityMatrix(num / p), hermitian_part(dnum / p - num * (dp / p**2))
+        # t, v checked in __init__: K rho K^dag / p is a state by construction
+        state = _built(DensityMatrix, mat=num / p)
+        return state, hermitian_part(dnum / p - num * (dp / p**2))
 
 
 def qfi_ppa_theory(theta, t_mag):

@@ -93,7 +93,12 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     first failing instance of a stack.
     """
     m = _as_complex_stack(mat)
-    w, v = np.linalg.eigh(hermitian_part(m))
+    return _spectral_sqrt(*np.linalg.eigh(hermitian_part(m)))
+
+
+def _spectral_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V sqrt(w) V^dag of (..., d) eigenvalues ``w`` and eigenvectors ``v``,
+    with :func:`psd_sqrt`'s rule for eigenvalues below 0."""
     low = w.min(-1, initial=0.0)
     _reject(low < -ATOL_STRUCT, "matrix is not PSD (min eigenvalue {:.3e})", low)
     w = np.sqrt(np.clip(w, 0.0, None))

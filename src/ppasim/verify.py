@@ -16,8 +16,10 @@ reports the worst residual against a fixed threshold.  The suites back the
 
 Every random suite draws its instances as arrays, each d (where d varies)
 and then each parameter per d in one call, and builds and evaluates them
-in stacks of one d of at most ``MAX_BATCH``.  So each evaluated stack is
-bounded for any count, but the draws are made up front and grow with it.
+in runs of one d that hold as many d x d matrix entries as ``MAX_BATCH``
+six-level instances: ``MAX_BATCH * 36 // d**2`` rows, so 1152 qubits, 512
+qutrits, 288, 184 or 128 instances of d = 4, 5 or 6.  So each evaluated run
+is bounded for any count, but the draws are made up front and grow with it.
 ``random_qudit_instances`` and ``random_marginalization_instances``
 make every draw when called and build each batch when their iterator
 reaches it, which yields it with the instances' positions in the draw, in
@@ -42,12 +44,12 @@ from .states import (
     Generator,
     _built,
     _reject,
+    _spectral_sqrt,
     hermitian_part,
     make_filter,
     phase_unitary,
     ppa_generator,
     pure_state,
-    psd_sqrt,
 )
 from .fisher import (
     PPAFamily,
@@ -71,11 +73,10 @@ __all__ = [
     "run_all",
 ]
 
-# Most random instances evaluated as one batch, so a batch's memory is
-# bounded (per tracemalloc, a 6-level gap-equality batch of 128, seven
-# projector slots a generator coarse-grained to three for its table, peaks
-# at 1.5 MB in verify_gap_equality); at the default sizes the 1000 qubits
-# are eight batches and each other d one.
+# Six-level instances in one run; a d-level run has MAX_BATCH * 36 // d**2
+# rows, as many matrix entries.  Per tracemalloc, verify_gap_equality peaks
+# at 1.43 MiB on a 6-level run of 128 and 0.81 MiB on 1152 qubits, and
+# gap_equality_suite on 20 000 qubits at 1.58 MiB.
 MAX_BATCH = 128
 
 # Acceptance grid shared by the Fisher-consistency checks; also the default
@@ -129,9 +130,9 @@ def sld_axis(lam: np.ndarray) -> np.ndarray:
 
 def _qubit_draws(rng: np.random.Generator, n: int) -> list:
     """Every instance's (theta, |t|, arg t) in one ``uniform`` call, row by row, as
-    3n scalar calls would draw them: one group ``(positions, theta, mag, phase)``."""
+    3n scalar calls would: one d = 2 group ``(2, positions, theta, mag, phase)``."""
     draws = rng.uniform([0.01, 0.01, 0.0], [3.1, 1.0, 2.0 * math.pi], size=(n, 3))
-    return [(np.arange(n), *draws.T)]
+    return [(2, np.arange(n), *draws.T)]
 
 
 def _qubit_batches(runs):
@@ -148,28 +149,29 @@ def _complex(parts: np.ndarray) -> np.ndarray:
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
-def _by_d(dims: np.ndarray, draw) -> list[tuple[np.ndarray, ...]]:
-    """``(positions, *draw(d, m))`` per d in ascending order, for the m
+def _by_d(dims: np.ndarray, draw) -> list[tuple]:
+    """``(d, positions, *draw(d, m))`` per d in ascending order, for the m
     instances of that d (their positions in ``dims``)."""
     groups = []
     # not np.unique, which imports numpy.ma (about 1 MB) on first use
     for d in sorted(set(dims.tolist())):
         pos = np.flatnonzero(dims == d)
-        groups.append((pos, *draw(d, len(pos))))
+        groups.append((d, pos, *draw(d, len(pos))))
     return groups
 
 
 def _runs(groups):
-    """Each group's arrays cut along their first axis into aligned runs of at
-    most ``MAX_BATCH`` rows."""
-    for group in groups:
-        for a in range(0, len(group[0]), MAX_BATCH):
-            yield tuple(x[a : a + MAX_BATCH] for x in group)
+    """Each ``(d, *arrays)`` group's arrays cut along their first axis into
+    aligned runs of at most ``MAX_BATCH * 36 // d**2`` rows (at least one)."""
+    for d, *group in groups:
+        size = max(1, MAX_BATCH * 36 // d**2)
+        for a in range(0, len(group[0]), size):
+            yield tuple(x[a : a + size] for x in group)
 
 
 def _qudit_draws(rng: np.random.Generator, n: int) -> list:
     """Every instance's d in 3..6 in one call, then per d each parameter in
-    one call: ``(positions, z, middle, amp, rel, x, top_to)`` per d."""
+    one call: ``(d, positions, z, middle, amp, rel, x, top_to)`` per d."""
     return _by_d(rng.integers(3, 7, size=n), lambda d, m: (
         rng.normal(size=(m, 2, d, d)),
         rng.integers(-3, 4, size=(m, d - 2)),
@@ -234,10 +236,9 @@ def _qudit_batches(draws):
         scale[:, 0] = s
         scale[:, -1] = 1.0 / s
         mb = (scale[:, :, None] * mb) * scale[:, None, :]
-        m = hermitian_part(q @ mb @ q_h)
-        top = np.linalg.eigvalsh(m).max(-1)
-        m = m * (top_to / top)[:, None, None]
-        yield pos, rho, gen, psd_sqrt(m)
+        # K = sqrt(M) of M rescaled to top eigenvalue top_to, from one eigh
+        w, v = np.linalg.eigh(hermitian_part(q @ mb @ q_h))
+        yield pos, rho, gen, _spectral_sqrt(w * (top_to / w[:, -1])[:, None], v)
 
 
 def gap_equality_suite(seed: int, n_qubit: int = 1000, n_qudit: int = 200) -> SuiteResult:
@@ -261,8 +262,9 @@ def _random_densities(probs, z) -> DensityMatrix:
     return _built(DensityMatrix, mat=mat)
 
 
-def _random_povms(x) -> POVM:
-    """POVMs S^-1/2 G_i S^-1/2, G_i = X_i X_i^dag, S = sum_i G_i, one per leading index.
+def _random_povms(x) -> np.ndarray:
+    """POVM stacks S^-1/2 G_i S^-1/2, G_i = X_i X_i^dag, S = sum_i G_i, one
+    per leading index, as one array.
 
     ``x`` is (..., n_out, d, d).
     """
@@ -272,14 +274,14 @@ def _random_povms(x) -> POVM:
         ..., None, :, :
     ]
     # congruences of PSD G_i by S^-1/2, which sum to S^-1/2 S S^-1/2 = 1
-    return _built(POVM, stack=inv_sqrt @ raw @ inv_sqrt)
+    return inv_sqrt @ raw @ inv_sqrt
 
 
 def _marginalization_draws(rng: np.random.Generator, n: int) -> list:
     """Every instance's d in 2..4 in one call and its POVMs' outcome counts
     in 2..3 in one more, then per d each parameter in one call:
-    ``(positions, n_out, probs, z, x)`` per d, x with three outcome slots
-    per POVM."""
+    ``(d, positions, n_out, probs, z, x)`` per d, x with three outcome
+    slots per POVM."""
     dims, n_out = rng.integers(2, 5, size=n), rng.integers(2, 4, size=(n, 3))
     return _by_d(dims, lambda d, m: (
         n_out[dims == d],
@@ -307,7 +309,8 @@ def _marginalization_batches(draws):
         used = np.arange(3) < n_out[..., None]
         x = np.where(used[..., None, None], _complex(x), 0.0)
         rho = _random_densities(probs, _complex(z))
-        yield pos, rho, tuple(_random_povms(x[:, i]) for i in range(3))
+        stacks = _random_povms(x)
+        yield pos, rho, tuple(_built(POVM, stack=stacks[:, i]) for i in range(3))
 
 
 def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:

@@ -157,5 +157,6 @@ def kd_entries(rho: DensityMatrix, povms):
 def qubit_instances(rng, n):
     """verify's n random qubit instances drawn from ``rng``, as one stack:
     (states, the shared sigma_x/2 generator, filters)."""
-    [(_, *instances)] = verify._qubit_batches(verify._qubit_draws(rng, n))
+    [(_, *draws)] = verify._qubit_draws(rng, n)  # one group of d = 2, as one run
+    [(_, *instances)] = verify._qubit_batches([draws])
     return tuple(instances)

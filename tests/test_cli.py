@@ -1346,7 +1346,24 @@ def test_verify_exits_clean(capsys):
 @pytest.mark.parametrize("argv", [["--n", "200"], ["--seed", "3", "--n", "5000"]])
 def test_ci_self_verification_runs_pass(capsys, argv):
     # the two runs of CI's "Self-verification" step, in process; at --n 5000
-    # every suite needs more than one run of MAX_BATCH for each d
+    # the qubits, the 5- and 6-level qudits and the 4-level marginalization
+    # instances take more than one run, the other groups one
+    # (test_batch_size_does_not_change_any_residual[1] cuts every d in several)
+    code = main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 4
+    assert all(line.endswith(" PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--n", "1"], *(["--seed", str(s)] for s in range(1, 6)),
+     ["--n", "1", "--seed", "1"]],
+    ids=["default", "n1", "seed1", "seed2", "seed3", "seed4", "seed5", "n1-seed1"],
+)
+def test_ci_default_verify_runs_pass(capsys, argv):
+    # the `ppasim verify` lines of CI's "CLI runs at defaults" step, in process
     code = main(["verify", *argv])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0

@@ -222,6 +222,16 @@ def test_family_and_cfi_stacks_name_the_instance():
         cfi(np.array(axes), fam, 0.0)
 
 
+def test_family_rejects_a_theta_at_which_nothing_survives():
+    # its states are built unchecked, so a vanished or non-finite survival
+    # probability is named, not returned as a nan state
+    fam = PPAFamily(t=np.array([0.5, 1e-200]))
+    with pytest.raises(ValueError, match=r"^instance 1: survival probability 0\.000e\+00 "):
+        fam.state_and_derivative(0.0)
+    with pytest.raises(ValueError, match=r"^survival probability nan leaves no state$"):
+        PPAFamily(t=0.5).state(math.nan)
+
+
 def test_grid_suite_summaries_are_pinned():
     # the CFI = QFI summary of the per-instance loop it replaced, and the
     # Sylvester summaries of its draws by d

@@ -424,7 +424,7 @@ def by_position(draws, build):
     """``build`` applied to each instance's draws, keyed by its position."""
     return {
         int(pos[j]): build(*(col[j] for col in cols))
-        for pos, *cols in draws
+        for _, pos, *cols in draws
         for j in range(len(pos))
     }
 
@@ -432,8 +432,9 @@ def by_position(draws, build):
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch):
     # the default suite's 200 instances (verify --n 1000), in batches of at
-    # most 16 so that every d needs more than one
-    monkeypatch.setattr(verify, "MAX_BATCH", 16)
+    # most 16 so that every d needs more than one: runs of 9, 4 and 2 rows
+    # at d = 2, 3, 4
+    monkeypatch.setattr(verify, "MAX_BATCH", 1)
     n = 200
     drawn, batch = suite_streams(seed, 2)
     draws = verify._marginalization_draws(drawn, n)
@@ -703,8 +704,8 @@ def suite_streams(seed, stream, skip_qubits=0):
 def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
     # the qudit instances of the default suite (verify --n 1000): 200, drawn
     # after the 1000 qubit instances, in batches of at most 16 so that
-    # every d needs more than one
-    monkeypatch.setattr(verify, "MAX_BATCH", 16)
+    # every d needs more than one: runs of 16, 9, 5 and 4 rows at d = 3 ... 6
+    monkeypatch.setattr(verify, "MAX_BATCH", 4)
     n = 200
     drawn, batch = suite_streams(seed, 1, skip_qubits=1000)
     refs = by_position(verify._qudit_draws(drawn, n), qudit_instance)
@@ -752,9 +753,10 @@ def test_random_suites_draw_every_d_then_each_parameter_per_d():
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     qudits = verify._qudit_draws(rng, n)
     dims = ref.integers(3, 7, size=n)
-    assert [len(q[1][0, 0]) for q in qudits] == np.unique(dims).tolist()
-    for pos, *params in qudits:
-        d, m = len(params[0][0, 0]), len(pos)
+    assert [q[0] for q in qudits] == np.unique(dims).tolist()
+    for d, pos, *params in qudits:
+        m = len(pos)
+        assert len(params[0][0, 0]) == d
         assert np.array_equal(pos, np.flatnonzero(dims == d))
         want = (
             ref.normal(size=(m, 2, d, d)),
@@ -768,9 +770,10 @@ def test_random_suites_draw_every_d_then_each_parameter_per_d():
     margs = verify._marginalization_draws(rng, n)
     dims = ref.integers(2, 5, size=n)
     n_out = ref.integers(2, 4, size=(n, 3))
-    assert [len(g[2][0]) for g in margs] == np.unique(dims).tolist()
-    for pos, *params in margs:
-        d, m = len(params[1][0]), len(pos)
+    assert [g[0] for g in margs] == np.unique(dims).tolist()
+    for d, pos, *params in margs:
+        m = len(pos)
+        assert len(params[1][0]) == d
         assert np.array_equal(pos, np.flatnonzero(dims == d))
         want = (
             n_out[pos],
@@ -832,10 +835,28 @@ def suite_qubit_residuals(seed, n, monkeypatch):
     return np.concatenate(got)[:n]
 
 
+@pytest.mark.parametrize("d, rows", [(2, 1152), (3, 512), (4, 288), (5, 184), (6, 128)])
+def test_runs_hold_as_many_matrix_entries_as_max_batch_six_level_instances(d, rows):
+    # a d-level group is cut at MAX_BATCH * 36 // d**2 rows, at least one
+    assert rows == max(1, verify.MAX_BATCH * 36 // d**2)
+    pos = np.arange(2 * rows + 1)
+    runs = list(verify._runs([(d, pos, -pos)]))
+    assert [len(p) for p, _ in runs] == [rows, rows, 1]
+    assert all(np.array_equal(p, -q) for p, q in runs)
+    assert np.array_equal(np.concatenate([p for p, _ in runs]), pos)
+
+
+def test_runs_keep_at_least_one_row(monkeypatch):
+    # 1 * 36 // 7**2 is 0
+    monkeypatch.setattr(verify, "MAX_BATCH", 1)
+    runs = list(verify._runs([(7, np.arange(3))]))
+    assert [len(p) for p, in runs] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("max_batch", [1, 7, 16, verify.MAX_BATCH])
 def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     n = 40
-    n_qubit = 300  # more than one run of the default MAX_BATCH
+    n_qubit = 1200  # more than one qubit run (1152) of the default MAX_BATCH
 
     def residuals():
         gap = qudit_residuals(5, n)
