@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .states import _reject, amplified_angle
-from .fisher import optimal_measurement, qfi_ppa_theory, survival_probability
+from .fisher import optimal_measurement, qfi_ppa_family, survival_probability
 
 __all__ = [
     "STAGE_COUNTS",
@@ -267,8 +267,8 @@ def run_trials(spec, points: list) -> list[SweepRecord]:
     )
     mean_est, variance, mse, n_hit, zero_spread = _moments(est, hit, theta)
     mean_detected = detected.mean(axis=1)
-    # t = 0 has no theory value (nor, see qfi_ppa_theory, a t that underflows)
-    qfi_theory = np.where(t > 0, qfi_ppa_theory(theta, np.where(t > 0, t, 1)), math.nan)
+    # t = 0 has no theory value (nor, see qfi_ppa_family, a t that underflows)
+    qfi_theory = np.where(t > 0, qfi_ppa_family(theta, np.where(t > 0, t, 1)), math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.stack([variance, mse]) * mean_detected
         per_photon = np.where(scaled > 0.0, 1.0 / scaled, math.nan)

@@ -38,7 +38,6 @@ from .fisher import (
     _on_sphere,
     qfi_bloch,
     qfi_ppa_family,
-    qfi_ppa_theory,
     survival_probability,
 )
 from .quasiprob import kd_table_closed_form, nonclassicality_gap
@@ -357,9 +356,10 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
     mean = np.add.reduce(reps, -1) / _FIG4_REPS
     var = np.add.reduce((reps - mean[..., None]) ** 2, -1) / (_FIG4_REPS - 1)
     (qfi_mean, gap_mean), (qfi_se, gap_se) = mean, np.sqrt(var) / 2.0
-    qfi_theory, p_ps = qfi_ppa_theory(theta, t), p[:, 1]
+    qfi_theory, qfi_family = qfi_ppa_family(theta, t, np.array([[1.0], [vis]]))
+    p_ps = p[:, 1]
     columns = (
-        theta, t, p_ps, qfi_theory, qfi_ppa_family(theta, t, vis), qfi_mean, qfi_se,
+        theta, t, p_ps, qfi_theory, qfi_family, qfi_mean, qfi_se,
         gap4[:, 0], gap_mean, gap_se, qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
     )
     flags = _flag_column(("boundary={}", "near-boundary", "no-survival"),

@@ -7,7 +7,7 @@ states without a special case.  A qubit read-out is the projective test
 (1 + n . sigma)/2 along a unit Bloch vector n.
 
 The closed forms of the PPA family (:func:`survival_probability`,
-:func:`qfi_ppa_theory`, :func:`qfi_ppa_family`, ``bench.postselected_bloch``,
+:func:`qfi_ppa_family`, ``bench.postselected_bloch``,
 ``bench.systematic_shift_t``, ``quasiprob.kd_table_closed_form``) share one
 rule: scalars give a float; arrays broadcast together, to the per-point values
 bit for bit (squares are products: NumPy's scalar ``**`` calls ``pow``); a
@@ -45,7 +45,6 @@ __all__ = [
     "survival_probability",
     "sld",
     "qfi_bloch",
-    "qfi_ppa_theory",
     "qfi_ppa_family",
     "qfi_postselected_pure",
     "optimal_measurement",
@@ -215,40 +214,26 @@ class PPAFamily(_ReadOnly):
         return state, hermitian_part(dnum / p - num * (dp / p**2))
 
 
-def qfi_ppa_theory(theta, t_mag):
-    """Ideal postselected QFI (|t| / p_ps)^2 for the pure family; nan where p
-    underflows to 0 or (t / p)^2 overflows."""
-    _reject_amplitude(t_mag, "qfi_ppa_theory requires 0 < t_mag <= 1")
-    p = survival_probability(t_mag, np.square(np.sin(theta / 2.0)))
-    with np.errstate(divide="ignore", over="ignore"):
-        qfi = np.square(t_mag / p)
-    return np.where(qfi < math.inf, qfi, math.nan)[()]
-
-
 def qfi_ppa_family(theta, t_mag, v=1.0):
-    """QFI of :class:`PPAFamily` (``t_mag``, ``v``) at ``theta``, in closed form.
+    """QFI (v |t| / p)^2 of :class:`PPAFamily` (``t_mag``, ``v``) at ``theta``.
 
     A qubit family with Bloch vector r has F = |r'|^2 + (r . r')^2 / (1 - |r|^2)
-    (Zhong, Sun, Ma, Wang & Nori, PRA 87, 022337, 2013).  Here 1 - |r|^2 =
-    T (1 - v^2) / p^2 and r . r' = T (1 - v^2) p' / p^3, with T = |t|^2 and
-    p the survival probability, so F has the form without cancellation
+    (Zhong, Sun, Ma, Wang & Nori, PRA 87, 022337, 2013).  With T = |t|^2,
+    A = 1 + T, B = 1 - T and p = (A - v B cos theta)/2 the survival probability,
+    1 - |r|^2 = T (1 - v^2) / p^2 and r . r' = T (1 - v^2) p' / p^3, so
 
-        F = T / (4 p^4) [(v cos theta (1 + T) - v^2 (1 - T))^2
-                         + v^2 sin^2 theta (4 T + (1 - v^2)(1 - T)^2)],
+        F = T / (4 p^4) [(v cos theta A - v^2 B)^2 + v^2 sin^2 theta (A^2 - v^2 B^2)]
+          = T v^2 / (4 p^4) [A^2 - 2 v cos theta A B + v^2 B^2 (1 - sin^2 theta)]
+          = T v^2 / (4 p^4) (A - v B cos theta)^2 = T v^2 4 p^2 / (4 p^4) = (v |t| / p)^2.
 
-    nan where p^4 underflows to 0 or F overflows.  At v = 1 it is (|t| / p)^2,
-    which :func:`qfi_ppa_theory` keeps as its own formula: at (theta, t) =
-    (0.1, 1e-160) T / p^4 underflows to 0 where (|t| / p)^2 gives 1.6e-315, and
-    0.03% of 5e4 uniform random (theta, t) differ at 12 significant digits.
+    At v = 1, the ideal theory (|t| / p)^2, the bracket cancels at small theta
+    and the square does not.  nan where p underflows to 0 or F overflows.
     """
     _reject_amplitude(t_mag, "qfi_ppa_family requires 0 < t_mag <= 1")
     _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
     p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
-    t2, v2 = t_mag * t_mag, v * v
-    along = v * np.cos(theta) * (1.0 + t2) - v2 * (1.0 - t2)
-    across = v2 * np.square(np.sin(theta)) * (4.0 * t2 + (1.0 - v2) * np.square(1.0 - t2))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        qfi = t2 * (np.square(along) + across) / (4.0 * np.square(np.square(p)))
+    with np.errstate(divide="ignore", over="ignore"):
+        qfi = np.square(v * t_mag / p)
     return np.where(qfi < math.inf, qfi, math.nan)[()]
 
 

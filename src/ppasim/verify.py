@@ -1,8 +1,9 @@
 """Randomized self-verification suites for the package's core identities.
 
 Each suite draws seeded random instances, evaluates an exact identity, and
-reports the worst residual against a fixed threshold.  The suites back the
-``verify`` CLI subcommand and the acceptance tests:
+reports the worst residual against a fixed threshold; a nan residual, no
+instance or a ValueError raised on the way fails it (:func:`_fold`).  The
+suites back the ``verify`` CLI subcommand and the acceptance tests:
 
 * gap equality  — postselected QFI vs 4 (spread)^2 x quasiprobability gap,
   on qubit filter instances and on random qudit (d in 3..6) instances with
@@ -83,6 +84,7 @@ MAX_BATCH = 128
 # grid of the sweep, kd and fig4 commands.
 THETA_GRID = (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5)
 T_GRID = (0.044, 0.082, 0.15, 0.3, 0.5, 1.0)
+_GRID_STATES = 2 * len(THETA_GRID) * len(T_GRID)  # (1, 0.98) x THETA_GRID x T_GRID
 
 
 class SuiteResult(NamedTuple):
@@ -104,6 +106,17 @@ class SuiteResult(NamedTuple):
             f"[{self.name}] n={self.n_instances} max_residual={self.max_residual:.3e} "
             f"threshold={self.threshold:.1e} {status}"
         )
+
+
+def _fold(name: str, n: int, threshold: float, residuals) -> SuiteResult:
+    """Suite ``name`` of ``n`` instances: the largest entry, by ``np.max`` so a nan
+    fails, of the arrays ``residuals`` yields, nan (a FAIL) if none; a ValueError
+    raised while they are made fails the suite alone, naming the error."""
+    try:
+        worst = [np.max(r) for r in residuals]
+    except ValueError as exc:
+        return SuiteResult(name, 0, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+    return SuiteResult(name, n, float(np.max(worst)) if worst else math.nan, threshold)
 
 
 def axis_angle(u, w):
@@ -242,12 +255,12 @@ def _qudit_batches(draws):
 
 
 def gap_equality_suite(seed: int, n_qubit: int = 1000, n_qudit: int = 200) -> SuiteResult:
-    rng = rng_stream(seed, 1)
-    qubits = _qubit_batches(_runs(_qubit_draws(rng, n_qubit)))
-    worst = 0.0
-    for _, rho, gen, k in chain(qubits, random_qudit_instances(rng, n_qudit)):
-        worst = max(worst, float(verify_gap_equality(rho, gen, k).residual.max()))
-    return SuiteResult("gap-equality", n_qubit + n_qudit, worst, threshold=1e-9)
+    def residuals():
+        rng = rng_stream(seed, 1)
+        qubits = _qubit_batches(_runs(_qubit_draws(rng, n_qubit)))
+        for _, rho, gen, k in chain(qubits, random_qudit_instances(rng, n_qudit)):
+            yield verify_gap_equality(rho, gen, k).residual
+    return _fold("gap-equality", n_qubit + n_qudit, 1e-9, residuals())
 
 
 def _random_densities(probs, z) -> DensityMatrix:
@@ -326,11 +339,11 @@ def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np
 
 
 def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
-    rng = rng_stream(seed, 2)
-    worst = 0.0
-    for _, rho, povms in random_marginalization_instances(rng, n_instances):
-        worst = max(worst, float(_marginalization_residual(rho, povms).max()))
-    return SuiteResult("marginalization", n_instances, worst, threshold=1e-12)
+    def residuals():
+        rng = rng_stream(seed, 2)
+        for _, rho, povms in random_marginalization_instances(rng, n_instances):
+            yield _marginalization_residual(rho, povms)
+    return _fold("marginalization", n_instances, 1e-12, residuals())
 
 
 @functools.cache
@@ -348,55 +361,45 @@ def _grid_solution():
 
 def cfi_qfi_suite() -> SuiteResult:
     """Closed-form direction attains the QFI; SLD axis matches it at v < 1.
-
-    Deterministic over the acceptance grid.
-    """
-    family, theta, res = _grid_solution()
-    axes = optimal_measurement(theta, np.array(T_GRID))
-    classical = cfi(axes, family, theta)
-    worst = float((np.abs(classical - res.qfi) / res.qfi).max())
-    # the SLD is unique only for v < 1, the second v of the grid
-    worst = max(worst, float(axis_angle(sld_axis(res.lam[1]), axes).max()))
-    return SuiteResult("cfi-equals-qfi", res.qfi.size, worst, threshold=1e-8)
+    Deterministic over the acceptance grid."""
+    def residuals():
+        family, theta, res = _grid_solution()
+        axes = optimal_measurement(theta, np.array(T_GRID))
+        yield np.abs(cfi(axes, family, theta) - res.qfi) / res.qfi
+        # the SLD is unique only for v < 1, the second v of the grid
+        yield axis_angle(sld_axis(res.lam[1]), axes)
+    return _fold("cfi-equals-qfi", _GRID_STATES, 1e-8, residuals())
 
 
 def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
     """SLD defect on the support, over the grid family and random mixed states
     (each d in 2..4, then per d all spectra and all frames and Hamiltonians
     in one call each; solved in batches of one d)."""
-    rng = rng_stream(seed, 3)
-    draws = _by_d(rng.integers(2, 5, size=n_instances), lambda d, m: (
-        rng.dirichlet(np.ones(d), size=m),
-        rng.normal(size=(m, 2, 2, d, d)),
-    ))
-    _, _, grid = _grid_solution()
-    worst = float(grid.residual.max())
-    for _, probs, zh in _runs(draws):
-        zh = _complex(zh)
-        rho = _random_densities(probs, zh[:, 0])
-        h = hermitian_part(zh[:, 1])
-        drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
-        worst = max(worst, float(sld(rho, drho).residual.max()))
-    n = grid.qfi.size + n_instances
-    return SuiteResult("sylvester-residual", n, worst, threshold=1e-8)
+    def residuals():
+        rng = rng_stream(seed, 3)
+        draws = _by_d(rng.integers(2, 5, size=n_instances), lambda d, m: (
+            rng.dirichlet(np.ones(d), size=m),
+            rng.normal(size=(m, 2, 2, d, d)),
+        ))
+        yield _grid_solution()[2].residual
+        for _, probs, zh in _runs(draws):
+            zh = _complex(zh)
+            rho = _random_densities(probs, zh[:, 0])
+            h = hermitian_part(zh[:, 1])
+            drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
+            yield sld(rho, drho).residual
+    return _fold("sylvester-residual", _GRID_STATES + n_instances, 1e-8, residuals())
 
 
 def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
-    """Run all four suites; ``n_instances`` scales the randomized ones.  A
-    suite that raises ValueError fails alone, naming the error."""
+    """Run all four suites; ``n_instances`` scales the randomized ones.  Each
+    fails closed (:func:`_fold`), alone."""
     n_qubit = 1000 if n_instances is None else max(n_instances, 1)
     n_qudit = n_marg = 200 if n_instances is None else max(n_instances // 5, 1)
     n_sylv = 100 if n_instances is None else max(n_instances // 10, 1)
-    results = []
-    for name, suite in {
-        "gap-equality": lambda: gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
-        "marginalization": lambda: marginalization_suite(seed, n_instances=n_marg),
-        "cfi-equals-qfi": cfi_qfi_suite,
-        "sylvester-residual": lambda: sylvester_suite(seed, n_instances=n_sylv),
-    }.items():
-        try:
-            results.append(suite())
-        except ValueError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            results.append(SuiteResult(name, 0, math.nan, math.nan, error))
-    return results
+    return [
+        gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
+        marginalization_suite(seed, n_instances=n_marg),
+        cfi_qfi_suite(),
+        sylvester_suite(seed, n_instances=n_sylv),
+    ]

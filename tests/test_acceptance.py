@@ -26,7 +26,7 @@ from ppasim.fisher import (
     cfi,
     optimal_measurement,
     qfi_postselected_pure,
-    qfi_ppa_theory,
+    qfi_ppa_family,
     sld,
 )
 from ppasim.quasiprob import (
@@ -91,7 +91,7 @@ def test_criterion_2_fisher_route_consistency(capsys):
         for t in T_GRID:
             fam = PPAFamily(t=t)
             routes = (
-                qfi_ppa_theory(theta, t),
+                qfi_ppa_family(theta, t),
                 qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t)),
                 sld(fam.state(theta), fam.derivative(theta)).qfi,
             )
@@ -99,7 +99,7 @@ def test_criterion_2_fisher_route_consistency(capsys):
             for i in range(3):
                 for j in range(i + 1, 3):
                     worst = max(worst, abs(routes[i] - routes[j]) / scale)
-    spot = abs(qfi_ppa_theory(0.2, 0.5) - 3.7711)
+    spot = abs(qfi_ppa_family(0.2, 0.5) - 3.7711)
     ok = worst <= 1e-8 and spot <= 1e-3
     report(
         capsys,
@@ -170,7 +170,7 @@ def test_criterion_4_conditional_tables(capsys):
 def test_criterion_5_monte_carlo_efficiency(capsys):
     t0 = time.perf_counter()
     rec = run_point(0.040, 0.044, photon_budget=10**7, n_trials=32, seed=11)
-    target = qfi_ppa_theory(0.040, 0.044)
+    target = qfi_ppa_family(0.040, 0.044)
     se = rec.precision_per_photon * rec.stderr_variance / rec.variance
     dev = abs(rec.precision_per_photon - target) / se
 
@@ -202,9 +202,9 @@ def test_criterion_6_information_conservation(capsys):
         for t in ts:
             per_input = survival = None
             # the reference theta form gives p independently of the
-            # survival_probability inside qfi_ppa_theory
+            # survival_probability inside qfi_ppa_family
             survival = survival_theta_form(theta, t)
-            per_input = survival * qfi_ppa_theory(theta, t)
+            per_input = survival * qfi_ppa_family(theta, t)
             worst_excess = max(worst_excess, per_input - 1.0)
             if math.tan(theta / 2) <= t / 10:
                 n_eq += 1
@@ -266,7 +266,7 @@ def test_criterion_8_negativity_milestone(capsys):
         for t in ts:
             table = kd_table_closed_form(imprinted_bloch(theta), t)
             most_negative = min(most_negative, float(table[0, 1].real))
-            info = qfi_ppa_theory(theta, t)
+            info = qfi_ppa_family(theta, t)
             if info > 200.0:
                 n_high += 1
                 rho = unfiltered_state(theta)

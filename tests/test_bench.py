@@ -21,7 +21,7 @@ from ppasim.bench import (
     systematic_shift_t,
 )
 from ppasim.cli import SweepSpec
-from ppasim.fisher import PPAFamily, optimal_measurement, qfi_ppa_theory
+from ppasim.fisher import PPAFamily, optimal_measurement, qfi_ppa_family
 from ppasim.states import (
     ID2,
     SIGMA_X,
@@ -347,7 +347,7 @@ def test_run_trials_unbiased_at_matched_calibration():
     se_mean = math.sqrt(rec.variance / 24)
     assert abs(rec.mean_estimate - 0.1) < 4 * se_mean
     assert rec.flags == ""
-    assert rec.qfi_theory == pytest.approx(qfi_ppa_theory(0.1, 0.3))
+    assert rec.qfi_theory == pytest.approx(qfi_ppa_family(0.1, 0.3))
 
 
 def test_run_trials_detects_calibration_bias():
@@ -471,7 +471,7 @@ def test_run_trials_precision_near_qfi_bound():
     rec = run_point(
         theta_true=0.040, t_set=0.044, photon_budget=10**7, n_trials=32, seed=11
     )
-    target = qfi_ppa_theory(0.040, 0.044)
+    target = qfi_ppa_family(0.040, 0.044)
     rel_se = rec.stderr_variance / rec.variance
     se_prec = rec.precision_per_photon * rel_se
     assert abs(rec.precision_per_photon - target) < 3 * se_prec
@@ -537,7 +537,7 @@ def run_trials_reference(spec, i, j):
     if zero_spread:
         flags.append("zero-variance")
 
-    qfi = qfi_ppa_theory(theta, t) if t > 0 else math.nan
+    qfi = qfi_ppa_family(theta, t) if t > 0 else math.nan
     return SweepRecord(
         theta_true=theta,
         t_mag=t,

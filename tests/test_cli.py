@@ -24,7 +24,6 @@ from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import (
     PPAFamily,
     qfi_ppa_family,
-    qfi_ppa_theory,
     sld,
 )
 from ppasim.quasiprob import (
@@ -623,6 +622,21 @@ def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     assert str(tmp_path / "env.csv") in printed
 
 
+def test_ci_out_dir_fig4_equals_the_out_file(tmp_path, capsys, monkeypatch):
+    # CI's `PPASIM_OUT_DIR=outdir ppasim fig4 --theta 0.1,0.5 --t 0.3,1.0` and
+    # `cmp f1.csv outdir/fig4.csv`, in process: the missing relative
+    # directory is made and holds the bytes an --out run writes
+    monkeypatch.chdir(tmp_path)
+    grid = ["fig4", "--theta", "0.1,0.5", "--t", "0.3,1.0"]
+    assert run(grid + ["--out", "f1.csv"], capsys)[0] == 0
+    monkeypatch.setenv("PPASIM_OUT_DIR", "outdir")
+    code, printed = run(grid, capsys)
+    assert code == 0
+    assert printed.strip() == os.path.join("outdir", "fig4.csv")
+    out = tmp_path / "outdir" / "fig4.csv"
+    assert out.read_bytes() == (tmp_path / "f1.csv").read_bytes()
+
+
 # ------------------------------------------------------------- output files
 
 FULL_GRID = dict(theta_list=THETA_GRID, t_list=T_GRID)
@@ -1047,14 +1061,14 @@ def matrix_fig4_point(spec, i, j):
         theta,
         t,
         p_ps,
-        qfi_ppa_theory(theta, t),
+        qfi_ppa_family(theta, t),
         sld(family.state(theta), family.derivative(theta)).qfi,
         qfi_mean,
         float(np.std(qfi, ddof=1) / 2.0),
         gap4(unfiltered),
         gap_mean,
         float(np.std(gap, ddof=1) / 2.0),
-        qfi_ppa_theory(theta, t) * p_ps,
+        qfi_ppa_family(theta, t) * p_ps,
         qfi_mean * p_ps,
         gap_mean * p_ps,
     )
@@ -1097,15 +1111,12 @@ def test_fig4_tangent_projection_matches_matrix_reference():
 
 @pytest.mark.parametrize("visibility", [0.98, 1.0])
 def test_fig4_qfi_family_is_the_per_point_solve(visibility):
-    # the closed form fig4 writes against the 2-D sld solve of the family,
-    # and at v = 1 against the ideal theory line
+    # the closed form fig4 writes against the 2-D sld solve of the family
     for theta, t in itertools.product(THETA_GRID, T_GRID):
         family = PPAFamily(t=t, v=visibility)
         solved = sld(family.state(theta), family.derivative(theta)).qfi
         closed = qfi_ppa_family(theta, t, visibility)
         assert closed == pytest.approx(solved, rel=1e-12, abs=0.0)
-        if visibility == 1.0:
-            assert closed == pytest.approx(qfi_ppa_theory(theta, t), rel=1e-12, abs=0.0)
 
 
 def test_fig4_qfi_family_stays_accurate_near_the_sphere(tmp_path, capsys):
@@ -1231,6 +1242,22 @@ def test_fig4_no_survival_grid_is_pinned(tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / out.name).read_bytes()
     assert out.read_text().count("no-survival") == 3
+
+
+def test_fig4_at_full_visibility_writes_the_theory_as_the_family_qfi(tmp_path, capsys):
+    # at v = 1 both QFI columns are one closed form, so they agree cell for
+    # cell, also at the small theta and t where a two-term bracket form of
+    # the family QFI cancels
+    out = tmp_path / "f.csv"
+    code, _ = run(
+        ["fig4", "--theta", "1e-3,1e-6,0.5", "--t", "1e-9,1e-8,3e-8,0.5",
+         "--visibility", "1", "--shots", "2", "--seed", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == 12
+    assert all(row["qfi_family"] == row["qfi_theory"] for row in rows)
 
 
 class ForeignError(ValueError):
@@ -1417,6 +1444,42 @@ def test_verify_names_a_failed_package_check_as_value_error(capsys, monkeypatch)
     assert code == 1
     assert lines[0] == ("[gap-equality] n=0 raised ValueError: instance 0: state purity "
                         "0.6250000000; formula requires a pure state FAIL")
+
+
+def _nan_residuals(result):
+    """``result`` with its residuals nan: a residual array, or a result tuple's field."""
+    if hasattr(result, "_replace"):
+        return result._replace(residual=np.full_like(result.residual, math.nan))
+    return np.full_like(result, math.nan)
+
+
+@pytest.mark.parametrize(
+    "index, target",
+    [(0, "verify_gap_equality"), (1, "_marginalization_residual"),
+     # the axis angles of the CFI = QFI suite, and the Sylvester suite's
+     # random runs alone: its grid solve is cached before the patch
+     (2, "axis_angle"), (3, "sld")],
+    ids=["gap-equality", "marginalization", "cfi-equals-qfi", "sylvester-residual"],
+)
+def test_verify_fails_a_suite_with_a_nan_residual(capsys, monkeypatch, index, target):
+    # the fold takes np.max, which keeps a nan that Python's max(0.0, nan) drops
+    verify._grid_solution()
+    real = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: _nan_residuals(real(*args)))
+    code = main(["verify", "--n", "200"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 4
+    assert " max_residual=nan " in lines[index] and lines[index].endswith(" FAIL")
+    assert sum(line.endswith(" PASS") for line in lines) == 3
+
+
+def test_a_suite_of_no_instance_fails():
+    # nothing was checked, so nothing passed: the worst residual is nan
+    assert verify.gap_equality_suite(0, 0, 0).summary() == (
+        "[gap-equality] n=0 max_residual=nan threshold=1.0e-09 FAIL")
+    assert verify.marginalization_suite(0, 0).summary() == (
+        "[marginalization] n=0 max_residual=nan threshold=1.0e-12 FAIL")
 
 
 # The gap-equality and marginalization lines of `ppasim verify` since the

@@ -12,7 +12,6 @@ from ppasim.fisher import (
     optimal_measurement,
     qfi_bloch,
     qfi_ppa_family,
-    qfi_ppa_theory,
     qfi_postselected_pure,
     sld,
     survival_probability,
@@ -383,28 +382,28 @@ def test_family_analytic_derivative_matches_finite_difference():
 
 
 def test_qfi_theory_no_filter_limit():
-    assert qfi_ppa_theory(0.7, 1.0) == 1.0
+    assert qfi_ppa_family(0.7, 1.0) == 1.0
 
 
 def test_qfi_theory_frozen_values():
-    assert abs(qfi_ppa_theory(0.2, 0.5) - 3.7711148807566075) < 1e-12
-    assert abs(qfi_ppa_theory(0.040, 0.044) - 355.0319723664648) < 1e-9
+    assert abs(qfi_ppa_family(0.2, 0.5) - 3.7711148807566075) < 1e-12
+    assert abs(qfi_ppa_family(0.040, 0.044) - 355.0319723664648) < 1e-9
 
 
 def test_qfi_theory_small_phase_scaling():
     # for tan(theta/2) << t the information approaches (delta/t)^2
-    val = qfi_ppa_theory(1e-4, 0.1)
+    val = qfi_ppa_family(1e-4, 0.1)
     assert abs(val - (1.0 / 0.1) ** 2) / val < 1e-3
 
 
 def test_qfi_theory_grows_as_filter_weakens():
-    vals = [qfi_ppa_theory(0.02, t) for t in (0.5, 0.3, 0.15, 0.082, 0.044)]
+    vals = [qfi_ppa_family(0.02, t) for t in (0.5, 0.3, 0.15, 0.082, 0.044)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_qfi_theory_rejects_t_zero():
     with pytest.raises(ValueError):
-        qfi_ppa_theory(0.1, 0.0)
+        qfi_ppa_family(0.1, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -418,10 +417,8 @@ def test_qfi_family_rejects_values_outside_the_family(t_mag, v, match):
 
 
 def test_qfi_family_is_nan_where_p_underflows():
-    # |t|^2 = 1e-400 underflows, so at theta = 0 and v = 1 nothing survives,
-    # as at the same point of qfi_ppa_theory
+    # |t|^2 = 1e-400 underflows, so at theta = 0 and v = 1 nothing survives
     assert math.isnan(qfi_ppa_family(0.0, 1e-200))
-    assert math.isnan(qfi_ppa_theory(0.0, 1e-200))
 
 
 # Each closed form of the PPA family as a function of (theta, t, v),
@@ -431,7 +428,6 @@ FAMILY_FORMS = {
         survival_probability(np.abs(t), (1.0 - v) / 2.0 + v * np.square(np.sin(th / 2.0))),
     ),
     "postselected_bloch": lambda th, t, v: postselected_bloch(th, t, 0.02, v),
-    "qfi_ppa_theory": lambda th, t, v: (qfi_ppa_theory(th, np.abs(t)),),
     "qfi_ppa_family": lambda th, t, v: (qfi_ppa_family(th, np.abs(t), v),),
     "kd_table_closed_form": lambda th, t, v: (kd_table_closed_form(
         np.expand_dims(v, -1) * np.stack([0.0 * th, np.sin(th), np.cos(th)], -1), t
@@ -470,7 +466,7 @@ def test_survival_probability_visibility_mix():
 def test_theory_qfi_has_no_cancellation_at_small_theta():
     # the sin^2(theta/2) form keeps every digit where 1 - cos^2(theta/2)
     # cancels; the pinned value is (t / p)^2 evaluated in exact arithmetic
-    assert qfi_ppa_theory(1e-3, 1e-9) == pytest.approx(
+    assert qfi_ppa_family(1e-3, 1e-9) == pytest.approx(
         1.60000026665389e-05, rel=1e-12, abs=0.0
     )
 
@@ -508,7 +504,7 @@ def test_qfi_postselected_pure_vanishes_at_t_zero():
 def test_qfi_postselected_pure_continuous_in_t_near_zero():
     rho = unfiltered_state(0.3)
     small = qfi_postselected_pure(rho, ppa_generator(), make_filter(1e-3))
-    assert abs(small - qfi_ppa_theory(0.3, 1e-3)) / small < 1e-6
+    assert abs(small - qfi_ppa_family(0.3, 1e-3)) / small < 1e-6
 
 
 def test_qfi_postselected_pure_rejects_mixed_state():

@@ -18,7 +18,6 @@ from ppasim.fisher import (
     cfi,
     optimal_measurement,
     qfi_ppa_family,
-    qfi_ppa_theory,
     qfi_bloch,
     qfi_postselected_pure,
     sld,
@@ -136,11 +135,11 @@ CASES = [
      "SLD has no traceless part; the axis is undefined"),
     ("optimal-measurement", optimal_measurement, (0.1, 0.5), (0.1, 0.0),
      "optimal_measurement requires 0 < |t| <= 1"),
-    ("qfi-theory", qfi_ppa_theory, (0.1, 0.5), (0.1, 0.0),
-     "qfi_ppa_theory requires 0 < t_mag <= 1"),
-    ("qfi-theory-negative-t", qfi_ppa_theory, (0.1, 0.5), (0.1, -0.5),
-     "qfi_ppa_theory requires 0 < t_mag <= 1"),
     ("qfi-family-t", qfi_ppa_family, (0.1, 0.5, 0.9), (0.1, 1.5, 0.9),
+     "qfi_ppa_family requires 0 < t_mag <= 1"),
+    ("qfi-family-t-zero", qfi_ppa_family, (0.1, 0.5), (0.1, 0.0),
+     "qfi_ppa_family requires 0 < t_mag <= 1"),
+    ("qfi-family-negative-t", qfi_ppa_family, (0.1, 0.5), (0.1, -0.5),
      "qfi_ppa_family requires 0 < t_mag <= 1"),
     ("qfi-family-v", qfi_ppa_family, (0.1, 0.5, 0.9), (0.1, 0.5, 1.2),
      "visibility must lie in (0, 1]"),

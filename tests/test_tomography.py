@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppasim.bench import postselected_bloch
-from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_theory, sld
+from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_family, sld
 from ppasim.quasiprob import kd_distribution, kd_table_closed_form, nonclassicality_gap
 from ppasim.states import (
     ID2,
@@ -237,7 +237,7 @@ def test_noisy_qfi_pipeline_is_consistent():
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - truth) < 4 * se + 5e-3 * truth
-    assert qfi_ppa_theory(theta, t) == pytest.approx(3.7711148807566075, abs=1e-12)
+    assert qfi_ppa_family(theta, t) == pytest.approx(3.7711148807566075, abs=1e-12)
 
 
 def test_density_from_bloch_round_trip_guard():
