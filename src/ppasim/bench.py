@@ -24,11 +24,11 @@ followed by a turn by pi about z, and the optimal analyzer turns with it
 (its azimuth is arg t), so it draws the counts of |t_set|: the bench runs
 every point at |t_set| and writes the |t_set| row.
 
-Each grid point (i, j) of a run draws its counts from its own Philox stream
-(Salmon et al., SC'11) keyed by two 64-bit words: one drawn by
-SeedSequence((run seed, STAGE_COUNTS)) and the grid bits i << 32 | j.  A grid
-point replays alone, whatever the execution order or worker count; a single
-trial does not.
+Every grid draw comes from its grid point's Philox stream (Salmon et al.,
+SC'11), keyed by the first SeedSequence((run seed, stage)) word, the stage
+STAGE_COUNTS for the sweep or STAGE_TOMOGRAPHY for fig4, and i << 32 | j
+(:func:`_point_streams`).  A grid point (i, j) replays alone, whatever the
+execution order or worker count; a single trial or repetition does not.
 """
 
 from __future__ import annotations
@@ -69,12 +69,9 @@ MIN_AMPLITUDE = 1e-100
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic substream keyed by (seed, *path).
-
-    Streams for distinct keys are statistically independent, and the mapping
-    does not depend on the order in which streams are created, so results
-    are identical for any worker count.
-    """
+    """PCG64 stream seeded by SeedSequence((seed, *path)), for verify, its only
+    caller: streams of distinct keys are independent, in any order of creation.
+    Grid points draw from :func:`_point_streams` instead."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
 
 
@@ -169,17 +166,27 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
 
 
 @cache
-def _key_word(run_seed: int) -> int:
-    """First key word of the count streams of the run seed ``run_seed``."""
-    seq = np.random.SeedSequence((run_seed, STAGE_COUNTS))
-    return int(seq.generate_state(1, np.uint64)[0])
+def _key_word(run_seed: int, stage: int) -> int:
+    """First key word of the ``stage`` streams of the run seed ``run_seed``."""
+    return int(np.random.SeedSequence((run_seed, stage)).generate_state(1, np.uint64)[0])
 
 
 @cache
 def _philox():
-    """Every block's Philox generator and its counter-0 state, made on first use."""
+    """Every grid point's Philox generator and its counter-0 state, made on first use."""
     bitgen = np.random.Philox(key=0)
     return bitgen, np.random.Generator(bitgen), bitgen.state
+
+
+def _point_streams(seed: int, stage: int, points):
+    """The shared Philox generator keyed in turn to each (i, j) of ``points``: key
+    (_key_word(seed, stage), i << 32 | j), counter 0, until the next turn re-keys it."""
+    bitgen, gen, state = _philox()
+    word = _key_word(seed, stage)
+    for i, j in points:
+        state["state"]["key"] = (word, i << 32 | j)
+        bitgen.state = state
+        yield gen
 
 
 def _draw_counts(spec, points, p_ps, q) -> tuple[np.ndarray, np.ndarray]:
@@ -187,25 +194,18 @@ def _draw_counts(spec, points, p_ps, q) -> tuple[np.ndarray, np.ndarray]:
     says: point k survives with probability ``p_ps[k]``, reads + with ``q[k]``."""
     n, budget = spec.n_trials, spec.photon_budget
     detected, plus = np.empty((2, len(points), n), dtype=np.int64)
-    bitgen, gen, state = _philox()
+    streams = enumerate(_point_streams(spec.seed, STAGE_COUNTS, points))
     if spec.sampling_mode == "fixed":
         p_fixed = np.minimum(p_ps, 1.0)
-
-        def draw(k):
+        for k, gen in streams:
             detected[k] = gen.binomial(budget, p_fixed[k], n)
             plus[k] = gen.binomial(detected[k], q[k])
     else:
         lam = budget * p_ps
         lam_plus, lam_minus = lam * q, lam * (1.0 - q)
-
-        def draw(k):
+        for k, gen in streams:
             plus[k] = gen.poisson(lam_plus[k], n)
             detected[k] = plus[k] + gen.poisson(lam_minus[k], n)
-    word = _key_word(spec.seed)
-    for k, (i, j) in enumerate(points):
-        state["state"]["key"] = (word, i << 32 | j)
-        bitgen.state = state
-        draw(k)
     return detected, plus
 
 

@@ -30,8 +30,8 @@ from .bench import (
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     _flag_column,
+    _point_streams,
     postselected_bloch,
-    rng_stream,
     run_trials,
 )
 from .fisher import (
@@ -40,7 +40,7 @@ from .fisher import (
     qfi_ppa_family,
     survival_probability,
 )
-from .quasiprob import kd_table_closed_form, nonclassicality_gap
+from .quasiprob import gap4_ppa_family, kd_table_closed_form, nonclassicality_gap
 from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import T_GRID, THETA_GRID, run_all
 
@@ -301,17 +301,18 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
 
     The imprinted state exp(i theta sigma_x / 2)|0> has Bloch vector
     (0, sin theta, cos theta); one :func:`kd_table_closed_form` call gives
-    the tables of the whole grid, theta along its rows.
+    the tables of the whole grid, theta along its rows, and one
+    :func:`quasiprob.gap4_ppa_family` call their gaps, free of cancellation.
     """
     theta = np.array(theta_list, dtype=float)[:, None]
     r = np.stack([np.zeros_like(theta), np.sin(theta), np.cos(theta)], axis=-1)
     tables = kd_table_closed_form(r, np.array(t_list, dtype=float)).reshape(-1, 4)
-    gaps = nonclassicality_gap(tables, axes=-1).tolist()
+    gap4 = gap4_ppa_family(theta, np.array(t_list, dtype=float)).ravel().tolist()
     grid = product(map(float, theta_list), map(float, t_list))
-    parts = zip(grid, tables.real.tolist(), tables.imag.tolist(), gaps)
+    parts = zip(grid, tables.real.tolist(), tables.imag.tolist(), gap4)
     records = [  # the eigenvalue spread is 1, so gap_times_4delta_sq is 4 gap
-        dict(zip(KD_RECORD_KEYS, (th, t, list(KD_TABLE_LABELS), re, im, g, 4.0 * g)))
-        for (th, t), re, im, g in parts
+        dict(zip(KD_RECORD_KEYS, (th, t, list(KD_TABLE_LABELS), re, im, g4 / 4.0, g4)))
+        for (th, t), re, im, g4 in parts
     ]
     import json  # only kd and --config use it, so the cli imports it late
 
@@ -332,9 +333,9 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
         theta[:, None] + [-dtheta, 0.0, dtheta, 0.0],
         np.where([True, True, True, False], t[:, None], 1.0), 0, vis,
     )
-    # One stream per point, keyed by the run seed above bit 64 and i << 32 | j
-    # below, and one draw of its (repetitions, vectors, axes) counts.
-    rngs = (rng_stream(spec.seed << 64 | i << 32 | j, STAGE_TOMOGRAPHY) for i, j in points)
+    # Each point's keyed stream (bench._point_streams, the tomography stage)
+    # and its one draw of (repetitions, vectors, axes) counts.
+    rngs = _point_streams(spec.seed, STAGE_TOMOGRAPHY, points)
     vectors = truth[:, None].repeat(_FIG4_REPS, 1)
     est = np.array([simulate_tomography(r, shots, rng) for r, rng in zip(vectors, rngs)])
     minus, center, plus, unfiltered = est.transpose(2, 0, 1, 3)
@@ -348,11 +349,11 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
         c = center[boundary]
         dr[boundary] -= (np.add.reduce(c * dr[boundary], -1) / rr[boundary])[:, None] * c
     near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
-    tables = kd_table_closed_form(np.concatenate((truth[:, 3:], unfiltered), 1), t[:, None])
-    blocked = np.isnan(tables[:, 1:, 0, 0])  # nothing of the estimate survives
+    tables = kd_table_closed_form(unfiltered, t[:, None])
+    blocked = np.isnan(tables[..., 0, 0])  # nothing of the estimate survives
     gap4 = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
     # each row's mean, and its std(ddof=1) / sqrt(4), in NumPy's operations
-    reps = np.array([qfi_bloch(center, dr), gap4[:, 1:]])
+    reps = np.array([qfi_bloch(center, dr), gap4])
     mean = np.add.reduce(reps, -1) / _FIG4_REPS
     var = np.add.reduce((reps - mean[..., None]) ** 2, -1) / (_FIG4_REPS - 1)
     (qfi_mean, gap_mean), (qfi_se, gap_se) = mean, np.sqrt(var) / 2.0
@@ -360,7 +361,8 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
     p_ps = p[:, 1]
     columns = (
         theta, t, p_ps, qfi_theory, qfi_family, qfi_mean, qfi_se,
-        gap4[:, 0], gap_mean, gap_se, qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
+        gap4_ppa_family(theta, t, vis), gap_mean, gap_se,
+        qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
     )
     flags = _flag_column(("boundary={}", "near-boundary", "no-survival"),
                          np.add.reduce(np.array([boundary, near, blocked]), -1))
@@ -370,17 +372,18 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
 def cmd_fig4(spec: SweepSpec) -> str:
     """Tomographic information pipeline over the grid, written as CSV.
 
-    Per grid point, one stream keyed by (seed, i, j) draws four tomography
-    repetitions of the postselected Bloch vector at theta and theta +-
-    dtheta, whose central difference feeds the empirical QFI
-    :func:`qfi_bloch`, and of the unfiltered vector, which feeds the
+    Per grid point, one stream keyed by (seed, stage, i, j) (see ppasim.bench)
+    draws four tomography repetitions of the postselected Bloch vector at
+    theta and theta +- dtheta, whose central difference feeds the empirical
+    QFI :func:`qfi_bloch`, and of the unfiltered vector, which feeds the
     conditional quasiprobability gap.  On the sphere the derivative is
     projected onto the tangent plane; ``flags`` counts those repetitions
     (``boundary=<n>``), marks centre estimates within three standard
     deviations of the sphere (``near-boundary``) and an unfiltered estimate
     the filter blocks entirely, whose table is nan (``no-survival``, nan gap
-    columns).  The exact columns are closed forms, and the per-input-photon
-    columns scale by the exact survival probability.
+    columns).  The exact columns are closed forms (``gap4_family`` is
+    :func:`quasiprob.gap4_ppa_family`), and the per-input-photon columns
+    scale by the exact survival probability.
     """
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_block, _FIG4_REPS)
 

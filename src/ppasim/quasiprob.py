@@ -38,6 +38,7 @@ __all__ = [
     "POVM",
     "GapEqualityResult",
     "filter_povm",
+    "gap4_ppa_family",
     "kd_distribution",
     "kd_table_closed_form",
     "nonclassicality_gap",
@@ -150,6 +151,33 @@ def kd_table_closed_form(r, t) -> np.ndarray:
     table[..., 0, 0], table[..., 0, 1] = diag * (1.0 + x), off
     table[..., 1, 0], table[..., 1, 1] = off.conj(), diag * (1.0 - x)
     return table
+
+
+def gap4_ppa_family(theta, t, v=1.0):
+    """4 x the gap of :func:`kd_table_closed_form`'s table of ``fisher.PPAFamily``
+    (t, v) at ``theta``, written without cancellation.
+
+    Its unfiltered state has r = v (0, sin theta, cos theta), so both
+    diagonal entries have |.|^2 = (1 + T)^2 / (16 p^2) and both off-diagonal
+    ones the smaller v^2 (1 - T)^2 / (16 p^2), with T = |t|^2 and p the
+    survival probability.  As (1 + T)^2 - (1 - T)^2 = 4T, the gap is
+
+        4 gap = (4T + (1 - v)(1 + v)(1 - T)^2) / (4 p^2),
+
+    a sum of non-negative terms; the table's max - min subtracts entries of
+    order 1/p instead, which cancels where the gap is small beside them.  At
+    v = 1 it is (|t| / p)^2, the family's QFI (``fisher.qfi_ppa_family``):
+    QFI = 4 (Delta a)^2 gap, with the generator's eigenvalue spread Delta a = 1
+    (Arvidsson-Shukur et al., Nat. Commun. 11, 3775, 2020).  nan where the
+    table is.
+    """
+    t_mag = np.abs(t)
+    _reject(~(t_mag <= 1.0 + 1e-12), "|t| must lie in [0, 1]")
+    _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
+    t2 = t_mag * t_mag
+    p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
+    p = np.where(p > ZERO_PROBABILITY, p, np.nan)
+    return ((4.0 * t2 + (1.0 - v) * (1.0 + v) * np.square(1.0 - t2)) / (4.0 * p * p))[()]
 
 
 def nonclassicality_gap(kd: np.ndarray, axes=None):

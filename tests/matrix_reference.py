@@ -7,9 +7,10 @@ general route kept here: 2x2 density matrices, projective POVMs onto
 renormalized by its total.  The survival probability is kept here in its
 theta form, against which ``fisher.survival_probability`` is checked.
 :func:`run_point` runs one bench point on the count stream of a packed point
-seed.  :func:`kd_entries` is ``kd_distribution`` one instance and one
-outcome tuple at a time, and :func:`qubit_instances` draws verify's random
-qubit instances as one stack.
+seed, and :func:`point_stream` builds a grid point's keyed stream afresh.
+:func:`kd_entries` is ``kd_distribution`` one instance and one outcome tuple
+at a time, and :func:`qubit_instances` draws verify's random qubit instances
+as one stack.
 """
 
 import functools
@@ -133,6 +134,15 @@ def run_point(theta_true, t_set, seed=0, **fields):
     )
     [rec] = run_trials(spec, [(i, j)])
     return rec
+
+
+def point_stream(seed, stage, i, j):
+    """A new Philox generator on the key (first SeedSequence((seed, stage))
+    word, i << 32 | j) at counter 0: the stream of grid point (i, j) of a run
+    with seed ``seed`` in ``stage``."""
+    word = np.random.SeedSequence((seed, stage)).generate_state(1, np.uint64)[0]
+    key = np.array([word, i << 32 | j], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def kd_entries(rho: DensityMatrix, povms):

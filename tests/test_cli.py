@@ -17,7 +17,6 @@ from ppasim.bench import (
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     _moments,
-    rng_stream,
     run_trials,
 )
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
@@ -32,13 +31,14 @@ from ppasim.quasiprob import (
     nonclassicality_gap,
 )
 from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
-from ppasim.tomography import DEFAULT_DTHETA
+from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
 from ppasim.verify import T_GRID, THETA_GRID
 
 from matrix_reference import (
     bloch_vector,
     condition,
     imprinted_table,
+    point_stream,
     ppa_povm_sequence,
     unfiltered_state,
 )
@@ -828,6 +828,21 @@ def test_kd_matches_the_matrix_reference(tmp_path, capsys):
         assert rec["gap_times_4delta_sq"] == 4.0 * rec["gap"]
 
 
+def test_kd_gap_is_the_family_qfi_where_the_table_cancels(tmp_path, capsys):
+    # QFI = 4 (Delta a)^2 gap, with Delta a = 1, where the table's max - min
+    # of |entry|^2 near 1/p loses the gap: the table read 0 at (0.5, 1e-8)
+    # and 2^30 against 1.599e9 at (1e-6, 1e-8)
+    thetas, ts = (0.5, 1e-3, 1e-4, 1e-6), (1e-9, 1e-8, 1e-6, 1e-4)
+    out = tmp_path / "kd.json"
+    argv = ["kd", "--theta", ",".join(map(repr, thetas)), "--t", ",".join(map(repr, ts))]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    records = json.loads(out.read_text())
+    assert len(records) == 16
+    for rec in records:
+        qfi = qfi_ppa_family(rec["theta"], rec["t"])
+        assert rec["gap_times_4delta_sq"] == pytest.approx(qfi, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "command, theta, t, extra",
     [
@@ -1014,10 +1029,11 @@ def matrix_fig4_point(spec, i, j):
     """Reference for the fig4 row of grid point (i, j): the pipeline on
     validated 2x2 density matrices.
 
-    The point's one stream draws the plus-counts one basis at a time, in
-    the order repetition, state (theta - dtheta, theta, theta + dtheta,
-    unfiltered), basis.  Tomography clips the negative eigenvalue of the
-    linear inversion and renormalizes.  The QFI is sld of the
+    The point's keyed stream (``point_stream`` of the tomography stage)
+    draws the plus-counts one basis at a time, in the order repetition,
+    state (theta - dtheta, theta, theta + dtheta, unfiltered), basis.
+    Tomography clips the negative eigenvalue of the linear inversion and
+    renormalizes.  The QFI is sld of the
     central-difference matrix derivative; where sld finds a kernel in the
     centre estimate rho = |psi><psi|, the derivative first loses its part
     Tr(rho drho) (2 rho - 1) that leaves the pure states.  The gap
@@ -1026,7 +1042,7 @@ def matrix_fig4_point(spec, i, j):
     """
     theta, t = spec.theta_list[i], spec.t_list[j]
     shots, dtheta = spec.shots_per_basis, DEFAULT_DTHETA
-    rng = rng_stream(spec.seed << 64 | i << 32 | j, STAGE_TOMOGRAPHY)
+    rng = point_stream(spec.seed, STAGE_TOMOGRAPHY, i, j)
     family = PPAFamily(t=t, v=spec.visibility)
     unfiltered = unfiltered_state(theta, spec.visibility)
 
@@ -1072,6 +1088,34 @@ def matrix_fig4_point(spec, i, j):
         qfi_mean * p_ps,
         gap_mean * p_ps,
     )
+
+
+def test_fig4_stream_layout_is_pinned(monkeypatch):
+    # one keyed Philox stream per point (the tomography stage) and one
+    # binomial call over (repetitions, vectors, axes): the integer count
+    # totals per vector and per axis pin the draws without depending on libm
+    # rounding, and the counts are those of the point's stream built afresh
+    drawn = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def binomial(self, n, p):
+            drawn.append((p, self.rng.binomial(n, p)))
+            return drawn[-1][1]
+
+    def spy(r, shots, rng):
+        return simulate_tomography(r, shots, Recording(rng))
+
+    monkeypatch.setattr(cli, "simulate_tomography", spy)
+    cli._fig4_block(SweepSpec(seed=17, shots_per_basis=1000), [(2, 3)])
+    [(p, counts)] = drawn
+    assert counts.shape == (cli._FIG4_REPS, 4, 3)
+    assert counts.sum(axis=(0, 2)).tolist() == [8400, 8538, 8628, 8226]
+    assert counts.sum(axis=(0, 1)).tolist() == [8010, 10149, 15633]
+    fresh = point_stream(17, STAGE_TOMOGRAPHY, 2, 3).binomial(1000, p)
+    assert np.array_equal(counts, fresh)
 
 
 def compare_with_matrix_reference(visibility):
@@ -1163,10 +1207,9 @@ def test_fig4_evaluates_every_default_point(visibility):
 
 def test_fig4_default_grid_at_seed_0_is_pinned(tmp_path, capsys):
     # `ppasim fig4` at its defaults (v = 0.98, seed 0), against the rows it
-    # wrote when the one-stream layout was introduced (3 of its 546 numeric
-    # cells have moved since, in the 12th digit); and byte for byte at v = 1
-    # with 100 shots, where every row takes the projection branch
-    # (boundary=<n>) and most are also near-boundary
+    # wrote when each point came to draw from its keyed Philox stream; and
+    # byte for byte at v = 1 with 100 shots, where every row takes the
+    # projection branch (boundary=<n>) and most are also near-boundary
     data = Path(__file__).parent / "data"
     out = tmp_path / "fig4_default_seed0.csv"
     code, _ = run(["fig4", "--out", str(out)], capsys)
@@ -1210,14 +1253,38 @@ def test_rows_do_not_depend_on_the_blocks(evaluate, fields):
         assert cli._grid_rows(evaluate, spec, points, step) == whole
 
 
+@pytest.mark.parametrize("n_theta, n_t", [(28, 28), (33, 32)])
+def test_ci_fig4_row_0_and_column_0_are_their_own_files(tmp_path, capsys, n_theta, n_t):
+    # CI's `head -n 29 g28.csv | cmp - g28_row0.csv`, its `g28_col0.csv`
+    # line and their 33 x 32 twins (two runner blocks), in process: a point
+    # draws from the stream of its own (i, j), whatever else the grid holds,
+    # so the grid's first row is the file of its first theta alone and its
+    # first column the file of its first t; a stream keyed by the point's
+    # position in its block passes the row and breaks the column
+    theta = np.linspace(-3, 3, n_theta).tolist()
+    t = np.geomspace(1e-4, 1, n_t).tolist()
+
+    def fig4(name, thetas, ts):
+        out = tmp_path / name
+        argv = ["fig4", "--theta=" + ",".join(map(repr, thetas)),
+                "--t", ",".join(map(repr, ts)), "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    grid = fig4("grid.csv", theta, t)
+    assert len(grid) == 1 + n_theta * n_t
+    assert grid[: 1 + n_t] == fig4("row0.csv", theta[:1], t)
+    assert grid[:1] + grid[1::n_t] == fig4("col0.csv", theta, t[:1])
+
+
 def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsys):
-    # two shots per basis can estimate the unfiltered vector as (0, 0, 1),
-    # which t = 1e-9 passes with probability 1e-18: the gap columns are nan
-    # and flagged, the QFI columns stay finite, the run goes on
+    # two shots per basis can estimate the unfiltered vector as (0, 0, 1), as
+    # at seed 1, which t = 1e-9 passes with probability 1e-18: the gap
+    # columns are nan and flagged, the QFI columns stay finite, the run goes on
     out = tmp_path / "f.csv"
     code, _ = run(
         ["fig4", "--theta", "1e-3", "--t", "1e-9,0.5", "--visibility", "1",
-         "--shots", "2", "--seed", "0", "--out", str(out)],
+         "--shots", "2", "--seed", "1", "--out", str(out)],
         capsys,
     )
     assert code == 0
@@ -1230,13 +1297,13 @@ def test_fig4_flags_a_point_whose_unfiltered_estimate_is_blocked(tmp_path, capsy
 
 
 def test_fig4_no_survival_grid_is_pinned(tmp_path, capsys):
-    # CI's grid with three blocked unfiltered estimates (two at t = 3e-8),
-    # byte for byte against the rows fig4 wrote when it masked them by
-    # their survival probability, before kd_table_closed_form made them nan
-    out = tmp_path / "fig4_no_survival_seed3.csv"
+    # CI's grid with three blocked unfiltered estimates at seed 4, (1e-3,
+    # 3e-8), (1e-6, 1e-9) and (1e-6, 1e-8), byte for byte against the rows
+    # fig4 wrote when each point came to draw from its keyed Philox stream
+    out = tmp_path / "fig4_no_survival_seed4.csv"
     code, _ = run(
         ["fig4", "--theta", "1e-3,1e-6,0.5", "--t", "1e-9,1e-8,3e-8,0.5",
-         "--visibility", "1", "--shots", "2", "--seed", "3", "--out", str(out)],
+         "--visibility", "1", "--shots", "2", "--seed", "4", "--out", str(out)],
         capsys,
     )
     assert code == 0

@@ -16,7 +16,7 @@ from ppasim.fisher import (
     sld,
     survival_probability,
 )
-from ppasim.quasiprob import kd_table_closed_form
+from ppasim.quasiprob import gap4_ppa_family, kd_table_closed_form
 from ppasim.states import (
     DensityMatrix,
     ID2,
@@ -433,6 +433,7 @@ FAMILY_FORMS = {
         np.expand_dims(v, -1) * np.stack([0.0 * th, np.sin(th), np.cos(th)], -1), t
     ),),
     "systematic_shift_t": lambda th, t, v: (systematic_shift_t(th, np.abs(t), 0.01 * v),),
+    "gap4_ppa_family": lambda th, t, v: (gap4_ppa_family(th, t, v),),
 }
 
 

@@ -25,6 +25,7 @@ from ppasim.fisher import (
 from ppasim.quasiprob import (
     POVM,
     filter_povm,
+    gap4_ppa_family,
     kd_distribution,
     kd_table_closed_form,
     verify_gap_equality,
@@ -145,6 +146,10 @@ CASES = [
      "visibility must lie in (0, 1]"),
     ("kd-table-t", kd_table_closed_form, ([0.0, 0.0, 1.0], 0.5), ([0.0, 0.0, 1.0], 1.5),
      "|t| must lie in [0, 1]"),
+    ("gap4-family-t", gap4_ppa_family, (0.1, -0.5, 0.9), (0.1, 1.5, 0.9),
+     "|t| must lie in [0, 1]"),
+    ("gap4-family-v", gap4_ppa_family, (0.1, 0.5, 0.9), (0.1, 0.5, 0.0),
+     "visibility must lie in (0, 1]"),
     ("systematic-shift-t", systematic_shift_t, (0.1, 0.5, 0.01), (0.1, 0.0, 0.01),
      "actual amplitude t must be positive"),
     ("amplified-angle-t", amplified_angle, (0.1, 0.5), (0.1, 1.5),

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppasim.fisher import qfi_postselected_pure
+from ppasim.fisher import qfi_postselected_pure, qfi_ppa_family
 from ppasim.quasiprob import (
     POVM,
     filter_povm,
+    gap4_ppa_family,
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
@@ -503,6 +504,31 @@ def test_gap_vanishing_enhancement_without_filter():
     kd = kd_distribution(imprinted_state(0.2), ppa_povm_sequence(1.0))
     gap = nonclassicality_gap(condition(kd, 1, 0))
     assert abs(4 * gap - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("v", [1.0, 0.98, 0.9, 0.5])
+def test_family_gap_is_the_gap_of_its_table(v):
+    # on the default grid and a negative t, where the table's max - min
+    # keeps its digits, the closed form is 4 x the table's gap; at v = 1 it
+    # is the family's QFI (t/p)^2
+    theta, t = np.array(verify.THETA_GRID)[:, None], np.array((-0.5,) + verify.T_GRID)
+    r = v * np.stack(np.broadcast_arrays(0.0, np.sin(theta), np.cos(theta)), -1)
+    table = 4.0 * nonclassicality_gap(kd_table_closed_form(r, t), axes=(-2, -1))
+    closed = gap4_ppa_family(theta, t, v)
+    np.testing.assert_allclose(closed, table, rtol=1e-12, atol=0.0)
+    if v == 1.0:
+        qfi = qfi_ppa_family(theta, np.abs(t))
+        np.testing.assert_allclose(closed, qfi, rtol=1e-14, atol=0.0)
+
+
+def test_family_gap_of_a_blocking_filter():
+    # t = 0 leaves the pure family no gap, where the table's max - min of
+    # two equal entries cancels, and none at all (nan, as the table) at
+    # theta = 0, which it blocks entirely; at v < 1 the gap is (1 - v^2)/(4 p^2)
+    assert gap4_ppa_family(0.5, 0.0) == 0.0
+    assert math.isnan(gap4_ppa_family(0.0, 0.0))
+    assert np.isnan(kd_table_closed_form([0.0, 0.0, 1.0], 0.0)).all()
+    assert gap4_ppa_family(0.0, 0.0, 0.5) == pytest.approx(0.75 / 0.25**2 / 4, rel=1e-15)
 
 
 def test_commuting_filter_keeps_table_classical():
