@@ -6,9 +6,11 @@ the partially transmitting filter, and measures the survivors with the
 projective test along a unit Bloch vector n.  Every step acts on one
 polarization qubit, so the noiseless pipeline is a closed map on Bloch
 vectors: the source r0 = (0, 0, -v), a rotation by pi - theta about the
-waveplate axis, and the filter map of K+ = diag(t, 1), which also gives the
-survival probability (see :func:`postselected_bloch`).  Phase estimates
-invert the measured fringe in closed form.
+waveplate axis, and the filter map of K+ = diag(t, 1).  The filter reads the
+turned source's |1> and |0> populations, w = (1 - v)/2 + v (sin^2(theta/2) +
+sin^2 2eps cos^2(theta/2)) and w0 = (1 - v)/2 + v cos^2 2eps cos^2(theta/2); at
+eps = 0, w and so the survival probability are the closed forms' bit for bit
+(see :func:`postselected_bloch`).  Phase estimates invert the fringe in closed form.
 
 Systematic knobs:
 
@@ -99,27 +101,23 @@ def postselected_bloch(theta, t, epsilon, visibility):
 
     Returns ``(r_ps, p_ps)``: the standard Bloch vector of the normalized
     postselected state and the survival probability.  The source
-    r0 = (0, 0, -v) turns by pi - theta about n = (cos 2 eps, 0, sin 2 eps)
-    (Rodrigues' formula); K+ = diag(t, 1) with real t then maps
-    r1 = (x, y, z) to p = :func:`survival_probability` of the |1> population
-    (1 - z)/2 and r_ps = (t x, t y, (t^2 (1 + z) - (1 - z))/2) / p, so a
-    negative t turns r_ps by pi about z.  At t = 1 the filter passes
-    everything and r_ps is the imprinted vector; for eps = 0 it is
-    v (0, sin theta, cos theta).  A point that no photon survives (p = 0)
-    returns r_ps = 0 and p_ps = 0.  r_ps has the broadcast shape (..., 3).
+    r0 = (0, 0, -v) turns by pi - theta about n = (cos 2e, 0, sin 2e), e = eps,
+    to x = -2 v sin 2e cos 2e cos^2(theta/2), y = v cos 2e sin theta and the
+    |1>, |0> populations w = (1 - v)/2 + v (sin^2(theta/2) + sin^2 2e cos^2(theta/2)),
+    w0 = (1 - v)/2 + v cos^2 2e cos^2(theta/2).  K+ = diag(t, 1), t real, passes
+    p = :func:`survival_probability` of w and leaves r_ps = (t x, t y, t^2 w0 - w)/p,
+    so a negative t turns r_ps by pi about z.  At t = 1 r_ps is the imprinted
+    vector, v (0, sin theta, cos theta) at eps = 0.  A point that no photon
+    survives (p = 0) returns r_ps = 0 and p_ps = 0.  r_ps has the shape (..., 3).
     """
-    v = visibility
-    c2, s2 = np.cos(2.0 * epsilon), np.sin(2.0 * epsilon)
-    alpha = math.pi - theta
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    # n x r0 = (0, v c2, 0) and n . r0 = -v s2
-    along = -v * s2 * (1.0 - ca)
-    x = c2 * along
-    y = v * c2 * sa
-    z = -v * ca + s2 * along
-    p = survival_probability(np.abs(t), (1.0 - z) / 2.0)
+    v, c2, s2 = visibility, np.cos(2.0 * epsilon), np.sin(2.0 * epsilon)
+    cos2 = np.square(np.cos(theta / 2.0))
+    w = (1.0 - v) / 2.0 + v * (np.square(np.sin(theta / 2.0)) + s2 * s2 * cos2)
+    w0 = (1.0 - v) / 2.0 + v * (c2 * c2) * cos2
+    p = survival_probability(np.abs(t), w)
     r = np.empty(p.shape + (3,))
-    r[..., 0], r[..., 1], r[..., 2] = t * x, t * y, (t * t * (1 + z) - (1 - z)) / 2
+    x, y = -2.0 * v * s2 * c2 * cos2, v * c2 * np.sin(theta)
+    r[..., 0], r[..., 1], r[..., 2] = t * x, t * y, t * t * w0 - w
     return r / np.where(p > 0.0, p, np.inf)[..., None], p
 
 
@@ -192,20 +190,22 @@ def _point_streams(seed: int, stage: int, points):
 def _draw_counts(spec, points, p_ps, q) -> tuple[np.ndarray, np.ndarray]:
     """(points, trials) detected and plus counts, drawn as :func:`run_trials`
     says: point k survives with probability ``p_ps[k]``, reads + with ``q[k]``."""
-    n, budget = spec.n_trials, spec.photon_budget
+    n, budget, mode = spec.n_trials, spec.photon_budget, spec.sampling_mode
     detected, plus = np.empty((2, len(points), n), dtype=np.int64)
     streams = enumerate(_point_streams(spec.seed, STAGE_COUNTS, points))
-    if spec.sampling_mode == "fixed":
+    if mode == "fixed":
         p_fixed = np.minimum(p_ps, 1.0)
         for k, gen in streams:
             detected[k] = gen.binomial(budget, p_fixed[k], n)
             plus[k] = gen.binomial(detected[k], q[k])
-    else:
+    elif mode == "poisson":
         lam = budget * p_ps
         lam_plus, lam_minus = lam * q, lam * (1.0 - q)
         for k, gen in streams:
             plus[k] = gen.poisson(lam_plus[k], n)
             detected[k] = plus[k] + gen.poisson(lam_minus[k], n)
+    else:
+        raise ValueError(f"sampling_mode: {mode!r} must be 'fixed' or 'poisson'")
     return detected, plus
 
 

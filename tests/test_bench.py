@@ -21,7 +21,12 @@ from ppasim.bench import (
     systematic_shift_t,
 )
 from ppasim.cli import SweepSpec
-from ppasim.fisher import PPAFamily, optimal_measurement, qfi_ppa_family
+from ppasim.fisher import (
+    PPAFamily,
+    optimal_measurement,
+    qfi_ppa_family,
+    survival_probability,
+)
 from ppasim.states import (
     ID2,
     SIGMA_X,
@@ -32,6 +37,7 @@ from ppasim.states import (
     make_filter,
     phase_unitary,
 )
+from ppasim.verify import T_GRID, THETA_GRID
 
 from matrix_reference import bloch_vector, run_point, survival_theta_form
 
@@ -132,6 +138,35 @@ def test_postselected_bloch_matches_matrix_pipeline():
         rho_ref, p_ref = matrix_pipeline(*args)
         assert np.abs(r - bloch_vector(rho_ref)).max() <= 1e-12
         assert abs(p - p_ref) <= 1e-12
+
+
+def test_postselected_bloch_survival_is_the_closed_forms_bit_for_bit():
+    # at eps = 0 the bench reads the closed forms' |1> population, so its p
+    # is theirs exactly, also where (1 - z)/2 of a turned vector would cancel
+    def family_p(theta, t, v):
+        return survival_probability(t, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
+
+    theta, t = np.array(THETA_GRID)[:, None], np.array(T_GRID)
+    for v in (1.0, 0.98, 0.5):
+        assert np.array_equal(postselected_bloch(theta, t, 0.0, v)[1], family_p(theta, t, v))
+    for theta in (1e-3, 1e-6, 1e-8):
+        for t in (1e-9, 1e-6, math.tan(theta / 2.0)):
+            assert postselected_bloch(theta, t, 0.0, 1.0)[1] == family_p(theta, t, 1.0)
+
+
+def test_postselected_bloch_stays_pure_at_small_phases():
+    # the pure family stays on the sphere at the gain's peak t = tan(theta/2),
+    # where the survivors are a few in 1/theta^2
+    for k in range(2, 8):
+        theta = 10.0**-k
+        r, _ = postselected_bloch(theta, math.tan(theta / 2.0), 0.0, 1.0)
+        assert abs(np.linalg.norm(r) - 1.0) <= 4.5e-16
+
+
+def test_postselected_bloch_zero_phase_has_no_y_component():
+    for t, eps, v in ((0.5, 0.0, 1.0), (0.044, 0.1, 0.98), (-1.0, -0.3, 0.5)):
+        r, _ = postselected_bloch(0.0, t, eps, v)
+        assert r[1] == 0.0
 
 
 def test_postselected_bloch_zero_phase_ideal():
@@ -666,6 +701,20 @@ def test_config_rejects_invalid_fields(kwargs):
     field = {"theta_true": "theta_list", "t_set": "t_list"}.get(name, name)
     with pytest.raises(ValueError, match=f"^{field}"):
         check_sweep_point(**kwargs)
+
+
+def test_run_trials_rejects_an_unknown_sampling_mode(tmp_path):
+    # library calls skip cli._check: a mode it rejects is refused with its
+    # message before any draw, not run as Poisson, and the sweep writes no file
+    out = tmp_path / "bursty.csv"
+    spec = SweepSpec(theta_list=[0.1], t_list=[0.5], sampling_mode="bursty",
+                     n_trials=4, output_path=str(out))
+    message = r"sampling_mode: 'bursty' must be 'fixed' or 'poisson'$"
+    with pytest.raises(ValueError, match="^" + message):
+        run_trials(spec, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^grid point theta = 0.1, .*: " + message):
+        cli.cmd_sweep(spec)
+    assert not out.exists()
 
 
 def test_run_trials_at_the_amplitude_floor_writes_a_normal_row():

@@ -1311,6 +1311,21 @@ def test_fig4_no_survival_grid_is_pinned(tmp_path, capsys):
     assert out.read_text().count("no-survival") == 3
 
 
+def test_ci_fig4_tiny_phase_writes_the_exact_survival_probability(tmp_path, capsys):
+    # CI's `ppasim fig4 --theta 1e-6 --t 1e-9 ... --out tiny.csv`, in process:
+    # p = t^2 + (1 - t^2) sin^2(theta/2) = 2.50001e-13 has no cancellation,
+    # where a population formed as (1 - z)/2 of a rotated vector loses it
+    out = tmp_path / "tiny.csv"
+    code, _ = run(
+        ["fig4", "--theta", "1e-6", "--t", "1e-9", "--visibility", "1",
+         "--shots", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    (row,) = read_csv(out)
+    assert row["p_ps"] == "2.50001e-13"
+
+
 def test_fig4_at_full_visibility_writes_the_theory_as_the_family_qfi(tmp_path, capsys):
     # at v = 1 both QFI columns are one closed form, so they agree cell for
     # cell, also at the small theta and t where a two-term bracket form of
