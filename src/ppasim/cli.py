@@ -255,7 +255,9 @@ def _run_grid(spec: SweepSpec, command: str, columns, evaluate, trials, workers=
 
 def cmd_sweep(spec: SweepSpec, workers: int = 1) -> str:
     """Run the bench at every grid point, on up to ``workers`` processes (see
-    :func:`_run_grid`), and write the sweep CSV; the bytes do not depend on it."""
+    :func:`_run_grid`), and write the sweep CSV; the bytes do not depend on it.
+    A value :func:`_check` rejects raises ValueError before any draw."""
+    _check("sweep", spec, workers)
     return _run_grid(spec, "sweep", SWEEP_CSV_COLUMNS, run_trials, spec.n_trials, workers)
 
 
@@ -300,15 +302,19 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     """Write the conditional quasiprobability tables and gaps as JSON.
 
     The imprinted state exp(i theta sigma_x / 2)|0> has Bloch vector
-    (0, sin theta, cos theta); one :func:`kd_table_closed_form` call gives
-    the tables of the whole grid, theta along its rows, and one
+    (0, sin theta, cos theta) and |1> population sin^2(theta/2), the w of
+    every closed form; one :func:`kd_table_closed_form` call gives the
+    tables of the whole grid, theta along its rows, and one
     :func:`quasiprob.gap4_ppa_family` call their gaps, free of cancellation.
+    A value :func:`_check` rejects raises ValueError before any write.
     """
-    theta = np.array(theta_list, dtype=float)[:, None]
+    spec = SweepSpec(theta_list=tuple(theta_list), t_list=tuple(t_list))
+    _check("kd", spec)
+    theta, ts = np.array(spec.theta_list)[:, None], np.array(spec.t_list)
     r = np.stack([np.zeros_like(theta), np.sin(theta), np.cos(theta)], axis=-1)
-    tables = kd_table_closed_form(r, np.array(t_list, dtype=float)).reshape(-1, 4)
-    gap4 = gap4_ppa_family(theta, np.array(t_list, dtype=float)).ravel().tolist()
-    grid = product(map(float, theta_list), map(float, t_list))
+    tables = kd_table_closed_form(r, ts, np.square(np.sin(theta / 2.0))).reshape(-1, 4)
+    gap4 = gap4_ppa_family(theta, ts).ravel().tolist()
+    grid = product(spec.theta_list, spec.t_list)
     parts = zip(grid, tables.real.tolist(), tables.imag.tolist(), gap4)
     records = [  # the eigenvalue spread is 1, so gap_times_4delta_sq is 4 gap
         dict(zip(KD_RECORD_KEYS, (th, t, list(KD_TABLE_LABELS), re, im, g4 / 4.0, g4)))
@@ -349,7 +355,8 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
         c = center[boundary]
         dr[boundary] -= (np.add.reduce(c * dr[boundary], -1) / rr[boundary])[:, None] * c
     near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
-    tables = kd_table_closed_form(unfiltered, t[:, None])
+    w_unfiltered = (1.0 - unfiltered[..., 2]) / 2.0  # an estimate's own population
+    tables = kd_table_closed_form(unfiltered, t[:, None], w_unfiltered)
     blocked = np.isnan(tables[..., 0, 0])  # nothing of the estimate survives
     gap4 = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
     # each row's mean, and its std(ddof=1) / sqrt(4), in NumPy's operations
@@ -383,8 +390,10 @@ def cmd_fig4(spec: SweepSpec) -> str:
     the filter blocks entirely, whose table is nan (``no-survival``, nan gap
     columns).  The exact columns are closed forms (``gap4_family`` is
     :func:`quasiprob.gap4_ppa_family`), and the per-input-photon columns
-    scale by the exact survival probability.
+    scale by the exact survival probability.  A value :func:`_check` rejects
+    raises ValueError before any draw.
     """
+    _check("fig4", spec)
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_block, _FIG4_REPS)
 
 
@@ -439,15 +448,17 @@ def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepS
     return SweepSpec(**data)
 
 
-def _check(command: str, spec: SweepSpec, args: argparse.Namespace) -> None:
+def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) -> None:
     """Raise ValueError at the first value ``command`` cannot evaluate.
 
     Every value rule of the four commands is here, once, with the commands
-    it applies to; SweepSpec has checked the types.  The message starts
-    with the field and quotes the value.  The grids come first, entry by
-    entry: theta_list, t_list, then the (theta, t) points in row-major
-    order.  The other fields follow in SweepSpec order, then ``--workers``
-    and ``--n``.
+    it applies to; SweepSpec has checked the types.  main() runs it before
+    any work, and so do :func:`cmd_sweep`, :func:`cmd_kd` and
+    :func:`cmd_fig4`, for library calls.  The message starts with the
+    field and quotes the value.  The grids come first, entry by entry:
+    theta_list, t_list, then the (theta, t) points in row-major order.  The
+    other fields follow in SweepSpec order, then ``workers`` and
+    ``n_instances``.
     """
     for theta in spec.theta_list:
         if command in ("kd", "fig4") and not math.isfinite(theta):
@@ -471,8 +482,8 @@ def _check(command: str, spec: SweepSpec, args: argparse.Namespace) -> None:
             )
     if command in ("kd", "fig4"):
         # Not fisher.ZERO_PROBABILITY (1e-15): tests/matrix_reference's
-        # condition rejects totals <= 1e-14, and the (1 - r_z)/2 of cmd_kd's
-        # tables sat up to 2.2e-16 below this sin^2(theta/2) over 2e6 random theta.
+        # condition rejects totals <= 1e-14.  cmd_kd's tables form p from
+        # this same sin^2(theta/2), bit for bit, so each point passed has one.
         w = np.square(np.sin(np.array(spec.theta_list)[:, None] / 2.0))
         fails = ~(survival_probability(np.abs(spec.t_list), w) > 1e-14)
         if fails.any():
@@ -502,10 +513,10 @@ def _check(command: str, spec: SweepSpec, args: argparse.Namespace) -> None:
         raise ValueError(
             f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
         )
-    if command == "sweep" and args.workers < 1:
-        raise ValueError(f"workers: {args.workers} must be at least 1")
-    if command == "verify" and args.n_instances is not None and args.n_instances < 1:
-        raise ValueError(f"n_instances: {args.n_instances} must be at least 1")
+    if command == "sweep" and workers < 1:
+        raise ValueError(f"workers: {workers} must be at least 1")
+    if command == "verify" and n_instances is not None and n_instances < 1:
+        raise ValueError(f"n_instances: {n_instances} must be at least 1")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -579,7 +590,8 @@ def main(argv=None) -> int:
     defaults = {"visibility": 0.98} if args.command == "fig4" else None
     try:
         spec = _load_spec(args, defaults)
-        _check(args.command, spec, args)
+        _check(args.command, spec, getattr(args, "workers", 1),
+               getattr(args, "n_instances", None))
         if args.command in DEFAULT_OUT:
             _probe_out(_resolve_out(spec.output_path, DEFAULT_OUT[args.command]))
     except ValueError as exc:

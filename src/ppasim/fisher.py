@@ -30,6 +30,7 @@ from .states import (
     Generator,
     _as_complex_stack,
     _built,
+    _mm,
     _ReadOnly,
     _reject,
     _reject_amplitude,
@@ -104,7 +105,7 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     # eigh sorts ascending, so w[..., -1:] is the largest eigenvalue
     on = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
     vecs_h = vecs.conj().swapaxes(-1, -2)
-    d_eig = vecs_h @ dm @ vecs
+    d_eig = _mm(_mm(vecs_h, dm), vecs)
     pairs = on[..., :, None] | on[..., None, :]
     if not on.all():
         kernel_norm = np.sqrt((np.abs(np.where(pairs, 0.0, d_eig)) ** 2).sum((-2, -1)))
@@ -114,12 +115,12 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
         )
     denom = np.where(pairs, w[..., :, None] + w[..., None, :], 1.0)
     lam_eig = np.where(pairs, 2.0 * d_eig / denom, 0.0)
-    lam = hermitian_part(vecs @ lam_eig @ vecs_h)
+    lam = hermitian_part(_mm(_mm(vecs, lam_eig), vecs_h))
     # the defect in the eigenbasis of rho, kept on the support-support block
-    defect = vecs_h @ ((m @ lam + lam @ m) / 2.0 - dm) @ vecs
+    defect = _mm(_mm(vecs_h, (_mm(m, lam) + _mm(lam, m)) / 2.0 - dm), vecs)
     support = on[..., :, None] & on[..., None, :]
     residual = np.sqrt((np.abs(np.where(support, defect, 0.0)) ** 2).sum((-2, -1)))
-    qfi = np.maximum((dm @ lam).trace(0, -2, -1).real, 0.0)
+    qfi = np.maximum(_mm(dm, lam).trace(0, -2, -1).real, 0.0)
     if qfi.ndim == 0:
         return SLDResult(lam=lam, qfi=float(qfi), residual=float(residual))
     return SLDResult(lam=lam, qfi=qfi, residual=residual)
@@ -200,11 +201,11 @@ class PPAFamily(_ReadOnly):
         k = self._k
         k_h = k.conj().swapaxes(-1, -2)
         u = phase_unitary(self._gen, theta)
-        rho = u @ self._rho0 @ u.conj().swapaxes(-1, -2)
+        rho = _mm(_mm(u, self._rho0), u.conj().swapaxes(-1, -2))
         a = self._gen.mat
-        drho = 1j * (a @ rho - rho @ a)
-        num = k @ rho @ k_h
-        dnum = k @ drho @ k_h
+        drho = 1j * (_mm(a, rho) - _mm(rho, a))
+        num = _mm(_mm(k, rho), k_h)
+        dnum = _mm(_mm(k, drho), k_h)
         p = num.trace(0, -2, -1).real
         _reject(~(p > 0.0), "survival probability {:.3e} leaves no state", p)
         p = p[..., None, None]
@@ -257,13 +258,13 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
         "state purity {:.10f}; formula requires a pure state", purity,
     )
     k_op = _as_complex_stack(k_plus, "K+")
-    k_rho = k_op @ rho_theta.mat
-    ka_rho = k_op @ a.mat @ rho_theta.mat
+    k_rho = _mm(k_op, rho_theta.mat)
+    ka_rho = _mm(_mm(k_op, a.mat), rho_theta.mat)
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
     k_conj = k_op.conj()
     p = np.einsum("...ij,...ij->...", k_rho, k_conj).real
     _reject(p <= ZERO_PROBABILITY, "postselection probability vanished")
-    term1 = np.einsum("...ij,...ij->...", ka_rho @ a.mat, k_conj).real
+    term1 = np.einsum("...ij,...ij->...", _mm(ka_rho, a.mat), k_conj).real
     term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_conj)))
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / (p * p), 0.0)
 
@@ -296,11 +297,11 @@ def cfi(n, family: PPAFamily, theta):
     """
     proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
     rho, drho = family.state_and_derivative(theta)
-    q = (rho.mat @ proj).trace(0, -2, -1).real
+    q = _mm(rho.mat, proj).trace(0, -2, -1).real
     _reject(
         (q < 1e-12) | (q > 1.0 - 1e-12),
         "outcome probability {:.3e} carries no information", q,
     )
-    dq = (drho @ proj).trace(0, -2, -1).real
+    dq = _mm(drho, proj).trace(0, -2, -1).real
     info = dq * dq / (q * (1.0 - q))
     return float(info) if info.ndim == 0 else info

@@ -28,6 +28,7 @@ from .states import (
     _built,
     _check_povm,
     _freeze,
+    _mm,
     _ReadOnly,
     _reject,
     _reject_non_psd,
@@ -71,7 +72,7 @@ def filter_povm(k_plus) -> POVM:
     The one check, that 1 - M is PSD, rejects a K+ that is not a contraction.
     """
     k = _as_complex_stack(k_plus, "K+")
-    m = k.conj().swapaxes(-1, -2) @ k
+    m = _mm(k.conj().swapaxes(-1, -2), k)
     rest = _as_complex_stack(np.eye(k.shape[-1]) - m, "POVM element")
     _reject_non_psd(rest[..., None, :, :])
     # then M = K^dag K is PSD too, and M + (1 - M) = 1
@@ -109,7 +110,7 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
         for i, p in enumerate(povms)
     )
     for s in first:
-        op = s @ op[..., None, :, :]
+        op = _mm(s, op[..., None, :, :])
     # the last measurement is traced against op in one contraction, so no
     # intermediate holds all k outcome axes times d x d; Tr(M op) sums
     # M[a, b] op[b, a], O(d^2) where the product would be O(d^3)
@@ -119,20 +120,22 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     return _freeze(values)
 
 
-def kd_table_closed_form(r, t) -> np.ndarray:
+def kd_table_closed_form(r, t, w) -> np.ndarray:
     """Conditional quasiprobability table of the amplification scheme.
 
     2x2 complex array over (a, a') in {a+, a-} x {a+, a-}, conditioned on
     the filter's pass outcome, for the unfiltered state with Bloch vector
-    ``r`` and filter amplitude ``t``.  With T = |t|^2 and the survival
-    probability p = T + (1 - T)(1 - r_z)/2 (:func:`survival_probability`):
+    ``r`` and |1> population ``w`` = (1 - r_z)/2, and filter amplitude
+    ``t``.  With T = |t|^2 and the survival probability p = T + (1 - T) w
+    (:func:`survival_probability`):
 
         diag:      (1 + T)(1 +- r_x) / (4 p)
         (a+, a-):  (T - 1)(r_z + i r_y) / (4 p)
         (a-, a+):  conjugate
 
-    The imprinted state of phase theta has r = (0, sin theta, cos theta).
-    A (..., 3) stack ``r`` and an array ``t`` broadcast to (..., 2, 2)
+    The imprinted state of phase theta has r = (0, sin theta, cos theta) and
+    w = sin^2(theta/2), whose digits (1 - cos theta)/2 loses at small theta.
+    A (..., 3) stack ``r`` and arrays ``t`` and ``w`` broadcast to (..., 2, 2)
     tables.  Where p <= ZERO_PROBABILITY nothing survives: there is no
     conditional table, so that instance's table is nan.
     """
@@ -141,14 +144,15 @@ def kd_table_closed_form(r, t) -> np.ndarray:
     t_mag = np.abs(t)
     _reject(~(t_mag <= 1.0 + 1e-12), "|t| must lie in [0, 1]")
     t2 = t_mag * t_mag
-    p = survival_probability(t_mag, (1.0 - z) / 2.0)
+    p = survival_probability(t_mag, w)
     q = 4.0 * np.where(p > ZERO_PROBABILITY, p, np.nan)
     diag = (1.0 + t2) / q
     # each part divided by the real q, as a real division rounds (numpy's
     # complex division multiplies by a reciprocal instead)
     off = (t2 - 1.0) * z / q + 1j * ((t2 - 1.0) * y / q)
-    table = np.empty(np.shape(p) + (2, 2), dtype=complex)
-    table[..., 0, 0], table[..., 0, 1] = diag * (1.0 + x), off
+    upper = diag * (1.0 + x)  # has the batch axes of every argument
+    table = np.empty(np.shape(upper) + (2, 2), dtype=complex)
+    table[..., 0, 0], table[..., 0, 1] = upper, off
     table[..., 1, 0], table[..., 1, 1] = off.conj(), diag * (1.0 - x)
     return table
 

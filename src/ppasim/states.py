@@ -79,6 +79,24 @@ def _reject_amplitude(mag, message: str) -> None:
     _reject(~np.logical_and(0.0 < mag, mag <= 1.0 + 1e-12), message)
 
 
+# Largest inner dimension that _mm sums as rank-1 products: up to it the sum
+# beats NumPy's one BLAS call per matrix of a stack; at d = 4 they tie.
+_MM_CROSSOVER = 3
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the last two axes, the leading axes broadcast: for an inner
+    dimension k <= ``_MM_CROSSOVER`` the sum over j of the rank-1 products
+    a[..., :, j] b[..., j, :], which can differ from BLAS in the last bit."""
+    k = a.shape[-1]
+    if not 0 < k <= _MM_CROSSOVER:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, k):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2, for one matrix or a stack of them."""
     m = np.asarray(mat, dtype=complex)
@@ -102,7 +120,7 @@ def _spectral_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     low = w.min(-1, initial=0.0)
     _reject(low < -ATOL_STRUCT, "matrix is not PSD (min eigenvalue {:.3e})", low)
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _mm(v * w[..., None, :], v.conj().swapaxes(-1, -2))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -268,7 +286,7 @@ class Generator(_ReadOnly):
             eigenvalues=np.stack([w[..., r].mean(-1) for r in runs], -1),
             # P_i = V_i V_i^dag over the columns of eigenspace i
             projectors=np.stack(
-                [v[..., r] @ v[..., r].conj().swapaxes(-1, -2) for r in runs], -3
+                [_mm(v[..., r], v[..., r].conj().swapaxes(-1, -2)) for r in runs], -3
             ),
         )
 

@@ -44,6 +44,7 @@ from .states import (
     DensityMatrix,
     Generator,
     _built,
+    _mm,
     _reject,
     _spectral_sqrt,
     hermitian_part,
@@ -135,7 +136,7 @@ def axis_angle(u, w):
 
 def sld_axis(lam: np.ndarray) -> np.ndarray:
     """Bloch axis (standard coords) of a qubit SLD's traceless part, or (..., 3) axes."""
-    vec = np.stack([(lam @ s).trace(0, -2, -1).real for s in PAULIS], -1)
+    vec = np.stack([_mm(lam, s).trace(0, -2, -1).real for s in PAULIS], -1)
     n = np.linalg.norm(vec, axis=-1, keepdims=True)
     _reject(n[..., 0] < 1e-12, "SLD has no traceless part; the axis is undefined")
     return vec / n
@@ -224,9 +225,9 @@ def _qudit_batches(draws):
         # spectral sums over one orthonormal frame, whose slots sum to 1
         gen = _built(
             Generator,
-            mat=(q * eigs[:, None, :]) @ q_h,
+            mat=_mm(q * eigs[:, None, :], q_h),
             eigenvalues=np.broadcast_to(slots, (len(pos), len(slots))),
-            projectors=cols @ cols.conj().swapaxes(-1, -2),
+            projectors=_mm(cols, cols.conj().swapaxes(-1, -2)),
         )
 
         v_lo, v_hi = q[..., 0], q[..., -1]
@@ -240,7 +241,7 @@ def _qudit_batches(draws):
         # supported eigenvectors; this equalizes <v_lo|M|v_lo>-type weights
         # exactly without changing PSD-ness.
         x = _complex(x)
-        mb = q_h @ (x @ x.conj().swapaxes(-1, -2)) @ q
+        mb = _mm(_mm(q_h, _mm(x, x.conj().swapaxes(-1, -2))), q)
         w_lo = np.abs((psi * v_lo.conj()).sum(-1)) ** 2 * mb[:, 0, 0].real
         w_hi = np.abs((psi * v_hi.conj()).sum(-1)) ** 2 * mb[:, -1, -1].real
         # choose s so that |<psi|v_lo>|^2 M_00 s^2 = |<psi|v_hi>|^2 M_dd / s^2
@@ -250,7 +251,7 @@ def _qudit_batches(draws):
         scale[:, -1] = 1.0 / s
         mb = (scale[:, :, None] * mb) * scale[:, None, :]
         # K = sqrt(M) of M rescaled to top eigenvalue top_to, from one eigh
-        w, v = np.linalg.eigh(hermitian_part(q @ mb @ q_h))
+        w, v = np.linalg.eigh(hermitian_part(_mm(_mm(q, mb), q_h)))
         yield pos, rho, gen, _spectral_sqrt(w * (top_to / w[:, -1])[:, None], v)
 
 
@@ -271,7 +272,7 @@ def _random_densities(probs, z) -> DensityMatrix:
     """
     q, _ = np.linalg.qr(z)
     # a probability vector in a unitary frame
-    mat = (q * probs[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    mat = _mm(q * probs[..., None, :], q.conj().swapaxes(-1, -2))
     return _built(DensityMatrix, mat=mat)
 
 
@@ -281,13 +282,11 @@ def _random_povms(x) -> np.ndarray:
 
     ``x`` is (..., n_out, d, d).
     """
-    raw = x @ x.conj().swapaxes(-1, -2)
+    raw = _mm(x, x.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(raw.sum(-3))
-    inv_sqrt = ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))[
-        ..., None, :, :
-    ]
+    inv_sqrt = _mm(v / np.sqrt(w)[..., None, :], v.conj().swapaxes(-1, -2))[..., None, :, :]
     # congruences of PSD G_i by S^-1/2, which sum to S^-1/2 S S^-1/2 = 1
-    return inv_sqrt @ raw @ inv_sqrt
+    return _mm(_mm(inv_sqrt, raw), inv_sqrt)
 
 
 def _marginalization_draws(rng: np.random.Generator, n: int) -> list:
@@ -386,7 +385,7 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
             zh = _complex(zh)
             rho = _random_densities(probs, zh[:, 0])
             h = hermitian_part(zh[:, 1])
-            drho = 1j * (h @ rho.mat - rho.mat @ h)  # any Hamiltonian family
+            drho = 1j * (_mm(h, rho.mat) - _mm(rho.mat, h))  # any Hamiltonian family
             yield sld(rho, drho).residual
     return _fold("sylvester-residual", _GRID_STATES + n_instances, 1e-8, residuals())
 

@@ -150,7 +150,7 @@ def test_criterion_4_conditional_tables(capsys):
             kd = kd_distribution(rho, ppa_povm_sequence(t))
             worst_sum = max(worst_sum, abs(kd.sum() - 1.0))
             cond = condition(kd, 1, 0)
-            ref = kd_table_closed_form(imprinted_bloch(theta), t)
+            ref = kd_table_closed_form(imprinted_bloch(theta), t, math.sin(theta / 2) ** 2)
             scaled = np.abs(cond - ref) / np.maximum(1.0, np.abs(ref))
             worst_table = max(worst_table, float(scaled.max()))
     marg = marginalization_suite(seed=0, n_instances=200)
@@ -264,7 +264,8 @@ def test_criterion_8_negativity_milestone(capsys):
     n_high = 0
     for theta in thetas:
         for t in ts:
-            table = kd_table_closed_form(imprinted_bloch(theta), t)
+            w = math.sin(theta / 2) ** 2
+            table = kd_table_closed_form(imprinted_bloch(theta), t, w)
             most_negative = min(most_negative, float(table[0, 1].real))
             info = qfi_ppa_family(theta, t)
             if info > 200.0:

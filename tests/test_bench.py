@@ -1,4 +1,3 @@
-import argparse
 import itertools
 import math
 
@@ -62,9 +61,9 @@ def matrix_pipeline(theta, t, epsilon, visibility):
 
 def check_sweep_point(theta_true=0.1, t_set=0.5, **fields):
     """The sweep's input check on the one-point grid (theta_true, t_set), with
-    the other SweepSpec fields as given; run_trials itself checks nothing."""
+    the other SweepSpec fields as given; run_trials checks only the sampling mode."""
     spec = SweepSpec(theta_list=[theta_true], t_list=[t_set], **fields)
-    cli._check("sweep", spec, argparse.Namespace(workers=1))
+    cli._check("sweep", spec)
 
 
 def polar_angle(r):
@@ -704,15 +703,16 @@ def test_config_rejects_invalid_fields(kwargs):
 
 
 def test_run_trials_rejects_an_unknown_sampling_mode(tmp_path):
-    # library calls skip cli._check: a mode it rejects is refused with its
-    # message before any draw, not run as Poisson, and the sweep writes no file
+    # run_trials refuses a mode cli._check rejects, with its message, before
+    # any draw, not run as Poisson; cmd_sweep runs cli._check itself, so it
+    # raises that message before any draw, and the sweep writes no file
     out = tmp_path / "bursty.csv"
     spec = SweepSpec(theta_list=[0.1], t_list=[0.5], sampling_mode="bursty",
                      n_trials=4, output_path=str(out))
     message = r"sampling_mode: 'bursty' must be 'fixed' or 'poisson'$"
     with pytest.raises(ValueError, match="^" + message):
         run_trials(spec, [(0, 0)])
-    with pytest.raises(ValueError, match=r"^grid point theta = 0.1, .*: " + message):
+    with pytest.raises(ValueError, match="^" + message):
         cli.cmd_sweep(spec)
     assert not out.exists()
 

@@ -144,7 +144,8 @@ CASES = [
      "qfi_ppa_family requires 0 < t_mag <= 1"),
     ("qfi-family-v", qfi_ppa_family, (0.1, 0.5, 0.9), (0.1, 0.5, 1.2),
      "visibility must lie in (0, 1]"),
-    ("kd-table-t", kd_table_closed_form, ([0.0, 0.0, 1.0], 0.5), ([0.0, 0.0, 1.0], 1.5),
+    ("kd-table-t", kd_table_closed_form,
+     ([0.0, 0.0, 1.0], 0.5, 0.0), ([0.0, 0.0, 1.0], 1.5, 0.0),
      "|t| must lie in [0, 1]"),
     ("gap4-family-t", gap4_ppa_family, (0.1, -0.5, 0.9), (0.1, 1.5, 0.9),
      "|t| must lie in [0, 1]"),

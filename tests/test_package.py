@@ -1,6 +1,9 @@
 import importlib
+import json
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,15 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert blocks
     monkeypatch.chdir(tmp_path)
     exec(compile("".join(blocks), str(readme), "exec"), {"__name__": "__main__"})
+
+
+def test_benchmark_verify_smoke_run_is_correct():
+    # the verify run of CI's "Benchmark smoke test" step (perfbench/test_smoke.py),
+    # whose checks fail the run unless every suite prints its n and PASS
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify", "--seed", "7",
+         "--seconds", "1", "--tiny"],
+        cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

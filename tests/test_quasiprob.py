@@ -74,6 +74,16 @@ def imprinted_bloch(theta):
     return np.array([0.0, math.sin(theta), math.cos(theta)])
 
 
+def imprinted_table(theta, t):
+    """kd_table_closed_form of imprinted_state(theta), |1> population sin^2(theta/2)."""
+    return kd_table_closed_form(imprinted_bloch(theta), t, math.sin(theta / 2) ** 2)
+
+
+def population(r):
+    """The |1> population (1 - r_z)/2 of Bloch vectors r."""
+    return (1.0 - np.asarray(r)[..., 2]) / 2.0
+
+
 # ----------------------------------------------------------------- structure
 
 
@@ -265,7 +275,7 @@ def test_conditional_table_matches_closed_form():
         for t in (0.044, 0.3, 0.9, 1.0):
             kd = kd_distribution(imprinted_state(theta), ppa_povm_sequence(t))
             cond = condition(kd, 1, 0)
-            table = kd_table_closed_form(imprinted_bloch(theta), t)
+            table = imprinted_table(theta, t)
             assert np.abs(cond - table).max() < 1e-12
     # mixed states anywhere in the ball (tomographic estimates among them)
     # and complex amplitudes
@@ -276,11 +286,11 @@ def test_conditional_table_matches_closed_form():
         t = rng.uniform(0.044, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
         rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
-        assert np.abs(cond - kd_table_closed_form(r, t)).max() < 1e-12
+        assert np.abs(cond - kd_table_closed_form(r, t, population(r))).max() < 1e-12
 
 
 def test_conditional_table_frozen_values():
-    table = kd_table_closed_form(imprinted_bloch(0.2), 0.5)
+    table = imprinted_table(0.2, 0.5)
     assert abs(table[0, 0] - 1.2137099119211106) < 1e-12
     assert abs(table[0, 1] - (-0.7137099119211106 - 0.14467616158841984j)) < 1e-12
     # rounded presentation values
@@ -297,7 +307,7 @@ def test_conditional_normalizer_is_survival_probability():
 
 
 def test_conditional_table_no_filter_is_classical():
-    table = kd_table_closed_form(imprinted_bloch(0.3), 1.0)
+    table = imprinted_table(0.3, 1.0)
     assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-14
 
 
@@ -305,7 +315,7 @@ def test_conditional_table_sums_to_one():
     for _ in range(20):
         theta = float(RNG.uniform(0.01, 3.0))
         t = float(RNG.uniform(0.0, 1.0))
-        assert abs(kd_table_closed_form(imprinted_bloch(theta), t).sum() - 1.0) < 1e-10
+        assert abs(imprinted_table(theta, t).sum() - 1.0) < 1e-10
 
 
 def test_closed_form_table_rejects_dead_slice():
@@ -322,12 +332,12 @@ def test_closed_form_table_rejects_dead_slice():
     dead[0, 1] = dead[1, 2] = True
     r[dead] = (0.0, 0.0, 1.0)
     for stack, mask in ((r, dead), (r[1], dead[1])):
-        tables = kd_table_closed_form(stack, 0.0)
+        tables = kd_table_closed_form(stack, 0.0, population(stack))
         gaps = nonclassicality_gap(tables, axes=(-2, -1))
         assert np.isnan(tables[mask]).all() and np.isfinite(tables[~mask]).all()
         assert np.array_equal(np.isnan(gaps), mask)
         for k in np.ndindex(mask.shape):
-            one = kd_table_closed_form(stack[k], 0.0)
+            one = kd_table_closed_form(stack[k], 0.0, population(stack[k]))
             assert np.array_equal(tables[k], one, equal_nan=True)
 
 
@@ -339,11 +349,11 @@ def test_closed_form_table_of_a_stack_is_the_per_vector_tables():
     r /= np.linalg.norm(r, axis=-1, keepdims=True)
     r *= rng.uniform(0.0, 1.0, size=(2, 3, 1))
     t = 0.3 * np.exp(0.4j)
-    tables = kd_table_closed_form(r, t)
+    tables = kd_table_closed_form(r, t, population(r))
     gaps = nonclassicality_gap(tables, axes=(-2, -1))
     assert tables.shape == (2, 3, 2, 2) and gaps.shape == (2, 3)
     for k in np.ndindex(2, 3):
-        one = kd_table_closed_form(r[k], t)
+        one = kd_table_closed_form(r[k], t, population(r[k]))
         assert np.array_equal(tables[k], one)
         assert gaps[k] == nonclassicality_gap(one)
 
@@ -513,7 +523,8 @@ def test_family_gap_is_the_gap_of_its_table(v):
     # is the family's QFI (t/p)^2
     theta, t = np.array(verify.THETA_GRID)[:, None], np.array((-0.5,) + verify.T_GRID)
     r = v * np.stack(np.broadcast_arrays(0.0, np.sin(theta), np.cos(theta)), -1)
-    table = 4.0 * nonclassicality_gap(kd_table_closed_form(r, t), axes=(-2, -1))
+    tables = kd_table_closed_form(r, t, population(r))
+    table = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
     closed = gap4_ppa_family(theta, t, v)
     np.testing.assert_allclose(closed, table, rtol=1e-12, atol=0.0)
     if v == 1.0:
@@ -527,7 +538,7 @@ def test_family_gap_of_a_blocking_filter():
     # theta = 0, which it blocks entirely; at v < 1 the gap is (1 - v^2)/(4 p^2)
     assert gap4_ppa_family(0.5, 0.0) == 0.0
     assert math.isnan(gap4_ppa_family(0.0, 0.0))
-    assert np.isnan(kd_table_closed_form([0.0, 0.0, 1.0], 0.0)).all()
+    assert np.isnan(kd_table_closed_form([0.0, 0.0, 1.0], 0.0, 0.0)).all()
     assert gap4_ppa_family(0.0, 0.0, 0.5) == pytest.approx(0.75 / 0.25**2 / 4, rel=1e-15)
 
 
@@ -549,7 +560,7 @@ def test_off_diagonal_negativity_with_noncommuting_filter():
     # negative on the near quadrant whenever the filter actually filters
     for theta in (0.05, 0.4, 1.2, 1.5):
         for t in (0.0, 0.3, 0.9):
-            table = kd_table_closed_form(imprinted_bloch(theta), t)
+            table = imprinted_table(theta, t)
             assert table[0, 1].real < 0.0
 
 

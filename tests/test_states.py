@@ -11,8 +11,10 @@ from ppasim.cli import SweepSpec
 from ppasim.fisher import PPAFamily, qfi_postselected_pure
 from ppasim.quasiprob import POVM, filter_povm
 from ppasim.states import (
+    _MM_CROSSOVER,
     DensityMatrix,
     Generator,
+    _mm,
     amplified_angle,
     make_filter,
     phase_unitary,
@@ -490,3 +492,35 @@ def test_amplified_states_lie_in_the_yz_plane():
         assert abs(x) < 1e-12
         big = amplified_angle(theta, 0.3)
         assert abs(math.atan2(abs(y), z) - big) < 1e-12
+
+
+# ------------------------------------------------------ small-matrix products
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_mm_is_matmul_in_every_broadcast_pattern_src_uses(d):
+    # each product is a @ b to 1e-15 |a| |b| (Frobenius norms per instance);
+    # above the crossover it is a @ b itself
+    rng = np.random.default_rng(d)
+    stack = lambda *lead: complex_normal(rng, *lead, d, d)
+    patterns = [
+        (stack(40), stack(40)),                    # two stacks (sld, verify builders)
+        (stack(), stack(40)),                      # a shared 2-D operand on the left
+        (stack(40), stack()),                      # and on the right (cfi, sld_axis)
+        (stack(3, 1, 2), stack(3, 5, 1)),          # kd_distribution's outcome axes
+        (stack(6, 1), stack(6, 3)),                # _random_povms' congruence
+        (stack(30).conj().swapaxes(-1, -2), stack(30)),  # strided adjoints
+        (stack(30).real, stack(30)),               # a real factor
+        (complex_normal(rng, 20, d, 2), complex_normal(rng, 20, 2, d)),  # eigenspaces
+    ]
+    for a, b in patterns:
+        got, want = _mm(a, b), a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+        assert (np.abs(got - want).max((-2, -1)) <= 1e-15 * scale).all()
+        if a.shape[-1] > _MM_CROSSOVER:
+            assert np.array_equal(got, want)

@@ -188,19 +188,20 @@ def test_kd_from_tomography_matches_closed_form():
         for t in (0.1, 0.5, 0.9):
             rho = unfiltered_state(theta)
             cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
-            table = kd_table_closed_form(unfiltered_bloch(theta), t)
+            w = math.sin(theta / 2) ** 2
+            table = kd_table_closed_form(unfiltered_bloch(theta), t, w)
             assert np.abs(table - cond).max() < 1e-12
 
 
 def test_kd_from_tomography_open_filter():
-    table = kd_table_closed_form(unfiltered_bloch(0.3), 1.0)
+    table = kd_table_closed_form(unfiltered_bloch(0.3), 1.0, math.sin(0.15) ** 2)
     assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
 
 
 def test_kd_from_tomography_of_a_dead_slice_is_nan():
     # theta = 0 leaves the state at |0>, which t = 0 blocks entirely: there
     # is no conditional table, so the table and its gap are nan
-    table = kd_table_closed_form(unfiltered_bloch(0.0), 0.0)
+    table = kd_table_closed_form(unfiltered_bloch(0.0), 0.0, 0.0)
     assert table.shape == (2, 2) and np.isnan(table).all()
     assert math.isnan(nonclassicality_gap(table))
 
@@ -212,8 +213,9 @@ def test_kd_from_tomography_accepts_reconstructed_input():
     theta, t = 0.2, 0.5
     r = unfiltered_bloch(theta, 0.98)
     rng = np.random.default_rng(21)
-    table = kd_table_closed_form(simulate_tomography(r, 10**6, rng), t)
-    truth = kd_table_closed_form(r, t)
+    est = simulate_tomography(r, 10**6, rng)
+    table = kd_table_closed_form(est, t, (1.0 - est[2]) / 2.0)
+    truth = kd_table_closed_form(r, t, (1.0 - r[2]) / 2.0)
     assert np.abs(table - truth).max() < 5e-3
 
 
