@@ -398,7 +398,9 @@ def cmd_fig4(spec: SweepSpec) -> str:
 
 
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
-    """Run the self-verification suites; exit code 0 iff all pass."""
+    """Run the self-verification suites; exit code 0 iff all pass.  A value
+    :func:`_check` rejects raises ValueError before any suite runs."""
+    _check("verify", SweepSpec(seed=seed), n_instances=n_instances)
     results = run_all(seed, n_instances)
     print(*(r.summary() for r in results), sep="\n")
     return 0 if all(r.passed for r in results) else 1
@@ -452,9 +454,9 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
     """Raise ValueError at the first value ``command`` cannot evaluate.
 
     Every value rule of the four commands is here, once, with the commands
-    it applies to; SweepSpec has checked the types.  main() runs it before
-    any work, and so do :func:`cmd_sweep`, :func:`cmd_kd` and
-    :func:`cmd_fig4`, for library calls.  The message starts with the
+    it applies to; SweepSpec has checked the types, and this checks
+    ``n_instances``'s.  main() runs it before any work, and so do the four
+    ``cmd_*`` functions, for library calls.  The message starts with the
     field and quotes the value.  The grids come first, entry by entry:
     theta_list, t_list, then the (theta, t) points in row-major order.  The
     other fields follow in SweepSpec order, then ``workers`` and
@@ -515,8 +517,9 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
         )
     if command == "sweep" and workers < 1:
         raise ValueError(f"workers: {workers} must be at least 1")
-    if command == "verify" and n_instances is not None and n_instances < 1:
-        raise ValueError(f"n_instances: {n_instances} must be at least 1")
+    if command == "verify" and n_instances is not None:
+        if _checked("n_instances", n_instances, 0) < 1:
+            raise ValueError(f"n_instances: {n_instances} must be at least 1")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

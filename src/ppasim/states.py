@@ -254,42 +254,6 @@ class Generator(_ReadOnly):
 
     __slots__ = ("mat", "eigenvalues", "projectors")
 
-    @classmethod
-    def from_matrix(cls, mat) -> "Generator":
-        """Spectral decomposition of one Hermitian matrix, or of a stack whose
-        instances share their eigenspace multiplicities (else it raises,
-        naming the first instance that differs).  Eigenvalues within 1e-10
-        of the first of their run are one eigenspace, valued at their mean.
-        """
-        m = _as_complex_stack(mat, "generator")
-        bad = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1)) > ATOL_STRUCT
-        _reject(bad, "generator must be Hermitian within 1e-10")
-        w, v = np.linalg.eigh(m)
-        d = w.shape[-1]
-        # new[..., j]: w[..., j] leaves the first eigenvalue of its run by
-        # more than 1e-10, so it starts an eigenspace
-        new = np.zeros(w.shape, dtype=bool)
-        first = w[..., 0]
-        for j in range(1, d):
-            new[..., j] = w[..., j] - first > ATOL_STRUCT
-            first = np.where(new[..., j], w[..., j], first)
-        # every instance must start its eigenspaces where the first does
-        lead = new.reshape(-1, d)[:1]
-        _reject(
-            (new != lead).any(-1),
-            "eigenspace multiplicities differ from those of the first instance",
-        )
-        bounds = (0, *np.flatnonzero(lead), d)
-        runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        return cls(
-            mat=m,
-            eigenvalues=np.stack([w[..., r].mean(-1) for r in runs], -1),
-            # P_i = V_i V_i^dag over the columns of eigenspace i
-            projectors=np.stack(
-                [_mm(v[..., r], v[..., r].conj().swapaxes(-1, -2)) for r in runs], -3
-            ),
-        )
-
     def __init__(self, mat, eigenvalues, projectors) -> None:
         for name, value in zip(self.__slots__, (mat, eigenvalues, projectors)):
             object.__setattr__(self, name, _freeze(value))
@@ -305,8 +269,10 @@ class Generator(_ReadOnly):
 
 @functools.cache
 def ppa_generator() -> Generator:
-    """The qubit phase generator sigma_x / 2 (eigenvalue spread 1), built once."""
-    return Generator.from_matrix(SIGMA_X / 2)
+    """The qubit phase generator sigma_x / 2 (eigenvalue spread 1), built once
+    from its spectrum: eigenvalues -1/2 and 1/2 with projectors (1 -+ sigma_x)/2."""
+    return _built(Generator, mat=SIGMA_X / 2, eigenvalues=np.array([-0.5, 0.5]),
+                  projectors=np.stack([(ID2 - SIGMA_X) / 2, (ID2 + SIGMA_X) / 2]))
 
 
 def phase_unitary(gen: Generator, theta) -> np.ndarray:

@@ -10,7 +10,8 @@ theta form, against which ``fisher.survival_probability`` is checked.
 seed, and :func:`point_stream` builds a grid point's keyed stream afresh.
 :func:`kd_entries` is ``kd_distribution`` one instance and one outcome tuple
 at a time, and :func:`qubit_instances` draws verify's random qubit instances
-as one stack.
+as one stack.  :func:`spectral_generator` builds a phase generator from a
+known spectrum, as the program does.
 """
 
 import functools
@@ -27,6 +28,7 @@ from ppasim.states import (
     ID2,
     PAULIS,
     DensityMatrix,
+    Generator,
     make_filter,
     phase_unitary,
     ppa_generator,
@@ -170,3 +172,18 @@ def qubit_instances(rng, n):
     [(_, *draws)] = verify._qubit_draws(rng, n)  # one group of d = 2, as one run
     [(_, *instances)] = verify._qubit_batches([draws])
     return tuple(instances)
+
+
+def spectral_generator(frame, eigenvalues):
+    """The Generator of Q diag(a) Q^dag, from a unitary frame Q and its d
+    eigenvalues a, through the validating constructor.  The columns of Q
+    whose eigenvalues are exactly equal span one eigenspace: no eigh and no
+    tolerance.  The eigenspaces are in increasing order of eigenvalue."""
+    q = np.asarray(frame, dtype=complex)
+    a = np.asarray(eigenvalues, dtype=float)
+    values = np.unique(a)
+    return Generator(
+        mat=(q * a) @ q.conj().T,
+        eigenvalues=values,
+        projectors=[q[:, a == x] @ q[:, a == x].conj().T for x in values],
+    )

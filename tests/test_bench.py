@@ -45,12 +45,16 @@ def matrix_pipeline(theta, t, epsilon, visibility):
     """Reference for postselected_bloch: the bench as 2x2 density matrices.
 
     Source v|1><1| + (1 - v) 1/2, conjugation by exp(i (theta - pi) G) with
-    the misaligned waveplate generator G = cos(2 eps) sigma_x/2 +
-    sin(2 eps) sigma_z/2, then K+ rho K+^dag renormalized by its trace.
+    the misaligned waveplate generator G = n.sigma/2, n = (cos 2eps, 0, sin 2eps),
+    whose eigenvalues -1/2 and 1/2 have projectors (1 -+ n.sigma)/2, then
+    K+ rho K+^dag renormalized by its trace.
     """
     rho = visibility * np.diag([0.0, 1.0]) + (1.0 - visibility) * ID2 / 2
-    gen = Generator.from_matrix(
-        math.cos(2 * epsilon) * SIGMA_X / 2 + math.sin(2 * epsilon) * SIGMA_Z / 2
+    n_sigma = math.cos(2 * epsilon) * SIGMA_X + math.sin(2 * epsilon) * SIGMA_Z
+    gen = Generator(
+        mat=n_sigma / 2,
+        eigenvalues=[-0.5, 0.5],
+        projectors=[(ID2 - n_sigma) / 2, (ID2 + n_sigma) / 2],
     )
     u = phase_unitary(gen, theta - math.pi)
     k = make_filter(t)

@@ -194,25 +194,37 @@ SMALL_GRID = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
 # a worker's pipe unchanged.
 FLAG_GRID = ["sweep", "--theta", "0,0.1,3.1", "--t", "1e-6,0.044,0.5",
              "--budget", "30", "--trials", "8"]
+# CI's w1/w2/w3, p1/p2 and k1/k2 runs: the default grid at budget 30, where
+# some trials detect nothing, and at 1000 trials, more than one block
+BUDGET_30 = ["sweep", "--budget", "30", "--trials", "5"]
+POISSON_30 = BUDGET_30 + ["--sampling-mode", "poisson"]
+TRIALS_1000 = ["sweep", "--budget", "30", "--trials", "1000"]
 
 
 # 7 workers exceed the small grid's 6 points.  The forked side runs in a
 # subprocess, whose time limit fails a deadlocked runner instead of hanging.
 @pytest.mark.parametrize(
     "argv, workers",
-    [(SMALL_GRID, 2), (SMALL_GRID, 3), (SMALL_GRID, 7), (FLAG_GRID, 2), (FLAG_GRID, 3)],
-    ids=["2", "3", "7", "flags-2", "flags-3"],
+    [(SMALL_GRID, 2), (SMALL_GRID, 3), (SMALL_GRID, 7), (FLAG_GRID, 2), (FLAG_GRID, 3),
+     (BUDGET_30, 2), (BUDGET_30, 3), (POISSON_30, 2), (TRIALS_1000, 2)],
+    ids=["2", "3", "7", "flags-2", "flags-3", "budget30-2", "budget30-3",
+         "poisson30-2", "trials1000-2"],
 )
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, argv, workers):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
-    subprocess.run(
-        [sys.executable, "-m", "ppasim", *argv, "--out", str(b),
-         "--workers", str(workers)],
-        env=package_env(), stdout=subprocess.DEVNULL, check=True, timeout=60,
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-m", "ppasim", *argv,
+         "--out", str(b), "--workers", str(workers)],
+        env=package_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, check=True, timeout=60,
     )
+    # as CI's fl3.err check: no pipe or file of the pool is left unclosed
+    assert not re.search("Traceback|ResourceWarning", proc.stderr), proc.stderr
     assert a.read_bytes() == b.read_bytes()
+    if argv is BUDGET_30:
+        assert b"empty-trials" in a.read_bytes()
     if argv is FLAG_GRID:
         flags = [row["flags"] for row in read_csv(a)]
         for flag in ("no-data", "empty-trials=7", "empty-trials=6;zero-variance",
@@ -611,6 +623,34 @@ def test_sweep_with_negative_t_writes_the_rows_of_its_magnitude(tmp_path, capsys
     assert neg.read_bytes() == pos.read_bytes()
 
 
+def test_ci_poisson_sweep_of_negative_grids_with_systematics_writes_every_row(
+    tmp_path, capsys
+):
+    # CI's `ppasim sweep --theta -0.3,0.5 --t -0.5,0.3 --delta-t 0.01
+    # --epsilon 0.02 --sampling-mode poisson --trials 4`
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--theta", "-0.3,0.5", "--t", "-0.5,0.3", "--delta-t", "0.01",
+            "--epsilon", "0.02", "--sampling-mode", "poisson", "--trials", "4"]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    rows = read_csv(out)
+    assert [(r["theta_true"], r["t_mag"]) for r in rows] == [
+        ("-0.3", "0.5"), ("-0.3", "0.3"), ("0.5", "0.5"), ("0.5", "0.3")
+    ]
+    for row in rows:
+        assert row["flags"] == ""
+        assert abs(float(row["mean_estimate"]) - float(row["theta_true"])) < 0.05
+
+
+def test_ci_sweep_point_whose_survival_underflows_flags_no_data(tmp_path, capsys):
+    # CI's `ppasim sweep --theta 0 --t 1e-300 --delta-t 0.1 --trials 2` and its
+    # grep: at theta = 0 and v = 1 the survival probability t^2 is 0
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--theta", "0", "--t", "1e-300", "--delta-t", "0.1", "--trials", "2"]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    [row] = out.read_text().splitlines()[1:]
+    assert re.fullmatch(r"0,1e-300,.*,nan,nan,no-data", row), row
+
+
 def test_out_dir_environment_resolution(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PPASIM_OUT_DIR", str(tmp_path))
     code, printed = run(
@@ -663,6 +703,46 @@ def test_rewrite_over_a_longer_file_gives_the_bytes_of_a_fresh_write(tmp_path, c
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, grid",
+    [("re.csv", ["fig4", "--theta", "0.1,0.5", "--t", "0.3,1.0"]),
+     ("re.json", ["kd", "--theta", "0.2,1.5", "--t", "0.5"])],
+    ids=["fig4", "kd"],
+)
+def test_ci_shorter_rewrite_through_main_gives_the_bytes_of_a_fresh_write(
+    tmp_path, capsys, monkeypatch, name, grid
+):
+    # CI's `ppasim fig4 --out re.csv`, the 2 x 2 grid over it and `cmp re.csv
+    # f1.csv`, and kd's re.json and kd1.json likewise
+    monkeypatch.chdir(tmp_path)
+    assert run([grid[0], "--out", name], capsys)[0] == 0
+    long_size = (tmp_path / name).stat().st_size
+    assert run(grid + ["--out", name], capsys)[0] == 0
+    assert run(grid + ["--out", "fresh"], capsys)[0] == 0
+    assert long_size > (tmp_path / "fresh").stat().st_size
+    assert (tmp_path / name).read_bytes() == (tmp_path / "fresh").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["sweep", "--trials", "4"], "sweep.csv"), (["kd"], "kd.json"),
+     (["fig4"], "fig4.csv")],
+    ids=["sweep", "kd", "fig4"],
+)
+def test_ci_commands_without_out_write_their_default_file_in_the_cwd(
+    tmp_path, capsys, monkeypatch, argv, name
+):
+    # CI's `ppasim sweep --trials 4`, `ppasim kd` and `ppasim fig4`, run in an
+    # empty directory without PPASIM_OUT_DIR
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    assert run(argv, capsys) == (0, name + "\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    text = (tmp_path / name).read_text()
+    n = len(json.loads(text)) if name.endswith(".json") else len(text.splitlines()) - 1
+    assert n == len(THETA_GRID) * len(T_GRID)
+
+
 def test_a_rewrite_keeps_the_file(tmp_path):
     out = tmp_path / "kd.json"
     write_output("kd", out, FULL_GRID)
@@ -683,8 +763,10 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
-def test_kd_writes_to_dev_null():
+def test_kd_writes_to_dev_null(capsys):
     assert cli.cmd_kd(THETA_GRID, T_GRID, "/dev/null") == "/dev/null"
+    # CI's `ppasim kd --out /dev/null`, through main's output probe
+    assert run(["kd", "--out", "/dev/null"], capsys) == (0, "/dev/null\n")
 
 
 def test_no_command_truncates_or_renames_over_an_existing_output(tmp_path, monkeypatch):
@@ -980,6 +1062,7 @@ def test_kd_defaults_cover_the_standard_grid(tmp_path, capsys, monkeypatch):
         # the first point in row-major order that the filter blocks
         (["--theta", "0.5,0", "--t", "1e-8,0"],
          "theta_list, t_list: survival probability at (theta = 0, t = 1e-08)"),
+        (["--t", "1.5"], "t_list"),  # CI's `ppasim kd --t 1.5`
     ],
 )
 def test_kd_rejects_invalid_grid_before_any_work(
@@ -1486,6 +1569,20 @@ def test_fig4_open_filter_reference_point(tmp_path, capsys):
     assert row["qfi_theory_per_input"] == pytest.approx(1.0)
 
 
+def test_ci_fig4_at_a_tiny_t_and_half_visibility_writes_both_rows(tmp_path, capsys):
+    # CI's `ppasim fig4 --theta 1,2 --t 1e-6 --visibility 0.5`: the mixed part
+    # of the source passes half its photons whatever t, so both points survive
+    out = tmp_path / "f.csv"
+    argv = ["fig4", "--theta", "1,2", "--t", "1e-6", "--visibility", "0.5"]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    rows = fig4_rows(out)
+    assert [(r["theta_true"], r["t_mag"]) for r in rows] == [(1.0, 1e-6), (2.0, 1e-6)]
+    for row in rows:
+        p = 0.5 * math.sin(row["theta_true"] / 2) ** 2 + 0.25 * (1.0 + 1e-12)
+        assert row["p_ps"] == pytest.approx(p, rel=1e-11)
+        assert "no-survival" not in row["flags"]
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -1679,6 +1776,30 @@ def test_verify_rejects_invalid_input_before_any_work(
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"ppasim verify: error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(seed=-1), "seed: -1 must be non-negative"),
+        (dict(seed=0, n_instances=-5), "n_instances: -5 must be at least 1"),
+        (dict(seed=0, n_instances=0), "n_instances: 0 must be at least 1"),
+        (dict(seed=True), "seed: expected int, got True"),
+        (dict(seed=0, n_instances=True), "n_instances: expected int, got True"),
+        (dict(seed=0, n_instances=2.5), "n_instances: expected int, got 2.5"),
+    ],
+    ids=["negative-seed", "negative-n", "zero-n", "bool-seed", "bool-n", "float-n"],
+)
+def test_library_verify_rejects_what_the_cli_rejects(monkeypatch, kwargs, message):
+    # cmd_verify runs cli._check before any suite, as main() does: a negative
+    # seed printed three raised-suite FAIL lines, n < 1 ran the n = 1 suites
+    # and a bool ran as 0 or 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran on invalid input")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.cmd_verify(**kwargs)
 
 
 # ---------------------------------------------------------------------- help

@@ -59,8 +59,9 @@ def _qfi(rho, k_plus):
 
 
 def _spectral(mat, values):
+    # the eigenprojectors of the diagonal sigma_z / 2, eigenvalue -1/2 first
     return Generator(
-        mat=mat, eigenvalues=values, projectors=Generator.from_matrix(mat).projectors
+        mat=mat, eigenvalues=values, projectors=[np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]
     )
 
 
@@ -81,8 +82,10 @@ CASES = [
      "density matrix has negative eigenvalue -5.000e-01"),
     ("pure-state", pure_state, ([1.0, 0.0],), ([0.0, 0.0],),
      "cannot normalize a zero vector"),
-    ("generator-hermitian", Generator.from_matrix, (SIGMA_Z,), (UPPER,),
-     "generator must be Hermitian within 1e-10"),
+    # no real spectrum rebuilds a matrix that is not Hermitian
+    ("generator-hermitian", _spectral,
+     (SIGMA_Z / 2, [-0.5, 0.5]), (SIGMA_Z / 2 + 1e-6 * UPPER, [-0.5, 0.5]),
+     "spectral decomposition does not reproduce the generator"),
     ("generator-spectral", _spectral,
      (SIGMA_Z / 2, [-0.5, 0.5]), (SIGMA_Z / 2, [-0.5, 1.5]),
      "spectral decomposition does not reproduce the generator"),

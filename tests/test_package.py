@@ -40,13 +40,25 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     exec(compile("".join(blocks), str(readme), "exec"), {"__name__": "__main__"})
 
 
-def test_benchmark_verify_smoke_run_is_correct():
-    # the verify run of CI's "Benchmark smoke test" step (perfbench/test_smoke.py),
-    # whose checks fail the run unless every suite prints its n and PASS
+def assert_benchmark_smoke_run_is_correct(workload):
+    """The untraced run of ``workload`` in CI's "Benchmark smoke test" step
+    (perfbench/test_smoke.py): it exits 0 and its output checks hold."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify", "--seed", "7",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
          "--seconds", "1", "--tiny"],
         cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_benchmark_verify_smoke_run_is_correct():
+    # its checks fail the run unless every suite prints its n and PASS
+    assert_benchmark_smoke_run_is_correct("verify")
+
+
+@pytest.mark.parametrize("workload", ["sweep-deep", "sweep-wide", "fig4"])
+def test_benchmark_smoke_run_is_correct(workload):
+    # its checks fail the run on a row out of grid order, a qfi_theory (and
+    # for fig4 a p_ps) off its closed form, or a non-finite value with no flag
+    assert_benchmark_smoke_run_is_correct(workload)

@@ -41,6 +41,7 @@ from matrix_reference import (
     ppa_povm_sequence,
     projective_povm,
     qubit_instances,
+    spectral_generator,
     unfiltered_state,
 )
 
@@ -703,7 +704,7 @@ def qudit_instance(z, middle, amp, rel, x, top_to):
     q, _ = np.linalg.qr(gaussian(z))
     d = len(q)
     eigs = np.sort(np.concatenate(([-3], middle, [3])))
-    gen = Generator.from_matrix((q * eigs) @ q.conj().T)
+    gen = spectral_generator(q, eigs)
 
     v_lo = q[:, 0]
     v_hi = q[:, -1]
@@ -984,7 +985,12 @@ def test_gap_equality_on_a_generator_stack_equals_its_instances():
 
 def test_gap_equality_degenerate_four_level():
     # explicit d=4 instance with a doubly degenerate middle eigenvalue
-    gen = Generator.from_matrix(np.diag([-1.0, 0.0, 0.0, 2.0]))
+    gen = Generator(
+        mat=np.diag([-1.0, 0.0, 0.0, 2.0]),
+        eigenvalues=[-1.0, 0.0, 2.0],
+        projectors=[np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 1.0, 0]),
+                    np.diag([0, 0, 0, 1.0])],
+    )
     psi = np.zeros(4, dtype=complex)
     psi[0] = math.sqrt(0.5)
     psi[3] = math.sqrt(0.5) * np.exp(0.3j)

@@ -27,7 +27,7 @@ from ppasim.states import (
     SIGMA_Z,
 )
 
-from matrix_reference import bloch_vector
+from matrix_reference import bloch_vector, spectral_generator
 
 RNG = np.random.default_rng(1234)
 
@@ -35,9 +35,19 @@ E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def random_hermitian(rng, d):
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (h + h.conj().T) / 2
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def random_generator(rng, d):
+    """A generator in a random frame with d normal eigenvalues."""
+    return spectral_generator(random_unitary(rng, d), rng.normal(size=d))
+
+
+def stacked(gens):
+    """One Generator stack of generators of one shape, through the constructor."""
+    return Generator(*(np.stack([getattr(g, n) for g in gens]) for n in Generator.__slots__))
 
 
 def imprinted(theta):
@@ -88,43 +98,33 @@ def test_density_matrix_is_read_only():
 
 
 def test_generator_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="^generator must be Hermitian within 1e-10$"):
-        Generator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # no real spectrum rebuilds a non-Hermitian matrix, not even the spectrum
+    # of its Hermitian part, here sigma_x / 2
+    half = ppa_generator()
+    with pytest.raises(
+        ValueError, match="^spectral decomposition does not reproduce the generator$"
+    ):
+        Generator(mat=[[0.0, 1.0], [0.0, 0.0]], eigenvalues=half.eigenvalues,
+                  projectors=half.projectors)
 
 
 def test_generator_spectral_reconstruction():
     for _ in range(20):
         d = int(RNG.integers(2, 7))
-        h = random_hermitian(RNG, d)
-        gen = Generator.from_matrix(h)
+        # integer eigenvalues, so some eigenspaces have more than one dimension
+        values = RNG.integers(-2, 3, size=d).astype(float)
+        gen = spectral_generator(random_unitary(RNG, d), values)
         rebuilt = sum(a * p for a, p in zip(gen.eigenvalues, gen.projectors))
-        assert np.abs(rebuilt - h).max() < 1e-10
-        for p in gen.projectors:
+        assert np.abs(rebuilt - gen.mat).max() < 1e-10
+        for a, p in zip(gen.eigenvalues, gen.projectors):
             assert np.abs(p @ p - p).max() < 1e-10
+            assert round(np.trace(p).real) == np.count_nonzero(values == a)
 
 
-def test_generator_groups_degenerate_eigenvalues():
-    gen = Generator.from_matrix(np.diag([-1.0, 0.0, 0.0, 2.0]))
-    assert list(gen.eigenvalues) == [-1.0, 0.0, 2.0]
-    assert [int(round(np.trace(p).real)) for p in gen.projectors] == [1, 2, 1]
-    assert gen.eigenvalues[-1] - gen.eigenvalues[0] == 3.0
-
-
-def random_unitary(rng, d):
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q
-
-
-def test_generator_stack_names_the_instance_with_other_multiplicities():
-    # two eigenspaces of two in instances 0 and 1, four of one in instance 2
-    spectra = ([-1.0, -1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0], [-2.0, 0.5, 1.0, 3.0])
-    frames = [random_unitary(RNG, 4) for _ in spectra]
-    mats = np.array([(q * w) @ q.conj().T for q, w in zip(frames, spectra)])
-    with pytest.raises(
-        ValueError,
-        match="^instance 2: eigenspace multiplicities differ from those of the first",
-    ):
-        Generator.from_matrix(mats)
+def test_ppa_generator_is_its_exact_spectrum():
+    gen = ppa_generator()
+    assert gen.eigenvalues.tolist() == [-0.5, 0.5]
+    assert np.array_equal(gen.projectors, [(ID2 - SIGMA_X) / 2, (ID2 + SIGMA_X) / 2])
 
 
 def test_generator_built_directly_is_read_only():
@@ -157,7 +157,8 @@ def test_generator_built_directly_rejects_projectors_that_are_not_a_povm():
 
 
 def test_generator_built_directly_rejects_a_non_finite_spectrum():
-    good = Generator.from_matrix(SIGMA_Z / 2)
+    good = Generator(mat=SIGMA_Z / 2, eigenvalues=[-0.5, 0.5],
+                     projectors=[np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
     with pytest.raises(ValueError, match="^spectral decomposition does not"):
         Generator(mat=good.mat, eigenvalues=[-0.5, np.nan], projectors=good.projectors)
     with pytest.raises(ValueError, match="^spectral decomposition does not"):
@@ -180,7 +181,9 @@ def assert_same_contents(x, y):
 
 HOLDERS = {
     "DensityMatrix": lambda: DensityMatrix(np.diag([0.75, 0.25])),
-    "Generator": lambda: Generator.from_matrix(SIGMA_X / 2),
+    "Generator": lambda: Generator(
+        SIGMA_X / 2, ppa_generator().eigenvalues, ppa_generator().projectors
+    ),
     "POVM": lambda: POVM(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])),
     "PPAFamily": lambda: PPAFamily(0.3, 0.9),
     "SweepSpec": lambda: SweepSpec(theta_list=[0.1, 1], seed=4),
@@ -221,14 +224,15 @@ def test_pure_state_rejects_a_norm_that_overflows():
 
 
 def test_generator_stack_names_the_non_hermitian_instance():
-    mats = np.array([random_hermitian(RNG, 3) for _ in range(4)])
+    gen = stacked([random_generator(RNG, 3) for _ in range(4)])
+    mats = np.array(gen.mat)
     mats[2, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="^instance 2: generator must be Hermitian"):
-        Generator.from_matrix(mats)
+    with pytest.raises(ValueError, match="^instance 2: spectral decomposition"):
+        Generator(mat=mats, eigenvalues=gen.eigenvalues, projectors=gen.projectors)
 
 
 def test_generator_stack_names_the_instance_it_cannot_rebuild():
-    gen = Generator.from_matrix(np.array([random_hermitian(RNG, 3) for _ in range(3)]))
+    gen = stacked([random_generator(RNG, 3) for _ in range(3)])
     values = np.array(gen.eigenvalues)
     values[1, 0] += 1e-3
     with pytest.raises(ValueError, match="^instance 1: spectral decomposition"):
@@ -267,47 +271,38 @@ def test_phase_unitary_zero_is_identity():
 
 def test_phase_unitary_at_pi_over_generator_spread():
     # exp(i pi sigma_x / 2) = i sigma_x, exp(i 2pi sigma_x / 2) = -1
-    u = phase_unitary(Generator.from_matrix(SIGMA_X / 2), math.pi)
+    u = phase_unitary(ppa_generator(), math.pi)
     assert np.abs(u - 1j * SIGMA_X).max() < 1e-12
-    u2 = phase_unitary(Generator.from_matrix(SIGMA_X / 2), 2 * math.pi)
+    u2 = phase_unitary(ppa_generator(), 2 * math.pi)
     assert np.abs(u2 + ID2).max() < 1e-12
 
 
 def test_phase_unitary_matches_expm():
     for _ in range(15):
         d = int(RNG.integers(2, 6))
-        h = random_hermitian(RNG, d)
+        gen = random_generator(RNG, d)
         theta = float(RNG.uniform(-4, 4))
-        expected = scipy.linalg.expm(1j * theta * h)
-        got = phase_unitary(Generator.from_matrix(h), theta)
+        expected = scipy.linalg.expm(1j * theta * gen.mat)
+        got = phase_unitary(gen, theta)
         assert np.abs(got - expected).max() < 1e-10
 
 
 def test_phase_unitary_of_a_generator_stack_is_per_instance():
     # instances that share their eigenspace multiplicities, 1, 2 and 1
     spectra = ([-2.0, 0.5, 0.5, 3.0], [0.0, 1.0, 1.0, 3.0], [-1.0, 2.0, 2.0, 2.5])
-    mats = []
-    for w in spectra:
-        q = random_unitary(RNG, 4)
-        mats.append((q * w) @ q.conj().T)
-    got = phase_unitary(Generator.from_matrix(np.array(mats)), 0.7)
+    gens = [spectral_generator(random_unitary(RNG, 4), w) for w in spectra]
+    got = phase_unitary(stacked(gens), 0.7)
     assert got.shape == (3, 4, 4)
-    for i, mat in enumerate(mats):
-        one = phase_unitary(Generator.from_matrix(mat), 0.7)
+    for i, gen in enumerate(gens):
+        one = phase_unitary(gen, 0.7)
         assert np.abs(got[i] - one).max() < 1e-14
-        assert np.abs(got[i] - scipy.linalg.expm(0.7j * mat)).max() < 1e-10
+        assert np.abs(got[i] - scipy.linalg.expm(0.7j * gen.mat)).max() < 1e-10
 
 
 def test_phase_unitary_is_unitary():
     for _ in range(10):
-        h = random_hermitian(RNG, 4)
-        u = phase_unitary(Generator.from_matrix(h), float(RNG.uniform(-9, 9)))
+        u = phase_unitary(random_generator(RNG, 4), float(RNG.uniform(-9, 9)))
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
-
-
-def test_phase_unitary_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="^generator must be Hermitian within 1e-10$"):
-        phase_unitary(Generator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), 0.3)
 
 
 def test_phase_unitary_population_follows_half_angle():
@@ -320,7 +315,7 @@ def test_phase_unitary_population_follows_half_angle():
 
 def test_phase_unitary_preserves_purity():
     rho = pure_state(RNG.normal(size=3) + 1j * RNG.normal(size=3))
-    u = phase_unitary(Generator.from_matrix(random_hermitian(RNG, 3)), 0.7)
+    u = phase_unitary(random_generator(RNG, 3), 0.7)
     assert abs(DensityMatrix(u @ rho.mat @ u.conj().T).purity() - 1.0) < 1e-12
 
 
