@@ -42,7 +42,7 @@ from .fisher import (
 )
 from .quasiprob import gap4_ppa_family, kd_table_closed_form, nonclassicality_gap
 from .tomography import DEFAULT_DTHETA, simulate_tomography
-from .verify import T_GRID, THETA_GRID, run_all
+from .verify import T_GRID, THETA_GRID, check_run, run_all
 
 __all__ = [
     "SweepSpec",
@@ -509,8 +509,8 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
         )
     if command == "sweep" and spec.n_trials < 2:
         raise ValueError(f"n_trials: {spec.n_trials} is not an integer >= 2")
-    if command in ("sweep", "fig4", "verify") and spec.seed < 0:
-        raise ValueError(f"seed: {spec.seed} must be non-negative")
+    if command in ("sweep", "fig4", "verify"):
+        check_run(spec.seed)
     if command == "fig4" and not 1 <= spec.shots_per_basis <= MAX_COUNT:
         raise ValueError(
             f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
@@ -518,8 +518,7 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
     if command == "sweep" and workers < 1:
         raise ValueError(f"workers: {workers} must be at least 1")
     if command == "verify" and n_instances is not None:
-        if _checked("n_instances", n_instances, 0) < 1:
-            raise ValueError(f"n_instances: {n_instances} must be at least 1")
+        check_run(spec.seed, _checked("n_instances", n_instances, 0))
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

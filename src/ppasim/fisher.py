@@ -26,12 +26,8 @@ import numpy as np
 from .states import (
     ID2,
     PAULIS,
-    DensityMatrix,
-    Generator,
     _as_complex_stack,
-    _built,
     _mm,
-    _ReadOnly,
     _reject,
     _reject_amplitude,
     hermitian_part,
@@ -42,7 +38,7 @@ from .states import (
 
 __all__ = [
     "SLDResult",
-    "PPAFamily",
+    "ppa_family",
     "survival_probability",
     "sld",
     "qfi_bloch",
@@ -80,7 +76,7 @@ def survival_probability(t_mag, w):
     return t2 + (1.0 - t2) * w
 
 
-def sld(rho: DensityMatrix, drho) -> SLDResult:
+def sld(rho: np.ndarray, drho) -> SLDResult:
     """Solve (rho L + L rho)/2 = drho for the SLD L and report QFI = Tr(drho L).
 
     ``drho`` must be Hermitian to 1e-8 with |trace| <= 1e-9.  With rho =
@@ -93,15 +89,14 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     by one batched ``eigh``, with every check per instance; a failure names
     the first failing instance.
     """
-    m = rho.mat
     dm = _as_complex_stack(drho, "drho")
-    if dm.shape != m.shape:
+    if dm.shape != rho.shape:
         raise ValueError("drho dimension does not match rho")
     dev = np.abs(dm - dm.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
     _reject(dev > 1e-8, "drho must be Hermitian")
     tr = np.abs(dm.trace(0, -2, -1))
     _reject(tr > 1e-9, "drho must be traceless (trace-preserving family)")
-    w, vecs = np.linalg.eigh(hermitian_part(m))
+    w, vecs = np.linalg.eigh(hermitian_part(rho))
     # eigh sorts ascending, so w[..., -1:] is the largest eigenvalue
     on = w > 1e-12 * np.maximum(w[..., -1:], 1e-300)
     vecs_h = vecs.conj().swapaxes(-1, -2)
@@ -117,7 +112,7 @@ def sld(rho: DensityMatrix, drho) -> SLDResult:
     lam_eig = np.where(pairs, 2.0 * d_eig / denom, 0.0)
     lam = hermitian_part(_mm(_mm(vecs, lam_eig), vecs_h))
     # the defect in the eigenbasis of rho, kept on the support-support block
-    defect = _mm(_mm(vecs_h, (_mm(m, lam) + _mm(lam, m)) / 2.0 - dm), vecs)
+    defect = _mm(_mm(vecs_h, (_mm(rho, lam) + _mm(lam, rho)) / 2.0 - dm), vecs)
     support = on[..., :, None] & on[..., None, :]
     residual = np.sqrt((np.abs(np.where(support, defect, 0.0)) ** 2).sum((-2, -1)))
     qfi = np.maximum(_mm(dm, lam).trace(0, -2, -1).real, 0.0)
@@ -164,59 +159,43 @@ def qfi_bloch(r, dr):
 _KET0_BRA0 = np.diag([1.0, 0.0]).astype(complex)
 
 
-class PPAFamily(_ReadOnly):
-    """theta-indexed family of postselected states for filter amplitude t.
+def ppa_family(theta, t, v=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The postselected state at ``theta`` of the family of filter amplitude t
+    and visibility v, and its exact analytic theta-derivative.
 
     The input is v|0><0| + (1-v) 1/2 in the frame where the imprinted states
     are cos(theta/2)|0> + i sin(theta/2)|1>; the bench's vertical-input,
-    theta - pi pipeline produces exactly the same family.  ``state`` returns
-    the normalized postselected state, ``derivative`` its exact analytic
-    theta-derivative (quotient rule through the normalization);
-    ``state_and_derivative`` returns both from one evaluation.  ``t``,
-    ``v`` and ``theta`` may be arrays that broadcast to the batch axes of
-    the (..., 2, 2) results; a bad t or v, or a theta at which no photon
-    survives (or which is not finite), names its first instance.
+    theta - pi pipeline produces exactly the same family.  Returns the
+    normalized postselected state K+ rho K+^dag / p and its derivative by the
+    quotient rule through the normalization, both (..., 2, 2).  ``theta``,
+    ``t`` and ``v`` may be arrays that broadcast to the batch axes; a bad t
+    or v, or a theta at which no photon survives (or which is not finite),
+    names its first instance.
     """
-
-    __slots__ = ("t", "v", "_k", "_gen", "_rho0")
-
-    def __init__(self, t: complex, v: float = 1.0) -> None:
-        _reject_amplitude(np.abs(t), "PPAFamily requires 0 < |t| <= 1")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
-        v = np.asarray(v, dtype=float)
-        _reject(~((0.0 < v) & (v <= 1.0)), "visibility must lie in (0, 1]")
-        object.__setattr__(self, "_k", make_filter(t))
-        object.__setattr__(self, "_gen", ppa_generator())
-        v = v[..., None, None]
-        object.__setattr__(self, "_rho0", v * _KET0_BRA0 + (1.0 - v) * ID2 / 2)
-
-    def state(self, theta) -> DensityMatrix:
-        return self.state_and_derivative(theta)[0]
-
-    def derivative(self, theta) -> np.ndarray:
-        return self.state_and_derivative(theta)[1]
-
-    def state_and_derivative(self, theta) -> tuple[DensityMatrix, np.ndarray]:
-        k = self._k
-        k_h = k.conj().swapaxes(-1, -2)
-        u = phase_unitary(self._gen, theta)
-        rho = _mm(_mm(u, self._rho0), u.conj().swapaxes(-1, -2))
-        a = self._gen.mat
-        drho = 1j * (_mm(a, rho) - _mm(rho, a))
-        num = _mm(_mm(k, rho), k_h)
-        dnum = _mm(_mm(k, drho), k_h)
-        p = num.trace(0, -2, -1).real
-        _reject(~(p > 0.0), "survival probability {:.3e} leaves no state", p)
-        p = p[..., None, None]
-        dp = dnum.trace(0, -2, -1).real[..., None, None]
-        # t, v checked in __init__: K rho K^dag / p is a state by construction
-        state = _built(DensityMatrix, mat=num / p)
-        return state, hermitian_part(dnum / p - num * (dp / p**2))
+    _reject_amplitude(np.abs(t), "ppa_family requires 0 < |t| <= 1")
+    v = np.asarray(v, dtype=float)
+    _reject(~((0.0 < v) & (v <= 1.0)), "visibility must lie in (0, 1]")
+    k = make_filter(t)
+    k_h = k.conj().swapaxes(-1, -2)
+    gen = ppa_generator()
+    u = phase_unitary(gen, theta)
+    v = v[..., None, None]
+    rho0 = v * _KET0_BRA0 + (1.0 - v) * ID2 / 2
+    rho = _mm(_mm(u, rho0), u.conj().swapaxes(-1, -2))
+    a = gen[0]
+    drho = 1j * (_mm(a, rho) - _mm(rho, a))
+    num = _mm(_mm(k, rho), k_h)
+    dnum = _mm(_mm(k, drho), k_h)
+    p = num.trace(0, -2, -1).real
+    _reject(~(p > 0.0), "survival probability {:.3e} leaves no state", p)
+    p = p[..., None, None]
+    dp = dnum.trace(0, -2, -1).real[..., None, None]
+    # t and v checked: K rho K^dag / p is a state by construction
+    return num / p, hermitian_part(dnum / p - num * (dp / p**2))
 
 
 def qfi_ppa_family(theta, t_mag, v=1.0):
-    """QFI (v |t| / p)^2 of :class:`PPAFamily` (``t_mag``, ``v``) at ``theta``.
+    """QFI (v |t| / p)^2 of :func:`ppa_family` (``t_mag``, ``v``) at ``theta``.
 
     A qubit family with Bloch vector r has F = |r'|^2 + (r . r')^2 / (1 - |r|^2)
     (Zhong, Sun, Ma, Wang & Nori, PRA 87, 022337, 2013).  With T = |t|^2,
@@ -238,12 +217,13 @@ def qfi_ppa_family(theta, t_mag, v=1.0):
     return np.where(qfi < math.inf, qfi, math.nan)[()]
 
 
-def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
+def qfi_postselected_pure(rho_theta: np.ndarray, a: tuple, k_plus):
     """Postselected QFI 4/p Tr(A rho A M) - 4/p^2 |Tr(A rho M)|^2, M = K+^dag K+.
 
     ``rho_theta`` is the imprinted state *before* the filter acts (the
     normalization by p = Tr(rho M) happens inside the formula), and must be
-    pure to 1e-8.  ``rho_theta`` and ``k_plus`` may carry leading batch
+    pure to 1e-8; of the generator tuple ``a`` only its matrix is read.
+    ``rho_theta`` and ``k_plus`` may carry leading batch
     axes, which broadcast; the result is a float, or an array over the batch
     axes, and each instance is checked for purity and for p > ZERO_PROBABILITY
     (a failure raises ValueError naming the first failing instance).  The
@@ -252,19 +232,20 @@ def qfi_postselected_pure(rho_theta: DensityMatrix, a: Generator, k_plus):
     Reduces to 4 Var(A) when K+ = 1, and gives exactly zero when the filter
     fully blocks the informative component (t = 0).
     """
-    purity = rho_theta.purity()
+    purity = np.einsum("...ij,...ji->...", rho_theta, rho_theta).real
     _reject(
         np.abs(purity - 1.0) > 1e-8,
         "state purity {:.10f}; formula requires a pure state", purity,
     )
+    a_mat = a[0]
     k_op = _as_complex_stack(k_plus, "K+")
-    k_rho = _mm(k_op, rho_theta.mat)
-    ka_rho = _mm(_mm(k_op, a.mat), rho_theta.mat)
+    k_rho = _mm(k_op, rho_theta)
+    ka_rho = _mm(_mm(k_op, a_mat), rho_theta)
     # Tr(X Y^dag) as the sum of X * conj(Y) over the last two axes
     k_conj = k_op.conj()
     p = np.einsum("...ij,...ij->...", k_rho, k_conj).real
     _reject(p <= ZERO_PROBABILITY, "postselection probability vanished")
-    term1 = np.einsum("...ij,...ij->...", _mm(ka_rho, a.mat), k_conj).real
+    term1 = np.einsum("...ij,...ij->...", _mm(ka_rho, a_mat), k_conj).real
     term2 = np.square(np.abs(np.einsum("...ij,...ij->...", ka_rho, k_conj)))
     return np.maximum(4.0 * term1 / p - 4.0 * term2 / (p * p), 0.0)
 
@@ -286,18 +267,17 @@ def optimal_measurement(theta_prior, t) -> np.ndarray:
     return np.stack([s * np.sin(azimuth), -(s * np.cos(azimuth)), np.cos(polar)], -1)
 
 
-def cfi(n, family: PPAFamily, theta):
+def cfi(n, rho, drho):
     """Classical Fisher information q'^2 / (q (1 - q)) of a projective qubit test.
 
     The test projects onto (1 + n . sigma)/2, the +1 outcome along the unit
-    Bloch vector ``n``; a (..., 3) stack of vectors broadcasts with the
-    family and ``theta``.  q' comes from the family's exact analytic
-    ``derivative``.  Outcomes with q in {0, 1} (within 1e-12) raise
-    ValueError, naming the first failing instance.
+    Bloch vector ``n``, of the qubit state ``rho`` with theta-derivative
+    ``drho`` (such as :func:`ppa_family` returns); a (..., 3) stack of
+    vectors broadcasts with their batch axes.  Outcomes with q in {0, 1}
+    (within 1e-12) raise ValueError, naming the first failing instance.
     """
     proj = (ID2 + np.einsum("...k,kij->...ij", np.asarray(n, dtype=float), PAULIS)) / 2
-    rho, drho = family.state_and_derivative(theta)
-    q = _mm(rho.mat, proj).trace(0, -2, -1).real
+    q = _mm(rho, proj).trace(0, -2, -1).real
     _reject(
         (q < 1e-12) | (q > 1.0 - 1e-12),
         "outcome probability {:.3e} carries no information", q,

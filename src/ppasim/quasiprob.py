@@ -20,23 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import (
-    ATOL_STRUCT,
-    DensityMatrix,
-    Generator,
-    _as_complex_stack,
-    _built,
-    _check_povm,
-    _freeze,
-    _mm,
-    _ReadOnly,
-    _reject,
-    _reject_non_psd,
-)
+from .states import ATOL_STRUCT, _as_complex_stack, _mm, _reject, _reject_non_psd
 from .fisher import ZERO_PROBABILITY, qfi_postselected_pure, survival_probability
 
 __all__ = [
-    "POVM",
     "GapEqualityResult",
     "filter_povm",
     "gap4_ppa_family",
@@ -47,28 +34,11 @@ __all__ = [
 ]
 
 
-class POVM(_ReadOnly):
-    """PSD elements summing to the identity, one read-only (..., n, d, d) ``stack``.
-
-    ``stack[..., i, :, :]`` is element i; leading axes are batch axes, one
-    POVM per instance, each checked for PSD elements and completeness to
-    1e-10, naming the first failing instance (``states._built`` skips this).
-    """
-
-    __slots__ = ("stack",)
-
-    def __init__(self, stack) -> None:
-        object.__setattr__(self, "stack", _freeze(_check_povm(stack)))
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[-1]
-
-
-def filter_povm(k_plus) -> POVM:
+def filter_povm(k_plus) -> np.ndarray:
     """Pass/fail POVM {M, 1 - M}, M = K+^dag K+, of a filter: pass is outcome 0.
 
-    ``k_plus`` may be a stack (..., d, d), giving one POVM per instance.
+    ``k_plus`` may be a stack (..., d, d), giving one (..., 2, d, d) POVM per
+    instance.
     The one check, that 1 - M is PSD, rejects a K+ that is not a contraction.
     """
     k = _as_complex_stack(k_plus, "K+")
@@ -76,7 +46,7 @@ def filter_povm(k_plus) -> POVM:
     rest = _as_complex_stack(np.eye(k.shape[-1]) - m, "POVM element")
     _reject_non_psd(rest[..., None, :, :])
     # then M = K^dag K is PSD too, and M + (1 - M) = 1
-    return _built(POVM, stack=np.stack([m, rest], axis=-3))
+    return np.stack([m, rest], axis=-3)
 
 
 class GapEqualityResult(NamedTuple):
@@ -87,10 +57,10 @@ class GapEqualityResult(NamedTuple):
     residual: float | np.ndarray
 
 
-def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
+def kd_distribution(rho: np.ndarray, povms: tuple[np.ndarray, ...]) -> np.ndarray:
     """Joint quasidistribution p[m_1, ..., m_k] = Tr(M^(k)_{m_k} ... M^(1)_{m_1} rho).
 
-    ``povms`` is a tuple of POVMs on rho's space, the first acting
+    ``povms`` is a tuple of POVM stacks on rho's space, the first acting
     first; axis i of the read-only complex result is indexed by the outcomes
     of ``povms[i]``.  Batch axes of rho and of the POVMs broadcast and lead
     the result, so a stack of states gives shape (..., n_1, ..., n_k).
@@ -99,15 +69,14 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     """
     if not povms:
         raise ValueError("a quasidistribution needs at least one POVM")
-    if any(p.dim != rho.dim for p in povms):
+    if any(p.shape[-1] != rho.shape[-1] for p in povms):
         raise ValueError("POVM dimension does not match the state")
     # the first measurement multiplies rho first; each later one adds an
     # outcome axis, so op[..., m_1, ..., m_i] = M^(i)_{m_i} ... M^(1)_{m_1} rho;
     # the POVM's own batch axes go in front of the outcome axes so far
-    op = rho.mat
+    op = rho
     *first, last = (
-        p.stack.reshape(p.stack.shape[:-3] + (1,) * i + p.stack.shape[-3:])
-        for i, p in enumerate(povms)
+        p.reshape(p.shape[:-3] + (1,) * i + p.shape[-3:]) for i, p in enumerate(povms)
     )
     for s in first:
         op = _mm(s, op[..., None, :, :])
@@ -117,7 +86,8 @@ def kd_distribution(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
     values = np.einsum("...mab,...ba->...m", last, op)
     bad = abs(values.sum(tuple(range(-len(povms), 0))) - 1.0) > ATOL_STRUCT
     _reject(bad, "quasidistribution does not sum to 1 within 1e-10")
-    return _freeze(values)
+    values.flags.writeable = False
+    return values
 
 
 def kd_table_closed_form(r, t, w) -> np.ndarray:
@@ -158,8 +128,8 @@ def kd_table_closed_form(r, t, w) -> np.ndarray:
 
 
 def gap4_ppa_family(theta, t, v=1.0):
-    """4 x the gap of :func:`kd_table_closed_form`'s table of ``fisher.PPAFamily``
-    (t, v) at ``theta``, written without cancellation.
+    """4 x the gap of :func:`kd_table_closed_form`'s table of ``fisher.ppa_family``
+    at (``theta``, t, v), written without cancellation.
 
     Its unfiltered state has r = v (0, sin theta, cos theta), so both
     diagonal entries have |.|^2 = (1 + T)^2 / (16 p^2) and both off-diagonal
@@ -195,7 +165,7 @@ def nonclassicality_gap(kd: np.ndarray, axes=None):
     return float(gap) if gap.ndim == 0 else gap
 
 
-def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEqualityResult:
+def verify_gap_equality(rho: np.ndarray, a: tuple, k_plus) -> GapEqualityResult:
     """Check postselected QFI = 4 * (eigenvalue spread)^2 * quasiprobability gap.
 
     lhs is :func:`qfi_postselected_pure`; rhs conditions the (A, filter, A)
@@ -213,18 +183,19 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
     pass slice's total is Tr(M rho) for any slots that sum to 1.
 
     ``rho``, ``a`` and ``k_plus`` may carry leading batch axes, which
-    broadcast: one shared generator, or a :class:`Generator` stack with
-    rho's batch axes (a zero projector carries no weight, so it never
-    counts as supported).  lhs, rhs and residual are then arrays over
+    broadcast: one shared generator, or a generator stack with rho's batch
+    axes (a zero projector carries no weight, so it never counts as
+    supported).  lhs, rhs and residual are then arrays over
     the batch axes, the spread is read per instance, every check runs per
     instance, and a failure names the first failing instance.
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
+    _, eigenvalues, slots = a
     filt = filter_povm(k_plus)
-    if filt.dim != rho.dim or a.dim != rho.dim:
+    if filt.shape[-1] != rho.shape[-1] or slots.shape[-1] != rho.shape[-1]:
         raise ValueError("rho, generator, and filter dimensions must agree")
-    weights = np.einsum("...iab,...ba->...i", a.projectors, rho.mat).real
+    weights = np.einsum("...iab,...ba->...i", slots, rho).real
     supported = weights > 1e-12
     count = supported.sum(-1)
     _reject(count != 2, "state is supported on {} generator eigenspaces, need 2", count)
@@ -232,19 +203,16 @@ def verify_gap_equality(rho: DensityMatrix, a: Generator, k_plus) -> GapEquality
 
     # per instance the slots of a_lo and a_hi, in slot order
     pair = np.nonzero(supported)[-1].reshape(supported.shape[:-1] + (2,))
-    eig = np.take_along_axis(np.broadcast_to(a.eigenvalues, supported.shape), pair, -1)
-    slots = a.projectors
+    eig = np.take_along_axis(np.broadcast_to(eigenvalues, supported.shape), pair, -1)
     if slots.shape[-3] > 2:
         slots = np.broadcast_to(slots, supported.shape + slots.shape[-2:])
         rest = np.where(supported[..., None, None], 0.0, slots).sum(-3, keepdims=True)
         lo_hi = np.take_along_axis(slots, pair[..., None, None], -3)
         slots = np.concatenate([lo_hi, rest], -3)
-    # a Generator's projectors were checked as a POVM when it was made, and
-    # coarse-graining keeps them one
-    proj = _built(POVM, stack=slots)
-    # the pass slice of the (A, filter, A) table; its pair entries are
+    # the pass slice of the (A, filter, A) table, on a generator's
+    # projectors, a POVM that coarse-graining keeps one; its pair entries are
     # (lo, lo), (lo, hi), (hi, lo), (hi, hi)
-    passed = kd_distribution(rho, (proj, filt, proj))[..., :, 0, :]
+    passed = kd_distribution(rho, (slots, filt, slots))[..., :, 0, :]
     sub = passed[..., :2, :2].reshape(passed.shape[:-2] + (4,))
     # the diagonal entries are the pass weights Tr(P rho P M)
     w_lo, w_hi = sub[..., 0].real, sub[..., 3].real

@@ -25,9 +25,10 @@ is bounded for any count, but the draws are made up front and grow with it.
 make every draw when called and build each batch when their iterator
 reaches it, which yields it with the instances' positions in the draw, in
 ascending d.  The 84 grid states of the CFI = QFI and Sylvester suites are
-one ``PPAFamily`` evaluation and one ``sld`` call, made once per process
+one ``ppa_family`` evaluation and one ``sld`` call, made once per process
 and shared by both suites.  The random states, generators and POVMs are
-valid by construction, so ``states._built`` makes them.
+plain arrays, valid by construction, so nothing checks them when they are
+made; each builder says why they are valid.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ import numpy as np
 
 from .states import (
     PAULIS,
-    DensityMatrix,
-    Generator,
-    _built,
     _mm,
     _reject,
     _spectral_sqrt,
@@ -53,13 +51,8 @@ from .states import (
     ppa_generator,
     pure_state,
 )
-from .fisher import (
-    PPAFamily,
-    cfi,
-    optimal_measurement,
-    sld,
-)
-from .quasiprob import POVM, kd_distribution, verify_gap_equality
+from .fisher import cfi, optimal_measurement, ppa_family, sld
+from .quasiprob import kd_distribution, verify_gap_equality
 from .bench import rng_stream
 
 __all__ = [
@@ -72,6 +65,7 @@ __all__ = [
     "marginalization_suite",
     "cfi_qfi_suite",
     "sylvester_suite",
+    "check_run",
     "run_all",
 ]
 
@@ -222,12 +216,10 @@ def _qudit_batches(draws):
         # columns with eigenvalue a, and is zero where an instance lacks a
         slots = np.arange(-3.0, 4.0)
         cols = np.where(eigs[:, None, None, :] == slots[:, None, None], q[:, None], 0.0)
-        # spectral sums over one orthonormal frame, whose slots sum to 1
-        gen = _built(
-            Generator,
-            mat=_mm(q * eigs[:, None, :], q_h),
-            eigenvalues=np.broadcast_to(slots, (len(pos), len(slots))),
-            projectors=_mm(cols, cols.conj().swapaxes(-1, -2)),
+        # spectral sums over one orthonormal frame, whose slots sum to 1;
+        # every instance shares the slots' eigenvalues
+        gen = (
+            _mm(q * eigs[:, None, :], q_h), slots, _mm(cols, cols.conj().swapaxes(-1, -2))
         )
 
         v_lo, v_hi = q[..., 0], q[..., -1]
@@ -264,7 +256,7 @@ def gap_equality_suite(seed: int, n_qubit: int = 1000, n_qudit: int = 200) -> Su
     return _fold("gap-equality", n_qubit + n_qudit, 1e-9, residuals())
 
 
-def _random_densities(probs, z) -> DensityMatrix:
+def _random_densities(probs, z) -> np.ndarray:
     """States Q diag(probs) Q^dag, Q from the QR of z, one per leading index.
 
     ``probs`` is (..., d) and ``z`` (..., d, d); without batch axes it is
@@ -272,8 +264,7 @@ def _random_densities(probs, z) -> DensityMatrix:
     """
     q, _ = np.linalg.qr(z)
     # a probability vector in a unitary frame
-    mat = _mm(q * probs[..., None, :], q.conj().swapaxes(-1, -2))
-    return _built(DensityMatrix, mat=mat)
+    return _mm(q * probs[..., None, :], q.conj().swapaxes(-1, -2))
 
 
 def _random_povms(x) -> np.ndarray:
@@ -322,10 +313,10 @@ def _marginalization_batches(draws):
         x = np.where(used[..., None, None], _complex(x), 0.0)
         rho = _random_densities(probs, _complex(z))
         stacks = _random_povms(x)
-        yield pos, rho, tuple(_built(POVM, stack=stacks[:, i]) for i in range(3))
+        yield pos, rho, tuple(stacks[:, i] for i in range(3))
 
 
-def _marginalization_residual(rho: DensityMatrix, povms: tuple[POVM, ...]) -> np.ndarray:
+def _marginalization_residual(rho: np.ndarray, povms: tuple) -> np.ndarray:
     """Per instance, the largest |sum over POVM i of p - p without POVM i|."""
     kd = kd_distribution(rho, povms)
     k = len(povms)
@@ -347,24 +338,24 @@ def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
 
 @functools.cache
 def _grid_solution():
-    """(family, theta, read-only sld result) of the acceptance grid, solved
-    once per process; batch axes (v, theta, t) over (1, 0.98) x THETA_GRID x
-    T_GRID."""
-    family = PPAFamily(t=np.array(T_GRID), v=np.array([1.0, 0.98])[:, None, None])
+    """(theta, state, derivative, sld result) of the acceptance grid, read-only
+    and solved once per process; batch axes (v, theta, t) over (1, 0.98) x
+    THETA_GRID x T_GRID."""
     theta = np.array(THETA_GRID)[:, None]
-    res = sld(*family.state_and_derivative(theta))
-    for arr in (theta, res.lam, res.qfi, res.residual):
+    rho, drho = ppa_family(theta, np.array(T_GRID), np.array([1.0, 0.98])[:, None, None])
+    res = sld(rho, drho)
+    for arr in (theta, rho, drho, res.lam, res.qfi, res.residual):
         arr.flags.writeable = False
-    return family, theta, res
+    return theta, rho, drho, res
 
 
 def cfi_qfi_suite() -> SuiteResult:
     """Closed-form direction attains the QFI; SLD axis matches it at v < 1.
     Deterministic over the acceptance grid."""
     def residuals():
-        family, theta, res = _grid_solution()
+        theta, rho, drho, res = _grid_solution()
         axes = optimal_measurement(theta, np.array(T_GRID))
-        yield np.abs(cfi(axes, family, theta) - res.qfi) / res.qfi
+        yield np.abs(cfi(axes, rho, drho) - res.qfi) / res.qfi
         # the SLD is unique only for v < 1, the second v of the grid
         yield axis_angle(sld_axis(res.lam[1]), axes)
     return _fold("cfi-equals-qfi", _GRID_STATES, 1e-8, residuals())
@@ -380,20 +371,31 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
             rng.dirichlet(np.ones(d), size=m),
             rng.normal(size=(m, 2, 2, d, d)),
         ))
-        yield _grid_solution()[2].residual
+        yield _grid_solution()[3].residual
         for _, probs, zh in _runs(draws):
             zh = _complex(zh)
             rho = _random_densities(probs, zh[:, 0])
             h = hermitian_part(zh[:, 1])
-            drho = 1j * (_mm(h, rho.mat) - _mm(rho.mat, h))  # any Hamiltonian family
+            drho = 1j * (_mm(h, rho) - _mm(rho, h))  # any Hamiltonian family
             yield sld(rho, drho).residual
     return _fold("sylvester-residual", _GRID_STATES + n_instances, 1e-8, residuals())
 
 
+def check_run(seed: int, n_instances: int | None = None) -> None:
+    """Raise ValueError, with the one-line message of ``cli._check``, if
+    ``seed`` is negative or ``n_instances`` (None for the defaults) is below 1."""
+    if seed < 0:
+        raise ValueError(f"seed: {seed} must be non-negative")
+    if n_instances is not None and n_instances < 1:
+        raise ValueError(f"n_instances: {n_instances} must be at least 1")
+
+
 def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
     """Run all four suites; ``n_instances`` scales the randomized ones.  Each
-    fails closed (:func:`_fold`), alone."""
-    n_qubit = 1000 if n_instances is None else max(n_instances, 1)
+    fails closed (:func:`_fold`), alone.  A value :func:`check_run` rejects
+    raises ValueError before any suite runs."""
+    check_run(seed, n_instances)
+    n_qubit = 1000 if n_instances is None else n_instances
     n_qudit = n_marg = 200 if n_instances is None else max(n_instances // 5, 1)
     n_sylv = 100 if n_instances is None else max(n_instances // 10, 1)
     return [

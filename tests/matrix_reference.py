@@ -12,6 +12,12 @@ seed, and :func:`point_stream` builds a grid point's keyed stream afresh.
 at a time, and :func:`qubit_instances` draws verify's random qubit instances
 as one stack.  :func:`spectral_generator` builds a phase generator from a
 known spectrum, as the program does.
+
+The program's states, POVMs and generators are plain arrays that nothing
+checks when they are made.  :func:`density_matrix`, :func:`povm` and
+:func:`generator` hold the rules they must meet, each within 1e-10 per
+instance, naming the first failing instance of a stack: they are the
+oracle of what a valid one is.
 """
 
 import functools
@@ -23,17 +29,72 @@ import numpy as np
 from ppasim import verify
 from ppasim.bench import run_trials
 from ppasim.cli import SweepSpec
-from ppasim.quasiprob import POVM, filter_povm, kd_distribution
+from ppasim.quasiprob import filter_povm, kd_distribution
 from ppasim.states import (
+    ATOL_STRUCT,
     ID2,
     PAULIS,
-    DensityMatrix,
-    Generator,
+    _as_complex_stack,
+    _reject,
+    _reject_non_psd,
+    _spectral_sqrt,
+    hermitian_part,
     make_filter,
     phase_unitary,
     ppa_generator,
     pure_state,
 )
+
+
+def density_matrix(mat):
+    """``mat`` as a complex (..., d, d) array, once each instance is a state:
+    Hermitian and of unit trace within 1e-10, and no eigenvalue below -1e-10
+    (one batched ``eigvalsh``); else ValueError names the first failing one."""
+    m = _as_complex_stack(mat, "density matrix")
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1), initial=0.0)
+    _reject(dev > ATOL_STRUCT, "density matrix is not Hermitian within 1e-10")
+    tr = m.trace(0, -2, -1)
+    _reject(
+        abs(tr - 1.0) > ATOL_STRUCT,
+        "density matrix trace {} is not 1 within 1e-10", tr.real,
+    )
+    low = np.linalg.eigvalsh(hermitian_part(m)).min(-1, initial=0.0)
+    _reject(low < -ATOL_STRUCT, "density matrix has negative eigenvalue {:.3e}", low)
+    return m
+
+
+def povm(stack):
+    """``stack`` as complex (..., n, d, d) elements, once each instance's are
+    PSD and sum to 1 within 1e-10; else ValueError names the first failing one."""
+    if np.ndim(stack) < 3 or np.shape(stack)[-3] == 0:
+        raise ValueError("a POVM needs at least one element")
+    stack = _as_complex_stack(stack, "POVM element")
+    _reject_non_psd(stack)
+    dev = np.abs(stack.sum(-3) - np.eye(stack.shape[-1])).max((-2, -1), initial=0.0)
+    _reject(dev > ATOL_STRUCT, "POVM elements do not sum to the identity within 1e-10")
+    return stack
+
+
+def generator(mat, eigenvalues, projectors):
+    """The generator tuple (mat, eigenvalues, projectors) as arrays, once each
+    instance's ``sum_i eigenvalues[..., i] * projectors[..., i, :, :]``
+    reproduces ``mat`` and its projectors form a POVM, within 1e-10; else
+    ValueError names the first failing one.  A zero projector carries no
+    weight."""
+    mat, eigenvalues = np.asarray(mat), np.asarray(eigenvalues)
+    projectors = np.asarray(projectors)
+    rebuilt = (eigenvalues[..., None, None] * projectors).sum(-3)
+    bad = ~(np.abs(rebuilt - mat).max((-2, -1)) <= ATOL_STRUCT)  # nan too
+    _reject(bad, "spectral decomposition does not reproduce the generator")
+    povm(projectors)
+    return mat, eigenvalues, projectors
+
+
+def psd_sqrt(mat):
+    """Principal square root of a PSD matrix, or of a stack, as the program
+    takes it (``states._spectral_sqrt``): from one ``eigh`` of its Hermitian
+    part, an eigenvalue in [-1e-10, 0) read as 0 and a lower one rejected."""
+    return _spectral_sqrt(*np.linalg.eigh(hermitian_part(_as_complex_stack(mat))))
 
 
 def survival_theta_form(theta, t_mag, v=1.0):
@@ -58,12 +119,14 @@ def projective_povm(vectors):
     for v in vectors:
         v = np.asarray(v, dtype=complex).reshape(-1)
         elems.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
-    return POVM(tuple(elems))
+    return povm(elems)
 
 
 @functools.cache
 def _a_basis_povm():
-    return projective_povm(plus_minus_states())
+    proj = projective_povm(plus_minus_states())
+    proj.flags.writeable = False  # one array, shared by every call
+    return proj
 
 
 def ppa_povm_sequence(t):
@@ -105,10 +168,10 @@ def condition(kd, axis, outcome):
 
 def unfiltered_state(theta, v=1.0):
     """The imprinted state before the filter acts: U (v|0><0| + (1 - v) 1/2) U^dag
-    with U = exp(i theta sigma_x / 2), the input of ``fisher.PPAFamily``."""
+    with U = exp(i theta sigma_x / 2), the input of ``fisher.ppa_family``."""
     u = phase_unitary(ppa_generator(), theta)
     rho0 = v * np.diag([1.0, 0.0]) + (1.0 - v) * ID2 / 2
-    return DensityMatrix(u @ rho0 @ u.conj().T)
+    return density_matrix(u @ rho0 @ u.conj().T)
 
 
 def imprinted_table(theta, t):
@@ -117,11 +180,11 @@ def imprinted_table(theta, t):
     return condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
 
 
-def bloch_vector(rho: DensityMatrix):
+def bloch_vector(rho):
     """Standard Bloch components (Tr rho sigma_x, sigma_y, sigma_z) of one qubit."""
-    if rho.mat.shape != (2, 2):
+    if np.shape(rho) != (2, 2):
         raise ValueError("Bloch vectors are defined for one qubit state only")
-    return np.array([float(np.trace(rho.mat @ s).real) for s in PAULIS])
+    return np.array([float(np.trace(rho @ s).real) for s in PAULIS])
 
 
 def run_point(theta_true, t_set, seed=0, **fields):
@@ -147,13 +210,13 @@ def point_stream(seed, stage, i, j):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def kd_entries(rho: DensityMatrix, povms):
+def kd_entries(rho, povms):
     """Tr(M^(k)_{m_k} ... M^(1)_{m_1} rho), one entry at a time: a Python loop
     over the broadcast batch axes of rho and the POVMs, then over every
     outcome tuple, multiplying d x d matrices and taking np.trace."""
-    stacks = [p.stack for p in povms]
-    batch = np.broadcast_shapes(rho.mat.shape[:-2], *(s.shape[:-3] for s in stacks))
-    rho_b = np.broadcast_to(rho.mat, batch + rho.mat.shape[-2:])
+    stacks = list(povms)
+    batch = np.broadcast_shapes(rho.shape[:-2], *(s.shape[:-3] for s in stacks))
+    rho_b = np.broadcast_to(rho, batch + rho.shape[-2:])
     stacks_b = [np.broadcast_to(s, batch + s.shape[-3:]) for s in stacks]
     outcomes = tuple(s.shape[-3] for s in stacks)
     out = np.empty(batch + outcomes, dtype=complex)
@@ -175,15 +238,13 @@ def qubit_instances(rng, n):
 
 
 def spectral_generator(frame, eigenvalues):
-    """The Generator of Q diag(a) Q^dag, from a unitary frame Q and its d
-    eigenvalues a, through the validating constructor.  The columns of Q
+    """The generator tuple of Q diag(a) Q^dag, from a unitary frame Q and its
+    d eigenvalues a, checked by :func:`generator`.  The columns of Q
     whose eigenvalues are exactly equal span one eigenspace: no eigh and no
     tolerance.  The eigenspaces are in increasing order of eigenvalue."""
     q = np.asarray(frame, dtype=complex)
     a = np.asarray(eigenvalues, dtype=float)
     values = np.unique(a)
-    return Generator(
-        mat=(q * a) @ q.conj().T,
-        eigenvalues=values,
-        projectors=[q[:, a == x] @ q[:, a == x].conj().T for x in values],
+    return generator(
+        (q * a) @ q.conj().T, values, [q[:, a == x] @ q[:, a == x].conj().T for x in values]
     )

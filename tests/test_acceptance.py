@@ -22,9 +22,9 @@ from ppasim.bench import (
 )
 from ppasim.cli import main
 from ppasim.fisher import (
-    PPAFamily,
     cfi,
     optimal_measurement,
+    ppa_family,
     qfi_postselected_pure,
     qfi_ppa_family,
     sld,
@@ -89,11 +89,10 @@ def test_criterion_2_fisher_route_consistency(capsys):
     worst = 0.0
     for theta in THETA_GRID:
         for t in T_GRID:
-            fam = PPAFamily(t=t)
             routes = (
                 qfi_ppa_family(theta, t),
                 qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t)),
-                sld(fam.state(theta), fam.derivative(theta)).qfi,
+                sld(*ppa_family(theta, t)).qfi,
             )
             scale = max(routes)
             for i in range(3):
@@ -118,11 +117,9 @@ def test_criterion_3_optimal_measurement(capsys):
         for t in T_GRID:
             axis = optimal_measurement(theta, t)
             for v in (1.0, 0.98):
-                fam = PPAFamily(t=t, v=v)
-                res = sld(fam.state(theta), fam.derivative(theta))
-                worst_cfi = max(
-                    worst_cfi, abs(cfi(axis, fam, theta) - res.qfi) / res.qfi
-                )
+                rho, drho = ppa_family(theta, t, v)
+                res = sld(rho, drho)
+                worst_cfi = max(worst_cfi, abs(cfi(axis, rho, drho) - res.qfi) / res.qfi)
                 if v < 1.0:
                     # below unit visibility the SLD solution is unique, so
                     # its eigen-axis is comparable to the closed-form one
@@ -226,7 +223,7 @@ def test_criterion_7_systematic_models(capsys):
     # while it assumes t + dt; the recovered bias must match the closed form
     theta, t, dt = 0.1, 0.1, 1e-3
     n = optimal_measurement(theta, t + dt)
-    q = (1.0 + float(n @ bloch_vector(PPAFamily(t=t).state(theta)))) / 2.0
+    q = (1.0 + float(n @ bloch_vector(ppa_family(theta, t)[0]))) / 2.0
     est, clamped = _invert_frequency(
         q, *_fringe_params(n), t + dt, amplified_angle(theta, t + dt)
     )

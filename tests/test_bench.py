@@ -21,8 +21,8 @@ from ppasim.bench import (
 )
 from ppasim.cli import SweepSpec
 from ppasim.fisher import (
-    PPAFamily,
     optimal_measurement,
+    ppa_family,
     qfi_ppa_family,
     survival_probability,
 )
@@ -30,15 +30,19 @@ from ppasim.states import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
-    DensityMatrix,
-    Generator,
     amplified_angle,
     make_filter,
     phase_unitary,
 )
 from ppasim.verify import T_GRID, THETA_GRID
 
-from matrix_reference import bloch_vector, run_point, survival_theta_form
+from matrix_reference import (
+    bloch_vector,
+    density_matrix,
+    generator,
+    run_point,
+    survival_theta_form,
+)
 
 
 def matrix_pipeline(theta, t, epsilon, visibility):
@@ -51,16 +55,12 @@ def matrix_pipeline(theta, t, epsilon, visibility):
     """
     rho = visibility * np.diag([0.0, 1.0]) + (1.0 - visibility) * ID2 / 2
     n_sigma = math.cos(2 * epsilon) * SIGMA_X + math.sin(2 * epsilon) * SIGMA_Z
-    gen = Generator(
-        mat=n_sigma / 2,
-        eigenvalues=[-0.5, 0.5],
-        projectors=[(ID2 - n_sigma) / 2, (ID2 + n_sigma) / 2],
-    )
+    gen = generator(n_sigma / 2, [-0.5, 0.5], [(ID2 - n_sigma) / 2, (ID2 + n_sigma) / 2])
     u = phase_unitary(gen, theta - math.pi)
     k = make_filter(t)
     num = k @ u @ rho @ u.conj().T @ k.conj().T
     p = float(np.trace(num).real)
-    return DensityMatrix(num / p), p
+    return density_matrix(num / p), p
 
 
 def check_sweep_point(theta_true=0.1, t_set=0.5, **fields):
@@ -192,9 +192,8 @@ def test_postselected_bloch_matches_family():
     for theta in (0.05, 0.3, 1.1):
         for t in (0.2, 0.7):
             r, p = postselected_bloch(theta, t, 0.0, 0.97)
-            fam = PPAFamily(t=t, v=0.97)
             assert p == pytest.approx(survival_theta_form(theta, t, v=0.97), abs=1e-12)
-            assert np.abs(r - bloch_vector(fam.state(theta))).max() < 1e-12
+            assert np.abs(r - bloch_vector(ppa_family(theta, t, 0.97)[0])).max() < 1e-12
 
 
 def test_postselected_bloch_amplifies_the_polar_angle():
@@ -256,7 +255,7 @@ TILTED = unit_vector(math.pi / 2, -math.pi / 4)
 
 def read_out_frequency(theta, t, n):
     """Exact +1 frequency of the family's state along the unit Bloch vector n."""
-    return (1.0 + float(n @ bloch_vector(PPAFamily(t=t).state(theta)))) / 2.0
+    return (1.0 + float(n @ bloch_vector(ppa_family(theta, t)[0]))) / 2.0
 
 
 def exact_counts(theta, t, n, totals):

@@ -21,23 +21,20 @@ from ppasim.bench import (
     run_trials,
 )
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
-from ppasim.fisher import (
-    PPAFamily,
-    qfi_ppa_family,
-    sld,
-)
+from ppasim.fisher import ppa_family, qfi_ppa_family, sld
 from ppasim.quasiprob import (
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
 )
-from ppasim.states import ID2, PAULIS, DensityMatrix, hermitian_part, make_filter
+from ppasim.states import ID2, PAULIS, hermitian_part, make_filter
 from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
 from ppasim.verify import T_GRID, THETA_GRID
 
 from matrix_reference import (
     bloch_vector,
     condition,
+    density_matrix,
     imprinted_table,
     point_stream,
     ppa_povm_sequence,
@@ -1171,7 +1168,7 @@ def matrix_fig4_point(spec, i, j):
     theta, t = spec.theta_list[i], spec.t_list[j]
     shots, dtheta = spec.shots_per_basis, DEFAULT_DTHETA
     rng = point_stream(spec.seed, STAGE_TOMOGRAPHY, i, j)
-    family = PPAFamily(t=t, v=spec.visibility)
+    family = functools.partial(ppa_family, t=t, v=spec.visibility)
     unfiltered = unfiltered_state(theta, spec.visibility)
 
     def tomography(rho):
@@ -1179,7 +1176,7 @@ def matrix_fig4_point(spec, i, j):
         raw = (ID2 + sum((2.0 * u / shots - 1.0) * s for u, s in zip(ups, PAULIS))) / 2
         w, v = np.linalg.eigh(hermitian_part(raw))
         w = np.clip(w, 0.0, None)
-        return DensityMatrix((v * (w / w.sum())) @ v.conj().T)
+        return density_matrix((v * (w / w.sum())) @ v.conj().T)
 
     def gap4(rho):
         kd = kd_distribution(rho, ppa_povm_sequence(t))
@@ -1188,25 +1185,24 @@ def matrix_fig4_point(spec, i, j):
     qfi, gap = [], []
     for _ in range(4):
         minus, center, plus = (
-            tomography(family.state(theta + k * dtheta)) for k in (-1, 0, 1)
+            tomography(family(theta + k * dtheta)[0]) for k in (-1, 0, 1)
         )
         unf = tomography(unfiltered)
-        drho = hermitian_part((plus.mat - minus.mat) / (2.0 * dtheta))
-        w = np.linalg.eigvalsh(center.mat)
+        drho = hermitian_part((plus - minus) / (2.0 * dtheta))
+        w = np.linalg.eigvalsh(center)
         if w[0] <= 1e-12 * w[1]:
-            rho = center.mat
-            drho = drho - np.trace(rho @ drho).real * (2.0 * rho - ID2)
+            drho = drho - np.trace(center @ drho).real * (2.0 * center - ID2)
         qfi.append(sld(center, drho).qfi)
         gap.append(gap4(unf))
     k = make_filter(t)
-    p_ps = float(np.trace(k @ unfiltered.mat @ k.conj().T).real)
+    p_ps = float(np.trace(k @ unfiltered @ k.conj().T).real)
     qfi_mean, gap_mean = float(np.mean(qfi)), float(np.mean(gap))
     return (
         theta,
         t,
         p_ps,
         qfi_ppa_family(theta, t),
-        sld(family.state(theta), family.derivative(theta)).qfi,
+        sld(*family(theta)).qfi,
         qfi_mean,
         float(np.std(qfi, ddof=1) / 2.0),
         gap4(unfiltered),
@@ -1285,8 +1281,7 @@ def test_fig4_tangent_projection_matches_matrix_reference():
 def test_fig4_qfi_family_is_the_per_point_solve(visibility):
     # the closed form fig4 writes against the 2-D sld solve of the family
     for theta, t in itertools.product(THETA_GRID, T_GRID):
-        family = PPAFamily(t=t, v=visibility)
-        solved = sld(family.state(theta), family.derivative(theta)).qfi
+        solved = sld(*ppa_family(theta, t, visibility)).qfi
         closed = qfi_ppa_family(theta, t, visibility)
         assert closed == pytest.approx(solved, rel=1e-12, abs=0.0)
 
@@ -1676,7 +1671,8 @@ def test_verify_names_a_failed_package_check_as_value_error(capsys, monkeypatch)
     # the gap suite's states, mixed half with the identity, fail the purity
     # check of the gap identity, which raises a plain ValueError
     def mixed(rho, gen, k):
-        return real(DensityMatrix((rho.mat + np.eye(rho.dim) / rho.dim) / 2), gen, k)
+        d = rho.shape[-1]
+        return real((rho + np.eye(d) / d) / 2, gen, k)
 
     real = verify.verify_gap_equality
     monkeypatch.setattr(verify, "verify_gap_equality", mixed)
@@ -1725,9 +1721,15 @@ def test_a_suite_of_no_instance_fails():
 
 # The gap-equality and marginalization lines of `ppasim verify` since the
 # random suites are drawn as arrays; at --n 1 only one d has an instance.
-# A residual is rounding noise, which another BLAS build can move, so it is
-# held to a factor of 4; the draws behind it are pinned call by call in
-# tests/test_quasiprob.py.
+# A residual is rounding noise, which another BLAS kernel or CPU dispatch can
+# move, so it is held to a factor of 2 either way, or to 8 machine epsilons
+# (1.8e-15) where that is looser: a ratio means nothing for the lines of a
+# few epsilons.  Under OpenBLAS's Haswell, Sandybridge, Nehalem and Prescott
+# kernels (OPENBLAS_CORETYPE), under NumPy without its AVX2 and AVX-512
+# loops, and with every small product rounded as BLAS or as rank-1 sums, the
+# 1e-13 lines did not move, and the others moved by at most 3.8 epsilons (the
+# --n 1 gap line to a quarter of its pin).  The draws behind them are pinned
+# call by call in tests/test_quasiprob.py.
 @pytest.mark.parametrize(
     "argv, lines",
     [
@@ -1751,8 +1753,9 @@ def test_verify_random_suite_lines_are_pinned(capsys, argv, lines):
     pattern = re.compile(r"max_residual=(\S+)")
     for line, want in zip(got, lines, strict=True):
         assert pattern.sub("", line) == pattern.sub("", want)
-        ratio = float(pattern.search(line)[1]) / float(pattern.search(want)[1])
-        assert 0.25 <= ratio <= 4.0
+        got_r, want_r = (float(pattern.search(x)[1]) for x in (line, want))
+        eps = np.finfo(float).eps
+        assert want_r / 2 <= got_r <= 2 * want_r or abs(got_r - want_r) <= 8 * eps
 
 
 @pytest.mark.parametrize(
@@ -1800,6 +1803,14 @@ def test_library_verify_rejects_what_the_cli_rejects(monkeypatch, kwargs, messag
     monkeypatch.setattr(cli, "run_all", no_work)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cli.cmd_verify(**kwargs)
+    # verify.run_all holds the value rules that _check's verify branch uses,
+    # so a library call of it refuses the same values before any suite runs
+    if "expected" not in message:
+        for suite in ("gap_equality_suite", "marginalization_suite",
+                      "cfi_qfi_suite", "sylvester_suite"):
+            monkeypatch.setattr(verify, suite, no_work)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify.run_all(**kwargs)
 
 
 # ---------------------------------------------------------------------- help

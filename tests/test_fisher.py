@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 from ppasim.bench import postselected_bloch, systematic_shift_t
 from ppasim.fisher import (
-    PPAFamily,
     _on_sphere,
     cfi,
     optimal_measurement,
+    ppa_family,
     qfi_bloch,
     qfi_ppa_family,
     qfi_postselected_pure,
@@ -18,7 +19,6 @@ from ppasim.fisher import (
 )
 from ppasim.quasiprob import gap4_ppa_family, kd_table_closed_form
 from ppasim.states import (
-    DensityMatrix,
     ID2,
     PAULIS,
     SIGMA_X,
@@ -39,6 +39,7 @@ from ppasim.verify import (
 
 from matrix_reference import (
     bloch_vector,
+    density_matrix,
     qubit_instances,
     survival_theta_form,
     unfiltered_state,
@@ -58,7 +59,7 @@ def random_density(rng, d):
     probs = rng.dirichlet(np.ones(d))
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(z)
-    return DensityMatrix((q * probs) @ q.conj().T)
+    return density_matrix((q * probs) @ q.conj().T)
 
 
 # ---------------------------------------------------------- sld reference
@@ -67,10 +68,9 @@ def random_density(rng, d):
 def kron_pinv_sld(rho, drho):
     """Reference SLD: the Sylvester map vectorized row-major, vec(X Y Z) =
     (X kron Z^T) vec(Y), solved with a Moore-Penrose pseudoinverse."""
-    m = rho.mat
-    d = m.shape[0]
+    d = rho.shape[0]
     eye = np.eye(d)
-    sylv = (np.kron(m, eye) + np.kron(eye, m.T)) / 2.0
+    sylv = (np.kron(rho, eye) + np.kron(eye, rho.T)) / 2.0
     lam = np.linalg.pinv(sylv, rcond=1e-12, hermitian=True) @ drho.reshape(-1)
     lam = lam.reshape(d, d)
     lam = (lam + lam.conj().T) / 2.0
@@ -90,20 +90,19 @@ def test_sld_matches_kronecker_pinv_reference():
     for v in (1.0, 0.98):
         for theta in THETA_GRID:
             for t in T_GRID:
-                fam = PPAFamily(t=t, v=v)
-                assert_matches_reference(fam.state(theta), fam.derivative(theta))
+                assert_matches_reference(*ppa_family(theta, t, v))
     rng = np.random.default_rng(2009)
     for _ in range(200):
         d = int(rng.integers(2, 6))
         rho = random_density(rng, d)
         h = random_hermitian(rng, d)
-        assert_matches_reference(rho, 1j * (h @ rho.mat - rho.mat @ h))
+        assert_matches_reference(rho, 1j * (h @ rho - rho @ h))
     # rank 2 of 4: a Hamiltonian family leaves the kernel block of drho empty
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(z)
-    rho = DensityMatrix((q * [0.7, 0.3, 0.0, 0.0]) @ q.conj().T)
+    rho = density_matrix((q * [0.7, 0.3, 0.0, 0.0]) @ q.conj().T)
     h = random_hermitian(rng, 4)
-    assert_matches_reference(rho, 1j * (h @ rho.mat - rho.mat @ h))
+    assert_matches_reference(rho, 1j * (h @ rho - rho @ h))
 
 
 # ----------------------------------------------------------------------- sld
@@ -119,22 +118,22 @@ def padded(mat, d):
 
 def mixed_sld_stack():
     """(rho, drho) stacks of d = 3 with batch shape (2, 2): a pure and a
-    full-rank PPAFamily qubit padded with a zero level, then a rank-2 and a
+    full-rank ppa_family qubit padded with a zero level, then a rank-2 and a
     full-rank qutrit with Hamiltonian derivatives (so no kernel block of
     drho carries weight)."""
     rng = np.random.default_rng(31)
     rhos, drhos = [], []
     for v in (1.0, 0.9):
-        fam = PPAFamily(t=0.3, v=v)
-        rhos.append(padded(fam.state(0.4).mat, 3))
-        drhos.append(padded(fam.derivative(0.4), 3))
+        rho, drho = ppa_family(0.4, 0.3, v)
+        rhos.append(padded(rho, 3))
+        drhos.append(padded(drho, 3))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    for rho in ((q * [0.6, 0.4, 0.0]) @ q.conj().T, random_density(rng, 3).mat):
+    for rho in ((q * [0.6, 0.4, 0.0]) @ q.conj().T, random_density(rng, 3)):
         h = random_hermitian(rng, 3)
         rhos.append(rho)
         drhos.append(1j * (h @ rho - rho @ h))
     shape = (2, 2, 3, 3)
-    return DensityMatrix(np.reshape(rhos, shape)), np.reshape(drhos, shape)
+    return density_matrix(np.reshape(rhos, shape)), np.reshape(drhos, shape)
 
 
 def test_sld_stack_matches_per_instance_calls():
@@ -143,15 +142,14 @@ def test_sld_stack_matches_per_instance_calls():
     assert res.lam.shape == (2, 2, 3, 3)
     assert res.qfi.shape == res.residual.shape == (2, 2)
     for k in np.ndindex(2, 2):
-        one = sld(DensityMatrix(rho.mat[k]), drho[k])
+        one = sld(density_matrix(rho[k]), drho[k])
         scale = max(1.0, np.abs(one.lam).max())
         assert np.abs(res.lam[k] - one.lam).max() <= 1e-12 * scale
         assert abs(res.qfi[k] - one.qfi) <= 1e-12 * max(1.0, one.qfi)
         assert abs(res.residual[k] - one.residual) <= 1e-12
     # the padded qubits solve as the qubits themselves
     for k, v in (((0, 0), 1.0), ((0, 1), 0.9)):
-        fam = PPAFamily(t=0.3, v=v)
-        qubit = sld(fam.state(0.4), fam.derivative(0.4))
+        qubit = sld(*ppa_family(0.4, 0.3, v))
         scale = max(1.0, np.abs(qubit.lam).max())
         assert np.abs(res.lam[k] - padded(qubit.lam, 3)).max() <= 1e-12 * scale
         assert abs(res.qfi[k] - qubit.qfi) <= 1e-12 * max(1.0, qubit.qfi)
@@ -159,7 +157,7 @@ def test_sld_stack_matches_per_instance_calls():
 
 def test_sld_stack_errors_name_the_instance():
     rho, drho = mixed_sld_stack()
-    flat_rho = DensityMatrix(rho.mat.reshape(4, 3, 3))
+    flat_rho = density_matrix(rho.reshape(4, 3, 3))
     flat = drho.reshape(4, 3, 3)
     skew = flat.copy()
     skew[2, 0, 1] += 1e-6
@@ -171,7 +169,7 @@ def test_sld_stack_errors_name_the_instance():
         sld(flat_rho, traceful)
     # the kernel of the rank-2 qutrit (instance 2) gets weight 1e-3
     unreachable = flat.copy()
-    kernel = np.linalg.eigh(flat_rho.mat[2])[1][:, 0]
+    kernel = np.linalg.eigh(flat_rho[2])[1][:, 0]
     unreachable[2] += 1e-3 * (np.outer(kernel, kernel.conj()) - np.eye(3) / 3)
     with pytest.raises(ValueError, match=r"^instance 2: drho has weight"):
         sld(flat_rho, unreachable)
@@ -181,8 +179,7 @@ def test_sld_stack_errors_name_the_instance():
 
 
 def test_sld_single_instance_returns_floats():
-    fam = PPAFamily(t=0.5, v=0.98)
-    res = sld(fam.state(0.2), fam.derivative(0.2))
+    res = sld(*ppa_family(0.2, 0.5, 0.98))
     assert type(res.qfi) is float and type(res.residual) is float
     assert res.lam.shape == (2, 2)
 
@@ -191,44 +188,40 @@ def test_family_grid_is_one_evaluation_of_the_per_point_calls():
     # the grid as (v, theta, t) batch axes, as verify's grid suites solve
     # it, is bit for bit the per-point route
     vs = (1.0, 0.98)
-    fam = PPAFamily(t=np.array(T_GRID), v=np.array(vs)[:, None, None])
     theta = np.array(THETA_GRID)[:, None]
-    rho, drho = fam.state(theta), fam.derivative(theta)
+    rho, drho = ppa_family(theta, np.array(T_GRID), np.array(vs)[:, None, None])
     res = sld(rho, drho)
     axes = np.array([[optimal_measurement(th, t) for t in T_GRID] for th in THETA_GRID])
-    classical = cfi(axes, fam, theta)
-    assert rho.mat.shape == (2, 7, 6, 2, 2) and classical.shape == (2, 7, 6)
+    classical = cfi(axes, rho, drho)
+    assert rho.shape == (2, 7, 6, 2, 2) and classical.shape == (2, 7, 6)
     for i, j, k in np.ndindex(2, 7, 6):
-        one = PPAFamily(t=T_GRID[k], v=vs[i])
-        th = THETA_GRID[j]
-        assert np.array_equal(rho.mat[i, j, k], one.state(th).mat)
-        assert np.array_equal(drho[i, j, k], one.derivative(th))
-        ref = sld(one.state(th), one.derivative(th))
+        one_rho, one_drho = ppa_family(THETA_GRID[j], T_GRID[k], vs[i])
+        assert np.array_equal(rho[i, j, k], one_rho)
+        assert np.array_equal(drho[i, j, k], one_drho)
+        ref = sld(one_rho, one_drho)
         assert np.array_equal(res.lam[i, j, k], ref.lam)
         assert res.qfi[i, j, k] == ref.qfi
-        assert classical[i, j, k] == cfi(axes[j, k], one, th)
+        assert classical[i, j, k] == cfi(axes[j, k], one_rho, one_drho)
 
 
 def test_family_and_cfi_stacks_name_the_instance():
-    with pytest.raises(ValueError, match=r"^instance 1: PPAFamily requires 0 < \|t\|"):
-        PPAFamily(t=np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"^instance 1: ppa_family requires 0 < \|t\|"):
+        ppa_family(0.0, np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match=r"^instance 2: visibility must lie in"):
-        PPAFamily(t=0.5, v=np.array([1.0, 0.9, 0.0]))
-    fam = PPAFamily(t=0.5)
+        ppa_family(0.0, 0.5, np.array([1.0, 0.9, 0.0]))
     # at theta = 0 the state is |0>, so the +z read-out gives q = 1
     axes = [optimal_measurement(0.0, 0.5), (0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match=r"^instance 1: outcome prob"):
-        cfi(np.array(axes), fam, 0.0)
+        cfi(np.array(axes), *ppa_family(0.0, 0.5))
 
 
 def test_family_rejects_a_theta_at_which_nothing_survives():
     # its states are built unchecked, so a vanished or non-finite survival
     # probability is named, not returned as a nan state
-    fam = PPAFamily(t=np.array([0.5, 1e-200]))
     with pytest.raises(ValueError, match=r"^instance 1: survival probability 0\.000e\+00 "):
-        fam.state_and_derivative(0.0)
+        ppa_family(0.0, np.array([0.5, 1e-200]))
     with pytest.raises(ValueError, match=r"^survival probability nan leaves no state$"):
-        PPAFamily(t=0.5).state(math.nan)
+        ppa_family(math.nan, 0.5)
 
 
 def test_grid_suite_summaries_are_pinned():
@@ -246,7 +239,7 @@ def test_grid_suite_summaries_are_pinned():
 
 
 def test_sld_zero_derivative():
-    res = sld(DensityMatrix(np.eye(2) / 2), np.zeros((2, 2)))
+    res = sld(density_matrix(np.eye(2) / 2), np.zeros((2, 2)))
     assert res.qfi == 0.0
     assert np.abs(res.lam).max() < 1e-12
 
@@ -254,15 +247,13 @@ def test_sld_zero_derivative():
 def test_sld_unfiltered_pure_family_gives_unit_information():
     # no filter: QFI of the imprinted pure family is the eigenvalue spread
     # squared, here exactly 1
-    fam = PPAFamily(t=1.0, v=1.0)
     for theta in (0.05, 0.3, 1.0, 2.0):
-        res = sld(fam.state(theta), fam.derivative(theta))
+        res = sld(*ppa_family(theta, 1.0, 1.0))
         assert abs(res.qfi - 1.0) < 1e-10
 
 
 def test_sld_reproduces_closed_form_qfi():
-    fam = PPAFamily(t=0.5, v=1.0)
-    res = sld(fam.state(0.2), fam.derivative(0.2))
+    res = sld(*ppa_family(0.2, 0.5, 1.0))
     assert abs(res.qfi - 3.7711148807566075) < 1e-9 * 3.7711
     assert res.residual < 1e-8
 
@@ -272,7 +263,7 @@ def test_sld_is_hermitian_with_small_residual():
         d = int(RNG.integers(2, 5))
         rho = random_density(RNG, d)
         h = random_hermitian(RNG, d)
-        drho = 1j * (h @ rho.mat - rho.mat @ h)
+        drho = 1j * (h @ rho - rho @ h)
         res = sld(rho, drho)
         assert np.abs(res.lam - res.lam.conj().T).max() < 1e-10
         assert res.residual < 1e-8
@@ -285,7 +276,7 @@ def test_sld_mixed_qubit_matches_bloch_formula():
         r = RNG.normal(size=3)
         r *= RNG.uniform(0.1, 0.95) / np.linalg.norm(r)
         dr = RNG.normal(size=3)
-        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        rho = density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         drho = (dr[0] * SIGMA_X + dr[1] * SIGMA_Y + dr[2] * np.diag([1.0, -1.0])) / 2
         expected = dr @ dr + (r @ dr) ** 2 / (1.0 - r @ r)
         res = sld(rho, np.asarray(drho, dtype=complex))
@@ -294,12 +285,12 @@ def test_sld_mixed_qubit_matches_bloch_formula():
 
 def test_sld_rejects_traceful_derivative():
     with pytest.raises(ValueError):
-        sld(DensityMatrix(np.eye(2) / 2), np.eye(2))
+        sld(density_matrix(np.eye(2) / 2), np.eye(2))
 
 
 def test_sld_rejects_unreachable_derivative():
     # rank-1 state in d=3 with a derivative living entirely in its kernel
-    rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    rho = density_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
     drho = np.diag([0.0, 1.0, -1.0]).astype(complex)
     with pytest.raises(
         ValueError, match=r"^drho has weight 1\.414e\+00 outside the support of rho$"
@@ -318,7 +309,7 @@ def test_qfi_bloch_matches_sld():
     rng = np.random.default_rng(5)
 
     def sld_qfi(r, dr):
-        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        rho = density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         return sld(rho, np.tensordot(dr, PAULIS, 1) / 2).qfi
 
     for _ in range(100):
@@ -370,12 +361,10 @@ def test_family_analytic_derivative_matches_finite_difference():
     step = 1e-6
     for t in (0.1, 0.5, 1.0):
         for v in (1.0, 0.9):
-            fam = PPAFamily(t=t, v=v)
+            fam = functools.partial(ppa_family, t=t, v=v)
             for theta in (0.04, 0.3, 1.2):
-                num = (fam.state(theta + step).mat - fam.state(theta - step).mat) / (
-                    2 * step
-                )
-                assert np.abs(num - fam.derivative(theta)).max() < 1e-7
+                num = (fam(theta + step)[0] - fam(theta - step)[0]) / (2 * step)
+                assert np.abs(num - fam(theta)[1]).max() < 1e-7
 
 
 # -------------------------------------------------------------- qfi formulas
@@ -477,9 +466,8 @@ def test_qfi_postselected_pure_matches_sld_route():
     gen = ppa_generator()
     for theta in (0.02, 0.2, 1.0):
         for t in (0.044, 0.3, 1.0):
-            fam = PPAFamily(t=t, v=1.0)
             lhs = qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t))
-            rhs = sld(fam.state(theta), fam.derivative(theta)).qfi
+            rhs = sld(*ppa_family(theta, t, 1.0)).qfi
             assert abs(lhs - rhs) < 1e-8 * max(rhs, 1.0)
 
 
@@ -489,7 +477,7 @@ def test_qfi_postselected_pure_of_a_stack_is_the_per_instance_qfi():
     rho, gen, k_plus = qubit_instances(np.random.default_rng(8), 16)
     qfi = qfi_postselected_pure(rho, gen, k_plus)
     for i in range(16):
-        assert qfi_postselected_pure(DensityMatrix(rho.mat[i]), gen, k_plus[i]) == qfi[i]
+        assert qfi_postselected_pure(density_matrix(rho[i]), gen, k_plus[i]) == qfi[i]
 
 
 def test_qfi_postselected_pure_no_filter_variance():
@@ -514,7 +502,7 @@ def test_qfi_postselected_pure_rejects_mixed_state():
         ValueError, match=r"^state purity 0\.5000000000; formula requires a pure state$"
     ):
         qfi_postselected_pure(
-            DensityMatrix(np.eye(2) / 2), ppa_generator(), make_filter(0.5)
+            density_matrix(np.eye(2) / 2), ppa_generator(), make_filter(0.5)
         )
 
 
@@ -588,9 +576,9 @@ def test_cfi_attains_qfi_along_optimal_direction():
     for v in (1.0, 0.98):
         for theta in THETA_GRID:
             for t in T_GRID:
-                fam = PPAFamily(t=t, v=v)
-                qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-                c = cfi(optimal_measurement(theta, t), fam, theta)
+                rho, drho = ppa_family(theta, t, v)
+                qfi = sld(rho, drho).qfi
+                c = cfi(optimal_measurement(theta, t), rho, drho)
                 assert abs(c - qfi) / qfi < 1e-10
 
 
@@ -599,8 +587,8 @@ def test_cfi_never_exceeds_qfi():
         theta = float(RNG.uniform(0.02, 1.5))
         t = float(RNG.uniform(0.05, 1.0))
         v = float(RNG.choice([1.0, 0.98]))
-        fam = PPAFamily(t=t, v=v)
-        qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
+        rho, drho = ppa_family(theta, t, v)
+        qfi = sld(rho, drho).qfi
         polar = float(RNG.uniform(0, math.pi))
         azimuth = float(RNG.uniform(-math.pi, math.pi))
         n = (
@@ -609,7 +597,7 @@ def test_cfi_never_exceeds_qfi():
             math.cos(polar),
         )
         try:
-            c = cfi(n, fam, theta)
+            c = cfi(n, rho, drho)
         except ValueError as exc:
             assert str(exc).endswith(" carries no information")
             continue
@@ -618,34 +606,32 @@ def test_cfi_never_exceeds_qfi():
 
 def test_cfi_poor_direction_loses_information():
     # measuring along the state's own Bloch axis is nearly blind
-    fam = PPAFamily(t=0.5, v=0.98)
-    theta = 0.2
-    r = bloch_vector(fam.state(theta))
-    qfi = sld(fam.state(theta), fam.derivative(theta)).qfi
-    assert cfi(r / np.linalg.norm(r), fam, theta) < 5e-3 * qfi
+    rho, drho = ppa_family(0.2, 0.5, 0.98)
+    r = bloch_vector(rho)
+    qfi = sld(rho, drho).qfi
+    assert cfi(r / np.linalg.norm(r), rho, drho) < 5e-3 * qfi
 
 
 def test_cfi_finite_difference_path():
     # cfi's analytic q' agrees with a central difference of q with step 1e-5
-    fam = PPAFamily(t=0.5, v=1.0)
+    fam = functools.partial(ppa_family, t=0.5, v=1.0)
     n = optimal_measurement(0.2, 0.5)
 
     def q(theta):
-        return (1.0 + float(n @ bloch_vector(fam.state(theta)))) / 2.0
+        return (1.0 + float(n @ bloch_vector(fam(theta)[0]))) / 2.0
 
     dq = (q(0.2 + 1e-5) - q(0.2 - 1e-5)) / 2e-5
     numeric = dq**2 / (q(0.2) * (1.0 - q(0.2)))
-    exact = cfi(n, fam, 0.2)
+    exact = cfi(n, *fam(0.2))
     assert abs(numeric - exact) / exact < 1e-6
 
 
 def test_cfi_rejects_degenerate_outcome():
-    fam = PPAFamily(t=0.5, v=1.0)
     # at theta = 0 the state is |0>; the +z read-out gives q = 1
     with pytest.raises(
         ValueError, match=r"^outcome probability 1\.000e\+00 carries no information$"
     ):
-        cfi((0.0, 0.0, 1.0), fam, 0.0)
+        cfi((0.0, 0.0, 1.0), *ppa_family(0.0, 0.5, 1.0))
 
 
 # ------------------------------------------------------------- closed-form L
@@ -678,8 +664,7 @@ def test_sld_closed_form_equals_solver_for_mixed_family():
     for v in (0.98, 0.9, 0.7):
         for theta in (0.04, 0.2, 0.9):
             for t in (0.15, 0.5, 1.0):
-                fam = PPAFamily(t=t, v=v)
-                lam = sld(fam.state(theta), fam.derivative(theta)).lam
+                lam = sld(*ppa_family(theta, t, v)).lam
                 assert np.abs(lam - sld_closed_form(theta, t, v)).max() < 1e-9
 
 

@@ -1,9 +1,10 @@
 """Exact texts of the per-instance checks of the linear-algebra core and of
 the closed forms that broadcast over arrays.
 
-Each check is reached through a public constructor or function with one
-unbatched input, a one-axis stack (good, bad) that fails at instance 1 and
-a two-axis stack ((good, good), (good, bad)) that fails at (1, 1).  Every
+Each check is reached through a public function, or through a rule of the
+reference validators in ``matrix_reference``, with one unbatched input, a
+one-axis stack (good, bad) that fails at instance 1 and a two-axis stack
+((good, good), (good, bad)) that fails at (1, 1).  Every
 argument of a case is stacked the same way, so the values a message quotes
 are those of the failing instance.  Every check raises a plain ValueError,
 so a case is told apart by its text alone.
@@ -14,16 +15,15 @@ import pytest
 
 from ppasim.bench import systematic_shift_t
 from ppasim.fisher import (
-    PPAFamily,
     cfi,
     optimal_measurement,
+    ppa_family,
     qfi_ppa_family,
     qfi_bloch,
     qfi_postselected_pure,
     sld,
 )
 from ppasim.quasiprob import (
-    POVM,
     filter_povm,
     gap4_ppa_family,
     kd_distribution,
@@ -34,16 +34,15 @@ from ppasim.states import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
-    DensityMatrix,
-    Generator,
     amplified_angle,
     make_filter,
     ppa_generator,
-    psd_sqrt,
     pure_state,
 )
 from ppasim.tomography import simulate_tomography
 from ppasim.verify import sld_axis
+
+from matrix_reference import density_matrix, generator, povm, psd_sqrt
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -51,34 +50,32 @@ UPPER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def _gap(rho=KET0, k_plus=ID2):
-    return verify_gap_equality(DensityMatrix(rho), ppa_generator(), k_plus)
+    return verify_gap_equality(density_matrix(rho), ppa_generator(), k_plus)
 
 
 def _qfi(rho, k_plus):
-    return qfi_postselected_pure(DensityMatrix(rho), ppa_generator(), k_plus)
+    return qfi_postselected_pure(density_matrix(rho), ppa_generator(), k_plus)
 
 
 def _spectral(mat, values):
     # the eigenprojectors of the diagonal sigma_z / 2, eigenvalue -1/2 first
-    return Generator(
-        mat=mat, eigenvalues=values, projectors=[np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]
-    )
+    return generator(mat, values, [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
 
 
 def _kd_sum(rho):
     # each deviation passes its own 1e-10 check; together they leave 1.8e-10
-    return kd_distribution(DensityMatrix(rho), (POVM(((1.0 + 9e-11) * ID2,)),))
+    return kd_distribution(density_matrix(rho), (povm([(1.0 + 9e-11) * ID2]),))
 
 
 # (id, call, good args, bad args, message at the bad instance)
 CASES = [
     ("psd_sqrt", psd_sqrt, (ID2,), (np.diag([1.0, -1.0]),),
      "matrix is not PSD (min eigenvalue -1.000e+00)"),
-    ("density-hermitian", DensityMatrix, (ID2 / 2,), (np.array([[0.5, 0.1], [0.3, 0.5]]),),
+    ("density-hermitian", density_matrix, (ID2 / 2,), (np.array([[0.5, 0.1], [0.3, 0.5]]),),
      "density matrix is not Hermitian within 1e-10"),
-    ("density-trace", DensityMatrix, (ID2 / 2,), (np.diag([0.5, 0.6]),),
+    ("density-trace", density_matrix, (ID2 / 2,), (np.diag([0.5, 0.6]),),
      "density matrix trace 1.1 is not 1 within 1e-10"),
-    ("density-positive", DensityMatrix, (ID2 / 2,), (np.diag([1.5, -0.5]),),
+    ("density-positive", density_matrix, (ID2 / 2,), (np.diag([1.5, -0.5]),),
      "density matrix has negative eigenvalue -5.000e-01"),
     ("pure-state", pure_state, ([1.0, 0.0],), ([0.0, 0.0],),
      "cannot normalize a zero vector"),
@@ -91,27 +88,27 @@ CASES = [
      "spectral decomposition does not reproduce the generator"),
     ("make-filter", make_filter, (0.5,), (1.5,),
      "|t| = 1.5 exceeds 1; the filter must contract"),
-    ("sld-hermitian", lambda rho, d: sld(DensityMatrix(rho), d),
+    ("sld-hermitian", lambda rho, d: sld(density_matrix(rho), d),
      (ID2 / 2, 0.1 * SIGMA_Z), (ID2 / 2, UPPER),
      "drho must be Hermitian"),
-    ("sld-traceless", lambda rho, d: sld(DensityMatrix(rho), d),
+    ("sld-traceless", lambda rho, d: sld(density_matrix(rho), d),
      (ID2 / 2, 0.1 * SIGMA_Z), (ID2 / 2, 0.1 * ID2),
      "drho must be traceless (trace-preserving family)"),
-    ("sld-kernel", lambda rho, d: sld(DensityMatrix(rho), d),
+    ("sld-kernel", lambda rho, d: sld(density_matrix(rho), d),
      (KET0, SIGMA_X), (KET0, SIGMA_Z),
      "drho has weight 1.000e+00 outside the support of rho"),
     ("qfi-bloch-kernel", qfi_bloch, ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
      ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
      "drho has weight 5.000e-01 outside the support of rho"),
-    ("family-t", lambda t: PPAFamily(t=t), (0.5,), (1.5,),
-     "PPAFamily requires 0 < |t| <= 1"),
-    ("family-v", lambda v: PPAFamily(t=0.5, v=v), (0.5,), (0.0,),
+    ("family-t", lambda t: ppa_family(0.1, t), (0.5,), (1.5,),
+     "ppa_family requires 0 < |t| <= 1"),
+    ("family-v", lambda v: ppa_family(0.1, 0.5, v), (0.5,), (0.0,),
      "visibility must lie in (0, 1]"),
     ("qfi-purity", lambda rho: _qfi(rho, ID2), (KET0,), (ID2 / 2,),
      "state purity 0.5000000000; formula requires a pure state"),
     ("qfi-survival", lambda k: _qfi(KET0, k), (ID2,), (make_filter(0.0),),
      "postselection probability vanished"),
-    ("cfi", lambda n: cfi(n, PPAFamily(t=1.0), 0.0),
+    ("cfi", lambda n: cfi(n, *ppa_family(0.0, 1.0)),
      ([0.0, 1.0, 0.0],), ([0.0, 0.0, -1.0],),
      "outcome probability 0.000e+00 carries no information"),
     ("tomography", lambda r: simulate_tomography(r, 10, np.random.default_rng(0)),
@@ -119,7 +116,7 @@ CASES = [
      "Bloch vector components must lie in [-1, 1]"),
     ("povm-psd", filter_povm, (ID2 / 2,), (1.5 * ID2,),
      "POVM element is not PSD within 1e-10"),
-    ("povm-complete", POVM,
+    ("povm-complete", povm,
      ((ID2 / 2, ID2 / 2),), ((ID2 / 2, ID2 / 4),),
      "POVM elements do not sum to the identity within 1e-10"),
     ("kd-sum", _kd_sum, (ID2 / 2,), (np.diag([0.5, 0.5 + 9e-11]),),

@@ -1,7 +1,9 @@
 import importlib
 import json
+import math
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import ppasim
 MODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(ppasim.__path__) if name != "__main__"
 )
+ROOT = Path(__file__).parent.parent
 
 
 def test_package_top_level_holds_only_the_version():
@@ -33,21 +36,27 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     # every ```python block of README.md, joined in order into one script
     # as CI's "README Quickstart runs" step pipes them to python, run in an
     # empty directory
-    readme = Path(__file__).parent.parent / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
     assert blocks
     monkeypatch.chdir(tmp_path)
     exec(compile("".join(blocks), str(readme), "exec"), {"__name__": "__main__"})
 
 
-def assert_benchmark_smoke_run_is_correct(workload):
-    """The untraced run of ``workload`` in CI's "Benchmark smoke test" step
-    (perfbench/test_smoke.py): it exits 0 and its output checks hold."""
-    proc = subprocess.run(
+def run_benchmark(cwd, workload, *flags):
+    """``perfbench/run.py`` at the smoke test's tiny size in ``cwd``, as CI's
+    "Benchmark smoke test" step (perfbench/test_smoke.py) runs it."""
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
-         "--seconds", "1", "--tiny"],
-        cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=120,
+         "--seconds", "1", "--tiny", *flags],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
     )
+
+
+def assert_benchmark_smoke_run_is_correct(workload):
+    """The untraced run of ``workload`` in CI's "Benchmark smoke test" step:
+    it exits 0 and its output checks hold."""
+    proc = run_benchmark(ROOT, workload)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
 
@@ -62,3 +71,29 @@ def test_benchmark_smoke_run_is_correct(workload):
     # its checks fail the run on a row out of grid order, a qfi_theory (and
     # for fig4 a p_ps) off its closed form, or a non-finite value with no flag
     assert_benchmark_smoke_run_is_correct(workload)
+
+
+def test_benchmark_traced_smoke_run_reports_every_per_layer_metric():
+    # the smoke test's traced runs: one traced run measures every workload's
+    # per-layer metrics, whichever --workload it is given
+    proc = run_benchmark(ROOT, "verify", "--trace", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
+    for metric in spec["per_layer"]:
+        got = result["metrics"][metric["name"]]
+        assert got["unit"] == metric["unit"]
+        assert isinstance(got["value"], (int, float)) and math.isfinite(got["value"])
+
+
+def test_benchmark_fails_without_the_program(tmp_path):
+    # the smoke test's run from a checkout that holds the benchmark but no
+    # ppasim sources: it must fail, and report no metrics
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = run_benchmark(tmp_path, "sweep-deep")
+    assert proc.returncode != 0
+    assert '"metrics"' not in proc.stdout

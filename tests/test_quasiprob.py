@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -6,7 +7,6 @@ import pytest
 
 from ppasim.fisher import qfi_postselected_pure, qfi_ppa_family
 from ppasim.quasiprob import (
-    POVM,
     filter_povm,
     gap4_ppa_family,
     kd_distribution,
@@ -17,15 +17,12 @@ from ppasim.quasiprob import (
 from ppasim.states import (
     ID2,
     PAULIS,
-    DensityMatrix,
-    Generator,
     make_filter,
     phase_unitary,
     ppa_generator,
-    psd_sqrt,
     pure_state,
 )
-from ppasim import quasiprob, states, verify
+from ppasim import quasiprob, verify
 from ppasim.verify import (
     _marginalization_residual,
     gap_equality_suite,
@@ -36,10 +33,14 @@ from ppasim.verify import (
 
 from matrix_reference import (
     condition,
+    density_matrix,
+    generator,
     kd_entries,
     plus_minus_states,
+    povm,
     ppa_povm_sequence,
     projective_povm,
+    psd_sqrt,
     qubit_instances,
     spectral_generator,
     unfiltered_state,
@@ -56,14 +57,14 @@ def random_povm(rng, d, n_out):
     total = sum(raw)
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return POVM(tuple(inv_sqrt @ g @ inv_sqrt for g in raw))
+    return povm(tuple(inv_sqrt @ g @ inv_sqrt for g in raw))
 
 
 def random_density(rng, d):
     probs = rng.dirichlet(np.ones(d))
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(z)
-    return DensityMatrix((q * probs) @ q.conj().T)
+    return density_matrix((q * probs) @ q.conj().T)
 
 
 def imprinted_state(theta):
@@ -90,12 +91,12 @@ def population(r):
 
 def test_povm_rejects_incomplete_set():
     with pytest.raises(ValueError):
-        POVM((np.diag([0.5, 0.5]).astype(complex),))
+        povm((np.diag([0.5, 0.5]).astype(complex),))
 
 
 def test_povm_rejects_negative_element():
     with pytest.raises(ValueError):
-        POVM((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+        povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
     # complete but with one non-PSD element: caught in every position
     bad = np.array([[0.1, 0.3], [0.3, 0.1]])  # eigenvalues 0.4 and -0.2
     good = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.diag([0.5, 0.5]) - bad]
@@ -105,45 +106,56 @@ def test_povm_rejects_negative_element():
         elems.insert(pos, bad)
         assert np.abs(sum(elems) - np.eye(2)).max() < 1e-15
         with pytest.raises(ValueError, match="not PSD"):
-            POVM(tuple(elems))
+            povm(tuple(elems))
 
 
-def test_povm_stores_elements_as_views_of_a_frozen_stack():
-    povm = random_povm(RNG, 3, 4)
-    assert povm.stack.shape == (4, 3, 3)
-    assert not povm.stack.flags.writeable
-    for e in povm.stack:
-        assert e.base is povm.stack
-        with pytest.raises(ValueError):
-            e[0, 0] = 0.0
+def test_verify_builds_only_what_the_reference_validators_accept(monkeypatch):
+    """Every state, generator and POVM that a verify suite builds, at seeds
+    0-5 and the default sizes, meets the reference rules, though nothing
+    checks them when they are made: the qubit and qudit gap instances, the
+    gap check's coarse-grained and filter POVMs, the marginalization states
+    and POVMs, the Sylvester states and the 84 grid states."""
+    seen = {"gap": [], "kd": [], "sld": []}
 
+    def recording(kind, real):
+        def call(*args):
+            seen[kind].append(args)
+            return real(*args)
+        return call
 
-def test_verify_builds_only_what_the_public_constructors_accept(monkeypatch):
-    """Every state, POVM and generator that verify makes through the
-    unchecked ``_built`` path, at seeds 0-5 and the ``--n 200`` sizes,
-    passes its public constructor and is stored the same."""
-    made, unchecked = [], states._built
-
-    def recording(cls, **arrays):
-        made.append(unchecked(cls, **arrays))
-        return made[-1]
-
-    for module in (states, quasiprob, verify):
-        monkeypatch.setattr(module, "_built", recording)
+    gap = recording("gap", verify_gap_equality)
+    monkeypatch.setattr(verify, "verify_gap_equality", gap)
+    for module in (verify, quasiprob):
+        monkeypatch.setattr(module, "kd_distribution", recording("kd", kd_distribution))
+    monkeypatch.setattr(verify, "sld", recording("sld", verify.sld))
     for seed in range(6):
-        assert all(r.passed for r in verify.run_all(seed, 200))
-    assert {type(obj) for obj in made} == {DensityMatrix, POVM, Generator}
-    for obj in made:
-        arrays = {name: getattr(obj, name) for name in type(obj).__slots__}
-        checked = type(obj)(**arrays)
-        assert all(np.array_equal(getattr(checked, k), v) for k, v in arrays.items())
+        # a fresh grid cache, so the grid states reach sld at every seed
+        fresh = functools.cache(verify._grid_solution.__wrapped__)
+        monkeypatch.setattr(verify, "_grid_solution", fresh)
+        for calls in seen.values():
+            calls.clear()
+        assert all(r.passed for r in verify.run_all(seed))
+        for rho, gen, _ in seen["gap"]:
+            density_matrix(rho)
+            generator(*gen)
+        for rho, povms in seen["kd"]:
+            density_matrix(rho)
+            for stack in povms:
+                povm(stack)
+        sld_states = [density_matrix(rho)[..., 0, 0].size for rho, _ in seen["sld"]]
+        # 1000 qubits and 200 qudits; those again and 200 marginalization
+        # states, each in 4 tables; 84 grid and 100 Sylvester states
+        assert sum(len(rho) for rho, *_ in seen["gap"]) == 1200
+        assert sum(len(rho) for rho, _ in seen["kd"]) == 1200 + 4 * 200
+        assert sorted(sld_states)[-1] == 84 and sum(sld_states) == 84 + 100
 
 
 def test_filter_povm_checks_the_contraction_and_matches_the_public_povm():
-    k = psd_sqrt(np.array([random_density(RNG, 3).mat for _ in range(4)]))
-    povm = filter_povm(k)
-    assert not povm.stack.flags.writeable
-    assert np.array_equal(POVM(povm.stack).stack, povm.stack)
+    # what filter_povm makes of a contraction passes the reference POVM rules
+    k = psd_sqrt(np.array([random_density(RNG, 3) for _ in range(4)]))
+    filt = filter_povm(k)
+    assert filt.shape == (4, 2, 3, 3)
+    assert np.array_equal(povm(filt), filt)
     k[2] *= 1.1 / np.linalg.eigvalsh(k[2]).max()  # largest singular value 1.1
     with pytest.raises(ValueError, match="^instance 2: POVM element is not PSD within"):
         filter_povm(k)
@@ -181,21 +193,21 @@ def test_kd_distribution_is_read_only():
 def test_kd_distribution_checks_the_sum_per_instance():
     # a stack of two valid states totals 2 over all axes but 1 per instance
     thetas = (0.3, 1.1)
-    stack = DensityMatrix(np.stack([imprinted_state(th).mat for th in thetas]))
+    stack = density_matrix(np.stack([imprinted_state(th) for th in thetas]))
     kd = kd_distribution(stack, ppa_povm_sequence(0.5))
     assert kd.shape == (2, 2, 2, 2)
     for i, th in enumerate(thetas):
         one = kd_distribution(imprinted_state(th), ppa_povm_sequence(0.5))
         assert np.abs(kd[i] - one).max() < 1e-15
     # each deviation passes its own 1e-10 check; together they leave 1.8e-10
-    rho = DensityMatrix(
+    rho = density_matrix(
         np.stack([np.diag([0.5, 0.5]), np.diag([0.5, 0.5 + 9e-11])]).astype(complex)
     )
     half = np.diag([0.5, 0.5]) * (1.0 + 9e-11)
-    povm = POVM((half, half))
+    halves = povm((half, half))
     with pytest.raises(ValueError, match="instance 1: quasidistribution does not sum"):
-        kd_distribution(rho, (povm,))
-    assert kd_distribution(DensityMatrix(rho.mat[0]), (povm,)).shape == (2,)
+        kd_distribution(rho, (halves,))
+    assert kd_distribution(density_matrix(rho[0]), (halves,)).shape == (2,)
 
 
 # ------------------------------------------------------------- born behavior
@@ -248,16 +260,16 @@ def test_batched_kd_distribution_equals_per_entry_loop(k, batched):
     # (2, 3) when both have them
     rng = np.random.default_rng(40 + k)
     d = 3
-    mats = np.stack([random_density(rng, d).mat for _ in range(3)])
-    rho = DensityMatrix(mats if batched != "one-povm" else mats[0])
+    mats = np.stack([random_density(rng, d) for _ in range(3)])
+    rho = density_matrix(mats if batched != "one-povm" else mats[0])
     povms = [random_povm(rng, d, n_out) for n_out in (2, 3, 4)[:k]]
     if batched != "rho":
-        n_out = len(povms[k // 2].stack)
-        stacks = [random_povm(rng, d, n_out).stack for _ in range(2)]
-        povms[k // 2] = POVM(np.stack(stacks)[:, None])
+        n_out = len(povms[k // 2])
+        stacks = [random_povm(rng, d, n_out) for _ in range(2)]
+        povms[k // 2] = povm(np.stack(stacks)[:, None])
     kd = kd_distribution(rho, tuple(povms))
     batch = {"rho": (3,), "one-povm": (2, 1), "both": (2, 3)}[batched]
-    assert kd.shape == batch + tuple(p.stack.shape[-3] for p in povms)
+    assert kd.shape == batch + tuple(p.shape[-3] for p in povms)
     assert np.abs(kd - kd_entries(rho, povms)).max() <= 1e-14
 
 
@@ -285,7 +297,7 @@ def test_conditional_table_matches_closed_form():
         r = rng.normal(size=3)
         r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
         t = rng.uniform(0.044, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        rho = density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         cond = condition(kd_distribution(rho, ppa_povm_sequence(t)), 1, 0)
         assert np.abs(cond - kd_table_closed_form(r, t, population(r))).max() < 1e-12
 
@@ -416,13 +428,13 @@ def marginalization_instance(n_out, probs, z, x):
     two.  Returns (rho, povms, residual).
     """
     q, _ = np.linalg.qr(gaussian(z))
-    rho = DensityMatrix((q * probs) @ q.conj().T)
+    rho = density_matrix((q * probs) @ q.conj().T)
     povms = []
     for k, slots in zip(n_out, x):
         raw = [gaussian(a) @ gaussian(a).conj().T for a in slots[:k]]
         w, v = np.linalg.eigh(sum(raw))
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        povms.append(POVM(tuple(inv_sqrt @ g @ inv_sqrt for g in raw)))
+        povms.append(povm(tuple(inv_sqrt @ g @ inv_sqrt for g in raw)))
     povms = tuple(povms)
     kd = kd_distribution(rho, povms)
     residual = 0.0
@@ -454,7 +466,7 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch
     groups = list(random_marginalization_instances(batch, n))
     assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
-    dims = [rho.dim for _, rho, _ in groups]
+    dims = [rho.shape[-1] for _, rho, _ in groups]
     assert dims == sorted(dims) and set(dims) == {2, 3, 4}
     assert all(dims.count(d) > 1 for d in dims)
     assert all(len(pos) <= 16 for pos, *_ in groups)
@@ -465,12 +477,12 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch
         assert residual.shape == pos.shape
         for j, i in enumerate(pos):
             ref_rho, ref_povms, ref_residual = refs[i]
-            assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
-            for povm, ref_povm in zip(povms, ref_povms):
-                k = len(ref_povm.stack)
-                assert np.abs(povm.stack[j, :k] - ref_povm.stack).max() <= 1e-12
+            assert np.abs(rho[j] - ref_rho).max() <= 1e-12
+            for stack, ref_stack in zip(povms, ref_povms):
+                k = len(ref_stack)
+                assert np.abs(stack[j, :k] - ref_stack).max() <= 1e-12
                 # an unused outcome slot is exactly the zero element
-                assert np.all(povm.stack[j, k:] == 0.0)
+                assert np.all(stack[j, k:] == 0.0)
                 padded += k < 3
             assert abs(residual[j] - ref_residual) <= 1e-12
         worst = max(worst, float(residual.max()))
@@ -592,8 +604,8 @@ def per_instance_gap_equality(rng, n):
     Returns the lhs, rhs and residual arrays.
     """
     gen = ppa_generator()
-    a = gen.mat
-    proj = POVM(gen.projectors)
+    a, values, projectors = gen
+    proj = povm(projectors)
     rows = []
     for _ in range(n):
         theta = float(rng.uniform(0.01, 3.1))
@@ -602,14 +614,13 @@ def per_instance_gap_equality(rng, n):
         k = make_filter(mag * complex(math.cos(phase), math.sin(phase)))
         rho = pure_state(phase_unitary(gen, theta) @ np.array([1.0, 0.0]))
         m = k.conj().T @ k
-        r = rho.mat
-        p = np.trace(r @ m).real
+        p = np.trace(rho @ m).real
         lhs = (
-            4.0 * np.trace(a @ r @ a @ m).real / p
-            - 4.0 * abs(np.trace(a @ r @ m)) ** 2 / p**2
+            4.0 * np.trace(a @ rho @ a @ m).real / p
+            - 4.0 * abs(np.trace(a @ rho @ m)) ** 2 / p**2
         )
         kd = kd_distribution(rho, (proj, filter_povm(k), proj))
-        spread = gen.eigenvalues[-1] - gen.eigenvalues[0]
+        spread = values[-1] - values[0]
         rhs = 4.0 * spread**2 * nonclassicality_gap(condition(kd, 1, 0))
         rows.append((lhs, rhs, abs(lhs - rhs) / max(lhs, 1.0)))
     return np.array(rows).T
@@ -654,14 +665,14 @@ def test_batched_qubit_instances_match_the_per_instance_loop(seed):
 def qubit_stack(n=5):
     """Five random qubit instances as one batch: states, generator, filters."""
     rho, gen, k = qubit_instances(np.random.default_rng(7), n)
-    return np.array(rho.mat), gen, np.array(k)
+    return np.array(rho), gen, np.array(k)
 
 
 def test_batched_gap_equality_names_the_mixed_instance():
     mats, gen, k = qubit_stack()
     mats[3] = np.eye(2) / 2
     with pytest.raises(ValueError, match="instance 3: state purity"):
-        verify_gap_equality(DensityMatrix(mats), gen, k)
+        verify_gap_equality(density_matrix(mats), gen, k)
 
 
 def test_batched_gap_equality_names_the_unbalanced_instance():
@@ -669,7 +680,7 @@ def test_batched_gap_equality_names_the_unbalanced_instance():
     a_plus, a_minus = plus_minus_states()
     k[2] = 0.4 * np.outer(a_plus, a_plus.conj()) + np.outer(a_minus, a_minus.conj())
     with pytest.raises(ValueError, match="instance 2: filter is unbalanced"):
-        verify_gap_equality(DensityMatrix(mats), gen, k)
+        verify_gap_equality(density_matrix(mats), gen, k)
 
 
 def test_batched_gap_equality_names_the_single_eigenspace_instance():
@@ -677,14 +688,14 @@ def test_batched_gap_equality_names_the_single_eigenspace_instance():
     a_plus, _ = plus_minus_states()
     mats[1] = np.outer(a_plus, a_plus.conj())
     with pytest.raises(ValueError, match="instance 1: state is supported on 1 "):
-        verify_gap_equality(DensityMatrix(mats), gen, k)
+        verify_gap_equality(density_matrix(mats), gen, k)
 
 
 def test_batched_gap_equality_equals_its_instances():
     mats, gen, k = qubit_stack()
-    got = verify_gap_equality(DensityMatrix(mats), gen, k)
+    got = verify_gap_equality(density_matrix(mats), gen, k)
     for i in range(len(mats)):
-        one = verify_gap_equality(DensityMatrix(mats[i]), gen, k[i])
+        one = verify_gap_equality(density_matrix(mats[i]), gen, k[i])
         assert np.ndim(one.lhs) == 0
         assert np.allclose(
             (got.lhs[i], got.rhs[i], got.residual[i]), one, rtol=1e-14, atol=1e-15
@@ -750,7 +761,7 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
     groups = list(random_qudit_instances(batch, n))
     assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
-    dims = [rho.dim for _, rho, _, _ in groups]
+    dims = [rho.shape[-1] for _, rho, _, _ in groups]
     assert dims == sorted(dims) and set(dims) == {3, 4, 5, 6}
     assert all(dims.count(d) > 1 for d in dims)
     assert all(len(pos) <= 16 for pos, *_ in groups)
@@ -760,15 +771,16 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
         assert got.residual.shape == pos.shape
         for j, i in enumerate(pos):
             ref_rho, ref_gen, ref_k = refs[i]
-            values = np.round(ref_gen.eigenvalues)
-            assert np.abs(ref_gen.eigenvalues - values).max() <= 1e-12
-            ref_proj = dict(zip(values.tolist(), ref_gen.projectors))
-            assert np.abs(rho.mat[j] - ref_rho.mat).max() <= 1e-12
-            assert np.abs(gen.mat[j] - ref_gen.mat).max() <= 1e-12
-            # one slot per value -3 ... 3: the reference projector of that
-            # eigenvalue, or exactly zero where the instance lacks it
-            assert np.array_equal(gen.eigenvalues[j], np.arange(-3.0, 4.0))
-            for value, proj in zip(gen.eigenvalues[j].tolist(), gen.projectors[j]):
+            values = np.round(ref_gen[1])
+            assert np.abs(ref_gen[1] - values).max() <= 1e-12
+            ref_proj = dict(zip(values.tolist(), ref_gen[2]))
+            assert np.abs(rho[j] - ref_rho).max() <= 1e-12
+            assert np.abs(gen[0][j] - ref_gen[0]).max() <= 1e-12
+            # one slot per value -3 ... 3, shared by the batch: the reference
+            # projector of that eigenvalue, or exactly zero where the
+            # instance lacks it
+            assert np.array_equal(gen[1], np.arange(-3.0, 4.0))
+            for value, proj in zip(gen[1].tolist(), gen[2][j]):
                 if value in ref_proj:
                     assert np.abs(proj - ref_proj[value]).max() <= 1e-12
                 else:
@@ -777,7 +789,7 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
             ref = verify_gap_equality(ref_rho, ref_gen, ref_k)
             assert abs(got.residual[j] - ref.residual) <= 1e-12
             assert abs(got.lhs[j] - ref.lhs) <= 1e-12 * ref.lhs
-            ranks = [round(np.trace(p).real) for p in ref_gen.projectors]
+            ranks = [round(np.trace(p).real) for p in ref_gen[2]]
             wide_extreme += ranks[0] > 1 or ranks[-1] > 1
             repeated_middle += any(r > 1 for r in ranks[1:-1])
     # degenerate spectra: a middle eigenvalue at -3 or 3, and a repeated
@@ -840,9 +852,9 @@ def test_coarse_grained_table_keeps_the_pair_entries_and_the_norm(monkeypatch):
         [coarse] = tables
         assert coarse.shape == (len(pos), 3, 2, 3)
         # the state is supported on the slots of -3 and 3, the first and last
-        weights = np.einsum("niab,nba->ni", gen.projectors, rho.mat).real
+        weights = np.einsum("niab,nba->ni", gen[2], rho).real
         assert np.array_equal(np.flatnonzero((weights > 1e-12).any(0)), [0, 6])
-        proj = POVM(gen.projectors)
+        proj = povm(gen[2])
         full = kd_distribution(rho, (proj, filter_povm(k), proj))[:, :, 0, :]
         assert full.shape == (len(pos), 7, 7)
         passed = coarse[:, :, 0, :]
@@ -950,34 +962,34 @@ def test_gap_equality_random_qudits():
 def qudit_group():
     """The d = 4 group of some random qudit instances, as writable arrays."""
     [(pos, rho, gen, k)] = [g for g in random_qudit_instances(np.random.default_rng(3), 40)
-                            if g[1].dim == 4]
+                            if g[1].shape[-1] == 4]
     assert len(pos) >= 4
-    return np.array(rho.mat), gen, np.array(k)
+    return np.array(rho), gen, np.array(k)
 
 
 def test_gap_equality_on_a_generator_stack_names_the_unsupported_instance():
     mats, gen, k = qudit_group()
     # an eigenvector of the generator's lowest eigenspace alone
-    w, v = np.linalg.eigh(gen.mat[2])
+    w, v = np.linalg.eigh(gen[0][2])
     mats[2] = np.outer(v[:, 0], v[:, 0].conj())
     with pytest.raises(ValueError, match="^instance 2: state is supported on 1 "):
-        verify_gap_equality(DensityMatrix(mats), gen, k)
+        verify_gap_equality(density_matrix(mats), gen, k)
 
 
 def test_gap_equality_on_a_generator_stack_names_the_unbalanced_instance():
     mats, gen, k = qudit_group()
     k[1] = np.diag([0.3, 0.6, 0.8, 0.9])
     with pytest.raises(ValueError, match="^instance 1: filter is unbalanced"):
-        verify_gap_equality(DensityMatrix(mats), gen, k)
+        verify_gap_equality(density_matrix(mats), gen, k)
 
 
 def test_gap_equality_on_a_generator_stack_equals_its_instances():
     mats, gen, k = qudit_group()
-    got = verify_gap_equality(DensityMatrix(mats), gen, k)
+    got = verify_gap_equality(density_matrix(mats), gen, k)
     for i in range(len(mats)):
         one = verify_gap_equality(
-            DensityMatrix(mats[i]),
-            Generator(gen.mat[i], gen.eigenvalues[i], gen.projectors[i]),
+            density_matrix(mats[i]),
+            generator(gen[0][i], gen[1], gen[2][i]),
             k[i],
         )
         assert (got.lhs[i], got.rhs[i], got.residual[i]) == one
@@ -985,7 +997,7 @@ def test_gap_equality_on_a_generator_stack_equals_its_instances():
 
 def test_gap_equality_degenerate_four_level():
     # explicit d=4 instance with a doubly degenerate middle eigenvalue
-    gen = Generator(
+    gen = generator(
         mat=np.diag([-1.0, 0.0, 0.0, 2.0]),
         eigenvalues=[-1.0, 0.0, 2.0],
         projectors=[np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 1.0, 0]),
@@ -1026,7 +1038,7 @@ def test_gap_equality_rejects_mixed_state():
         ValueError, match=r"^state purity 0\.5000000000; formula requires a pure state$"
     ):
         verify_gap_equality(
-            DensityMatrix(np.eye(2) / 2), gen, make_filter(0.5)
+            density_matrix(np.eye(2) / 2), gen, make_filter(0.5)
         )
 
 

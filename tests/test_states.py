@@ -8,18 +8,15 @@ import scipy.linalg
 
 from ppasim.bench import postselected_bloch
 from ppasim.cli import SweepSpec
-from ppasim.fisher import PPAFamily, qfi_postselected_pure
-from ppasim.quasiprob import POVM, filter_povm
+from ppasim.fisher import qfi_postselected_pure
+from ppasim.quasiprob import filter_povm
 from ppasim.states import (
     _MM_CROSSOVER,
-    DensityMatrix,
-    Generator,
     _mm,
     amplified_angle,
     make_filter,
     phase_unitary,
     ppa_generator,
-    psd_sqrt,
     pure_state,
     ID2,
     PAULIS,
@@ -27,7 +24,13 @@ from ppasim.states import (
     SIGMA_Z,
 )
 
-from matrix_reference import bloch_vector, spectral_generator
+from matrix_reference import (
+    bloch_vector,
+    density_matrix,
+    generator,
+    psd_sqrt,
+    spectral_generator,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -46,39 +49,43 @@ def random_generator(rng, d):
 
 
 def stacked(gens):
-    """One Generator stack of generators of one shape, through the constructor."""
-    return Generator(*(np.stack([getattr(g, n) for g in gens]) for n in Generator.__slots__))
+    """One generator stack of generators of one shape, checked."""
+    return generator(*(np.stack(arrays) for arrays in zip(*gens)))
 
 
 def imprinted(theta):
     """U(theta - pi) |1><1| U^dag for the generator sigma_x / 2."""
     u = phase_unitary(ppa_generator(), theta - math.pi)
-    return DensityMatrix(u @ pure_state(E1).mat @ u.conj().T)
+    return density_matrix(u @ pure_state(E1) @ u.conj().T)
 
 
-# ---------------------------------------------------------------- validation
+def purity(rho):
+    return np.einsum("...ij,...ji->...", rho, rho).real
+
+
+# ------------------------------------------- the reference validators' rules
 
 
 def test_density_matrix_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
+        density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
 
 
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
-        DensityMatrix(0.7 * ID2)
+        density_matrix(0.7 * ID2)
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.3, -0.3]).astype(complex))
+        density_matrix(np.diag([1.3, -0.3]).astype(complex))
 
 
 def test_density_matrix_stack_names_the_failing_instance():
-    good = pure_state(E0).mat
-    stack = DensityMatrix(np.stack([good, ID2 / 2, good]))
-    assert stack.dim == 2
-    assert np.allclose(stack.purity(), [1.0, 0.5, 1.0])
+    good = pure_state(E0)
+    stack = density_matrix(np.stack([good, ID2 / 2, good]))
+    assert stack.shape == (3, 2, 2)
+    assert np.allclose(purity(stack), [1.0, 0.5, 1.0])
     cases = (
         (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
         (0.7 * ID2, "trace"),
@@ -86,26 +93,19 @@ def test_density_matrix_stack_names_the_failing_instance():
     )
     for bad, what in cases:
         with pytest.raises(ValueError, match=f"instance 2: density matrix .*{what}"):
-            DensityMatrix(np.stack([good, good, bad]))
+            density_matrix(np.stack([good, good, bad]))
     with pytest.raises(ValueError, match="instance 1: cannot normalize"):
         pure_state([[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_density_matrix_is_read_only():
-    rho = pure_state(E0)
-    with pytest.raises(ValueError):
-        rho.mat[0, 0] = 0.0
 
 
 def test_generator_rejects_non_hermitian():
     # no real spectrum rebuilds a non-Hermitian matrix, not even the spectrum
     # of its Hermitian part, here sigma_x / 2
-    half = ppa_generator()
+    _, values, projectors = ppa_generator()
     with pytest.raises(
         ValueError, match="^spectral decomposition does not reproduce the generator$"
     ):
-        Generator(mat=[[0.0, 1.0], [0.0, 0.0]], eigenvalues=half.eigenvalues,
-                  projectors=half.projectors)
+        generator([[0.0, 1.0], [0.0, 0.0]], values, projectors)
 
 
 def test_generator_spectral_reconstruction():
@@ -113,28 +113,19 @@ def test_generator_spectral_reconstruction():
         d = int(RNG.integers(2, 7))
         # integer eigenvalues, so some eigenspaces have more than one dimension
         values = RNG.integers(-2, 3, size=d).astype(float)
-        gen = spectral_generator(random_unitary(RNG, d), values)
-        rebuilt = sum(a * p for a, p in zip(gen.eigenvalues, gen.projectors))
-        assert np.abs(rebuilt - gen.mat).max() < 1e-10
-        for a, p in zip(gen.eigenvalues, gen.projectors):
+        mat, eigenvalues, projectors = spectral_generator(random_unitary(RNG, d), values)
+        rebuilt = sum(a * p for a, p in zip(eigenvalues, projectors))
+        assert np.abs(rebuilt - mat).max() < 1e-10
+        for a, p in zip(eigenvalues, projectors):
             assert np.abs(p @ p - p).max() < 1e-10
             assert round(np.trace(p).real) == np.count_nonzero(values == a)
 
 
 def test_ppa_generator_is_its_exact_spectrum():
-    gen = ppa_generator()
-    assert gen.eigenvalues.tolist() == [-0.5, 0.5]
-    assert np.array_equal(gen.projectors, [(ID2 - SIGMA_X) / 2, (ID2 + SIGMA_X) / 2])
-
-
-def test_generator_built_directly_is_read_only():
-    gen = Generator(
-        mat=SIGMA_Z / 2,
-        eigenvalues=[-0.5, 0.5],
-        projectors=np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]),
-    )
-    for arr in (gen.mat, gen.eigenvalues, gen.projectors):
-        assert not arr.flags.writeable
+    _, eigenvalues, projectors = ppa_generator()
+    assert eigenvalues.tolist() == [-0.5, 0.5]
+    assert np.array_equal(projectors, [(ID2 - SIGMA_X) / 2, (ID2 + SIGMA_X) / 2])
+    generator(*ppa_generator())  # the reference rules hold
 
 
 def test_generator_built_directly_rejects_projectors_that_are_not_a_povm():
@@ -149,63 +140,39 @@ def test_generator_built_directly_rejects_projectors_that_are_not_a_povm():
          "POVM element is not PSD within 1e-10"),
     ]
     for values, good, bad, message in cases:
-        Generator(mat=mat, eigenvalues=values, projectors=good)
+        generator(mat, values, good)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Generator(mat=mat, eigenvalues=values, projectors=bad)
+            generator(mat, values, bad)
         with pytest.raises(ValueError, match=f"^instance 1: {message}$"):
-            Generator(mat=[mat, mat], eigenvalues=[values] * 2, projectors=[good, bad])
+            generator([mat, mat], [values] * 2, [good, bad])
 
 
 def test_generator_built_directly_rejects_a_non_finite_spectrum():
-    good = Generator(mat=SIGMA_Z / 2, eigenvalues=[-0.5, 0.5],
-                     projectors=[np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+    good = generator(SIGMA_Z / 2, [-0.5, 0.5], [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+    mat, eigenvalues, projectors = good
     with pytest.raises(ValueError, match="^spectral decomposition does not"):
-        Generator(mat=good.mat, eigenvalues=[-0.5, np.nan], projectors=good.projectors)
+        generator(mat, [-0.5, np.nan], projectors)
     with pytest.raises(ValueError, match="^spectral decomposition does not"):
-        Generator(mat=np.diag([0.5, np.nan]), eigenvalues=good.eigenvalues,
-                  projectors=good.projectors)
+        generator(np.diag([0.5, np.nan]), eigenvalues, projectors)
 
 
-def assert_same_contents(x, y):
-    """Equal values, slot by slot for a holder, and read-only arrays in ``y``."""
-    assert type(x) is type(y)
-    if isinstance(x, np.ndarray):
-        assert np.array_equal(x, y)
-        assert not y.flags.writeable
-    elif isinstance(x, tuple) or not hasattr(type(x), "__slots__"):
-        assert x == y
-    else:
-        for name in type(x).__slots__:
-            assert_same_contents(getattr(x, name), getattr(y, name))
-
-
-HOLDERS = {
-    "DensityMatrix": lambda: DensityMatrix(np.diag([0.75, 0.25])),
-    "Generator": lambda: Generator(
-        SIGMA_X / 2, ppa_generator().eigenvalues, ppa_generator().projectors
-    ),
-    "POVM": lambda: POVM(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])),
-    "PPAFamily": lambda: PPAFamily(0.3, 0.9),
-    "SweepSpec": lambda: SweepSpec(theta_list=[0.1, 1], seed=4),
-}
-
-
-@pytest.mark.parametrize("make", HOLDERS.values(), ids=HOLDERS.keys())
+@pytest.mark.parametrize(
+    "make", [lambda: SweepSpec(theta_list=[0.1, 1], seed=4)], ids=["SweepSpec"]
+)
 def test_holders_are_read_only_compare_by_identity_and_round_trip(make):
+    # SweepSpec is the one holder class left (states, generators and POVMs
+    # are arrays): it is read-only, compares and hashes by value, and
+    # survives pickle and copy
     obj, twin = make(), make()
-    # the array holders compare and hash by identity; a SweepSpec by value
-    by_value = isinstance(obj, SweepSpec)
-    assert obj == obj
-    assert (obj == twin) is by_value
-    assert (hash(obj) == hash(twin)) is by_value
-    name = (obj._fields if by_value else type(obj).__slots__)[0]
+    assert obj == twin and hash(obj) == hash(twin)
+    name = obj._fields[0]
     with pytest.raises(AttributeError):
         setattr(obj, name, getattr(twin, name))
     with pytest.raises(AttributeError):
         delattr(obj, name)
     for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
         assert copied is not obj
-        assert_same_contents(obj, copied)
+        assert type(copied) is type(obj) and copied == obj
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
@@ -224,22 +191,24 @@ def test_pure_state_rejects_a_norm_that_overflows():
 
 
 def test_generator_stack_names_the_non_hermitian_instance():
-    gen = stacked([random_generator(RNG, 3) for _ in range(4)])
-    mats = np.array(gen.mat)
+    mat, eigenvalues, projectors = stacked([random_generator(RNG, 3) for _ in range(4)])
+    mats = np.array(mat)
     mats[2, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="^instance 2: spectral decomposition"):
-        Generator(mat=mats, eigenvalues=gen.eigenvalues, projectors=gen.projectors)
+        generator(mats, eigenvalues, projectors)
 
 
 def test_generator_stack_names_the_instance_it_cannot_rebuild():
-    gen = stacked([random_generator(RNG, 3) for _ in range(3)])
-    values = np.array(gen.eigenvalues)
+    mat, eigenvalues, projectors = stacked([random_generator(RNG, 3) for _ in range(3)])
+    values = np.array(eigenvalues)
     values[1, 0] += 1e-3
     with pytest.raises(ValueError, match="^instance 1: spectral decomposition"):
-        Generator(mat=gen.mat, eigenvalues=values, projectors=gen.projectors)
+        generator(mat, values, projectors)
 
 
 def test_psd_sqrt_stack_squares_back_and_names_the_negative_instance():
+    # the rule of states._spectral_sqrt, which makes verify's qudit filters,
+    # through the reference's psd_sqrt
     x = RNG.normal(size=(5, 3, 3)) + 1j * RNG.normal(size=(5, 3, 3))
     m = x @ x.conj().swapaxes(-1, -2)
     root = psd_sqrt(m)
@@ -254,8 +223,8 @@ def test_psd_sqrt_stack_squares_back_and_names_the_negative_instance():
 def test_ppa_generator_is_one_read_only_instance():
     gen = ppa_generator()
     assert ppa_generator() is gen
-    assert np.array_equal(gen.mat, SIGMA_X / 2)
-    for arr in (gen.mat, gen.eigenvalues, gen.projectors):
+    assert np.array_equal(gen[0], SIGMA_X / 2)
+    for arr in gen:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -282,7 +251,7 @@ def test_phase_unitary_matches_expm():
         d = int(RNG.integers(2, 6))
         gen = random_generator(RNG, d)
         theta = float(RNG.uniform(-4, 4))
-        expected = scipy.linalg.expm(1j * theta * gen.mat)
+        expected = scipy.linalg.expm(1j * theta * gen[0])
         got = phase_unitary(gen, theta)
         assert np.abs(got - expected).max() < 1e-10
 
@@ -296,7 +265,7 @@ def test_phase_unitary_of_a_generator_stack_is_per_instance():
     for i, gen in enumerate(gens):
         one = phase_unitary(gen, 0.7)
         assert np.abs(got[i] - one).max() < 1e-14
-        assert np.abs(got[i] - scipy.linalg.expm(0.7j * gen.mat)).max() < 1e-10
+        assert np.abs(got[i] - scipy.linalg.expm(0.7j * gen[0])).max() < 1e-10
 
 
 def test_phase_unitary_is_unitary():
@@ -309,21 +278,21 @@ def test_phase_unitary_population_follows_half_angle():
     # vertical input, generator sigma_x/2, phase theta - pi: the |0>
     # population of the imprinted state is cos^2(theta/2)
     for theta in (0.0, 0.1, 0.5, 1.0, 2.0):
-        pop0 = imprinted(theta).mat[0, 0].real
+        pop0 = imprinted(theta)[0, 0].real
         assert abs(pop0 - math.cos(theta / 2) ** 2) < 1e-12
 
 
 def test_phase_unitary_preserves_purity():
     rho = pure_state(RNG.normal(size=3) + 1j * RNG.normal(size=3))
     u = phase_unitary(random_generator(RNG, 3), 0.7)
-    assert abs(DensityMatrix(u @ rho.mat @ u.conj().T).purity() - 1.0) < 1e-12
+    assert abs(purity(density_matrix(u @ rho @ u.conj().T)) - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------- make_filter
 
 
 def fail_element(t):
-    return filter_povm(make_filter(t)).stack[1]
+    return filter_povm(make_filter(t))[1]
 
 
 def test_make_filter_limits():
@@ -389,8 +358,8 @@ def test_postselect_branch_probabilities_sum_to_one():
         t = RNG.uniform(0, 1) * np.exp(1j * RNG.uniform(0, 2 * math.pi))
         rho = pure_state(RNG.normal(size=2) + 1j * RNG.normal(size=2))
         k = make_filter(t)
-        p_plus = np.trace(k @ rho.mat @ k.conj().T).real
-        p_minus = np.trace(fail_element(t) @ rho.mat).real
+        p_plus = np.trace(k @ rho @ k.conj().T).real
+        p_minus = np.trace(fail_element(t) @ rho).real
         assert abs(p_plus + p_minus - 1.0) < 1e-10
 
 
@@ -451,7 +420,7 @@ def test_bloch_round_trip():
     for _ in range(25):
         r = RNG.normal(size=3)
         r *= RNG.uniform(0, 1) / np.linalg.norm(r)
-        rho = DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        rho = density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
         assert np.abs(bloch_vector(rho) - r).max() < 1e-12
 
 
@@ -464,7 +433,7 @@ def test_bloch_literals():
 
 
 def test_bloch_rejects_qutrit():
-    rho3 = DensityMatrix(np.eye(3) / 3)
+    rho3 = density_matrix(np.eye(3) / 3)
     with pytest.raises(ValueError):
         bloch_vector(rho3)
 
@@ -473,7 +442,7 @@ def test_bloch_rejects_long_vector():
     # |r| > 1 gives (1 + r . sigma)/2 a negative eigenvalue
     r = np.array([0.8, 0.8, 0.8])
     with pytest.raises(ValueError):
-        DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+        density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
 
 
 # ------------------------------------------------------------ amplified states

@@ -4,28 +4,33 @@ import numpy as np
 import pytest
 
 from ppasim.bench import postselected_bloch
-from ppasim.fisher import PPAFamily, qfi_bloch, qfi_ppa_family, sld
+from ppasim.fisher import ppa_family, qfi_bloch, qfi_ppa_family, sld
 from ppasim.quasiprob import kd_distribution, kd_table_closed_form, nonclassicality_gap
 from ppasim.states import (
     ID2,
     PAULIS,
-    DensityMatrix,
     amplified_angle,
 )
 from ppasim.tomography import DEFAULT_DTHETA, simulate_tomography
 
-from matrix_reference import bloch_vector, condition, ppa_povm_sequence, unfiltered_state
+from matrix_reference import (
+    bloch_vector,
+    condition,
+    density_matrix,
+    ppa_povm_sequence,
+    unfiltered_state,
+)
 
 
 def density(r):
-    return DensityMatrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
+    return density_matrix((ID2 + np.tensordot(r, PAULIS, 1)) / 2)
 
 
 def fidelity(rho, sigma):
     """Pure-vs-mixed shortcut is not enough here; use the full formula."""
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = np.linalg.eigh(rho)
     sq = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-    inner = sq @ sigma.mat @ sq
+    inner = sq @ sigma @ sq
     wi = np.linalg.eigvalsh(inner)
     return float(np.sqrt(np.clip(wi, 0, None)).sum() ** 2)
 
@@ -34,7 +39,7 @@ def fidelity(rho, sigma):
 
 
 def test_finite_shots_converge_to_truth():
-    rho = PPAFamily(t=0.5, v=0.95).state(0.4)
+    rho = ppa_family(0.4, 0.5, 0.95)[0]
     failures = 0
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
@@ -46,7 +51,7 @@ def test_finite_shots_converge_to_truth():
 
 def test_expectations_are_unbiased():
     # the state sits well inside the ball, so no estimate is clipped
-    rho = PPAFamily(t=0.5, v=0.9).state(0.7)
+    rho = ppa_family(0.7, 0.5, 0.9)[0]
     truth = bloch_vector(rho)
     rng = np.random.default_rng(7)
     samples = np.array([simulate_tomography(truth, 2000, rng) for _ in range(400)])
@@ -58,7 +63,7 @@ def test_expectations_are_unbiased():
 def test_reconstruction_is_always_physical():
     # near-pure truth: raw linear inversion often leaves the Bloch ball,
     # the clipped estimate must not (its smaller eigenvalue is (1 - |r|)/2)
-    r = bloch_vector(PPAFamily(t=0.5).state(0.4))
+    r = bloch_vector(ppa_family(0.4, 0.5)[0])
     rng = np.random.default_rng(3)
     for _ in range(50):
         r_est = simulate_tomography(r, 200, rng)
@@ -66,7 +71,7 @@ def test_reconstruction_is_always_physical():
 
 
 def test_finite_shots_require_rng():
-    r = bloch_vector(PPAFamily(t=0.5).state(0.4))
+    r = bloch_vector(ppa_family(0.4, 0.5)[0])
     with pytest.raises(TypeError):
         simulate_tomography(r, 100)
     with pytest.raises(ValueError):
@@ -76,8 +81,8 @@ def test_finite_shots_require_rng():
 def test_stack_draws_like_one_call_per_vector():
     # a (2, 4, 3) stack is drawn in C order by one binomial call: the same
     # counts as per-vector calls on an equal stream, and the same estimates
-    family = PPAFamily(t=0.5, v=0.9)
-    truth = np.array([bloch_vector(family.state(th)) for th in (0.1, 0.4, 0.8, 1.5)])
+    thetas = (0.1, 0.4, 0.8, 1.5)
+    truth = np.array([bloch_vector(ppa_family(th, 0.5, 0.9)[0]) for th in thetas])
     stack = np.broadcast_to(truth, (2, 4, 3))
     got = simulate_tomography(stack, 500, np.random.default_rng(5))
     rng = np.random.default_rng(5)
@@ -101,14 +106,14 @@ def polar_angle(rho):
 def test_amplified_angle_from_state_matches_theory():
     for theta in (0.05, 0.3, 1.0):
         for t in (0.1, 0.5, 0.9):
-            rho = PPAFamily(t=t).state(theta)
+            rho = ppa_family(theta, t)[0]
             assert polar_angle(rho) == pytest.approx(
                 amplified_angle(theta, t), abs=1e-12
             )
 
 
 def test_amplified_angle_from_state_frozen():
-    rho = PPAFamily(t=0.044).state(0.040)
+    rho = ppa_family(0.040, 0.044)[0]
     assert polar_angle(rho) == pytest.approx(
         0.8533554566561224, abs=1e-12
     )
@@ -116,16 +121,16 @@ def test_amplified_angle_from_state_frozen():
 
 def test_amplified_angle_from_state_balanced_point():
     # tan(theta/2) = t puts the postselected state on the equator
-    rho = PPAFamily(t=math.tan(0.2)).state(0.4)
+    rho = ppa_family(0.4, math.tan(0.2))[0]
     assert polar_angle(rho) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_amplified_angle_from_state_is_length_invariant():
     # the read-out is a direction: shrinking the Bloch vector uniformly
     # (pure dephasing/depolarization after postselection) leaves it fixed
-    rho = PPAFamily(t=0.3).state(0.2)
+    rho = ppa_family(0.2, 0.3)[0]
     r = bloch_vector(rho)
-    shrunk = DensityMatrix((ID2 + np.tensordot(0.55 * r, PAULIS, 1)) / 2)
+    shrunk = density_matrix((ID2 + np.tensordot(0.55 * r, PAULIS, 1)) / 2)
     assert np.abs(bloch_vector(shrunk) - 0.55 * r).max() < 1e-15
     assert polar_angle(shrunk) == pytest.approx(
         polar_angle(rho), abs=1e-12
@@ -136,8 +141,8 @@ def test_amplified_angle_from_state_mixing_biases_toward_equator():
     # the depolarized component is itself reshaped by the filter, so the
     # family's v < 1 states sit at a *different* polar angle than the pure
     # ones -- pin the direction of that motion
-    a = polar_angle(PPAFamily(t=0.3).state(0.2))
-    b = polar_angle(PPAFamily(t=0.3, v=0.9).state(0.2))
+    a = polar_angle(ppa_family(0.2, 0.3)[0])
+    b = polar_angle(ppa_family(0.2, 0.3, 0.9)[0])
     assert b > a
 
 
@@ -145,14 +150,12 @@ def test_amplified_angle_from_state_mixing_biases_toward_equator():
 
 
 def test_empirical_qfi_exact_inputs():
-    fam = PPAFamily(t=0.5)
-    val = sld(fam.state(0.2), fam.derivative(0.2)).qfi
+    val = sld(*ppa_family(0.2, 0.5)).qfi
     assert val == pytest.approx(3.7711148807566075, abs=1e-9)
 
 
 def test_empirical_qfi_open_filter_is_unit():
-    fam = PPAFamily(t=1.0)
-    val = sld(fam.state(0.7), fam.derivative(0.7)).qfi
+    val = sld(*ppa_family(0.7, 1.0)).qfi
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -163,10 +166,9 @@ def test_empirical_qfi_discretization_error_budget():
     dt = DEFAULT_DTHETA
     for theta in (0.1, 0.2, 0.5, 1.0, 1.5):
         for t in (0.3, 0.5, 1.0):
-            fam = PPAFamily(t=t, v=0.98)
             r = [postselected_bloch(theta + k * dt, t, 0.0, 0.98)[0] for k in (-1, 0, 1)]
             est = qfi_bloch(r[1], (r[2] - r[0]) / (2 * dt))
-            truth = sld(fam.state(theta), fam.derivative(theta)).qfi
+            truth = sld(*ppa_family(theta, t, 0.98)).qfi
             rel = abs(est - truth) / truth
             assert rel < 7e-3
             if theta >= 1.0:
@@ -227,8 +229,7 @@ def test_noisy_qfi_pipeline_is_consistent():
     # finite difference, radial clipping -- repeated estimates must
     # scatter around the same-visibility family truth
     theta, t, v = 0.2, 0.5, 0.98
-    fam = PPAFamily(t=t, v=v)
-    truth = sld(fam.state(theta), fam.derivative(theta)).qfi
+    truth = sld(*ppa_family(theta, t, v)).qfi
     dt = DEFAULT_DTHETA
     exact = [postselected_bloch(theta + k * dt, t, 0.0, v)[0] for k in (-1, 0, 1)]
     rng = np.random.default_rng(99)
@@ -244,5 +245,5 @@ def test_noisy_qfi_pipeline_is_consistent():
 
 def test_density_from_bloch_round_trip_guard():
     # helper used throughout the suite; pin the orientation convention here
-    rho = DensityMatrix((ID2 + np.tensordot([0.0, 0.0, -1.0], PAULIS, 1)) / 2)
-    assert np.allclose(rho.mat, np.diag([0.0, 1.0]))
+    rho = density_matrix((ID2 + np.tensordot([0.0, 0.0, -1.0], PAULIS, 1)) / 2)
+    assert np.allclose(rho, np.diag([0.0, 1.0]))
