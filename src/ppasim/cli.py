@@ -510,15 +510,17 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
     if command == "sweep" and spec.n_trials < 2:
         raise ValueError(f"n_trials: {spec.n_trials} is not an integer >= 2")
     if command in ("sweep", "fig4", "verify"):
-        check_run(spec.seed)
+        check_run(
+            spec.seed,
+            _checked("n_instances", n_instances, 0)
+            if command == "verify" and n_instances is not None else None,
+        )
     if command == "fig4" and not 1 <= spec.shots_per_basis <= MAX_COUNT:
         raise ValueError(
             f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"
         )
     if command == "sweep" and workers < 1:
         raise ValueError(f"workers: {workers} must be at least 1")
-    if command == "verify" and n_instances is not None:
-        check_run(spec.seed, _checked("n_instances", n_instances, 0))
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

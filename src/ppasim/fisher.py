@@ -217,13 +217,12 @@ def qfi_ppa_family(theta, t_mag, v=1.0):
     return np.where(qfi < math.inf, qfi, math.nan)[()]
 
 
-def qfi_postselected_pure(rho_theta: np.ndarray, a: tuple, k_plus):
+def qfi_postselected_pure(rho_theta: np.ndarray, a_mat: np.ndarray, k_plus):
     """Postselected QFI 4/p Tr(A rho A M) - 4/p^2 |Tr(A rho M)|^2, M = K+^dag K+.
 
     ``rho_theta`` is the imprinted state *before* the filter acts (the
     normalization by p = Tr(rho M) happens inside the formula), and must be
-    pure to 1e-8; of the generator tuple ``a`` only its matrix is read.
-    ``rho_theta`` and ``k_plus`` may carry leading batch
+    pure to 1e-8.  ``rho_theta`` and ``k_plus`` may carry leading batch
     axes, which broadcast; the result is a float, or an array over the batch
     axes, and each instance is checked for purity and for p > ZERO_PROBABILITY
     (a failure raises ValueError naming the first failing instance).  The
@@ -237,7 +236,6 @@ def qfi_postselected_pure(rho_theta: np.ndarray, a: tuple, k_plus):
         np.abs(purity - 1.0) > 1e-8,
         "state purity {:.10f}; formula requires a pure state", purity,
     )
-    a_mat = a[0]
     k_op = _as_complex_stack(k_plus, "K+")
     k_rho = _mm(k_op, rho_theta)
     ka_rho = _mm(_mm(k_op, a_mat), rho_theta)

@@ -191,7 +191,7 @@ def verify_gap_equality(rho: np.ndarray, a: tuple, k_plus) -> GapEqualityResult:
 
     residual = |lhs - rhs| / max(lhs, 1).
     """
-    _, eigenvalues, slots = a
+    a_mat, eigenvalues, slots = a
     filt = filter_povm(k_plus)
     if filt.shape[-1] != rho.shape[-1] or slots.shape[-1] != rho.shape[-1]:
         raise ValueError("rho, generator, and filter dimensions must agree")
@@ -199,7 +199,7 @@ def verify_gap_equality(rho: np.ndarray, a: tuple, k_plus) -> GapEqualityResult:
     supported = weights > 1e-12
     count = supported.sum(-1)
     _reject(count != 2, "state is supported on {} generator eigenspaces, need 2", count)
-    lhs = qfi_postselected_pure(rho, a, k_plus)
+    lhs = qfi_postselected_pure(rho, a_mat, k_plus)
 
     # per instance the slots of a_lo and a_hi, in slot order
     pair = np.nonzero(supported)[-1].reshape(supported.shape[:-1] + (2,))

@@ -91,7 +91,7 @@ def test_criterion_2_fisher_route_consistency(capsys):
         for t in T_GRID:
             routes = (
                 qfi_ppa_family(theta, t),
-                qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t)),
+                qfi_postselected_pure(unfiltered_state(theta), gen[0], make_filter(t)),
                 sld(*ppa_family(theta, t)).qfi,
             )
             scale = max(routes)

@@ -466,7 +466,7 @@ def test_qfi_postselected_pure_matches_sld_route():
     gen = ppa_generator()
     for theta in (0.02, 0.2, 1.0):
         for t in (0.044, 0.3, 1.0):
-            lhs = qfi_postselected_pure(unfiltered_state(theta), gen, make_filter(t))
+            lhs = qfi_postselected_pure(unfiltered_state(theta), gen[0], make_filter(t))
             rhs = sld(*ppa_family(theta, t, 1.0)).qfi
             assert abs(lhs - rhs) < 1e-8 * max(rhs, 1.0)
 
@@ -475,25 +475,25 @@ def test_qfi_postselected_pure_of_a_stack_is_the_per_instance_qfi():
     # bit for bit, on a seeded set whose instance 4 squares a value where
     # libm pow(x, 2), which NumPy's scalar ** calls, is not x * x
     rho, gen, k_plus = qubit_instances(np.random.default_rng(8), 16)
-    qfi = qfi_postselected_pure(rho, gen, k_plus)
+    qfi = qfi_postselected_pure(rho, gen[0], k_plus)
     for i in range(16):
-        assert qfi_postselected_pure(density_matrix(rho[i]), gen, k_plus[i]) == qfi[i]
+        assert qfi_postselected_pure(density_matrix(rho[i]), gen[0], k_plus[i]) == qfi[i]
 
 
 def test_qfi_postselected_pure_no_filter_variance():
     # K+ = 1 gives 4 Var(A); |0> has Var(sigma_x/2) = 1/4
-    val = qfi_postselected_pure(pure_state(E0), ppa_generator(), make_filter(1.0))
+    val = qfi_postselected_pure(pure_state(E0), ppa_generator()[0], make_filter(1.0))
     assert abs(val - 1.0) < 1e-12
 
 
 def test_qfi_postselected_pure_vanishes_at_t_zero():
-    val = qfi_postselected_pure(unfiltered_state(0.3), ppa_generator(), make_filter(0.0))
+    val = qfi_postselected_pure(unfiltered_state(0.3), ppa_generator()[0], make_filter(0.0))
     assert val == 0.0
 
 
 def test_qfi_postselected_pure_continuous_in_t_near_zero():
     rho = unfiltered_state(0.3)
-    small = qfi_postselected_pure(rho, ppa_generator(), make_filter(1e-3))
+    small = qfi_postselected_pure(rho, ppa_generator()[0], make_filter(1e-3))
     assert abs(small - qfi_ppa_family(0.3, 1e-3)) / small < 1e-6
 
 
@@ -502,7 +502,7 @@ def test_qfi_postselected_pure_rejects_mixed_state():
         ValueError, match=r"^state purity 0\.5000000000; formula requires a pure state$"
     ):
         qfi_postselected_pure(
-            density_matrix(np.eye(2) / 2), ppa_generator(), make_filter(0.5)
+            density_matrix(np.eye(2) / 2), ppa_generator()[0], make_filter(0.5)
         )
 
 

@@ -54,7 +54,7 @@ def _gap(rho=KET0, k_plus=ID2):
 
 
 def _qfi(rho, k_plus):
-    return qfi_postselected_pure(density_matrix(rho), ppa_generator(), k_plus)
+    return qfi_postselected_pure(density_matrix(rho), ppa_generator()[0], k_plus)
 
 
 def _spectral(mat, values):

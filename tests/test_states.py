@@ -367,7 +367,7 @@ def test_postselect_zero_probability_raises():
     # fully blocking filter on a state entirely in the blocked mode: the
     # postselected QFI has nothing to condition on
     with pytest.raises(ValueError, match="^postselection probability vanished$"):
-        qfi_postselected_pure(pure_state(E0), ppa_generator(), make_filter(0.0))
+        qfi_postselected_pure(pure_state(E0), ppa_generator()[0], make_filter(0.0))
 
 
 def test_postselected_state_matches_amplified_superposition():
