@@ -129,9 +129,17 @@ def _fringe_params(n: np.ndarray) -> tuple:
 
 
 def _half_count_frequency(counts_plus, n_detected):
-    # Empirical frequency kept half a count away from 0 and 1.
-    n = np.asarray(n_detected, dtype=float)
-    return np.clip(np.asarray(counts_plus) / n, 0.5 / n, 1.0 - 0.5 / n)
+    # Empirical frequency kept half a count away from 0 and 1, computed in
+    # place; a 0-d input gives a NumPy scalar.
+    n = np.array(n_detected, dtype=float)
+    f = np.divide(counts_plus, n, out=np.empty(np.broadcast(counts_plus, n).shape))
+    lo = np.divide(0.5, n, out=n)
+    return np.clip(f, lo, 1.0 - lo, out=f)[()]
+
+
+# The arccos branches psi + b + 2 pi k, then psi - b + 2 pi k, for k = -1, 0, 1.
+_BRANCHES = tuple((op, 2.0 * math.pi * k) for op in (np.add, np.subtract) for k in (-1, 0, 1))
+_SHIFTS = np.array([shift for _, shift in _BRANCHES])
 
 
 def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.ndarray]:
@@ -141,26 +149,33 @@ def _invert_frequency(f, r, psi, t_assumed, prior_big) -> tuple[np.ndarray, np.n
     the amplified prior ``amplified_angle(theta_prior, t_assumed)``; the
     arccos branch nearest it is mapped back through the assumed amplitude.
     All parameters broadcast against ``f``, so a (points, trials) block
-    inverts in one call with (points, 1) parameters.  ``clamped`` marks the
-    frequencies outside the fringe's achievable range.
+    inverts in one call with (points, 1) parameters; 0-d inputs give NumPy
+    scalars.  ``clamped`` marks the frequencies outside the fringe's
+    achievable range.  The arithmetic runs in place, on three float arrays.
     """
-    u = (2.0 * np.asarray(f, dtype=float) - 1.0) / r
+    u = np.empty(np.broadcast_shapes(np.shape(f), np.shape(r)))
+    np.divide(np.subtract(np.multiply(2.0, f, out=u), 1.0, out=u), r, out=u)
     clamped = np.abs(u) > 1.0
-    b = np.arccos(np.clip(u, -1.0, 1.0))
-    # Running minimum over the six arccos branches psi +- b + 2 pi k; the
-    # strict < keeps the first of equally near candidates, so ties resolve
-    # in this order.
-    cands = (
-        base + 2.0 * math.pi * k for base in (psi + b, psi - b) for k in (-1, 0, 1)
-    )
-    best = next(cands)
-    gap = np.abs(best - prior_big)
-    for cand in cands:
-        cand_gap = np.abs(cand - prior_big)
-        closer = cand_gap < gap
-        best = np.where(closer, cand, best)
-        gap = np.where(closer, cand_gap, gap)
-    return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
+    b = np.arccos(np.clip(u, -1.0, 1.0, out=u), out=u)
+    # Running minimum over the six branches in _BRANCHES' order: the strict <
+    # keeps the first of equally near candidates, and `win` its index.
+    shape = np.broadcast_shapes(b.shape, *map(np.shape, (psi, t_assumed, prior_big)))
+    gap, cand_gap = np.empty(shape), np.empty(shape)
+    win = np.zeros(shape, dtype=np.int8)
+    for k, (op, shift) in enumerate(_BRANCHES):
+        cand = op(psi, b, out=cand_gap if k else gap)
+        np.abs(np.subtract(np.add(cand, shift, out=cand), prior_big, out=cand), out=cand)
+        if k:
+            closer = cand_gap < gap
+            np.copyto(gap, cand_gap, where=closer)
+            np.copyto(win, k, where=closer)
+    # The winner afresh, its branch then its shift, mapped back.
+    best = np.subtract(psi, b, out=gap)
+    np.add(psi, b, out=best, where=win < 3)
+    np.add(best, np.take(_SHIFTS, win, out=cand_gap, mode="clip"), out=best)
+    np.tan(np.divide(best, 2.0, out=best), out=best)
+    np.arctan(np.multiply(t_assumed, best, out=best), out=best)
+    return np.multiply(2.0, best, out=best)[()], clamped[()]
 
 
 @cache
@@ -213,12 +228,13 @@ def _moments(est: np.ndarray, hit: np.ndarray, theta: np.ndarray):
     """(mean, variance, mse about ``theta``, count, zero spread) of each row's
     estimates where ``hit``, nan where too few; zero spread (2+ equal): variance 0."""
     n_hit = hit.sum(axis=1)
-    lowest = np.where(hit, est, np.inf).min(axis=1)
-    zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
+    lowest = est.min(axis=1, where=hit, initial=np.inf)
+    zero_spread = (n_hit > 1) & (lowest == est.max(axis=1, where=hit, initial=-np.inf))
     stats = np.full((3, len(est)), math.nan)
     full = n_hit == est.shape[1]
-    # The full rows as one array, then each row with empty trials alone.
-    parts = [(full, slice(None))]
+    # The full rows as one array (est itself if every row is full), then each
+    # row with empty trials alone.
+    parts = [(slice(None) if full.all() else full, slice(None))]
     parts += [([i], hit[i]) for i in np.flatnonzero(~full & (n_hit > 0))]
     for rows, trials in parts:
         e = est[rows][:, trials]
@@ -257,16 +273,18 @@ def run_trials(spec, points: list) -> list[SweepRecord]:
     r_ps, p_ps = postselected_bloch(theta, t, spec.epsilon, spec.visibility)
     q = np.clip((1.0 + (n * r_ps).sum(-1)) / 2.0, 0.0, 1.0)
     detected, plus = _draw_counts(spec, points, p_ps, q)
-
-    # A trial that detected nothing inverts a dummy count and is left out below.
     hit = detected > 0
+    mean_detected = detected.mean(axis=1)
+    # A trial that detected nothing inverts a dummy count and is left out below;
+    # the counts are freed before the inversion.
+    f = _half_count_frequency(plus, np.maximum(detected, 1, out=detected))
+    del detected, plus
     est, _ = _invert_frequency(
-        _half_count_frequency(plus, np.where(hit, detected, 1)),
-        *(col[:, None] for col in (*_fringe_params(n), t_assumed)),
+        f, *(col[:, None] for col in (*_fringe_params(n), t_assumed)),
         amplified_angle(theta, t_assumed)[:, None],
     )
+    del f
     mean_est, variance, mse, n_hit, zero_spread = _moments(est, hit, theta)
-    mean_detected = detected.mean(axis=1)
     # t = 0 has no theory value (nor, see qfi_ppa_family, a t that underflows)
     qfi_theory = np.where(t > 0, qfi_ppa_family(theta, np.where(t > 0, t, 1)), math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):

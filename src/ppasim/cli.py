@@ -154,7 +154,7 @@ def _csv_row(values: tuple) -> str:
     return "%.12g," * (len(values) - 1) % values[:-1] + values[-1]
 
 
-BLOCK_TRIALS = 4096  # most trials (points x trials each) the runner evaluates at once
+BLOCK_TRIALS = 8192  # most trials (points x trials each) the runner evaluates at once
 _CHUNK_RAISED = 70  # a forked chunk's exit status when its rows raised an Exception
 
 

@@ -12,6 +12,10 @@ seed, and :func:`point_stream` builds a grid point's keyed stream afresh.
 at a time, and :func:`qubit_instances` draws verify's random qubit instances
 as one stack.  :func:`spectral_generator` builds a phase generator from a
 known spectrum, as the program does.
+:func:`half_count_frequency_reference`, :func:`invert_frequency_reference`
+and :func:`moments_reference` are the sweep's per-trial arithmetic as it ran
+before it worked in place, on a new array per step: the exact oracle of
+``bench``'s in-place versions.
 
 The program's states, POVMs and generators are plain arrays that nothing
 checks when they are made.  :func:`density_matrix`, :func:`povm` and
@@ -248,3 +252,46 @@ def spectral_generator(frame, eigenvalues):
     return generator(
         (q * a) @ q.conj().T, values, [q[:, a == x] @ q[:, a == x].conj().T for x in values]
     )
+
+
+def half_count_frequency_reference(counts_plus, n_detected):
+    """The empirical frequency kept half a count away from 0 and 1."""
+    n = np.asarray(n_detected, dtype=float)
+    return np.clip(np.asarray(counts_plus) / n, 0.5 / n, 1.0 - 0.5 / n)
+
+
+def invert_frequency_reference(f, r, psi, t_assumed, prior_big):
+    """(estimates, clamped) of ``bench._invert_frequency``: every one of the
+    six arccos branches psi +- b + 2 pi k as its own array, and np.where."""
+    u = (2.0 * np.asarray(f, dtype=float) - 1.0) / r
+    clamped = np.abs(u) > 1.0
+    b = np.arccos(np.clip(u, -1.0, 1.0))
+    cands = (
+        base + 2.0 * math.pi * k for base in (psi + b, psi - b) for k in (-1, 0, 1)
+    )
+    best = next(cands)
+    gap = np.abs(best - prior_big)
+    for cand in cands:
+        cand_gap = np.abs(cand - prior_big)
+        closer = cand_gap < gap
+        best = np.where(closer, cand, best)
+        gap = np.where(closer, cand_gap, gap)
+    return 2.0 * np.arctan(t_assumed * np.tan(best / 2.0)), clamped
+
+
+def moments_reference(est, hit, theta):
+    """``bench._moments``: the extremes over np.where copies, and the full
+    rows of ``est`` always copied."""
+    n_hit = hit.sum(axis=1)
+    lowest = np.where(hit, est, np.inf).min(axis=1)
+    zero_spread = (n_hit > 1) & (lowest == np.where(hit, est, -np.inf).max(axis=1))
+    stats = np.full((3, len(est)), math.nan)
+    full = n_hit == est.shape[1]
+    parts = [(full, slice(None))]
+    parts += [([i], hit[i]) for i in np.flatnonzero(~full & (n_hit > 0))]
+    for rows, trials in parts:
+        e = est[rows][:, trials]
+        var = e.var(axis=1, ddof=1) if e.shape[1] > 1 else np.full(len(e), math.nan)
+        stats[:, rows] = e.mean(axis=1), var, np.mean((e - theta[rows, None]) ** 2, 1)
+    stats[1, zero_spread] = 0.0
+    return (*stats, n_hit, zero_spread)

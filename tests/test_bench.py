@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ppasim.bench import (
     _fringe_params,
     _half_count_frequency,
     _invert_frequency,
+    _moments,
     postselected_bloch,
     rng_stream,
     run_trials,
@@ -40,6 +42,9 @@ from matrix_reference import (
     bloch_vector,
     density_matrix,
     generator,
+    half_count_frequency_reference,
+    invert_frequency_reference,
+    moments_reference,
     run_point,
     survival_theta_form,
 )
@@ -363,7 +368,132 @@ def test_estimate_theta_requires_data():
         estimate_theta([50, 0, 40], [100, 0, 100], 0.5, n, 0.1)
 
 
+def assert_same_bits(got, want):
+    """``got`` is ``want``: the same type (a NumPy scalar stays one), dtype
+    and shape, equal values, the same nan positions and zero signs."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_inversion_is_the_reference(f, r, psi, t_assumed, prior_big):
+    got = _invert_frequency(f, r, psi, t_assumed, prior_big)
+    want = invert_frequency_reference(f, r, psi, t_assumed, prior_big)
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+
+
+def test_in_place_arithmetic_is_the_reference_on_random_blocks():
+    # 100 points x 100 trials of random fringes, as run_trials passes them:
+    # (points, trials) frequencies against (points, 1) parameters.  Fringes
+    # of contrast below 1 put some u = (2 f - 1)/r outside [-1, 1].
+    rng = np.random.default_rng(47)
+    points, trials = 100, 100
+    polar, azimuth = rng.uniform(0.0, math.pi, points), rng.uniform(-math.pi, math.pi, points)
+    n = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                  np.cos(polar)], axis=-1)
+    r, psi = (col[:, None] for col in _fringe_params(n))
+    t = rng.uniform(0.05, 1.0, (points, 1))
+    prior_big = amplified_angle(rng.uniform(-1.5, 1.5, (points, 1)), t)
+    detected = rng.integers(1, 50, (points, trials))
+    plus = rng.binomial(detected, rng.uniform(0.0, 1.0, (points, 1)))
+    f = _half_count_frequency(plus, detected)
+    assert_same_bits(f, half_count_frequency_reference(plus, detected))
+    u = (2.0 * f - 1.0) / r
+    assert (np.abs(u) > 1.0).sum() > 100
+    assert_inversion_is_the_reference(f, r, psi, t, prior_big)
+    assert_inversion_is_the_reference(rng.uniform(-0.05, 1.05, (points, trials)), r, psi,
+                                      t, prior_big)
+    # the sweep's moments of those estimates, with every row full (est itself
+    # is reduced), then with a random pattern of empty trials and rows
+    est, _ = _invert_frequency(f, r, psi, t, prior_big)
+    theta = rng.uniform(0.0, 1.5, points)
+    hit = rng.uniform(size=(points, trials)) < 0.9
+    hit[:3] = False
+    hit[3:6, :1] = True
+    hit[6:9] = True
+    est[6, :], est[8, :] = -0.25, 0.5  # zero spread, either side of 0
+    est[7, ::2], est[7, 1::2] = 0.0, -0.0  # equal with either sign
+    for mask in (np.ones_like(hit), hit):
+        got, want = _moments(est, mask, theta), moments_reference(est, mask, theta)
+        for g, w in zip(got, want, strict=True):
+            assert_same_bits(g, w)
+
+
+def test_in_place_inversion_keeps_the_references_ties_and_edges():
+    # psi = 0 and prior_big = 0 put psi + b and psi - b at exactly equal gaps;
+    # u = -1 (b = pi) makes psi + b and psi - b + 2 pi the same number, and
+    # u = 1 (b = 0) psi + b and psi - b.  f = 0, 1/2 and 1 at full and at half
+    # contrast, with either sign of zero in psi and of the assumed amplitude.
+    f = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    grid = itertools.product(
+        (1.0, 0.5), (0.0, -0.0, 0.7), (0.0, -0.0, math.pi, -math.pi, 3.0), (0.3, 1.0, -0.5)
+    )
+    ties = 0
+    for r, psi, prior_big, t in grid:
+        assert_inversion_is_the_reference(f, r, psi, t, prior_big)
+        b = np.arccos(np.clip((2.0 * f - 1.0) / r, -1.0, 1.0))
+        gaps = np.abs(np.stack([base + 2.0 * math.pi * k for base in (psi + b, psi - b)
+                                for k in (-1, 0, 1)]) - prior_big)
+        ties += int(((gaps == gaps.min(axis=0)).sum(axis=0) > 1).sum())
+    assert ties >= 20
+    # half-count frequencies at 0, 1/2 and 1, from int and float counts
+    for plus, detected in (([0, 5, 10, 1, 0], [10, 10, 10, 1, 1]),
+                           (np.array([-0.0, 0.0, 2.0]), np.array([4.0, 4.0, 4.0]))):
+        assert_same_bits(_half_count_frequency(plus, detected),
+                         half_count_frequency_reference(plus, detected))
+
+
+@pytest.mark.parametrize("box", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_in_place_arithmetic_keeps_numpy_scalars(box):
+    # a 0-d input gives NumPy scalars, as the calibration-shift checks read them
+    n = optimal_measurement(0.1, 0.11)
+    args = (box(0.3), *map(box, _fringe_params(n)), box(0.11), box(amplified_angle(0.1, 0.11)))
+    est, clamped = _invert_frequency(*args)
+    assert type(est) is np.float64 and type(clamped) is np.bool_
+    assert_inversion_is_the_reference(*args)
+    for plus, detected in ((3, 10), (0, 10), (10, 10), (box(3.0), box(7.0))):
+        assert_same_bits(_half_count_frequency(plus, detected),
+                         half_count_frequency_reference(plus, detected))
+
+
 # -------------------------------------------------------------------- trials
+
+
+def traced_peak(spec, points) -> int:
+    """tracemalloc's peak, in bytes above the start, of one run_trials call
+    made after a first one has filled every cache."""
+    run_trials(spec, points)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run_trials(spec, points)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_trials_memory_per_trial_is_pinned():
+    # sweep-deep's grid: the in-place arithmetic peaks at about 44 bytes a
+    # trial, where a new array per step peaked at about 107
+    spec, points = grid_run(
+        (0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 1.5), (0.044, 0.082, 0.15, 0.3, 0.5, 1.0),
+        n_trials=700, photon_budget=10**6, sampling_mode="fixed",
+    )
+    assert traced_peak(spec, points) <= 60 * 700 * len(points)
+    # a full block of sweep-wide's options (256 points x 32 trials) peaks
+    # about where a 4096-trial block of the old arithmetic did (451-460 KB)
+    side = np.linspace(0.02, 1.5, 28), np.linspace(0.05, 1.0, 28)
+    spec, points = grid_run(*side, n_trials=32, sampling_mode="poisson",
+                            delta_t=-0.01, epsilon=0.01, visibility=0.95)
+    block = points[: cli.BLOCK_TRIALS // 32]
+    assert len(block) == 256
+    assert traced_peak(spec, block) <= 470_000
 
 
 def test_run_trials_is_deterministic():
@@ -617,6 +747,14 @@ def test_run_trials_matches_per_point_reference():
             sampling_mode="poisson", n_trials=32,
         ),
         grid_run(thetas, (0.15,), n_trials=700),
+        # the benchmark's sweep-deep and sweep-wide configurations, each more
+        # than one block
+        grid_run(thetas, ts, n_trials=700, photon_budget=10**6, sampling_mode="fixed"),
+        grid_run(
+            np.linspace(0.02, 1.5, 28), np.linspace(0.05, 1.0, 28),
+            delta_t=-0.01, epsilon=0.01, visibility=0.95,
+            sampling_mode="poisson", n_trials=32,
+        ),
     ]
     runs = [
         (spec._replace(seed=k), points) for k, (spec, points) in enumerate(runs)
@@ -634,7 +772,7 @@ def test_run_trials_matches_per_point_reference():
     records = [rec for spec, points in runs for rec in run_trials(spec, points)]
     assert [cli._csv_row(rec) for rec in records] == expected
     step = [cli.BLOCK_TRIALS // spec.n_trials for spec, _ in runs]
-    assert len(runs[5][1]) > step[5]
+    assert all(len(runs[k][1]) > step[k] for k in (5, 7, 8))
     rows = [cli._grid_rows(run_trials, *run, k) for run, k in zip(runs, step)]
     assert sum(rows, []) == expected
     assert "zero-variance" in records[-1].flags.split(";")

@@ -191,11 +191,14 @@ SMALL_GRID = ["sweep", "--theta", "0.05,0.1,0.2", "--t", "0.3,0.5",
 # a worker's pipe unchanged.
 FLAG_GRID = ["sweep", "--theta", "0,0.1,3.1", "--t", "1e-6,0.044,0.5",
              "--budget", "30", "--trials", "8"]
-# CI's w1/w2/w3, p1/p2 and k1/k2 runs: the default grid at budget 30, where
-# some trials detect nothing, and at 1000 trials, more than one block
+# CI's w1/w2/w3, p1/p2, k1/k2 and deep1/deep2 runs: the default grid at
+# budget 30, where some trials detect nothing; at 1000 trials, more than one
+# block; and at sweep-deep's 700 trials, whose 11-point blocks the two
+# workers' 21-point chunks cut
 BUDGET_30 = ["sweep", "--budget", "30", "--trials", "5"]
 POISSON_30 = BUDGET_30 + ["--sampling-mode", "poisson"]
 TRIALS_1000 = ["sweep", "--budget", "30", "--trials", "1000"]
+TRIALS_700 = ["sweep", "--trials", "700", "--seed", "12345"]
 
 
 # 7 workers exceed the small grid's 6 points.  The forked side runs in a
@@ -203,9 +206,9 @@ TRIALS_1000 = ["sweep", "--budget", "30", "--trials", "1000"]
 @pytest.mark.parametrize(
     "argv, workers",
     [(SMALL_GRID, 2), (SMALL_GRID, 3), (SMALL_GRID, 7), (FLAG_GRID, 2), (FLAG_GRID, 3),
-     (BUDGET_30, 2), (BUDGET_30, 3), (POISSON_30, 2), (TRIALS_1000, 2)],
+     (BUDGET_30, 2), (BUDGET_30, 3), (POISSON_30, 2), (TRIALS_1000, 2), (TRIALS_700, 2)],
     ids=["2", "3", "7", "flags-2", "flags-3", "budget30-2", "budget30-3",
-         "poisson30-2", "trials1000-2"],
+         "poisson30-2", "trials1000-2", "trials700-2"],
 )
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, argv, workers):
     a = tmp_path / "a.csv"
