@@ -35,13 +35,8 @@ from .bench import (
     postselected_bloch,
     run_trials,
 )
-from .fisher import (
-    _on_sphere,
-    qfi_bloch,
-    qfi_ppa_family,
-    survival_probability,
-)
-from .quasiprob import gap4_ppa_family, kd_table_closed_form, nonclassicality_gap
+from .fisher import _family_qfi, _on_sphere, qfi_bloch, survival_probability
+from .quasiprob import _family_gap4, _gap4_of_tables, gap4_ppa_family, kd_table_closed_form
 from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import T_GRID, THETA_GRID, check_run, run_all
 
@@ -80,13 +75,17 @@ _FIG4_REPS = 4
 _NEAR_BOUNDARY_SIGMAS = 3.0
 
 
-# What a SweepSpec field accepts, keyed by the type of its default.
+# What a SweepSpec field accepts, keyed by the type of its default, and the
+# built-in types of each kind, accepted before the slower ABC test.
 _FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, str: str}
+_PLAIN_TYPES = {numbers.Real: (float, int), numbers.Integral: (int,), str: (str,)}
 
 
 def _is_kind(value, kind) -> bool:
     """isinstance, except that a bool (a JSON true or false) is no number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return type(value) in _PLAIN_TYPES[kind] or (
+        isinstance(value, kind) and not isinstance(value, bool)
+    )
 
 
 class _SweepFields(NamedTuple):
@@ -275,11 +274,16 @@ def _write_text(path: str, text: str) -> None:
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         fd = os.open(path, flags, 0o666)
-    with open(fd, "wb") as fh:
-        old = os.fstat(fh.fileno())
-        n = fh.write(text.encode())
-        if stat.S_ISREG(old.st_mode) and old.st_size > n:
-            fh.truncate(n)
+    try:
+        old = os.fstat(fd)
+        data = text.encode()
+        view = memoryview(data)
+        while view:  # a write may be short, on a pipe say
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _probe_out(path: str) -> None:
@@ -352,24 +356,27 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
     # Smith, PRL 108, 070502, 2012).
     rr = np.add.reduce(center * center, -1)
     norm, boundary = _on_sphere(rr)
-    if boundary.any():
+    if np.count_nonzero(boundary):
         c = center[boundary]
         dr[boundary] -= (np.add.reduce(c * dr[boundary], -1) / rr[boundary])[:, None] * c
     near = ~boundary & (1.0 - norm < _NEAR_BOUNDARY_SIGMAS / math.sqrt(shots))
     w_unfiltered = (1.0 - unfiltered[..., 2]) / 2.0  # an estimate's own population
-    tables = kd_table_closed_form(unfiltered, t[:, None], w_unfiltered)
-    blocked = np.isnan(tables[..., 0, 0])  # nothing of the estimate survives
-    gap4 = 4.0 * nonclassicality_gap(tables, axes=(-2, -1))
+    gap4 = _gap4_of_tables(unfiltered, t[:, None], w_unfiltered)
+    blocked = np.isnan(gap4)  # nothing of the estimate survives
     # each row's mean, and its std(ddof=1) / sqrt(4), in NumPy's operations
     reps = np.array([qfi_bloch(center, dr), gap4])
     mean = np.add.reduce(reps, -1) / _FIG4_REPS
     var = np.add.reduce((reps - mean[..., None]) ** 2, -1) / (_FIG4_REPS - 1)
     (qfi_mean, gap_mean), (qfi_se, gap_se) = mean, np.sqrt(var) / 2.0
-    qfi_theory, qfi_family = qfi_ppa_family(theta, t, np.array([[1.0], [vis]]))
+    # The exact columns on the family's p, the centre column of the exact
+    # vectors' (at epsilon = 0 the closed forms' p, bit for bit), and the
+    # theory's at v = 1; _check has validated t and v and bounded p below.
     p_ps = p[:, 1]
+    p_theory = survival_probability(t, np.square(np.sin(theta / 2.0)))
+    qfi_theory, qfi_family = _family_qfi(t, p_theory), _family_qfi(vis * t, p_ps)
     columns = (
         theta, t, p_ps, qfi_theory, qfi_family, qfi_mean, qfi_se,
-        gap4_ppa_family(theta, t, vis), gap_mean, gap_se,
+        _family_gap4(t * t, vis, p_ps), gap_mean, gap_se,
         qfi_theory * p_ps, qfi_mean * p_ps, gap_mean * p_ps,
     )
     flags = _flag_column(("boundary={}", "near-boundary", "no-survival"),
@@ -489,7 +496,7 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
         # this same sin^2(theta/2), bit for bit, so each point passed has one.
         w = np.square(np.sin(np.array(spec.theta_list)[:, None] / 2.0))
         fails = ~(survival_probability(np.abs(spec.t_list), w) > 1e-14)
-        if fails.any():
+        if np.count_nonzero(fails):
             i, j = np.argwhere(fails)[0]  # the first (theta, t) in row-major order
             raise ValueError(
                 f"theta_list, t_list: survival probability at (theta = "
@@ -582,6 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_main_called = False  # whether main() has run in this process
+
+
 def main(argv=None) -> int:
     """Run the command of ``argv`` (default ``sys.argv[1:]``); return the exit status.
 
@@ -589,11 +599,15 @@ def main(argv=None) -> int:
     the imports of NumPy and ppasim made, with :func:`gc.freeze`: no collection
     of the run, of a forked sweep worker or of interpreter exit walks them
     again.  A later call freezes nothing new, as each freeze also keeps the
-    cyclic garbage pending at that moment.  The ``cmd_*`` functions never
-    freeze: a library call leaves its caller's collector as it was.
+    cyclic garbage pending at that moment, and does not even read the freeze
+    count, which walks the permanent generation.  The ``cmd_*`` functions
+    never freeze: a library call leaves its caller's collector as it was.
     """
-    if not gc.get_freeze_count():
-        gc.freeze()
+    global _main_called
+    if not _main_called:
+        _main_called = True
+        if not gc.get_freeze_count():
+            gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads "-0.3,0.2" or "-1e-3" as an option, not as the value of
     # the option before it, so attach it with "=" (no option starts -<digit>)

@@ -213,7 +213,15 @@ def qfi_ppa_family(theta, t_mag, v=1.0):
     _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
     p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
     with np.errstate(divide="ignore", over="ignore"):
-        qfi = np.square(v * t_mag / p)
+        return _family_qfi(v * t_mag, p)
+
+
+def _family_qfi(vt, p):
+    """The QFI (vt / p)^2 of :func:`qfi_ppa_family` from v |t| and the survival
+    probability ``p``, nan where it is not finite.  It checks nothing:
+    :func:`qfi_ppa_family` has checked t and v, and fig4's block relies on
+    ``cli._check``, whose p > 1e-14 leaves no division by zero or overflow."""
+    qfi = np.square(vt / p)
     return np.where(qfi < math.inf, qfi, math.nan)[()]
 
 

@@ -110,9 +110,21 @@ def kd_table_closed_form(r, t, w) -> np.ndarray:
     conditional table, so that instance's table is nan.
     """
     r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     t_mag = np.abs(t)
     _reject(~(t_mag <= 1.0 + 1e-12), "|t| must lie in [0, 1]")
+    upper, lower, off = _table_entries(r, t_mag, w)
+    table = np.empty(np.shape(upper) + (2, 2), dtype=complex)
+    table[..., 0, 0], table[..., 0, 1] = upper, off
+    table[..., 1, 0], table[..., 1, 1] = off.conj(), lower
+    return table
+
+
+def _table_entries(r, t_mag, w):
+    """The (a+, a+), (a-, a-) and (a+, a-) entries of :func:`kd_table_closed_form`'s
+    tables, the first two real; each has the batch axes of every argument.  It
+    checks nothing: :func:`kd_table_closed_form` has checked |t| <= 1, and
+    fig4's block relies on ``cli._check``."""
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     t2 = t_mag * t_mag
     p = survival_probability(t_mag, w)
     q = 4.0 * np.where(p > ZERO_PROBABILITY, p, np.nan)
@@ -120,11 +132,17 @@ def kd_table_closed_form(r, t, w) -> np.ndarray:
     # each part divided by the real q, as a real division rounds (numpy's
     # complex division multiplies by a reciprocal instead)
     off = (t2 - 1.0) * z / q + 1j * ((t2 - 1.0) * y / q)
-    upper = diag * (1.0 + x)  # has the batch axes of every argument
-    table = np.empty(np.shape(upper) + (2, 2), dtype=complex)
-    table[..., 0, 0], table[..., 0, 1] = upper, off
-    table[..., 1, 0], table[..., 1, 1] = off.conj(), diag * (1.0 - x)
-    return table
+    return diag * (1.0 + x), diag * (1.0 - x), off
+
+
+def _gap4_of_tables(r, t_mag, w):
+    """4 x :func:`nonclassicality_gap` of each of :func:`kd_table_closed_form`'s
+    tables at (r, t_mag, w), bit for bit, without building them: max - min of
+    the entries' squared moduli, nan where a table is.  It checks nothing:
+    fig4's block, its caller, relies on ``cli._check`` for 0 < t_mag <= 1."""
+    upper, lower, off = _table_entries(r, t_mag, w)
+    sq = np.array([upper, lower, np.abs(off)]) ** 2
+    return 4.0 * (np.maximum.reduce(sq) - np.minimum.reduce(sq))
 
 
 def gap4_ppa_family(theta, t, v=1.0):
@@ -148,8 +166,15 @@ def gap4_ppa_family(theta, t, v=1.0):
     t_mag = np.abs(t)
     _reject(~(t_mag <= 1.0 + 1e-12), "|t| must lie in [0, 1]")
     _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
-    t2 = t_mag * t_mag
     p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
+    return _family_gap4(t_mag * t_mag, v, p)
+
+
+def _family_gap4(t2, v, p):
+    """The 4 gap of :func:`gap4_ppa_family` from T = |t|^2, v and the survival
+    probability ``p``, nan where p <= ZERO_PROBABILITY.  It checks nothing:
+    :func:`gap4_ppa_family` has checked t and v, and fig4's block relies on
+    ``cli._check``."""
     p = np.where(p > ZERO_PROBABILITY, p, np.nan)
     return ((4.0 * t2 + (1.0 - v) * (1.0 + v) * np.square(1.0 - t2)) / (4.0 * p * p))[()]
 

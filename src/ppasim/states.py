@@ -73,7 +73,7 @@ def _reject(bad, message: str, *values) -> None:
     the index tuple for more than one axis.  A mask with no True entry
     returns.
     """
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
     text = message.format(*(np.asarray(v)[k] for v in values))

@@ -19,11 +19,13 @@ from ppasim.bench import (
     STAGE_TOMOGRAPHY,
     SWEEP_CSV_COLUMNS,
     _moments,
+    postselected_bloch,
     run_trials,
 )
 from ppasim.cli import FIG4_CSV_COLUMNS, SweepSpec, main
 from ppasim.fisher import ppa_family, qfi_ppa_family, sld
 from ppasim.quasiprob import (
+    gap4_ppa_family,
     kd_distribution,
     kd_table_closed_form,
     nonclassicality_gap,
@@ -1513,6 +1515,47 @@ def test_ci_fig4_tiny_phase_writes_the_exact_survival_probability(tmp_path, caps
     assert code == 0
     (row,) = read_csv(out)
     assert row["p_ps"] == "2.50001e-13"
+
+
+@pytest.mark.parametrize("vis", [1.0, 0.98, 0.5])
+def test_fig4_exact_columns_are_the_public_closed_forms_bit_for_bit(vis):
+    # a block reads p from postselected_bloch's centre column and evaluates
+    # the QFI and gap columns on it through the kernels that the public
+    # closed forms call after their checks: each column is their bytes
+    spec = SweepSpec(theta_list=(1e-6, 0.02, 1.5, 3.1), t_list=(1e-9, 0.044, 1.0),
+                     visibility=vis, shots_per_basis=100)
+    cli._check("fig4", spec)
+    points = list(itertools.product(range(4), range(3)))
+    rows = cli._fig4_block(spec, points)
+    theta = np.array([spec.theta_list[i] for i, _ in points])
+    t = np.array([spec.t_list[j] for _, j in points])
+    exact = {
+        "p_ps": postselected_bloch(theta, t, 0.0, vis)[1],
+        "qfi_theory": qfi_ppa_family(theta, t),
+        "qfi_family": qfi_ppa_family(theta, t, vis),
+        "gap4_family": gap4_ppa_family(theta, t, vis),
+    }
+    for name, want in exact.items():
+        got = np.array([getattr(row, name) for row in rows])
+        assert got.tobytes() == want.tobytes(), name
+
+
+# CI's `python -W error -m ppasim fig4 ...` lines, in process: fig4's exact
+# columns run outside the closed forms' np.errstate, and on these edge grids
+# (blocked estimates, p near 1e-13, a tiny t at half visibility) no step warns
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["--theta", "1e-3", "--t", "1e-9,0.5", "--visibility", "1", "--shots", "2",
+     "--seed", "1"],
+    ["--theta", "1e-3,1e-6,0.5", "--t", "1e-9,1e-8,3e-8,0.5", "--visibility", "1",
+     "--shots", "2", "--seed", "4"],
+    ["--theta", "1e-6", "--t", "1e-9", "--visibility", "1", "--shots", "2"],
+    ["--theta", "1,2", "--t", "1e-6", "--visibility", "0.5"],
+], ids=["blocked", "blocked3", "tiny", "half-visibility"])
+def test_ci_fig4_edge_grids_run_with_warnings_as_errors(tmp_path, capsys, argv):
+    out = tmp_path / "f.csv"
+    assert run(["fig4", *argv, "--out", str(out)], capsys)[0] == 0
+    assert len(read_csv(out)) == len(argv[1].split(",")) * len(argv[3].split(","))
 
 
 def test_fig4_at_full_visibility_writes_the_theory_as_the_family_qfi(tmp_path, capsys):

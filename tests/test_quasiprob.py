@@ -371,6 +371,23 @@ def test_closed_form_table_of_a_stack_is_the_per_vector_tables():
         assert gaps[k] == nonclassicality_gap(one)
 
 
+def test_gap_of_the_tables_without_building_them_is_their_gap_bit_for_bit():
+    # fig4 takes each estimate's gap from the squared moduli of the entries
+    # kd_table_closed_form builds its tables from, so it is 4 x
+    # nonclassicality_gap of those tables byte for byte, and nan where a table
+    # is: the estimate (0, 0, 1), which t = 1e-9 passes with probability 1e-18
+    rng = np.random.default_rng(16)
+    r = rng.normal(size=(12, 4, 3))
+    r /= np.maximum(1.0, np.linalg.norm(r, axis=-1, keepdims=True))
+    r[1, 2] = (0.0, 0.0, 1.0)
+    t = np.repeat([1e-9, 0.044, 0.5, 1.0], 3)[:, None]
+    w = (1.0 - r[..., 2]) / 2.0
+    gap4 = quasiprob._gap4_of_tables(r, t, w)
+    tables = kd_table_closed_form(r, t, w)
+    assert gap4.tobytes() == (4.0 * nonclassicality_gap(tables, axes=(-2, -1))).tobytes()
+    assert np.argwhere(np.isnan(gap4)).tolist() == [[1, 2]]
+
+
 def test_condition_rejects_zero_normalizer():
     # fully blocking filter on a state it annihilates: slice sums to zero
     kd = kd_distribution(pure_state([1, 0]), ppa_povm_sequence(0.0))

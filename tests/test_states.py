@@ -13,6 +13,7 @@ from ppasim.quasiprob import filter_povm
 from ppasim.states import (
     _MM_CROSSOVER,
     _mm,
+    _reject,
     amplified_angle,
     make_filter,
     phase_unitary,
@@ -79,6 +80,25 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         density_matrix(np.diag([1.3, -0.3]).astype(complex))
+
+
+def test_reject_raises_at_the_first_true_entry_with_its_instance():
+    # a Python bool and a NumPy bool scalar are masks with no batch axes, as
+    # is a 0-d array; one axis names "instance k", more name the index tuple,
+    # and each value is formatted at that entry
+    for mask in (True, np.True_, np.array(True)):
+        with pytest.raises(ValueError) as exc:
+            _reject(mask, "t = {:.1f} too large", 1.5)
+        assert str(exc.value) == "t = 1.5 too large"
+    values = np.arange(6.0)
+    with pytest.raises(ValueError) as exc:
+        _reject(np.array([False, False, True, False, True, False]), "t = {}", values)
+    assert str(exc.value) == "instance 2: t = 2.0"
+    with pytest.raises(ValueError) as exc:
+        _reject(values.reshape(2, 3) > 3.5, "t = {}", values.reshape(2, 3))
+    assert str(exc.value) == "instance (1, 1): t = 4.0"
+    for mask in (False, np.False_, np.array(False), np.zeros(3, bool), np.zeros((2, 3), bool)):
+        assert _reject(mask, "never {}", values) is None
 
 
 def test_density_matrix_stack_names_the_failing_instance():
