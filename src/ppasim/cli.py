@@ -11,12 +11,10 @@ supplies the default directory for relative output paths.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import numbers
 import os
-import re
 import stat
 import sys
 from collections import namedtuple
@@ -414,13 +412,6 @@ def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ValueError(f"{name}: {text!r} is not a list of numbers") from None
-
-
 def _read_config(path: str) -> dict:
     """SweepSpec fields from a JSON file; ValueError naming the problem otherwise."""
     import json
@@ -440,21 +431,13 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def _load_spec(args: argparse.Namespace, defaults: dict | None = None) -> SweepSpec:
-    """Spec from defaults, then the config file, then flags.
-
-    Each flag stores under its SweepSpec field name; the grids arrive as
-    comma-separated text.  Raises ValueError naming the field on any
-    unreadable or invalid input.
-    """
+def _load_spec(fields: dict, defaults: dict | None = None) -> SweepSpec:
+    """Spec from defaults, then the config file, then the flags' ``fields``;
+    ValueError naming the field on any unreadable or invalid input."""
     data: dict = dict(defaults or {})
-    if getattr(args, "config", None):
-        data.update(_read_config(args.config))
-    for name, default in SweepSpec._field_defaults.items():
-        val = getattr(args, name, None)
-        if val is not None:
-            grid = isinstance(default, tuple)
-            data[name] = _parse_float_list(name, val) if grid else val
+    if fields.get("config"):
+        data.update(_read_config(fields["config"]))
+    data.update((k, v) for k, v in fields.items() if k in SweepSpec._field_defaults)
     return SweepSpec(**data)
 
 
@@ -531,62 +514,74 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
         raise ValueError(f"workers: {workers} must be at least 1")
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--theta", dest="theta_list", metavar="THETA",
-        help="comma-separated phase values",
-    )
-    p.add_argument(
-        "--t", dest="t_list", metavar="T", help="comma-separated filter amplitudes"
-    )
-    p.add_argument("--config", help="JSON file with SweepSpec fields")
-    p.add_argument(
-        "--out", dest="output_path", metavar="OUT",
-        help="output path (resolved against $%s)" % OUT_DIR_ENV,
-    )
+# Each command's help line, and each flag's field, the commands that take it and
+# its help.  A field is a SweepSpec field or one of _OPTIONS, typed as its default.
+COMMANDS = {
+    "sweep": "Monte Carlo precision sweep -> CSV",
+    "kd": "conditional quasiprobability tables -> JSON",
+    "fig4": "tomographic QFI/gap pipeline -> CSV",
+    "verify": "run randomized identity suites",
+}
+FLAGS = {
+    "--theta": ("theta_list", "sweep kd fig4", "comma-separated phase values"),
+    "--t": ("t_list", "sweep kd fig4", "comma-separated filter amplitudes"),
+    "--config": ("config", "sweep kd fig4", "JSON file with SweepSpec fields"),
+    "--out": ("output_path", "sweep kd fig4", f"output file, bare names in ${OUT_DIR_ENV}"),
+    "--seed": ("seed", "sweep fig4 verify", "seed of every draw"),
+    "--budget": ("photon_budget", "sweep", "photons per trial"),
+    "--trials": ("n_trials", "sweep", "trials per grid point"),
+    "--visibility": ("visibility", "sweep fig4", "source visibility (fig4: default 0.98)"),
+    "--epsilon": ("epsilon", "sweep", "phase-plate tilt"),
+    "--delta-t": ("delta_t", "sweep", "offset of the amplitude the estimator assumes"),
+    "--sampling-mode": ("sampling_mode", "sweep", "fixed or poisson photon budget"),
+    "--workers": ("workers", "sweep", "processes to sweep on (same bytes for any)"),
+    "--shots": ("shots_per_basis", "fig4", "tomography shots per basis"),
+    "--n": ("n_instances", "verify", "random instances per suite"),
+}
+_OPTIONS = {"config": "", "workers": 1, "n_instances": 0}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ppasim",
-        description="Simulations of phase estimation with partially "
-        "postselected amplification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_flags(command: str, args: list) -> dict | None:
+    """The typed fields that ``command``'s flags in ``args`` set (see :func:`main`),
+    None on -h or --help; ValueError names the field or the unrecognized arguments."""
+    flags = {flag: row[0] for flag, row in FLAGS.items() if command in row[1].split()}
+    fields, args = {}, iter(args)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        name, eq, value = arg.partition("=")
+        if not eq:
+            value = next(args, None)
+        matches = [name] if name in flags else [
+            f for f in flags if name.startswith("--") and f.startswith(name)]
+        if not matches:
+            extra = "" if eq or value is None else f" {value}"
+            raise ValueError(f"unrecognized arguments: {arg}{extra}")
+        if len(matches) > 1:
+            raise ValueError(f"{', '.join(flags[f] for f in matches)}: "
+                             f"{name} is a prefix of more than one flag: {', '.join(matches)}")
+        field = flags[matches[0]]
+        if value is None:
+            raise ValueError(f"{field}: {matches[0]} needs a value")
+        kind = type(SweepSpec._field_defaults.get(field, _OPTIONS.get(field)))
+        try:  # a grid is comma-separated numbers
+            fields[field] = kind(value) if kind is not tuple else tuple(
+                float(x) for x in value.split(",") if x.strip())
+        except ValueError:
+            what = {tuple: "a list of numbers", int: "an int", float: "a float"}[kind]
+            raise ValueError(f"{field}: {value!r} is not {what}") from None
+    return fields
 
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo precision sweep -> CSV")
-    _add_grid_args(p_sweep)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument(
-        "--budget", dest="photon_budget", metavar="BUDGET", type=int,
-        help="photons per trial",
-    )
-    p_sweep.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int)
-    p_sweep.add_argument("--visibility", type=float, default=None)
-    p_sweep.add_argument("--epsilon", type=float, default=None)
-    p_sweep.add_argument("--delta-t", dest="delta_t", type=float, default=None)
-    p_sweep.add_argument(
-        "--sampling-mode", dest="sampling_mode", choices=("fixed", "poisson")
-    )
-    p_sweep.add_argument("--workers", type=int, default=1)
 
-    p_kd = sub.add_parser("kd", help="conditional quasiprobability tables -> JSON")
-    _add_grid_args(p_kd)
-
-    p_fig4 = sub.add_parser("fig4", help="tomographic QFI/gap pipeline -> CSV")
-    _add_grid_args(p_fig4)
-    p_fig4.add_argument("--seed", type=int, default=None)
-    p_fig4.add_argument("--visibility", type=float, default=None)
-    p_fig4.add_argument(
-        "--shots", dest="shots_per_basis", metavar="SHOTS", type=int,
-        help="tomography shots per basis",
-    )
-
-    p_verify = sub.add_parser("verify", help="run randomized identity suites")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--n", dest="n_instances", type=int, default=None)
-
-    return parser
+def _usage(command: str | None) -> str:
+    """The help text of ``command``, or of ppasim itself for None."""
+    rows = list(COMMANDS.items()) if command is None else [
+        (flag, text) for flag, (_, cmds, text) in FLAGS.items() if command in cmds.split()]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(a) for a, _ in rows) + 2
+    about = COMMANDS.get(command, "Simulations of partially postselected amplification")
+    return "\n".join([f"usage: ppasim {command or 'COMMAND'} [--flag VALUE | --flag=VALUE]...",
+                      "", about, "", *(f"  {a:<{width}}{b}" for a, b in rows)])
 
 
 _main_called = False  # whether main() has run in this process
@@ -594,6 +589,10 @@ _main_called = False  # whether main() has run in this process
 
 def main(argv=None) -> int:
     """Run the command of ``argv`` (default ``sys.argv[1:]``); return the exit status.
+
+    ``argv`` is ``COMMAND [--flag VALUE | --flag=VALUE]...`` (see ``COMMANDS``): a
+    unique prefix names a flag, the next argument is its value, the last repeat wins.
+    A bad argument or value prints one line naming the field and returns 2.
 
     The first call in a process freezes the caller's objects, the ~21,000 that
     the imports of NumPy and ppasim made, with :func:`gc.freeze`: no collection
@@ -609,29 +608,30 @@ def main(argv=None) -> int:
         if not gc.get_freeze_count():
             gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads "-0.3,0.2" or "-1e-3" as an option, not as the value of
-    # the option before it, so attach it with "=" (no option starts -<digit>)
-    for i in range(len(argv) - 1, 0, -1):
-        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
-    # An imperfect source keeps most tomographic estimates off the sphere,
-    # where fig4 would project the derivative and flag the point.
-    defaults = {"visibility": 0.98} if args.command == "fig4" else None
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    prog = f"ppasim {command}" if command else "ppasim"
     try:
-        spec = _load_spec(args, defaults)
-        _check(args.command, spec, getattr(args, "workers", 1),
-               getattr(args, "n_instances", None))
-        if args.command in DEFAULT_OUT:
-            _probe_out(_resolve_out(spec.output_path, DEFAULT_OUT[args.command]))
+        if command is None and argv[:1] not in (["-h"], ["--help"]):
+            raise ValueError(f"command: {' '.join(argv[:1])!r} is not one of {list(COMMANDS)}")
+        fields = _parse_flags(command, argv[1:]) if command else None
+        if fields is None:
+            print(_usage(command))
+            return 0
+        # An imperfect source keeps most tomographic estimates off the sphere,
+        # where fig4 would project the derivative and flag the point.
+        spec = _load_spec(fields, {"visibility": 0.98} if command == "fig4" else None)
+        workers, n_instances = fields.get("workers", 1), fields.get("n_instances")
+        _check(command, spec, workers, n_instances)
+        if command in DEFAULT_OUT:
+            _probe_out(_resolve_out(spec.output_path, DEFAULT_OUT[command]))
     except ValueError as exc:
-        print(f"ppasim {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(spec.seed, args.n_instances)
-    if args.command == "sweep":
-        out = cmd_sweep(spec, workers=args.workers)
-    elif args.command == "kd":
+    if command == "verify":
+        return cmd_verify(spec.seed, n_instances)
+    if command == "sweep":
+        out = cmd_sweep(spec, workers=workers)
+    elif command == "kd":
         out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
     else:
         out = cmd_fig4(spec)

@@ -260,13 +260,14 @@ def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
 
 def test_importing_the_cli_loads_no_module_that_only_some_commands_need():
     # every command pays for what `import ppasim.cli` loads: json is for kd
-    # and --config alone, numpy.random for a command's first draw, and the
-    # holders and records need no dataclass code generation
+    # and --config alone, numpy.random for a command's first draw, the
+    # holders and records need no dataclass code generation, and the flag
+    # table needs no argparse, nor the gettext and locale that it imports
     code = (
         "import sys\n"
         "import ppasim.cli\n"
         "late = ('dataclasses', 'json', 'numpy.random', 'concurrent.futures',\n"
-        "        'multiprocessing')\n"
+        "        'multiprocessing', 'argparse', 'gettext', 'locale')\n"
         "print(sorted(set(late) & set(sys.modules)))\n"
     )
     done = subprocess.run(
@@ -274,6 +275,25 @@ def test_importing_the_cli_loads_no_module_that_only_some_commands_need():
         capture_output=True, text=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_parsing_argv_loads_no_argparse_gettext_or_locale(tmp_path):
+    # main() turns argv into fields through its own flag table; argparse,
+    # and the gettext and locale it pulls in, would cost every run ~8 ms
+    code = (
+        "import sys\n"
+        "from ppasim import cli\n"
+        "argv = ['sweep', '--theta', '0.1', '--t', '0.5', '--trials', '2',\n"
+        "        '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert cli.main(['verify', '--n', '1']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.csv")], env=package_env(),
+        check=True, timeout=60, capture_output=True, text=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_freezes_the_start_up_objects_and_keeps_the_bytes(tmp_path):
@@ -616,7 +636,7 @@ def test_sweep_rejects_invalid_input_before_any_work(
 def test_sweep_rejects_a_config_value_outside_the_flag_choices(
     tmp_path, capsys, monkeypatch
 ):
-    # argparse's choices guard --sampling-mode, never a config file's value
+    # _check rules on sampling_mode wherever it comes from, a config file too
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
@@ -1046,15 +1066,15 @@ def test_kd_gap_is_the_family_qfi_where_the_table_cancels(tmp_path, capsys):
 def test_grid_starting_with_a_minus_sign_parses_in_both_forms(
     tmp_path, capsys, command, theta, t, extra
 ):
-    # "--theta -0.3,..." is not a single number, which argparse would read
-    # as an option; it must give the same file as "--theta=-0.3,..."
+    # a flag's value is the next argument whatever its first character, so
+    # "--theta -0.3,..." must give the same file as "--theta=-0.3,..."
     spaced, joined = tmp_path / "spaced", tmp_path / "joined"
     argv = [command, "--theta", theta, "--t", t, *extra, "--out", str(spaced)]
     assert run(argv, capsys)[0] == 0
     argv = [command, f"--theta={theta}", f"--t={t}", *extra, "--out", str(joined)]
     assert run(argv, capsys)[0] == 0
     assert spaced.read_bytes() == joined.read_bytes()
-    if command == "kd":  # argparse also takes an abbreviated --theta
+    if command == "kd":  # a unique prefix of --theta names it too
         argv = ["kd", "--the", theta, "--t", t, "--out", str(spaced)]
         assert run(argv, capsys)[0] == 0
         assert spaced.read_bytes() == joined.read_bytes()
@@ -1080,9 +1100,9 @@ def test_grid_starting_with_a_minus_sign_parses_in_both_forms(
     ids="".join,
 )
 def test_negative_number_parses_in_both_forms(tmp_path, capsys, argv):
-    # "-1e-3" is no plain negative number to argparse, which would read it as
-    # an option; the spaced form must write the bytes of "--flag=-1e-3", or
-    # give the same error naming the field
+    # a value that starts with "-" is still the flag's value: the spaced form
+    # must write the bytes of "--flag=-1e-3", or give the same error naming
+    # the field
     command, flag, value = argv
     grid = [] if command == "verify" else ["--theta", "0.1", "--t", "0.5"]
     extra = ["--trials", "2"] if command == "sweep" and flag != "--trials" else []
@@ -1540,6 +1560,18 @@ def test_fig4_exact_columns_are_the_public_closed_forms_bit_for_bit(vis):
         assert got.tobytes() == want.tobytes(), name
 
 
+def test_fig4_family_gap_keeps_its_digits_near_unit_visibility(tmp_path, capsys):
+    # at v = 1 - 1e-9 the gap's (1 - v^2)(1 - T)^2 term is 500 times its 4T
+    # term, so a 1 - v*v that cancels moves the 12 digits fig4 writes
+    # (tests/test_quasiprob.py pins the kernel to the exact value)
+    out = tmp_path / "g.csv"
+    argv = ["fig4", "--theta", "0.1", "--t", "1e-6", "--visibility", "0.999999999",
+            "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    (row,) = read_csv(out)
+    assert row["gap4_family"] == "8.02936881945e-05"
+
+
 # CI's `python -W error -m ppasim fig4 ...` lines, in process: fig4's exact
 # columns run outside the closed forms' np.errstate, and on these edge grids
 # (blocked estimates, p near 1e-13, a tiny t at half visibility) no step warns
@@ -1942,15 +1974,103 @@ HELP_FLAGS = {
 
 @pytest.mark.parametrize("command", [None, *HELP_FLAGS])
 def test_help_exits_0_naming_every_flag(capsys, command):
-    # argparse checks a help string or metavar only when it formats it
+    # the usage text is built from the flag table, each time it is asked for
     argv = [command, "--help"] if command else ["--help"]
-    with pytest.raises(SystemExit) as stop:
-        main(argv)
-    assert stop.value.code == 0
+    assert main(argv) == 0
     text = capsys.readouterr().out
     names = HELP_FLAGS.get(command, tuple(HELP_FLAGS))
     for name in ("-h", "--help", *names):
         assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text), name
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--trials", "x"], "n_trials: "),
+        (["sweep", "--trials"], "n_trials: "),
+        (["sweep", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["kd", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["sweep", "--s", "1"], "seed, sampling_mode: "),  # --seed, --sampling-mode
+        (["sweep", "--sampling-mode", "bursty"], "sampling_mode: "),
+        (["fig4", "--shots", "1.5"], "shots_per_basis: "),
+        (["frob"], "command: "),
+        ([], "command: "),
+    ],
+    ids=["trials-x", "trials-no-value", "bogus", "kd-seed", "ambiguous-prefix",
+         "bursty", "shots-float", "frob", "no-command"],
+)
+def test_bad_argv_prints_one_line_naming_the_field(tmp_path, capsys, monkeypatch, argv, field):
+    # every argv problem is one "ppasim <command>: error: " line, status 2,
+    # before any work and with no file written
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(cli, "_run_grid", no_work)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    prog = f"ppasim {argv[0]}" if argv and argv[0] in cli.COMMANDS else "ppasim"
+    assert line.startswith(f"{prog}: error: {field}")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        # --t names t_list exactly, though it also starts --theta and --trials
+        (["sweep", "--theta", "0.1", "--t", "0.5"], {"theta_list": [0.1], "t_list": [0.5]}),
+        (["kd", "--t", "0.5", "--theta", "0.1"], {"theta_list": [0.1], "t_list": [0.5]}),
+        # the last of a repeated flag wins, in either form
+        (["sweep", "--theta", "0.4", "--t=0.5", "--theta=0.1", "--t", "0.3"],
+         {"theta_list": [0.1], "t_list": [0.3]}),
+        (["kd", "--theta", "0.4,0.2", "--t", "0.5", "--the", "0.1"],
+         {"theta_list": [0.1], "t_list": [0.5]}),
+    ],
+    ids=["exact-sweep", "exact-kd", "last-wins-sweep", "last-wins-kd"],
+)
+def test_flag_grammar_gives_the_bytes_of_the_config_file(tmp_path, capsys, argv, same_as):
+    # an exact flag beats a longer one it prefixes, and the last repeat wins:
+    # each run writes the bytes of the same fields given by a config file
+    command, trials = argv[0], ["--trials", "2"] if argv[0] == "sweep" else []
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(same_as))
+    flags, config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert run([*argv, *trials, "--out", str(flags)], capsys)[0] == 0
+    assert run([command, "--config", str(cfg), *trials, "--out", str(config)], capsys)[0] == 0
+    assert flags.read_bytes() == config.read_bytes()
+
+
+# CI's "Self-verification" argv lines, run as CI runs them (through the
+# module's sys.exit): a bad argv exits 2 with one stderr line, help exits 0
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["sweep", "--trials", "x"], 2),
+        (["sweep", "--trials"], 2),
+        (["sweep", "--s", "1"], 2),
+        (["frob"], 2),
+        ([], 2),
+        (["--help"], 0),
+        (["sweep", "--help"], 0),
+    ],
+    ids=["trials-x", "trials-no-value", "ambiguous-prefix", "frob", "no-command",
+         "help", "sweep-help"],
+)
+def test_ci_argv_lines_exit_with_their_status(tmp_path, argv, status):
+    done = subprocess.run(
+        [sys.executable, "-m", "ppasim", *argv], env=package_env(), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == status
+    if status:
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+    else:
+        assert done.stderr == "" and done.stdout.startswith("usage: ppasim ")
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------- spec
@@ -2079,9 +2199,7 @@ def test_output_probe_leaves_nothing_behind_a_failed_run(tmp_path, monkeypatch):
 
 def test_kd_takes_no_seed_flag(tmp_path, capsys):
     # kd is a closed form; its --seed was read by nothing
-    with pytest.raises(SystemExit) as exc:
-        main(["kd", "--seed", "1", "--out", str(tmp_path / "kd.json")])
-    assert exc.value.code == 2
+    assert main(["kd", "--seed", "1", "--out", str(tmp_path / "kd.json")]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
     # a config file's seed is still a SweepSpec field for every command

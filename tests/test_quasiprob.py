@@ -1,11 +1,12 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ppasim.fisher import qfi_postselected_pure, qfi_ppa_family
+from ppasim.fisher import qfi_postselected_pure, qfi_ppa_family, survival_probability
 from ppasim.quasiprob import (
     filter_povm,
     gap4_ppa_family,
@@ -570,6 +571,31 @@ def test_family_gap_of_a_blocking_filter():
     assert math.isnan(gap4_ppa_family(0.0, 0.0))
     assert np.isnan(kd_table_closed_form([0.0, 0.0, 1.0], 0.0, 0.0)).all()
     assert gap4_ppa_family(0.0, 0.0, 0.5) == pytest.approx(0.75 / 0.25**2 / 4, rel=1e-15)
+
+
+def exact_family_gap4(t2, v, p):
+    """The 4 gap (4T + (1 - v^2)(1 - T)^2) / (4 p^2) in exact rationals."""
+    t2, v, p = Fraction(t2), Fraction(v), Fraction(p)
+    return (4 * t2 + (1 - v * v) * (1 - t2) ** 2) / (4 * p * p)
+
+
+def test_family_gap_keeps_its_digits_where_one_minus_v_squared_cancels():
+    # at v = 1 - 1e-9, 1 - v*v keeps only about 7 of its digits and the
+    # (1 - v^2)(1 - T)^2 term outweighs 4T some 500 times: a kernel that
+    # forms 1 - v*v instead of (1 - v)(1 + v) is some 3e6 ulp off
+    theta, t, v = 0.1, 1e-6, 1.0 - 1e-9
+    s2 = float(np.square(np.sin(theta / 2.0)))  # the one transcendental step
+    p = float(survival_probability(t, (1.0 - v) / 2.0 + v * s2))
+    kernel = float(quasiprob._family_gap4(t * t, v, p))
+    exact = float(exact_family_gap4(t * t, v, p))
+    assert abs(kernel - exact) <= 4 * math.ulp(exact)
+    # the public form, its p taken exactly from the same t, v and sin^2
+    t2 = Fraction(t) ** 2
+    p_exact = t2 + (1 - t2) * ((1 - Fraction(v)) / 2 + Fraction(v) * Fraction(s2))
+    public = float(gap4_ppa_family(theta, t, v))
+    exact = float(exact_family_gap4(t2, v, p_exact))
+    assert abs(public - exact) <= 4 * math.ulp(exact)
+    assert "%.12g" % exact == "8.02936881945e-05"
 
 
 def test_commuting_filter_keeps_table_classical():
