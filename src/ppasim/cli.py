@@ -17,7 +17,6 @@ import numbers
 import os
 import stat
 import sys
-from collections import namedtuple
 from itertools import product
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from .bench import (
     postselected_bloch,
     run_trials,
 )
-from .fisher import _family_qfi, _on_sphere, qfi_bloch, survival_probability
+from .fisher import _family_qfi, _on_sphere, _population, qfi_bloch, survival_probability
 from .quasiprob import _family_gap4, _gap4_of_tables, gap4_ppa_family, kd_table_closed_form
 from .tomography import DEFAULT_DTHETA, simulate_tomography
 from .verify import T_GRID, THETA_GRID, check_run, run_all
@@ -58,13 +57,12 @@ KD_TABLE_LABELS = ("a+,a+", "a+,a-", "a-,a+", "a-,a-")
 # The keys of each kd JSON record, in file order.
 KD_RECORD_KEYS = ("theta", "t", "labels", "re", "im", "gap", "gap_times_4delta_sq")
 
-# One fig4 CSV row: exact and tomographic information at one grid point.
-Fig4Record = namedtuple("Fig4Record", (
-    "theta_true t_mag p_ps qfi_theory qfi_family qfi_empirical qfi_empirical_stderr"
-    " gap4_family gap4_empirical gap4_empirical_stderr qfi_theory_per_input"
-    " qfi_empirical_per_input gap4_empirical_per_input flags"
-))
-FIG4_CSV_COLUMNS = Fig4Record._fields
+# The columns of a fig4 CSV row: exact and tomographic information at one grid point.
+FIG4_CSV_COLUMNS = (
+    "theta_true", "t_mag", "p_ps", "qfi_theory", "qfi_family", "qfi_empirical",
+    "qfi_empirical_stderr", "gap4_family", "gap4_empirical", "gap4_empirical_stderr",
+    "qfi_theory_per_input", "qfi_empirical_per_input", "gap4_empirical_per_input", "flags",
+)
 
 # Tomography repetitions per fig4 point, and the distance from the sphere,
 # in standard deviations of an estimate's length (at most 1/sqrt(shots)),
@@ -305,8 +303,8 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     """Write the conditional quasiprobability tables and gaps as JSON.
 
     The imprinted state exp(i theta sigma_x / 2)|0> has Bloch vector
-    (0, sin theta, cos theta) and |1> population sin^2(theta/2), the w of
-    every closed form; one :func:`kd_table_closed_form` call gives the
+    (0, sin theta, cos theta) and |1> population ``fisher._population``, the
+    w of every closed form; one :func:`kd_table_closed_form` call gives the
     tables of the whole grid, theta along its rows, and one
     :func:`quasiprob.gap4_ppa_family` call their gaps, free of cancellation.
     A value :func:`_check` rejects raises ValueError before any write.
@@ -315,7 +313,7 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     _check("kd", spec)
     theta, ts = np.array(spec.theta_list)[:, None], np.array(spec.t_list)
     r = np.stack([np.zeros_like(theta), np.sin(theta), np.cos(theta)], axis=-1)
-    tables = kd_table_closed_form(r, ts, np.square(np.sin(theta / 2.0))).reshape(-1, 4)
+    tables = kd_table_closed_form(r, ts, _population(theta)).reshape(-1, 4)
     gap4 = gap4_ppa_family(theta, ts).ravel().tolist()
     grid = product(spec.theta_list, spec.t_list)
     parts = zip(grid, tables.real.tolist(), tables.imag.tolist(), gap4)
@@ -330,8 +328,9 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     return out
 
 
-def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
-    """The fig4 rows of ``points``, as (points, repetitions, vectors, 3) arrays."""
+def _fig4_block(spec: SweepSpec, points: list) -> list[tuple]:
+    """The fig4 rows of ``points``, tuples in ``FIG4_CSV_COLUMNS`` order, from
+    (points, repetitions, vectors, 3) arrays."""
     index = np.array(points)
     theta, t = np.array(spec.theta_list)[index[:, 0]], np.array(spec.t_list)[index[:, 1]]
     shots, dtheta, vis = spec.shots_per_basis, DEFAULT_DTHETA, spec.visibility
@@ -370,7 +369,7 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
     # vectors' (at epsilon = 0 the closed forms' p, bit for bit), and the
     # theory's at v = 1; _check has validated t and v and bounded p below.
     p_ps = p[:, 1]
-    p_theory = survival_probability(t, np.square(np.sin(theta / 2.0)))
+    p_theory = survival_probability(t, _population(theta))
     qfi_theory, qfi_family = _family_qfi(t, p_theory), _family_qfi(vis * t, p_ps)
     columns = (
         theta, t, p_ps, qfi_theory, qfi_family, qfi_mean, qfi_se,
@@ -379,7 +378,7 @@ def _fig4_block(spec: SweepSpec, points: list) -> list[Fig4Record]:
     )
     flags = _flag_column(("boundary={}", "near-boundary", "no-survival"),
                          np.add.reduce(np.array([boundary, near, blocked]), -1))
-    return list(map(Fig4Record, *(c.tolist() for c in columns), flags))
+    return list(zip(*(c.tolist() for c in columns), flags))
 
 
 def cmd_fig4(spec: SweepSpec) -> str:
@@ -474,10 +473,9 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
                 f"outside [{MIN_AMPLITUDE:g}, 1]"
             )
     if command in ("kd", "fig4"):
-        # Not fisher.ZERO_PROBABILITY (1e-15): tests/matrix_reference's
-        # condition rejects totals <= 1e-14.  cmd_kd's tables form p from
-        # this same sin^2(theta/2), bit for bit, so each point passed has one.
-        w = np.square(np.sin(np.array(spec.theta_list)[:, None] / 2.0))
+        # Not fisher.ZERO_PROBABILITY (1e-15): tests/matrix_reference's condition
+        # rejects totals <= 1e-14.  kd and fig4 form p from the same _population.
+        w = _population(np.array(spec.theta_list)[:, None])
         fails = ~(survival_probability(np.abs(spec.t_list), w) > 1e-14)
         if np.count_nonzero(fails):
             i, j = np.argwhere(fails)[0]  # the first (theta, t) in row-major order

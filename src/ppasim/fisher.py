@@ -13,7 +13,9 @@ The closed forms of the PPA family (:func:`survival_probability`,
 broadcast together, to the per-point values bit for bit (squares are
 products: NumPy's scalar ``**`` calls ``pow``); a value left undefined, as
 where nothing survives the filter, is nan; an invalid entry raises
-ValueError through ``states._reject``, which names its first instance.
+ValueError through ``states._reject``, which names its first instance.  The
+family's |1> population has one form, :func:`_population`; only
+``bench.postselected_bloch``, general in the phase-plate tilt, derives its own.
 """
 
 from __future__ import annotations
@@ -66,14 +68,19 @@ def survival_probability(t_mag, w):
 
     ``w`` = (1 - z)/2 is the |1> population of the unfiltered state with
     Bloch z-component z: K+ = diag(t, 1) passes |0> with probability |t|^2
-    and |1> always.  The imprinted pure state of phase theta has
-    w = sin^2(theta/2), and at visibility v, w = (1 - v)/2 + v sin^2(theta/2).
-    Given w, the sum has no cancellation, unlike the form
-    |t|^2 cos^2(theta/2) + sin^2(theta/2), whose 1 - cos^2(theta/2) loses
-    digits at small theta.
+    and |1> always; the family's is :func:`_population`.  Given w, the sum
+    has no cancellation, unlike |t|^2 cos^2(theta/2) + sin^2(theta/2), whose
+    1 - cos^2(theta/2) loses digits at small theta.
     """
     t2 = t_mag * t_mag
     return t2 + (1.0 - t2) * w
+
+
+def _population(theta, v=1.0):
+    """The |1> population w = (1 - v)/2 + v sin^2(theta/2) of :func:`ppa_family`'s
+    unfiltered state, sin^2(theta/2) bit for bit at v = 1, where the form
+    (1 - cos theta)/2 loses digits at small theta."""
+    return (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0))
 
 
 def sld(rho: np.ndarray, drho) -> SLDResult:
@@ -211,9 +218,8 @@ def qfi_ppa_family(theta, t_mag, v=1.0):
     """
     _reject_amplitude(t_mag, "qfi_ppa_family requires 0 < t_mag <= 1")
     _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
-    p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
     with np.errstate(divide="ignore", over="ignore"):
-        return _family_qfi(v * t_mag, p)
+        return _family_qfi(v * t_mag, survival_probability(t_mag, _population(theta, v)))
 
 
 def _family_qfi(vt, p):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .states import ATOL_STRUCT, _as_complex_stack, _mm, _reject, _reject_non_psd
-from .fisher import ZERO_PROBABILITY, qfi_postselected_pure, survival_probability
+from .fisher import ZERO_PROBABILITY, _population, qfi_postselected_pure, survival_probability
 
 __all__ = [
     "GapEqualityResult",
@@ -137,12 +137,10 @@ def _table_entries(r, t_mag, w):
 
 def _gap4_of_tables(r, t_mag, w):
     """4 x :func:`nonclassicality_gap` of each of :func:`kd_table_closed_form`'s
-    tables at (r, t_mag, w), bit for bit, without building them: max - min of
-    the entries' squared moduli, nan where a table is.  It checks nothing:
-    fig4's block, its caller, relies on ``cli._check`` for 0 < t_mag <= 1."""
+    tables at (r, t_mag, w), over its three distinct entries, nan where a table
+    is.  It checks nothing: fig4's block relies on ``cli._check`` for 0 < t_mag <= 1."""
     upper, lower, off = _table_entries(r, t_mag, w)
-    sq = np.array([upper, lower, np.abs(off)]) ** 2
-    return 4.0 * (np.maximum.reduce(sq) - np.minimum.reduce(sq))
+    return 4.0 * nonclassicality_gap(np.array([upper, lower, np.abs(off)]), axes=0)
 
 
 def gap4_ppa_family(theta, t, v=1.0):
@@ -166,8 +164,7 @@ def gap4_ppa_family(theta, t, v=1.0):
     t_mag = np.abs(t)
     _reject(~(t_mag <= 1.0 + 1e-12), "|t| must lie in [0, 1]")
     _reject(~np.logical_and(0.0 < v, v <= 1.0), "visibility must lie in (0, 1]")
-    p = survival_probability(t_mag, (1.0 - v) / 2.0 + v * np.square(np.sin(theta / 2.0)))
-    return _family_gap4(t_mag * t_mag, v, p)
+    return _family_gap4(t_mag * t_mag, v, survival_probability(t_mag, _population(theta, v)))
 
 
 def _family_gap4(t2, v, p):

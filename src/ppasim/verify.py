@@ -247,7 +247,7 @@ def _qudit_batches(draws):
         yield pos, rho, gen, _spectral_sqrt(w * (top_to / w[:, -1])[:, None], v)
 
 
-def gap_equality_suite(seed: int, n_qubit: int = 1000, n_qudit: int = 200) -> SuiteResult:
+def gap_equality_suite(seed: int, n_qubit: int, n_qudit: int) -> SuiteResult:
     def residuals():
         rng = rng_stream(seed, 1)
         qubits = _qubit_batches(_runs(_qubit_draws(rng, n_qubit)))
@@ -328,7 +328,7 @@ def _marginalization_residual(rho: np.ndarray, povms: tuple) -> np.ndarray:
     return worst
 
 
-def marginalization_suite(seed: int, n_instances: int = 200) -> SuiteResult:
+def marginalization_suite(seed: int, n_instances: int) -> SuiteResult:
     def residuals():
         rng = rng_stream(seed, 2)
         for _, rho, povms in random_marginalization_instances(rng, n_instances):
@@ -361,7 +361,7 @@ def cfi_qfi_suite() -> SuiteResult:
     return _fold("cfi-equals-qfi", _GRID_STATES, 1e-8, residuals())
 
 
-def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
+def sylvester_suite(seed: int, n_instances: int) -> SuiteResult:
     """SLD defect on the support, over the grid family and random mixed states
     (each d in 2..4, then per d all spectra and all frames and Hamiltonians
     in one call each; solved in batches of one d)."""
@@ -383,7 +383,7 @@ def sylvester_suite(seed: int, n_instances: int = 100) -> SuiteResult:
 
 def check_run(seed: int, n_instances: int | None = None) -> None:
     """Raise ValueError, with the one-line message of ``cli._check``, if
-    ``seed`` is negative or ``n_instances`` (None for the defaults) is below 1."""
+    ``seed`` is negative or ``n_instances`` (None for 1000) is below 1."""
     if seed < 0:
         raise ValueError(f"seed: {seed} must be non-negative")
     if n_instances is not None and n_instances < 1:
@@ -391,16 +391,14 @@ def check_run(seed: int, n_instances: int | None = None) -> None:
 
 
 def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
-    """Run all four suites; ``n_instances`` scales the randomized ones.  Each
-    fails closed (:func:`_fold`), alone.  A value :func:`check_run` rejects
-    raises ValueError before any suite runs."""
+    """Run all four suites; ``n_instances`` (None for 1000) scales the randomized
+    ones.  Each fails closed (:func:`_fold`), alone.  A value :func:`check_run`
+    rejects raises ValueError before any suite runs."""
     check_run(seed, n_instances)
-    n_qubit = 1000 if n_instances is None else n_instances
-    n_qudit = n_marg = 200 if n_instances is None else max(n_instances // 5, 1)
-    n_sylv = 100 if n_instances is None else max(n_instances // 10, 1)
+    n = 1000 if n_instances is None else n_instances
     return [
-        gap_equality_suite(seed, n_qubit=n_qubit, n_qudit=n_qudit),
-        marginalization_suite(seed, n_instances=n_marg),
+        gap_equality_suite(seed, n, max(n // 5, 1)),
+        marginalization_suite(seed, max(n // 5, 1)),
         cfi_qfi_suite(),
-        sylvester_suite(seed, n_instances=n_sylv),
+        sylvester_suite(seed, max(n // 10, 1)),
     ]

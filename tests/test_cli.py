@@ -1168,6 +1168,22 @@ def test_kd_rejects_invalid_grid_before_any_work(
     assert not out.exists()
 
 
+def test_kd_survival_floor_and_tables_share_one_population(tmp_path, capsys):
+    # _check's floor and kd's tables form p from one population, so a point
+    # just above the floor has a finite table and one just below exits 2: at
+    # t = 0, p is sin^2(theta/2), here some 8 ulp above and below 1e-14
+    out = tmp_path / "kd.json"
+    argv = ["kd", "--t", "0", "--out", str(out), "--theta"]
+    assert run([*argv, "2.0000000000000047e-07"], capsys)[0] == 0
+    (record,) = json.loads(out.read_text())
+    assert all(map(math.isfinite, record["re"] + record["im"] + [record["gap"]]))
+    assert max(map(abs, record["re"])) > 1e13  # 1 / (4 p), p just above 1e-14
+    code = main([*argv, "2.000000000000002e-07"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "survival probability at (theta = 2e-07, t = 0) is not above" in err
+
+
 # --------------------------------------------------------------------- fig4
 
 
@@ -1556,7 +1572,7 @@ def test_fig4_exact_columns_are_the_public_closed_forms_bit_for_bit(vis):
         "gap4_family": gap4_ppa_family(theta, t, vis),
     }
     for name, want in exact.items():
-        got = np.array([getattr(row, name) for row in rows])
+        got = np.array([row[FIG4_CSV_COLUMNS.index(name)] for row in rows])
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -1773,6 +1789,16 @@ def test_verify_passes_at_the_benchmark_seeds(capsys, seed):
         (["[cfi-equals-qfi]", "n=84"], "PASS"),
         (["[sylvester-residual]", "n=184"], "PASS"),
     ]
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_verify_default_is_n_1000(capsys, seed):
+    # CI's `cmp` of `verify --seed 3` against `verify --seed 3 --n 1000`:
+    # run_all's one default size gives the same lines as the flag
+    assert main(["verify", "--seed", seed]) == 0
+    default = capsys.readouterr().out
+    assert main(["verify", "--seed", seed, "--n", "1000"]) == 0
+    assert capsys.readouterr().out == default
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,10 +1,12 @@
 import cmath
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ppasim import fisher
 from ppasim.bench import postselected_bloch, systematic_shift_t
 from ppasim.fisher import (
     _on_sphere,
@@ -229,10 +231,10 @@ def test_grid_suite_summaries_are_pinned():
     # Sylvester summaries of its draws by d
     grid = "[cfi-equals-qfi] n=84 max_residual=8.993e-15 threshold=1.0e-08 PASS"
     assert cfi_qfi_suite().summary() == grid
-    assert sylvester_suite(0).summary() == (
+    assert sylvester_suite(0, 100).summary() == (
         "[sylvester-residual] n=184 max_residual=3.048e-15 threshold=1.0e-08 PASS"
     )
-    assert sylvester_suite(5).summary() == (
+    assert sylvester_suite(5, 100).summary() == (
         "[sylvester-residual] n=184 max_residual=3.048e-15 threshold=1.0e-08 PASS"
     )
 
@@ -452,6 +454,31 @@ def test_survival_probability_visibility_mix():
     assert abs(p_pure - 0.2574750333095344) < 1e-15
     assert abs(p_pure - survival_theta_form(0.2, 0.5)) < 1e-15
     assert abs(p_mixed - survival_theta_form(0.2, 0.5, v=0.98)) < 1e-15
+
+
+def population_reference(theta, v):
+    """(1 - v)/2 + v sin^2(theta/2) in exact rationals from libm's sin(theta/2)."""
+    s = Fraction(math.sin(theta / 2.0))
+    return float((1 - Fraction(v)) / 2 + Fraction(v) * s * s)
+
+
+@pytest.mark.parametrize("v", [1.0, 0.98, 0.5])
+def test_population_keeps_its_digits_at_small_theta(v):
+    # the one form of the family's |1> population, which every closed form,
+    # kd's tables and the command-line survival floor share: within 2 ulp of
+    # the sin^2(theta/2) value at every theta (the bound fixed before
+    # measuring), bit for bit sin^2(theta/2) at v = 1
+    for theta in (1e-6, 1e-3, 0.02, 1.5):
+        want = population_reference(theta, v)
+        got = fisher._population(theta, v)
+        assert abs(got - want) <= 2 * math.ulp(want), (theta, got, want)
+        if v == 1.0:
+            assert got == np.square(np.sin(theta / 2.0))
+    # the form (1 - cos theta)/2, whose 1 - cos theta cancels, misses the
+    # bound at theta = 1e-6, where at v = 0.5 the constant 1/4 hides it
+    cos_form = (1.0 - v) / 2.0 + v * (1.0 - math.cos(1e-6)) / 2.0
+    want = population_reference(1e-6, v)
+    assert (abs(cos_form - want) > 2 * math.ulp(want)) is (v > 0.5)
 
 
 def test_theory_qfi_has_no_cancellation_at_small_theta():
