@@ -35,7 +35,7 @@ from .bench import (
 from .fisher import _family_qfi, _on_sphere, _population, qfi_bloch, survival_probability
 from .quasiprob import _family_gap4, _gap4_of_tables, gap4_ppa_family, kd_table_closed_form
 from .tomography import DEFAULT_DTHETA, simulate_tomography
-from .verify import T_GRID, THETA_GRID, check_run, run_all
+from .verify import T_GRID, THETA_GRID, check_run, suites
 
 __all__ = [
     "SweepSpec",
@@ -182,10 +182,12 @@ def _grid_rows(evaluate, spec: SweepSpec, points: list, step: int) -> list[str]:
     return rows
 
 
-def _fork_chunks(evaluate, spec: SweepSpec, chunks: list, step: int) -> list[str]:
-    """The :func:`_grid_rows` of each chunk, as bytes from a forked child that exits
-    ``_CHUNK_RAISED`` if they raise.  Once all are reaped, a chunk that raised runs
-    again here, to raise as in one process; other failures raise RuntimeError."""
+def _fork_chunks(run, chunks: list, name, share=None) -> list[str]:
+    """The lines of ``run(share)``, made here while the children work if a share is
+    given, then of ``run(chunk)`` for each chunk, sent as bytes by a forked child
+    that exits ``_CHUNK_RAISED`` if it raises.  Once all are reaped, a chunk that
+    raised runs again here, to raise as in one process; other failures raise
+    RuntimeError naming ``name(chunk)``."""
     children = []
     try:
         for chunk in chunks:
@@ -199,7 +201,7 @@ def _fork_chunks(evaluate, spec: SweepSpec, chunks: list, step: int) -> list[str
             if pid == 0:  # never return into the caller nor flush inherited buffers
                 try:
                     try:
-                        data = "\n".join(_grid_rows(evaluate, spec, chunk, step)).encode()
+                        data = "\n".join(run(chunk)).encode()
                     except Exception:
                         os._exit(_CHUNK_RAISED)
                     with open(fd_write, "wb") as fh:
@@ -209,20 +211,19 @@ def _fork_chunks(evaluate, spec: SweepSpec, chunks: list, step: int) -> list[str
                     os._exit(1)
             os.close(fd_write)
             children.append((chunk, pid, open(fd_read, "rb")))
+        lines = [] if share is None else run(share)
     finally:
         sent = []
         for chunk, pid, fh in children:
             with fh:
                 sent.append((chunk, fh.read(), os.waitpid(pid, 0)[1]))
-    rows = []
     for chunk, data, status in sent:
         if (code := os.waitstatus_to_exitcode(status)) == _CHUNK_RAISED:
-            _grid_rows(evaluate, spec, chunk, step)
+            run(chunk)
         if code or not data:
-            raise RuntimeError(f"worker of the chunk from {_point_name(spec, *chunk[0])}: "
-                               f"exit status {code}, no rows")
-        rows += data.decode().split("\n")
-    return rows
+            raise RuntimeError(f"worker of {name(chunk)}: exit status {code}, no rows")
+        lines += data.decode().split("\n")
+    return lines
 
 
 def _run_grid(spec: SweepSpec, command: str, columns, evaluate, trials, workers=1) -> str:
@@ -241,7 +242,8 @@ def _run_grid(spec: SweepSpec, command: str, columns, evaluate, trials, workers=
     if n_chunks > 1 and sys.platform == "linux":
         cuts = [len(points) * k // n_chunks for k in range(n_chunks + 1)]
         chunks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
-        rows = _fork_chunks(evaluate, spec, chunks, step)
+        rows = _fork_chunks(lambda chunk: _grid_rows(evaluate, spec, chunk, step), chunks,
+                            lambda chunk: f"the chunk from {_point_name(spec, *chunk[0])}")
     else:
         rows = _grid_rows(evaluate, spec, points, step)
     out = _resolve_out(spec.output_path, DEFAULT_OUT[command])
@@ -402,13 +404,34 @@ def cmd_fig4(spec: SweepSpec) -> str:
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_block, _FIG4_REPS)
 
 
+def _summaries(calls) -> list[str]:
+    """The summary line of each suite call of :func:`verify.suites`, in order."""
+    return [call().summary() for call in calls]
+
+
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
-    """Run the self-verification suites; exit code 0 iff all pass.  A value
-    :func:`_check` rejects raises ValueError before any suite runs."""
+    """Run the self-verification suites and print one summary line each; exit
+    code 0 iff all pass.  A value :func:`_check` rejects raises ValueError
+    before any suite runs.
+
+    On Linux with more than one CPU, this process imports ``numpy.random``, forks
+    one worker (:func:`_fork_chunks`) for marginalization, cfi-equals-qfi and
+    sylvester-residual, which share one grid solve, and meanwhile runs
+    gap-equality, the largest suite.  Elsewhere the four run here, one after
+    another.  Either way the lines and exit code are those of
+    :func:`verify.run_all`, byte for byte.
+    """
     _check("verify", SweepSpec(seed=seed), n_instances=n_instances)
-    results = run_all(seed, n_instances)
-    print(*(r.summary() for r in results), sep="\n")
-    return 0 if all(r.passed for r in results) else 1
+    first, *rest = suites(seed, n_instances)
+    if sys.platform == "linux" and (os.cpu_count() or 1) > 1:
+        import numpy.random  # noqa: F401  (both halves draw; the worker inherits it)
+
+        where = f"the suites {', '.join(c.func.__name__ for c in rest)} at seed = {seed}"
+        lines = _fork_chunks(_summaries, [rest], lambda _: where, share=[first])
+    else:
+        lines = _summaries([first, *rest])
+    print(*lines, sep="\n")
+    return 0 if all(line.endswith(" PASS") for line in lines) else 1
 
 
 def _read_config(path: str) -> dict:

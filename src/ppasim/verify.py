@@ -66,6 +66,7 @@ __all__ = [
     "cfi_qfi_suite",
     "sylvester_suite",
     "check_run",
+    "suites",
     "run_all",
 ]
 
@@ -390,15 +391,22 @@ def check_run(seed: int, n_instances: int | None = None) -> None:
         raise ValueError(f"n_instances: {n_instances} must be at least 1")
 
 
-def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
-    """Run all four suites; ``n_instances`` (None for 1000) scales the randomized
-    ones.  Each fails closed (:func:`_fold`), alone.  A value :func:`check_run`
-    rejects raises ValueError before any suite runs."""
+def suites(seed: int = 0, n_instances: int | None = None) -> list:
+    """The four suites of :func:`run_all`, in its order, as calls of no argument
+    that each return one SuiteResult; ``n_instances`` (None for 1000) scales the
+    randomized ones.  A value :func:`check_run` rejects raises ValueError."""
     check_run(seed, n_instances)
     n = 1000 if n_instances is None else n_instances
     return [
-        gap_equality_suite(seed, n, max(n // 5, 1)),
-        marginalization_suite(seed, max(n // 5, 1)),
-        cfi_qfi_suite(),
-        sylvester_suite(seed, max(n // 10, 1)),
+        functools.partial(gap_equality_suite, seed, n, max(n // 5, 1)),
+        functools.partial(marginalization_suite, seed, max(n // 5, 1)),
+        functools.partial(cfi_qfi_suite),
+        functools.partial(sylvester_suite, seed, max(n // 10, 1)),
     ]
+
+
+def run_all(seed: int = 0, n_instances: int | None = None) -> list[SuiteResult]:
+    """Run the four :func:`suites`, one after another in this process.  Each
+    fails closed (:func:`_fold`), alone.  A value :func:`check_run` rejects
+    raises ValueError before any suite runs."""
+    return [suite() for suite in suites(seed, n_instances)]

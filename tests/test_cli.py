@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,11 +361,11 @@ def test_ci_commands_leave_no_file_open(tmp_path, argv):
 
 def recording_runner(sizes):
     """Stand-in for cli._fork_chunks: appends each run's chunk count to
-    ``sizes`` and runs the chunks in this process."""
+    ``sizes`` and runs the share, then the chunks, in this process."""
 
-    def run_chunks(evaluate, spec, chunks, step):
+    def run_chunks(run, chunks, name, share=None):
         sizes.append(len(chunks))
-        return sum((cli._grid_rows(evaluate, spec, chunk, step) for chunk in chunks), [])
+        return sum(map(run, chunks), [] if share is None else run(share))
 
     return run_chunks
 
@@ -1805,15 +1806,27 @@ def test_verify_default_is_n_1000(capsys, seed):
 def test_ci_verify_with_warnings_as_errors_passes(capsys, monkeypatch):
     # CI's `python -W error -m ppasim verify --n 5000 --seed 3`, in process:
     # any warning raises; the grid is solved afresh, not read from the cache
-    # an earlier test filled
+    # an earlier test filled, by the worker that runs the grid suites
     fresh = functools.cache(verify._grid_solution.__wrapped__)
     monkeypatch.setattr(verify, "_grid_solution", fresh)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code = main(["verify", "--n", "5000", "--seed", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(lines) == 4
     assert all(line.endswith(" PASS") for line in lines)
-    assert fresh.cache_info().misses == 1
+    assert fresh.cache_info().misses == (0 if sys.platform == "linux" else 1)
+
+    # a warning of the worker's grid solve reaches this process as the error
+    # it is under -W error
+    def warned():
+        warnings.warn("grid solve: a warning", RuntimeWarning)
+        return fresh()
+
+    monkeypatch.setattr(verify, "_grid_solution", functools.cache(warned))
+    with pytest.raises(RuntimeWarning, match="^grid solve: a warning$"):
+        main(["verify", "--n", "5000", "--seed", "3"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
@@ -1927,6 +1940,108 @@ def test_verify_random_suite_lines_are_pinned(capsys, argv, lines):
         assert want_r / 2 <= got_r <= 2 * want_r or abs(got_r - want_r) <= 8 * eps
 
 
+# The suite functions of verify.suites, in their order.
+VERIFY_SUITES = ("gap_equality_suite", "marginalization_suite", "cfi_qfi_suite",
+                 "sylvester_suite")
+
+
+def serial_verify(seed, n):
+    """``ppasim verify --seed seed --n n``'s stdout and exit code, as
+    verify.run_all's results give them in one process."""
+    results = verify.run_all(seed, n)
+    out = "".join(r.summary() + "\n" for r in results)
+    return out, 0 if all(r.passed for r in results) else 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+@pytest.mark.parametrize("seed, n", [*itertools.product(range(6), (1, 5, 1000)), (3, 5000)])
+def test_verify_on_two_processes_prints_the_serial_bytes(capsys, monkeypatch, seed, n):
+    # gap-equality here, the other three in one forked worker: the lines and
+    # the exit code of run_all, byte for byte (CI's `cmp` of --seed 3 --n 5000)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code = main(["verify", "--seed", str(seed), "--n", str(n)])
+    assert (capsys.readouterr().out, code) == serial_verify(seed, n)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+@pytest.mark.parametrize("target", ["verify_gap_equality", "_marginalization_residual"],
+                         ids=["caller-fails", "worker-fails"])
+def test_verify_on_two_processes_prints_a_failed_suite_as_in_one(capsys, monkeypatch, target):
+    # nan residuals fail gap-equality, which runs here, or marginalization,
+    # which runs in the worker; the exit code is 1 either way
+    real = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: _nan_residuals(real(*args)))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code = main(["verify", "--seed", "2", "--n", "5"])
+    out = capsys.readouterr().out
+    assert (out, code) == serial_verify(2, 5)
+    assert code == 1 and out.count(" FAIL\n") == 1
+
+
+def test_verify_on_one_cpu_runs_every_suite_here(capsys, monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked on one CPU")
+
+    monkeypatch.setattr(cli, "_fork_chunks", no_fork)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    for seed, n in ((0, 1), (3, 1000)):
+        code = main(["verify", "--seed", str(seed), "--n", str(n)])
+        assert (capsys.readouterr().out, code) == serial_verify(seed, n)
+
+
+# verify at seed 7 and --n 5, on two processes, whose SUITE raises or exits as
+# FAIL says; the script prints what reaches the caller, then whether any
+# child is left unreaped.
+FAILING_SUITE = """
+import os
+from ppasim import cli, verify
+
+class SuiteError(Exception):
+    pass
+
+def SUITE(*args):
+    FAIL
+
+verify.SUITE = SUITE
+os.cpu_count = lambda: 2
+try:
+    cli.cmd_verify(seed=7, n_instances=5)
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+# The worker's suites, as a dead worker names them.
+WORKER_SUITES = "the suites marginalization_suite, cfi_qfi_suite, sylvester_suite at seed = 7"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+@pytest.mark.parametrize(
+    "suite, fail, error",
+    [
+        # the worker's suites run again here and raise as in one process
+        ("sylvester_suite", 'raise SuiteError("boom")', "SuiteError: boom"),
+        # the caller's own suite raises while the worker works
+        ("gap_equality_suite", 'raise SuiteError("boom")', "SuiteError: boom"),
+        ("cfi_qfi_suite", "os._exit(3)",
+         f"RuntimeError: worker of {WORKER_SUITES}: exit status 3, no rows"),
+        # the worker leaves through os._exit(1), never through the caller's stack
+        ("marginalization_suite", "raise KeyboardInterrupt",
+         f"RuntimeError: worker of {WORKER_SUITES}: exit status 1, no rows"),
+    ],
+    ids=["worker-raises", "caller-raises", "worker-exits", "worker-interrupted"],
+)
+def test_a_failing_verify_suite_reaches_the_caller_and_is_reaped(suite, fail, error):
+    code = FAILING_SUITE.replace("SUITE", suite).replace("FAIL", fail)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=package_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.splitlines() == [error, "no child left"]
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
@@ -1941,7 +2056,9 @@ def test_verify_rejects_invalid_input_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    monkeypatch.setattr(cli, "run_all", no_work)
+    # the suites, which the serial path and the two-process path both call
+    for suite in VERIFY_SUITES:
+        monkeypatch.setattr(verify, suite, no_work)
     code = main(["verify"] + flags)
     captured = capsys.readouterr()
     assert code == 2
@@ -1969,15 +2086,13 @@ def test_library_verify_rejects_what_the_cli_rejects(monkeypatch, kwargs, messag
     def no_work(*args, **kwargs):
         raise AssertionError("a suite ran on invalid input")
 
-    monkeypatch.setattr(cli, "run_all", no_work)
+    for suite in VERIFY_SUITES:
+        monkeypatch.setattr(verify, suite, no_work)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cli.cmd_verify(**kwargs)
     # verify.run_all holds the value rules that _check's verify branch uses,
     # so a library call of it refuses the same values before any suite runs
     if "expected" not in message:
-        for suite in ("gap_equality_suite", "marginalization_suite",
-                      "cfi_qfi_suite", "sylvester_suite"):
-            monkeypatch.setattr(verify, suite, no_work)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify.run_all(**kwargs)
 

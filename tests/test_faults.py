@@ -7,8 +7,8 @@ its module's namespace and patched in every module that binds the original;
 the check then runs and must fail.  A row marked
 ``expected-uncaught`` is a fault that no check catches yet: it asserts that
 the check still passes, so a check that learns to catch it fails the row.
-Faults that need forked workers stay in the subprocess tests of
-tests/test_cli.py.
+Faults that make a forked worker raise or die stay in the subprocess
+tests of tests/test_cli.py.
 """
 
 import __future__
@@ -48,7 +48,7 @@ FAULTS = [
     ("gap-max-only", quasiprob.nonclassicality_gap,
      "sq.max(axis=axes) - sq.min(axis=axes)", "sq.max(axis=axes)",
      verify_line("gap-equality"), "caught"),
-    ("verify-default-999", verify.run_all,
+    ("verify-default-999", verify.suites,
      "n = 1000 if", "n = 999 if",
      functools.partial(test_cli.test_verify_default_is_n_1000, seed="3"), "caught"),
     ("qfi-family-1pc-high", fisher.qfi_ppa_family,
@@ -82,16 +82,23 @@ FAULTS = [
      "table[..., 1, 0], table[..., 1, 1] = off.conj(), lower",
      "table[..., 1, 0], table[..., 1, 1] = off, lower",
      test_cli.test_kd_matches_the_matrix_reference, "caught"),
-    # The deterministic grid's residual (3.048e-15) is the line's max at
-    # every seed and n, so the random instances cannot move it.
     ("sylvester-random-residuals-zeroed", verify.sylvester_suite,
      "yield sld(rho, drho).residual", "yield 0.0 * sld(rho, drho).residual",
-     test_fisher.test_grid_suite_summaries_are_pinned, "expected-uncaught"),
-    # The SLD-axis angles (at most 4.7e-15) sit under the CFI residuals
-    # (8.993e-15) in the one line, which so never shows them.
+     test_fisher.test_sylvester_suite_fails_on_one_random_residual_above_threshold,
+     "caught"),
     ("cfi-suite-axis-check-zeroed", verify.cfi_qfi_suite,
      "yield axis_angle(", "yield 0.0 * axis_angle(",
-     test_fisher.test_grid_suite_summaries_are_pinned, "expected-uncaught"),
+     test_fisher.test_cfi_suite_fails_on_a_wrong_sld_axis, "caught"),
+    # verify's two processes: the worker's lines before the caller's, and
+    # the worker's last suite dropped
+    ("verify-worker-lines-first", cli._fork_chunks,
+     'lines += data.decode().split("\\n")', 'lines[:0] = data.decode().split("\\n")',
+     functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
+                       seed=0, n=5), "caught"),
+    ("verify-worker-drops-a-suite", cli.cmd_verify,
+     "[rest]", "[rest[:-1]]",
+     functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
+                       seed=0, n=5), "caught"),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppasim import fisher
+from ppasim import fisher, verify
 from ppasim.bench import postselected_bloch, systematic_shift_t
 from ppasim.fisher import (
     _on_sphere,
@@ -237,6 +237,44 @@ def test_grid_suite_summaries_are_pinned():
     assert sylvester_suite(5, 100).summary() == (
         "[sylvester-residual] n=184 max_residual=3.048e-15 threshold=1.0e-08 PASS"
     )
+
+
+def test_cfi_suite_fails_on_a_wrong_sld_axis(monkeypatch):
+    # the SLD-axis check counts though the CFI residuals sit above its angles
+    # in the one line: an axis tilted by 1e-6 fails the suite
+    real = verify.sld_axis
+
+    def tilted(lam):
+        axes = real(lam)
+        axes[..., 0] += 1e-6
+        return axes
+
+    monkeypatch.setattr(verify, "sld_axis", tilted)
+    result = verify.cfi_qfi_suite()
+    assert not result.passed
+    assert 1e-7 < result.max_residual < 1e-5
+
+
+def test_sylvester_suite_fails_on_one_random_residual_above_threshold(monkeypatch):
+    # the grid's residual is the line's max at every seed and n; one random
+    # instance's finite residual above the threshold still fails the suite
+    verify._grid_solution()  # solved with the real sld, and cached
+    real, calls = verify.sld, []
+
+    def one_off(rho, drho):
+        res = real(rho, drho)
+        calls.append(None)
+        if len(calls) > 1:
+            return res
+        residual = res.residual.copy()
+        residual[0] += 1.0
+        return res._replace(residual=residual)
+
+    monkeypatch.setattr(verify, "sld", one_off)
+    result = verify.sylvester_suite(0, 100)
+    assert len(calls) > 1
+    assert not result.passed
+    assert 1.0 <= result.max_residual < 1.0 + 1e-8
 
 
 
