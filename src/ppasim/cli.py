@@ -17,6 +17,7 @@ import numbers
 import os
 import stat
 import sys
+import threading
 from itertools import product
 from typing import NamedTuple
 
@@ -414,16 +415,21 @@ def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     code 0 iff all pass.  A value :func:`_check` rejects raises ValueError
     before any suite runs.
 
-    On Linux with more than one CPU, this process imports ``numpy.random``, forks
-    one worker (:func:`_fork_chunks`) for marginalization, cfi-equals-qfi and
+    On Linux, when this process may run on more than one CPU and has no thread
+    but its own, it imports ``numpy.random``, forks one worker
+    (:func:`_fork_chunks`) for marginalization, cfi-equals-qfi and
     sylvester-residual, which share one grid solve, and meanwhile runs
-    gap-equality, the largest suite.  Elsewhere the four run here, one after
-    another.  Either way the lines and exit code are those of
-    :func:`verify.run_all`, byte for byte.
+    gap-equality, the largest suite.  On one CPU the worker would only take
+    turns with this process; a Python thread would outlive the fork, which
+    Python 3.12 and later warn of (NumPy's OpenBLAS pool does not: its own fork
+    handler stops it).  Otherwise the four run here, one after another.  Either
+    way the lines and exit code are those of :func:`verify.run_all`, byte for
+    byte.
     """
     _check("verify", SweepSpec(seed=seed), n_instances=n_instances)
     first, *rest = suites(seed, n_instances)
-    if sys.platform == "linux" and (os.cpu_count() or 1) > 1:
+    if (sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1):
         import numpy.random  # noqa: F401  (both halves draw; the worker inherits it)
 
         where = f"the suites {', '.join(c.func.__name__ for c in rest)} at seed = {seed}"

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -1809,7 +1810,7 @@ def test_ci_verify_with_warnings_as_errors_passes(capsys, monkeypatch):
     # an earlier test filled, by the worker that runs the grid suites
     fresh = functools.cache(verify._grid_solution.__wrapped__)
     monkeypatch.setattr(verify, "_grid_solution", fresh)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     code = main(["verify", "--n", "5000", "--seed", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -1945,6 +1946,11 @@ VERIFY_SUITES = ("gap_equality_suite", "marginalization_suite", "cfi_qfi_suite",
                  "sylvester_suite")
 
 
+def on_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as ``cmd_verify`` sees it."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def serial_verify(seed, n):
     """``ppasim verify --seed seed --n n``'s stdout and exit code, as
     verify.run_all's results give them in one process."""
@@ -1958,7 +1964,7 @@ def serial_verify(seed, n):
 def test_verify_on_two_processes_prints_the_serial_bytes(capsys, monkeypatch, seed, n):
     # gap-equality here, the other three in one forked worker: the lines and
     # the exit code of run_all, byte for byte (CI's `cmp` of --seed 3 --n 5000)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     code = main(["verify", "--seed", str(seed), "--n", str(n)])
     assert (capsys.readouterr().out, code) == serial_verify(seed, n)
 
@@ -1971,22 +1977,67 @@ def test_verify_on_two_processes_prints_a_failed_suite_as_in_one(capsys, monkeyp
     # which runs in the worker; the exit code is 1 either way
     real = getattr(verify, target)
     monkeypatch.setattr(verify, target, lambda *args: _nan_residuals(real(*args)))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     code = main(["verify", "--seed", "2", "--n", "5"])
     out = capsys.readouterr().out
     assert (out, code) == serial_verify(2, 5)
     assert code == 1 and out.count(" FAIL\n") == 1
 
 
-def test_verify_on_one_cpu_runs_every_suite_here(capsys, monkeypatch):
-    def no_fork(*args, **kwargs):
-        raise AssertionError("a worker was forked on one CPU")
+def no_fork(*args, **kwargs):
+    raise AssertionError("a worker was forked")
 
+
+def test_verify_on_one_cpu_runs_every_suite_here(capsys, monkeypatch):
+    # pinned to one CPU, a worker would only take turns with the caller
     monkeypatch.setattr(cli, "_fork_chunks", no_fork)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    on_cpus(monkeypatch, 1)
     for seed, n in ((0, 1), (3, 1000)):
         code = main(["verify", "--seed", str(seed), "--n", str(n)])
         assert (capsys.readouterr().out, code) == serial_verify(seed, n)
+
+
+def test_verify_beside_a_python_thread_runs_every_suite_here(capsys, monkeypatch):
+    # a thread would outlive the fork, which Python 3.12 and later warn of
+    monkeypatch.setattr(cli, "_fork_chunks", no_fork)
+    on_cpus(monkeypatch, 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        code = main(["verify", "--seed", "3", "--n", "5"])
+    finally:
+        done.set()
+        thread.join()
+    assert (capsys.readouterr().out, code) == serial_verify(3, 5)
+
+
+def os_threads():
+    """This process's OS threads, as /proc/self/stat counts them."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+def test_verify_forks_from_one_os_thread(capsys, monkeypatch):
+    # Python 3.12 and later count the caller's OS threads right after a fork
+    # and warn if there are more than one; NumPy's OpenBLAS pool, which runs
+    # beside this thread on a multi-CPU machine, is stopped by its own fork
+    # handler and started again at its next call
+    real_fork, after = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            after.append(os_threads())
+        return pid
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    on_cpus(monkeypatch, 2)
+    np.linalg.eigvalsh(np.eye(200))  # wakes the BLAS pool, if any
+    code = main(["verify", "--seed", "3", "--n", "5"])
+    assert (capsys.readouterr().out, code) == serial_verify(3, 5)
+    assert after == [1]
 
 
 # verify at seed 7 and --n 5, on two processes, whose SUITE raises or exits as
@@ -2003,7 +2054,7 @@ def SUITE(*args):
     FAIL
 
 verify.SUITE = SUITE
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 try:
     cli.cmd_verify(seed=7, n_instances=5)
 except Exception as exc:

@@ -89,8 +89,8 @@ FAULTS = [
     ("cfi-suite-axis-check-zeroed", verify.cfi_qfi_suite,
      "yield axis_angle(", "yield 0.0 * axis_angle(",
      test_fisher.test_cfi_suite_fails_on_a_wrong_sld_axis, "caught"),
-    # verify's two processes: the worker's lines before the caller's, and
-    # the worker's last suite dropped
+    # verify's two processes: the worker's lines before the caller's, the
+    # worker's last suite dropped, and a fork beside a live thread
     ("verify-worker-lines-first", cli._fork_chunks,
      'lines += data.decode().split("\\n")', 'lines[:0] = data.decode().split("\\n")',
      functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
@@ -99,6 +99,9 @@ FAULTS = [
      "[rest]", "[rest[:-1]]",
      functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
                        seed=0, n=5), "caught"),
+    ("verify-forks-beside-a-thread", cli.cmd_verify,
+     "threading.active_count() == 1", "threading.active_count() >= 1",
+     test_cli.test_verify_beside_a_python_thread_runs_every_suite_here, "caught"),
 ]
 
 
