@@ -36,7 +36,7 @@ from .bench import (
 from .fisher import _family_qfi, _on_sphere, _population, qfi_bloch, survival_probability
 from .quasiprob import _family_gap4, _gap4_of_tables, gap4_ppa_family, kd_table_closed_form
 from .tomography import DEFAULT_DTHETA, simulate_tomography
-from .verify import T_GRID, THETA_GRID, check_run, suites
+from .verify import T_GRID, THETA_GRID, _is_kind, check_run, suites
 
 __all__ = [
     "SweepSpec",
@@ -72,17 +72,8 @@ _FIG4_REPS = 4
 _NEAR_BOUNDARY_SIGMAS = 3.0
 
 
-# What a SweepSpec field accepts, keyed by the type of its default, and the
-# built-in types of each kind, accepted before the slower ABC test.
+# What a SweepSpec field accepts, keyed by the type of its default.
 _FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, str: str}
-_PLAIN_TYPES = {numbers.Real: (float, int), numbers.Integral: (int,), str: (str,)}
-
-
-def _is_kind(value, kind) -> bool:
-    """isinstance, except that a bool (a JSON true or false) is no number."""
-    return type(value) in _PLAIN_TYPES[kind] or (
-        isinstance(value, kind) and not isinstance(value, bool)
-    )
 
 
 class _SweepFields(NamedTuple):
@@ -183,19 +174,35 @@ def _grid_rows(evaluate, spec: SweepSpec, points: list, step: int) -> list[str]:
     return rows
 
 
+def _fork_width(jobs: int) -> int:
+    """How many of ``jobs`` independent jobs to run at once, one process each: 1
+    for one job, before anything is read; off Linux; beside another Python
+    thread, which would outlive a fork, as Python 3.12 and later warn (NumPy's
+    OpenBLAS pool stops itself at a fork); and on one CPU, where children would
+    only take turns.  Else the CPUs of ``os.sched_getaffinity``, at most ``jobs``."""
+    if jobs < 2 or sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(jobs, len(os.sched_getaffinity(0)))
+
+
 def _fork_chunks(run, chunks: list, name, share=None) -> list[str]:
-    """The lines of ``run(share)``, made here while the children work if a share is
-    given, then of ``run(chunk)`` for each chunk, sent as bytes by a forked child
-    that exits ``_CHUNK_RAISED`` if it raises.  Once all are reaped, a chunk that
-    raised runs again here, to raise as in one process; other failures raise
-    RuntimeError naming ``name(chunk)``."""
+    """The lines of ``run(share)``, if a share is given, then of ``run(chunk)`` for
+    each chunk.  Where :func:`_fork_width` gives these jobs more than one process,
+    a forked child runs each chunk and sends its lines as bytes, exiting
+    ``_CHUNK_RAISED`` if it raises, while the share runs here.  Once all are
+    reaped, a chunk that raised runs again here, to raise as in one process;
+    other failures raise RuntimeError naming ``name(chunk)``.  Elsewhere every
+    job runs here, in order."""
+    jobs = chunks if share is None else [share, *chunks]
+    if _fork_width(len(jobs)) < 2:
+        return [line for job in jobs for line in run(job)]
     children = []
     try:
         for chunk in chunks:
             fd_read, fd_write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except BaseException:  # OSError or an interrupt: close the child's pipe
                 os.close(fd_read)
                 os.close(fd_write)
                 raise
@@ -231,22 +238,19 @@ def _run_grid(spec: SweepSpec, command: str, columns, evaluate, trials, workers=
     """Write the CSV of ``columns`` whose rows ``evaluate(spec, points)`` gives
     for the grid indices (i, j) in ``points``, each point of ``trials`` trials.
 
-    On Linux the row-major grid is cut into at most ``workers`` contiguous
-    chunks of near-equal length, and no more than ``os.cpu_count()``, each
-    run by :func:`_fork_chunks`; one chunk, or any grid elsewhere, runs in
-    this process.  Each chunk is cut from its start into blocks of at most
+    The row-major grid is cut into contiguous chunks of near-equal length, as
+    many as :func:`_fork_width` runs at once of ``workers`` jobs but no more
+    than the points: one where forking cannot help.  :func:`_fork_chunks` runs
+    them.  Each chunk is cut from its start into blocks of at most
     ``BLOCK_TRIALS`` trials, or one point, which bounds a run's memory.
     """
     points = list(product(range(len(spec.theta_list)), range(len(spec.t_list))))
     step = max(1, BLOCK_TRIALS // trials)
-    n_chunks = min(workers, len(points), os.cpu_count() or 1) if workers > 1 else 1
-    if n_chunks > 1 and sys.platform == "linux":
-        cuts = [len(points) * k // n_chunks for k in range(n_chunks + 1)]
-        chunks = [points[a:b] for a, b in zip(cuts, cuts[1:])]
-        rows = _fork_chunks(lambda chunk: _grid_rows(evaluate, spec, chunk, step), chunks,
-                            lambda chunk: f"the chunk from {_point_name(spec, *chunk[0])}")
-    else:
-        rows = _grid_rows(evaluate, spec, points, step)
+    n_chunks = _fork_width(min(workers, len(points)))
+    cuts = [len(points) * k // n_chunks for k in range(n_chunks + 1)]
+    rows = _fork_chunks(lambda chunk: _grid_rows(evaluate, spec, chunk, step),
+                        [points[a:b] for a, b in zip(cuts, cuts[1:])],
+                        lambda chunk: f"the chunk from {_point_name(spec, *chunk[0])}")
     out = _resolve_out(spec.output_path, DEFAULT_OUT[command])
     _write_text(out, ",".join(columns) + "\n" + "\n".join(rows) + "\n")
     return out
@@ -405,37 +409,23 @@ def cmd_fig4(spec: SweepSpec) -> str:
     return _run_grid(spec, "fig4", FIG4_CSV_COLUMNS, _fig4_block, _FIG4_REPS)
 
 
-def _summaries(calls) -> list[str]:
-    """The summary line of each suite call of :func:`verify.suites`, in order."""
-    return [call().summary() for call in calls]
-
-
 def cmd_verify(seed: int = 0, n_instances: int | None = None) -> int:
     """Run the self-verification suites and print one summary line each; exit
-    code 0 iff all pass.  A value :func:`_check` rejects raises ValueError
-    before any suite runs.
+    code 0 iff all pass.  A value :func:`verify.check_run` rejects raises
+    ValueError before any suite runs.
 
-    On Linux, when this process may run on more than one CPU and has no thread
-    but its own, it imports ``numpy.random``, forks one worker
-    (:func:`_fork_chunks`) for marginalization, cfi-equals-qfi and
-    sylvester-residual, which share one grid solve, and meanwhile runs
-    gap-equality, the largest suite.  On one CPU the worker would only take
-    turns with this process; a Python thread would outlive the fork, which
-    Python 3.12 and later warn of (NumPy's OpenBLAS pool does not: its own fork
-    handler stops it).  Otherwise the four run here, one after another.  Either
-    way the lines and exit code are those of :func:`verify.run_all`, byte for
-    byte.
+    It imports ``numpy.random``, which both halves draw from, and gives
+    :func:`_fork_chunks` gap-equality, the largest suite, as the share and the
+    other three, which share one grid solve, as one chunk: a forked worker runs
+    them meanwhile where :func:`_fork_width` allows, else they follow here.
+    Either way the lines and exit code are :func:`verify.run_all`'s, byte for byte.
     """
-    _check("verify", SweepSpec(seed=seed), n_instances=n_instances)
     first, *rest = suites(seed, n_instances)
-    if (sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1):
-        import numpy.random  # noqa: F401  (both halves draw; the worker inherits it)
+    import numpy.random  # noqa: F401  (both halves draw; a worker inherits it)
 
-        where = f"the suites {', '.join(c.func.__name__ for c in rest)} at seed = {seed}"
-        lines = _fork_chunks(_summaries, [rest], lambda _: where, share=[first])
-    else:
-        lines = _summaries([first, *rest])
+    where = f"the suites {', '.join(c.func.__name__ for c in rest)} at seed = {seed}"
+    lines = _fork_chunks(lambda calls: [call().summary() for call in calls], [rest],
+                         lambda _: where, share=[first])
     print(*lines, sep="\n")
     return 0 if all(line.endswith(" PASS") for line in lines) else 1
 
@@ -473,13 +463,13 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
     """Raise ValueError at the first value ``command`` cannot evaluate.
 
     Every value rule of the four commands is here, once, with the commands
-    it applies to; SweepSpec has checked the types, and this checks
-    ``n_instances``'s.  main() runs it before any work, and so do the four
-    ``cmd_*`` functions, for library calls.  The message starts with the
-    field and quotes the value.  The grids come first, entry by entry:
-    theta_list, t_list, then the (theta, t) points in row-major order.  The
-    other fields follow in SweepSpec order, then ``workers`` and
-    ``n_instances``.
+    it applies to; SweepSpec has checked the types, and verify's whole rule is
+    :func:`verify.check_run`.  main() runs it before any work, and so do
+    ``cmd_sweep``, ``cmd_kd`` and ``cmd_fig4``, for library calls (cmd_verify
+    runs ``check_run``).  The message starts with the field and quotes the value.
+    The grids come first, entry by entry: theta_list, t_list, then the
+    (theta, t) points in row-major order.  The other fields follow in
+    SweepSpec order, ``n_instances`` right after the seed, then ``workers``.
     """
     for theta in spec.theta_list:
         if command in ("kd", "fig4") and not math.isfinite(theta):
@@ -528,11 +518,7 @@ def _check(command: str, spec: SweepSpec, workers: int = 1, n_instances=None) ->
     if command == "sweep" and spec.n_trials < 2:
         raise ValueError(f"n_trials: {spec.n_trials} is not an integer >= 2")
     if command in ("sweep", "fig4", "verify"):
-        check_run(
-            spec.seed,
-            _checked("n_instances", n_instances, 0)
-            if command == "verify" and n_instances is not None else None,
-        )
+        check_run(spec.seed, n_instances)
     if command == "fig4" and not 1 <= spec.shots_per_basis <= MAX_COUNT:
         raise ValueError(
             f"shots_per_basis: {spec.shots_per_basis} must lie in [1, {MAX_COUNT}]"

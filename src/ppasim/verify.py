@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from itertools import chain
 from typing import NamedTuple
 
@@ -382,21 +383,32 @@ def sylvester_suite(seed: int, n_instances: int) -> SuiteResult:
     return _fold("sylvester-residual", _GRID_STATES + n_instances, 1e-8, residuals())
 
 
-def check_run(seed: int, n_instances: int | None = None) -> None:
-    """Raise ValueError, with the one-line message of ``cli._check``, if
-    ``seed`` is negative or ``n_instances`` (None for 1000) is below 1."""
+def _is_kind(value, kind) -> bool:
+    """isinstance, except that a bool (a JSON true or false) is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_run(seed: int, n_instances: int | None = None) -> int:
+    """The instance count of a run, 1000 for None.  ValueError, one line naming
+    the field and quoting the value, unless ``seed`` is an int >= 0 and the
+    count an int >= 1, types checked before values: verify's whole input rule,
+    which ``cli._check`` also runs on the seeds of sweep and fig4."""
+    n = 1000 if n_instances is None else n_instances
+    for name, value in (("seed", seed), ("n_instances", n)):
+        if not _is_kind(value, numbers.Integral):
+            raise ValueError(f"{name}: expected int, got {value!r}")
     if seed < 0:
         raise ValueError(f"seed: {seed} must be non-negative")
-    if n_instances is not None and n_instances < 1:
-        raise ValueError(f"n_instances: {n_instances} must be at least 1")
+    if n < 1:
+        raise ValueError(f"n_instances: {n} must be at least 1")
+    return n
 
 
 def suites(seed: int = 0, n_instances: int | None = None) -> list:
     """The four suites of :func:`run_all`, in its order, as calls of no argument
     that each return one SuiteResult; ``n_instances`` (None for 1000) scales the
     randomized ones.  A value :func:`check_run` rejects raises ValueError."""
-    check_run(seed, n_instances)
-    n = 1000 if n_instances is None else n_instances
+    n = check_run(seed, n_instances)
     return [
         functools.partial(gap_equality_suite, seed, n, max(n // 5, 1)),
         functools.partial(marginalization_suite, seed, max(n // 5, 1)),

@@ -238,7 +238,8 @@ def test_sweep_workers_do_not_change_bytes(tmp_path, capsys, argv, workers):
         assert b",nan," in a.read_bytes()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="a pool needs Linux and two CPUs")
 def test_pooled_sweep_leaves_numpy_random_out_of_the_parent(tmp_path):
     # the workers draw; importing numpy.random would only cost the parent
     # memory, as would a process pool module
@@ -360,6 +361,15 @@ def test_ci_commands_leave_no_file_open(tmp_path, argv):
     assert not re.search("Traceback|ResourceWarning", proc.stderr), proc.stderr
 
 
+def on_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as ``cli._fork_width`` sees it."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def no_fork(*args, **kwargs):
+    raise AssertionError("a worker was forked")
+
+
 def recording_runner(sizes):
     """Stand-in for cli._fork_chunks: appends each run's chunk count to
     ``sizes`` and runs the share, then the chunks, in this process."""
@@ -391,7 +401,7 @@ def stub_points(spec, points):
 def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkeypatch):
     sizes = []
     monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    on_cpus(monkeypatch, 8)
     thetas, ts = (0.1, 0.2, 0.3), (0.5, 1.0)
     want = "i,j,product,flags\n" + "".join(
         f"{i},{j},{theta * t:.12g},at={i}.{j}\n"
@@ -404,12 +414,12 @@ def test_grid_runner_writes_rows_row_major_whatever_the_workers(tmp_path, monkey
         columns = ("i", "j", "product", "flags")
         assert cli._run_grid(spec, "sweep", columns, stub_points, 1, workers) == str(out)
         assert out.read_text() == want
-    # one chunk runs in this process; 7 workers are capped at the 6 points
-    assert sizes == [2, 3, 6]
+    # one worker is one chunk; 7 workers are capped at the 6 points
+    assert sizes == [1, 2, 3, 6]
 
 
 @pytest.mark.parametrize(
-    "theta, t, started", [("0.1", "0.5", []), ("0.1,0.2,0.3", "0.5", [3])]
+    "theta, t, started", [("0.1", "0.5", [1]), ("0.1,0.2,0.3", "0.5", [3])]
 )
 def test_sweep_starts_no_more_processes_than_grid_points(
     tmp_path, capsys, monkeypatch, theta, t, started
@@ -417,13 +427,13 @@ def test_sweep_starts_no_more_processes_than_grid_points(
     sizes = []
     monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
     # enough CPUs that the grid, not the CPU count, bounds the chunks
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    on_cpus(monkeypatch, 8)
     argv = ["sweep", "--theta", theta, "--t", t, "--budget", "4000", "--trials", "3"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     run(argv + ["--out", str(a), "--workers", "1"], capsys)
     run(argv + ["--out", str(b), "--workers", "64"], capsys)
-    assert sizes == started
+    assert sizes == [1, *started]
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -432,7 +442,7 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     # CPUs would only cost memory and start-up
     sizes = []
     monkeypatch.setattr(cli, "_fork_chunks", recording_runner(sizes))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     code, _ = run(
         ["sweep", "--theta", "0.1,0.2,0.3", "--t", "0.3,0.5,0.7", "--budget", "4000",
          "--trials", "3", "--workers", "64", "--out", str(tmp_path / "s.csv")],
@@ -440,6 +450,57 @@ def test_sweep_starts_no_more_processes_than_cpus(tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert sizes == [2]
+
+
+# CI's sweep whose bytes it compares across worker counts
+CI_SWEEP = ["sweep", "--budget", "30", "--trials", "5"]
+
+
+def test_sweep_on_one_cpu_forks_nothing_and_writes_the_one_worker_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    # pinned to one CPU (CI's `taskset -c 0` run), workers would only take
+    # turns with each other: the chunks run here
+    on_cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    a, b = tmp_path / "w1.csv", tmp_path / "t1.csv"
+    assert run(CI_SWEEP + ["--workers", "1", "--out", str(a)], capsys)[0] == 0
+    assert run(CI_SWEEP + ["--workers", "2", "--out", str(b)], capsys)[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_beside_a_python_thread_forks_nothing_and_keeps_its_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    # a thread, as a Jupyter kernel runs, would outlive the fork, which
+    # Python 3.12 and later warn of
+    on_cpus(monkeypatch, 2)
+    a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert run(CI_SWEEP + ["--workers", "1", "--out", str(a)], capsys)[0] == 0
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        code, _ = run(CI_SWEEP + ["--workers", "2", "--out", str(b)], capsys)
+    finally:
+        done.set()
+        thread.join()
+    assert code == 0 and a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--trials", "2"], ["fig4"]],
+                         ids=["sweep", "fig4"])
+def test_one_job_runs_without_reading_the_cpus(tmp_path, capsys, monkeypatch, argv):
+    # a one-worker sweep and each of fig4's runs are one job: nothing to fork,
+    # so nothing to ask of the system
+    def no_affinity(pid):
+        raise AssertionError("the CPUs were read for one job")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", no_affinity)
+    out = tmp_path / "o.csv"
+    code, _ = run(argv + ["--theta", "0.1,0.2", "--t", "0.5", "--out", str(out)], capsys)
+    assert code == 0 and len(read_csv(out)) == 2
 
 
 # A grid of 3 x 2 points in three worker chunks whose second chunk, from
@@ -462,7 +523,7 @@ def evaluate(spec, points):
         FAIL
     return [(i, j, "") for i, j in points]
 
-os.cpu_count = lambda: 4
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
 spec = cli.SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), seed=7,
                      output_path=sys.argv[1])
 try:
@@ -526,7 +587,7 @@ def fork():
 
 forks, real_fork = [], os.fork
 os.fork = fork
-os.cpu_count = lambda: 4
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
 spec = cli.SweepSpec(theta_list=(0.1, 0.2, 0.3), t_list=(0.5, 1.0), output_path=sys.argv[1])
 fds = len(os.listdir("/proc/self/fd"))
 try:
@@ -552,6 +613,22 @@ def test_a_failed_fork_reaps_the_started_workers_and_closes_its_pipe(tmp_path):
         "BlockingIOError: [Errno 11] fork refused", "fds opened: 0", "no child left",
     ]
     assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+def test_an_interrupted_fork_closes_its_pipe(tmp_path, monkeypatch):
+    # whatever os.fork raises, the pipe made for that child does not leak
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "fork", interrupted)
+    on_cpus(monkeypatch, 2)
+    spec = SweepSpec(theta_list=(0.1, 0.2), t_list=(0.5,), output_path=str(tmp_path / "s.csv"))
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_grid(spec, "sweep", ("i", "j", "flags"), stub_points, 1, workers=2)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -1663,7 +1740,7 @@ def test_sweep_error_names_the_point(tmp_path, monkeypatch, workers):
 
     real_run = cli.run_trials
     monkeypatch.setattr(cli, "run_trials", fail_at_1_0)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     out = tmp_path / "s.csv"
     spec = SweepSpec(theta_list=(0.2, 1.5), t_list=(0.044, 0.5), n_trials=4, seed=3,
                      output_path=str(out))
@@ -1946,11 +2023,6 @@ VERIFY_SUITES = ("gap_equality_suite", "marginalization_suite", "cfi_qfi_suite",
                  "sylvester_suite")
 
 
-def on_cpus(monkeypatch, n):
-    """Let this process run on ``n`` CPUs, as ``cmd_verify`` sees it."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def serial_verify(seed, n):
     """``ppasim verify --seed seed --n n``'s stdout and exit code, as
     verify.run_all's results give them in one process."""
@@ -1984,13 +2056,9 @@ def test_verify_on_two_processes_prints_a_failed_suite_as_in_one(capsys, monkeyp
     assert code == 1 and out.count(" FAIL\n") == 1
 
 
-def no_fork(*args, **kwargs):
-    raise AssertionError("a worker was forked")
-
-
 def test_verify_on_one_cpu_runs_every_suite_here(capsys, monkeypatch):
     # pinned to one CPU, a worker would only take turns with the caller
-    monkeypatch.setattr(cli, "_fork_chunks", no_fork)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     on_cpus(monkeypatch, 1)
     for seed, n in ((0, 1), (3, 1000)):
         code = main(["verify", "--seed", str(seed), "--n", str(n)])
@@ -1999,7 +2067,7 @@ def test_verify_on_one_cpu_runs_every_suite_here(capsys, monkeypatch):
 
 def test_verify_beside_a_python_thread_runs_every_suite_here(capsys, monkeypatch):
     # a thread would outlive the fork, which Python 3.12 and later warn of
-    monkeypatch.setattr(cli, "_fork_chunks", no_fork)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     on_cpus(monkeypatch, 2)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
@@ -2127,25 +2195,28 @@ def test_verify_rejects_invalid_input_before_any_work(
         (dict(seed=True), "seed: expected int, got True"),
         (dict(seed=0, n_instances=True), "n_instances: expected int, got True"),
         (dict(seed=0, n_instances=2.5), "n_instances: expected int, got 2.5"),
+        (dict(seed=1.5), "seed: expected int, got 1.5"),
+        (dict(seed=0, n_instances=5.5), "n_instances: expected int, got 5.5"),
+        (dict(seed=0, n_instances="5"), "n_instances: expected int, got '5'"),
+        # both types before either value
+        (dict(seed=-1, n_instances=0.5), "n_instances: expected int, got 0.5"),
     ],
-    ids=["negative-seed", "negative-n", "zero-n", "bool-seed", "bool-n", "float-n"],
+    ids=["negative-seed", "negative-n", "zero-n", "bool-seed", "bool-n", "float-n",
+         "float-seed", "float-n-above-1", "str-n", "types-before-values"],
 )
 def test_library_verify_rejects_what_the_cli_rejects(monkeypatch, kwargs, message):
-    # cmd_verify runs cli._check before any suite, as main() does: a negative
-    # seed printed three raised-suite FAIL lines, n < 1 ran the n = 1 suites
-    # and a bool ran as 0 or 1
+    # verify.check_run is verify's whole rule, types included, and runs before
+    # any suite, for cmd_verify and verify.run_all alike: a negative seed
+    # printed three raised-suite FAIL lines, n < 1 ran the n = 1 suites, a
+    # bool or float seed ran as an int and a float n raised deep in the draws
     def no_work(*args, **kwargs):
         raise AssertionError("a suite ran on invalid input")
 
     for suite in VERIFY_SUITES:
         monkeypatch.setattr(verify, suite, no_work)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cli.cmd_verify(**kwargs)
-    # verify.run_all holds the value rules that _check's verify branch uses,
-    # so a library call of it refuses the same values before any suite runs
-    if "expected" not in message:
+    for call in (cli.cmd_verify, verify.run_all):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify.run_all(**kwargs)
+            call(**kwargs)
 
 
 # ---------------------------------------------------------------------- help

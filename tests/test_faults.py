@@ -48,7 +48,7 @@ FAULTS = [
     ("gap-max-only", quasiprob.nonclassicality_gap,
      "sq.max(axis=axes) - sq.min(axis=axes)", "sq.max(axis=axes)",
      verify_line("gap-equality"), "caught"),
-    ("verify-default-999", verify.suites,
+    ("verify-default-999", verify.check_run,
      "n = 1000 if", "n = 999 if",
      functools.partial(test_cli.test_verify_default_is_n_1000, seed="3"), "caught"),
     ("qfi-family-1pc-high", fisher.qfi_ppa_family,
@@ -89,8 +89,8 @@ FAULTS = [
     ("cfi-suite-axis-check-zeroed", verify.cfi_qfi_suite,
      "yield axis_angle(", "yield 0.0 * axis_angle(",
      test_fisher.test_cfi_suite_fails_on_a_wrong_sld_axis, "caught"),
-    # verify's two processes: the worker's lines before the caller's, the
-    # worker's last suite dropped, and a fork beside a live thread
+    # verify's two processes: the worker's lines before the caller's, and the
+    # worker's last suite dropped
     ("verify-worker-lines-first", cli._fork_chunks,
      'lines += data.decode().split("\\n")', 'lines[:0] = data.decode().split("\\n")',
      functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
@@ -99,9 +99,29 @@ FAULTS = [
      "[rest]", "[rest[:-1]]",
      functools.partial(test_cli.test_verify_on_two_processes_prints_the_serial_bytes,
                        seed=0, n=5), "caught"),
-    ("verify-forks-beside-a-thread", cli.cmd_verify,
-     "threading.active_count() == 1", "threading.active_count() >= 1",
+    # the one fork gate of the sweep and verify: a fork beside a live thread,
+    # on one CPU, or for one job, which reads the CPUs
+    ("verify-forks-beside-a-thread", cli._fork_width,
+     "threading.active_count() > 1", "threading.active_count() > 2",
      test_cli.test_verify_beside_a_python_thread_runs_every_suite_here, "caught"),
+    ("sweep-forks-beside-a-thread", cli._fork_width,
+     "threading.active_count() > 1", "threading.active_count() > 2",
+     test_cli.test_sweep_beside_a_python_thread_forks_nothing_and_keeps_its_bytes,
+     "caught"),
+    ("fork-gate-ignores-the-cpus", cli._fork_width,
+     "min(jobs, len(os.sched_getaffinity(0)))", "jobs",
+     test_cli.test_sweep_on_one_cpu_forks_nothing_and_writes_the_one_worker_bytes,
+     "caught"),
+    ("one-job-reads-the-cpus", cli._fork_width,
+     "if jobs < 2 or", "if jobs < 1 or",
+     functools.partial(test_cli.test_one_job_runs_without_reading_the_cpus,
+                       argv=["fig4"]), "caught"),
+    # verify's input rule without its types: a float seed runs the suites
+    ("check-run-skips-the-types", verify.check_run,
+     "if not _is_kind(value, numbers.Integral):", "if False:",
+     functools.partial(test_cli.test_library_verify_rejects_what_the_cli_rejects,
+                       kwargs=dict(seed=1.5), message="seed: expected int, got 1.5"),
+     "caught"),
 ]
 
 
