@@ -50,7 +50,6 @@ __all__ = [
     "MIN_AMPLITUDE",
     "SweepRecord",
     "SWEEP_CSV_COLUMNS",
-    "rng_stream",
     "postselected_bloch",
     "run_trials",
     "systematic_shift_t",
@@ -68,13 +67,6 @@ MAX_COUNT = 10**18
 # Smallest assumed filter amplitude |t| + delta_t: the estimates and their
 # variance scale as t and t^2, which below it underflow to a degenerate row.
 MIN_AMPLITUDE = 1e-100
-
-
-def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """PCG64 stream seeded by SeedSequence((seed, *path)), for verify, its only
-    caller: streams of distinct keys are independent, in any order of creation.
-    Grid points draw from :func:`_point_streams` instead."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
 
 
 class SweepRecord(NamedTuple):

@@ -107,7 +107,7 @@ def _checked(name: str, value, default):
 
 
 class SweepSpec(_SweepFields):
-    """Grid description shared by the sweep and fig4 commands, and the
+    """Grid description shared by the sweep, kd and fig4 commands, and the
     description of a bench run that :func:`bench.run_trials` reads.
 
     Every construction path, ``_make``, ``_replace``, ``pickle`` and
@@ -306,8 +306,9 @@ def _probe_out(path: str) -> None:
         raise ValueError(f"output_path: cannot write {path}: {exc.strerror}") from None
 
 
-def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
-    """Write the conditional quasiprobability tables and gaps as JSON.
+def cmd_kd(spec: SweepSpec) -> str:
+    """Write the conditional quasiprobability tables and gaps of ``spec``'s grid
+    as JSON to its ``output_path``; kd reads no other field.
 
     The imprinted state exp(i theta sigma_x / 2)|0> has Bloch vector
     (0, sin theta, cos theta) and |1> population ``fisher._population``, the
@@ -316,7 +317,6 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     :func:`quasiprob.gap4_ppa_family` call their gaps, free of cancellation.
     A value :func:`_check` rejects raises ValueError before any write.
     """
-    spec = SweepSpec(theta_list=tuple(theta_list), t_list=tuple(t_list))
     _check("kd", spec)
     theta, ts = np.array(spec.theta_list)[:, None], np.array(spec.t_list)
     r = np.stack([np.zeros_like(theta), np.sin(theta), np.cos(theta)], axis=-1)
@@ -330,7 +330,7 @@ def cmd_kd(theta_list, t_list, output_path: str = "") -> str:
     ]
     import json  # only kd and --config use it, so the cli imports it late
 
-    out = _resolve_out(output_path, DEFAULT_OUT["kd"])
+    out = _resolve_out(spec.output_path, DEFAULT_OUT["kd"])
     _write_text(out, json.dumps(records, indent=2) + "\n")
     return out
 
@@ -645,7 +645,7 @@ def main(argv=None) -> int:
     if command == "sweep":
         out = cmd_sweep(spec, workers=workers)
     elif command == "kd":
-        out = cmd_kd(spec.theta_list, spec.t_list, spec.output_path)
+        out = cmd_kd(spec)
     else:
         out = cmd_fig4(spec)
     print(out)

@@ -21,9 +21,11 @@ in runs of one d that hold as many d x d matrix entries as ``MAX_BATCH``
 six-level instances: ``MAX_BATCH * 36 // d**2`` rows, so 1152 qubits, 512
 qutrits, 288, 184 or 128 instances of d = 4, 5 or 6.  So each evaluated run
 is bounded for any count, but the draws are made up front and grow with it.
-``random_qudit_instances`` and ``random_marginalization_instances``
-make every draw when called and build each batch when their iterator
-reaches it, which yields it with the instances' positions in the draw, in
+Each random suite draws from its own :func:`rng_stream`, keyed by the seed
+and the suite, makes every draw first (``_qubit_draws``, ``_qudit_draws``,
+``_marginalization_draws``, ``_by_d``) and then builds each batch when its
+iterator reaches it (``_qubit_batches``, ``_qudit_batches``,
+``_marginalization_batches``), with the instances' positions in the draw, in
 ascending d.  The 84 grid states of the CFI = QFI and Sylvester suites are
 one ``ppa_family`` evaluation and one ``sld`` call, made once per process
 and shared by both suites.  The random states, generators and POVMs are
@@ -54,14 +56,12 @@ from .states import (
 )
 from .fisher import cfi, optimal_measurement, ppa_family, sld
 from .quasiprob import kd_distribution, verify_gap_equality
-from .bench import rng_stream
 
 __all__ = [
     "SuiteResult",
     "axis_angle",
     "sld_axis",
-    "random_qudit_instances",
-    "random_marginalization_instances",
+    "rng_stream",
     "gap_equality_suite",
     "marginalization_suite",
     "cfi_qfi_suite",
@@ -114,6 +114,13 @@ def _fold(name: str, n: int, threshold: float, residuals) -> SuiteResult:
     except ValueError as exc:
         return SuiteResult(name, 0, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
     return SuiteResult(name, n, float(np.max(worst)) if worst else math.nan, threshold)
+
+
+def rng_stream(seed: int, *path: int) -> np.random.Generator:
+    """PCG64 stream seeded by SeedSequence((seed, *path)), one per suite: streams
+    of distinct keys are independent, in any order of creation.  The grid
+    commands draw from bench's keyed Philox streams instead."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
 
 
 def axis_angle(u, w):
@@ -192,8 +199,8 @@ def _qudit_draws(rng: np.random.Generator, n: int) -> list:
     ))
 
 
-def random_qudit_instances(rng: np.random.Generator, n: int):
-    """n random d-level instances satisfying the identity's preconditions exactly.
+def _qudit_batches(draws):
+    """Random d-level instances satisfying the identity's preconditions exactly.
 
     Each generator gets integer eigenvalues in [-3, 3] (distinct extremes,
     possibly degenerate middle) and one projector slot per value -3 ... 3,
@@ -201,13 +208,9 @@ def random_qudit_instances(rng: np.random.Generator, n: int):
     state is a random superposition of the extreme eigenvectors, and each
     filter's pass element is built by a diagonal congruence that balances
     it between the two supported eigenspaces before being rescaled to a
-    contraction.  Draws as ``_qudit_draws``; yields ``(positions, rho, gen,
-    k_plus)`` batches.
+    contraction.  Builds the groups of ``_qudit_draws``; yields ``(positions,
+    rho, gen, k_plus)`` batches.
     """
-    return _qudit_batches(_qudit_draws(rng, n))
-
-
-def _qudit_batches(draws):
     for pos, z, middle, amp, rel, x, top_to in _runs(draws):
         # Haar-ish random orthonormal frames for the generators
         q, _ = np.linalg.qr(_complex(z))
@@ -253,7 +256,8 @@ def gap_equality_suite(seed: int, n_qubit: int, n_qudit: int) -> SuiteResult:
     def residuals():
         rng = rng_stream(seed, 1)
         qubits = _qubit_batches(_runs(_qubit_draws(rng, n_qubit)))
-        for _, rho, gen, k in chain(qubits, random_qudit_instances(rng, n_qudit)):
+        qudits = _qudit_batches(_qudit_draws(rng, n_qudit))
+        for _, rho, gen, k in chain(qubits, qudits):
             yield verify_gap_equality(rho, gen, k).residual
     return _fold("gap-equality", n_qubit + n_qudit, 1e-9, residuals())
 
@@ -296,20 +300,16 @@ def _marginalization_draws(rng: np.random.Generator, n: int) -> list:
     ))
 
 
-def random_marginalization_instances(rng: np.random.Generator, n: int):
-    """n random states, each with a sequence of three random POVMs.
+def _marginalization_batches(draws):
+    """Random states, each with a sequence of three random POVMs.
 
     Each instance has a d in 2..4, a state (a Dirichlet spectrum in a
     complex Gaussian frame) and per POVM 2..3 outcomes, one complex
     Gaussian matrix each (``_random_povms``).  Every POVM has three outcome
     slots; an unused one is the zero element, which adds exact zeros to
-    every marginal.  Draws as ``_marginalization_draws``; yields
+    every marginal.  Builds the groups of ``_marginalization_draws``; yields
     ``(positions, rho, povms)`` batches, ``povms`` three POVM stacks.
     """
-    return _marginalization_batches(_marginalization_draws(rng, n))
-
-
-def _marginalization_batches(draws):
     for pos, n_out, probs, z, x in _runs(draws):
         used = np.arange(3) < n_out[..., None]
         x = np.where(used[..., None, None], _complex(x), 0.0)
@@ -333,7 +333,8 @@ def _marginalization_residual(rho: np.ndarray, povms: tuple) -> np.ndarray:
 def marginalization_suite(seed: int, n_instances: int) -> SuiteResult:
     def residuals():
         rng = rng_stream(seed, 2)
-        for _, rho, povms in random_marginalization_instances(rng, n_instances):
+        draws = _marginalization_draws(rng, n_instances)
+        for _, rho, povms in _marginalization_batches(draws):
             yield _marginalization_residual(rho, povms)
     return _fold("marginalization", n_instances, 1e-12, residuals())
 

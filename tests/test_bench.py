@@ -17,7 +17,6 @@ from ppasim.bench import (
     _invert_frequency,
     _moments,
     postselected_bloch,
-    rng_stream,
     run_trials,
     systematic_shift_t,
 )
@@ -908,11 +907,3 @@ def test_systematic_shift_depends_only_on_relative_error():
     a = systematic_shift_t(0.1, 0.05, 0.005)
     b = systematic_shift_t(0.1, 0.5, 0.05)
     assert a == pytest.approx(b, abs=1e-15)
-
-
-def test_rng_stream_path_separation():
-    a = rng_stream(7, 1, 0).integers(0, 2**32, 4)
-    b = rng_stream(7, 2, 0).integers(0, 2**32, 4)
-    c = rng_stream(7, 1, 0).integers(0, 2**32, 4)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, c)

@@ -335,7 +335,7 @@ def test_library_commands_leave_the_callers_collector_unfrozen(tmp_path):
         "from ppasim import cli\n"
         "spec = cli.SweepSpec(theta_list=(0.1, 0.2), t_list=(0.3, 0.5), n_trials=2)\n"
         "cli.cmd_sweep(spec._replace(output_path='s.csv'), workers=2)\n"
-        "cli.cmd_kd(spec.theta_list, spec.t_list, 'kd.json')\n"
+        "cli.cmd_kd(spec._replace(output_path='kd.json'))\n"
         "cli.cmd_fig4(spec._replace(output_path='f.csv'))\n"
         "cli.cmd_verify(n_instances=1)\n"
         "print(gc.get_freeze_count())\n"
@@ -850,10 +850,7 @@ ONE_POINT = dict(theta_list=(0.1,), t_list=(0.5,))
 
 def write_output(command, path, grid):
     """Write ``command``'s output over ``grid`` to ``path``, all else at the defaults."""
-    if command == "kd":
-        cli.cmd_kd(grid["theta_list"], grid["t_list"], str(path))
-    else:
-        getattr(cli, f"cmd_{command}")(SweepSpec(**grid, output_path=str(path)))
+    getattr(cli, f"cmd_{command}")(SweepSpec(**grid, output_path=str(path)))
 
 
 @pytest.mark.parametrize("command", ["fig4", "kd"])
@@ -928,7 +925,7 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
 def test_kd_writes_to_dev_null(capsys):
-    assert cli.cmd_kd(THETA_GRID, T_GRID, "/dev/null") == "/dev/null"
+    assert cli.cmd_kd(SweepSpec(output_path="/dev/null")) == "/dev/null"
     # CI's `ppasim kd --out /dev/null`, through main's output probe
     assert run(["kd", "--out", "/dev/null"], capsys) == (0, "/dev/null\n")
 
@@ -1047,7 +1044,7 @@ def test_kd_tables_keep_their_digits_at_a_small_phase(tmp_path):
     # cancels, re[0] read 199996444040.17 here, 1.8e-5 low
     theta = t = 1e-6
     out = tmp_path / "kd.json"
-    cli.cmd_kd((theta,), (t,), str(out))
+    cli.cmd_kd(SweepSpec(theta_list=(theta,), t_list=(t,), output_path=str(out)))
     (rec,) = json.loads(out.read_text())
     q = 4.0 * (t * t + (1.0 - t * t) * math.sin(theta / 2.0) ** 2)
     assert rec["re"][0] == pytest.approx((1.0 + t * t) / q, rel=1e-14, abs=0.0)
@@ -1083,6 +1080,26 @@ def test_library_commands_reject_what_the_cli_rejects(
     with pytest.raises(ValueError, match="^" + message):
         write_output(command, out, {**ONE_POINT, **fields})
     assert not out.exists()
+
+
+def test_kd_takes_the_spec_that_main_checks(tmp_path, capsys):
+    # cmd_kd takes a SweepSpec, as cmd_sweep and cmd_fig4 do: it writes the
+    # bytes of main(["kd", ...]) at the default grid and at CI's negative-t
+    # grid, and rejects an infinite theta before it writes anything
+    by_main, by_call = tmp_path / "main.json", tmp_path / "call.json"
+    ci_flags = ["--theta", "-0.3,0.2,1.5", "--t", "-0.5,0.044,1.0"]
+    ci_grid = dict(theta_list=(-0.3, 0.2, 1.5), t_list=(-0.5, 0.044, 1.0))
+    for flags, grid in (([], {}), (ci_flags, ci_grid)):
+        assert run(["kd", *flags, "--out", str(by_main)], capsys)[0] == 0
+        assert cli.cmd_kd(SweepSpec(**grid, output_path=str(by_call))) == str(by_call)
+        assert by_call.read_bytes() == by_main.read_bytes()
+    kept = by_call.read_bytes()
+    for out in (by_call, tmp_path / "new.json"):
+        spec = SweepSpec(theta_list=(0.2, math.inf), output_path=str(out))
+        with pytest.raises(ValueError, match=r"^theta_list: theta = inf is not finite$"):
+            cli.cmd_kd(spec)
+    assert by_call.read_bytes() == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["call.json", "main.json"]
 
 
 def test_ci_kd_subset_equals_the_default_records(tmp_path, capsys):

@@ -15,6 +15,7 @@ import __future__
 
 import functools
 import inspect
+import math
 import sys
 import textwrap
 
@@ -122,6 +123,17 @@ FAULTS = [
      functools.partial(test_cli.test_library_verify_rejects_what_the_cli_rejects,
                        kwargs=dict(seed=1.5), message="seed: expected int, got 1.5"),
      "caught"),
+    # kd writes whatever its spec holds without its input rule, and verify's
+    # suites draw one stream where the path is ignored
+    ("kd-skips-its-check", cli.cmd_kd,
+     '_check("kd", spec)', "None",
+     functools.partial(test_cli.test_library_commands_reject_what_the_cli_rejects,
+                       command="kd", fields=dict(theta_list=(math.inf,), t_list=(0.5,)),
+                       message=r"theta_list: theta = inf is not finite$"),
+     "caught"),
+    ("rng-stream-ignores-its-path", verify.rng_stream,
+     "(int(seed), *map(int, path))", "(int(seed),)",
+     test_quasiprob.test_rng_stream_path_separation, "caught"),
 ]
 
 

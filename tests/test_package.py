@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ppasim
+from ppasim import cli, verify
 
 MODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(ppasim.__path__) if name != "__main__"
@@ -41,6 +42,25 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert blocks
     monkeypatch.chdir(tmp_path)
     exec(compile("".join(blocks), str(readme), "exec"), {"__name__": "__main__"})
+
+
+def test_readme_ledger_cites_only_checks_that_exist():
+    # the README's table of the abstract's claims names each check by test id,
+    # `[suite]` verify line or CSV column: each must resolve, so the table
+    # cannot cite a deleted or renamed check
+    text = (ROOT / "README.md").read_text()
+    ledger = text.split("\n## The abstract, claim by claim\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d) \|", ledger, re.M)
+    assert rows == [str(k) for k in range(1, 8)]
+    tests = re.findall(r"`tests/(\w+)\.py::(\w+)`", ledger)
+    suites = re.findall(r"`\[([\w-]+)\]`", ledger)
+    columns = re.findall(r"(sweep|fig4) column `(\w+)`", ledger)
+    assert tests and suites and columns
+    for module, name in tests:
+        assert callable(getattr(importlib.import_module(module), name, None)), name
+    assert set(suites) <= {r.name for r in verify.run_all(0, 1)}
+    known = {"sweep": cli.SWEEP_CSV_COLUMNS, "fig4": cli.FIG4_CSV_COLUMNS}
+    assert [col for cmd, col in columns if col not in known[cmd]] == []
 
 
 def run_benchmark(cwd, workload, *flags):

@@ -28,8 +28,7 @@ from ppasim.verify import (
     _marginalization_residual,
     gap_equality_suite,
     marginalization_suite,
-    random_marginalization_instances,
-    random_qudit_instances,
+    rng_stream,
 )
 
 from matrix_reference import (
@@ -436,7 +435,7 @@ def gaussian(parts):
 
 
 def marginalization_instance(n_out, probs, z, x):
-    """Reference for random_marginalization_instances: one instance built
+    """Reference for verify._marginalization_batches: one instance built
     alone from its draws, with its used outcomes only.
 
     The state is Q diag(probs) Q^dag with Q from the QR of z; POVM i has
@@ -481,7 +480,7 @@ def test_batched_marginalization_matches_the_per_instance_loop(seed, monkeypatch
     drawn, batch = suite_streams(seed, 2)
     draws = verify._marginalization_draws(drawn, n)
     refs = by_position(draws, marginalization_instance)
-    groups = list(random_marginalization_instances(batch, n))
+    groups = list(marginalization_batches(batch, n))
     assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
     dims = [rho.shape[-1] for _, rho, _ in groups]
@@ -746,7 +745,7 @@ def test_batched_gap_equality_equals_its_instances():
 
 
 def qudit_instance(z, middle, amp, rel, x, top_to):
-    """Reference for random_qudit_instances: one instance built alone from its draws.
+    """Reference for verify._qudit_batches: one instance built alone from its draws.
 
     The generator gets the eigenvalues -3, ``middle`` and 3 (distinct
     extremes, possibly degenerate middle) in the frame Q from the QR of z,
@@ -784,6 +783,26 @@ def qudit_instance(z, middle, amp, rel, x, top_to):
     return rho, gen, psd_sqrt(m)
 
 
+def qudit_batches(rng, n):
+    """verify's n random qudit instances drawn from ``rng``, built as
+    gap_equality_suite builds them: every draw, then each batch."""
+    return verify._qudit_batches(verify._qudit_draws(rng, n))
+
+
+def marginalization_batches(rng, n):
+    """verify's n random marginalization instances drawn from ``rng``, built
+    as marginalization_suite builds them."""
+    return verify._marginalization_batches(verify._marginalization_draws(rng, n))
+
+
+def test_rng_stream_path_separation():
+    a = rng_stream(7, 1, 0).integers(0, 2**32, 4)
+    b = rng_stream(7, 2, 0).integers(0, 2**32, 4)
+    c = rng_stream(7, 1, 0).integers(0, 2**32, 4)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(a, c)
+
+
 def suite_streams(seed, stream, skip_qubits=0):
     """Two identical suite streams, both advanced past ``skip_qubits`` qubit draws."""
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, stream))) for _ in range(2)]
@@ -801,7 +820,7 @@ def test_batched_qudit_instances_match_the_per_instance_loop(seed, monkeypatch):
     n = 200
     drawn, batch = suite_streams(seed, 1, skip_qubits=1000)
     refs = by_position(verify._qudit_draws(drawn, n), qudit_instance)
-    groups = list(random_qudit_instances(batch, n))
+    groups = list(qudit_batches(batch, n))
     assert batch.bit_generator.state == drawn.bit_generator.state
     assert sorted(np.concatenate([pos for pos, *_ in groups]).tolist()) == list(range(n))
     dims = [rho.shape[-1] for _, rho, _, _ in groups]
@@ -889,7 +908,7 @@ def test_coarse_grained_table_keeps_the_pair_entries_and_the_norm(monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(quasiprob, "kd_distribution", recording)
-    for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(12), 200):
+    for pos, rho, gen, k in qudit_batches(np.random.default_rng(12), 200):
         tables.clear()
         verify_gap_equality(rho, gen, k)
         [coarse] = tables
@@ -906,9 +925,9 @@ def test_coarse_grained_table_keeps_the_pair_entries_and_the_norm(monkeypatch):
 
 
 def qudit_residuals(seed, n):
-    """Gap residuals of ``random_qudit_instances(default_rng(seed), n)``, in draw order."""
+    """Gap residuals of ``qudit_batches(default_rng(seed), n)``, in draw order."""
     gap = np.empty(n)
-    for pos, rho, gen, k in random_qudit_instances(np.random.default_rng(seed), n):
+    for pos, rho, gen, k in qudit_batches(np.random.default_rng(seed), n):
         gap[pos] = verify_gap_equality(rho, gen, k).residual
     return gap
 
@@ -954,9 +973,7 @@ def test_batch_size_does_not_change_any_residual(max_batch, monkeypatch):
     def residuals():
         gap = qudit_residuals(5, n)
         marg = np.empty(n)
-        for pos, rho, povms in random_marginalization_instances(
-            np.random.default_rng(6), n
-        ):
+        for pos, rho, povms in marginalization_batches(np.random.default_rng(6), n):
             marg[pos] = _marginalization_residual(rho, povms)
         return gap, marg
 
@@ -997,14 +1014,14 @@ def test_batch_size_does_not_change_any_qudit_residual_of_the_suite(seed, monkey
 
 
 def test_gap_equality_random_qudits():
-    groups = random_qudit_instances(np.random.default_rng(100), 40)
+    groups = qudit_batches(np.random.default_rng(100), 40)
     for _, rho, gen, k in groups:
         assert verify_gap_equality(rho, gen, k).residual.max() < 1e-10
 
 
 def qudit_group():
     """The d = 4 group of some random qudit instances, as writable arrays."""
-    [(pos, rho, gen, k)] = [g for g in random_qudit_instances(np.random.default_rng(3), 40)
+    [(pos, rho, gen, k)] = [g for g in qudit_batches(np.random.default_rng(3), 40)
                             if g[1].shape[-1] == 4]
     assert len(pos) >= 4
     return np.array(rho), gen, np.array(k)
